@@ -152,12 +152,17 @@ class ConvexPolygonShape:
             return 0.0
         return self._boundary_dist(p)
 
-    def _boundary_dist(self, p):
+    def _edge_distances(self, pts):
+        """Distance from each point (n, 2) to each edge segment: (n, edges)."""
         a, b = self._edges()
         e = b - a
-        t = np.clip(np.sum((p - a) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
-        proj = a + t[:, None] * e
-        return float(np.min(np.linalg.norm(p - proj, axis=1)))
+        t = np.clip(np.sum((pts[:, None, :] - a) * e, axis=-1)
+                    / np.sum(e * e, axis=1), 0.0, 1.0)
+        proj = a + t[..., None] * e
+        return np.linalg.norm(pts[:, None, :] - proj, axis=-1)
+
+    def _boundary_dist(self, p):
+        return float(np.min(self._edge_distances(p[None])))
 
     def boundary_distance(self, p):
         return self._boundary_dist(_as_point(p))
@@ -291,6 +296,14 @@ class ConvexPolytope:
         self.normals = np.array(normals)
         self.offsets = np.array(offsets)
 
+    @classmethod
+    def from_arrays(cls, normals, offsets):
+        """Polytope over rows that already have unit normals and no duplicates."""
+        poly = cls.__new__(cls)
+        poly.normals = normals
+        poly.offsets = offsets
+        return poly
+
     def __len__(self):
         return len(self.offsets)
 
@@ -300,9 +313,6 @@ class ConvexPolytope:
     def violation(self, p):
         """Largest constraint violation at p (<= 0 means inside)."""
         return float(np.max(self.normals @ _as_point(p) - self.offsets))
-
-    def halfplanes(self):
-        return [Halfplane(n, o) for n, o in zip(self.normals, self.offsets)]
 
 
 def circle_from_three_points(p1, p2, p3):
@@ -336,22 +346,29 @@ def distance_point_to_shape(p, shape):
     return shape.distance(p)
 
 
+def segment_shape_intersections(a, b, shape):
+    """First boundary crossing of each segment a[i] -> b[i] (rows of (n, 2)).
+
+    Returns (points, crossed): the crossing nearest to a[i], valid where
+    crossed[i], which is False when the segment never crosses.
+    """
+    d = b - a
+    length = np.sqrt(np.vecdot(d, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = d / length[:, None]
+    t = shape.ray_distances(a, u)
+    crossed = (length >= 1e-12) & np.isfinite(t) & (t <= length + BOUNDARY_TOL)
+    return a + np.minimum(t, length)[:, None] * u, crossed
+
+
 def segment_shape_intersection(a, b, shape):
     """First boundary crossing of segment a->b, or None if it never crosses.
 
     Returns the crossing point nearest to a.
     """
-    a = _as_point(a)
-    b = _as_point(b)
-    d = b - a
-    length = float(np.linalg.norm(d))
-    if length < 1e-12:
-        return None
-    u = d / length
-    t = float(shape.ray_distances(a[None, :], u[None, :])[0])
-    if not np.isfinite(t) or t > length + BOUNDARY_TOL:
-        return None
-    return a + min(t, length) * u
+    q, crossed = segment_shape_intersections(_as_point(a)[None],
+                                             _as_point(b)[None], shape)
+    return q[0] if crossed[0] else None
 
 
 def ray_cast(origin, angle, shape, max_range):
@@ -366,6 +383,51 @@ def ray_cast(origin, angle, shape, max_range):
     return t
 
 
+def unit_rows(normals, offsets):
+    """Halfplane rows (..., 2) and (...) scaled by 1/|normal|, as Halfplane
+    stores them."""
+    norm = np.sqrt(np.vecdot(normals, normals))
+    return normals / norm[..., None], offsets / norm
+
+
+def supporting_halfplanes(shape, boundary_points, exterior_points):
+    """`supporting_halfplane` for many point pairs (rows of (n, 2)).
+
+    Returns the rows (normals, offsets) each Halfplane is built from, before
+    its normalization (see unit_rows).  Raises ValueError when any pair
+    fails the checks of supporting_halfplane.
+    """
+    q, e = boundary_points, exterior_points
+    if isinstance(shape, Circle):
+        v = q - shape.center
+        r_q = np.sqrt(np.vecdot(v, v))
+        w = e - shape.center
+        off_boundary = np.abs(r_q - shape.radius) > BOUNDARY_TOL
+        covered = np.sqrt(np.vecdot(w, w)) - shape.radius <= 0.0
+        n_out = v / r_q[:, None]
+    else:
+        dists = shape._edge_distances(q)
+        off_boundary = dists.min(axis=1) > BOUNDARY_TOL
+        covered = (shape.contains_many(e)
+                   | (shape._edge_distances(e).min(axis=1) <= 0.0))
+        # At a vertex two edges qualify; pick the one whose outward side best
+        # contains the exterior point.
+        on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)
+        normals = shape.edge_normals()
+        fit = np.where(on_edges, np.vecdot(normals, (e - q)[:, None, :]), -np.inf)
+        n_out = normals[np.argmax(fit, axis=1)]
+    if off_boundary.any():
+        raise ValueError("boundary_point is not on the shape boundary")
+    if covered.any():
+        raise ValueError("exterior_point is not strictly outside the shape")
+    normals = -n_out
+    offsets = np.vecdot(normals, q)
+    unit, unit_offsets = unit_rows(normals, offsets)
+    if np.any(np.vecdot(unit, e) > unit_offsets + BOUNDARY_TOL):
+        raise ValueError("exterior_point is not on the outward side of the tangent")
+    return normals, offsets
+
+
 def supporting_halfplane(shape, boundary_point, exterior_point):
     """Halfplane tangent to the shape at boundary_point, containing exterior_point.
 
@@ -373,32 +435,9 @@ def supporting_halfplane(shape, boundary_point, exterior_point):
     shape points).  boundary_point must lie on the shape boundary and
     exterior_point strictly outside, on the outward side of the tangent.
     """
-    q = _as_point(boundary_point)
-    e = _as_point(exterior_point)
-    if shape.boundary_distance(q) > BOUNDARY_TOL:
-        raise ValueError("boundary_point is not on the shape boundary")
-    if shape.distance(e) <= 0.0:
-        raise ValueError("exterior_point is not strictly outside the shape")
-    if isinstance(shape, Circle):
-        v = q - shape.center
-        n_out = v / np.linalg.norm(v)
-    else:
-        corners = shape.corners
-        nxt = np.roll(corners, -1, axis=0)
-        edge = nxt - corners
-        t = np.clip(np.sum((q - corners) * edge, axis=1) / np.sum(edge * edge, axis=1), 0.0, 1.0)
-        proj = corners + t[:, None] * edge
-        dists = np.linalg.norm(q - proj, axis=1)
-        on_edges = np.flatnonzero(dists <= BOUNDARY_TOL * 10 + dists.min())
-        normals = shape.edge_normals()
-        # At a vertex two edges qualify; pick the one whose outward side best
-        # contains the exterior point.
-        best = max(on_edges, key=lambda i: float(normals[i] @ (e - q)))
-        n_out = normals[best]
-    hp = Halfplane(-n_out, float(-n_out @ q))
-    if not hp.contains(e, tol=BOUNDARY_TOL):
-        raise ValueError("exterior_point is not on the outward side of the tangent")
-    return hp
+    normals, offsets = supporting_halfplanes(
+        shape, _as_point(boundary_point)[None], _as_point(exterior_point)[None])
+    return Halfplane(normals[0], offsets[0])
 
 
 def shape_distance(a, b):

@@ -61,13 +61,13 @@ def _swept_poses(agent, stamps, bounds):
     return pts
 
 
-def run_scenario(scenario, out_dir=None, *, plots=False, metrics_only=False):
+def run_scenario(scenario, out_dir=None, *, metrics_only=False):
     """Simulate the scenario and return a RunResult.
 
-    With out_dir set, writes metrics.json, trajectories.csv (skipped under
-    metrics_only), and SVG plots when requested.  The run itself never
-    aborts: per-stage failures inside an agent surface as report flags and
-    fallback statuses, not exceptions.
+    With out_dir set, writes metrics.json and trajectories.csv (skipped
+    under metrics_only).  The run itself never aborts: per-stage failures
+    inside an agent surface as report flags and fallback statuses, not
+    exceptions.
     """
     ss = np.random.SeedSequence(scenario.seed)
     spawn_seed, bus_seed = ss.spawn(2)
@@ -150,9 +150,6 @@ def run_scenario(scenario, out_dir=None, *, plots=False, metrics_only=False):
         metrics.save(out / "metrics.json")
         if not metrics_only:
             write_trajectories(out / "trajectories.csv", rows)
-            if plots:
-                from .plots import save_run_plots
-                save_run_plots(out, scenario, resolved, table)
 
     return RunResult(metrics=metrics, table=table, reports=reports,
                      resolved=resolved)

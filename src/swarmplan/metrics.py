@@ -57,13 +57,6 @@ def read_trajectories(path):
     return {k: np.asarray(v) for k, v in sorted(table.items())}
 
 
-def _support_along(fp, units):
-    """Vector of footprint supports along each row of `units`."""
-    if hasattr(fp, "radius"):
-        return np.full(len(units), fp.radius)
-    return fp.half_extent * np.abs(units).sum(axis=1)
-
-
 def _circumradius(fp):
     if hasattr(fp, "radius"):
         return fp.radius
@@ -112,8 +105,7 @@ def compute_motion_metrics(table, *, footprints, goals, limits, obstacles,
             d = pos[b] - pos[a]
             dist = np.hypot(d[:, 0], d[:, 1])
             units = d / np.maximum(dist, 1e-12)[:, None]
-            gap = dist - _support_along(fps[ii], units) \
-                       - _support_along(fps[jj], units)
+            gap = dist - fps[ii].support(units) - fps[jj].support(units)
             min_pair = min(min_pair, float(gap.min()))
             for s, e in _runs(gap <= 0.0):
                 events.append({

@@ -318,8 +318,7 @@ def admit_obstacles(shapes, regions):
             continue
         seen.add(id(s))
         for sl in regions.slices:
-            poly = (sl.static_polytope if sl.static_polytope is not None
-                    else sl.polytope)
+            poly = sl.static_polytope
             sup = _shape_support_many(s, -poly.normals)
             if np.all(poly.offsets + sup >= 0.0):
                 out.append(s)
@@ -447,23 +446,26 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
     in_hi = []
 
     # Safe-region halfplanes at every usable slice time.
-    if req.regions is not None and req.regions.slices:
-        usable = [sl for sl in req.regions.slices
-                  if sl.feasible and req.t_now + sl.t_rel <= layout.t_end + 1e-9]
-        if not usable:
+    regions = req.regions
+    if regions is not None and len(regions.t_rel):
+        times = req.t_now + regions.t_rel
+        usable = regions.feasible & (times <= layout.t_end + 1e-9)
+        if not usable.any():
             raise AllSlicesInfeasible(
-                f"{len(req.regions.slices)} slices, none feasible")
-        for sl in usable:
-            r = position_map(layout, [req.t_now + sl.t_rel])[0]
-            for nu, off in zip(sl.polytope.normals, sl.polytope.offsets):
-                in_rows.append(np.concatenate([nu[0] * r, nu[1] * r]))
-                in_lo.append(-np.inf)
-                in_hi.append(off)
+                f"{len(regions.t_rel)} slices, none feasible")
+        R = position_map(layout, times[usable])[:, None, :]
+        normals = regions.planes.normals[usable]
+        live = regions.planes.live()[usable]
+        in_rows.append(np.concatenate([normals[..., :1] * R,
+                                       normals[..., 1:] * R], axis=2)[live])
+        in_hi.append(regions.planes.offsets[usable][live])
+        in_lo.append(np.full(len(in_hi[-1]), -np.inf))
 
     # Derivative box limits: control-point rows guarantee the bound at every
     # instant (convex hull); the relaxed pass instead samples the bound on
     # the same dense grid the regions use, trading the guarantee between
     # samples for feasibility when the convex-hull rows are too conservative.
+    # Each row of D gives an x row then a y row.
     for order, (lo_b, hi_b) in sorted(req.limits.items()):
         lo_b = np.asarray(lo_b, dtype=float)
         hi_b = np.asarray(hi_b, dtype=float)
@@ -480,21 +482,20 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
             D = derivative_map(layout, times, order)
         else:
             D = difference_matrix(m, layout.dt, order)
-        for r in D:
-            in_rows.append(np.concatenate([r, np.zeros(m)]))
-            in_lo.append(lo_b[0])
-            in_hi.append(hi_b[0])
-            in_rows.append(np.concatenate([np.zeros(m), r]))
-            in_lo.append(lo_b[1])
-            in_hi.append(hi_b[1])
+        rows = np.zeros((len(D), 2, nvar))
+        rows[:, 0, :m] = D
+        rows[:, 1, m:] = D
+        in_rows.append(rows.reshape(-1, nvar))
+        in_lo.append(np.tile(lo_b[:2], len(D)))
+        in_hi.append(np.tile(hi_b[:2], len(D)))
 
     return QPProblem(
         H=H, F=F,
         A_eq=np.array(eq_rows) if eq_rows else None,
         b_eq=np.array(eq_b) if eq_b else None,
-        A_in=np.array(in_rows) if in_rows else None,
-        lower=np.array(in_lo) if in_rows else None,
-        upper=np.array(in_hi) if in_rows else None,
+        A_in=np.concatenate(in_rows) if in_rows else None,
+        lower=np.concatenate(in_lo) if in_rows else None,
+        upper=np.concatenate(in_hi) if in_rows else None,
     )
 
 

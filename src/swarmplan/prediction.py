@@ -217,10 +217,12 @@ class CircleFootprint:
         self.radius = float(radius)
 
     def support(self, u):
-        return self.radius
+        """max over the footprint of u.x, per row of unit directions (..., 2)."""
+        return np.full(np.shape(u)[:-1], self.radius)
 
     def contains(self, rel, tol=0.0):
-        return float(np.linalg.norm(rel)) <= self.radius + tol
+        """Whether offsets (..., 2) from the center lie in the disk."""
+        return np.sqrt(np.vecdot(rel, rel)) <= self.radius + tol
 
 
 class SquareFootprint:
@@ -234,10 +236,13 @@ class SquareFootprint:
         self.half_extent = float(half_extent)
 
     def support(self, u):
-        return self.half_extent * (abs(u[0]) + abs(u[1]))
+        """max over the footprint of u.x, per row of unit directions (..., 2)."""
+        u = np.asarray(u)
+        return self.half_extent * (np.abs(u[..., 0]) + np.abs(u[..., 1]))
 
     def contains(self, rel, tol=0.0):
-        return float(np.max(np.abs(rel))) <= self.half_extent + tol
+        """Whether offsets (..., 2) from the center lie in the square."""
+        return np.max(np.abs(rel), axis=-1) <= self.half_extent + tol
 
 
 def footprint_from_size(size):

@@ -79,22 +79,17 @@ class QPSolution:
 
 
 def _one_sided(A_in, lower, upper):
-    """Expand two-sided rows into G x <= h, remembering row provenance."""
-    rows = []
-    h = []
-    tags = []
-    for i in range(len(A_in)):
-        if np.isfinite(upper[i]):
-            rows.append(A_in[i])
-            h.append(upper[i])
-            tags.append((i, +1))
-        if np.isfinite(lower[i]):
-            rows.append(-A_in[i])
-            h.append(-lower[i])
-            tags.append((i, -1))
-    if rows:
-        return np.array(rows), np.array(h), tags
-    return np.zeros((0, A_in.shape[1])), np.zeros(0), tags
+    """Expand two-sided rows into G x <= h, remembering row provenance.
+
+    Row i gives its upper row, then its lower row, each when finite; tags
+    hold (i, +1) or (i, -1) in the same order.
+    """
+    keep = np.stack([np.isfinite(upper), np.isfinite(lower)], axis=1)
+    G = np.stack([A_in, -A_in], axis=1)[keep]
+    h = np.stack([upper, -lower], axis=1)[keep]
+    rows, side = np.nonzero(keep)
+    tags = list(zip(rows.tolist(), (1 - 2 * side).tolist()))
+    return G, h, tags
 
 
 def _independent_rows(A, b, tol=1e-10):

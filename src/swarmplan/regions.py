@@ -1,21 +1,55 @@
 """Convex safe regions carved from free space around a seed path.
 
-For every future timestep a polytope is grown around the previously planned
-position: rays marched in a fan of directions find the obstacles that bound
-free space, each contributes a supporting halfplane, and a bounding box caps
-the region.  Predicted peers cut the polytope further, and finally it is
+For every future timestep (a slice) a polytope is grown around the previously
+planned position: rays marched in a fan of directions find the obstacles
+that bound free space, each contributes a supporting halfplane, and a box
+caps the region.  Predicted peers cut the polytope further, and finally it is
 deflated by the ego footprint so the trajectory optimizer can treat the
 robot as a point.
+
+Layout.  The halfplanes {p : n.p <= o} of all slices of a cycle live in one
+`PlaneStack`: unit normals (slices, planes, 2) and offsets (slices, planes),
+padded with NaN past each slice's plane count.  `build_safe_regions` makes
+one pass over every slice: the seed march tests each distinct shape once,
+on the samples of all slices that hold it; each peer track cuts all slices
+in one array step; deflation and the seed probe are one step each.  The
+single-slice functions (`seed_region`, `contract_for_peer`,
+`deflate_for_ego`, `region_is_empty`) run the same kernels on a one-slice
+stack.
+
+Arithmetic.  Regions are defined per slice as a chain of `Halfplane` and
+`ConvexPolytope` objects: every cut renormalizes each plane of the slice
+(`Halfplane` divides by the norm it measures), and every polytope drops
+exact duplicate rows, keeping the first.  The kernels repeat those steps and
+keep each one's rounding, so the arrays equal the per-slice chain bit for
+bit.  Hence the forms below:
+- a slice's plane dots with a point are that slice's own (planes, 2) @ (2,)
+  product, batched only over slices with equal plane counts: BLAS gemv
+  rounds some rows differently depending on the row count, and einsum or
+  elementwise products round differently again;
+- 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
+  and np.linalg.norm do (norm(axis=...) and einsum do not);
+- a seed's containment in a circle compares the root distance, as
+  `Circle.contains` does, while the march compares squares, as
+  `contains_many` does; the two disagree on the boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .geometry import (Halfplane, ConvexPolytope, segment_shape_intersection,
-                       supporting_halfplane)
-from .prediction import CircleFootprint, footprint_from_size
+from .geometry import (Circle, ConvexPolytope, segment_shape_intersections,
+                       supporting_halfplanes, unit_rows)
+from .prediction import footprint_from_size
+
+# A region whose largest inscribed disk has a radius below this is empty.
+EMPTY_RADIUS = -1e-9
+# Slack of the seed probe, as in ConvexPolytope.contains.
+PROBE_TOL = 1e-9
+
+_BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 @dataclass
@@ -31,8 +65,64 @@ class SeedInsideObstacle(ValueError):
     """The region seed lies inside a mapped shape; no region can be grown."""
 
 
+class PlaneStack(NamedTuple):
+    """Halfplanes of many slices; rows from counts[k] on are NaN padding."""
+
+    normals: np.ndarray   # (slices, planes, 2), unit rows
+    offsets: np.ndarray   # (slices, planes)
+    counts: np.ndarray    # (slices,)
+
+    @classmethod
+    def of(cls, polytope):
+        """One-slice stack holding a polytope's rows."""
+        return cls(polytope.normals[None], polytope.offsets[None],
+                   np.array([len(polytope)]))
+
+    def live(self):
+        return np.arange(self.offsets.shape[1]) < self.counts[:, None]
+
+    def polytope(self, k):
+        c = self.counts[k]
+        return ConvexPolytope.from_arrays(self.normals[k, :c], self.offsets[k, :c])
+
+    def dots(self, points):
+        """Each slice's normals times its point, rounded as that slice's
+        own matrix-vector product (see the module notes)."""
+        out = np.full(self.offsets.shape, np.nan)
+        for c in np.unique(self.counts):
+            ks = np.flatnonzero(self.counts == c)
+            out[ks, :c] = np.matmul(self.normals[ks, :c],
+                                    points[ks, :, None])[..., 0]
+        return out
+
+    def widened(self, width):
+        pad = width - self.offsets.shape[1]
+        if pad <= 0:
+            return self
+        return PlaneStack(
+            np.concatenate([self.normals,
+                            np.full((len(self.counts), pad, 2), np.nan)], axis=1),
+            np.concatenate([self.offsets,
+                            np.full((len(self.counts), pad), np.nan)], axis=1),
+            self.counts)
+
+    def replaced(self, ks, other):
+        """Copy with slices ks taken from `other`, slice for slice."""
+        width = max(self.offsets.shape[1], other.offsets.shape[1])
+        out = self.widened(width)
+        other = other.widened(width)
+        normals, offsets, counts = (out.normals.copy(), out.offsets.copy(),
+                                    out.counts.copy())
+        normals[ks] = other.normals
+        offsets[ks] = other.offsets
+        counts[ks] = other.counts
+        return PlaneStack(normals, offsets, counts)
+
+
 @dataclass
 class RegionSlice:
+    """One slice's regions as polytopes (views into the stacks)."""
+
     t_rel: float
     seed: np.ndarray
     polytope: ConvexPolytope          # peer-contracted and ego-deflated
@@ -42,24 +132,243 @@ class RegionSlice:
 
 @dataclass
 class SafeRegion:
-    slices: list
+    """Per-slice convex regions of one cycle, slice k at t_rel[k]."""
+
+    t_rel: np.ndarray        # (slices,) seconds after the cycle start
+    seeds: np.ndarray        # (slices, 2)
+    planes: PlaneStack       # peer-contracted and ego-deflated
+    static: PlaneStack       # before peer cuts and deflation
+    feasible: np.ndarray     # (slices,) bool
     tau: float
 
-    def slice_at(self, t_rel):
-        """Slice whose timestep is nearest to t_rel."""
+    @cached_property
+    def slices(self):
+        return [RegionSlice(t_rel=float(t), seed=self.seeds[k],
+                            polytope=self.planes.polytope(k),
+                            feasible=bool(self.feasible[k]),
+                            static_polytope=self.static.polytope(k))
+                for k, t in enumerate(self.t_rel)]
+
+    def index_at(self, t_rel):
+        """Index of the slice whose timestep is nearest to t_rel."""
         k = int(round(t_rel / self.tau)) - 1
-        k = min(max(k, 0), len(self.slices) - 1)
-        return self.slices[k]
+        return min(max(k, 0), len(self.t_rel) - 1)
 
 
-def _box_halfplanes(seed, r_max):
-    return [
-        Halfplane(np.array([1.0, 0.0]), seed[0] + r_max),
-        Halfplane(np.array([-1.0, 0.0]), -seed[0] + r_max),
-        Halfplane(np.array([0.0, 1.0]), seed[1] + r_max),
-        Halfplane(np.array([0.0, -1.0]), -seed[1] + r_max),
-    ]
+# --- kernels ----------------------------------------------------------------
 
+def _distinct(normals, offsets, live):
+    """Live rows, packed in order, without rows equal in every bit to an
+    earlier row of their slice (the `ConvexPolytope` rule)."""
+    rows = np.arange(offsets.shape[1])
+    same = offsets[:, :, None] == offsets[:, None, :]
+    same &= normals[:, :, None, 0] == normals[:, None, :, 0]
+    same &= normals[:, :, None, 1] == normals[:, None, :, 1]
+    keep = live & ~(same & (rows[None, :] < rows[:, None])).any(axis=2)
+    counts = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :max(counts.max(), 1)]
+    normals = np.take_along_axis(normals, order[..., None], axis=1)
+    offsets = np.take_along_axis(offsets, order, axis=1)
+    pad = np.arange(order.shape[1]) >= counts[:, None]
+    normals[pad] = np.nan
+    offsets[pad] = np.nan
+    return PlaneStack(normals, offsets, counts)
+
+
+def _covers(shape, points):
+    """`shape.contains` at many points: the circle test compares the root
+    distance (contains_many compares squares)."""
+    if isinstance(shape, Circle):
+        d = points - shape.center
+        return np.sqrt(np.vecdot(d, d)) <= shape.radius
+    return shape.contains_many(points)
+
+
+def _first_hits(shape, seeds, dirs, offsets_grid, step):
+    """Index of the first marched sample inside `shape` per seed and
+    direction, or the sample count when none is.
+
+    Only samples within the shape's bounding circle (grown by one step) can
+    be inside; they are found from each ray's chord through that circle and
+    tested, and nothing else is.
+    """
+    n_dirs, n_steps = offsets_grid.shape[:2]
+    rel = shape.center - seeds
+    along = rel @ dirs.T
+    across2 = np.sum(rel * rel, axis=1)[:, None] - along ** 2
+    reach2 = (shape.size_scale + step) ** 2
+    half = np.sqrt(np.maximum(reach2 - across2, 0.0))
+    # Sample i lies at radius (i + 1) * step.
+    lo = np.clip(np.floor((along - half) / step).astype(int) - 1, 0, n_steps)
+    hi = np.clip(np.ceil((along + half) / step).astype(int), 0, n_steps)
+    n = np.where(across2 <= reach2, np.maximum(hi - lo, 0), 0).ravel()
+    first = np.full(len(n), n_steps)
+    if n.sum():
+        group = np.repeat(np.arange(len(n)), n)
+        idx = lo.ravel()[group] + np.arange(len(group)) - (np.cumsum(n) - n)[group]
+        pts = seeds[group // n_dirs] + offsets_grid[group % n_dirs, idx]
+        inside = shape.contains_many(pts)
+        group, idx = group[inside], idx[inside]
+        # Samples run outward within each group: its first inside is nearest.
+        lead = np.flatnonzero(np.diff(group, prepend=-1))
+        first[group[lead]] = idx[lead]
+    return first.reshape(len(seeds), n_dirs)
+
+
+def _tangent_planes(seeds, shapes, pos, absent, marched, config):
+    """The march of every marched slice: (slice, normal, offset) of each
+    tangent plane, slice by slice and in each slice's order of planes.
+
+    pos[k, j] is shape j's position in slice k's list, `absent` where it is
+    not listed; on a tie for the nearest sample the earlier position wins.
+    """
+    if not shapes:
+        return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0)
+    K = len(seeds)
+    n_steps = int(round(config.r_max / config.step))
+    th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    radii = config.step * np.arange(1, n_steps + 1)
+    grid = radii[None, :, None] * dirs[:, None, :]
+    hits = np.full((K, config.n_directions, len(shapes)), n_steps)
+    for j, s in enumerate(shapes):
+        members = np.flatnonzero((pos[:, j] < absent) & marched)
+        if len(members):
+            hits[members, :, j] = _first_hits(s, seeds[members], dirs, grid,
+                                              config.step)
+    best = (hits * (absent + 1) + pos[:, None, :]).argmin(axis=2)
+    hit = np.take_along_axis(hits, best[..., None], axis=2)[..., 0] < n_steps
+    shape_of = np.where(hit, best, -1)
+    # Each shape hit in a slice gives one plane, in order of its first hit.
+    d = np.arange(config.n_directions)
+    repeat = ((shape_of[:, :, None] == shape_of[:, None, :])
+              & (d[None, :] < d[:, None])).any(axis=2)
+    pk, pd = np.nonzero(hit & ~repeat)
+    pj = shape_of[pk, pd]
+    normals = np.full((len(pk), 2), np.nan)
+    offsets = np.full(len(pk), np.nan)
+    made = np.zeros(len(pk), dtype=bool)
+    for j in np.unique(pj):
+        s = shapes[j]
+        sel = np.flatnonzero(pj == j)
+        q, crossed = segment_shape_intersections(
+            seeds[pk[sel]], np.broadcast_to(s.center, (len(sel), 2)), s)
+        sel = sel[crossed]
+        normals[sel], offsets[sel] = unit_rows(*supporting_halfplanes(
+            s, q[crossed], seeds[pk[sel]]))
+        made[sel] = True
+    return pk[made], normals[made], offsets[made]
+
+
+def _seeded(seeds, shape_lists, config):
+    """`seed_region` for every slice: (stack, inside).
+
+    A slice whose seed lies in one of its shapes (inside[k]) is not marched
+    and gets the box alone.
+    """
+    K = len(seeds)
+    r = config.r_max
+    shapes, where = [], {}
+    ks, js, ps = [], [], []
+    for k, members in enumerate(shape_lists):
+        for p, s in enumerate(members):
+            j = where.setdefault(id(s), len(shapes))
+            if j == len(shapes):
+                shapes.append(s)
+            ks.append(k)
+            js.append(j)
+            ps.append(p)
+    absent = max((len(m) for m in shape_lists), default=0)
+    pos = np.full((K, len(shapes)), absent)
+    np.minimum.at(pos, (ks, js), ps)
+    inside = np.zeros(K, dtype=bool)
+    for j, s in enumerate(shapes):
+        members = np.flatnonzero(pos[:, j] < absent)
+        inside[members] |= _covers(s, seeds[members])
+    pk, pn, po = _tangent_planes(seeds, shapes, pos, absent, ~inside, config)
+
+    counts = 4 + np.bincount(pk, minlength=K)
+    width = counts.max()
+    normals = np.full((K, width, 2), np.nan)
+    offsets = np.full((K, width), np.nan)
+    normals[:, :4] = _BOX_NORMALS
+    offsets[:, 0] = seeds[:, 0] + r
+    offsets[:, 1] = -seeds[:, 0] + r
+    offsets[:, 2] = seeds[:, 1] + r
+    offsets[:, 3] = -seeds[:, 1] + r
+    slot = 4 + np.arange(len(pk)) - np.searchsorted(pk, pk)
+    normals[pk, slot] = pn
+    offsets[pk, slot] = po
+    live = np.arange(width) < counts[:, None]
+    for k in np.flatnonzero(counts > config.max_planes):
+        # Too many planes: the ones nearest the seed win, in their order.
+        c = counts[k]
+        dist = offsets[k, :c] - np.vecdot(normals[k, :c], seeds[k])
+        live[k] = False
+        live[k, np.argsort(dist, kind="stable")[:config.max_planes]] = True
+    return _distinct(normals, offsets, live), inside
+
+
+def _cut(stack, seeds, peers, footprint, margin):
+    """`contract_for_peer` on every slice: (stack, seed not covered)."""
+    rel = seeds - peers
+    free = ~footprint.contains(rel)
+    gap = stack.dots(peers) - stack.offsets - footprint.support(-stack.normals)
+    ks = np.flatnonzero(free & ~np.any(gap > margin, axis=1))
+    if len(ks) == 0:
+        return stack, free
+    r = rel[ks]
+    u = -r / np.sqrt(np.vecdot(r, r))[:, None]
+    offset = np.vecdot(u, peers[ks]) - footprint.support(-u) - margin
+    part = stack.widened(stack.counts[ks].max() + 1)
+    normals, offsets = unit_rows(part.normals[ks], part.offsets[ks])
+    at = (np.arange(len(ks)), part.counts[ks])
+    normals[at], offsets[at] = unit_rows(u, offset)
+    live = np.arange(offsets.shape[1]) <= part.counts[ks][:, None]
+    return stack.replaced(ks, _distinct(normals, offsets, live)), free
+
+
+def _deflated(stack, footprint):
+    """`deflate_for_ego` on every slice."""
+    normals, offsets = unit_rows(
+        stack.normals, stack.offsets - footprint.support(stack.normals))
+    return _distinct(normals, offsets, stack.live())
+
+
+def _chebyshev_radius(normals, offsets):
+    """Radius of the largest disk in {p : n.p <= o} with unit normals; inf
+    when the set holds arbitrarily large disks.
+
+    By LP duality the radius is the least sum(w * o) over weights w >= 0
+    with sum(w) = 1 and sum(w * n) = 0, and some least one has at most three
+    nonzero weights: an antiparallel pair, or a triple whose normals
+    surround the origin.  Both kinds are enumerated.
+    """
+    def cross(p, q):
+        return normals[p, 0] * normals[q, 1] - normals[p, 1] * normals[q, 0]
+
+    best = np.inf
+    rows = np.arange(len(offsets))
+    a, b = np.triu_indices(len(offsets), 1)
+    pair = ((np.abs(cross(a, b)) <= 1e-12)
+            & (np.vecdot(normals[a], normals[b]) < 0.0))
+    if pair.any():
+        best = np.min(0.5 * (offsets[a] + offsets[b])[pair])
+    i, j, k = np.nonzero((rows[:, None, None] < rows[None, :, None])
+                         & (rows[None, :, None] < rows[None, None, :]))
+    # Barycentric weights of the origin in the triangle of three normals.
+    w = np.stack([cross(j, k), cross(k, i), cross(i, j)])
+    det = w.sum(axis=0)
+    solid = np.abs(det) > 1e-12
+    w = w[:, solid] / det[solid]
+    around = np.all(w >= -1e-12, axis=0)
+    if around.any():
+        r = (w * offsets[np.stack([i, j, k])[:, solid]]).sum(axis=0)
+        best = min(best, np.min(r[around]))
+    return float(best)
+
+
+# --- single-slice API ---------------------------------------------------------
 
 def seed_region(seed, shapes, config=None):
     """Convex free-space polytope around a seed point.
@@ -74,44 +383,10 @@ def seed_region(seed, shapes, config=None):
     if config is None:
         config = RegionConfig()
     seed = np.asarray(seed, dtype=float)
-    for s in shapes:
-        if s.contains(seed):
-            raise SeedInsideObstacle(f"seed {seed.tolist()} is inside {s!r}")
-
-    planes = _box_halfplanes(seed, config.r_max)
-    if shapes:
-        n_steps = int(round(config.r_max / config.step))
-        th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        radii = config.step * np.arange(1, n_steps + 1)
-        pts = seed[None, None, :] + radii[None, :, None] * dirs[:, None, :]
-        flat = pts.reshape(-1, 2)
-        first_hit = np.full(config.n_directions, n_steps, dtype=int)
-        hit_shape = np.full(config.n_directions, -1, dtype=int)
-        for si, s in enumerate(shapes):
-            inside = s.contains_many(flat).reshape(config.n_directions, n_steps)
-            any_hit = inside.any(axis=1)
-            idx = np.where(any_hit, inside.argmax(axis=1), n_steps)
-            closer = idx < first_hit
-            first_hit[closer] = idx[closer]
-            hit_shape[closer] = si
-        chosen = []
-        for d in range(config.n_directions):
-            si = hit_shape[d]
-            if si >= 0 and si not in chosen:
-                chosen.append(si)
-        for si in chosen:
-            s = shapes[si]
-            q = segment_shape_intersection(seed, s.center, s)
-            if q is None:
-                continue
-            planes.append(supporting_halfplane(s, q, seed))
-
-    if len(planes) > config.max_planes:
-        dist = [hp.offset - float(hp.normal @ seed) for hp in planes]
-        order = np.argsort(dist, kind="stable")[:config.max_planes]
-        planes = [planes[i] for i in sorted(order)]
-    return ConvexPolytope(planes)
+    stack, inside = _seeded(seed[None], [list(shapes)], config)
+    if inside[0]:
+        raise SeedInsideObstacle(f"seed {seed.tolist()} is inside a shape")
+    return stack.polytope(0)
 
 
 def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
@@ -124,40 +399,13 @@ def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
     touching the padded footprint on the seed side.  Returns (polytope,
     feasible); feasible goes False when the seed itself is covered.
     """
-    seed = np.asarray(seed, dtype=float)
-    peer_position = np.asarray(peer_position, dtype=float)
-    rel = seed - peer_position
-    if footprint.contains(rel):
-        return polytope, False
-    # Separated when some plane keeps the whole padded footprint outside.
-    margins = polytope.normals @ peer_position - polytope.offsets
-    supports = np.array([footprint.support(-n) for n in polytope.normals])
-    if np.any(margins - supports > margin):
-        return polytope, True
-    u = -rel / np.linalg.norm(rel)
-    offset = float(u @ peer_position) - footprint.support(-u) - margin
-    planes = polytope.halfplanes()
-    planes.append(Halfplane(u, offset))
-    return ConvexPolytope(planes), True
-
-
-def region_is_empty(polytope, probe=None):
-    """True when the polytope has no interior point.
-
-    A cheap probe containment test short-circuits; otherwise the Chebyshev
-    center linear program decides.
-    """
-    if probe is not None and polytope.contains(probe):
-        return False
-    m = len(polytope)
-    # max r s.t. n_k . x + r <= o_k  ->  linprog minimizes -r.
-    A = np.hstack([polytope.normals, np.ones((m, 1))])
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=polytope.offsets,
-                  bounds=[(None, None), (None, None), (None, None)],
-                  method="highs")
-    if not res.success:
-        return True
-    return -res.fun < -1e-9
+    before = PlaneStack.of(polytope)
+    after, free = _cut(before, np.asarray(seed, dtype=float)[None],
+                       np.asarray(peer_position, dtype=float)[None],
+                       footprint, margin)
+    if after is before:
+        return polytope, bool(free[0])
+    return after.polytope(0), True
 
 
 def deflate_for_ego(polytope, footprint):
@@ -165,14 +413,26 @@ def deflate_for_ego(polytope, footprint):
 
     After deflation the optimizer can constrain the reference point alone.
     """
-    planes = [Halfplane(n, o - footprint.support(n))
-              for n, o in zip(polytope.normals, polytope.offsets)]
-    return ConvexPolytope(planes)
+    return _deflated(PlaneStack.of(polytope), footprint).polytope(0)
+
+
+def region_is_empty(polytope, probe=None):
+    """True when the polytope has no interior point, or is unbounded.
+
+    A probe containment test short-circuits; otherwise the largest inscribed
+    disk decides, found exactly in 2D (see _chebyshev_radius).  An unbounded
+    set (one that lost its box planes to max_planes) counts as empty, as
+    the failed Chebyshev LP it replaces did.
+    """
+    if probe is not None and polytope.contains(probe):
+        return False
+    radius = _chebyshev_radius(polytope.normals, polytope.offsets)
+    return not EMPTY_RADIUS <= radius < np.inf
 
 
 def build_safe_regions(volume, tracks, ego_footprint, now, prediction_config,
                        region_config=None, previous=None):
-    """One deflated polytope per moving-volume slice.
+    """One deflated polytope per moving-volume slice, in one pass.
 
     Slice seeds come from the volume (the old plan's positions).  Static
     shapes bound each region, every live track cuts it at its predicted
@@ -183,35 +443,31 @@ def build_safe_regions(volume, tracks, ego_footprint, now, prediction_config,
     """
     if region_config is None:
         region_config = RegionConfig()
-    track_paths = []
-    times = np.array([now + s.t_rel for s in volume.slices])
+    t_rel = np.array([vs.t_rel for vs in volume.slices])
+    seeds = np.array([vs.center for vs in volume.slices], dtype=float)
+    stack, inside = _seeded(seeds, [vs.shapes for vs in volume.slices],
+                            region_config)
+    feasible = ~inside
+    if previous is not None and inside.any():
+        ks = np.flatnonzero(inside)
+        src = [previous.index_at(t) for t in t_rel[ks]]
+        borrowed = previous.static
+        stack = stack.replaced(ks, PlaneStack(borrowed.normals[src],
+                                              borrowed.offsets[src],
+                                              borrowed.counts[src]))
+        feasible[ks] = previous.feasible[src]
+    static = stack
+    times = now + t_rel
     for tr in tracks:
-        track_paths.append((tr.predict_positions(times, prediction_config),
-                            footprint_from_size(tr.latest.size or (0.1,))))
-    slices = []
-    for k, vs in enumerate(volume.slices):
-        feasible = True
-        try:
-            poly = seed_region(vs.center, vs.shapes, region_config)
-        except SeedInsideObstacle:
-            if previous is not None:
-                prev_slice = previous.slice_at(vs.t_rel)
-                poly = (prev_slice.static_polytope
-                        if prev_slice.static_polytope is not None
-                        else prev_slice.polytope)
-                feasible = prev_slice.feasible
-            else:
-                poly = ConvexPolytope(_box_halfplanes(vs.center, region_config.r_max))
-                feasible = False
-        static_poly = poly
-        for path, fp in track_paths:
-            poly, ok = contract_for_peer(poly, vs.center, path[k], fp,
-                                         margin=region_config.peer_margin)
-            feasible = feasible and ok
-        poly = deflate_for_ego(poly, ego_footprint)
-        if feasible and region_is_empty(poly, probe=vs.center):
-            feasible = False
-        slices.append(RegionSlice(t_rel=vs.t_rel, seed=vs.center,
-                                  polytope=poly, feasible=feasible,
-                                  static_polytope=static_poly))
-    return SafeRegion(slices=slices, tau=volume.tau)
+        stack, free = _cut(stack, seeds,
+                           tr.predict_positions(times, prediction_config),
+                           footprint_from_size(tr.latest.size or (0.1,)),
+                           region_config.peer_margin)
+        feasible &= free
+    stack = _deflated(stack, ego_footprint)
+    probe_in = np.all((stack.dots(seeds) <= stack.offsets + PROBE_TOL)
+                      | ~stack.live(), axis=1)
+    for k in np.flatnonzero(feasible & ~probe_in):
+        feasible[k] = not region_is_empty(stack.polytope(k))
+    return SafeRegion(t_rel=t_rel, seeds=seeds, planes=stack, static=static,
+                      feasible=feasible, tau=volume.tau)

@@ -13,7 +13,7 @@ from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, PlanRequest,
                                fit_to_layout, plan_with_fallback,
                                quadratize_collision)
 from swarmplan.qp import solve_qp
-from swarmplan.regions import RegionSlice, SafeRegion
+from swarmplan.regions import PlaneStack, SafeRegion
 
 
 def dist_many(shape, pts):
@@ -270,10 +270,12 @@ def wall_region(tau=0.1, n_slices=40, x_wall=2.0):
               Halfplane(np.array([0.0, 1.0]), 20.0),
               Halfplane(np.array([0.0, -1.0]), 20.0)]
     poly = ConvexPolytope(planes)
-    slices = [RegionSlice(t_rel=tau * (k + 1), seed=np.zeros(2), polytope=poly,
-                          feasible=True, static_polytope=poly)
-              for k in range(n_slices)]
-    return SafeRegion(slices=slices, tau=tau)
+    stack = PlaneStack(np.tile(poly.normals, (n_slices, 1, 1)),
+                       np.tile(poly.offsets, (n_slices, 1)),
+                       np.full(n_slices, len(poly)))
+    return SafeRegion(t_rel=tau * np.arange(1, n_slices + 1),
+                      seeds=np.zeros((n_slices, 2)), planes=stack, static=stack,
+                      feasible=np.ones(n_slices, dtype=bool), tau=tau)
 
 
 def base_request(**kw):
@@ -419,8 +421,7 @@ class TestFallbackLadder:
 
     def test_walled_in_keeps_previous(self):
         region = wall_region()
-        for sl in region.slices:
-            sl.feasible = False
+        region.feasible[:] = False
         req = base_request(regions=region)
         traj, report = plan_with_fallback(req, Weights())
         assert report.status == "fallback"

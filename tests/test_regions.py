@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from swarmplan.geometry import Circle, ConvexPolytope, Halfplane, Square
+from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolytope,
+                                Halfplane, Square, Triangle, axis_rectangle,
+                                oriented_rectangle)
 from swarmplan.perception import MovingVolume, VolumeSlice
 from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
-                                  PredictionConfig, SquareFootprint)
-from swarmplan.regions import (RegionConfig, SeedInsideObstacle,
+                                  PredictionConfig, SquareFootprint,
+                                  footprint_from_size)
+from swarmplan.regions import (PlaneStack, RegionConfig, SeedInsideObstacle,
                                build_safe_regions, contract_for_peer,
                                deflate_for_ego, region_is_empty, seed_region)
 
@@ -336,6 +340,419 @@ class TestBuildSafeRegions:
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
                                     now=0.0, prediction_config=PredictionConfig(),
                                     region_config=RegionConfig())
-        assert region.slice_at(0.1).t_rel == pytest.approx(0.1)
-        assert region.slice_at(0.52).t_rel == pytest.approx(0.5)
-        assert region.slice_at(10.0).t_rel == pytest.approx(0.5)
+        assert region.t_rel[region.index_at(0.1)] == pytest.approx(0.1)
+        assert region.t_rel[region.index_at(0.52)] == pytest.approx(0.5)
+        assert region.t_rel[region.index_at(10.0)] == pytest.approx(0.5)
+
+
+# --- the one-pass build against the per-slice definition ----------------------
+#
+# The oracle is the per-slice composition that defines a region: march the
+# seed's ray fan, cut with contract_for_peer track by track (rebuilding
+# Halfplane and ConvexPolytope objects), deflate_for_ego, then the probe and
+# the HiGHS Chebyshev LP.  The one-pass build must equal it bit for bit.
+
+def _fp_support(fp, u):
+    if isinstance(fp, CircleFootprint):
+        return fp.radius
+    return fp.half_extent * (abs(u[0]) + abs(u[1]))
+
+
+def _fp_contains(fp, rel):
+    if isinstance(fp, CircleFootprint):
+        return float(np.linalg.norm(rel)) <= fp.radius
+    return float(np.max(np.abs(rel))) <= fp.half_extent
+
+
+def oracle_crossing(a, b, shape):
+    d = b - a
+    length = float(np.linalg.norm(d))
+    if length < 1e-12:
+        return None
+    u = d / length
+    t = float(shape.ray_distances(a[None, :], u[None, :])[0])
+    if not np.isfinite(t) or t > length + BOUNDARY_TOL:
+        return None
+    return a + min(t, length) * u
+
+
+def oracle_tangent(shape, q, e):
+    if shape.boundary_distance(q) > BOUNDARY_TOL:
+        raise ValueError("boundary_point is not on the shape boundary")
+    if shape.distance(e) <= 0.0:
+        raise ValueError("exterior_point is not strictly outside the shape")
+    if isinstance(shape, Circle):
+        v = q - shape.center
+        n_out = v / np.linalg.norm(v)
+    else:
+        corners = shape.corners
+        edge = np.roll(corners, -1, axis=0) - corners
+        t = np.clip(np.sum((q - corners) * edge, axis=1)
+                    / np.sum(edge * edge, axis=1), 0.0, 1.0)
+        dists = np.linalg.norm(q - (corners + t[:, None] * edge), axis=1)
+        on_edges = np.flatnonzero(dists <= BOUNDARY_TOL * 10 + dists.min())
+        normals = shape.edge_normals()
+        best = max(on_edges, key=lambda i: float(normals[i] @ (e - q)))
+        n_out = normals[best]
+    hp = Halfplane(-n_out, float(-n_out @ q))
+    if not hp.contains(e, tol=BOUNDARY_TOL):
+        raise ValueError("exterior_point is not on the outward side of the tangent")
+    return hp
+
+
+def oracle_seed_region(seed, shapes, config):
+    seed = np.asarray(seed, dtype=float)
+    for s in shapes:
+        if s.contains(seed):
+            raise SeedInsideObstacle("seed inside")
+    r = config.r_max
+    planes = [Halfplane(np.array([1.0, 0.0]), seed[0] + r),
+              Halfplane(np.array([-1.0, 0.0]), -seed[0] + r),
+              Halfplane(np.array([0.0, 1.0]), seed[1] + r),
+              Halfplane(np.array([0.0, -1.0]), -seed[1] + r)]
+    if shapes:
+        n_steps = int(round(config.r_max / config.step))
+        th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        radii = config.step * np.arange(1, n_steps + 1)
+        pts = seed[None, None, :] + radii[None, :, None] * dirs[:, None, :]
+        flat = pts.reshape(-1, 2)
+        first_hit = np.full(config.n_directions, n_steps, dtype=int)
+        hit_shape = np.full(config.n_directions, -1, dtype=int)
+        for si, s in enumerate(shapes):
+            inside = s.contains_many(flat).reshape(config.n_directions, n_steps)
+            idx = np.where(inside.any(axis=1), inside.argmax(axis=1), n_steps)
+            closer = idx < first_hit
+            first_hit[closer] = idx[closer]
+            hit_shape[closer] = si
+        chosen = []
+        for si in hit_shape:
+            if si >= 0 and si not in chosen:
+                chosen.append(si)
+        for si in chosen:
+            s = shapes[si]
+            q = oracle_crossing(seed, s.center, s)
+            if q is not None:
+                planes.append(oracle_tangent(s, q, seed))
+    if len(planes) > config.max_planes:
+        dist = [hp.offset - float(hp.normal @ seed) for hp in planes]
+        order = np.argsort(dist, kind="stable")[:config.max_planes]
+        planes = [planes[i] for i in sorted(order)]
+    return ConvexPolytope(planes)
+
+
+def oracle_contract(poly, seed, peer, fp, margin):
+    rel = seed - peer
+    if _fp_contains(fp, rel):
+        return poly, False
+    margins = poly.normals @ peer - poly.offsets
+    supports = np.array([_fp_support(fp, -n) for n in poly.normals])
+    if np.any(margins - supports > margin):
+        return poly, True
+    u = -rel / np.linalg.norm(rel)
+    offset = float(u @ peer) - _fp_support(fp, -u) - margin
+    planes = [Halfplane(n, o) for n, o in zip(poly.normals, poly.offsets)]
+    planes.append(Halfplane(u, offset))
+    return ConvexPolytope(planes), True
+
+
+def oracle_deflate(poly, fp):
+    return ConvexPolytope([Halfplane(n, o - _fp_support(fp, n))
+                           for n, o in zip(poly.normals, poly.offsets)])
+
+
+def oracle_empty(poly, probe):
+    if poly.contains(probe):
+        return False
+    res = linprog(c=[0.0, 0.0, -1.0],
+                  A_ub=np.hstack([poly.normals, np.ones((len(poly), 1))]),
+                  b_ub=poly.offsets, bounds=[(None, None)] * 3,
+                  method="highs")
+    return not res.success or -res.fun < -1e-9
+
+
+def oracle_build(volume, tracks, ego, now, pcfg, cfg, previous=None):
+    """[(polytope, static polytope, feasible)] per slice."""
+    times = np.array([now + s.t_rel for s in volume.slices])
+    paths = [(tr.predict_positions(times, pcfg),
+              footprint_from_size(tr.latest.size or (0.1,))) for tr in tracks]
+    out = []
+    for k, vs in enumerate(volume.slices):
+        feasible = True
+        try:
+            poly = oracle_seed_region(vs.center, vs.shapes, cfg)
+        except SeedInsideObstacle:
+            if previous is not None:
+                j = min(max(int(round(vs.t_rel / volume.tau)) - 1, 0),
+                        len(previous) - 1)
+                _, poly, feasible = previous[j]
+            else:
+                poly = ConvexPolytope([
+                    Halfplane(np.array([1.0, 0.0]), vs.center[0] + cfg.r_max),
+                    Halfplane(np.array([-1.0, 0.0]), -vs.center[0] + cfg.r_max),
+                    Halfplane(np.array([0.0, 1.0]), vs.center[1] + cfg.r_max),
+                    Halfplane(np.array([0.0, -1.0]), -vs.center[1] + cfg.r_max)])
+                feasible = False
+        static = poly
+        for path, fp in paths:
+            poly, ok = oracle_contract(poly, vs.center, path[k], fp,
+                                       cfg.peer_margin)
+            feasible = feasible and ok
+        poly = oracle_deflate(poly, ego)
+        if feasible and oracle_empty(poly, vs.center):
+            feasible = False
+        out.append((poly, static, feasible))
+    return out
+
+
+def random_shape_pool(rng, seeds):
+    """Circles, squares, triangles and long walls near the seed path."""
+    pool = []
+    for _ in range(int(rng.integers(6, 14))):
+        c = seeds[rng.integers(len(seeds))] + rng.uniform(-3.0, 3.0, size=2)
+        kind = rng.integers(4)
+        if kind == 0:
+            pool.append(Circle(c, float(rng.uniform(0.2, 1.0))))
+        elif kind == 1:
+            pool.append(axis_square(c, float(rng.uniform(0.3, 1.2))))
+        elif kind == 2:
+            pool.append(Triangle(c + rng.uniform(-0.8, 0.8, size=(3, 2))))
+        else:
+            th = rng.uniform(0, np.pi)
+            pool.append(oriented_rectangle(c, [np.cos(th), np.sin(th)],
+                                           float(rng.uniform(2.0, 6.0)), 0.1))
+    # Walls on one line share their supporting planes; a copy of a shape
+    # ties with it on every sample.
+    y = float(seeds[0, 1] + rng.uniform(1.0, 2.0))
+    pool += [axis_rectangle(-8.0, y, -1.0, y + 0.2),
+             axis_rectangle(-1.0, y, 6.0, y + 0.2)]
+    pool.append(Circle(pool[0].center, pool[0].radius)
+                if isinstance(pool[0], Circle) else axis_square(pool[0].center, 0.5))
+    return pool
+
+
+def random_volume(rng, n_slices, tau=0.1, inside_frac=0.1):
+    start = rng.uniform(-2.0, 2.0, size=2)
+    heading = rng.uniform(0, 2 * np.pi)
+    speed = rng.uniform(0.0, 1.5)
+    seeds = start + np.outer(tau * np.arange(1, n_slices + 1) * speed,
+                             [np.cos(heading), np.sin(heading)])
+    pool = random_shape_pool(rng, seeds)
+    slices = []
+    for k, seed in enumerate(seeds):
+        members = [pool[i] for i in rng.permutation(len(pool))
+                   if rng.random() < 0.7]
+        if rng.random() < inside_frac:
+            # A seed inside a shape, or exactly on a circle's rim where
+            # Circle.contains and contains_many can disagree.
+            th = rng.uniform(0, 2 * np.pi)
+            rim = Circle(seed + 0.4 * np.array([np.cos(th), np.sin(th)]), 0.4)
+            members.insert(int(rng.integers(len(members) + 1)),
+                           rim if rng.random() < 0.5 else Circle(seed, 0.3))
+        slices.append(VolumeSlice(t_rel=tau * (k + 1), center=seed,
+                                  shapes=members))
+    return MovingVolume(slices=slices, tau=tau, horizon=tau * n_slices)
+
+
+def random_tracks(rng, volume, pcfg):
+    tracks = []
+    seeds = np.array([vs.center for vs in volume.slices])
+    for _ in range(int(rng.integers(1, 6))):
+        size = (0.3,) if rng.random() < 0.5 else (0.1, 0.2, 0.3)
+        tr = PeerTrack()
+        p0 = seeds[rng.integers(len(seeds))] + rng.uniform(-1.5, 1.5, size=2)
+        v = rng.uniform(-1.0, 1.0, size=2)
+        for i in range(int(rng.integers(1, 4))):
+            tr.push(PeerState(stamp=-0.2 * i, position=p0 - 0.2 * i * v,
+                              velocity=v, acceleration=np.zeros(2),
+                              size=size), pcfg)
+        tracks.append(tr)
+    # A peer sitting on a seed, and a duplicate of a track: the copy meets
+    # the first one's cut exactly at its margin.
+    tracks.append(TestBuildSafeRegions().track_at(seeds[len(seeds) // 2],
+                                                  [0.0, 0.0], size=(0.2,)))
+    tracks.append(tracks[0])
+    return tracks
+
+
+def assert_same_regions(region, oracle):
+    assert len(region.slices) == len(oracle)
+    for k, (sl, (poly, static, feasible)) in enumerate(zip(region.slices, oracle)):
+        for got, want in ((sl.polytope, poly), (sl.static_polytope, static)):
+            assert np.array_equal(got.normals, want.normals), k
+            assert np.array_equal(got.offsets, want.offsets), k
+        assert sl.feasible == feasible, k
+
+
+class TestOnePassParity:
+    @pytest.mark.parametrize("config", [RegionConfig(),
+                                        RegionConfig(max_planes=6)],
+                             ids=["default", "max_planes_6"])
+    def test_random_volumes_bit_identical(self, config):
+        rng = np.random.default_rng(17)
+        pcfg = PredictionConfig()
+        for trial in range(6):
+            ego = CircleFootprint(0.2) if trial % 2 else SquareFootprint(0.15)
+            first = random_volume(rng, 40)
+            tracks = random_tracks(rng, first, pcfg)
+            prev = build_safe_regions(first, tracks, ego, 0.0, pcfg, config)
+            prev_oracle = oracle_build(first, tracks, ego, 0.0, pcfg, config)
+            assert_same_regions(prev, prev_oracle)
+            second = random_volume(rng, 40, inside_frac=0.3)
+            region = build_safe_regions(second, tracks, ego, 0.04, pcfg,
+                                        config, previous=prev)
+            assert_same_regions(region, oracle_build(
+                second, tracks, ego, 0.04, pcfg, config, previous=prev_oracle))
+
+    def test_peers_on_footprint_rims(self):
+        # Seeds exactly on a peer disk's rim: the covered test must round
+        # |rel| as np.linalg.norm does.
+        rng = np.random.default_rng(29)
+        cfg = RegionConfig()
+        pcfg = PredictionConfig()
+        vol = random_volume(rng, 40, inside_frac=0.0)
+        tracks = []
+        for vs in vol.slices:
+            th = rng.uniform(0, 2 * np.pi)
+            tracks.append(TestBuildSafeRegions().track_at(
+                vs.center + 0.3 * np.array([np.cos(th), np.sin(th)]),
+                [0.0, 0.0], size=(0.3,)))
+        ego = CircleFootprint(0.2)
+        region = build_safe_regions(vol, tracks, ego, 0.0, pcfg, cfg)
+        assert_same_regions(region, oracle_build(vol, tracks, ego, 0.0, pcfg, cfg))
+
+    def test_plane_cap_ties(self):
+        # A ring of equal circles puts eight planes at one distance from the
+        # seed; rounding of the distances decides which one the cap drops.
+        rng = np.random.default_rng(41)
+        cfg = RegionConfig(max_planes=7)
+        slices = []
+        for k in range(40):
+            seed = rng.uniform(-3, 3, size=2)
+            d = rng.uniform(1.0, 3.0)
+            th = 2 * np.pi * np.arange(0, 16, 2) / 16
+            ring = [Circle(seed + d * np.array([np.cos(a), np.sin(a)]), 0.3)
+                    for a in th]
+            slices.append(VolumeSlice(t_rel=0.1 * (k + 1), center=seed,
+                                      shapes=ring))
+        vol = MovingVolume(slices=slices, tau=0.1, horizon=4.0)
+        ego = CircleFootprint(0.2)
+        pcfg = PredictionConfig()
+        region = build_safe_regions(vol, [], ego, 0.0, pcfg, cfg)
+        assert_same_regions(region, oracle_build(vol, [], ego, 0.0, pcfg, cfg))
+
+    def test_seeds_on_square_diagonals(self):
+        # The segment to the center meets a corner, where two edges fit the
+        # seed equally well: the first edge wins.
+        rng = np.random.default_rng(43)
+        cfg = RegionConfig()
+        for _ in range(20):
+            c = rng.uniform(-3, 3, size=2)
+            d = rng.uniform(1.0, 3.0)
+            for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+                seed = c + d * np.array([sx, sy])
+                square = axis_square(c, float(rng.uniform(0.5, 1.5)))
+                got = seed_region(seed, [square], cfg)
+                want = oracle_seed_region(seed, [square], cfg)
+                assert np.array_equal(got.normals, want.normals)
+                assert np.array_equal(got.offsets, want.offsets)
+
+    def test_plane_dots_round_as_each_slice_product(self):
+        # Batched products must round like each slice's own gemv, whose
+        # rounding depends on the row count (and differs from einsum).
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            counts = rng.integers(1, 34, size=int(rng.integers(1, 41)))
+            width = int(counts.max() + rng.integers(0, 4))
+            th = rng.uniform(0, 2 * np.pi, size=(len(counts), width))
+            normals = np.stack([np.cos(th), np.sin(th)], axis=-1)
+            normals[np.arange(width) >= counts[:, None]] = np.nan
+            stack = PlaneStack(normals, np.zeros(th.shape), counts)
+            points = rng.uniform(-10, 10, size=(len(counts), 2))
+            got = stack.dots(points)
+            for k, c in enumerate(counts):
+                assert np.array_equal(got[k, :c], normals[k, :c] @ points[k])
+
+    def test_single_slice_api_matches_oracle(self):
+        rng = np.random.default_rng(23)
+        cfg = RegionConfig()
+        pcfg = PredictionConfig()
+        for _ in range(10):
+            vol = random_volume(rng, 8, inside_frac=0.0)
+            tracks = random_tracks(rng, vol, pcfg)
+            for k, vs in enumerate(vol.slices):
+                try:
+                    want = oracle_seed_region(vs.center, vs.shapes, cfg)
+                except SeedInsideObstacle:
+                    with pytest.raises(SeedInsideObstacle):
+                        seed_region(vs.center, vs.shapes, cfg)
+                    continue
+                got = seed_region(vs.center, vs.shapes, cfg)
+                for tr in tracks:
+                    peer = tr.predict_positions(np.array([vs.t_rel]), pcfg)[0]
+                    fp = footprint_from_size(tr.latest.size)
+                    want, ok_want = oracle_contract(want, vs.center, peer, fp,
+                                                    cfg.peer_margin)
+                    got, ok = contract_for_peer(got, vs.center, peer, fp,
+                                                cfg.peer_margin)
+                    assert ok == ok_want
+                    assert np.array_equal(got.normals, want.normals)
+                    assert np.array_equal(got.offsets, want.offsets)
+                for fp in (CircleFootprint(0.2), SquareFootprint(0.2)):
+                    a, b = deflate_for_ego(got, fp), oracle_deflate(want, fp)
+                    assert np.array_equal(a.normals, b.normals)
+                    assert np.array_equal(a.offsets, b.offsets)
+                    assert (region_is_empty(a, probe=vs.center)
+                            == oracle_empty(b, vs.center))
+
+
+class TestEmptinessAgainstLP:
+    """The exact 2D test against HiGHS on the Chebyshev LP."""
+
+    @staticmethod
+    def lp_radius(poly):
+        res = linprog(c=[0.0, 0.0, -1.0],
+                      A_ub=np.hstack([poly.normals, np.ones((len(poly), 1))]),
+                      b_ub=poly.offsets, bounds=[(None, None)] * 3,
+                      method="highs")
+        assert res.success or res.status == 3  # 3: unbounded
+        return -res.fun if res.success else np.inf
+
+    def polytopes(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            th = rng.uniform(0, 2 * np.pi, size=n)
+            planes = [Halfplane(np.array([np.cos(a), np.sin(a)]),
+                                float(rng.uniform(-1.0, 2.0))) for a in th]
+            yield ConvexPolytope(planes)
+        # Degenerate: boxes shrunk past empty, slabs, contradictory and
+        # touching parallel pairs, repeated normals, thin wedges.
+        for half in (1.0, 1e-3, 0.0, -1e-3, -1.0):
+            yield box_polytope(half)
+        for o in (1.0, 0.0, -1e-12, -1.0):
+            yield ConvexPolytope([Halfplane(np.array([1.0, 0.0]), o),
+                                  Halfplane(np.array([-1.0, 0.0]), o)])
+        yield ConvexPolytope([Halfplane(np.array([0.0, 1.0]), 1.0)])
+        yield ConvexPolytope([Halfplane(np.array([1.0, 0.0]), 1.0),
+                              Halfplane(np.array([1.0, 0.0]), 2.0),
+                              Halfplane(np.array([-1.0, 0.0]), -0.5),
+                              Halfplane(np.array([0.0, 1.0]), 0.3),
+                              Halfplane(np.array([0.0, -1.0]), 0.3)])
+        for eps in (1e-3, 1e-6):
+            yield ConvexPolytope([Halfplane(np.array([np.cos(eps), np.sin(eps)]), 1.0),
+                                  Halfplane(np.array([np.cos(eps), -np.sin(eps)]), 1.0),
+                                  Halfplane(np.array([-1.0, 0.0]), 5.0)])
+
+    def test_agrees_with_highs(self):
+        rng = np.random.default_rng(31)
+        checked = empty = 0
+        for poly in self.polytopes(rng):
+            r = self.lp_radius(poly)
+            if abs(r + 1e-9) < 1e-7:
+                continue  # within HiGHS's own tolerance of the threshold
+            # Unbounded sets count as empty, as the failed LP did.
+            want = r < -1e-9 or r == np.inf
+            assert region_is_empty(poly) == want, poly.normals
+            checked += 1
+            empty += want
+        assert checked > 250 and 20 < empty < checked - 20
