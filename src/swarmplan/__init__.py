@@ -9,11 +9,11 @@ bit-for-bit reproducible for a given scenario and seed.
 """
 
 from .geometry import Circle, Square, Rectangle, Triangle, Halfplane, ConvexPolytope
-from .bspline import UniformBSpline, TrajectorySpline, KnotLayout, plan_knot_layout
+from .bspline import TrajectorySpline, KnotLayout, plan_knot_layout
 from .qp import QPProblem, QPSolution, solve_qp
 
 __all__ = [
     "Circle", "Square", "Rectangle", "Triangle", "Halfplane", "ConvexPolytope",
-    "UniformBSpline", "TrajectorySpline", "KnotLayout", "plan_knot_layout",
+    "TrajectorySpline", "KnotLayout", "plan_knot_layout",
     "QPProblem", "QPSolution", "solve_qp",
 ]

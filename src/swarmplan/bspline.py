@@ -1,13 +1,29 @@
 """Uniform B-splines on an equally spaced knot grid.
 
 A spline of degree l with m control points uses knots t0 + k*dt for
-k = 0..m+l and is well defined on [t0 + l*dt, t0 + m*dt].  Trajectories keep
-one scalar spline per axis on a shared grid.  Derivatives are again uniform
-B-splines whose control points are first differences scaled by 1/dt, so
-linear maps from control points to sampled positions or derivatives are
-banded with at most l+1 nonzeros per row.
+k = 0..m+l and is well defined on [t0 + l*dt, t0 + m*dt].  Its order-th
+derivative is again a uniform B-spline, of degree l-order with m-order
+control points `difference_matrix(m, dt, order) @ control` and its origin
+knot order*dt later, so linear maps from control points to sampled positions
+or derivatives are banded with at most l+1 nonzeros per row.
+
+`basis_weights` is the only evaluator of the basis: one Cox-de Boor
+recursion written as plain arithmetic over a list of per-basis columns, so
+the same code weighs one time (a float, in Python arithmetic) or many (an
+array, in numpy's).  Trajectories, the linear maps, the Gram matrices and
+the planner's quadrature all take their rows from it.  Its arithmetic forms
+are those of the per-time loops it replaced, so that batched and per-time
+results agree bit for bit:
+
+- every column is accumulated from 0.0 in the order of the per-time loop;
+- values are `np.matmul(w[..., None, :], c[idx])`, which rounds each row
+  like one time's `w @ c[idx]` (einsum and elementwise sums do not);
+- a derivative's origin knot is reached by repeated `t0 + dt`, and times
+  are clamped to that derivative's own domain;
+- `derivative_gram` keeps its `t0 + order*dt` origin and adds node by node.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,141 +31,54 @@ import numpy as np
 _DOMAIN_TOL = 1e-9
 
 
-def basis_function(i, order, t, t0, dt, n_knots):
-    """Cox-de Boor basis B_{i,order}(t) on the uniform grid, 0/0 taken as 0.
+def basis_weights(degree, u):
+    """Weights of the degree+1 basis functions active at local coordinate u.
 
-    Knots are t0 + k*dt for k = 0..n_knots-1.  The half-open convention
-    [t_k, t_{k+1}) applies, with the final interval closed.
+    u = (t - t0 - j*dt)/dt lies in [0, 1] on knot interval j, and the value
+    there is sum_i w[..., i] * c[j - degree + i].  u is a float, giving w of
+    shape (degree+1,), or an array, giving u.shape + (degree+1,).
     """
-    if i < 0 or i + order + 1 > n_knots - 1:
-        raise ValueError("basis index out of range for the knot grid")
-    knot = lambda k: t0 + k * dt
-    if order == 0:
-        hi_closed = i + 1 == n_knots - 1
-        if knot(i) <= t < knot(i + 1) or (hi_closed and t == knot(i + 1)):
-            return 1.0
-        return 0.0
-    left = 0.0
-    den_l = knot(i + order) - knot(i)
-    if den_l > 0:
-        left = (t - knot(i)) / den_l * basis_function(i, order - 1, t, t0, dt, n_knots)
-    right = 0.0
-    den_r = knot(i + order + 1) - knot(i + 1)
-    if den_r > 0:
-        right = (knot(i + order + 1) - t) / den_r * basis_function(i + 1, order - 1, t, t0, dt, n_knots)
-    return left + right
-
-
-def _basis_weights(degree, u):
-    """Weights of the degree+1 active basis functions at local coordinate u.
-
-    u is (t - t_span)/dt in [0, 1) within the active knot interval.  Returned
-    weights w satisfy value = sum_j w[j] * c[span - degree + j].
-    """
-    w = np.zeros(degree + 1)
-    w[0] = 1.0
+    cols = [1.0]
     for k in range(1, degree + 1):
-        prev = w[:k].copy()
-        w[:k + 1] = 0.0
-        for j in range(k):
-            # Active interval offsets for uniform knots.
-            a = (u + (k - 1 - j)) / k
-            w[j] += (1.0 - a) * prev[j]
-            w[j + 1] += a * prev[j]
-    return w
+        nxt = [0.0] * (k + 1)
+        for i, w in enumerate(cols):
+            a = (u + (k - 1 - i)) / k
+            nxt[i] = nxt[i] + (1.0 - a) * w
+            nxt[i + 1] = nxt[i + 1] + a * w
+        cols = nxt
+    if np.ndim(u) == 0:
+        return np.array(cols)
+    return np.stack(np.broadcast_arrays(u, *cols)[1:], axis=-1)
 
 
-def basis_weight_rows(degree, u):
-    """Active-basis weights for many local coordinates at once.
+def _active_basis(degree, t0, dt, m, t, order=0):
+    """(idx, w): the basis of the order-th derivative spline active at t.
 
-    u is an array of (t - t_span)/dt values inside one knot interval; returns
-    (len(u), degree+1) weights, row k matching _basis_weights(degree, u[k]).
+    Values there are w @ c[idx] for that spline's control points c, row by
+    row for an array t; idx and w have shape t.shape + (degree-order+1,).
+    Times within _DOMAIN_TOL of the derivative's own domain are clamped into
+    it; farther ones raise ValueError.  A float t takes Python arithmetic,
+    an array numpy's, with the same operations in the same order.
     """
-    u = np.asarray(u, dtype=float)
-    w = np.zeros((len(u), degree + 1))
-    w[:, 0] = 1.0
-    for k in range(1, degree + 1):
-        prev = w[:, :k].copy()
-        w[:, :k + 1] = 0.0
-        for j in range(k):
-            a = (u + (k - 1 - j)) / k
-            w[:, j] += (1.0 - a) * prev[:, j]
-            w[:, j + 1] += a * prev[:, j]
-    return w
-
-
-class UniformBSpline:
-    """Scalar uniform B-spline: degree, origin knot t0, spacing dt, control (m,)."""
-
-    __slots__ = ("degree", "t0", "dt", "control")
-
-    def __init__(self, degree, t0, dt, control):
-        control = np.asarray(control, dtype=float)
-        if control.ndim != 1:
-            raise ValueError("control points must be a 1D array")
-        if len(control) < degree + 1:
-            raise ValueError(f"need at least degree+1={degree + 1} control points, got {len(control)}")
-        if dt <= 0:
-            raise ValueError("knot spacing must be positive")
-        self.degree = int(degree)
-        self.t0 = float(t0)
-        self.dt = float(dt)
-        self.control = control
-
-    @property
-    def m(self):
-        return len(self.control)
-
-    @property
-    def domain(self):
-        return (self.t0 + self.degree * self.dt, self.t0 + self.m * self.dt)
-
-    def _check_domain(self, t):
-        lo, hi = self.domain
+    for _ in range(order):
+        t0 = t0 + dt
+    degree, m = degree - order, m - order
+    lo, hi = t0 + degree * dt, t0 + m * dt
+    if np.ndim(t) == 0:
         if t < lo - _DOMAIN_TOL or t > hi + _DOMAIN_TOL:
             raise ValueError(f"t={t} outside spline domain [{lo}, {hi}]")
-        return min(max(t, lo), hi)
-
-    def _span(self, t):
-        """Knot interval index j such that t is in [knot_j, knot_{j+1})."""
-        j = int(np.floor((t - self.t0) / self.dt + _DOMAIN_TOL))
-        return min(max(j, self.degree), self.m - 1)
-
-    def basis_row(self, t):
-        """(indices, weights) of active controls at t; len degree+1 each."""
-        t = self._check_domain(t)
-        j = self._span(t)
-        u = (t - (self.t0 + j * self.dt)) / self.dt
-        w = _basis_weights(self.degree, u)
-        return np.arange(j - self.degree, j + 1), w
-
-    def derivative(self):
-        """Spline of the first derivative: degree-1 on knots shifted by dt."""
-        if self.degree == 0:
-            raise ValueError("cannot differentiate a degree-0 spline")
-        c = (self.control[1:] - self.control[:-1]) / self.dt
-        return UniformBSpline(self.degree - 1, self.t0 + self.dt, self.dt, c)
-
-    def evaluate(self, t, order=0):
-        if order > self.degree:
-            return 0.0
-        s = self
-        for _ in range(order):
-            s = s.derivative()
-        idx, w = s.basis_row(t)
-        return float(w @ s.control[idx])
-
-    def evaluate_many(self, times, order=0):
-        s = self
-        for _ in range(min(order, self.degree)):
-            s = s.derivative()
-        if order > self.degree:
-            return np.zeros(len(times))
-        out = np.empty(len(times))
-        for k, t in enumerate(times):
-            idx, w = s.basis_row(t)
-            out[k] = w @ s.control[idx]
-        return out
+        t = min(max(t, lo), hi)
+        j = min(max(math.floor((t - t0) / dt + _DOMAIN_TOL), degree), m - 1)
+    else:
+        t = np.asarray(t, dtype=float)
+        outside = (t < lo - _DOMAIN_TOL) | (t > hi + _DOMAIN_TOL)
+        if outside.any():
+            raise ValueError(f"t={t[outside][0]} outside spline domain [{lo}, {hi}]")
+        t = np.minimum(np.maximum(t, lo), hi)
+        j = np.floor((t - t0) / dt + _DOMAIN_TOL).astype(int)
+        j = np.minimum(np.maximum(j, degree), m - 1)
+    w = basis_weights(degree, (t - (t0 + j * dt)) / dt)
+    return np.add.outer(j - degree, np.arange(degree + 1)), w
 
 
 def difference_matrix(m, dt, order):
@@ -210,7 +139,7 @@ def plan_knot_layout(t_now, horizon, dt, degree, goal_time=None, extension_segme
 
 
 class TrajectorySpline:
-    """Planar trajectory: two uniform B-splines sharing one knot grid.
+    """Planar trajectory: one uniform B-spline per axis on a shared knot grid.
 
     control is (m, 2) holding x and y control points columnwise.
     """
@@ -221,8 +150,10 @@ class TrajectorySpline:
         control = np.asarray(control, dtype=float)
         if control.ndim != 2 or control.shape[1] != 2:
             raise ValueError("trajectory control points must be (m, 2)")
-        # Validate through the scalar constructor.
-        UniformBSpline(degree, t0, dt, control[:, 0])
+        if len(control) < degree + 1:
+            raise ValueError(f"need at least degree+1={degree + 1} control points, got {len(control)}")
+        if dt <= 0:
+            raise ValueError("knot spacing must be positive")
         self.degree = int(degree)
         self.t0 = float(t0)
         self.dt = float(dt)
@@ -237,14 +168,6 @@ class TrajectorySpline:
         return len(self.control)
 
     @property
-    def x_spline(self):
-        return UniformBSpline(self.degree, self.t0, self.dt, self.control[:, 0])
-
-    @property
-    def y_spline(self):
-        return UniformBSpline(self.degree, self.t0, self.dt, self.control[:, 1])
-
-    @property
     def domain(self):
         return (self.t0 + self.degree * self.dt, self.t0 + self.m * self.dt)
 
@@ -252,70 +175,50 @@ class TrajectorySpline:
         lo, hi = self.domain
         return min(max(t, lo), hi)
 
-    def position(self, t):
-        idx, w = self.x_spline.basis_row(t)
-        return w @ self.control[idx]
-
-    def derivative_value(self, t, order):
-        if order == 0:
-            return self.position(t)
+    def _evaluate(self, t, order):
+        """order-th derivative: (2,) at a float t, (n, 2) at an array of n."""
         if order > self.degree:
-            return np.zeros(2)
-        sx = self.x_spline
-        for _ in range(order):
-            sx = sx.derivative()
-        idx, w = sx.basis_row(t)
-        D = difference_matrix(self.m, self.dt, order)
-        c = D @ self.control
-        return w @ c[idx]
+            return np.zeros(np.shape(t) + (2,))
+        c = self.control
+        if order:
+            c = difference_matrix(self.m, self.dt, order) @ c
+        idx, w = _active_basis(self.degree, self.t0, self.dt, self.m, t, order)
+        return np.matmul(w[..., None, :], c[idx])[..., 0, :]
+
+    def position(self, t):
+        return self._evaluate(t, 0)
 
     def positions(self, times):
-        sx = self.x_spline
-        out = np.empty((len(times), 2))
-        for k, t in enumerate(times):
-            idx, w = sx.basis_row(t)
-            out[k] = w @ self.control[idx]
-        return out
+        return self._evaluate(times, 0)
+
+    def derivative_value(self, t, order):
+        return self._evaluate(t, order)
 
     def derivative_values(self, times, order):
-        if order == 0:
-            return self.positions(times)
-        if order > self.degree:
-            return np.zeros((len(times), 2))
-        sx = self.x_spline
-        for _ in range(order):
-            sx = sx.derivative()
-        c = difference_matrix(self.m, self.dt, order) @ self.control
-        out = np.empty((len(times), 2))
-        for k, t in enumerate(times):
-            idx, w = sx.basis_row(t)
-            out[k] = w @ c[idx]
-        return out
+        return self._evaluate(times, order)
 
     def state_stack(self, t, n_orders):
         """(n_orders, 2) stack of derivative orders 0..n_orders-1 at t."""
-        return np.stack([self.derivative_value(t, k) for k in range(n_orders)])
+        return np.stack([self._evaluate(t, k) for k in range(n_orders)])
 
 
 def position_map(layout, times):
-    """(len(times), m) matrix T with T @ control = positions at `times`."""
+    """Rows T with T @ control = positions at `times` (see derivative_map)."""
     return derivative_map(layout, times, 0)
 
 
 def derivative_map(layout, times, order):
-    """(len(times), m) matrix mapping control points to order-th derivatives."""
-    proto = UniformBSpline(layout.degree, layout.t0, layout.dt, np.zeros(layout.m))
-    s = proto
-    for _ in range(order):
-        s = s.derivative()
+    """Rows mapping control points to order-th derivatives at `times`.
+
+    One (m,) row for a float time, (len(times), m) for an array of times.
+    """
     if order > layout.degree:
-        return np.zeros((len(times), layout.m))
-    D = difference_matrix(layout.m, layout.dt, order)
-    rows = np.zeros((len(times), layout.m - order))
-    for k, t in enumerate(times):
-        idx, w = s.basis_row(t)
-        rows[k, idx] = w
-    return rows @ D
+        return np.zeros(np.shape(times) + (layout.m,))
+    idx, w = _active_basis(layout.degree, layout.t0, layout.dt, layout.m,
+                           times, order)
+    rows = np.zeros(idx.shape[:-1] + (layout.m - order,))
+    np.put_along_axis(rows, idx, w, axis=-1)
+    return rows @ difference_matrix(layout.m, layout.dt, order)
 
 
 def derivative_gram(layout, order, span=None):
@@ -334,7 +237,7 @@ def derivative_gram(layout, order, span=None):
     if hi <= lo:
         return np.zeros((layout.m, layout.m))
     m_d = layout.m - order
-    proto = UniformBSpline(deg_d, layout.t0 + order * layout.dt, layout.dt, np.zeros(m_d))
+    t0_d = layout.t0 + order * layout.dt
     nodes, weights = np.polynomial.legendre.leggauss(deg_d + 1)
     G_d = np.zeros((m_d, m_d))
     # Walk whole knot intervals clipped to the span.
@@ -347,8 +250,8 @@ def derivative_gram(layout, order, span=None):
             continue
         ts = 0.5 * (b - a) * nodes + 0.5 * (b + a)
         ws = 0.5 * (b - a) * weights
-        for t, w in zip(ts, ws):
-            idx, row = proto.basis_row(t)
-            G_d[np.ix_(idx, idx)] += w * np.outer(row, row)
+        idx, rows = _active_basis(deg_d, t0_d, layout.dt, m_d, ts)
+        for ix, row, w in zip(idx, rows, ws):
+            G_d[np.ix_(ix, ix)] += w * np.outer(row, row)
     D = difference_matrix(layout.m, layout.dt, order)
     return D.T @ G_d @ D

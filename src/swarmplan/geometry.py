@@ -80,19 +80,8 @@ class Circle:
         return out
 
     def support(self, u):
-        """max_{x in shape} u.x for unit direction u."""
-        return float(u @ self.center) + self.radius
-
-    def nearest_boundary_feature(self, p):
-        """Nearest boundary point and curvature center info for exterior p.
-
-        Returns (q, kind) with kind 'arc'.  Undefined at the exact center.
-        """
-        v = _as_point(p) - self.center
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            return self.center + np.array([self.radius, 0.0]), "arc"
-        return self.center + v * (self.radius / norm), "arc"
+        """max over the shape of u.x, per row of unit directions (..., 2)."""
+        return u @ self.center + self.radius
 
 
 class ConvexPolygonShape:
@@ -196,19 +185,8 @@ class ConvexPolygonShape:
         return t.min(axis=1)
 
     def support(self, u):
-        return float(np.max(self.corners @ u))
-
-    def nearest_boundary_feature(self, p):
-        """Nearest boundary point and whether it lies on an edge or a vertex."""
-        p = _as_point(p)
-        a, b = self._edges()
-        e = b - a
-        t = np.clip(np.sum((p - a) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
-        proj = a + t[:, None] * e
-        d = np.linalg.norm(p - proj, axis=1)
-        i = int(np.argmin(d))
-        kind = "vertex" if (t[i] < 1e-9 or t[i] > 1.0 - 1e-9) else "edge"
-        return proj[i], kind
+        """max over the shape of u.x, per row of unit directions (..., 2)."""
+        return np.max(u @ self.corners.T, axis=-1)
 
 
 class Square(ConvexPolygonShape):
@@ -341,11 +319,6 @@ def circle_from_three_points(p1, p2, p3):
     return Circle(center, radius)
 
 
-def distance_point_to_shape(p, shape):
-    """Euclidean distance from p to the closed shape (0 inside)."""
-    return shape.distance(p)
-
-
 def segment_shape_intersections(a, b, shape):
     """First boundary crossing of each segment a[i] -> b[i] (rows of (n, 2)).
 
@@ -438,57 +411,3 @@ def supporting_halfplane(shape, boundary_point, exterior_point):
     normals, offsets = supporting_halfplanes(
         shape, _as_point(boundary_point)[None], _as_point(exterior_point)[None])
     return Halfplane(normals[0], offsets[0])
-
-
-def shape_distance(a, b):
-    """Distance between two closed shapes (0 if they touch or overlap)."""
-    if isinstance(a, Circle) and isinstance(b, Circle):
-        return max(0.0, float(np.linalg.norm(a.center - b.center)) - a.radius - b.radius)
-    if isinstance(a, Circle):
-        return max(0.0, b.distance(a.center) - a.radius)
-    if isinstance(b, Circle):
-        return max(0.0, a.distance(b.center) - b.radius)
-    # Polygon vs polygon: zero if any corner is inside the other, else the
-    # minimum distance over edge-segment pairs.
-    if np.any(a.contains_many(b.corners)) or np.any(b.contains_many(a.corners)):
-        return 0.0
-    best = np.inf
-    for p in a.corners:
-        best = min(best, b.boundary_distance(p))
-    for p in b.corners:
-        best = min(best, a.boundary_distance(p))
-    a1, a2 = a._edges()
-    b1, b2 = b._edges()
-    for i in range(len(a1)):
-        for j in range(len(b1)):
-            best = min(best, _segment_segment_distance(a1[i], a2[i], b1[j], b2[j]))
-    return float(best)
-
-
-def _segment_segment_distance(p1, p2, q1, q2):
-    d1 = p2 - p1
-    d2 = q2 - q1
-    r = p1 - q1
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
-    if a < 1e-30 and e < 1e-30:
-        return float(np.linalg.norm(r))
-    if a < 1e-30:
-        t = np.clip(f / e, 0.0, 1.0)
-        return float(np.linalg.norm(p1 - (q1 + t * d2)))
-    c = d1 @ r
-    if e < 1e-30:
-        s = np.clip(-c / a, 0.0, 1.0)
-        return float(np.linalg.norm(p1 + s * d1 - q1))
-    b = d1 @ d2
-    denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0)
-    elif t > 1.0:
-        t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))

@@ -57,12 +57,6 @@ def read_trajectories(path):
     return {k: np.asarray(v) for k, v in sorted(table.items())}
 
 
-def _circumradius(fp):
-    if hasattr(fp, "radius"):
-        return fp.radius
-    return fp.half_extent * math.sqrt(2.0)
-
-
 def _runs(mask):
     """(first, last) inclusive index pairs of each True run in mask."""
     idx = np.flatnonzero(mask)
@@ -116,7 +110,7 @@ def compute_motion_metrics(table, *, footprints, goals, limits, obstacles,
 
     min_clear = math.inf
     for ii, a in enumerate(ids):
-        r = _circumradius(fps[ii])
+        r = fps[ii].circumradius
         for oi, shape in enumerate(obstacles):
             clear = np.array([shape.distance(p) for p in pos[a]]) - r
             min_clear = min(min_clear, float(clear.min()))

@@ -456,7 +456,7 @@ def _enclosing_circle(a, b):
 
 
 def _enclosing_rect(a, b):
-    big = a if _poly_area(a) >= _poly_area(b) else b
+    big = a if _corners_area(a.corners) >= _corners_area(b.corners) else b
     e = big.corners[1] - big.corners[0]
     u = e / np.linalg.norm(e)
     v = np.array([-u[1], u[0]])
@@ -470,12 +470,6 @@ def _enclosing_rect(a, b):
         return Square([mid - half_u * u - half_v * v, mid + half_u * u - half_v * v,
                        mid + half_u * u + half_v * v, mid - half_u * u + half_v * v])
     return oriented_rectangle(mid, u, half_u, half_v)
-
-
-def _poly_area(shape):
-    c = shape.corners
-    n = np.roll(c, -1, axis=0)
-    return 0.5 * abs(float(np.sum(c[:, 0] * n[:, 1] - c[:, 1] * n[:, 0])))
 
 
 def _corners_area(corners):
@@ -540,8 +534,9 @@ def _merge_shapes(stored, incoming, points):
             fam_s == "triangle" and fam_i == "triangle"):
         union = _enclosing_rect(stored, incoming)
         overlap = _convex_intersection_area(stored.corners, incoming.corners)
-        covered = _poly_area(stored) + _poly_area(incoming) - overlap
-        if _poly_area(union) > MERGE_AREA_SLACK * max(covered, 1e-12):
+        covered = (_corners_area(stored.corners) + _corners_area(incoming.corners)
+                   - overlap)
+        if _corners_area(union.corners) > MERGE_AREA_SLACK * max(covered, 1e-12):
             return None
         return union
     if points is None or len(points) == 0:
@@ -582,13 +577,13 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau, window_radiu
     shapes = local_map.shapes()
     if shapes:
         centers = np.stack([_shape_center(s) for s in shapes])
+    t_rel = np.arange(1, n + 1) * tau
+    path = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
     slices = []
-    for k in range(1, n + 1):
-        t_rel = k * tau
-        c = trajectory.position(trajectory.clamp_time(t_now + t_rel))
+    for t, c in zip(t_rel.tolist(), path):
         members = []
         if shapes:
             d = np.linalg.norm(centers - c, axis=1)
             members = [shapes[i] for i in np.flatnonzero(d <= window_radius)]
-        slices.append(VolumeSlice(t_rel=t_rel, center=c, shapes=members))
+        slices.append(VolumeSlice(t_rel=t, center=c, shapes=members))
     return MovingVolume(slices=slices, tau=tau, horizon=horizon)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bspline import (TrajectorySpline, basis_weight_rows, derivative_gram,
+from .bspline import (TrajectorySpline, basis_weights, derivative_gram,
                       difference_matrix, derivative_map, plan_knot_layout,
                       position_map)
 from .geometry import Circle
@@ -141,7 +141,7 @@ def _quadrature_intervals(traj, span):
         ws = 0.5 * (b - a) * _GL64_WEIGHTS
         j = min(traj.degree + k, traj.m - 1)
         u = (ts - (traj.t0 + j * traj.dt)) / traj.dt
-        W = basis_weight_rows(traj.degree, u)
+        W = basis_weights(traj.degree, u)
         idx = np.arange(j - traj.degree, j + 1)
         out.append((ts, ws, idx, W))
     return out
@@ -319,18 +319,11 @@ def admit_obstacles(shapes, regions):
         seen.add(id(s))
         for sl in regions.slices:
             poly = sl.static_polytope
-            sup = _shape_support_many(s, -poly.normals)
+            sup = s.support(-poly.normals)
             if np.all(poly.offsets + sup >= 0.0):
                 out.append(s)
                 break
     return out
-
-
-def _shape_support_many(shape, dirs):
-    """Support function max_{x in shape} u.x for each direction row."""
-    if isinstance(shape, Circle):
-        return dirs @ shape.center + shape.radius
-    return np.max(dirs @ shape.corners.T, axis=1)
 
 
 def fit_to_layout(traj, layout):
@@ -342,7 +335,7 @@ def fit_to_layout(traj, layout):
     """
     times = np.linspace(layout.t_start, layout.t_end, 2 * layout.m)
     A = position_map(layout, times)
-    b = traj.positions([traj.clamp_time(t) for t in times])
+    b = traj.positions(np.clip(times, *traj.domain))
     control, *_ = np.linalg.lstsq(A, b, rcond=None)
     return TrajectorySpline.from_layout(layout, control)
 
@@ -395,7 +388,7 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
     # end velocity (rest by default, and rest after the stamp), damping
     # arrival speed.  Everything stays soft so a blocked goal cannot
     # deadlock the solve.
-    row = position_map(layout, [layout.t_end])[0]
+    row = position_map(layout, layout.t_end)
     H_fin, F_fin = end_cost(req.goal, row, w.Q_final)
     H += H_fin
     F += F_fin
@@ -404,14 +397,14 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
         t_pin = (req.goal_time if ahead
                  else layout.t_start + PIN_LEAD_SEGMENTS * layout.dt)
         if t_pin <= layout.t_end - 1e-9:
-            row_g = position_map(layout, [t_pin])[0]
+            row_g = position_map(layout, t_pin)
             H_g, F_g = end_cost(req.goal, row_g, w.Q_final)
             H += H_g
             F += F_g
             v_des = np.zeros(2)
             if req.end_velocity is not None and ahead:
                 v_des = req.end_velocity
-            row_v = derivative_map(layout, [t_pin], 1)[0]
+            row_v = derivative_map(layout, t_pin, 1)
             H_v, F_v = end_cost(v_des, row_v, w.Q_final_vel)
             H += H_v
             F += F_v
@@ -426,7 +419,7 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
     eq_rows = []
     eq_b = []
     for k in range(n):
-        r = derivative_map(layout, [layout.t_start], k)[0]
+        r = derivative_map(layout, layout.t_start, k)
         eq_rows.append(np.concatenate([r, np.zeros(m)]))
         eq_b.append(req.initial_state[k, 0])
         eq_rows.append(np.concatenate([np.zeros(m), r]))
@@ -434,7 +427,7 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
     for t_wp, p_wp in req.waypoints:
         if t_wp <= layout.t_start + 1e-9 or t_wp > layout.t_end + 1e-9:
             continue
-        r = position_map(layout, [t_wp])[0]
+        r = position_map(layout, t_wp)
         p_wp = np.asarray(p_wp, dtype=float)
         eq_rows.append(np.concatenate([r, np.zeros(m)]))
         eq_b.append(p_wp[0])
@@ -520,7 +513,9 @@ def plan_with_fallback(req, w):
     if req.goal_time is None:
         # No stamp given: re-derive an arrival time each cycle from the
         # current state and the acceleration budget.
-        a_max = _tightest_accel_bound(req.limits)
+        a_max = _tightest_bound(req.limits, 2)
+        if not np.isfinite(a_max):
+            a_max = 1.0
         goal_time = req.t_now + end_time_heuristic(
             req.initial_state, req.goal, a_max, req.dt)
         req = replace(req, goal_time=goal_time)
@@ -560,11 +555,11 @@ def plan_with_fallback(req, w):
     return finish(req.previous, "fallback", sol2)
 
 
-def _tightest_accel_bound(limits):
-    """Smallest absolute acceleration bound, or 1.0 when none is given."""
-    if 2 not in limits:
-        return 1.0
-    lo, hi = limits[2]
+def _tightest_bound(limits, order):
+    """Smallest finite absolute bound on the order-th derivative, else inf."""
+    if order not in limits:
+        return np.inf
+    lo, hi = limits[order]
     vals = np.abs(np.concatenate([np.atleast_1d(lo), np.atleast_1d(hi)]))
     vals = vals[np.isfinite(vals)]
-    return float(vals.min()) if len(vals) else 1.0
+    return float(vals.min()) if len(vals) else np.inf

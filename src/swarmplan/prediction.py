@@ -7,6 +7,7 @@ until enough data arrives, a constant-acceleration extrapolation of the
 newest state fills in.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,6 @@ class PredictionConfig:
     w_velocity: float = 0.5           # association weight on velocity mismatch
     w_acceleration: float = 0.1       # association weight on acceleration mismatch
     staleness: float = 0.5            # seconds without updates before flagging
-    physical_half_factor: bool = False  # use 1/2 a t^2 in the bootstrap
 
 
 @dataclass
@@ -41,15 +41,13 @@ class PeerState:
         self.acceleration = np.asarray(self.acceleration, dtype=float)
 
 
-def predict_constant_accel(state, t, half_factor=False):
-    """Extrapolate a single state to time t.
+def predict_constant_accel(state, t):
+    """Extrapolate a single state to time t as P + v dt + a dt^2.
 
-    The default propagates position as P + v dt + a dt^2; with half_factor
-    the familiar P + v dt + a dt^2 / 2 is used instead.
+    This is the printed bootstrap model, twice the physical a dt^2 / 2 term.
     """
     dt = t - state.stamp
-    scale = 0.5 if half_factor else 1.0
-    return state.position + state.velocity * dt + scale * state.acceleration * dt * dt
+    return state.position + state.velocity * dt + state.acceleration * dt * dt
 
 
 def _jerk_gram(T):
@@ -136,21 +134,19 @@ class PeerTrack:
 
     def predict_position(self, t, config):
         if self.coeffs is None:
-            return predict_constant_accel(self.latest, t, config.physical_half_factor)
+            return predict_constant_accel(self.latest, t)
         return self._poly_eval(t, 0)
 
     def predict_velocity(self, t, config):
         if self.coeffs is None:
             st = self.latest
             dt = t - st.stamp
-            scale = 0.5 if config.physical_half_factor else 1.0
-            return st.velocity + 2.0 * scale * st.acceleration * dt
+            return st.velocity + 2.0 * st.acceleration * dt
         return self._poly_eval(t, 1)
 
     def predict_acceleration(self, t, config):
         if self.coeffs is None:
-            scale = 0.5 if config.physical_half_factor else 1.0
-            return 2.0 * scale * self.latest.acceleration
+            return 2.0 * self.latest.acceleration
         return self._poly_eval(t, 2)
 
     def predict_positions(self, times, config):
@@ -158,9 +154,8 @@ class PeerTrack:
         if self.coeffs is None:
             st = self.latest
             dt = np.asarray(times) - st.stamp
-            scale = 0.5 if config.physical_half_factor else 1.0
             return (st.position[None, :] + st.velocity[None, :] * dt[:, None]
-                    + scale * st.acceleration[None, :] * (dt * dt)[:, None])
+                    + st.acceleration[None, :] * (dt * dt)[:, None])
         s = np.asarray(times) - self.t_ref
         out = np.empty((len(s), 2))
         for ax in range(2):
@@ -216,6 +211,11 @@ class CircleFootprint:
             raise ValueError("footprint radius must be positive")
         self.radius = float(radius)
 
+    @property
+    def circumradius(self):
+        """Radius of the smallest disk about the center covering the footprint."""
+        return self.radius
+
     def support(self, u):
         """max over the footprint of u.x, per row of unit directions (..., 2)."""
         return np.full(np.shape(u)[:-1], self.radius)
@@ -234,6 +234,11 @@ class SquareFootprint:
         if half_extent <= 0:
             raise ValueError("footprint half extent must be positive")
         self.half_extent = float(half_extent)
+
+    @property
+    def circumradius(self):
+        """Radius of the smallest disk about the center covering the footprint."""
+        return self.half_extent * math.sqrt(2.0)
 
     def support(self, u):
         """max over the footprint of u.x, per row of unit directions (..., 2)."""

@@ -24,7 +24,7 @@ from .bspline import plan_knot_layout
 from .perception import (LocalMap, PerceptionConfig, build_moving_volume,
                          classify_cluster, compensate_motion,
                          decompose_boundary, segment_scan)
-from .planner import (PlanRequest, Weights, _tightest_accel_bound,
+from .planner import (PlanRequest, Weights, _tightest_bound,
                       admit_obstacles, constant_spline, end_time_heuristic,
                       plan_with_fallback)
 from .prediction import (PeerState, PredictionConfig, footprint_from_size,
@@ -46,14 +46,10 @@ def _comfortable_arrival(start, goal, limits, t_segment):
     is configured; never shorter than two knot segments.
     """
     d = float(np.linalg.norm(goal - start))
-    a_max = _tightest_accel_bound(limits)
-    v_max = np.inf
-    if 1 in limits:
-        lo, hi = limits[1]
-        vals = np.abs(np.concatenate([np.atleast_1d(lo), np.atleast_1d(hi)]))
-        vals = vals[np.isfinite(vals)]
-        if len(vals):
-            v_max = float(vals.min())
+    a_max = _tightest_bound(limits, 2)
+    if not np.isfinite(a_max):
+        a_max = 1.0
+    v_max = _tightest_bound(limits, 1)
     if np.isfinite(v_max):
         T = d / (0.5 * v_max) + v_max / a_max
     else:
@@ -342,13 +338,8 @@ class Agent:
 
     # -- the cycle --------------------------------------------------------
 
-    def agent_cycle(self, now, stage_order="scan_first"):
-        """Run one full planning cycle at time `now`; returns a CycleReport.
-
-        stage_order picks the serial order of the scan-staging and
-        map-folding stages; both orders produce identical results because
-        the stages share no mutable state within a cycle.
-        """
+    def agent_cycle(self, now):
+        """Run one full planning cycle at time `now`; returns a CycleReport."""
         t_wall = time.perf_counter()
         flags = []
         prev = self.trajectory
@@ -405,15 +396,9 @@ class Agent:
                 self.local_map, prev, now, cfg.t_h, cfg.tau,
                 cfg.perception.window_radius)
 
-        if stage_order not in ("scan_first", "map_first"):
-            raise ValueError(f"unknown stage order {stage_order!r}")
         try:
-            if stage_order == "scan_first":
-                stage_scan()
-                stage_map()
-            else:
-                stage_map()
-                stage_scan()
+            stage_scan()
+            stage_map()
         except Exception as exc:  # sensing must never kill the cycle
             flags.append(f"perception:{type(exc).__name__}")
 

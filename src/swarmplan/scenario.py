@@ -305,7 +305,7 @@ class Scenario:
         self._check_start_overlap()
 
     def _check_start_overlap(self):
-        placed = [(a.start, _circumradius(a.footprint))
+        placed = [(a.start, footprint_from_size(a.footprint).circumradius)
                   for a in self.agents if a.start is not None]
         for i in range(len(placed)):
             for j in range(i + 1, len(placed)):
@@ -315,13 +315,6 @@ class Scenario:
                     raise ValueError(
                         f"agent starts overlap after footprint inflation "
                         f"(gap {gap:.3f} m)")
-
-
-def _circumradius(footprint):
-    fp = footprint_from_size(footprint)
-    if hasattr(fp, "radius"):
-        return fp.radius
-    return fp.half_extent * math.sqrt(2.0)
 
 
 # --- shapes <-> JSON --------------------------------------------------------
@@ -494,11 +487,11 @@ def resolve_agents(scenario, rng):
     least 2 m from their start.  Unstamped waypoints get stamps evenly spaced
     between zero and the agent's goal time.
     """
-    placed = [(a.start, _circumradius(a.footprint))
+    placed = [(a.start, footprint_from_size(a.footprint).circumradius)
               for a in scenario.agents if a.start is not None]
     resolved = []
     for a in scenario.agents:
-        r = _circumradius(a.footprint)
+        r = footprint_from_size(a.footprint).circumradius
         start, heading = a.start, a.heading
         if start is None:
             for _ in range(5000):

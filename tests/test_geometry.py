@@ -10,10 +10,8 @@ import pytest
 
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, Halfplane,
                                 ConvexPolytope, axis_rectangle,
-                                circle_from_three_points,
-                                distance_point_to_shape, ray_cast,
-                                segment_shape_intersection, shape_distance,
-                                supporting_halfplane)
+                                circle_from_three_points, ray_cast,
+                                segment_shape_intersection, supporting_halfplane)
 
 
 def unit_square():
@@ -85,15 +83,15 @@ class TestCircleFromThreePoints:
 class TestDistances:
     def test_circle_examples(self):
         c = Circle([0, 0], 1.0)
-        assert distance_point_to_shape([2, 0], c) == pytest.approx(1.0, abs=1e-12)
-        assert distance_point_to_shape([0.5, 0], c) == 0.0
-        assert distance_point_to_shape([0, 0], c) == 0.0
+        assert c.distance([2, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert c.distance([0.5, 0]) == 0.0
+        assert c.distance([0, 0]) == 0.0
 
     def test_square_examples(self):
         s = unit_square()
-        assert distance_point_to_shape([2, 0.5], s) == pytest.approx(1.0, abs=1e-12)
-        assert distance_point_to_shape([2, 2], s) == pytest.approx(np.sqrt(2), abs=1e-12)
-        assert distance_point_to_shape([0.5, 0.5], s) == 0.0
+        assert s.distance([2, 0.5]) == pytest.approx(1.0, abs=1e-12)
+        assert s.distance([2, 2]) == pytest.approx(np.sqrt(2), abs=1e-12)
+        assert s.distance([0.5, 0.5]) == 0.0
 
     def test_against_boundary_sampling(self):
         rng = np.random.default_rng(11)
@@ -101,7 +99,7 @@ class TestDistances:
             shape = sample_shape(rng)
             for _ in range(5):
                 p = rng.uniform(-8, 8, size=2)
-                got = distance_point_to_shape(p, shape)
+                got = shape.distance(p)
                 want = oracle_distance(p, shape)
                 assert got == pytest.approx(want, abs=5e-3)
                 assert got <= want + 1e-9  # sampling oracle overestimates
@@ -111,7 +109,7 @@ class TestDistances:
         for _ in range(50):
             shape = sample_shape(rng)
             p = rng.uniform(-8, 8, size=2)
-            assert distance_point_to_shape(p, shape) >= 0.0
+            assert shape.distance(p) >= 0.0
 
 
 class TestRayCast:
@@ -226,28 +224,18 @@ class TestPolytope:
         assert hp.offset == pytest.approx(2.0)
 
 
-class TestShapeDistance:
-    def test_circle_circle(self):
-        a = Circle([0, 0], 1.0)
-        b = Circle([5, 0], 1.0)
-        assert shape_distance(a, b) == pytest.approx(3.0, abs=1e-12)
-        assert shape_distance(a, Circle([1, 0], 1.0)) == 0.0
-
-    def test_polygon_pairs_against_sampling(self):
+class TestSupport:
+    def test_rows_against_boundary_sampling(self):
         rng = np.random.default_rng(29)
         for _ in range(40):
-            a = sample_shape(rng)
-            b = sample_shape(rng)
-            got = shape_distance(a, b)
-            pa = a.boundary_samples(800)
-            pb = b.boundary_samples(800)
-            cross = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2).min()
-            overlap = np.any(a.contains_many(pb)) or np.any(b.contains_many(pa))
-            if overlap:
-                assert got <= 1e-9
-            else:
-                assert got == pytest.approx(float(cross), abs=2e-2)
-                assert got <= cross + 1e-9
+            shape = sample_shape(rng)
+            th = rng.uniform(0, 2 * np.pi, size=7)
+            dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+            got = shape.support(dirs)
+            want = np.max(dirs @ shape.boundary_samples(4000).T, axis=1)
+            assert got.shape == (7,)
+            assert np.allclose(got, want, atol=2e-3)
+            assert np.all(got >= want - 1e-9)
 
 
 class TestValidation:

@@ -23,16 +23,10 @@ class TestConstantAccel:
         # P + v t + a t^2 with t = 2.
         assert np.allclose(p, [1 + 2 + 0.5 * 4, 2 + 0 - 0.5 * 4], atol=1e-12)
 
-    def test_half_factor_variant(self):
-        st = state(0.0, [0.0, 0.0], v=[0.0, 0.0], a=[2.0, 0.0])
-        p = predict_constant_accel(st, 3.0, half_factor=True)
-        assert np.allclose(p, [0.5 * 2.0 * 9, 0.0], atol=1e-12)
-
     def test_zero_accel_is_linear(self):
         st = state(1.0, [0.0, 0.0], v=[2.0, 1.0])
-        for half in (False, True):
-            p = predict_constant_accel(st, 4.0, half_factor=half)
-            assert np.allclose(p, [6.0, 3.0], atol=1e-12)
+        p = predict_constant_accel(st, 4.0)
+        assert np.allclose(p, [6.0, 3.0], atol=1e-12)
 
 
 class TestJerkGram:

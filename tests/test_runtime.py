@@ -1,7 +1,5 @@
 """Agent cycle, ideal tracking, and message-bus delivery semantics."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -22,14 +20,12 @@ def make_agent(start, goal, *, bus=None, index=0, goal_time=None,
                  end_velocity=end_velocity, bus=bus)
 
 
-def run_cycles(agent, n_ticks, rate=25.0, scans=None, stage_order="scan_first"):
-    """Drive an agent alone through n_ticks cycles; scans maps tick->Scan."""
+def run_cycles(agent, n_ticks, rate=25.0):
+    """Drive an agent alone through n_ticks cycles."""
     reports = []
     for k in range(n_ticks + 1):
         t = k / rate
-        if scans and k in scans:
-            agent.receive_scan(scans[k])
-        reports.append(agent.agent_cycle(t, stage_order=stage_order))
+        reports.append(agent.agent_cycle(t))
     return reports
 
 
@@ -244,23 +240,6 @@ class TestAgentCycle:
         agent.agent_cycle(0.04)
         assert len(agent.staged) == 0 and len(agent.local_map) > 0
 
-    def test_stage_orders_give_identical_results(self):
-        world = World(obstacles=[Circle((3.0, 1.0), 0.5),
-                                 Circle((-2.0, 2.0), 0.4)])
-        config = LidarConfig()
-        results = []
-        for order in ("scan_first", "map_first"):
-            agent = make_agent((0.0, 0.0), (4.0, 0.0))
-            scans = {}
-            for tick in (0, 5, 10):
-                scans[tick] = copy.deepcopy(simulate_scan(
-                    world, (0.0, 0.0), 0.0, config, stamp=tick / 25.0))
-            run_cycles(agent, 15, scans=scans, stage_order=order)
-            results.append((agent.trajectory.control.copy(),
-                            len(agent.local_map)))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert results[0][1] == results[1][1]
-
     def test_peer_broadcast_contracts_regions(self):
         bus = MessageBus()
         agent = make_agent((0.0, 0.0), (4.0, 0.0), bus=bus)
@@ -307,11 +286,6 @@ class TestAgentCycle:
         report = agent.agent_cycle(0.0)
         assert any(f.startswith("perception:") for f in report.flags)
         assert report.status == "optimal"
-
-    def test_unknown_stage_order_rejected(self):
-        agent = make_agent((0.0, 0.0), (1.0, 0.0))
-        with pytest.raises(ValueError):
-            agent.agent_cycle(0.0, stage_order="sideways")
 
 
 class TestBroadcast:

@@ -2,60 +2,66 @@
 
 scipy.interpolate.BSpline on the same knot vector provides an independent
 evaluator; Gram matrices are compared with dense numerical integration of
-the squared derivative.
+the squared derivative.  `TestEvaluatorParity` keeps the per-time evaluator
+the package used before it had one shared basis evaluator, and requires the
+shared one to reproduce it bit for bit.
 """
 
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline as SciBSpline
 
-from swarmplan.bspline import (UniformBSpline, TrajectorySpline, KnotLayout,
-                               basis_function, derivative_gram, derivative_map,
+from swarmplan.bspline import (TrajectorySpline, KnotLayout, basis_weights,
+                               derivative_gram, derivative_map,
                                difference_matrix, plan_knot_layout, position_map)
+from swarmplan.planner import _quadrature_intervals
 
 
-def scipy_twin(s):
-    knots = s.t0 + s.dt * np.arange(s.m + s.degree + 1)
-    return SciBSpline(knots, s.control, s.degree, extrapolate=False)
+def knots_of(s):
+    return s.t0 + s.dt * np.arange(s.m + s.degree + 1)
 
 
-def random_spline(rng, degree=None, m=None):
+def scipy_twin(s, axis):
+    return SciBSpline(knots_of(s), s.control[:, axis], s.degree, extrapolate=False)
+
+
+def random_trajectory(rng, degree=None, m=None):
     degree = degree if degree is not None else int(rng.integers(1, 6))
     m = m if m is not None else int(rng.integers(degree + 1, degree + 8))
     t0 = float(rng.uniform(-5, 5))
     dt = float(rng.uniform(0.2, 2.0))
-    control = rng.normal(size=m) * 3
-    return UniformBSpline(degree, t0, dt, control)
+    return TrajectorySpline(degree, t0, dt, rng.normal(size=(m, 2)) * 3)
+
+
+def layout_of(s):
+    lo, hi = s.domain
+    return KnotLayout(degree=s.degree, t0=s.t0, dt=s.dt, m=s.m,
+                      t_start=lo, horizon=hi - lo)
 
 
 class TestBasis:
     def test_partition_of_unity(self):
         rng = np.random.default_rng(3)
-        for _ in range(30):
-            s = random_spline(rng)
-            lo, hi = s.domain
-            for t in rng.uniform(lo, hi, size=5):
-                idx, w = s.basis_row(t)
-                assert len(idx) == s.degree + 1
+        for degree in range(6):
+            for u in rng.uniform(0.0, 1.0, size=10):
+                w = basis_weights(degree, float(u))
+                assert w.shape == (degree + 1,)
                 assert w.sum() == pytest.approx(1.0, abs=1e-12)
                 assert np.all(w >= -1e-12)
 
     def test_matches_recursive_definition(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            s = random_spline(rng, degree=int(rng.integers(1, 5)))
+            s = random_trajectory(rng, degree=int(rng.integers(1, 5)))
             lo, hi = s.domain
-            n_knots = s.m + s.degree + 1
-            for t in rng.uniform(lo, hi, size=4):
-                idx, w = s.basis_row(t)
-                for i, wi in zip(idx, w):
-                    ref = basis_function(int(i), s.degree, t, s.t0, s.dt, n_knots)
-                    assert wi == pytest.approx(ref, abs=1e-12)
+            ts = rng.uniform(lo, hi, size=4)
+            got = position_map(layout_of(s), ts)
+            want = SciBSpline.design_matrix(ts, knots_of(s), s.degree).toarray()
+            assert np.allclose(got, want, atol=1e-12)
 
     def test_cubic_midknot_weights(self):
         # Degree-3 uniform basis at a knot: the classic 1/6, 4/6, 1/6 stencil.
-        s = UniformBSpline(3, 0.0, 1.0, np.zeros(6))
-        idx, w = s.basis_row(4.0)
+        w = basis_weights(3, 0.0)
         assert np.allclose(sorted(w), [0.0, 1 / 6, 1 / 6, 4 / 6], atol=1e-12)
 
 
@@ -63,140 +69,130 @@ class TestEvaluation:
     def test_against_scipy(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            s = random_spline(rng)
-            twin = scipy_twin(s)
+            s = random_trajectory(rng)
+            twins = [scipy_twin(s, ax) for ax in range(2)]
             lo, hi = s.domain
-            ts = rng.uniform(lo, hi - 1e-9, size=8)
-            for t in ts:
-                assert s.evaluate(t) == pytest.approx(float(twin(t)), abs=1e-10)
+            for t in rng.uniform(lo, hi - 1e-9, size=8):
+                want = [float(tw(t)) for tw in twins]
+                assert np.allclose(s.position(t), want, atol=1e-10)
 
     def test_derivatives_against_scipy(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
-            s = random_spline(rng, degree=int(rng.integers(2, 6)))
-            twin = scipy_twin(s)
+            s = random_trajectory(rng, degree=int(rng.integers(2, 6)))
             lo, hi = s.domain
             for order in range(1, s.degree + 1):
-                dt_twin = twin.derivative(order)
+                twins = [scipy_twin(s, ax).derivative(order) for ax in range(2)]
                 for t in rng.uniform(lo, hi - 1e-9, size=4):
-                    assert s.evaluate(t, order) == pytest.approx(float(dt_twin(t)), abs=1e-8)
+                    want = [float(tw(t)) for tw in twins]
+                    assert np.allclose(s.derivative_value(t, order), want, atol=1e-8)
 
     def test_domain_enforced(self):
-        s = UniformBSpline(3, 0.0, 1.0, np.arange(6.0))
+        s = TrajectorySpline(3, 0.0, 1.0, np.arange(12.0).reshape(6, 2))
         lo, hi = s.domain
         assert (lo, hi) == (3.0, 6.0)
-        with pytest.raises(ValueError):
-            s.evaluate(lo - 0.1)
-        with pytest.raises(ValueError):
-            s.evaluate(hi + 0.1)
-        s.evaluate(lo)
-        s.evaluate(hi)
+        for bad in (lo - 0.1, hi + 0.1):
+            with pytest.raises(ValueError):
+                s.position(bad)
+            with pytest.raises(ValueError):
+                s.positions([lo, bad])
+            with pytest.raises(ValueError):
+                s.derivative_value(bad, 1)
+        s.position(lo)
+        s.position(hi)
 
     def test_constant_control_is_constant(self):
-        s = UniformBSpline(3, 0.0, 0.5, np.full(8, 2.5))
+        s = TrajectorySpline(3, 0.0, 0.5, np.full((8, 2), 2.5))
         lo, hi = s.domain
-        for t in np.linspace(lo, hi, 17):
-            assert s.evaluate(t) == pytest.approx(2.5, abs=1e-12)
-            assert s.evaluate(t, 1) == pytest.approx(0.0, abs=1e-12)
+        ts = np.linspace(lo, hi, 17)
+        assert np.allclose(s.positions(ts), 2.5, atol=1e-12)
+        assert np.allclose(s.derivative_values(ts, 1), 0.0, atol=1e-12)
 
 
 class TestDerivativeStructure:
     def test_difference_matrix_matches_derivative(self):
+        # The first derivative is the degree-1 spline on knots shifted by dt
+        # whose controls are D @ control, valid on the same domain.
         rng = np.random.default_rng(11)
         for _ in range(20):
-            s = random_spline(rng, degree=int(rng.integers(2, 5)))
-            d = s.derivative()
+            s = random_trajectory(rng, degree=int(rng.integers(2, 5)))
             D = difference_matrix(s.m, s.dt, 1)
-            assert np.allclose(D @ s.control, d.control, atol=1e-12)
-            assert d.degree == s.degree - 1
-            assert d.t0 == pytest.approx(s.t0 + s.dt)
-            # Same valid domain.
+            d = TrajectorySpline(s.degree - 1, s.t0 + s.dt, s.dt, D @ s.control)
             assert d.domain[0] == pytest.approx(s.domain[0])
             assert d.domain[1] == pytest.approx(s.domain[1])
+            ts = rng.uniform(*s.domain, size=6)
+            assert np.allclose(d.positions(ts), s.derivative_values(ts, 1), atol=1e-12)
 
     def test_derivative_by_finite_differences(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            s = random_spline(rng, degree=int(rng.integers(2, 5)))
+            s = random_trajectory(rng, degree=int(rng.integers(2, 5)))
             lo, hi = s.domain
             h = 1e-6
             for t in rng.uniform(lo + 2 * h, hi - 2 * h, size=4):
-                fd = (s.evaluate(t + h) - s.evaluate(t - h)) / (2 * h)
-                assert s.evaluate(t, 1) == pytest.approx(fd, abs=1e-5)
+                fd = (s.position(t + h) - s.position(t - h)) / (2 * h)
+                assert np.allclose(s.derivative_value(t, 1), fd, atol=1e-5)
 
 
 class TestMaps:
     def test_position_map_reproduces_evaluation(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            s = random_spline(rng)
-            layout = KnotLayout(degree=s.degree, t0=s.t0, dt=s.dt, m=s.m,
-                                t_start=s.domain[0], horizon=s.domain[1] - s.domain[0])
+            s = random_trajectory(rng)
             lo, hi = s.domain
             ts = np.sort(rng.uniform(lo, hi, size=6))
-            T = position_map(layout, ts)
-            vals = T @ s.control
-            for t, v in zip(ts, vals):
-                assert v == pytest.approx(s.evaluate(t), abs=1e-12)
+            T = position_map(layout_of(s), ts)
+            assert np.allclose(T @ s.control, s.positions(ts), atol=1e-12)
             # Band structure: at most degree+1 nonzeros per row.
             assert int(np.max(np.count_nonzero(np.abs(T) > 1e-14, axis=1))) <= s.degree + 1
 
     def test_derivative_map_reproduces_derivatives(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
-            s = random_spline(rng, degree=int(rng.integers(2, 5)))
-            layout = KnotLayout(degree=s.degree, t0=s.t0, dt=s.dt, m=s.m,
-                                t_start=s.domain[0], horizon=s.domain[1] - s.domain[0])
+            s = random_trajectory(rng, degree=int(rng.integers(2, 5)))
             lo, hi = s.domain
             for order in range(1, s.degree + 1):
                 ts = rng.uniform(lo, hi, size=4)
-                Tm = derivative_map(layout, ts, order)
-                vals = Tm @ s.control
-                for t, v in zip(ts, vals):
-                    assert v == pytest.approx(s.evaluate(t, order), abs=1e-9)
+                Tm = derivative_map(layout_of(s), ts, order)
+                assert np.allclose(Tm @ s.control, s.derivative_values(ts, order),
+                                   atol=1e-9)
 
 
 class TestGram:
     def quad_oracle(self, s, order, span):
-        twin = scipy_twin(s).derivative(order) if order else scipy_twin(s)
+        twin = scipy_twin(s, 0)
+        twin = twin.derivative(order) if order else twin
         lo, hi = span
         ts = np.linspace(lo, hi, 20001)
-        vals = twin(ts)
-        vals = np.nan_to_num(vals)
+        vals = np.nan_to_num(twin(ts))
         return float(np.trapezoid(vals ** 2, ts))
 
     def test_gram_equals_integral(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
-            s = random_spline(rng, degree=int(rng.integers(2, 5)))
-            layout = KnotLayout(degree=s.degree, t0=s.t0, dt=s.dt, m=s.m,
-                                t_start=s.domain[0], horizon=s.domain[1] - s.domain[0])
+            s = random_trajectory(rng, degree=int(rng.integers(2, 5)))
+            c = s.control[:, 0]
             for order in range(1, s.degree):
-                G = derivative_gram(layout, order)
-                got = float(s.control @ G @ s.control)
+                G = derivative_gram(layout_of(s), order)
                 want = self.quad_oracle(s, order, s.domain)
-                assert got == pytest.approx(want, rel=1e-4, abs=1e-9)
+                assert float(c @ G @ c) == pytest.approx(want, rel=1e-4, abs=1e-9)
 
     def test_gram_partial_span(self):
         rng = np.random.default_rng(29)
-        s = random_spline(rng, degree=3, m=8)
-        layout = KnotLayout(degree=3, t0=s.t0, dt=s.dt, m=8,
-                            t_start=s.domain[0], horizon=s.domain[1] - s.domain[0])
+        s = random_trajectory(rng, degree=3, m=8)
         lo, hi = s.domain
         span = (lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo))
-        G = derivative_gram(layout, 2, span=span)
-        got = float(s.control @ G @ s.control)
+        G = derivative_gram(layout_of(s), 2, span=span)
+        c = s.control[:, 0]
         want = self.quad_oracle(s, 2, span)
-        assert got == pytest.approx(want, rel=1e-4, abs=1e-9)
+        assert float(c @ G @ c) == pytest.approx(want, rel=1e-4, abs=1e-9)
 
     def test_gram_psd_and_symmetric(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            s = random_spline(rng, degree=int(rng.integers(2, 6)))
-            layout = KnotLayout(degree=s.degree, t0=s.t0, dt=s.dt, m=s.m,
-                                t_start=s.domain[0], horizon=s.domain[1] - s.domain[0])
+            s = random_trajectory(rng, degree=int(rng.integers(2, 6)))
             for order in range(1, s.degree + 1):
-                G = derivative_gram(layout, order)
+                G = derivative_gram(layout_of(s), order)
                 assert np.allclose(G, G.T, atol=1e-12)
                 eig = np.linalg.eigvalsh(G)
                 assert eig.min() >= -1e-9
@@ -236,53 +232,241 @@ class TestKnotLayout:
 class TestTrajectorySpline:
     def test_axes_are_independent(self):
         rng = np.random.default_rng(37)
-        control = rng.normal(size=(9, 2))
-        traj = TrajectorySpline(3, 0.0, 0.5, control)
-        sx = UniformBSpline(3, 0.0, 0.5, control[:, 0])
-        sy = UniformBSpline(3, 0.0, 0.5, control[:, 1])
+        traj = TrajectorySpline(3, 0.0, 0.5, rng.normal(size=(9, 2)))
+        twins = [scipy_twin(traj, ax) for ax in range(2)]
         lo, hi = traj.domain
-        for t in np.linspace(lo, hi, 9):
+        for t in np.linspace(lo, hi - 1e-9, 9):
             p = traj.position(t)
-            assert p[0] == pytest.approx(sx.evaluate(t), abs=1e-12)
-            assert p[1] == pytest.approx(sy.evaluate(t), abs=1e-12)
+            assert p[0] == pytest.approx(float(twins[0](t)), abs=1e-12)
+            assert p[1] == pytest.approx(float(twins[1](t)), abs=1e-12)
 
     def test_state_stack(self):
         rng = np.random.default_rng(41)
-        control = rng.normal(size=(8, 2))
-        traj = TrajectorySpline(3, 0.0, 1.0, control)
+        traj = TrajectorySpline(3, 0.0, 1.0, rng.normal(size=(8, 2)))
         st = traj.state_stack(4.0, 3)
         assert st.shape == (3, 2)
         for k in range(3):
-            assert np.allclose(st[k], traj.derivative_value(4.0, k), atol=1e-12)
+            assert np.array_equal(st[k], traj.derivative_value(4.0, k))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(43)
-        control = rng.normal(size=(10, 2))
-        traj = TrajectorySpline(4, -1.0, 0.7, control)
+        traj = TrajectorySpline(4, -1.0, 0.7, rng.normal(size=(10, 2)))
         lo, hi = traj.domain
         ts = rng.uniform(lo, hi, size=12)
         P = traj.positions(ts)
         V = traj.derivative_values(ts, 1)
         for k, t in enumerate(ts):
-            assert np.allclose(P[k], traj.position(t), atol=1e-12)
-            assert np.allclose(V[k], traj.derivative_value(t, 1), atol=1e-12)
+            assert np.array_equal(P[k], traj.position(t))
+            assert np.array_equal(V[k], traj.derivative_value(t, 1))
 
 
 class TestBatchedBasisWeights:
     def test_matches_scalar_rows(self):
-        from swarmplan.bspline import basis_weight_rows, _basis_weights
         rng = np.random.default_rng(47)
-        for degree in (2, 3, 4, 5):
+        for degree in range(6):
             u = rng.uniform(0.0, 1.0, size=17)
-            W = basis_weight_rows(degree, u)
+            W = basis_weights(degree, u)
             assert W.shape == (17, degree + 1)
             for k, uk in enumerate(u):
-                assert np.allclose(W[k], _basis_weights(degree, uk), atol=1e-14)
+                assert np.array_equal(W[k], basis_weights(degree, float(uk)))
 
     def test_partition_of_unity(self):
-        from swarmplan.bspline import basis_weight_rows
         u = np.linspace(0.0, 1.0, 33)
-        for degree in (1, 3, 5):
-            W = basis_weight_rows(degree, u)
+        for degree in (0, 1, 3, 5):
+            W = basis_weights(degree, u)
             assert np.allclose(W.sum(axis=1), 1.0, atol=1e-13)
             assert np.all(W >= -1e-14)
+
+
+# --- the per-time evaluator the shared one replaced, kept as oracle ---------
+
+_TOL = 1e-9
+
+
+def _old_basis_weights(degree, u):
+    w = np.zeros(degree + 1)
+    w[0] = 1.0
+    for k in range(1, degree + 1):
+        prev = w[:k].copy()
+        w[:k + 1] = 0.0
+        for j in range(k):
+            a = (u + (k - 1 - j)) / k
+            w[j] += (1.0 - a) * prev[j]
+            w[j + 1] += a * prev[j]
+    return w
+
+
+class _OldUniformBSpline:
+    def __init__(self, degree, t0, dt, m):
+        self.degree, self.t0, self.dt, self.m = degree, t0, dt, m
+
+    def basis_row(self, t):
+        lo, hi = self.t0 + self.degree * self.dt, self.t0 + self.m * self.dt
+        if t < lo - _TOL or t > hi + _TOL:
+            raise ValueError(f"t={t} outside spline domain [{lo}, {hi}]")
+        t = min(max(t, lo), hi)
+        j = int(np.floor((t - self.t0) / self.dt + _TOL))
+        j = min(max(j, self.degree), self.m - 1)
+        u = (t - (self.t0 + j * self.dt)) / self.dt
+        return np.arange(j - self.degree, j + 1), _old_basis_weights(self.degree, u)
+
+    def derivative(self):
+        return _OldUniformBSpline(self.degree - 1, self.t0 + self.dt, self.dt, self.m - 1)
+
+
+def _old_spline(grid, order):
+    """The order-th derivative's basis on a trajectory's or layout's grid."""
+    s = _OldUniformBSpline(grid.degree, grid.t0, grid.dt, grid.m)
+    for _ in range(order):
+        s = s.derivative()
+    return s
+
+
+def old_derivative_values(traj, times, order):
+    if order > traj.degree:
+        return np.zeros((len(times), 2))
+    s = _old_spline(traj, order)
+    c = traj.control
+    if order:
+        c = difference_matrix(traj.m, traj.dt, order) @ traj.control
+    out = np.empty((len(times), 2))
+    for k, t in enumerate(times):
+        idx, w = s.basis_row(t)
+        out[k] = w @ c[idx]
+    return out
+
+
+def old_derivative_value(traj, t, order):
+    if order > traj.degree:
+        return np.zeros(2)
+    s = _old_spline(traj, order)
+    idx, w = s.basis_row(t)
+    if order == 0:
+        return w @ traj.control[idx]
+    c = difference_matrix(traj.m, traj.dt, order) @ traj.control
+    return w @ c[idx]
+
+
+def old_derivative_map(layout, times, order):
+    s = _old_spline(layout, order)
+    rows = np.zeros((len(times), layout.m - order))
+    for k, t in enumerate(times):
+        idx, w = s.basis_row(t)
+        rows[k, idx] = w
+    return rows @ difference_matrix(layout.m, layout.dt, order)
+
+
+def old_derivative_gram(layout, order):
+    deg_d = layout.degree - order
+    lo, hi = layout.t_start, layout.t_end
+    m_d = layout.m - order
+    proto = _OldUniformBSpline(deg_d, layout.t0 + order * layout.dt, layout.dt, m_d)
+    nodes, weights = np.polynomial.legendre.leggauss(deg_d + 1)
+    G_d = np.zeros((m_d, m_d))
+    k_lo = int(np.floor((lo - layout.t_start) / layout.dt + 1e-12))
+    k_hi = int(np.ceil((hi - layout.t_start) / layout.dt - 1e-12))
+    for k in range(k_lo, k_hi):
+        a = max(lo, layout.t_start + k * layout.dt)
+        b = min(hi, layout.t_start + (k + 1) * layout.dt)
+        if b - a < 1e-12:
+            continue
+        ts = 0.5 * (b - a) * nodes + 0.5 * (b + a)
+        ws = 0.5 * (b - a) * weights
+        for t, w in zip(ts, ws):
+            idx, row = proto.basis_row(t)
+            G_d[np.ix_(idx, idx)] += w * np.outer(row, row)
+    D = difference_matrix(layout.m, layout.dt, order)
+    return D.T @ G_d @ D
+
+
+def _same(got, want):
+    """Bit-identical arrays: equal shapes and bytes (signed zeros included)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _check(got_fn, want_fn, *args):
+    want = _outcome(want_fn, *args)
+    got = _outcome(got_fn, *args)
+    if want is ValueError:
+        assert got is ValueError, args
+    else:
+        assert got is not ValueError and _same(got, want), args
+
+
+def _parity_times(rng, s, far):
+    """Knots, both domain ends, times within 1e-9 outside them, interior
+    times, and (when far) times beyond the tolerance."""
+    lo, hi = s.domain
+    ts = [lo, hi, lo - 1e-9, hi + 1e-9, lo - 0.5e-9, hi + 0.5e-9,
+          *(s.t0 + s.dt * np.arange(s.degree, s.m + 1)),
+          *rng.uniform(lo, hi, size=6)]
+    if far:
+        ts += [lo - 1e-8, hi + 1e-8]
+    return ts
+
+
+class TestEvaluatorParity:
+    def test_trajectory_methods(self):
+        rng = np.random.default_rng(53)
+        for _ in range(120):
+            s = random_trajectory(rng)
+            ts = _parity_times(rng, s, far=True)
+            inside = _parity_times(rng, s, far=False)
+            for t in ts:
+                _check(s.position, lambda t: old_derivative_value(s, t, 0), t)
+                for order in range(s.degree + 2):
+                    _check(lambda t: s.derivative_value(t, order),
+                           lambda t: old_derivative_value(s, t, order), t)
+                n = int(rng.integers(1, s.degree + 2))
+                _check(lambda t: s.state_stack(t, n),
+                       lambda t: np.stack([old_derivative_value(s, t, k)
+                                           for k in range(n)]), t)
+            for times in (inside, np.array(inside), ts[:3] + [ts[-1]]):
+                _check(s.positions, lambda x: old_derivative_values(s, x, 0), times)
+                for order in range(s.degree + 2):
+                    _check(lambda x: s.derivative_values(x, order),
+                           lambda x: old_derivative_values(s, x, order), times)
+
+    def test_maps(self):
+        rng = np.random.default_rng(59)
+        for _ in range(120):
+            s = random_trajectory(rng)
+            layout = layout_of(s)
+            ts = _parity_times(rng, s, far=True)
+            for times in (_parity_times(rng, s, far=False), ts):
+                _check(lambda x: position_map(layout, x),
+                       lambda x: old_derivative_map(layout, x, 0), times)
+                for order in range(s.degree + 1):
+                    _check(lambda x: derivative_map(layout, x, order),
+                           lambda x: old_derivative_map(layout, x, order), times)
+            for t in ts:
+                for order in range(s.degree + 1):
+                    _check(lambda t: derivative_map(layout, t, order),
+                           lambda t: old_derivative_map(layout, [t], order)[0], t)
+
+    def test_gram(self):
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            s = random_trajectory(rng)
+            for order in range(s.degree + 1):
+                assert _same(derivative_gram(layout_of(s), order),
+                             old_derivative_gram(layout_of(s), order))
+
+    def test_quadrature_weights(self):
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            s = random_trajectory(rng)
+            lo, hi = s.domain
+            span = np.sort(rng.uniform(lo - 1.0, hi + 1.0, size=2))
+            for ts, _, idx, W in _quadrature_intervals(s, span):
+                j = idx[-1]
+                u = (ts - (s.t0 + j * s.dt)) / s.dt
+                assert _same(W, [_old_basis_weights(s.degree, uk) for uk in u])
