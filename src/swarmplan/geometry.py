@@ -45,9 +45,6 @@ class Circle:
         """Distance from p to the disk (0 if inside)."""
         return max(0.0, float(np.linalg.norm(_as_point(p) - self.center)) - self.radius)
 
-    def boundary_distance(self, p):
-        return abs(float(np.linalg.norm(_as_point(p) - self.center)) - self.radius)
-
     def contains(self, p, tol=0.0):
         return float(np.linalg.norm(_as_point(p) - self.center)) <= self.radius + tol
 
@@ -152,9 +149,6 @@ class ConvexPolygonShape:
 
     def _boundary_dist(self, p):
         return float(np.min(self._edge_distances(p[None])))
-
-    def boundary_distance(self, p):
-        return self._boundary_dist(_as_point(p))
 
     def boundary_samples(self, n=64):
         a, b = self._edges()

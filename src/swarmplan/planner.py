@@ -121,30 +121,32 @@ def _quadrature_intervals(traj, span):
     """Per knot interval clipped to span: (ts, ws, idx, W) quadrature blocks.
 
     ts/ws are 64 Gauss-Legendre nodes and weights; W rows are the active
-    basis weights so positions are W @ control[idx].
+    basis weights so positions are W @ control[idx].  One basis_weights
+    call covers the nodes of every interval.
     """
     lo, hi = traj.domain
     lo = max(lo, span[0])
     hi = min(hi, span[1])
-    out = []
     if hi - lo < 1e-12:
-        return out
+        return []
     t_start = traj.t0 + traj.degree * traj.dt
     k_lo = int(np.floor((lo - t_start) / traj.dt + 1e-12))
     k_hi = int(np.ceil((hi - t_start) / traj.dt - 1e-12))
+    blocks = []
     for k in range(k_lo, k_hi):
         a = max(lo, t_start + k * traj.dt)
         b = min(hi, t_start + (k + 1) * traj.dt)
-        if b - a < 1e-12:
-            continue
-        ts = 0.5 * (b - a) * _GL64_NODES + 0.5 * (b + a)
-        ws = 0.5 * (b - a) * _GL64_WEIGHTS
-        j = min(traj.degree + k, traj.m - 1)
-        u = (ts - (traj.t0 + j * traj.dt)) / traj.dt
-        W = basis_weights(traj.degree, u)
-        idx = np.arange(j - traj.degree, j + 1)
-        out.append((ts, ws, idx, W))
-    return out
+        if b - a >= 1e-12:
+            blocks.append((a, b, min(traj.degree + k, traj.m - 1)))
+    if not blocks:
+        return []
+    a, b, j = (np.array(c) for c in zip(*blocks))
+    ts = 0.5 * (b - a)[:, None] * _GL64_NODES + 0.5 * (b + a)[:, None]
+    ws = 0.5 * (b - a)[:, None] * _GL64_WEIGHTS
+    u = (ts - (traj.t0 + j * traj.dt)[:, None]) / traj.dt
+    W = basis_weights(traj.degree, u)
+    return [(ts[i], ws[i], np.arange(j[i] - traj.degree, j[i] + 1), W[i])
+            for i in range(len(blocks))]
 
 
 def _distance_models(shape, pts):
@@ -492,10 +494,6 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
     )
 
 
-def _stacked(control):
-    return np.concatenate([control[:, 0], control[:, 1]])
-
-
 def _unstacked(x):
     m = len(x) // 2
     return np.column_stack([x[:m], x[m:]])
@@ -522,7 +520,6 @@ def plan_with_fallback(req, w):
     layout = plan_knot_layout(req.t_now, req.horizon, req.dt,
                               req.order + 1, goal_time=req.goal_time)
     reference = fit_to_layout(req.previous, layout)
-    x_ref = _stacked(reference.control)
 
     def finish(traj, status, sol=None):
         elapsed = (time.perf_counter() - t_begin) * 1e6
@@ -543,12 +540,12 @@ def plan_with_fallback(req, w):
         dense = assemble_qp(req, w, layout, reference, relaxed=False)
     except AllSlicesInfeasible:
         return finish(req.previous, "fallback")
-    sol = solve_qp(dense, warm_start=(x_ref, []))
+    sol = solve_qp(dense)
     if sol.status == "optimal":
         return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),
                       "optimal", sol)
     relaxed = assemble_qp(req, w, layout, reference, relaxed=True)
-    sol2 = solve_qp(relaxed, warm_start=(x_ref, []))
+    sol2 = solve_qp(relaxed)
     if sol2.status == "optimal":
         return finish(TrajectorySpline.from_layout(layout, _unstacked(sol2.x)),
                       "relaxed", sol2)

@@ -132,24 +132,24 @@ class PeerTrack:
             out[ax] = P.polyval(t - self.t_ref, cc)
         return out
 
-    def predict_position(self, t, config):
+    def predict_position(self, t):
         if self.coeffs is None:
             return predict_constant_accel(self.latest, t)
         return self._poly_eval(t, 0)
 
-    def predict_velocity(self, t, config):
+    def predict_velocity(self, t):
         if self.coeffs is None:
             st = self.latest
             dt = t - st.stamp
             return st.velocity + 2.0 * st.acceleration * dt
         return self._poly_eval(t, 1)
 
-    def predict_acceleration(self, t, config):
+    def predict_acceleration(self, t):
         if self.coeffs is None:
             return 2.0 * self.latest.acceleration
         return self._poly_eval(t, 2)
 
-    def predict_positions(self, times, config):
+    def predict_positions(self, times):
         """Vectorized position prediction at an array of times."""
         if self.coeffs is None:
             st = self.latest
@@ -166,9 +166,9 @@ class PeerTrack:
 def association_score(track, state, config):
     """Mismatch between a track's prediction and an incoming state."""
     t = state.stamp
-    dp = np.linalg.norm(track.predict_position(t, config) - state.position)
-    dv = np.linalg.norm(track.predict_velocity(t, config) - state.velocity)
-    da = np.linalg.norm(track.predict_acceleration(t, config) - state.acceleration)
+    dp = np.linalg.norm(track.predict_position(t) - state.position)
+    dv = np.linalg.norm(track.predict_velocity(t) - state.velocity)
+    da = np.linalg.norm(track.predict_acceleration(t) - state.acceleration)
     return float(dp + config.w_velocity * dv + config.w_acceleration * da)
 
 

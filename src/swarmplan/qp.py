@@ -1,12 +1,23 @@
-"""Dense convex quadratic programming by a primal active-set method.
+"""Dense convex quadratic programming by the dual method of Goldfarb & Idnani.
 
-Problems carry a symmetric positive (semi)definite Hessian, optional
-equality rows, and two-sided linear inequalities.  The solver walks faces of
-the feasible set: each iteration solves an equality-constrained subproblem
-through its KKT system, steps until a new constraint blocks, and drops
-working constraints whose multipliers turn negative.  A feasible start is
-produced by the same machinery on a single-slack relaxation, which also
-yields an infeasibility certificate when the slack cannot reach zero.
+The equalities are eliminated first: one SVD of A_eq gives its rank, a
+consistency check (inconsistent rows make the problem infeasible), a
+particular solution x0 and an orthonormal null-space basis Z, so that
+x = x0 + Z y.  The reduced Hessian Z'HZ is factored once as L L', and the
+substitution y = L^-T w turns the objective into 1/2 |w|^2 + c'w, so every
+step below works in the identity metric.
+
+The dual active-set method (Goldfarb & Idnani, Math. Programming 27, 1983)
+then starts at the unconstrained minimizer w = -c, which is dual feasible
+with no rows active, and keeps dual feasibility throughout: each step adds
+the most violated one-sided row (ties to the lowest index) and moves the
+primal point and the multipliers along the path that keeps the active rows
+tight.  When a multiplier reaches zero first, that row is dropped (a partial
+step) and the same row is tried again.  A violated row that gives a zero
+primal step while no active multiplier can shrink is a Farkas certificate
+of infeasibility.  No feasible start is needed, so there is no phase 1.  The
+reduced dimension is small, so the active-set system is re-solved by QR at
+each step rather than updated.
 
 Everything is plain numpy with fixed tie-breaking, so identical inputs give
 bitwise-identical solutions.
@@ -16,14 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_DUAL_TOL = 1e-9
-_STEP_TOL = 1e-11
-_FEAS_TOL = 1e-7
+_EQ_TOL = 1e-7       # equality consistency, absolute
+_RANK_TOL = 1e-10    # singular values of A_eq, relative to the largest
+_VIOL_TOL = 1e-10    # row violation, relative to 1 + max |h|
+_ZERO_STEP = 1e-10   # primal step norm, relative to the row norm
 
 
 @dataclass
 class QPProblem:
-    """min 1/2 x'Hx + F'x  s.t.  A_eq x = b_eq,  lower <= A_in x <= upper."""
+    """min 1/2 x'Hx + F'x  s.t.  A_eq x = b_eq,  lower <= A_in x <= upper.
+
+    H must be symmetric and positive definite on the null space of A_eq; it
+    may be singular on the whole space.  Otherwise the Cholesky factor of
+    the reduced Hessian does not exist and solve_qp raises LinAlgError.
+    """
 
     H: np.ndarray
     F: np.ndarray
@@ -70,286 +87,92 @@ class QPSolution:
     x: np.ndarray
     status: str                      # optimal | infeasible | maxiter
     iterations: int
-    eq_residual: float
-    ineq_violation: float
     stationarity: float
-    duals_eq: np.ndarray = None
-    duals_in: np.ndarray = None
-    working_set: list = field(default_factory=list)
+    duals_in: np.ndarray = None      # per one-sided row, see _one_sided
+    working_set: list = field(default_factory=list)   # final active rows
 
 
 def _one_sided(A_in, lower, upper):
-    """Expand two-sided rows into G x <= h, remembering row provenance.
-
-    Row i gives its upper row, then its lower row, each when finite; tags
-    hold (i, +1) or (i, -1) in the same order.
-    """
+    """Expand two-sided rows into G x <= h: row i of A_in gives its upper
+    row, then its lower row, each when finite."""
     keep = np.stack([np.isfinite(upper), np.isfinite(lower)], axis=1)
-    G = np.stack([A_in, -A_in], axis=1)[keep]
-    h = np.stack([upper, -lower], axis=1)[keep]
-    rows, side = np.nonzero(keep)
-    tags = list(zip(rows.tolist(), (1 - 2 * side).tolist()))
-    return G, h, tags
+    return (np.stack([A_in, -A_in], axis=1)[keep],
+            np.stack([upper, -lower], axis=1)[keep])
 
 
-def _independent_rows(A, b, tol=1e-10):
-    """Greedy maximal independent subset of consistent equality rows."""
-    if len(A) == 0:
-        return A, b
-    keep = []
-    basis = np.zeros((0, A.shape[1]))
-    for i in range(len(A)):
-        row = A[i]
-        if len(basis):
-            coef, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
-            resid = row - basis.T @ coef
-        else:
-            resid = row
-        if np.linalg.norm(resid) > tol * max(1.0, np.linalg.norm(row)):
-            keep.append(i)
-            basis = np.vstack([basis, row])
-    return A[keep], b[keep]
+def solve_qp(problem):
+    """Solve a convex QP; see QPProblem for the form and the contract.
 
-
-class _Core:
-    """Active-set iteration on min 1/2 x'Hx + f'x, E x = b, G x <= h."""
-
-    def __init__(self, H, f, E, b, G, h):
-        self.H = H
-        self.f = f
-        self.E = E
-        self.b = b
-        self.G = G
-        self.h = h
-        self.n = len(f)
-        self.scale = max(1.0, float(np.abs(H).max()) if H.size else 1.0)
-
-    def _kkt(self, C, g, ridge=0.0):
-        n, k = self.n, len(C)
-        K = np.zeros((n + k, n + k))
-        K[:n, :n] = self.H
-        if ridge:
-            K[:n, :n] += ridge * np.eye(n)
-        if k:
-            K[:n, n:] = C.T
-            K[n:, :n] = C
-        rhs = np.concatenate([-g, np.zeros(k)])
-        sol = np.linalg.solve(K, rhs)
-        return sol[:n], sol[n:]
-
-    def _independent_working(self, working):
-        """Drop working rows dependent on the equalities or earlier rows."""
-        basis = self.E.copy() if len(self.E) else np.zeros((0, self.n))
-        kept = []
-        for w in working:
-            row = self.G[w]
-            if len(basis):
-                coef, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
-                if np.linalg.norm(row - basis.T @ coef) <= 1e-10 * max(1.0, np.linalg.norm(row)):
-                    continue
-            basis = np.vstack([basis, row])
-            kept.append(w)
-        return kept
-
-    def run(self, x, working, max_iter):
-        """Iterate from feasible x with working-set row indices into G."""
-        working = self._independent_working(list(working))
-        n_eq = len(self.E)
-        ridge = 0.0
-        for it in range(1, max_iter + 1):
-            C = np.vstack([self.E, self.G[working]]) if (n_eq or working) else np.zeros((0, self.n))
-            g = self.H @ x + self.f
-            try:
-                p, mu = self._kkt(C, g, ridge)
-            except np.linalg.LinAlgError:
-                if ridge == 0.0:
-                    # Hessian singular on this face; retry with a whisper of
-                    # curvature, which leaves the optimum within tolerance.
-                    ridge = 1e-10 * self.scale
-                    continue
-                return x, working, it, "maxiter"
-            if not np.all(np.isfinite(p)):
-                if ridge == 0.0:
-                    ridge = 1e-10 * self.scale
-                    continue
-                return x, working, it, "maxiter"
-            # Predicted objective decrease on this face; noise-level decreases
-            # mean the face is solved and only the duals matter.
-            dec = float(g @ p) + 0.5 * float(p @ self.H @ p)
-            obj_scale = 1.0 + abs(0.5 * float(x @ g) + 0.5 * float(x @ self.f))
-            if (np.linalg.norm(p, np.inf) <= _STEP_TOL * (1.0 + np.linalg.norm(x, np.inf))
-                    or dec >= -1e-10 * obj_scale):
-                mu_in = mu[n_eq:]
-                if len(mu_in) == 0 or mu_in.min() >= -_DUAL_TOL * self.scale:
-                    return x, working, it, "optimal"
-                # Drop the most negative multiplier; ties to the lowest row.
-                worst = int(np.argmin(mu_in))
-                del working[worst]
-                continue
-            # Longest feasible step along p.
-            alpha = 1.0
-            blocking = -1
-            if len(self.G):
-                mask = np.ones(len(self.G), dtype=bool)
-                mask[working] = False
-                Gp = self.G[mask] @ p
-                rows = np.flatnonzero(mask)
-                pos = Gp > 1e-13 * self.scale
-                if np.any(pos):
-                    slack = self.h[rows[pos]] - self.G[rows[pos]] @ x
-                    ratios = np.maximum(slack, 0.0) / Gp[pos]
-                    j = int(np.argmin(ratios))
-                    if ratios[j] < alpha:
-                        alpha = float(ratios[j])
-                        blocking = int(rows[pos][j])
-            x = x + alpha * p
-            if blocking >= 0:
-                working.append(blocking)
-        return x, working, max_iter, "maxiter"
-
-
-def _feasible_start(core, x0, max_iter):
-    """Phase 1: drive one shared slack on the inequalities to zero.
-
-    Minimizes 1/2 s^2 + eps/2 |x - x0|^2 subject to G x - s <= h, s >= 0 and
-    the equalities; the regularization keeps the subproblem strictly convex
-    but biases s away from zero, so the pass repeats with shrinking eps until
-    the slack collapses or stops improving.  A stalled positive slack is the
-    infeasibility certificate.  Returns (x, working, feasible) with working
-    indexing rows of core.G active at x.
-    """
-    G, h = core.G, core.h
-    hscale = 1.0 + (float(np.abs(h).max()) if len(h) else 0.0)
-
-    def active_rows(x):
-        v = G @ x - h
-        return [int(i) for i in np.flatnonzero(np.abs(v) <= 1e-9 * hscale)]
-
-    if len(G) == 0:
-        return x0, [], True
-    worst = float((G @ x0 - h).max())
-    if worst <= 1e-9 * hscale:
-        return x0, active_rows(x0), True
-
-    n = core.n
-    E1 = np.hstack([core.E, np.zeros((len(core.E), 1))]) if len(core.E) else np.zeros((0, n + 1))
-    G1 = np.hstack([G, -np.ones((len(G), 1))])
-    s_row = np.zeros(n + 1)
-    s_row[n] = -1.0
-    G1 = np.vstack([G1, s_row])          # s >= 0
-    h1 = np.concatenate([h, [0.0]])
-    eps = 1e-8
-    H1 = np.zeros((n + 1, n + 1))
-    H1[:n, :n] = eps * np.eye(n)
-    H1[n, n] = 1.0
-
-    # The slack cost is dominated by a linear term: with a big enough weight
-    # the s >= 0 plane pins s at exactly zero whenever the constraints admit
-    # a point (exact penalty), so no tolerance juggling is needed.  The
-    # weight escalates until the slack either collapses or stops shrinking,
-    # which certifies infeasibility.
-    x = x0
-    s_star = worst
-    for big_m in (1.0, 1e3, 1e6):
-        f1 = np.concatenate([-eps * x, [big_m]])
-        z0 = np.concatenate([x, [max(float((G @ x - h).max()), 0.0) + 1.0]])
-        core1 = _Core(H1, f1, E1, core.b, G1, h1)
-        z, _, _, status = core1.run(z0, [], max_iter)
-        if status != "optimal":
-            return x, [], False
-        prev_s = s_star
-        x = z[:n]
-        s_star = float(z[n])
-        if s_star <= 1e-9 * hscale:
-            return x, active_rows(x), True
-        if s_star > 0.99 * prev_s:
-            break
-    return x, [], False
-
-
-def solve_qp(problem, warm_start=None, max_iter=None):
-    """Solve a convex QP; see QPProblem for the form.
-
-    warm_start may carry (x, working_set) from a previous related solve.
-    The returned working_set can seed the next call.  Status is 'infeasible'
-    when the constraints admit no point (certified by the phase-1 optimum),
-    and 'maxiter' if the iteration budget runs out.
+    Status is 'optimal', 'infeasible' (inconsistent equalities, or a
+    certificate from the dual iteration), or 'maxiter' if the internal
+    guard of 50 + 10 (n + rows) steps runs out.
     """
     n = problem.n
-    G, h, tags = _one_sided(problem.A_in, problem.lower, problem.upper)
-    E, b = _independent_rows(problem.A_eq, problem.b_eq)
-    if len(E) < len(problem.A_eq):
-        # Dropped rows must still be consistent with the kept ones.
-        x_test, *_ = np.linalg.lstsq(problem.A_eq, problem.b_eq, rcond=None)
-        if np.linalg.norm(problem.A_eq @ x_test - problem.b_eq, np.inf) > 1e-7:
-            return QPSolution(x=np.zeros(n), status="infeasible", iterations=0,
-                              eq_residual=np.inf, ineq_violation=np.inf,
-                              stationarity=np.inf)
-    if max_iter is None:
-        max_iter = 50 + 10 * (n + len(G))
+    G, h = _one_sided(problem.A_in, problem.lower, problem.upper)
+    duals = np.zeros(len(G))
 
-    core = _Core(problem.H, problem.F, E, b, G, h)
-
-    # Start on the equality manifold, as close to the warm point as possible.
-    x0 = np.zeros(n)
-    warm_ws = []
-    if warm_start is not None:
-        wx, wws = warm_start
-        if wx is not None and len(wx) == n:
-            x0 = np.asarray(wx, dtype=float).copy()
-        warm_ws = [w for w in (wws or []) if 0 <= w < len(G)]
-    if len(E):
-        resid = E @ x0 - b
-        if np.linalg.norm(resid, np.inf) > 1e-12:
-            corr, *_ = np.linalg.lstsq(E, resid, rcond=None)
-            x0 = x0 - corr
-
-    x0, working, feasible = _feasible_start(core, x0, max_iter)
-    if not feasible:
+    U, S, Vt = np.linalg.svd(problem.A_eq)
+    rank = int(np.sum(S > _RANK_TOL * S.max(initial=0.0)))
+    x0 = Vt[:rank].T @ ((U[:, :rank].T @ problem.b_eq) / S[:rank])
+    if np.any(np.abs(problem.A_eq @ x0 - problem.b_eq) > _EQ_TOL):
         return QPSolution(x=x0, status="infeasible", iterations=0,
-                          eq_residual=float(np.linalg.norm(E @ x0 - b, np.inf)) if len(E) else 0.0,
-                          ineq_violation=float((G @ x0 - h).max()) if len(G) else 0.0,
-                          stationarity=np.inf)
-    if warm_ws and not working:
-        # Adopt warm working rows that are genuinely active at the start and
-        # independent of the equalities and each other.
-        viol = G @ x0 - h
-        basis = E.copy()
-        adopted = []
-        for w in warm_ws:
-            if abs(viol[w]) > 1e-9 * core.scale:
-                continue
-            row = G[w]
-            if len(basis):
-                coef, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
-                if np.linalg.norm(row - basis.T @ coef) <= 1e-10 * max(1.0, np.linalg.norm(row)):
-                    continue
-            basis = np.vstack([basis, row]) if len(basis) else row[None, :]
-            adopted.append(w)
-        working = adopted
+                          stationarity=np.inf, duals_in=duals)
+    Z = Vt[rank:].T
+    L = np.linalg.cholesky(Z.T @ problem.H @ Z)
+    M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
+    w = -M.T @ (problem.H @ x0 + problem.F)
+    B = G @ M
+    d = h - G @ x0
+    tol = _VIOL_TOL * (1.0 + np.abs(h).max(initial=0.0))
 
-    x, working, iters, status = core.run(x0, working, max_iter)
+    active, u, j = [], np.zeros(0), None
+    status, it, max_iter = "maxiter", 0, 50 + 10 * (n + len(G))
+    while True:
+        if j is None:
+            viol = B @ w - d
+            viol[active] = -np.inf
+            if np.all(viol <= tol):
+                status = "optimal"
+                break
+            j, t_plus = int(np.argmax(viol)), 0.0
+        if it == max_iter:
+            break
+        it += 1
+        # Path that raises row j's multiplier t_plus while the active rows
+        # stay tight: w moves along z and the active multipliers along r.
+        Qa, R = np.linalg.qr(B[active].T)
+        v = Qa.T @ B[j]
+        z = Qa @ v - B[j]
+        r = -np.linalg.solve(R, v)
+        shrink = r < 0.0
+        ratios = np.full(len(u), np.inf)
+        ratios[shrink] = u[shrink] / -r[shrink]
+        t_dual = ratios.min(initial=np.inf)
+        full = np.linalg.norm(z) > _ZERO_STEP * np.linalg.norm(B[j])
+        if not full and t_dual == np.inf:
+            status = "infeasible"
+            break
+        t_primal = (B[j] @ w - d[j]) / (z @ z) if full else np.inf
+        t = min(t_primal, t_dual)
+        if full:
+            w = w + t * z
+        u = np.maximum(u + t * r, 0.0)
+        t_plus += t
+        if t_primal <= t_dual:
+            active.append(j)
+            u = np.append(u, t_plus)
+            j = None
+        else:
+            drop = int(np.argmin(ratios))
+            del active[drop]
+            u = np.delete(u, drop)
 
-    duals_eq = np.zeros(len(problem.A_eq))
-    duals_in = np.zeros(len(G))
+    x = x0 + M @ w
+    duals[active] = u
     stationarity = np.inf
     if status == "optimal":
-        C = np.vstack([E, G[working]]) if (len(E) or working) else np.zeros((0, n))
-        g = problem.H @ x + problem.F
-        if len(C):
-            lam, *_ = np.linalg.lstsq(C.T, -g, rcond=None)
-            stationarity = float(np.linalg.norm(g + C.T @ lam, np.inf))
-            mu_eq = lam[:len(E)]
-            # Report duals against the original (unfiltered) equality rows.
-            if len(E) == len(problem.A_eq):
-                duals_eq = mu_eq
-            for w, val in zip(working, lam[len(E):]):
-                duals_in[w] = max(val, 0.0)
-        else:
-            stationarity = float(np.linalg.norm(g, np.inf))
-    eq_residual = float(np.linalg.norm(problem.A_eq @ x - problem.b_eq, np.inf)) if len(problem.A_eq) else 0.0
-    ineq_violation = float(max(0.0, (G @ x - h).max())) if len(G) else 0.0
-    return QPSolution(x=x, status=status, iterations=iters,
-                      eq_residual=eq_residual, ineq_violation=ineq_violation,
-                      stationarity=stationarity, duals_eq=duals_eq,
-                      duals_in=duals_in, working_set=list(working))
+        g = problem.H @ x + problem.F + G[active].T @ u
+        stationarity = float(np.abs(Z @ (Z.T @ g)).max())
+    return QPSolution(x=x, status=status, iterations=it,
+                      stationarity=stationarity, duals_in=duals,
+                      working_set=active)

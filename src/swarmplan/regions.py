@@ -430,8 +430,8 @@ def region_is_empty(polytope, probe=None):
     return not EMPTY_RADIUS <= radius < np.inf
 
 
-def build_safe_regions(volume, tracks, ego_footprint, now, prediction_config,
-                       region_config=None, previous=None):
+def build_safe_regions(volume, tracks, ego_footprint, now, region_config=None,
+                       previous=None):
     """One deflated polytope per moving-volume slice, in one pass.
 
     Slice seeds come from the volume (the old plan's positions).  Static
@@ -460,7 +460,7 @@ def build_safe_regions(volume, tracks, ego_footprint, now, prediction_config,
     times = now + t_rel
     for tr in tracks:
         stack, free = _cut(stack, seeds,
-                           tr.predict_positions(times, prediction_config),
+                           tr.predict_positions(times),
                            footprint_from_size(tr.latest.size or (0.1,)),
                            region_config.peer_margin)
         feasible &= free

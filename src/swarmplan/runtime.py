@@ -425,7 +425,7 @@ class Agent:
             if self.volume is not None:
                 regions = build_safe_regions(
                     self.volume, self.tracks, self.footprint, now,
-                    cfg.prediction, cfg.region, previous=self.regions)
+                    cfg.region, previous=self.regions)
         except Exception as exc:
             flags.append(f"regions:{type(exc).__name__}")
             regions = self.regions

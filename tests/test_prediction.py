@@ -103,9 +103,8 @@ class TestQuinticFit:
 
 class TestTrackPrediction:
     def test_single_state_uses_constant_accel(self):
-        cfg = PredictionConfig()
         tr = PeerTrack(states=[state(0.0, [0, 0], v=[1, 0], a=[0.5, 0])])
-        p = tr.predict_position(2.0, cfg)
+        p = tr.predict_position(2.0)
         assert np.allclose(p, predict_constant_accel(tr.latest, 2.0), atol=1e-12)
 
     def test_window_capped(self):
@@ -122,9 +121,9 @@ class TestTrackPrediction:
         for k in range(10):
             t = 0.1 * k
             tr.push(state(t, [2.0 * t, 1.0 - t], v=[2.0, -1.0]), cfg)
-        p = tr.predict_position(1.5, cfg)
+        p = tr.predict_position(1.5)
         assert np.allclose(p, [3.0, -0.5], atol=1e-6)
-        v = tr.predict_velocity(1.5, cfg)
+        v = tr.predict_velocity(1.5)
         assert np.allclose(v, [2.0, -1.0], atol=1e-6)
 
     def test_vectorized_prediction_matches_scalar(self):
@@ -134,9 +133,9 @@ class TestTrackPrediction:
             t = 0.1 * k
             tr.push(state(t, [np.sin(t), np.cos(t)], v=[np.cos(t), -np.sin(t)]), cfg)
         times = np.linspace(0.8, 2.0, 9)
-        P = tr.predict_positions(times, cfg)
+        P = tr.predict_positions(times)
         for k, t in enumerate(times):
-            assert np.allclose(P[k], tr.predict_position(t, cfg), atol=1e-12)
+            assert np.allclose(P[k], tr.predict_position(t), atol=1e-12)
 
     def test_staleness(self):
         cfg = PredictionConfig(staleness=0.5)

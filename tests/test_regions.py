@@ -276,8 +276,7 @@ class TestBuildSafeRegions:
     def test_slices_cover_horizon(self):
         vol = self.make_volume([[] for _ in range(10)])
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, prediction_config=PredictionConfig(),
-                                    region_config=RegionConfig())
+                                    now=0.0, region_config=RegionConfig())
         assert len(region.slices) == 10
         assert region.slices[0].t_rel == pytest.approx(0.1)
         assert region.slices[-1].t_rel == pytest.approx(1.0)
@@ -286,8 +285,7 @@ class TestBuildSafeRegions:
         circle = Circle(np.array([2.0, 0.0]), 0.5)
         vol = self.make_volume([[circle]] * 5)
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, prediction_config=PredictionConfig(),
-                                    region_config=RegionConfig())
+                                    now=0.0, region_config=RegionConfig())
         for sl in region.slices:
             assert sl.feasible
             assert not sl.polytope.contains(np.array([2.0, 0.0]))
@@ -298,8 +296,7 @@ class TestBuildSafeRegions:
         vol = self.make_volume([[] for _ in range(20)])
         tr = self.track_at([-3.0, 0.0], [1.0, 0.0])
         region = build_safe_regions(vol, [tr], CircleFootprint(0.2),
-                                    now=0.0, prediction_config=PredictionConfig(),
-                                    region_config=RegionConfig())
+                                    now=0.0, region_config=RegionConfig())
         early = region.slices[0].polytope
         late = region.slices[-1].polytope
         # At t_rel=0.1 the peer sits near (-2.9, 0); at 2.0 near (-1, 0).
@@ -310,23 +307,19 @@ class TestBuildSafeRegions:
         circle = Circle(np.zeros(2), 1.0)  # swallows the seed
         vol = self.make_volume([[circle]] * 3)
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, prediction_config=PredictionConfig(),
-                                    region_config=RegionConfig())
+                                    now=0.0, region_config=RegionConfig())
         for sl in region.slices:
             assert not sl.feasible
             assert len(sl.polytope.normals) >= 4
 
     def test_seed_inside_reuses_previous_region(self):
         cfg = RegionConfig()
-        pcfg = PredictionConfig()
         free = self.make_volume([[] for _ in range(3)])
         prev = build_safe_regions(free, [], CircleFootprint(0.2),
-                                  now=0.0, prediction_config=pcfg,
-                                  region_config=cfg)
+                                  now=0.0, region_config=cfg)
         blocked = self.make_volume([[Circle(np.zeros(2), 1.0)]] * 3)
         region = build_safe_regions(blocked, [], CircleFootprint(0.2),
-                                    now=0.1, prediction_config=pcfg,
-                                    region_config=cfg, previous=prev)
+                                    now=0.1, region_config=cfg, previous=prev)
         for sl in region.slices:
             # Borrowing last cycle's region is a successful recovery.
             assert sl.feasible
@@ -338,8 +331,7 @@ class TestBuildSafeRegions:
     def test_slice_lookup(self):
         vol = self.make_volume([[] for _ in range(5)])
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, prediction_config=PredictionConfig(),
-                                    region_config=RegionConfig())
+                                    now=0.0, region_config=RegionConfig())
         assert region.t_rel[region.index_at(0.1)] == pytest.approx(0.1)
         assert region.t_rel[region.index_at(0.52)] == pytest.approx(0.5)
         assert region.t_rel[region.index_at(10.0)] == pytest.approx(0.5)
@@ -377,19 +369,23 @@ def oracle_crossing(a, b, shape):
 
 
 def oracle_tangent(shape, q, e):
-    if shape.boundary_distance(q) > BOUNDARY_TOL:
-        raise ValueError("boundary_point is not on the shape boundary")
-    if shape.distance(e) <= 0.0:
-        raise ValueError("exterior_point is not strictly outside the shape")
     if isinstance(shape, Circle):
         v = q - shape.center
-        n_out = v / np.linalg.norm(v)
+        off_boundary = abs(float(np.linalg.norm(v)) - shape.radius)
     else:
         corners = shape.corners
         edge = np.roll(corners, -1, axis=0) - corners
         t = np.clip(np.sum((q - corners) * edge, axis=1)
                     / np.sum(edge * edge, axis=1), 0.0, 1.0)
         dists = np.linalg.norm(q - (corners + t[:, None] * edge), axis=1)
+        off_boundary = float(dists.min())
+    if off_boundary > BOUNDARY_TOL:
+        raise ValueError("boundary_point is not on the shape boundary")
+    if shape.distance(e) <= 0.0:
+        raise ValueError("exterior_point is not strictly outside the shape")
+    if isinstance(shape, Circle):
+        n_out = v / np.linalg.norm(v)
+    else:
         on_edges = np.flatnonzero(dists <= BOUNDARY_TOL * 10 + dists.min())
         normals = shape.edge_normals()
         best = max(on_edges, key=lambda i: float(normals[i] @ (e - q)))
@@ -471,10 +467,10 @@ def oracle_empty(poly, probe):
     return not res.success or -res.fun < -1e-9
 
 
-def oracle_build(volume, tracks, ego, now, pcfg, cfg, previous=None):
+def oracle_build(volume, tracks, ego, now, cfg, previous=None):
     """[(polytope, static polytope, feasible)] per slice."""
     times = np.array([now + s.t_rel for s in volume.slices])
-    paths = [(tr.predict_positions(times, pcfg),
+    paths = [(tr.predict_positions(times),
               footprint_from_size(tr.latest.size or (0.1,))) for tr in tracks]
     out = []
     for k, vs in enumerate(volume.slices):
@@ -595,21 +591,20 @@ class TestOnePassParity:
             ego = CircleFootprint(0.2) if trial % 2 else SquareFootprint(0.15)
             first = random_volume(rng, 40)
             tracks = random_tracks(rng, first, pcfg)
-            prev = build_safe_regions(first, tracks, ego, 0.0, pcfg, config)
-            prev_oracle = oracle_build(first, tracks, ego, 0.0, pcfg, config)
+            prev = build_safe_regions(first, tracks, ego, 0.0, config)
+            prev_oracle = oracle_build(first, tracks, ego, 0.0, config)
             assert_same_regions(prev, prev_oracle)
             second = random_volume(rng, 40, inside_frac=0.3)
-            region = build_safe_regions(second, tracks, ego, 0.04, pcfg,
+            region = build_safe_regions(second, tracks, ego, 0.04,
                                         config, previous=prev)
             assert_same_regions(region, oracle_build(
-                second, tracks, ego, 0.04, pcfg, config, previous=prev_oracle))
+                second, tracks, ego, 0.04, config, previous=prev_oracle))
 
     def test_peers_on_footprint_rims(self):
         # Seeds exactly on a peer disk's rim: the covered test must round
         # |rel| as np.linalg.norm does.
         rng = np.random.default_rng(29)
         cfg = RegionConfig()
-        pcfg = PredictionConfig()
         vol = random_volume(rng, 40, inside_frac=0.0)
         tracks = []
         for vs in vol.slices:
@@ -618,8 +613,8 @@ class TestOnePassParity:
                 vs.center + 0.3 * np.array([np.cos(th), np.sin(th)]),
                 [0.0, 0.0], size=(0.3,)))
         ego = CircleFootprint(0.2)
-        region = build_safe_regions(vol, tracks, ego, 0.0, pcfg, cfg)
-        assert_same_regions(region, oracle_build(vol, tracks, ego, 0.0, pcfg, cfg))
+        region = build_safe_regions(vol, tracks, ego, 0.0, cfg)
+        assert_same_regions(region, oracle_build(vol, tracks, ego, 0.0, cfg))
 
     def test_plane_cap_ties(self):
         # A ring of equal circles puts eight planes at one distance from the
@@ -637,9 +632,8 @@ class TestOnePassParity:
                                       shapes=ring))
         vol = MovingVolume(slices=slices, tau=0.1, horizon=4.0)
         ego = CircleFootprint(0.2)
-        pcfg = PredictionConfig()
-        region = build_safe_regions(vol, [], ego, 0.0, pcfg, cfg)
-        assert_same_regions(region, oracle_build(vol, [], ego, 0.0, pcfg, cfg))
+        region = build_safe_regions(vol, [], ego, 0.0, cfg)
+        assert_same_regions(region, oracle_build(vol, [], ego, 0.0, cfg))
 
     def test_seeds_on_square_diagonals(self):
         # The segment to the center meets a corner, where two edges fit the
@@ -689,7 +683,7 @@ class TestOnePassParity:
                     continue
                 got = seed_region(vs.center, vs.shapes, cfg)
                 for tr in tracks:
-                    peer = tr.predict_positions(np.array([vs.t_rel]), pcfg)[0]
+                    peer = tr.predict_positions(np.array([vs.t_rel]))[0]
                     fp = footprint_from_size(tr.latest.size)
                     want, ok_want = oracle_contract(want, vs.center, peer, fp,
                                                     cfg.peer_margin)
