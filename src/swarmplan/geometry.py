@@ -328,16 +328,6 @@ def segment_shape_intersections(a, b, shape):
     return a + np.minimum(t, length)[:, None] * u, crossed
 
 
-def segment_shape_intersection(a, b, shape):
-    """First boundary crossing of segment a->b, or None if it never crosses.
-
-    Returns the crossing point nearest to a.
-    """
-    q, crossed = segment_shape_intersections(_as_point(a)[None],
-                                             _as_point(b)[None], shape)
-    return q[0] if crossed[0] else None
-
-
 def ray_cast(origin, angle, shape, max_range):
     """Distance along the ray from origin at `angle` to the shape boundary.
 
@@ -358,11 +348,14 @@ def unit_rows(normals, offsets):
 
 
 def supporting_halfplanes(shape, boundary_points, exterior_points):
-    """`supporting_halfplane` for many point pairs (rows of (n, 2)).
+    """Halfplanes tangent to the shape at each boundary point (rows of
+    (n, 2)), each containing its exterior point.
 
-    Returns the rows (normals, offsets) each Halfplane is built from, before
-    its normalization (see unit_rows).  Raises ValueError when any pair
-    fails the checks of supporting_halfplane.
+    The shape lies entirely on the excluded side (normal . p >= offset for
+    all shape points).  Each boundary point must lie on the shape boundary
+    and its exterior point strictly outside, on the outward side of the
+    tangent; otherwise ValueError.  Returns the rows (normals, offsets) a
+    Halfplane is built from, before its normalization (see unit_rows).
     """
     q, e = boundary_points, exterior_points
     if isinstance(shape, Circle):
@@ -394,14 +387,3 @@ def supporting_halfplanes(shape, boundary_points, exterior_points):
         raise ValueError("exterior_point is not on the outward side of the tangent")
     return normals, offsets
 
-
-def supporting_halfplane(shape, boundary_point, exterior_point):
-    """Halfplane tangent to the shape at boundary_point, containing exterior_point.
-
-    The shape lies entirely on the excluded side (normal . p >= offset for all
-    shape points).  boundary_point must lie on the shape boundary and
-    exterior_point strictly outside, on the outward side of the tangent.
-    """
-    normals, offsets = supporting_halfplanes(
-        shape, _as_point(boundary_point)[None], _as_point(exterior_point)[None])
-    return Halfplane(normals[0], offsets[0])

@@ -4,9 +4,11 @@ Each cycle builds one convex QP in the stacked control points [Px; Py]:
 derivative-energy smoothing, a quadratic end cost pulling x(t_end) to the
 goal, and obstacle costs quadratized around the previous trajectory, subject
 to initial-state and waypoint equalities, safe-region halfplanes at every
-future timestep, and per-derivative box limits.  An infeasible solve is
-retried with the box limits applied only at knot transitions; if that also
-fails the previous trajectory is kept and the cycle reports failure.
+future timestep, and per-derivative box limits on the derivative control
+points.  An infeasible solve is retried on the same problem with the box
+limits sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment instead;
+if that also fails the previous trajectory is kept and the cycle reports
+failure.
 """
 
 import math
@@ -15,9 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bspline import (TrajectorySpline, basis_weights, derivative_gram,
-                      difference_matrix, derivative_map, plan_knot_layout,
-                      position_map)
+from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
+                      derivative_map, plan_knot_layout, position_map)
 from .geometry import Circle
 from .qp import QPProblem, solve_qp
 
@@ -117,36 +118,24 @@ def collision_kernel(d, w):
     return np.exp(-w.K_p * (d - w.rho)) / w.K_p
 
 
-def _quadrature_intervals(traj, span):
-    """Per knot interval clipped to span: (ts, ws, idx, W) quadrature blocks.
+def _quadrature(traj, span):
+    """Gauss-Legendre nodes and weights, 64 per knot interval clipped to span.
 
-    ts/ws are 64 Gauss-Legendre nodes and weights; W rows are the active
-    basis weights so positions are W @ control[idx].  One basis_weights
-    call covers the nodes of every interval.
+    Flat arrays (ts, ws); the basis rows at the nodes are
+    position_map(traj, ts).
     """
     lo, hi = traj.domain
     lo = max(lo, span[0])
     hi = min(hi, span[1])
-    if hi - lo < 1e-12:
-        return []
     t_start = traj.t0 + traj.degree * traj.dt
-    k_lo = int(np.floor((lo - t_start) / traj.dt + 1e-12))
-    k_hi = int(np.ceil((hi - t_start) / traj.dt - 1e-12))
-    blocks = []
-    for k in range(k_lo, k_hi):
-        a = max(lo, t_start + k * traj.dt)
-        b = min(hi, t_start + (k + 1) * traj.dt)
-        if b - a >= 1e-12:
-            blocks.append((a, b, min(traj.degree + k, traj.m - 1)))
-    if not blocks:
-        return []
-    a, b, j = (np.array(c) for c in zip(*blocks))
+    knots = t_start + np.arange(traj.m - traj.degree + 1) * traj.dt
+    a = np.maximum(lo, knots[:-1])
+    b = np.minimum(hi, knots[1:])
+    keep = b - a >= 1e-12
+    a, b = a[keep], b[keep]
     ts = 0.5 * (b - a)[:, None] * _GL64_NODES + 0.5 * (b + a)[:, None]
     ws = 0.5 * (b - a)[:, None] * _GL64_WEIGHTS
-    u = (ts - (traj.t0 + j * traj.dt)[:, None]) / traj.dt
-    W = basis_weights(traj.degree, u)
-    return [(ts[i], ws[i], np.arange(j[i] - traj.degree, j[i] + 1), W[i])
-            for i in range(len(blocks))]
+    return ts.ravel(), ws.ravel()
 
 
 def _distance_models(shape, pts):
@@ -224,45 +213,40 @@ def collision_cost_closed_form(traj, obs, span, w):
     Fixed 64-node Gauss-Legendre quadrature per knot interval; the reference
     value all quadratic approximations are measured against.
     """
-    total = 0.0
-    for ts, ws, idx, W in _quadrature_intervals(traj, span):
-        pts = W @ traj.control[idx]
-        dists = np.array([obs.distance(p) for p in pts])
-        total += float(ws @ collision_kernel(dists, w))
-    return total
+    ts, ws = _quadrature(traj, span)
+    dists = np.array([obs.distance(p) for p in traj.positions(ts)])
+    return float(ws @ collision_kernel(dists, w))
 
 
-def quadratize_collision(previous, obs, span, w):
-    """Quadratic model of the obstacle cost around the previous trajectory.
+def quadratize_collision(previous, obstacles, span, w):
+    """Quadratic model of the summed obstacle cost around the previous
+    trajectory.
 
-    Second-order Taylor expansion of the kernel at every quadrature node,
-    node Hessians clamped PSD, accumulated into the stacked control-point
-    space [Px; Py] of the previous trajectory's own knot layout.  Returns
-    (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P + c0; at P = previous control
-    points this reproduces collision_cost_closed_form exactly.
+    Second-order Taylor expansion of each obstacle's kernel at every
+    quadrature node, node Hessians clamped PSD, summed over the obstacles
+    and projected once into the stacked control-point space [Px; Py] of the
+    previous trajectory's own knot layout.  Returns (H, F, c0) with
+    cost(P) ~= 1/2 P'HP + F'P + c0; at P = previous control points this
+    reproduces the sum of collision_cost_closed_form over the obstacles.
     """
-    m = previous.m
-    H = np.zeros((2 * m, 2 * m))
-    F = np.zeros(2 * m)
-    c0 = 0.0
-    for ts, ws, idx, W in _quadrature_intervals(previous, span):
-        pts = W @ previous.control[idx]
-        d, ug, Hd = _distance_models(obs, pts)
-        f, g, Hn = _kernel_models(d, ug, Hd, w)
-        outer = W[:, :, None] * W[:, None, :]
-        gHx = g - np.einsum("nij,nj->ni", Hn, pts)
-        ix = idx
-        iy = idx + m
-        H[np.ix_(ix, ix)] += np.einsum("n,n,nij->ij", ws, Hn[:, 0, 0], outer)
-        H[np.ix_(iy, iy)] += np.einsum("n,n,nij->ij", ws, Hn[:, 1, 1], outer)
-        Hxy = np.einsum("n,n,nij->ij", ws, Hn[:, 0, 1], outer)
-        H[np.ix_(ix, iy)] += Hxy
-        H[np.ix_(iy, ix)] += Hxy.T
-        F[ix] += np.einsum("n,n,ni->i", ws, gHx[:, 0], W)
-        F[iy] += np.einsum("n,n,ni->i", ws, gHx[:, 1], W)
-        c0 += float(ws @ (f - np.einsum("ni,ni->n", g, pts)
-                          + 0.5 * np.einsum("ni,nij,nj->n", pts, Hn, pts)))
-    return H, F, c0
+    ts, ws = _quadrature(previous, span)
+    A = position_map(previous, ts)
+    pts = A @ previous.control
+    f = np.zeros(len(ts))
+    g = np.zeros((len(ts), 2))
+    Hn = np.zeros((len(ts), 2, 2))
+    for obs in obstacles:
+        f_o, g_o, H_o = _kernel_models(*_distance_models(obs, pts), w)
+        f += f_o
+        g += g_o
+        Hn += H_o
+    Hxx, Hxy, Hyy = (A.T @ ((ws * h)[:, None] * A)
+                     for h in (Hn[:, 0, 0], Hn[:, 0, 1], Hn[:, 1, 1]))
+    lin = ws[:, None] * (g - np.einsum("nij,nj->ni", Hn, pts))
+    F = np.concatenate([A.T @ lin[:, 0], A.T @ lin[:, 1]])
+    c0 = float(ws @ (f - np.einsum("ni,ni->n", g, pts)
+                     + 0.5 * np.einsum("ni,nij,nj->n", pts, Hn, pts)))
+    return np.block([[Hxx, Hxy], [Hxy.T, Hyy]]), F, c0
 
 
 def end_cost(goal, row, q_final):
@@ -305,11 +289,12 @@ def end_time_heuristic(initial_state, goal, a_max, t_segment=1.0):
 
 
 def admit_obstacles(shapes, regions):
-    """Shapes that can intersect at least one feasible region slice.
+    """Shapes that can intersect the static polytope of at least one slice.
 
-    Uses the per-plane support test (a shape is rejected by a slice only if
-    some halfplane separates it entirely); conservative, so nearby shapes
-    are always admitted into the obstacle cost.
+    Every slice counts, feasible or not.  Uses the per-plane support test (a
+    shape is rejected by a slice only if some halfplane separates it
+    entirely); conservative, so nearby shapes are always admitted into the
+    obstacle cost.
     """
     if regions is None:
         return []
@@ -362,13 +347,14 @@ def _gram_cached(layout, order):
     return G
 
 
-def assemble_qp(req, w, layout, reference, relaxed=False):
+def assemble_qp(req, w, layout, reference):
     """Build the cycle QP in the stacked control points [Px; Py].
 
     reference is the previous trajectory refit onto `layout`; obstacle costs
-    are quadratized around it.  relaxed swaps the per-control-point box
-    limits for samples at knot transitions only.  Raises AllSlicesInfeasible
-    when regions exist but no slice is usable.
+    are quadratized around it.  The box limits are the control-point rows
+    of _limit_rows, which close A_in so that the relaxed retry can swap
+    them.  Raises AllSlicesInfeasible when regions exist but no slice is
+    usable.
     """
     m = layout.m
     nvar = 2 * m
@@ -411,9 +397,9 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
             H += H_v
             F += F_v
 
-    span = (layout.t_start, layout.t_end)
-    for obs in req.near_obstacles:
-        H_o, F_o, _ = quadratize_collision(reference, obs, span, w)
+    if req.near_obstacles:
+        H_o, F_o, _ = quadratize_collision(
+            reference, req.near_obstacles, (layout.t_start, layout.t_end), w)
         H += w.Q_obs * H_o
         F += w.Q_obs * F_o
 
@@ -436,11 +422,9 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
         eq_rows.append(np.concatenate([np.zeros(m), r]))
         eq_b.append(p_wp[1])
 
-    in_rows = []
-    in_lo = []
-    in_hi = []
-
     # Safe-region halfplanes at every usable slice time.
+    region_rows = np.zeros((0, nvar))
+    region_hi = np.zeros(0)
     regions = req.regions
     if regions is not None and len(regions.t_rel):
         times = req.t_now + regions.t_rel
@@ -451,47 +435,52 @@ def assemble_qp(req, w, layout, reference, relaxed=False):
         R = position_map(layout, times[usable])[:, None, :]
         normals = regions.planes.normals[usable]
         live = regions.planes.live()[usable]
-        in_rows.append(np.concatenate([normals[..., :1] * R,
-                                       normals[..., 1:] * R], axis=2)[live])
-        in_hi.append(regions.planes.offsets[usable][live])
-        in_lo.append(np.full(len(in_hi[-1]), -np.inf))
+        region_rows = np.concatenate([normals[..., :1] * R,
+                                      normals[..., 1:] * R], axis=2)[live]
+        region_hi = regions.planes.offsets[usable][live]
 
-    # Derivative box limits: control-point rows guarantee the bound at every
-    # instant (convex hull); the relaxed pass instead samples the bound on
-    # the same dense grid the regions use, trading the guarantee between
-    # samples for feasibility when the convex-hull rows are too conservative.
-    # Each row of D gives an x row then a y row.
+    A_lim, lo_lim, hi_lim = _limit_rows(req, layout, sampled=False)
+    return QPProblem(
+        H=H, F=F, A_eq=np.array(eq_rows), b_eq=np.array(eq_b),
+        A_in=np.concatenate([region_rows, A_lim]),
+        lower=np.concatenate([np.full(len(region_hi), -np.inf), lo_lim]),
+        upper=np.concatenate([region_hi, hi_lim]),
+    )
+
+
+def _limit_rows(req, layout, sampled):
+    """Derivative box-limit rows (A, lower, upper) of req.limits.
+
+    Each row of an order's derivative map gives an x row then a y row.  The
+    control-point rows (sampled=False) guarantee the bound at every instant
+    (convex hull).  The sampled rows check it at RELAXED_SAMPLES_PER_SEGMENT
+    instants per knot segment, the dense grid the regions use, trading the
+    guarantee between samples for feasibility when the convex-hull rows are
+    too conservative.  The samples sit on absolute multiples of the step so
+    every logged state lands on a constrained instant no matter when the
+    cycle started.
+    """
+    m = layout.m
+    A, lower, upper = [np.zeros((0, 2 * m))], [np.zeros(0)], [np.zeros(0)]
     for order, (lo_b, hi_b) in sorted(req.limits.items()):
         lo_b = np.asarray(lo_b, dtype=float)
         hi_b = np.asarray(hi_b, dtype=float)
         if np.any(lo_b >= hi_b):
             raise ValueError(f"limits for order {order} must satisfy lower < upper")
-        if relaxed:
-            # Samples sit on absolute multiples of the step so every logged
-            # state lands on a constrained instant no matter when the cycle
-            # started.
+        if sampled:
             h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
             first = math.ceil(layout.t_start / h - 1e-9)
             last = math.floor(layout.t_end / h + 1e-9)
-            times = h * np.arange(first, last + 1)
-            D = derivative_map(layout, times, order)
+            D = derivative_map(layout, h * np.arange(first, last + 1), order)
         else:
             D = difference_matrix(m, layout.dt, order)
-        rows = np.zeros((len(D), 2, nvar))
+        rows = np.zeros((len(D), 2, 2 * m))
         rows[:, 0, :m] = D
         rows[:, 1, m:] = D
-        in_rows.append(rows.reshape(-1, nvar))
-        in_lo.append(np.tile(lo_b[:2], len(D)))
-        in_hi.append(np.tile(hi_b[:2], len(D)))
-
-    return QPProblem(
-        H=H, F=F,
-        A_eq=np.array(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_b) if eq_b else None,
-        A_in=np.concatenate(in_rows) if in_rows else None,
-        lower=np.concatenate(in_lo) if in_rows else None,
-        upper=np.concatenate(in_hi) if in_rows else None,
-    )
+        A.append(rows.reshape(-1, 2 * m))
+        lower.append(np.tile(lo_b[:2], len(D)))
+        upper.append(np.tile(hi_b[:2], len(D)))
+    return np.concatenate(A), np.concatenate(lower), np.concatenate(upper)
 
 
 def _unstacked(x):
@@ -502,10 +491,12 @@ def _unstacked(x):
 def plan_with_fallback(req, w):
     """One replanning cycle: dense solve, relaxed retry, or keep the old plan.
 
-    Returns (trajectory, report).  The dense pass enforces box limits on the
-    derivative control points; if it is infeasible the limits are relaxed to
-    knot-transition samples; if that also fails the previous trajectory is
-    returned unchanged with status 'fallback'.
+    Returns (trajectory, report).  The QP is assembled once.  The dense pass
+    enforces the box limits on the derivative control points; if it is
+    infeasible, the relaxed pass solves the same problem with those rows
+    swapped for limits sampled RELAXED_SAMPLES_PER_SEGMENT times per knot
+    segment; if that also fails the previous trajectory is returned
+    unchanged with status 'fallback'.
     """
     t_begin = time.perf_counter()
     if req.goal_time is None:
@@ -537,19 +528,22 @@ def plan_with_fallback(req, w):
         )
 
     try:
-        dense = assemble_qp(req, w, layout, reference, relaxed=False)
+        problem = assemble_qp(req, w, layout, reference)
     except AllSlicesInfeasible:
         return finish(req.previous, "fallback")
-    sol = solve_qp(dense)
-    if sol.status == "optimal":
-        return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),
-                      "optimal", sol)
-    relaxed = assemble_qp(req, w, layout, reference, relaxed=True)
-    sol2 = solve_qp(relaxed)
-    if sol2.status == "optimal":
-        return finish(TrajectorySpline.from_layout(layout, _unstacked(sol2.x)),
-                      "relaxed", sol2)
-    return finish(req.previous, "fallback", sol2)
+    for status in ("optimal", "relaxed"):
+        if status == "relaxed":
+            fixed = len(problem.A_in) - len(_limit_rows(req, layout, False)[0])
+            A, lo, hi = _limit_rows(req, layout, sampled=True)
+            problem = replace(
+                problem, A_in=np.concatenate([problem.A_in[:fixed], A]),
+                lower=np.concatenate([problem.lower[:fixed], lo]),
+                upper=np.concatenate([problem.upper[:fixed], hi]))
+        sol = solve_qp(problem)
+        if sol.status == "optimal":
+            return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),
+                          status, sol)
+    return finish(req.previous, "fallback", sol)
 
 
 def _tightest_bound(limits, order):

@@ -18,7 +18,7 @@ from jsonschema import Draft7Validator
 
 from .geometry import Circle, Rectangle, Square, Triangle, axis_rectangle
 from .prediction import footprint_from_size
-from .runtime import symmetric_limits
+from .runtime import _comfortable_arrival, symmetric_limits
 
 __all__ = [
     "SCENARIO_SCHEMA", "AgentSpec", "Scenario", "ScenarioError",
@@ -522,7 +522,6 @@ def resolve_agents(scenario, rng):
         if any(t is None for t, _ in waypoints):
             gt = a.goal_time
             if gt is None:
-                from .runtime import _comfortable_arrival
                 gt = _comfortable_arrival(start, goal, a.limits, 1.0)
             k = len(waypoints)
             waypoints = [

@@ -11,7 +11,7 @@ import pytest
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, Halfplane,
                                 ConvexPolytope, axis_rectangle,
                                 circle_from_three_points, ray_cast,
-                                segment_shape_intersection, supporting_halfplane)
+                                segment_shape_intersections, supporting_halfplanes)
 
 
 def unit_square():
@@ -151,24 +151,32 @@ class TestRayCast:
 class TestSegmentIntersection:
     def test_crossing(self):
         c = Circle([0, 0], 1.0)
-        p = segment_shape_intersection([-3, 0], [0, 0], c)
-        assert np.allclose(p, [-1, 0], atol=1e-12)
+        p, crossed = segment_shape_intersections(
+            np.array([[-3.0, 0.0]]), np.array([[0.0, 0.0]]), c)
+        assert crossed[0]
+        assert np.allclose(p[0], [-1, 0], atol=1e-12)
 
     def test_no_crossing(self):
         c = Circle([0, 0], 1.0)
-        assert segment_shape_intersection([-3, 5], [3, 5], c) is None
-        assert segment_shape_intersection([-3, 0], [-2.5, 0], c) is None
+        _, crossed = segment_shape_intersections(
+            np.array([[-3.0, 5.0], [-3.0, 0.0]]),
+            np.array([[3.0, 5.0], [-2.5, 0.0]]), c)
+        assert not crossed.any()
 
     def test_nearest_crossing_chosen(self):
         s = unit_square()
-        p = segment_shape_intersection([-1, 0.5], [3, 0.5], s)
-        assert np.allclose(p, [0, 0.5], atol=1e-10)
+        p, crossed = segment_shape_intersections(
+            np.array([[-1.0, 0.5]]), np.array([[3.0, 0.5]]), s)
+        assert crossed[0]
+        assert np.allclose(p[0], [0, 0.5], atol=1e-10)
 
 
 class TestSupportingHalfplane:
     def test_circle_tangent(self):
         c = Circle([0, 0], 1.0)
-        hp = supporting_halfplane(c, [1, 0], [3, 0])
+        normals, offsets = supporting_halfplanes(
+            c, np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]))
+        hp = Halfplane(normals[0], offsets[0])
         # Tangent x = 1 keeping the exterior point.
         assert np.allclose(hp.normal, [-1, 0], atol=1e-12)
         assert hp.offset == pytest.approx(-1.0, abs=1e-12)
@@ -178,7 +186,9 @@ class TestSupportingHalfplane:
 
     def test_polygon_edge(self):
         s = unit_square()
-        hp = supporting_halfplane(s, [0, 0.5], [-2, 0.5])
+        normals, offsets = supporting_halfplanes(
+            s, np.array([[0.0, 0.5]]), np.array([[-2.0, 0.5]]))
+        hp = Halfplane(normals[0], offsets[0])
         assert hp.contains([-2, 0.5])
         for p in s.boundary_samples(256):
             assert float(hp.normal @ p) >= hp.offset - 1e-9
@@ -190,9 +200,11 @@ class TestSupportingHalfplane:
             e = rng.uniform(-8, 8, size=2)
             if shape.distance(e) < 0.05:
                 continue
-            q = segment_shape_intersection(e, shape.center, shape)
-            assert q is not None
-            hp = supporting_halfplane(shape, q, e)
+            q, crossed = segment_shape_intersections(
+                e[None], np.asarray(shape.center, float)[None], shape)
+            assert crossed[0]
+            normals, offsets = supporting_halfplanes(shape, q, e[None])
+            hp = Halfplane(normals[0], offsets[0])
             assert hp.contains(e, tol=1e-7)
             for p in shape.boundary_samples(512):
                 assert float(hp.normal @ p) >= hp.offset - 1e-7
@@ -200,7 +212,7 @@ class TestSupportingHalfplane:
     def test_rejects_off_boundary_point(self):
         c = Circle([0, 0], 1.0)
         with pytest.raises(ValueError):
-            supporting_halfplane(c, [0.5, 0], [3, 0])
+            supporting_halfplanes(c, np.array([[0.5, 0.0]]), np.array([[3.0, 0.0]]))
 
 
 class TestPolytope:

@@ -1,0 +1,60 @@
+"""Closed-loop runs end to end: determinism and the CSV round trip.
+
+Each builtin runs at its default duration and seed.  `walled_in` exercises
+obstacles, the relaxed retry and the fallback ladder; `open` is the plain
+two-agent swap.
+"""
+
+import pytest
+
+import numpy as np
+
+from swarmplan.harness import run_scenario
+from swarmplan.metrics import compute_motion_metrics, read_trajectories
+from swarmplan.scenario import builtin_scenario
+
+# Wall-clock fields of RunMetrics; every other field is deterministic.
+TIMING_FIELDS = ("solve_times", "cycle_times")
+
+
+def outcomes(result):
+    return {agent: [(r.status, r.iterations, r.flags) for r in reports]
+            for agent, reports in result.reports.items()}
+
+
+def deterministic(metrics):
+    d = metrics.to_dict()
+    for key in TIMING_FIELDS:
+        del d[key]
+    return d
+
+
+@pytest.mark.parametrize("name", ["open", "walled_in"])
+def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
+    scenario = builtin_scenario(name)
+    first = run_scenario(scenario, out_dir=tmp_path)
+    second = run_scenario(scenario)
+
+    assert first.table.keys() == second.table.keys()
+    for agent in first.table:
+        assert np.array_equal(first.table[agent], second.table[agent])
+    assert outcomes(first) == outcomes(second)
+    assert deterministic(first.metrics) == deterministic(second.metrics)
+    # Flags of the form "<stage>:<exception>" mean a stage raised.
+    assert not [f for reports in first.reports.values() for r in reports
+                for f in r.flags if ":" in f]
+    if name == "walled_in":
+        statuses = first.metrics.cycle_statuses
+        assert statuses.get("relaxed", 0) > 0 and statuses.get("fallback", 0) > 0
+
+    table = read_trajectories(tmp_path / "trajectories.csv")
+    assert table.keys() == first.table.keys()
+    for agent in table:
+        assert np.array_equal(table[agent], first.table[agent])
+    motion = compute_motion_metrics(
+        table, footprints=[s.footprint for s in first.resolved],
+        goals=[s.goal for s in first.resolved],
+        limits=[s.limits for s in first.resolved],
+        obstacles=list(scenario.obstacles))
+    for key, value in motion.items():
+        assert repr(value) == repr(getattr(first.metrics, key)), key

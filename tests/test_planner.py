@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline as SciBSpline
 
-from swarmplan.bspline import TrajectorySpline, plan_knot_layout, position_map
-from swarmplan.geometry import Circle, ConvexPolytope, Halfplane, Square
+import swarmplan.planner as planner
+from swarmplan.bspline import (TrajectorySpline, derivative_map,
+                               difference_matrix, plan_knot_layout, position_map)
+from swarmplan.geometry import (Circle, ConvexPolytope, Halfplane, Square,
+                                Triangle)
 from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, PlanRequest,
-                               Weights, admit_obstacles, assemble_qp,
+                               RELAXED_SAMPLES_PER_SEGMENT, Weights,
+                               admit_obstacles, assemble_qp,
                                collision_cost_closed_form, collision_kernel,
                                constant_spline, end_cost, end_time_heuristic,
                                fit_to_layout, plan_with_fallback,
@@ -137,7 +141,7 @@ class TestQuadratize:
         w = Weights()
         for seed in range(5):
             traj, obs, span, _ = self.setup_pair(seed)
-            H, F, c0 = quadratize_collision(traj, obs, span, w)
+            H, F, c0 = quadratize_collision(traj, [obs], span, w)
             x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
             got = 0.5 * x0 @ H @ x0 + F @ x0 + c0
             want = collision_cost_closed_form(traj, obs, span, w)
@@ -147,7 +151,7 @@ class TestQuadratize:
         w = Weights()
         for seed in (3, 9, 21):
             traj, obs, span, _ = self.setup_pair(seed)
-            H, F, _ = quadratize_collision(traj, obs, span, w)
+            H, F, _ = quadratize_collision(traj, [obs], span, w)
             x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
             grad = H @ x0 + F
             h = 1e-6
@@ -166,7 +170,7 @@ class TestQuadratize:
         w = Weights()
         traj, _, span, _ = self.setup_pair(2)
         obs = Circle([100.0, 100.0], 1.0)
-        H, F, c0 = quadratize_collision(traj, obs, span, w)
+        H, F, c0 = quadratize_collision(traj, [obs], span, w)
         assert np.linalg.norm(H) < 1e-8
         assert np.linalg.norm(F) < 1e-8
 
@@ -174,7 +178,7 @@ class TestQuadratize:
         w = Weights()
         for seed in range(6):
             traj, obs, span, _ = self.setup_pair(seed)
-            H, _, _ = quadratize_collision(traj, obs, span, w)
+            H, _, _ = quadratize_collision(traj, [obs], span, w)
             assert np.linalg.eigvalsh(H).min() >= -1e-9
 
     def test_polygon_obstacle_gradient(self):
@@ -184,7 +188,7 @@ class TestQuadratize:
         obs = Square([[0.5, -0.5], [1.5, -0.5], [1.5, 0.5], [0.5, 0.5]])
         lo, hi = traj.domain
         span = (lo, hi)
-        H, F, _ = quadratize_collision(traj, obs, span, w)
+        H, F, _ = quadratize_collision(traj, [obs], span, w)
         x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
         grad = H @ x0 + F
         h = 1e-6
@@ -201,6 +205,29 @@ class TestQuadratize:
             fd[i] = (hi_v - lo_v) / (2 * h)
         scale = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad - fd) / scale < 1e-4
+    def test_obstacles_sum_in_one_pass(self):
+        # Several obstacles give the sum of their single-obstacle models,
+        # and the model still reproduces the reference at the expansion
+        # point.
+        w = Weights()
+        rng = np.random.default_rng(41)
+        traj = random_trajectory(rng, scale=1.0)
+        span = traj.domain
+        near = [traj.position(t) for t in (0.5, 2.0, 3.5)]
+        shapes = [Circle(near[0] + [0.4, 0.1], 0.3),
+                  Square(near[1] + np.array([[0.2, -0.2], [0.6, -0.2],
+                                             [0.6, 0.2], [0.2, 0.2]])),
+                  Triangle(near[2] + np.array([[0.0, 0.3], [0.5, 0.3],
+                                               [0.2, 0.7]]))]
+        H, F, c0 = quadratize_collision(traj, shapes, span, w)
+        parts = [quadratize_collision(traj, [s], span, w) for s in shapes]
+        for got, k in ((H, 0), (F, 1), (c0, 2)):
+            want = sum(part[k] for part in parts)
+            assert np.linalg.norm(want) > 0.0
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
+        want = sum(collision_cost_closed_form(traj, s, span, w) for s in shapes)
+        assert 0.5 * x0 @ H @ x0 + F @ x0 + c0 == pytest.approx(want, rel=1e-9)
 
 
 class TestEndCost:
@@ -405,6 +432,54 @@ class TestFallbackLadder:
         for t in np.arange(0.0, 4.01, 0.1):
             v = traj.derivative_value(t, 1)
             assert np.all(np.abs(v) <= 1.0 + 1e-6)
+
+    def test_relaxed_pass_swaps_only_limit_rows(self, monkeypatch):
+        # The setting above, inside a region: the QP is assembled once and
+        # the relaxed pass differs from the dense one only in the limit
+        # rows that close A_in.
+        problems, assembled = [], []
+        real_solve, real_assemble = planner.solve_qp, planner.assemble_qp
+
+        def solve(problem):
+            problems.append(problem)
+            return real_solve(problem)
+
+        def assemble(*args):
+            assembled.append(args)
+            return real_assemble(*args)
+
+        monkeypatch.setattr(planner, "solve_qp", solve)
+        monkeypatch.setattr(planner, "assemble_qp", assemble)
+        region = wall_region(x_wall=5.0)
+        req = base_request(
+            regions=region,
+            waypoints=[(1.0, np.array([0.72, 0.0]))],
+            limits={1: (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))})
+        _, report = plan_with_fallback(req, Weights())
+        assert report.status == "relaxed"
+        assert len(assembled) == 1
+        dense, relaxed = problems
+        for name in ("H", "F", "A_eq", "b_eq"):
+            a, b = getattr(dense, name), getattr(relaxed, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        k = int(region.planes.live().sum())
+        for name in ("A_in", "lower", "upper"):
+            a, b = getattr(dense, name)[:k], getattr(relaxed, name)[:k]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.all(dense.lower[:k] == -np.inf)
+        layout = report.layout
+        m = layout.m
+        D = difference_matrix(m, layout.dt, 1)
+        h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
+        S = derivative_map(layout, h * np.arange(round(layout.t_end / h) + 1), 1)
+        for problem, rows in ((dense, D), (relaxed, S)):
+            tail = problem.A_in[k:]
+            assert len(tail) == 2 * len(rows)
+            assert np.array_equal(tail[0::2, :m], rows)
+            assert np.array_equal(tail[1::2, m:], rows)
+            assert not tail[0::2, m:].any() and not tail[1::2, :m].any()
+            assert np.array_equal(problem.lower[k:], np.full(len(tail), -1.0))
+            assert np.array_equal(problem.upper[k:], np.full(len(tail), 1.0))
 
     def test_feasible_problem_identical_to_plain_solve(self):
         req = base_request()

@@ -14,7 +14,6 @@ from scipy.interpolate import BSpline as SciBSpline
 from swarmplan.bspline import (TrajectorySpline, KnotLayout, basis_weights,
                                derivative_gram, derivative_map,
                                difference_matrix, plan_knot_layout, position_map)
-from swarmplan.planner import _quadrature_intervals
 
 
 def knots_of(s):
@@ -459,14 +458,3 @@ class TestEvaluatorParity:
             for order in range(s.degree + 1):
                 assert _same(derivative_gram(layout_of(s), order),
                              old_derivative_gram(layout_of(s), order))
-
-    def test_quadrature_weights(self):
-        rng = np.random.default_rng(67)
-        for _ in range(60):
-            s = random_trajectory(rng)
-            lo, hi = s.domain
-            span = np.sort(rng.uniform(lo - 1.0, hi + 1.0, size=2))
-            for ts, _, idx, W in _quadrature_intervals(s, span):
-                j = idx[-1]
-                u = (ts - (s.t0 + j * s.dt)) / s.dt
-                assert _same(W, [_old_basis_weights(s.degree, uk) for uk in u])
