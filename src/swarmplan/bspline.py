@@ -30,6 +30,9 @@ import numpy as np
 
 _DOMAIN_TOL = 1e-9
 
+# Knot segments added to a layout whose goal time falls on its domain end.
+EXTENSION_SEGMENTS = 2
+
 
 def basis_weights(degree, u):
     """Weights of the degree+1 basis functions active at local coordinate u.
@@ -118,12 +121,12 @@ class KnotLayout:
         return self.m - self.degree
 
 
-def plan_knot_layout(t_now, horizon, dt, degree, goal_time=None, extension_segments=2):
+def plan_knot_layout(t_now, horizon, dt, degree, goal_time=None):
     """Choose the knot grid for a replanning cycle starting at t_now.
 
     The horizon is rounded up to a whole number of knot segments.  When the
     goal time falls exactly on the domain end the grid is extended by
-    extension_segments so that end conditions there do not pin the spline
+    EXTENSION_SEGMENTS so that end conditions there do not pin the spline
     against the last controls.
     """
     if dt <= 0 or horizon <= 0:
@@ -132,7 +135,7 @@ def plan_knot_layout(t_now, horizon, dt, degree, goal_time=None, extension_segme
     if goal_time is not None:
         rel = goal_time - t_now
         if rel > 0 and abs(rel - segs * dt) <= 1e-9:
-            segs += extension_segments
+            segs += EXTENSION_SEGMENTS
     m = degree + segs
     t0 = t_now - degree * dt
     return KnotLayout(degree=degree, t0=t0, dt=dt, m=m, t_start=t_now, horizon=segs * dt)

@@ -61,13 +61,12 @@ def _swept_poses(agent, stamps, bounds):
     return pts
 
 
-def run_scenario(scenario, out_dir=None, *, metrics_only=False):
+def run_scenario(scenario, out_dir=None):
     """Simulate the scenario and return a RunResult.
 
-    With out_dir set, writes metrics.json and trajectories.csv (skipped
-    under metrics_only).  The run itself never aborts: per-stage failures
-    inside an agent surface as report flags and fallback statuses, not
-    exceptions.
+    With out_dir set, writes metrics.json and trajectories.csv.  The run
+    itself never aborts: per-stage failures inside an agent surface as
+    report flags and fallback statuses, not exceptions.
     """
     ss = np.random.SeedSequence(scenario.seed)
     spawn_seed, bus_seed = ss.spawn(2)
@@ -148,8 +147,7 @@ def run_scenario(scenario, out_dir=None, *, metrics_only=False):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         metrics.save(out / "metrics.json")
-        if not metrics_only:
-            write_trajectories(out / "trajectories.csv", rows)
+        write_trajectories(out / "trajectories.csv", rows)
 
     return RunResult(metrics=metrics, table=table, reports=reports,
                      resolved=resolved)

@@ -21,7 +21,6 @@ class PerceptionConfig:
     radius_threshold: float = 100.0   # circle fits at least this large are lines
     fit_tol: float = 0.05             # circle consistency band, meters
     line_tol: float = 0.03            # perpendicular residual band for lines
-    min_cluster_points: int = 2
     min_square_side: float = 0.1      # two-point clusters become this square
     max_classify_iters: int = 5
     jump_distance: float = 0.3        # adjacent-return gap that splits a cluster

@@ -62,7 +62,8 @@ class PlanRequest:
 
     initial_state stacks derivative orders 0..n-1 at t_now; limits maps a
     derivative order to per-axis (lower, upper) bounds; waypoint and goal
-    times are absolute.  regions may be None in open space.
+    times are absolute.  goal_time None means no goal pin: only the horizon
+    end is pulled to the goal.  regions may be None in open space.
     """
 
     t_now: float
@@ -139,30 +140,20 @@ def _quadrature(traj, span):
 
 
 def _distance_models(shape, pts):
-    """Distance, unit gradient, and distance Hessian at many query points.
+    """Distance and its unit gradient at many query points.
 
-    Points inside the shape get distance 0 with zero gradient and Hessian.
-    The Hessian is zero on edge features and (I - uu')/L on arcs and
-    vertices, L being the distance to the curvature center.
+    Points inside the shape get distance 0 and a zero gradient.
     """
     n = len(pts)
     d = np.zeros(n)
     u = np.zeros((n, 2))
-    Hd = np.zeros((n, 2, 2))
-    eye = np.eye(2)
     if isinstance(shape, Circle):
         v = pts - shape.center
         ell = np.linalg.norm(v, axis=1)
-        outside = ell > shape.radius
-        safe = ell > 1e-12
-        mask = outside & safe
-        un = np.zeros_like(v)
-        un[safe] = v[safe] / ell[safe, None]
+        mask = (ell > shape.radius) & (ell > 1e-12)
         d[mask] = ell[mask] - shape.radius
-        u[mask] = un[mask]
-        uu = un[mask, :, None] * un[mask, None, :]
-        Hd[mask] = (eye - uu) / ell[mask, None, None]
-        return d, u, Hd
+        u[mask] = v[mask] / ell[mask, None]
+        return d, u
     corners = shape.corners
     a = corners
     b = np.roll(corners, -1, axis=0)
@@ -174,36 +165,26 @@ def _distance_models(shape, pts):
     dist = np.linalg.norm(diff, axis=2)
     best = np.argmin(dist, axis=1)
     rows = np.arange(n)
-    q = proj[rows, best]
-    tb = t[rows, best]
-    v = pts - q
+    v = pts - proj[rows, best]
     dv = dist[rows, best]
-    inside = shape.contains_many(pts)
-    mask = (~inside) & (dv > 1e-12)
+    mask = (~shape.contains_many(pts)) & (dv > 1e-12)
     d[mask] = dv[mask]
     u[mask] = v[mask] / dv[mask, None]
-    vertex = mask & ((tb < 1e-9) | (tb > 1.0 - 1e-9))
-    uu = u[vertex, :, None] * u[vertex, None, :]
-    Hd[vertex] = (eye - uu) / dv[vertex, None, None]
-    return d, u, Hd
+    return d, u
 
 
-def _kernel_models(d, u, Hd, w):
-    """Value, gradient, and PSD-clamped Hessian of the kernel at each point."""
+def _kernel_models(d, u, w):
+    """Value, gradient, and Gauss-Newton Hessian fpp·uu' of the kernel.
+
+    The kernel's full Hessian adds fp·Hd, where fp < 0 and the distance
+    Hessian Hd is PSD with u in its null space; fpp·uu' is its PSD part.
+    """
     f = collision_kernel(d, w)
-    g = np.zeros_like(u)
-    H = np.zeros_like(Hd)
     act = d > DISTANCE_FLOOR
-    if np.any(act):
-        fp = -w.K_p * f[act]
-        fpp = w.K_p * w.K_p * f[act]
-        ua = u[act]
-        g[act] = fp[:, None] * ua
-        uu = ua[:, :, None] * ua[:, None, :]
-        Hraw = fpp[:, None, None] * uu + fp[:, None, None] * Hd[act]
-        ew, ev = np.linalg.eigh(Hraw)
-        ew = np.clip(ew, 0.0, None)
-        H[act] = np.einsum("nik,nk,njk->nij", ev, ew, ev)
+    fp = np.where(act, -w.K_p * f, 0.0)
+    fpp = np.where(act, w.K_p * w.K_p * f, 0.0)
+    g = fp[:, None] * u
+    H = fpp[:, None, None] * (u[:, :, None] * u[:, None, :])
     return f, g, H
 
 
@@ -222,10 +203,11 @@ def quadratize_collision(previous, obstacles, span, w):
     """Quadratic model of the summed obstacle cost around the previous
     trajectory.
 
-    Second-order Taylor expansion of each obstacle's kernel at every
-    quadrature node, node Hessians clamped PSD, summed over the obstacles
-    and projected once into the stacked control-point space [Px; Py] of the
-    previous trajectory's own knot layout.  Returns (H, F, c0) with
+    Each obstacle's kernel is expanded at every quadrature node to its
+    value, gradient and Gauss-Newton Hessian fpp·uu' (the PSD part of the
+    exact Hessian), summed over the obstacles and projected once into the
+    stacked control-point space [Px; Py] of the previous trajectory's own
+    knot layout.  Returns (H, F, c0) with
     cost(P) ~= 1/2 P'HP + F'P + c0; at P = previous control points this
     reproduces the sum of collision_cost_closed_form over the obstacles.
     """
@@ -499,15 +481,6 @@ def plan_with_fallback(req, w):
     unchanged with status 'fallback'.
     """
     t_begin = time.perf_counter()
-    if req.goal_time is None:
-        # No stamp given: re-derive an arrival time each cycle from the
-        # current state and the acceleration budget.
-        a_max = _tightest_bound(req.limits, 2)
-        if not np.isfinite(a_max):
-            a_max = 1.0
-        goal_time = req.t_now + end_time_heuristic(
-            req.initial_state, req.goal, a_max, req.dt)
-        req = replace(req, goal_time=goal_time)
     layout = plan_knot_layout(req.t_now, req.horizon, req.dt,
                               req.order + 1, goal_time=req.goal_time)
     reference = fit_to_layout(req.previous, layout)

@@ -2,13 +2,15 @@
 
 Broadcasts carry no sender identity, so incoming states are associated to
 tracks by how well each track's current prediction explains them.  Tracks
-keep a sliding window of states and fit a jerk-regularized quintic per axis;
-until enough data arrives, a constant-acceleration extrapolation of the
-newest state fills in.
+keep a sliding window of states and fit a jerk-regularized quintic per axis.
+Until the window spans time, the newest state's constant-acceleration
+bootstrap P + v dt + a dt^2 fills in as the same kind of polynomial, a
+quadratic about its stamp, so every prediction is one evaluation of one
+coefficient stack.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +41,6 @@ class PeerState:
         self.position = np.asarray(self.position, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
         self.acceleration = np.asarray(self.acceleration, dtype=float)
-
-
-def predict_constant_accel(state, t):
-    """Extrapolate a single state to time t as P + v dt + a dt^2.
-
-    This is the printed bootstrap model, twice the physical a dt^2 / 2 term.
-    """
-    dt = t - state.stamp
-    return state.position + state.velocity * dt + state.acceleration * dt * dt
 
 
 def _jerk_gram(T):
@@ -96,79 +89,59 @@ def fit_quintic(states, t1, t2, lambda_jerk):
     return np.linalg.solve(H, A.T @ b)
 
 
-@dataclass
 class PeerTrack:
-    """Sliding-window history of one anonymous peer with its fitted motion."""
+    """Sliding-window history of one anonymous peer and its motion polynomial.
 
-    states: list = field(default_factory=list)
-    coeffs: np.ndarray = None
-    t_ref: float = 0.0
+    `stack` (6, 3, 2) holds the position, velocity and acceleration
+    polynomials of both axes in powers of (t - t_ref), differentiated once
+    per fit.  A window spanning positive time holds its jerk-regularized
+    quintic about the oldest stamp; otherwise (a new track, or states that
+    share one stamp) it holds the newest state's bootstrap P + v dt + a dt^2
+    as the quadratic [p, v, a, 0, 0, 0] about that state's stamp.
+    """
+
+    def __init__(self, state, config):
+        self.states = []
+        self.push(state, config)
 
     @property
     def latest(self):
         return self.states[-1]
 
     def push(self, state, config):
-        self.states.append(state)
-        if len(self.states) > config.window:
-            self.states = self.states[-config.window:]
-        if len(self.states) >= 2:
-            t1 = self.states[0].stamp
-            t2 = self.states[-1].stamp
-            if t2 > t1:
-                self.coeffs = fit_quintic(self.states, t1, t2, config.lambda_jerk)
-                self.t_ref = t1
+        self.states = (self.states + [state])[-config.window:]
+        t1, t2 = self.states[0].stamp, state.stamp
+        if t2 > t1:
+            coeffs = fit_quintic(self.states, t1, t2, config.lambda_jerk)
+            self.t_ref = t1
+        else:
+            coeffs = np.zeros((6, 2))
+            coeffs[:3] = state.position, state.velocity, state.acceleration
+            self.t_ref = t2
+        self.stack = np.zeros((6, 3, 2))
+        self.stack[:, 0] = coeffs
+        self.stack[:5, 1] = P.polyder(coeffs)
+        self.stack[:4, 2] = P.polyder(coeffs, 2)
 
     def is_stale(self, now, config):
         return now - self.latest.stamp > config.staleness
 
-    def _poly_eval(self, t, order):
-        c = self.coeffs
-        out = np.empty(2)
-        for ax in range(2):
-            cc = c[:, ax]
-            for _ in range(order):
-                cc = P.polyder(cc)
-            out[ax] = P.polyval(t - self.t_ref, cc)
-        return out
-
-    def predict_position(self, t):
-        if self.coeffs is None:
-            return predict_constant_accel(self.latest, t)
-        return self._poly_eval(t, 0)
-
-    def predict_velocity(self, t):
-        if self.coeffs is None:
-            st = self.latest
-            dt = t - st.stamp
-            return st.velocity + 2.0 * st.acceleration * dt
-        return self._poly_eval(t, 1)
-
-    def predict_acceleration(self, t):
-        if self.coeffs is None:
-            return 2.0 * self.latest.acceleration
-        return self._poly_eval(t, 2)
+    def predict(self, t):
+        """Position, velocity and acceleration at time t, rows of a (3, 2)."""
+        return P.polyval(t - self.t_ref, self.stack)
 
     def predict_positions(self, times):
-        """Vectorized position prediction at an array of times."""
-        if self.coeffs is None:
-            st = self.latest
-            dt = np.asarray(times) - st.stamp
-            return (st.position[None, :] + st.velocity[None, :] * dt[:, None]
-                    + st.acceleration[None, :] * (dt * dt)[:, None])
+        """Positions (n, 2) at an array of times."""
         s = np.asarray(times) - self.t_ref
-        out = np.empty((len(s), 2))
-        for ax in range(2):
-            out[:, ax] = P.polyval(s, self.coeffs[:, ax])
-        return out
+        return P.polyval(s[:, None], self.stack[:, 0], tensor=False)
 
 
 def association_score(track, state, config):
     """Mismatch between a track's prediction and an incoming state."""
-    t = state.stamp
-    dp = np.linalg.norm(track.predict_position(t) - state.position)
-    dv = np.linalg.norm(track.predict_velocity(t) - state.velocity)
-    da = np.linalg.norm(track.predict_acceleration(t) - state.acceleration)
+    p, v, a = track.predict(state.stamp)
+    dp = np.linalg.norm(p - state.position)
+    dv = np.linalg.norm(v - state.velocity)
+    da = np.linalg.norm(a - state.acceleration)
     return float(dp + config.w_velocity * dv + config.w_acceleration * da)
 
 
@@ -193,7 +166,7 @@ def update_tracks(tracks, state, config):
     """Associate one incoming state, updating or creating a track in place."""
     idx = associate(tracks, state, config)
     if idx is None:
-        tracks.append(PeerTrack(states=[state]))
+        tracks.append(PeerTrack(state, config))
         return len(tracks) - 1
     tracks[idx].push(state, config)
     return idx

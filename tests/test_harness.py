@@ -1,8 +1,10 @@
 """Closed-loop runs end to end: determinism and the CSV round trip.
 
-Each builtin runs at its default duration and seed.  `walled_in` exercises
-obstacles, the relaxed retry and the fallback ladder; `open` is the plain
-two-agent swap.
+Each builtin runs at its default seed and, unless DURATIONS shortens it,
+its default duration.  `walled_in` exercises obstacles, the relaxed retry
+and the fallback ladder; `open` is the plain two-agent swap; `antipodal`
+is eight agents over the 1.6 s swarm_swap bench window, where every agent
+tracks seven peers and dozens of tracks open on one-state bootstraps.
 """
 
 import pytest
@@ -15,6 +17,9 @@ from swarmplan.scenario import builtin_scenario
 
 # Wall-clock fields of RunMetrics; every other field is deterministic.
 TIMING_FIELDS = ("solve_times", "cycle_times")
+
+# Simulated seconds of the builtins run shorter than their default.
+DURATIONS = {"antipodal": 1.6}
 
 
 def outcomes(result):
@@ -29,9 +34,9 @@ def deterministic(metrics):
     return d
 
 
-@pytest.mark.parametrize("name", ["open", "walled_in"])
+@pytest.mark.parametrize("name", ["open", "walled_in", "antipodal"])
 def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
-    scenario = builtin_scenario(name)
+    scenario = builtin_scenario(name, duration=DURATIONS.get(name))
     first = run_scenario(scenario, out_dir=tmp_path)
     second = run_scenario(scenario)
 

@@ -205,6 +205,32 @@ class TestQuadratize:
             fd[i] = (hi_v - lo_v) / (2 * h)
         scale = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad - fd) / scale < 1e-4
+
+    def test_node_hessian_is_psd_part_of_exact_hessian(self):
+        # The node model's Hessian equals the finite-difference Hessian of
+        # kernel(distance(p)) with its negative eigenvalues clamped to zero.
+        w = Weights()
+        rng = np.random.default_rng(17)
+        h = 1e-4
+        steps = [np.array(s, float) for s in ((h, 0), (0, h))]
+        for shape in (Circle([0.2, -0.1], 0.6),
+                      Square([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]),
+                      Triangle([[0.0, 0.0], [1.0, 0.2], [0.3, 0.8]])):
+            pts = rng.uniform(-1.5, 1.8, size=(400, 2))
+            pts = pts[dist_many(shape, pts) > DISTANCE_FLOOR + 3 * h]
+            _, _, H = planner._kernel_models(
+                *planner._distance_models(shape, pts), w)
+            k = lambda p: collision_kernel(dist_many(shape, p), w)
+            exact = np.empty((len(pts), 2, 2))
+            for i, si in enumerate(steps):
+                for j, sj in enumerate(steps):
+                    exact[:, i, j] = (k(pts + si + sj) - k(pts + si - sj)
+                                      - k(pts - si + sj) + k(pts - si - sj)) / (4 * h * h)
+            ew, ev = np.linalg.eigh(0.5 * (exact + exact.transpose(0, 2, 1)))
+            clamped = np.einsum("nik,nk,njk->nij", ev, np.clip(ew, 0.0, None), ev)
+            err = np.linalg.norm(H - clamped, axis=(1, 2))
+            assert np.all(err <= 1e-5 * np.linalg.norm(clamped, axis=(1, 2)) + 1e-12)
+
     def test_obstacles_sum_in_one_pass(self):
         # Several obstacles give the sum of their single-obstacle models,
         # and the model still reproduces the reference at the expansion

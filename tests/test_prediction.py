@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
                                   PredictionConfig, SquareFootprint, associate,
                                   fit_quintic, footprint_from_size,
-                                  predict_constant_accel, update_tracks,
-                                  _jerk_gram)
+                                  update_tracks, _jerk_gram)
 
 
 def state(stamp, p, v=(0, 0), a=(0, 0), size=(0.3,)):
@@ -16,17 +16,39 @@ def state(stamp, p, v=(0, 0), a=(0, 0), size=(0.3,)):
                      acceleration=np.array(a, float), size=size)
 
 
+def oracle(track, t, order, cfg):
+    """Order-th derivative of the window's quintic, one axis at a time."""
+    t1, t2 = track.states[0].stamp, track.states[-1].stamp
+    coeffs = fit_quintic(track.states, t1, t2, cfg.lambda_jerk)
+    out = np.empty(2)
+    for ax in range(2):
+        c = coeffs[:, ax]
+        for _ in range(order):
+            c = P.polyder(c)
+        out[ax] = P.polyval(t - t1, c)
+    return out
+
+
 class TestConstantAccel:
+    """A one-state track extrapolates P + v dt + a dt^2 (no 1/2)."""
+
     def test_printed_form_no_half(self):
-        st = state(0.0, [1.0, 2.0], v=[1.0, 0.0], a=[0.5, -0.5])
-        p = predict_constant_accel(st, 2.0)
-        # P + v t + a t^2 with t = 2.
-        assert np.allclose(p, [1 + 2 + 0.5 * 4, 2 + 0 - 0.5 * 4], atol=1e-12)
+        rng = np.random.default_rng(2)
+        cfg = PredictionConfig()
+        for _ in range(50):
+            stamp = float(rng.uniform(-5.0, 5.0))
+            p, v, a = rng.normal(size=(3, 2))
+            tr = PeerTrack(state(stamp, p, v, a), cfg)
+            for dt in rng.uniform(-1.0, 3.0, size=5):
+                pos, vel, acc = tr.predict(stamp + dt)
+                assert np.allclose(pos, p + v * dt + a * dt * dt,
+                                   rtol=0.0, atol=1e-12)
+                assert np.allclose(vel, v + 2.0 * a * dt, rtol=0.0, atol=1e-12)
+                assert np.allclose(acc, 2.0 * a, rtol=0.0, atol=1e-12)
 
     def test_zero_accel_is_linear(self):
-        st = state(1.0, [0.0, 0.0], v=[2.0, 1.0])
-        p = predict_constant_accel(st, 4.0)
-        assert np.allclose(p, [6.0, 3.0], atol=1e-12)
+        tr = PeerTrack(state(1.0, [0.0, 0.0], v=[2.0, 1.0]), PredictionConfig())
+        assert np.allclose(tr.predict(4.0)[0], [6.0, 3.0], atol=1e-12)
 
 
 class TestJerkGram:
@@ -103,43 +125,70 @@ class TestQuinticFit:
 
 class TestTrackPrediction:
     def test_single_state_uses_constant_accel(self):
-        tr = PeerTrack(states=[state(0.0, [0, 0], v=[1, 0], a=[0.5, 0])])
-        p = tr.predict_position(2.0)
-        assert np.allclose(p, predict_constant_accel(tr.latest, 2.0), atol=1e-12)
+        st = state(0.5, [0, 0], v=[1, 0], a=[0.5, 0])
+        tr = PeerTrack(st, PredictionConfig())
+        times = np.array([0.5, 1.0, 2.5])
+        dt = (times - st.stamp)[:, None]
+        want = st.position + st.velocity * dt + st.acceleration * dt * dt
+        assert np.allclose(tr.predict_positions(times), want, rtol=0.0, atol=1e-12)
+
+    def test_equal_stamps_bootstrap_newest_state(self):
+        # A window that spans no time has nothing to fit: the newest state's
+        # bootstrap is the prediction.
+        cfg = PredictionConfig()
+        tr = PeerTrack(state(1.0, [0, 0], v=[1, 0]), cfg)
+        tr.push(state(1.0, [0.2, 0.1], v=[0, 1], a=[0.5, 0]), cfg)
+        assert np.allclose(tr.predict(2.0), [[0.7, 1.1], [1.0, 1.0], [1.0, 0.0]],
+                           rtol=0.0, atol=1e-12)
+
+    def test_fitted_track_matches_polyder_oracle(self):
+        # predict and predict_positions equal, bit for bit, the per-axis
+        # derivatives and evaluations of the window's fit.
+        rng = np.random.default_rng(13)
+        cfg = PredictionConfig()
+        for _ in range(20):
+            tr = PeerTrack(state(0.0, *rng.normal(size=(3, 2))), cfg)
+            for t in np.cumsum(rng.uniform(0.02, 0.2, size=int(rng.integers(1, 25)))):
+                tr.push(state(float(t), *rng.normal(size=(3, 2))), cfg)
+                times = t + rng.uniform(-0.5, 2.0, size=6)
+                for s in times:
+                    want = np.stack([oracle(tr, s, k, cfg) for k in range(3)])
+                    assert np.array_equal(tr.predict(s), want)
+                want = np.stack([oracle(tr, s, 0, cfg) for s in times])
+                assert np.array_equal(tr.predict_positions(times), want)
 
     def test_window_capped(self):
         cfg = PredictionConfig(window=5)
-        tr = PeerTrack()
-        for k in range(12):
+        tr = PeerTrack(state(0.0, [0.0, 0.0], v=[1, 0]), cfg)
+        for k in range(1, 12):
             tr.push(state(0.1 * k, [0.1 * k, 0.0], v=[1, 0]), cfg)
         assert len(tr.states) == 5
         assert tr.states[0].stamp == pytest.approx(0.7)
 
     def test_fitted_track_matches_linear_motion(self):
         cfg = PredictionConfig(lambda_jerk=1e-8)
-        tr = PeerTrack()
-        for k in range(10):
+        tr = PeerTrack(state(0.0, [0.0, 1.0], v=[2.0, -1.0]), cfg)
+        for k in range(1, 10):
             t = 0.1 * k
             tr.push(state(t, [2.0 * t, 1.0 - t], v=[2.0, -1.0]), cfg)
-        p = tr.predict_position(1.5)
+        p, v, _ = tr.predict(1.5)
         assert np.allclose(p, [3.0, -0.5], atol=1e-6)
-        v = tr.predict_velocity(1.5)
         assert np.allclose(v, [2.0, -1.0], atol=1e-6)
 
     def test_vectorized_prediction_matches_scalar(self):
         cfg = PredictionConfig()
-        tr = PeerTrack()
-        for k in range(8):
+        tr = PeerTrack(state(0.0, [0.0, 1.0], v=[1.0, 0.0]), cfg)
+        for k in range(1, 8):
             t = 0.1 * k
             tr.push(state(t, [np.sin(t), np.cos(t)], v=[np.cos(t), -np.sin(t)]), cfg)
         times = np.linspace(0.8, 2.0, 9)
-        P = tr.predict_positions(times)
+        pos = tr.predict_positions(times)
         for k, t in enumerate(times):
-            assert np.allclose(P[k], tr.predict_position(t), atol=1e-12)
+            assert np.allclose(pos[k], tr.predict(t)[0], atol=1e-12)
 
     def test_staleness(self):
         cfg = PredictionConfig(staleness=0.5)
-        tr = PeerTrack(states=[state(1.0, [0, 0])])
+        tr = PeerTrack(state(1.0, [0, 0]), cfg)
         assert not tr.is_stale(1.4, cfg)
         assert tr.is_stale(1.6, cfg)
 
@@ -165,9 +214,8 @@ class TestAssociation:
     def test_tie_breaks_to_lowest_index(self):
         cfg = PredictionConfig()
         # Two identical tracks; the incoming state fits both equally.
-        tracks = []
-        tracks.append(PeerTrack(states=[state(0.0, [0, 0])]))
-        tracks.append(PeerTrack(states=[state(0.0, [0, 0])]))
+        tracks = [PeerTrack(state(0.0, [0, 0]), cfg),
+                  PeerTrack(state(0.0, [0, 0]), cfg)]
         idx = associate(tracks, state(0.1, [0.0, 0.0]), cfg)
         assert idx == 0
 

@@ -266,12 +266,10 @@ class TestBuildSafeRegions:
                             horizon=tau * len(shapes_per_slice))
 
     def track_at(self, pos, vel, stamp=0.0, size=(0.3,)):
-        tr = PeerTrack()
-        cfg = PredictionConfig()
-        tr.push(PeerState(stamp=stamp, position=np.array(pos, float),
-                          velocity=np.array(vel, float),
-                          acceleration=np.zeros(2), size=size), cfg)
-        return tr
+        return PeerTrack(PeerState(stamp=stamp, position=np.array(pos, float),
+                                   velocity=np.array(vel, float),
+                                   acceleration=np.zeros(2), size=size),
+                         PredictionConfig())
 
     def test_slices_cover_horizon(self):
         vol = self.make_volume([[] for _ in range(10)])
@@ -555,13 +553,14 @@ def random_tracks(rng, volume, pcfg):
     seeds = np.array([vs.center for vs in volume.slices])
     for _ in range(int(rng.integers(1, 6))):
         size = (0.3,) if rng.random() < 0.5 else (0.1, 0.2, 0.3)
-        tr = PeerTrack()
         p0 = seeds[rng.integers(len(seeds))] + rng.uniform(-1.5, 1.5, size=2)
         v = rng.uniform(-1.0, 1.0, size=2)
-        for i in range(int(rng.integers(1, 4))):
-            tr.push(PeerState(stamp=-0.2 * i, position=p0 - 0.2 * i * v,
-                              velocity=v, acceleration=np.zeros(2),
-                              size=size), pcfg)
+        states = [PeerState(stamp=-0.2 * i, position=p0 - 0.2 * i * v,
+                            velocity=v, acceleration=np.zeros(2), size=size)
+                  for i in range(int(rng.integers(1, 4)))]
+        tr = PeerTrack(states[0], pcfg)
+        for st in states[1:]:
+            tr.push(st, pcfg)
         tracks.append(tr)
     # A peer sitting on a seed, and a duplicate of a track: the copy meets
     # the first one's cut exactly at its margin.

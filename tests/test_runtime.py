@@ -251,7 +251,7 @@ class TestAgentCycle:
         baseline.agent_cycle(0.04)
         assert len(agent.tracks) == 1
         # One bootstrap sample: constant-acceleration extrapolation in use.
-        assert agent.tracks[0].coeffs is None
+        assert len(agent.tracks[0].states) == 1
         cut = agent.regions.slices[0].polytope
         free = baseline.regions.slices[0].polytope
         assert len(cut.normals) == len(free.normals) + 1
