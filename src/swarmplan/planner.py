@@ -251,25 +251,6 @@ def end_cost(goal, row, q_final):
     return H, F
 
 
-def end_time_heuristic(initial_state, goal, a_max, t_segment=1.0):
-    """Seconds to reach the goal from the current speed at full acceleration.
-
-    Smallest T > 0 with |goal - p0| = |v0| T + a_max T^2 / 2, floored at two
-    knot segments so the spline always has room to maneuver.
-    """
-    if a_max <= 0:
-        raise ValueError("a_max must be positive")
-    state = np.atleast_2d(np.asarray(initial_state, float))
-    p0 = state[0]
-    v = float(np.linalg.norm(state[1])) if len(state) > 1 else 0.0
-    dist = float(np.linalg.norm(np.asarray(goal, float) - p0))
-    floor = 2.0 * t_segment
-    if dist <= 0.0:
-        return floor
-    T = (-v + np.sqrt(v * v + 2.0 * a_max * dist)) / a_max
-    return max(T, floor)
-
-
 def admit_obstacles(shapes, regions):
     """Shapes that can intersect the static polytope of at least one slice.
 
@@ -518,12 +499,3 @@ def plan_with_fallback(req, w):
                           status, sol)
     return finish(req.previous, "fallback", sol)
 
-
-def _tightest_bound(limits, order):
-    """Smallest finite absolute bound on the order-th derivative, else inf."""
-    if order not in limits:
-        return np.inf
-    lo, hi = limits[order]
-    vals = np.abs(np.concatenate([np.atleast_1d(lo), np.atleast_1d(hi)]))
-    vals = vals[np.isfinite(vals)]
-    return float(vals.min()) if len(vals) else np.inf

@@ -10,8 +10,10 @@ robot as a point.
 Layout.  The halfplanes {p : n.p <= o} of all slices of a cycle live in one
 `PlaneStack`: unit normals (slices, planes, 2) and offsets (slices, planes),
 padded with NaN past each slice's plane count.  `build_safe_regions` makes
-one pass over every slice: the seed march tests each distinct shape once,
-on the samples of all slices that hold it; each peer track cuts all slices
+one pass over every slice: the seed march takes each distinct shape once,
+for all slices that hold it, and tests only the samples where each ray
+enters it, which finds the same first sample inside as a march over every
+sample (`_first_hits`); each peer track cuts all slices
 in one array step; deflation and the seed probe are one step each.  The
 single-slice functions (`seed_region`, `contract_for_peer`,
 `deflate_for_ego`, `region_is_empty`) run the same kernels on a one-slice
@@ -48,6 +50,9 @@ from .prediction import footprint_from_size
 EMPTY_RADIUS = -1e-9
 # Slack of the seed probe, as in ConvexPolytope.contains.
 PROBE_TOL = 1e-9
+# Bound on how far rounding moves a marched sample's containment test,
+# meters; rounding of map-scale coordinates moves it by about 1e-13.
+MARCH_TOL = 1e-9
 
 _BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -184,35 +189,82 @@ def _covers(shape, points):
     return shape.contains_many(points)
 
 
+def _spans(shape, seeds, dirs, along, across2):
+    """Per ray origin + t*dir: (lo, hi), the t outside which a marched
+    sample surely tests outside `shape`, and (sure_lo, sure_hi), the t
+    inside which it surely tests inside.
+
+    A polygon sample tests inside when g = cross(e, p - a) >= 0 on every
+    edge e from corner a.  Along the ray g is g0 + t*gd, clipped edge by
+    edge (Cyrus-Beck); a circle's squared distance is (t - along)^2 +
+    across2.  The rounding of the sample and of its test moves these by far
+    less than MARCH_TOL, which both spans leave as slack.
+    """
+    spans = []
+    if isinstance(shape, Circle):
+        r = shape.radius
+        for w in (r + MARCH_TOL, max(r - MARCH_TOL, 0.0)):
+            ok = across2 <= w * w
+            h = np.sqrt(np.where(ok, w * w - across2, 0.0))
+            spans += [np.where(ok, along - h, np.inf),
+                      np.where(ok, along + h, -np.inf)]
+        return tuple(spans)
+    a = shape.corners
+    e = np.roll(a, -1, axis=0) - a
+    slack = MARCH_TOL * np.linalg.norm(e, axis=1)
+    rel = seeds[:, None, :] - a
+    g0 = e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]
+    gd = e[:, 0] * dirs[:, None, 1] - e[:, 1] * dirs[:, None, 0]
+    for c in (-slack, slack):
+        # Where g0 + t*gd >= c on every edge.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (c - g0) / gd
+        never = ((gd == 0.0) & (g0 < c)).any(axis=1)
+        spans += [np.where(never, np.inf,
+                           np.where(gd > 0.0, t, -np.inf).max(axis=1)),
+                  np.where(gd < 0.0, t, np.inf).min(axis=1)]
+    return tuple(spans)
+
+
 def _first_hits(shape, seeds, dirs, offsets_grid, step):
     """Index of the first marched sample inside `shape` per seed and
     direction, or the sample count when none is.
 
-    Only samples within the shape's bounding circle (grown by one step) can
-    be inside; they are found from each ray's chord through that circle and
-    tested, and nothing else is.
+    Sample i of a ray lies at t = (i + 1) * step.  Rays that miss the
+    shape's bounding circle (grown by one step) test nothing.  On the others
+    every sample before the ray's entry into the shape (`_spans`) tests
+    outside, and so does every sample past its exit; from the entry on,
+    samples are tested up to the first one that surely tests inside.  That
+    is one or two samples unless the ray grazes an edge.  `contains_many`
+    decides every tested sample, so the result equals a march that tests
+    them all.
     """
     n_dirs, n_steps = offsets_grid.shape[:2]
     rel = shape.center - seeds
     along = rel @ dirs.T
     across2 = np.sum(rel * rel, axis=1)[:, None] - along ** 2
-    reach2 = (shape.size_scale + step) ** 2
-    half = np.sqrt(np.maximum(reach2 - across2, 0.0))
-    # Sample i lies at radius (i + 1) * step.
-    lo = np.clip(np.floor((along - half) / step).astype(int) - 1, 0, n_steps)
-    hi = np.clip(np.ceil((along + half) / step).astype(int), 0, n_steps)
-    n = np.where(across2 <= reach2, np.maximum(hi - lo, 0), 0).ravel()
-    first = np.full(len(n), n_steps)
+    first = np.full((len(seeds), n_dirs), n_steps)
+    k, d = np.nonzero(across2 <= (shape.size_scale + step) ** 2)
+    if not len(k):
+        return first
+    lo, hi, sure_lo, sure_hi = (
+        np.clip(t / step - 1.0, -2.0, n_steps + 1.0)
+        for t in _spans(shape, seeds[k], dirs[d], along[k, d], across2[k, d]))
+    start = np.maximum(np.ceil(lo), 0).astype(int)
+    stop = np.minimum(np.floor(hi), n_steps - 1).astype(int)
+    sure = np.maximum(np.ceil(sure_lo), 0).astype(int)
+    stop = np.where(sure <= np.floor(sure_hi), np.minimum(stop, sure), stop)
+    n = np.maximum(stop - start + 1, 0)
     if n.sum():
         group = np.repeat(np.arange(len(n)), n)
-        idx = lo.ravel()[group] + np.arange(len(group)) - (np.cumsum(n) - n)[group]
-        pts = seeds[group // n_dirs] + offsets_grid[group % n_dirs, idx]
+        idx = start[group] + np.arange(len(group)) - (np.cumsum(n) - n)[group]
+        pts = seeds[k[group]] + offsets_grid[d[group], idx]
         inside = shape.contains_many(pts)
         group, idx = group[inside], idx[inside]
         # Samples run outward within each group: its first inside is nearest.
         lead = np.flatnonzero(np.diff(group, prepend=-1))
-        first[group[lead]] = idx[lead]
-    return first.reshape(len(seeds), n_dirs)
+        first[k[group[lead]], d[group[lead]]] = idx[lead]
+    return first
 
 
 def _tangent_planes(seeds, shapes, pos, absent, marched, config):

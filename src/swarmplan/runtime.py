@@ -24,8 +24,7 @@ from .bspline import plan_knot_layout
 from .perception import (LocalMap, PerceptionConfig, build_moving_volume,
                          classify_cluster, compensate_motion,
                          decompose_boundary, segment_scan)
-from .planner import (PlanRequest, Weights, _tightest_bound,
-                      admit_obstacles, constant_spline, end_time_heuristic,
+from .planner import (PlanRequest, Weights, admit_obstacles, constant_spline,
                       plan_with_fallback)
 from .prediction import (PeerState, PredictionConfig, footprint_from_size,
                          update_tracks)
@@ -39,11 +38,22 @@ __all__ = [
 ]
 
 
+def _tightest_bound(limits, order):
+    """Smallest finite absolute bound on the order-th derivative, else inf."""
+    if order not in limits:
+        return np.inf
+    lo, hi = limits[order]
+    vals = np.abs(np.concatenate([np.atleast_1d(lo), np.atleast_1d(hi)]))
+    vals = vals[np.isfinite(vals)]
+    return float(vals.min()) if len(vals) else np.inf
+
+
 def _comfortable_arrival(start, goal, limits, t_segment):
     """Relaxed travel time: cruise at half the velocity cap plus ramp time.
 
-    Falls back to twice the dynamics-based estimate when no velocity bound
-    is configured; never shorter than two knot segments.
+    With no velocity bound it is twice the time to cover the distance from
+    rest at full acceleration, itself floored at two knot segments; never
+    shorter than two knot segments.
     """
     d = float(np.linalg.norm(goal - start))
     a_max = _tightest_bound(limits, 2)
@@ -53,9 +63,9 @@ def _comfortable_arrival(start, goal, limits, t_segment):
     if np.isfinite(v_max):
         T = d / (0.5 * v_max) + v_max / a_max
     else:
-        rest = np.zeros((2, 2))
-        rest[0] = start
-        T = 2.0 * end_time_heuristic(rest, goal, a_max, t_segment)
+        if a_max <= 0:
+            raise ValueError("a_max must be positive")
+        T = 2.0 * max(np.sqrt(2.0 * a_max * d) / a_max, 2.0 * t_segment)
     return max(T, 2.0 * t_segment)
 
 

@@ -4,7 +4,9 @@ Each builtin runs at its default seed and, unless DURATIONS shortens it,
 its default duration.  `walled_in` exercises obstacles, the relaxed retry
 and the fallback ladder; `open` is the plain two-agent swap; `antipodal`
 is eight agents over the 1.6 s swarm_swap bench window, where every agent
-tracks seven peers and dozens of tracks open on one-state bootstraps.
+tracks seven peers and dozens of tracks open on one-state bootstraps;
+`intersection` is the 1.4 s corridor_cross bench window, where the region
+seed march meets long corridor walls.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from swarmplan.scenario import builtin_scenario
 TIMING_FIELDS = ("solve_times", "cycle_times")
 
 # Simulated seconds of the builtins run shorter than their default.
-DURATIONS = {"antipodal": 1.6}
+DURATIONS = {"antipodal": 1.6, "intersection": 1.4}
 
 
 def outcomes(result):
@@ -34,7 +36,8 @@ def deterministic(metrics):
     return d
 
 
-@pytest.mark.parametrize("name", ["open", "walled_in", "antipodal"])
+@pytest.mark.parametrize("name", ["open", "walled_in", "antipodal",
+                                  "intersection"])
 def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
     scenario = builtin_scenario(name, duration=DURATIONS.get(name))
     first = run_scenario(scenario, out_dir=tmp_path)

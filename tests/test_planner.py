@@ -13,11 +13,11 @@ from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, PlanRequest,
                                RELAXED_SAMPLES_PER_SEGMENT, Weights,
                                admit_obstacles, assemble_qp,
                                collision_cost_closed_form, collision_kernel,
-                               constant_spline, end_cost, end_time_heuristic,
-                               fit_to_layout, plan_with_fallback,
-                               quadratize_collision)
+                               constant_spline, end_cost, fit_to_layout,
+                               plan_with_fallback, quadratize_collision)
 from swarmplan.qp import solve_qp
 from swarmplan.regions import PlaneStack, SafeRegion
+from swarmplan.runtime import _comfortable_arrival, symmetric_limits
 
 
 def dist_many(shape, pts):
@@ -296,25 +296,31 @@ class TestEndCost:
 
 
 class TestEndTime:
+    """`_comfortable_arrival` without a velocity bound: twice the time from
+    rest at full acceleration, floored at two knot segments."""
+
+    accel_only = symmetric_limits({2: 2.0})
+
     def test_rest_to_goal(self):
-        state = np.array([[0.0, 0.0], [0.0, 0.0]])
-        assert end_time_heuristic(state, [4.0, 0.0], 2.0) == pytest.approx(2.0)
+        # 4 = 2 T^2 / 2  ->  T = 2, doubled.
+        got = _comfortable_arrival(np.zeros(2), np.array([4.0, 0.0]),
+                                   self.accel_only, 0.5)
+        assert got == pytest.approx(4.0)
 
     def test_zero_distance_floor(self):
-        state = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert end_time_heuristic(state, [1.0, 1.0], 2.0) == pytest.approx(2.0)
-
-    def test_moving_start(self):
-        state = np.array([[0.0, 0.0], [1.0, 0.0]])
-        # 3 = T + T^2  ->  positive root of T^2 + T - 3 (above the floor
-        # when segments are short enough).
-        want = (-1.0 + np.sqrt(1.0 + 12.0)) / 2.0
-        got = end_time_heuristic(state, [3.0, 0.0], 2.0, t_segment=0.5)
-        assert got == pytest.approx(want)
+        start = np.array([1.0, 1.0])
+        assert _comfortable_arrival(start, start.copy(), self.accel_only,
+                                    1.0) == pytest.approx(4.0)
 
     def test_floor_applies(self):
-        state = np.array([[0.0, 0.0], [0.0, 0.0]])
-        assert end_time_heuristic(state, [0.1, 0.0], 10.0) == pytest.approx(2.0)
+        got = _comfortable_arrival(np.zeros(2), np.array([0.1, 0.0]),
+                                   symmetric_limits({2: 10.0}), 1.0)
+        assert got == pytest.approx(4.0)
+
+    def test_zero_acceleration_rejected(self):
+        with pytest.raises(ValueError):
+            _comfortable_arrival(np.zeros(2), np.array([1.0, 0.0]),
+                                 symmetric_limits({2: 0.0}), 1.0)
 
 
 def wall_region(tau=0.1, n_slices=40, x_wall=2.0):

@@ -12,8 +12,9 @@ from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
                                   PredictionConfig, SquareFootprint,
                                   footprint_from_size)
 from swarmplan.regions import (PlaneStack, RegionConfig, SeedInsideObstacle,
-                               build_safe_regions, contract_for_peer,
-                               deflate_for_ego, region_is_empty, seed_region)
+                               _first_hits, build_safe_regions,
+                               contract_for_peer, deflate_for_ego,
+                               region_is_empty, seed_region)
 
 
 def brute_force_free(point, shapes):
@@ -394,6 +395,24 @@ def oracle_tangent(shape, q, e):
     return hp
 
 
+def march_grid(config):
+    """The march's unit directions and sample offsets (directions, steps, 2)."""
+    n_steps = int(round(config.r_max / config.step))
+    th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    radii = config.step * np.arange(1, n_steps + 1)
+    return dirs, radii[None, :, None] * dirs[:, None, :]
+
+
+def oracle_first_hits(seed, shape, config):
+    """First sample inside `shape` per direction, every sample tested."""
+    dirs, grid = march_grid(config)
+    n_steps = grid.shape[1]
+    pts = np.asarray(seed, dtype=float) + grid
+    inside = shape.contains_many(pts.reshape(-1, 2)).reshape(len(dirs), n_steps)
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), n_steps)
+
+
 def oracle_seed_region(seed, shapes, config):
     seed = np.asarray(seed, dtype=float)
     for s in shapes:
@@ -406,16 +425,10 @@ def oracle_seed_region(seed, shapes, config):
               Halfplane(np.array([0.0, -1.0]), -seed[1] + r)]
     if shapes:
         n_steps = int(round(config.r_max / config.step))
-        th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        radii = config.step * np.arange(1, n_steps + 1)
-        pts = seed[None, None, :] + radii[None, :, None] * dirs[:, None, :]
-        flat = pts.reshape(-1, 2)
         first_hit = np.full(config.n_directions, n_steps, dtype=int)
         hit_shape = np.full(config.n_directions, -1, dtype=int)
         for si, s in enumerate(shapes):
-            inside = s.contains_many(flat).reshape(config.n_directions, n_steps)
-            idx = np.where(inside.any(axis=1), inside.argmax(axis=1), n_steps)
+            idx = oracle_first_hits(seed, s, config)
             closer = idx < first_hit
             first_hit[closer] = idx[closer]
             hit_shape[closer] = si
@@ -697,6 +710,115 @@ class TestOnePassParity:
                     assert np.array_equal(a.offsets, b.offsets)
                     assert (region_is_empty(a, probe=vs.center)
                             == oracle_empty(b, vs.center))
+
+
+class TestMarchWindow:
+    """`_first_hits` tests only the samples at each ray's entry into a
+    shape; a march that tests every sample must agree where the entry is
+    hardest to place."""
+
+    cfg = RegionConfig()
+
+    def assert_matches(self, shape, seeds):
+        """Compare with the full march; returns how many rays hit."""
+        dirs, grid = march_grid(self.cfg)
+        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+        got = _first_hits(shape, seeds, dirs, grid, self.cfg.step)
+        want = np.array([oracle_first_hits(p, shape, self.cfg) for p in seeds])
+        assert np.array_equal(got, want), shape
+        return int(np.sum(want < grid.shape[1]))
+
+    def test_rays_graze_vertices_and_touch_circles(self):
+        rng = np.random.default_rng(51)
+        dirs, grid = march_grid(self.cfg)
+        hits = 0
+        for _ in range(60):
+            seed = rng.uniform(-5.0, 5.0, size=2)
+            d = int(rng.integers(len(dirs)))
+            u = dirs[d]
+            side = rng.choice([-1.0, 1.0]) * np.array([-u[1], u[0]])
+            # The touch point: anywhere on the ray, or exactly a sample.
+            touch = (seed + rng.uniform(0.3, 4.5) * u if rng.random() < 0.5
+                     else seed + grid[d, rng.integers(5, grid.shape[1])])
+            r = float(rng.uniform(0.1, 1.5))
+            tri = Triangle([touch, touch + r * (side + u),
+                            touch + r * (side - u)])
+            for shape in (tri, Circle(touch + r * side, r),
+                          Circle(touch + (r + 1e-12) * side, r),
+                          Circle(touch + (r - 1e-12) * side, r)):
+                hits += self.assert_matches(shape, seed)
+        assert hits > 20
+
+    def test_seeds_on_axis_wall_edge_lines(self):
+        # Rays along an edge's line at directions 0 and pi/2, where one
+        # direction component is 0 or cos(pi/2) = 6e-17: the samples sit on
+        # the line or an ulp off it, depending on the seed's last bits.
+        hits = 0
+        for x0, y0 in ((3.0, 1.0), (0.5, -2.25), (-1.3, 0.7), (7.1, -4.05)):
+            wall = axis_rectangle(x0, y0, x0 + 0.2, y0 + 3.0)
+            xs, ys = [x0, x0 + 0.2], [y0, y0 + 3.0]
+            seeds = []
+            for ulps in range(-3, 4):
+                for x in xs:
+                    for y in (y0 - 1.0, y0 - 0.05, y0 - 1e-9):
+                        seeds.append([x + ulps * np.spacing(x), y])
+                for y in ys:
+                    for x in (x0 - 2.0, x0 - 0.05, x0 - 1e-9):
+                        seeds.append([x, y + ulps * np.spacing(y)])
+            hits += self.assert_matches(wall, seeds)
+        assert hits > 100
+
+    def test_samples_on_edges(self):
+        # Walls and triangles whose edge or corner holds a sample exactly.
+        rng = np.random.default_rng(52)
+        dirs, grid = march_grid(self.cfg)
+        hits = 0
+        for _ in range(80):
+            seed = rng.uniform(-5.0, 5.0, size=2)
+            d = int(rng.integers(len(dirs)))
+            p = seed + grid[d, rng.integers(0, grid.shape[1])]
+            w = float(rng.uniform(0.1, 2.0))
+            shapes = [axis_rectangle(p[0], p[1] - w, p[0] + w, p[1] + w),
+                      axis_rectangle(p[0] - w, p[1], p[0] + w, p[1] + w),
+                      axis_rectangle(p[0] - w, p[1] - w, p[0], p[1] + w),
+                      Triangle([p, p + rng.uniform(-1.0, 1.0, size=2),
+                                p + rng.uniform(-1.0, 1.0, size=2)])]
+            for shape in shapes:
+                if not shape.contains_many(seed[None])[0]:
+                    hits += self.assert_matches(shape, seed)
+        assert hits > 50
+
+    def test_thin_walls_at_64_orientations(self):
+        rng = np.random.default_rng(53)
+        hits = 0
+        for k in range(64):
+            phi = 2.0 * np.pi * k / 64
+            c = rng.uniform(-3.0, 3.0, size=2)
+            wall = oriented_rectangle(c, [np.cos(phi), np.sin(phi)],
+                                      float(rng.uniform(1.0, 5.0)), 0.1)
+            seeds = c + rng.uniform(-6.0, 6.0, size=(40, 2))
+            hits += self.assert_matches(
+                wall, seeds[~wall.contains_many(seeds)])
+        assert hits > 500
+
+    def test_seeds_within_a_step(self):
+        rng = np.random.default_rng(54)
+        step = self.cfg.step
+        hits = 0
+        for _ in range(12):
+            c = rng.uniform(-3.0, 3.0, size=2)
+            r = float(rng.uniform(0.2, 1.5))
+            th = rng.uniform(0.0, np.pi)
+            for shape in (Circle(c, r), axis_square(c, 2.0 * r),
+                          oriented_rectangle(c, [np.cos(th), np.sin(th)],
+                                             r, 0.1),
+                          Triangle(c + rng.uniform(-1.0, 1.0, size=(3, 2)))):
+                b = shape.boundary_samples(24)
+                out = (b - shape.center) / np.linalg.norm(b - shape.center,
+                                                          axis=1)[:, None]
+                for gap in (0.0, 1e-12, 0.5 * step, step - 1e-12, step):
+                    hits += self.assert_matches(shape, b + gap * out)
+        assert hits > 1000
 
 
 class TestEmptinessAgainstLP:
