@@ -84,7 +84,7 @@ class Circle:
 class ConvexPolygonShape:
     """Base for convex polygon obstacles with CCW corners (k, 2)."""
 
-    __slots__ = ("corners",)
+    __slots__ = ("corners", "center", "size_scale")
 
     def __init__(self, corners):
         corners = np.asarray(corners, dtype=float)
@@ -96,18 +96,12 @@ class ConvexPolygonShape:
         if area2 < 0:
             corners = corners[::-1].copy()
         self.corners = corners
+        self.center = corners.mean(axis=0)
+        self.size_scale = float(np.max(np.linalg.norm(corners - self.center,
+                                                      axis=1)))
 
     def __repr__(self):
         return f"{type(self).__name__}(corners={self.corners.tolist()})"
-
-    @property
-    def center(self):
-        return self.corners.mean(axis=0)
-
-    @property
-    def size_scale(self):
-        c = self.center
-        return float(np.max(np.linalg.norm(self.corners - c, axis=1)))
 
     def _edges(self):
         return self.corners, np.roll(self.corners, -1, axis=0)

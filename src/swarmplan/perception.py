@@ -7,7 +7,7 @@ hash grid.  Overlapping observations of the same obstacle merge into a single
 grown shape, so the map stays small no matter how often an obstacle is seen.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -331,10 +331,6 @@ def classify_cluster(points, robot_position, config=None):
 
 # --- local map -------------------------------------------------------------
 
-def _shape_center(shape):
-    return shape.center
-
-
 def _bucket_key(center, origin):
     return (int(np.floor(center[0] - origin[0] + 0.5)),
             int(np.floor(center[1] - origin[1] + 0.5)))
@@ -363,11 +359,11 @@ class LocalMap:
         return out
 
     def _add(self, shape):
-        key = _bucket_key(_shape_center(shape), self.origin)
+        key = _bucket_key(shape.center, self.origin)
         self.buckets.setdefault(key, []).append(shape)
 
     def _remove(self, shape):
-        key = _bucket_key(_shape_center(shape), self.origin)
+        key = _bucket_key(shape.center, self.origin)
         entries = self.buckets.get(key, [])
         entries.remove(shape)
         if not entries:
@@ -387,7 +383,7 @@ class LocalMap:
         self.origin = np.asarray(new_origin, dtype=float)
         self.buckets = {}
         for s in shapes:
-            if np.linalg.norm(_shape_center(s) - self.origin) <= self.config.map_radius:
+            if np.linalg.norm(s.center - self.origin) <= self.config.map_radius:
                 self._add(s)
 
     def insert(self, shape, points=None):
@@ -397,12 +393,12 @@ class LocalMap:
         conflicts between different shape families by refit residual.
         Inserting the same shape twice leaves a single entry.
         """
-        center = _shape_center(shape)
+        center = shape.center
         if np.linalg.norm(center - self.origin) > self.config.map_radius:
             return None
         reach = shape.size_scale + self._max_scale()
         for other in self._neighborhood(center, reach):
-            gap = float(np.linalg.norm(center - _shape_center(other)))
+            gap = float(np.linalg.norm(center - other.center))
             if gap >= max(shape.size_scale, other.size_scale):
                 continue
             merged = _merge_shapes(other, shape, points)
@@ -548,19 +544,19 @@ def _merge_shapes(stored, incoming, points):
 # --- moving volume ---------------------------------------------------------
 
 @dataclass
-class VolumeSlice:
-    t_rel: float
-    center: np.ndarray
-    shapes: list = field(default_factory=list)
-
-
-@dataclass
 class MovingVolume:
-    """Per-timestep obstacle windows along the previously planned path."""
+    """Obstacle windows along the previously planned path, slice k at t_rel[k].
 
-    slices: list
+    `shapes` holds every map shape that lies in the window of at least one
+    slice, once and in map order; member[k, j] says whether shapes[j] lies
+    in slice k's window.
+    """
+
+    t_rel: np.ndarray     # (slices,) seconds after the cycle start
+    centers: np.ndarray   # (slices, 2) window centers on the old plan
+    shapes: list
+    member: np.ndarray    # (slices, shapes) bool
     tau: float
-    horizon: float
 
 
 def build_moving_volume(local_map, trajectory, t_now, horizon, tau, window_radius):
@@ -568,21 +564,18 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau, window_radiu
 
     Slice k covers t_now + k*tau for k = 1..horizon/tau; the window center is
     the previous trajectory evaluated there (clamped into its domain).  A
-    shape joins a slice when its center is within window_radius of the center.
+    shape lies in a slice when its center is within window_radius of the
+    window center; one broadcast distance test decides every pair.
     """
     n = int(round(horizon / tau))
     if abs(n * tau - horizon) > 1e-9:
         raise ValueError(f"tau {tau} does not divide horizon {horizon}")
-    shapes = local_map.shapes()
-    if shapes:
-        centers = np.stack([_shape_center(s) for s in shapes])
     t_rel = np.arange(1, n + 1) * tau
-    path = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
-    slices = []
-    for t, c in zip(t_rel.tolist(), path):
-        members = []
-        if shapes:
-            d = np.linalg.norm(centers - c, axis=1)
-            members = [shapes[i] for i in np.flatnonzero(d <= window_radius)]
-        slices.append(VolumeSlice(t_rel=t, center=c, shapes=members))
-    return MovingVolume(slices=slices, tau=tau, horizon=horizon)
+    centers = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
+    shapes = local_map.shapes()
+    at = np.array([s.center for s in shapes]).reshape(-1, 2)
+    member = np.linalg.norm(at - centers[:, None], axis=2) <= window_radius
+    near = member.any(axis=0)
+    return MovingVolume(t_rel=t_rel, centers=centers,
+                        shapes=[s for s, keep in zip(shapes, near) if keep],
+                        member=member[:, near], tau=tau)

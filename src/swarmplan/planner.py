@@ -252,28 +252,22 @@ def end_cost(goal, row, q_final):
 
 
 def admit_obstacles(shapes, regions):
-    """Shapes that can intersect the static polytope of at least one slice.
+    """Shapes that can intersect the static polytope of at least one slice,
+    in their given order.
 
-    Every slice counts, feasible or not.  Uses the per-plane support test (a
-    shape is rejected by a slice only if some halfplane separates it
-    entirely); conservative, so nearby shapes are always admitted into the
-    obstacle cost.
+    Every slice counts, feasible or not.  A slice rejects a shape only if
+    one of its halfplanes {n.p <= o} separates it entirely, that is
+    o + support(-n) < 0; each shape is tested against every live row of
+    the stacked static planes at once.  Conservative, so nearby shapes are
+    always admitted into the obstacle cost.
     """
     if regions is None:
         return []
-    out = []
-    seen = set()
-    for s in shapes:
-        if id(s) in seen:
-            continue
-        seen.add(id(s))
-        for sl in regions.slices:
-            poly = sl.static_polytope
-            sup = s.support(-poly.normals)
-            if np.all(poly.offsets + sup >= 0.0):
-                out.append(s)
-                break
-    return out
+    static = regions.static
+    u, padding = -static.normals, ~static.live()
+    return [s for s in shapes
+            if np.any(np.all((static.offsets + s.support(u) >= 0.0) | padding,
+                             axis=1))]
 
 
 def fit_to_layout(traj, layout):

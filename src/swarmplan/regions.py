@@ -10,14 +10,14 @@ robot as a point.
 Layout.  The halfplanes {p : n.p <= o} of all slices of a cycle live in one
 `PlaneStack`: unit normals (slices, planes, 2) and offsets (slices, planes),
 padded with NaN past each slice's plane count.  `build_safe_regions` makes
-one pass over every slice: the seed march takes each distinct shape once,
-for all slices that hold it, and tests only the samples where each ray
-enters it, which finds the same first sample inside as a march over every
-sample (`_first_hits`); each peer track cuts all slices
-in one array step; deflation and the seed probe are one step each.  The
-single-slice functions (`seed_region`, `contract_for_peer`,
-`deflate_for_ego`, `region_is_empty`) run the same kernels on a one-slice
-stack.
+one pass over every slice: the moving volume's slice x shape mask says
+which shapes each slice holds, the seed march takes each shape once, for
+all slices that hold it, and tests only the samples where each ray enters
+it, which finds the same first sample inside as a march over every sample
+(`_first_hits`); each peer track cuts all slices in one array step;
+deflation and the seed probe are one step each.  The single-slice functions
+(`seed_region`, `contract_for_peer`, `deflate_for_ego`, `region_is_empty`)
+run the same kernels on a one-slice stack.
 
 Arithmetic.  Regions are defined per slice as a chain of `Halfplane` and
 `ConvexPolytope` objects: every cut renormalizes each plane of the slice
@@ -267,28 +267,28 @@ def _first_hits(shape, seeds, dirs, offsets_grid, step):
     return first
 
 
-def _tangent_planes(seeds, shapes, pos, absent, marched, config):
-    """The march of every marched slice: (slice, normal, offset) of each
-    tangent plane, slice by slice and in each slice's order of planes.
+def _tangent_planes(seeds, shapes, member, config):
+    """The march of every slice over the shapes it holds: (slice, normal,
+    offset) of each tangent plane, slice by slice and in each slice's order
+    of planes.
 
-    pos[k, j] is shape j's position in slice k's list, `absent` where it is
-    not listed; on a tie for the nearest sample the earlier position wins.
+    member[k, j] says whether slice k marches shapes[j]; on a tie for the
+    nearest sample the lowest shape index wins.
     """
     if not shapes:
         return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0)
-    K = len(seeds)
     n_steps = int(round(config.r_max / config.step))
     th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
     dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
     radii = config.step * np.arange(1, n_steps + 1)
     grid = radii[None, :, None] * dirs[:, None, :]
-    hits = np.full((K, config.n_directions, len(shapes)), n_steps)
+    hits = np.full((len(seeds), config.n_directions, len(shapes)), n_steps)
     for j, s in enumerate(shapes):
-        members = np.flatnonzero((pos[:, j] < absent) & marched)
+        members = np.flatnonzero(member[:, j])
         if len(members):
             hits[members, :, j] = _first_hits(s, seeds[members], dirs, grid,
                                               config.step)
-    best = (hits * (absent + 1) + pos[:, None, :]).argmin(axis=2)
+    best = hits.argmin(axis=2)
     hit = np.take_along_axis(hits, best[..., None], axis=2)[..., 0] < n_steps
     shape_of = np.where(hit, best, -1)
     # Each shape hit in a slice gives one plane, in order of its first hit.
@@ -312,32 +312,21 @@ def _tangent_planes(seeds, shapes, pos, absent, marched, config):
     return pk[made], normals[made], offsets[made]
 
 
-def _seeded(seeds, shape_lists, config):
-    """`seed_region` for every slice: (stack, inside).
+def _seeded(seeds, shapes, member, config):
+    """`seed_region` for every slice, slice k holding the shapes j with
+    member[k, j]: (stack, inside).
 
     A slice whose seed lies in one of its shapes (inside[k]) is not marched
     and gets the box alone.
     """
     K = len(seeds)
     r = config.r_max
-    shapes, where = [], {}
-    ks, js, ps = [], [], []
-    for k, members in enumerate(shape_lists):
-        for p, s in enumerate(members):
-            j = where.setdefault(id(s), len(shapes))
-            if j == len(shapes):
-                shapes.append(s)
-            ks.append(k)
-            js.append(j)
-            ps.append(p)
-    absent = max((len(m) for m in shape_lists), default=0)
-    pos = np.full((K, len(shapes)), absent)
-    np.minimum.at(pos, (ks, js), ps)
     inside = np.zeros(K, dtype=bool)
     for j, s in enumerate(shapes):
-        members = np.flatnonzero(pos[:, j] < absent)
+        members = np.flatnonzero(member[:, j])
         inside[members] |= _covers(s, seeds[members])
-    pk, pn, po = _tangent_planes(seeds, shapes, pos, absent, ~inside, config)
+    pk, pn, po = _tangent_planes(seeds, shapes, member & ~inside[:, None],
+                                 config)
 
     counts = 4 + np.bincount(pk, minlength=K)
     width = counts.max()
@@ -435,7 +424,9 @@ def seed_region(seed, shapes, config=None):
     if config is None:
         config = RegionConfig()
     seed = np.asarray(seed, dtype=float)
-    stack, inside = _seeded(seed[None], [list(shapes)], config)
+    shapes = list(shapes)
+    stack, inside = _seeded(seed[None], shapes,
+                            np.ones((1, len(shapes)), dtype=bool), config)
     if inside[0]:
         raise SeedInsideObstacle(f"seed {seed.tolist()} is inside a shape")
     return stack.polytope(0)
@@ -486,19 +477,18 @@ def build_safe_regions(volume, tracks, ego_footprint, now, region_config=None,
                        previous=None):
     """One deflated polytope per moving-volume slice, in one pass.
 
-    Slice seeds come from the volume (the old plan's positions).  Static
-    shapes bound each region, every live track cuts it at its predicted
-    position, and the result is deflated by the ego footprint.  A seed stuck
-    inside a mapped shape falls back to the previous cycle's nearest region;
-    slices whose seed is covered by a peer or whose polytope ends up empty
-    are flagged infeasible.
+    Slice seeds are the volume's window centers (the old plan's positions).
+    The shapes in each slice's row of the volume's mask bound its region,
+    every live track cuts it at its predicted position, and the result is
+    deflated by the ego footprint.  A seed stuck inside a mapped shape falls
+    back to the previous cycle's nearest region; slices whose seed is
+    covered by a peer or whose polytope ends up empty are flagged
+    infeasible.
     """
     if region_config is None:
         region_config = RegionConfig()
-    t_rel = np.array([vs.t_rel for vs in volume.slices])
-    seeds = np.array([vs.center for vs in volume.slices], dtype=float)
-    stack, inside = _seeded(seeds, [vs.shapes for vs in volume.slices],
-                            region_config)
+    t_rel, seeds = volume.t_rel, volume.centers
+    stack, inside = _seeded(seeds, volume.shapes, volume.member, region_config)
     feasible = ~inside
     if previous is not None and inside.any():
         ks = np.flatnonzero(inside)

@@ -70,18 +70,24 @@ def _comfortable_arrival(start, goal, limits, t_segment):
 
 
 def symmetric_limits(bounds):
-    """Expand {order: b} scalars into {order: ((-b, -b), (b, b))} boxes.
+    """Parse {order: bound} into {order: (lo, hi)} boxes of float arrays.
 
-    Tuples/arrays pass through untouched, so mixed forms are fine.
+    A scalar b becomes ((-b, -b), (b, b)); a (lo, hi) pair is taken as
+    given, so mixed forms are fine.  Orders may be strings, as JSON keys
+    are.  Every box must hold rest, lo < 0 < hi on both axes; any other box
+    raises ValueError.
     """
     out = {}
     for order, b in bounds.items():
         if np.isscalar(b):
             b = float(b)
-            out[order] = (np.array([-b, -b]), np.array([b, b]))
+            lo, hi = np.array([-b, -b]), np.array([b, b])
         else:
-            lo, hi = b
-            out[order] = (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+            lo, hi = (np.asarray(v, dtype=float) for v in b)
+        if not (np.all(lo < 0.0) and np.all(hi > 0.0)):
+            raise ValueError(f"limits of order {order} must satisfy "
+                             f"lo < 0 < hi, got {lo.tolist()}, {hi.tolist()}")
+        out[int(order)] = (lo, hi)
     return out
 
 
@@ -443,11 +449,7 @@ class Agent:
         # (6) Replan with the fallback ladder.
         near = []
         if self.volume is not None and regions is not None:
-            seen = {}
-            for sl in self.volume.slices:
-                for s in sl.shapes:
-                    seen[id(s)] = s
-            near = admit_obstacles(list(seen.values()), regions)
+            near = admit_obstacles(self.volume.shapes, regions)
         try:
             req = PlanRequest(
                 t_now=now, initial_state=initial_state, goal=self.goal,

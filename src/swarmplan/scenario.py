@@ -277,8 +277,8 @@ class AgentSpec:
         self.waypoints = [(None if t is None else float(t),
                            np.asarray(p, dtype=float))
                           for t, p in self.waypoints]
-        if self.limits is None:
-            self.limits = symmetric_limits({1: 2.0, 2: 4.0})
+        self.limits = symmetric_limits({1: 2.0, 2: 4.0} if self.limits is None
+                                       else self.limits)
         stamps = [t for t, _ in self.waypoints if t is not None]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("waypoint times must be strictly increasing")
@@ -376,30 +376,31 @@ def parse_scenario(text, source="<string>"):
 
     world = doc.get("world", {})
     bus = doc.get("bus", {})
-    agents = []
-    for spec in doc["agents"]:
+    agents, bad = [], []
+    for i, spec in enumerate(doc["agents"]):
         start = spec["start"]
         if isinstance(start, dict):
             start = None
         waypoints = [(wp.get("t"), wp["pos"])
                      for wp in spec.get("waypoints", [])]
-        limits = None
-        if "limits" in spec:
-            limits = symmetric_limits({
-                int(k): (v if np.isscalar(v) else tuple(np.asarray(p, float)
-                                                        for p in v))
-                for k, v in spec["limits"].items()})
-        agents.append(AgentSpec(
-            start=start,
-            goal=spec.get("goal"),
-            heading=math.radians(spec.get("heading_deg", 0.0)),
-            order=spec.get("order", 2),
-            footprint=tuple(spec.get("footprint", (0.3,))),
-            goal_time=spec.get("goal_time"),
-            end_velocity=spec.get("end_velocity"),
-            waypoints=waypoints,
-            limits=limits,
-        ))
+        try:
+            agents.append(AgentSpec(
+                start=start,
+                goal=spec.get("goal"),
+                heading=math.radians(spec.get("heading_deg", 0.0)),
+                order=spec.get("order", 2),
+                footprint=tuple(spec.get("footprint", (0.3,))),
+                goal_time=spec.get("goal_time"),
+                end_velocity=spec.get("end_velocity"),
+                waypoints=waypoints,
+                limits=spec.get("limits"),
+            ))
+        except ValueError as exc:
+            bad.append((i, str(exc)))
+    if bad:
+        lines = index_json_lines(text)
+        raise ScenarioError(source, [(lines.get(("agents", i), 1),
+                                      f"agents.{i}", msg) for i, msg in bad])
     try:
         return Scenario(
             agents=agents,
@@ -454,11 +455,10 @@ def scenario_to_dict(scenario):
                 ({"pos": [float(p[0]), float(p[1])]} if t is None
                  else {"t": t, "pos": [float(p[0]), float(p[1])]})
                 for t, p in a.waypoints]
-        if a.limits is not None:
-            spec["limits"] = {
-                str(k): [[float(lo[0]), float(lo[1])],
-                         [float(hi[0]), float(hi[1])]]
-                for k, (lo, hi) in a.limits.items()}
+        spec["limits"] = {
+            str(k): [[float(lo[0]), float(lo[1])],
+                     [float(hi[0]), float(hi[1])]]
+            for k, (lo, hi) in a.limits.items()}
         out["agents"].append(spec)
     return out
 
@@ -579,8 +579,7 @@ def _circle_swap(name, seed, rng, n, duration):
         start = p + tang * rng.uniform(-0.02, 0.02)
         agents.append(AgentSpec(
             start=start, goal=-p, heading=math.atan2(-p[1], -p[0]),
-            order=2, footprint=(0.3,), goal_time=9.0,
-            limits=symmetric_limits({1: 2.0, 2: 4.0})))
+            order=2, footprint=(0.3,), goal_time=9.0))
     return Scenario(agents=agents, name=name, seed=seed, duration=duration,
                     bounds=(-15.0, -15.0, 15.0, 15.0))
 
@@ -592,7 +591,6 @@ def _intersection(seed, rng, duration):
         axis_rectangle(-12.0, -12.0, -2.0, -2.0),
         axis_rectangle(2.0, -12.0, 12.0, -2.0),
     ]
-    lim = symmetric_limits({1: 2.0, 2: 4.0})
     routes = [
         # (start, goal, goal_time, end_velocity)
         ((-6.0, -1.0), (9.0, -1.0), 10.0, (1.5, 0.0)),
@@ -608,8 +606,7 @@ def _intersection(seed, rng, duration):
         d = np.asarray(goal) - start
         agents.append(AgentSpec(
             start=start, goal=goal, heading=math.atan2(d[1], d[0]),
-            order=4, footprint=(0.3,), goal_time=gt, end_velocity=vend,
-            limits=lim))
+            order=4, footprint=(0.3,), goal_time=gt, end_velocity=vend))
     return Scenario(agents=agents, name="intersection", seed=seed,
                     duration=duration, bounds=(-15.0, -15.0, 15.0, 15.0),
                     obstacles=walls)
@@ -640,7 +637,6 @@ def _unstructured(seed, rng, n_agents, duration):
 
     corners = [(-6.0, -6.0), (6.0, 6.0), (-6.0, 6.0), (6.0, -6.0)]
     goal_times = [11.5, 12.0, 12.5, 13.0]
-    lim = symmetric_limits({1: 2.0, 2: 4.0})
     agents = []
     for i in range(n_agents):
         start = np.asarray(corners[i % 4], dtype=float)
@@ -657,8 +653,7 @@ def _unstructured(seed, rng, n_agents, duration):
         d = goal - start
         agents.append(AgentSpec(
             start=start, goal=goal, heading=math.atan2(d[1], d[0]),
-            order=2, footprint=(0.3,), goal_time=gt, waypoints=waypoints,
-            limits=lim))
+            order=2, footprint=(0.3,), goal_time=gt, waypoints=waypoints))
     return Scenario(agents=agents, name="unstructured", seed=seed,
                     duration=duration, bounds=(-12.0, -12.0, 12.0, 12.0),
                     obstacles=obstacles)
@@ -680,7 +675,7 @@ def _walled_in(seed, duration):
         start=(0.0, 0.0), goal=(8.0, 0.0), heading=0.0, order=2,
         footprint=(0.3,), goal_time=6.5,
         waypoints=[(1.0, (1.3, 0.65)), (5.2, (6.0, 0.0))],
-        limits=symmetric_limits({1: 2.0}))
+        limits={1: 2.0})
     return Scenario(agents=[agent], name="walled_in", seed=seed,
                     duration=duration, bounds=(-12.0, -12.0, 12.0, 12.0),
                     obstacles=walls)

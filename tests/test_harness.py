@@ -6,7 +6,9 @@ and the fallback ladder; `open` is the plain two-agent swap; `antipodal`
 is eight agents over the 1.6 s swarm_swap bench window, where every agent
 tracks seven peers and dozens of tracks open on one-state bootstraps;
 `intersection` is the 1.4 s corridor_cross bench window, where the region
-seed march meets long corridor walls.
+seed march meets long corridor walls; `unstructured` is the 2.0 s
+clutter_waypoints bench window, where a cluttered map fills the moving
+volume's slice x shape mask and obstacle admission decides between shapes.
 """
 
 import pytest
@@ -21,7 +23,7 @@ from swarmplan.scenario import builtin_scenario
 TIMING_FIELDS = ("solve_times", "cycle_times")
 
 # Simulated seconds of the builtins run shorter than their default.
-DURATIONS = {"antipodal": 1.6, "intersection": 1.4}
+DURATIONS = {"antipodal": 1.6, "intersection": 1.4, "unstructured": 2.0}
 
 
 def outcomes(result):
@@ -37,7 +39,7 @@ def deterministic(metrics):
 
 
 @pytest.mark.parametrize("name", ["open", "walled_in", "antipodal",
-                                  "intersection"])
+                                  "intersection", "unstructured"])
 def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
     scenario = builtin_scenario(name, duration=DURATIONS.get(name))
     first = run_scenario(scenario, out_dir=tmp_path)

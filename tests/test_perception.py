@@ -238,6 +238,31 @@ class TestLocalMap:
         assert len(m) == 0
 
 
+class ShapeList:
+    """Stands in for a LocalMap: shapes() in a fixed order."""
+
+    def __init__(self, shapes):
+        self._shapes = list(shapes)
+
+    def shapes(self):
+        return list(self._shapes)
+
+
+def oracle_volume_lists(shapes, trajectory, t_now, horizon, tau, radius):
+    """Each slice's shapes, one window at a time."""
+    t_rel = np.arange(1, int(round(horizon / tau)) + 1) * tau
+    path = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
+    if not shapes:
+        return [[] for _ in path]
+    centers = np.stack([s.center for s in shapes])
+    return [[shapes[i] for i in np.flatnonzero(
+        np.linalg.norm(centers - c, axis=1) <= radius)] for c in path]
+
+
+def volume_lists(vol):
+    return [[vol.shapes[j] for j in np.flatnonzero(row)] for row in vol.member]
+
+
 class TestMovingVolume:
     def test_slices_and_membership(self):
         m = LocalMap()
@@ -247,11 +272,11 @@ class TestMovingVolume:
         traj = TrajectorySpline(3, 0.0, 1.0, control)
         vol = build_moving_volume(m, traj, t_now=3.0, horizon=2.0, tau=0.5,
                                   window_radius=5.0)
-        assert len(vol.slices) == 4
-        assert vol.slices[0].t_rel == pytest.approx(0.5)
-        assert vol.slices[-1].t_rel == pytest.approx(2.0)
+        assert vol.member.shape == (4, len(vol.shapes))
+        assert vol.t_rel[0] == pytest.approx(0.5)
+        assert vol.t_rel[-1] == pytest.approx(2.0)
         # Early slices near x=3 see only the near circle.
-        assert vol.slices[0].shapes == [m.shapes()[0]] or len(vol.slices[0].shapes) == 1
+        assert volume_lists(vol)[0] == [m.shapes()[0]]
 
     def test_tau_must_divide_horizon(self):
         m = LocalMap()
@@ -269,6 +294,50 @@ class TestMovingVolume:
         control = np.zeros((8, 2))
         traj = TrajectorySpline(3, 0.0, 1.0, control)
         vol = build_moving_volume(m, traj, 0.0, 1.0, 0.5, window_radius=3.0)
-        for vs in vol.slices:
-            assert len(vs.shapes) == 1
-            assert vs.shapes[0].center[0] == pytest.approx(1.0)
+        assert vol.shapes == [near]
+        assert vol.member.all()
+
+    def test_window_rim_is_inside(self):
+        # Window centers 1..3 are exactly (2, 0), (2.5, 0) and (3, 0), and so
+        # are these distances: 5 from slice 1, 5 and two ulps past 5 from
+        # slice 3, and 5 = |(3, -4)| from slice 3.
+        control = np.stack([np.linspace(0, 7, 8), np.zeros(8)], axis=1)
+        traj = TrajectorySpline(3, 0.0, 1.0, control)
+        shapes = [Circle([-3.0, 0.0], 0.2), Circle([8.0, 0.0], 0.2),
+                  Circle([np.nextafter(8.0, 9.0), 0.0], 0.2),
+                  Circle([6.0, -4.0], 0.2)]
+        vol = build_moving_volume(ShapeList(shapes), traj, 3.0, 2.0, 0.5, 5.0)
+        assert vol.centers[1:].tolist() == [[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]]
+        assert vol.shapes == [shapes[0], shapes[1], shapes[3]]
+        assert vol.member.tolist() == [[True, False, False],
+                                       [True, False, False],
+                                       [False, False, False],
+                                       [False, True, True]]
+
+    def test_mask_matches_per_slice_loop(self):
+        # Shapes at random and on the windows' rims up to rounding.
+        rng = np.random.default_rng(71)
+        radius = 5.0
+        for _ in range(30):
+            traj = TrajectorySpline(3, 0.0, 1.0,
+                                    rng.uniform(-4.0, 4.0, size=(8, 2)))
+            t_now = float(rng.uniform(2.0, 4.0))
+            t_rel = 0.1 * np.arange(1, 41)
+            path = traj.positions(np.clip(t_now + t_rel, *traj.domain))
+            shapes = []
+            for _ in range(int(rng.integers(0, 12))):
+                c = rng.uniform(-10.0, 10.0, size=2)
+                shapes.append(Circle(c, 0.3) if rng.random() < 0.5 else
+                              Triangle(c + rng.uniform(-1, 1, size=(3, 2))))
+            for k in rng.integers(0, len(path), size=8):
+                th = rng.uniform(0, 2 * np.pi)
+                shapes.append(Circle(
+                    path[k] + radius * np.array([np.cos(th), np.sin(th)]), 0.2))
+            rng.shuffle(shapes)
+            vol = build_moving_volume(ShapeList(shapes), traj, t_now, 4.0,
+                                      0.1, radius)
+            want = oracle_volume_lists(shapes, traj, t_now, 4.0, 0.1, radius)
+            assert volume_lists(vol) == want
+            assert vol.shapes == [s for s in shapes
+                                  if any(s is t for lst in want for t in lst)]
+            assert np.array_equal(vol.centers, path)

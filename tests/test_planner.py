@@ -318,9 +318,26 @@ class TestEndTime:
         assert got == pytest.approx(4.0)
 
     def test_zero_acceleration_rejected(self):
+        # symmetric_limits refuses this box, so pass it raw.
         with pytest.raises(ValueError):
             _comfortable_arrival(np.zeros(2), np.array([1.0, 0.0]),
-                                 symmetric_limits({2: 0.0}), 1.0)
+                                 {2: (np.zeros(2), np.zeros(2))}, 1.0)
+
+
+def stacked_region(polytopes, tau=0.1):
+    """Feasible SafeRegion with slice k's static and final planes those of
+    polytopes[k], NaN-padded to the widest."""
+    n_slices = len(polytopes)
+    counts = np.array([len(p) for p in polytopes])
+    normals = np.full((n_slices, counts.max(), 2), np.nan)
+    offsets = np.full((n_slices, counts.max()), np.nan)
+    for k, p in enumerate(polytopes):
+        normals[k, :len(p)] = p.normals
+        offsets[k, :len(p)] = p.offsets
+    stack = PlaneStack(normals, offsets, counts)
+    return SafeRegion(t_rel=tau * np.arange(1, n_slices + 1),
+                      seeds=np.zeros((n_slices, 2)), planes=stack, static=stack,
+                      feasible=np.ones(n_slices, dtype=bool), tau=tau)
 
 
 def wall_region(tau=0.1, n_slices=40, x_wall=2.0):
@@ -328,13 +345,7 @@ def wall_region(tau=0.1, n_slices=40, x_wall=2.0):
               Halfplane(np.array([-1.0, 0.0]), 20.0),
               Halfplane(np.array([0.0, 1.0]), 20.0),
               Halfplane(np.array([0.0, -1.0]), 20.0)]
-    poly = ConvexPolytope(planes)
-    stack = PlaneStack(np.tile(poly.normals, (n_slices, 1, 1)),
-                       np.tile(poly.offsets, (n_slices, 1)),
-                       np.full(n_slices, len(poly)))
-    return SafeRegion(t_rel=tau * np.arange(1, n_slices + 1),
-                      seeds=np.zeros((n_slices, 2)), planes=stack, static=stack,
-                      feasible=np.ones(n_slices, dtype=bool), tau=tau)
+    return stacked_region([ConvexPolytope(planes)] * n_slices, tau)
 
 
 def base_request(**kw):
@@ -566,7 +577,7 @@ class TestHelpers:
         region = wall_region()
         near = Circle([1.0, 0.0], 0.5)
         outside_wall = Circle([30.0, 0.0], 0.5)
-        got = admit_obstacles([near, outside_wall, near], region)
+        got = admit_obstacles([near, outside_wall], region)
         assert got == [near]
 
     def test_admit_requires_regions(self):
@@ -590,3 +601,76 @@ class TestHelpers:
         step1 = np.linalg.norm(controls[1] - controls[0])
         step2 = np.linalg.norm(controls[2] - controls[1])
         assert step2 <= step1 + 1e-9
+
+
+def oracle_admit(shapes, regions):
+    """Shapes x slices, one static polytope at a time."""
+    out = []
+    for s in shapes:
+        for sl in regions.slices:
+            poly = sl.static_polytope
+            if np.all(poly.offsets + s.support(-poly.normals) >= 0.0):
+                out.append(s)
+                break
+    return out
+
+
+class TestAdmitParity:
+    """The stacked support test admits what the per-slice loop admits."""
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(61)
+        admitted = offered = 0
+        for _ in range(200):
+            polytopes = []
+            for _ in range(int(rng.integers(1, 7))):
+                th = rng.uniform(0, 2 * np.pi, size=int(rng.integers(1, 9)))
+                polytopes.append(ConvexPolytope([
+                    Halfplane(np.array([np.cos(a), np.sin(a)]),
+                              float(rng.uniform(-1.0, 3.0))) for a in th]))
+            shapes = []
+            for _ in range(int(rng.integers(1, 10))):
+                c = rng.uniform(-6.0, 6.0, size=2)
+                kind = rng.integers(3)
+                if kind == 0:
+                    shapes.append(Circle(c, float(rng.uniform(0.1, 1.5))))
+                elif kind == 1:
+                    h = float(rng.uniform(0.1, 1.0))
+                    shapes.append(Square(c + h * np.array(
+                        [[-1, -1], [1, -1], [1, 1], [-1, 1]])))
+                else:
+                    shapes.append(Triangle(c + rng.uniform(-1, 1, size=(3, 2))))
+            region = stacked_region(polytopes)
+            got = admit_obstacles(shapes, region)
+            assert got == oracle_admit(shapes, region)
+            admitted += len(got)
+            offered += len(shapes)
+        assert 0.2 * offered < admitted < 0.8 * offered
+
+    def test_touching_shapes_and_padded_slices(self):
+        # Slice 0 is the unit box, padded to slice 1's five planes; slice 1
+        # adds x + y <= 1.5, which separates every shape below.  A shape that
+        # touches the box from outside (offset + support == 0, exact with
+        # axis normals) is admitted by slice 0 alone.
+        box = [Halfplane(np.array([1.0, 0.0]), 1.0),
+               Halfplane(np.array([-1.0, 0.0]), 1.0),
+               Halfplane(np.array([0.0, 1.0]), 1.0),
+               Halfplane(np.array([0.0, -1.0]), 1.0)]
+        cut = box + [Halfplane(np.array([1.0, 1.0]), 1.5)]
+        touch = [Circle([2.0, 1.0], 1.0), Circle([1.5, 2.0], 1.0),
+                 Square([[1.0, 0.9], [2.0, 0.9], [2.0, 1.9], [1.0, 1.9]]),
+                 Triangle([[1.0, 1.0], [2.0, 1.5], [1.5, 2.0]])]
+        gap = 2.0 ** -30
+        apart = [Circle([2.0 + gap, 1.0], 1.0),
+                 Square([[1.0 + gap, 0.9], [2.0, 0.9], [2.0, 1.9],
+                         [1.0 + gap, 1.9]]),
+                 Triangle([[1.0, 1.0 + gap], [2.0, 1.5], [1.5, 2.0]])]
+        shapes = [touch[0], apart[0], touch[1], apart[1], touch[2], apart[2],
+                  touch[3]]
+        assert admit_obstacles(shapes, stacked_region([ConvexPolytope(cut)])) == []
+        for polytopes in ([ConvexPolytope(box), ConvexPolytope(cut)],
+                          [ConvexPolytope(cut), ConvexPolytope(box)]):
+            region = stacked_region(polytopes)
+            assert region.static.counts.tolist() == [len(p) for p in polytopes]
+            got = admit_obstacles(shapes, region)
+            assert got == oracle_admit(shapes, region) == touch

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolytope,
                                 Halfplane, Square, Triangle, axis_rectangle,
                                 oriented_rectangle)
-from swarmplan.perception import MovingVolume, VolumeSlice
+from swarmplan.perception import MovingVolume
 from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
                                   PredictionConfig, SquareFootprint,
                                   footprint_from_size)
@@ -26,6 +26,24 @@ def axis_square(center, side):
     h = side / 2.0
     return Square([[cx - h, cy - h], [cx + h, cy - h],
                    [cx + h, cy + h], [cx - h, cy + h]])
+
+
+def volume_of(centers, shape_lists, tau):
+    """Moving volume whose slice k holds the shapes of shape_lists[k]; the
+    volume lists each shape once, in order of first appearance."""
+    shapes = list({id(s): s for lst in shape_lists for s in lst}.values())
+    member = np.array([[any(s is t for t in lst) for s in shapes]
+                       for lst in shape_lists], dtype=bool)
+    return MovingVolume(t_rel=tau * np.arange(1, len(shape_lists) + 1),
+                        centers=np.array(centers, dtype=float),
+                        shapes=shapes,
+                        member=member.reshape(len(shape_lists), len(shapes)),
+                        tau=tau)
+
+
+def slice_shapes(volume, k):
+    """Slice k's shapes, as the per-slice oracles list them."""
+    return [volume.shapes[j] for j in np.flatnonzero(volume.member[k])]
 
 
 def box_polytope(half):
@@ -260,11 +278,8 @@ class TestEmptiness:
 
 class TestBuildSafeRegions:
     def make_volume(self, shapes_per_slice, tau=0.1, center=(0.0, 0.0)):
-        slices = [VolumeSlice(t_rel=tau * (k + 1), center=np.array(center, float),
-                              shapes=list(s))
-                  for k, s in enumerate(shapes_per_slice)]
-        return MovingVolume(slices=slices, tau=tau,
-                            horizon=tau * len(shapes_per_slice))
+        return volume_of([center] * len(shapes_per_slice), shapes_per_slice,
+                         tau)
 
     def track_at(self, pos, vel, stamp=0.0, size=(0.3,)):
         return PeerTrack(PeerState(stamp=stamp, position=np.array(pos, float),
@@ -480,33 +495,33 @@ def oracle_empty(poly, probe):
 
 def oracle_build(volume, tracks, ego, now, cfg, previous=None):
     """[(polytope, static polytope, feasible)] per slice."""
-    times = np.array([now + s.t_rel for s in volume.slices])
+    times = np.array([now + t for t in volume.t_rel])
     paths = [(tr.predict_positions(times),
               footprint_from_size(tr.latest.size or (0.1,))) for tr in tracks]
     out = []
-    for k, vs in enumerate(volume.slices):
+    for k, (t_rel, seed) in enumerate(zip(volume.t_rel, volume.centers)):
         feasible = True
         try:
-            poly = oracle_seed_region(vs.center, vs.shapes, cfg)
+            poly = oracle_seed_region(seed, slice_shapes(volume, k), cfg)
         except SeedInsideObstacle:
             if previous is not None:
-                j = min(max(int(round(vs.t_rel / volume.tau)) - 1, 0),
+                j = min(max(int(round(t_rel / volume.tau)) - 1, 0),
                         len(previous) - 1)
                 _, poly, feasible = previous[j]
             else:
                 poly = ConvexPolytope([
-                    Halfplane(np.array([1.0, 0.0]), vs.center[0] + cfg.r_max),
-                    Halfplane(np.array([-1.0, 0.0]), -vs.center[0] + cfg.r_max),
-                    Halfplane(np.array([0.0, 1.0]), vs.center[1] + cfg.r_max),
-                    Halfplane(np.array([0.0, -1.0]), -vs.center[1] + cfg.r_max)])
+                    Halfplane(np.array([1.0, 0.0]), seed[0] + cfg.r_max),
+                    Halfplane(np.array([-1.0, 0.0]), -seed[0] + cfg.r_max),
+                    Halfplane(np.array([0.0, 1.0]), seed[1] + cfg.r_max),
+                    Halfplane(np.array([0.0, -1.0]), -seed[1] + cfg.r_max)])
                 feasible = False
         static = poly
         for path, fp in paths:
-            poly, ok = oracle_contract(poly, vs.center, path[k], fp,
+            poly, ok = oracle_contract(poly, seed, path[k], fp,
                                        cfg.peer_margin)
             feasible = feasible and ok
         poly = oracle_deflate(poly, ego)
-        if feasible and oracle_empty(poly, vs.center):
+        if feasible and oracle_empty(poly, seed):
             feasible = False
         out.append((poly, static, feasible))
     return out
@@ -545,25 +560,24 @@ def random_volume(rng, n_slices, tau=0.1, inside_frac=0.1):
     seeds = start + np.outer(tau * np.arange(1, n_slices + 1) * speed,
                              [np.cos(heading), np.sin(heading)])
     pool = random_shape_pool(rng, seeds)
-    slices = []
+    member = rng.random((n_slices, len(pool))) < 0.7
     for k, seed in enumerate(seeds):
-        members = [pool[i] for i in rng.permutation(len(pool))
-                   if rng.random() < 0.7]
         if rng.random() < inside_frac:
             # A seed inside a shape, or exactly on a circle's rim where
-            # Circle.contains and contains_many can disagree.
+            # Circle.contains and contains_many can disagree; only slice k
+            # holds it.
             th = rng.uniform(0, 2 * np.pi)
             rim = Circle(seed + 0.4 * np.array([np.cos(th), np.sin(th)]), 0.4)
-            members.insert(int(rng.integers(len(members) + 1)),
-                           rim if rng.random() < 0.5 else Circle(seed, 0.3))
-        slices.append(VolumeSlice(t_rel=tau * (k + 1), center=seed,
-                                  shapes=members))
-    return MovingVolume(slices=slices, tau=tau, horizon=tau * n_slices)
+            at = int(rng.integers(len(pool) + 1))
+            pool.insert(at, rim if rng.random() < 0.5 else Circle(seed, 0.3))
+            member = np.insert(member, at, np.arange(n_slices) == k, axis=1)
+    return MovingVolume(t_rel=tau * np.arange(1, n_slices + 1), centers=seeds,
+                        shapes=pool, member=member, tau=tau)
 
 
 def random_tracks(rng, volume, pcfg):
     tracks = []
-    seeds = np.array([vs.center for vs in volume.slices])
+    seeds = volume.centers
     for _ in range(int(rng.integers(1, 6))):
         size = (0.3,) if rng.random() < 0.5 else (0.1, 0.2, 0.3)
         p0 = seeds[rng.integers(len(seeds))] + rng.uniform(-1.5, 1.5, size=2)
@@ -619,10 +633,10 @@ class TestOnePassParity:
         cfg = RegionConfig()
         vol = random_volume(rng, 40, inside_frac=0.0)
         tracks = []
-        for vs in vol.slices:
+        for seed in vol.centers:
             th = rng.uniform(0, 2 * np.pi)
             tracks.append(TestBuildSafeRegions().track_at(
-                vs.center + 0.3 * np.array([np.cos(th), np.sin(th)]),
+                seed + 0.3 * np.array([np.cos(th), np.sin(th)]),
                 [0.0, 0.0], size=(0.3,)))
         ego = CircleFootprint(0.2)
         region = build_safe_regions(vol, tracks, ego, 0.0, cfg)
@@ -633,16 +647,15 @@ class TestOnePassParity:
         # seed; rounding of the distances decides which one the cap drops.
         rng = np.random.default_rng(41)
         cfg = RegionConfig(max_planes=7)
-        slices = []
+        seeds, rings = [], []
         for k in range(40):
             seed = rng.uniform(-3, 3, size=2)
             d = rng.uniform(1.0, 3.0)
             th = 2 * np.pi * np.arange(0, 16, 2) / 16
-            ring = [Circle(seed + d * np.array([np.cos(a), np.sin(a)]), 0.3)
-                    for a in th]
-            slices.append(VolumeSlice(t_rel=0.1 * (k + 1), center=seed,
-                                      shapes=ring))
-        vol = MovingVolume(slices=slices, tau=0.1, horizon=4.0)
+            seeds.append(seed)
+            rings.append([Circle(seed + d * np.array([np.cos(a), np.sin(a)]),
+                                 0.3) for a in th])
+        vol = volume_of(seeds, rings, 0.1)
         ego = CircleFootprint(0.2)
         region = build_safe_regions(vol, [], ego, 0.0, cfg)
         assert_same_regions(region, oracle_build(vol, [], ego, 0.0, cfg))
@@ -686,20 +699,21 @@ class TestOnePassParity:
         for _ in range(10):
             vol = random_volume(rng, 8, inside_frac=0.0)
             tracks = random_tracks(rng, vol, pcfg)
-            for k, vs in enumerate(vol.slices):
+            for k, (t_rel, seed) in enumerate(zip(vol.t_rel, vol.centers)):
+                shapes = slice_shapes(vol, k)
                 try:
-                    want = oracle_seed_region(vs.center, vs.shapes, cfg)
+                    want = oracle_seed_region(seed, shapes, cfg)
                 except SeedInsideObstacle:
                     with pytest.raises(SeedInsideObstacle):
-                        seed_region(vs.center, vs.shapes, cfg)
+                        seed_region(seed, shapes, cfg)
                     continue
-                got = seed_region(vs.center, vs.shapes, cfg)
+                got = seed_region(seed, shapes, cfg)
                 for tr in tracks:
-                    peer = tr.predict_positions(np.array([vs.t_rel]))[0]
+                    peer = tr.predict_positions(np.array([t_rel]))[0]
                     fp = footprint_from_size(tr.latest.size)
-                    want, ok_want = oracle_contract(want, vs.center, peer, fp,
+                    want, ok_want = oracle_contract(want, seed, peer, fp,
                                                     cfg.peer_margin)
-                    got, ok = contract_for_peer(got, vs.center, peer, fp,
+                    got, ok = contract_for_peer(got, seed, peer, fp,
                                                 cfg.peer_margin)
                     assert ok == ok_want
                     assert np.array_equal(got.normals, want.normals)
@@ -708,8 +722,8 @@ class TestOnePassParity:
                     a, b = deflate_for_ego(got, fp), oracle_deflate(want, fp)
                     assert np.array_equal(a.normals, b.normals)
                     assert np.array_equal(a.offsets, b.offsets)
-                    assert (region_is_empty(a, probe=vs.center)
-                            == oracle_empty(b, vs.center))
+                    assert (region_is_empty(a, probe=seed)
+                            == oracle_empty(b, seed))
 
 
 class TestMarchWindow:

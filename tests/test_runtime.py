@@ -39,6 +39,15 @@ class TestLimitsAndConfig:
         lim = symmetric_limits({1: ([-1, -2], [3, 4])})
         assert np.allclose(lim[1][0], [-1, -2]) and np.allclose(lim[1][1], [3, 4])
 
+    def test_boxes_must_hold_rest(self):
+        assert list(symmetric_limits({"2": 1.0})) == [2]
+        for box in (([1, 1], [2, 2]), ([-1, -1], [0, 3]), ([-1, 0], [1, 1]),
+                    ([-1, -1], [-0.5, 1])):
+            with pytest.raises(ValueError, match="lo < 0 < hi"):
+                symmetric_limits({1: box})
+        with pytest.raises(ValueError):
+            symmetric_limits({2: 0.0})
+
     def test_tau_must_divide_horizon(self):
         with pytest.raises(ValueError):
             AgentConfig(t_h=4.0, tau=0.3)

@@ -142,6 +142,30 @@ class TestParsing:
             AgentSpec(start=(0, 0), goal=(5, 0),
                       waypoints=[(2.0, (1, 0)), (1.0, (2, 0))])
 
+    def agent_error(self, bad_agent):
+        """Parse a document whose second agent, on line 4, is `bad_agent`;
+        returns the one error's line and message."""
+        text = ('{\n  "agents": [\n    ' + json.dumps(MINIMAL["agents"][0])
+                + ',\n    ' + json.dumps(bad_agent) + '\n  ]\n}\n')
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text, source="bad.json")
+        (line, path, msg), = exc.value.errors
+        assert path == "agents.1" and "bad.json" in str(exc.value)
+        return line, msg
+
+    def test_limit_box_without_rest_reports_agent_line(self):
+        # The velocity box [1, 0] x [1, 0] excludes rest: its tightest bound
+        # is 0, which the arrival-time heuristic would divide by.
+        line, msg = self.agent_error({"start": [5.0, 0.0], "goal": [8.0, 0.0],
+                                      "limits": {"1": [[1, 1], [0, 0]]}})
+        assert line == 4 and "lo < 0 < hi" in msg
+
+    def test_decreasing_waypoint_stamps_report_agent_line(self):
+        line, msg = self.agent_error({
+            "start": [5.0, 0.0], "goal": [8.0, 0.0],
+            "waypoints": [{"t": 2.0, "pos": [6, 0]}, {"t": 1.0, "pos": [7, 0]}]})
+        assert line == 4 and "increasing" in msg
+
 
 class TestLineIndex:
     def test_paths_map_to_their_lines(self):
