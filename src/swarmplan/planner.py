@@ -481,7 +481,10 @@ def plan_with_fallback(req, w):
         return finish(req.previous, "fallback")
     for status in ("optimal", "relaxed"):
         if status == "relaxed":
-            fixed = len(problem.A_in) - len(_limit_rows(req, layout, False)[0])
+            # The dense limit rows close A_in: an x and a y row per
+            # derivative control point of each limited order.
+            fixed = len(problem.A_in) - sum(2 * (layout.m - order)
+                                            for order in req.limits)
             A, lo, hi = _limit_rows(req, layout, sampled=True)
             problem = replace(
                 problem, A_in=np.concatenate([problem.A_in[:fixed], A]),

@@ -10,19 +10,28 @@ step below works in the identity metric.
 The dual active-set method (Goldfarb & Idnani, Math. Programming 27, 1983)
 then starts at the unconstrained minimizer w = -c, which is dual feasible
 with no rows active, and keeps dual feasibility throughout: each step adds
-the most violated one-sided row (ties to the lowest index) and moves the
-primal point and the multipliers along the path that keeps the active rows
-tight.  When a multiplier reaches zero first, that row is dropped (a partial
-step) and the same row is tried again.  A violated row that gives a zero
-primal step while no active multiplier can shrink is a Farkas certificate
-of infeasibility.  No feasible start is needed, so there is no phase 1.  The
-reduced dimension is small, so the active-set system is re-solved by QR at
-each step rather than updated.
+a violated one-sided row and moves the primal point and the multipliers
+along the path that keeps the active rows tight.  When a multiplier reaches
+zero first, that row is dropped (a partial step) and the same row is tried
+again.  A violated row that gives a zero primal step while no active
+multiplier can shrink is a Farkas certificate of infeasibility.  No
+feasible start is needed, so there is no phase 1.
+
+The row added is the one with the largest violation per unit norm in the
+reduced space (ties to the lowest index; a zero row keeps its raw
+violation), so the path does not depend on how a row is scaled.  The
+factors of the active set are updated, not rebuilt: an orthonormal J whose
+first q columns span the active rows, and an upper-triangular R with
+B_active' = J[:, :q] R, kept together with its inverse.  Adding a row is one
+Householder reflection of J[:, q:] and a new column of R; dropping one is a
+sweep of Givens rotations that re-triangularizes R, applied to the columns
+of J and of R^-1 alike.
 
 Everything is plain numpy with fixed tie-breaking, so identical inputs give
 bitwise-identical solutions.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,54 +133,85 @@ def solve_qp(problem):
     B = G @ M
     d = h - G @ x0
     tol = _VIOL_TOL * (1.0 + np.abs(h).max(initial=0.0))
+    norms = np.sqrt(np.square(B).sum(axis=1))
+    norms[norms == 0.0] = 1.0
 
-    active, u, j = [], np.zeros(0), None
+    # J (orthonormal) and Rinv = R^-1 stacked, so that one rotation of
+    # their shared columns moves both; u[:q] are the active multipliers.
+    p = B.shape[1]
+    JR = np.zeros((2 * p, p))
+    J, Rinv = JR[:p], JR[p:]
+    J[:] = np.eye(p)
+    R = np.zeros((p, p))
+    u = np.zeros(p)
+    active, j = [], None
     status, it, max_iter = "maxiter", 0, 50 + 10 * (n + len(G))
     while True:
         if j is None:
             viol = B @ w - d
             viol[active] = -np.inf
-            if np.all(viol <= tol):
+            if (viol <= tol).all():
                 status = "optimal"
                 break
-            j, t_plus = int(np.argmax(viol)), 0.0
+            j = int(np.where(viol > tol, viol / norms, -np.inf).argmax())
+            t_plus = 0.0
         if it == max_iter:
             break
         it += 1
         # Path that raises row j's multiplier t_plus while the active rows
         # stay tight: w moves along z and the active multipliers along r.
-        Qa, R = np.linalg.qr(B[active].T)
-        v = Qa.T @ B[j]
-        z = Qa @ v - B[j]
-        r = -np.linalg.solve(R, v)
-        shrink = r < 0.0
-        ratios = np.full(len(u), np.inf)
-        ratios[shrink] = u[shrink] / -r[shrink]
-        t_dual = ratios.min(initial=np.inf)
-        full = np.linalg.norm(z) > _ZERO_STEP * np.linalg.norm(B[j])
+        q = len(active)
+        v = B[j] @ J
+        z = J[:, q:] @ -v[q:]
+        r = Rinv[:q, :q] @ -v[:q]
+        ratios = np.full(q + 1, np.inf)
+        np.divide(u[:q], -r, out=ratios[:q], where=r < 0.0)
+        drop = int(ratios.argmin())
+        t_dual = ratios[drop]
+        z_norm = math.sqrt(v[q:] @ v[q:])
+        full = z_norm > _ZERO_STEP * norms[j]
         if not full and t_dual == np.inf:
             status = "infeasible"
             break
-        t_primal = (B[j] @ w - d[j]) / (z @ z) if full else np.inf
+        t_primal = (B[j] @ w - d[j]) / z_norm**2 if full else np.inf
         t = min(t_primal, t_dual)
         if full:
             w = w + t * z
-        u = np.maximum(u + t * r, 0.0)
+        u[:q] = np.maximum(u[:q] + t * r, 0.0)
         t_plus += t
         if t_primal <= t_dual:
+            # Reflect v[q:] onto alpha e_1: J[:, q] joins the active span.
+            alpha = -math.copysign(z_norm, v[q])
+            house = v[q:].copy()
+            house[0] -= alpha
+            J[:, q:] -= np.outer(J[:, q:] @ house,
+                                 house / (z_norm**2 - alpha * v[q]))
+            R[:q, q] = v[:q]
+            R[q, q] = alpha
+            Rinv[:q, q] = r / alpha
+            Rinv[q, q] = 1.0 / alpha
+            u[q] = t_plus
             active.append(j)
-            u = np.append(u, t_plus)
             j = None
         else:
-            drop = int(np.argmin(ratios))
+            # Delete the row's column of R and row of R^-1, then rotate the
+            # Hessenberg remainder of R back to upper-triangular form.
             del active[drop]
-            u = np.delete(u, drop)
+            u[drop:q - 1] = u[drop + 1:q]
+            R[:, drop:q - 1] = R[:, drop + 1:q]
+            Rinv[drop:q - 1] = Rinv[drop + 1:q]
+            for i in range(drop, q - 1):
+                c, s = R[i, i], R[i + 1, i]
+                rot = np.array([[c, s], [-s, c]]) / math.hypot(c, s)
+                R[i:i + 2, i:q - 1] = rot @ R[i:i + 2, i:q - 1]
+                JR[:, i:i + 2] = JR[:, i:i + 2] @ rot.T
+            R[q - 1] = R[:, q - 1] = Rinv[q - 1] = Rinv[:, q - 1] = 0.0
 
     x = x0 + M @ w
-    duals[active] = u
+    duals[active] = u[:len(active)]
     stationarity = np.inf
     if status == "optimal":
-        g = problem.H @ x + problem.F + G[active].T @ u
+        g = problem.H @ x + problem.F + G[active].T @ u[:len(active)]
         stationarity = float(np.abs(Z @ (Z.T @ g)).max())
     return QPSolution(x=x, status=status, iterations=it,
                       stationarity=stationarity, duals_in=duals,

@@ -302,19 +302,24 @@ class Scenario:
             raise ValueError("duration must be nonnegative")
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
-        self._check_start_overlap()
+        overlaps = _start_overlaps(self.agents)
+        if overlaps:
+            raise ValueError(overlaps[0][1])
 
-    def _check_start_overlap(self):
-        placed = [(a.start, footprint_from_size(a.footprint).circumradius)
-                  for a in self.agents if a.start is not None]
-        for i in range(len(placed)):
-            for j in range(i + 1, len(placed)):
-                gap = (np.linalg.norm(placed[i][0] - placed[j][0])
-                       - placed[i][1] - placed[j][1])
-                if gap <= 0:
-                    raise ValueError(
-                        f"agent starts overlap after footprint inflation "
-                        f"(gap {gap:.3f} m)")
+
+def _start_overlaps(agents):
+    """(j, message) for each pair i < j of fixed starts that overlap after
+    footprint inflation; i and j index `agents`."""
+    placed = [(i, a.start, footprint_from_size(a.footprint).circumradius)
+              for i, a in enumerate(agents) if a.start is not None]
+    out = []
+    for k, (i, start_i, radius_i) in enumerate(placed):
+        for j, start_j, radius_j in placed[k + 1:]:
+            gap = np.linalg.norm(start_i - start_j) - radius_i - radius_j
+            if gap <= 0:
+                out.append((j, f"agents {i} and {j} start overlap after "
+                               f"footprint inflation (gap {gap:.3f} m)"))
+    return out
 
 
 # --- shapes <-> JSON --------------------------------------------------------
@@ -396,11 +401,15 @@ def parse_scenario(text, source="<string>"):
                 limits=spec.get("limits"),
             ))
         except ValueError as exc:
-            bad.append((i, str(exc)))
+            bad.append((("agents", i), str(exc)))
+    if not bad:
+        bad = [(("agents", j, "start"), msg)
+               for j, msg in _start_overlaps(agents)]
     if bad:
         lines = index_json_lines(text)
-        raise ScenarioError(source, [(lines.get(("agents", i), 1),
-                                      f"agents.{i}", msg) for i, msg in bad])
+        raise ScenarioError(source, [
+            (lines.get(path, 1), ".".join(map(str, path)), msg)
+            for path, msg in bad])
     try:
         return Scenario(
             agents=agents,

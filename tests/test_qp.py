@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from swarmplan.qp import QPProblem, QPSolution, solve_qp
+from swarmplan.qp import QPProblem, QPSolution, _one_sided, solve_qp
 
 
 def random_feasible_qp(rng, n=None, with_eq=True, with_ineq=True):
@@ -51,6 +52,10 @@ def check_kkt(p, sol, tol=1e-6):
         assert np.all(v >= p.lower - tol)
     assert sol.stationarity < tol * max(1.0, np.abs(p.H).max())
     assert np.all(sol.duals_in >= 0.0)
+    # Complementary slackness: only tight rows carry a multiplier.
+    G, h = _one_sided(p.A_in, p.lower, p.upper)
+    slack = np.abs(sol.duals_in * (h - G @ x)).max(initial=0.0)
+    assert slack < tol * max(1.0, np.abs(p.H).max())
 
 
 def sample_feasible_points(p, x_feas, rng, count=40):
@@ -188,6 +193,59 @@ class TestRandomProblems:
             assert a.working_set == b.working_set
 
 
+class TestPivot:
+    def test_row_scaling_keeps_path(self):
+        # The added row is the one with the largest violation per unit
+        # norm, so scaling rows of A_in with their bounds changes nothing.
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            p, _ = random_feasible_qp(rng)
+            scale = 10.0 ** rng.integers(-3, 4, size=len(p.A_in))
+            scale[rng.random(len(scale)) < 0.5] = 1.0
+            q = QPProblem(H=p.H, F=p.F, A_eq=p.A_eq, b_eq=p.b_eq,
+                          A_in=p.A_in * scale[:, None], lower=p.lower * scale,
+                          upper=p.upper * scale)
+            a, b = solve_qp(p), solve_qp(q)
+            assert (a.status, a.iterations) == (b.status, b.iterations)
+            assert a.working_set == b.working_set
+            assert np.abs(a.x - b.x).max() <= 1e-12 * max(1.0, np.abs(a.x).max())
+
+    def test_ties_and_zero_rows(self):
+        # From x = 3, x <= 1 and 2x <= 2 both violate by 2 per unit norm:
+        # the lower index is added, which satisfies the other.
+        p = QPProblem(H=np.eye(1), F=np.array([-3.0]),
+                      A_in=np.array([[1.0], [2.0]]), upper=np.array([1.0, 2.0]))
+        sol = solve_qp(p)
+        assert (sol.status, sol.iterations, sol.working_set) == ("optimal", 1, [0])
+        # The zero row 0 <= -1 keeps its raw violation 1, so x <= 1 (2 per
+        # unit norm) is added first; the zero row then certifies infeasibility.
+        p = QPProblem(H=np.eye(1), F=np.array([-3.0]),
+                      A_in=np.array([[0.0], [1.0]]), upper=np.array([-1.0, 1.0]))
+        sol = solve_qp(p)
+        assert (sol.status, sol.iterations, sol.working_set) == ("infeasible", 2, [1])
+
+    def test_nearly_dependent_rows_drop_often(self):
+        # Many rows within 1e-5 of a subspace of lower dimension: adding
+        # one often zeroes the multiplier of a nearly parallel active row,
+        # so most solves drop rows and re-triangularize.
+        rng = np.random.default_rng(13)
+        drops = 0
+        for _ in range(40):
+            n = int(rng.integers(4, 12))
+            m = int(rng.integers(3 * n, 8 * n))
+            k = int(rng.integers(2, n))
+            A = rng.normal(size=(n, n))
+            A_in = (rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+                    + 1e-5 * rng.normal(size=(m, n)))
+            p = QPProblem(H=A.T @ A + 1e-3 * np.eye(n),
+                          F=30.0 * rng.normal(size=n), A_in=A_in,
+                          upper=rng.uniform(0.0, 1.0, size=m))
+            sol = solve_qp(p)
+            check_kkt(p, sol, tol=1e-8)
+            drops += (sol.iterations - len(sol.working_set)) // 2
+        assert drops >= 100
+
+
 class TestInfeasible:
     def test_box_conflict(self):
         # x <= -1 and x >= 1 cannot hold.
@@ -288,3 +346,49 @@ class TestRecordedCorridorCross:
                              ("H", "F", "A_eq", "b_eq", "A_in", "lower", "upper")})
         sol = solve_qp(p)
         check_kkt(p, sol, tol=1e-8)
+
+
+def lp_feasible(p):
+    """HiGHS verdict on the constraints of `p` alone."""
+    up, lo = np.isfinite(p.upper), np.isfinite(p.lower)
+    res = linprog(np.zeros(p.n),
+                  A_ub=np.vstack([p.A_in[up], -p.A_in[lo]]),
+                  b_ub=np.concatenate([p.upper[up], -p.lower[lo]]),
+                  A_eq=p.A_eq, b_eq=p.b_eq, bounds=(None, None),
+                  method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+class TestRecordedClutterWaypoints:
+    """Planner QPs of the clutter_waypoints bench window.
+
+    Recorded at commit ab01655, seed 0 (`perfbench/run.py`
+    `window("clutter_waypoints", 30)` through `execute`), with
+    `swarmplan.planner.solve_qp` monkeypatched to append the seven
+    QPProblem arrays of each call to a list; keys are `s<call index>_<field>`
+    with zero-based call indices.  Of the window's 299 solves, 198 end
+    infeasible, and HiGHS agrees with every verdict.  Kept here: the first
+    infeasible solve (1), the optimal and infeasible solves on which this
+    solver drops rows most often (5, 10, 49 with 8, 6 and 7 drops; 272 and
+    279 with 8 and 6),
+    the optimal solve with the most rows (169) and the last optimal one
+    (298).
+    """
+
+    DATA = Path(__file__).parent / "data" / "qp_clutter_waypoints.npz"
+
+    @pytest.mark.parametrize("index,status", [
+        (1, "infeasible"), (5, "optimal"), (10, "optimal"), (49, "optimal"),
+        (169, "optimal"), (272, "infeasible"), (279, "infeasible"),
+        (298, "optimal")])
+    def test_status_certified(self, index, status):
+        with np.load(self.DATA) as data:
+            p = QPProblem(**{k: data[f"s{index}_{k}"] for k in
+                             ("H", "F", "A_eq", "b_eq", "A_in", "lower", "upper")})
+        sol = solve_qp(p)
+        assert sol.status == status
+        if status == "optimal":
+            check_kkt(p, sol, tol=1e-8)
+        else:
+            assert not lp_feasible(p)

@@ -137,6 +137,17 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="overlap"):
             parse_scenario(json.dumps(doc))
 
+    def test_overlapping_starts_report_later_start_line(self):
+        # Two 0.3 m footprints 0.5 m apart: reported at agent 1's start.
+        text = ('{\n  "agents": [\n    {"start": [0.0, 0.0], "goal": [3, 0]},\n'
+                '    {"goal": [3, 2],\n     "start": [0.5, 0.0]}\n  ]\n}\n')
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text, source="bad.json")
+        (line, path, msg), = exc.value.errors
+        assert (line, path) == (5, "agents.1.start")
+        assert msg == ("agents 0 and 1 start overlap after footprint "
+                       "inflation (gap -0.100 m)")
+
     def test_waypoint_times_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             AgentSpec(start=(0, 0), goal=(5, 0),
