@@ -52,10 +52,6 @@ class Circle:
         d = pts - self.center
         return d[:, 0] ** 2 + d[:, 1] ** 2 <= (self.radius + tol) ** 2
 
-    def boundary_samples(self, n=64):
-        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-
     def ray_distances(self, origins, dirs):
         """First-hit distances for rays origin + t*dir, t > 0; inf on miss.
 
@@ -143,16 +139,6 @@ class ConvexPolygonShape:
 
     def _boundary_dist(self, p):
         return float(np.min(self._edge_distances(p[None])))
-
-    def boundary_samples(self, n=64):
-        a, b = self._edges()
-        lens = np.linalg.norm(b - a, axis=1)
-        perim = lens.sum()
-        s = np.linspace(0.0, perim, n, endpoint=False)
-        cum = np.concatenate([[0.0], np.cumsum(lens)])
-        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
-        frac = (s - cum[idx]) / lens[idx]
-        return a[idx] + frac[:, None] * (b[idx] - a[idx])
 
     def ray_distances(self, origins, dirs):
         """First-hit distances against all edges; inf on miss."""
@@ -320,18 +306,6 @@ def segment_shape_intersections(a, b, shape):
     t = shape.ray_distances(a, u)
     crossed = (length >= 1e-12) & np.isfinite(t) & (t <= length + BOUNDARY_TOL)
     return a + np.minimum(t, length)[:, None] * u, crossed
-
-
-def ray_cast(origin, angle, shape, max_range):
-    """Distance along the ray from origin at `angle` to the shape boundary.
-
-    Returns None when the first boundary crossing is beyond max_range or absent.
-    """
-    u = np.array([np.cos(angle), np.sin(angle)])
-    t = float(shape.ray_distances(_as_point(origin)[None, :], u[None, :])[0])
-    if not np.isfinite(t) or t > max_range:
-        return None
-    return t
 
 
 def unit_rows(normals, offsets):

@@ -23,11 +23,14 @@ import numpy as np
 
 from .metrics import (RunMetrics, compute_motion_metrics, solve_time_stats,
                       write_trajectories)
-from .runtime import Agent, AgentConfig, MessageBus, broadcast
+from .runtime import TAU, Agent, AgentConfig, MessageBus, broadcast
 from .scenario import resolve_agents
-from .sensor import World, simulate_scan, simulate_swept_scan
+from .sensor import (SWEEP_RATE, World, n_beams, simulate_scan,
+                     simulate_swept_scan)
 
 __all__ = ["RunResult", "run_scenario", "build_agents"]
+
+BROADCAST_RATE = 10.0   # peer broadcasts per second
 
 
 @dataclass
@@ -78,9 +81,10 @@ def run_scenario(scenario, out_dir=None):
                      rng=np.random.default_rng(bus_seed))
     agents = build_agents(resolved, bus)
 
-    plan_rate = agents[0].config.plan_rate
-    bcast_period = 1.0 / agents[0].config.broadcast_rate
-    ticks_per_sweep = int(round(plan_rate / agents[0].config.lidar.rate))
+    plan_rate = AgentConfig.plan_rate
+    bcast_period = 1.0 / BROADCAST_RATE
+    sweep_duration = 1.0 / SWEEP_RATE
+    ticks_per_sweep = int(round(plan_rate / SWEEP_RATE))
 
     n_ticks = int(round(scenario.duration * plan_rate))
     reports = {a.index: [] for a in agents}
@@ -92,15 +96,14 @@ def run_scenario(scenario, out_dir=None):
             # knows the nearby walls.
             for a in agents:
                 a.receive_scan(simulate_scan(
-                    world, a.path.position(t), a.heading, a.config.lidar, t))
+                    world, a.path.position(t), a.heading, t))
         elif k % ticks_per_sweep == 0:
+            t0 = t - sweep_duration
+            stamps = t0 + sweep_duration * np.arange(n_beams()) / n_beams()
             for a in agents:
-                lidar = a.config.lidar
-                t0 = t - lidar.sweep_duration
-                stamps = t0 + lidar.sweep_duration * np.arange(lidar.n_beams) / lidar.n_beams
                 poses = _swept_poses(a, stamps, world.bounds)
                 a.receive_scan(simulate_swept_scan(
-                    world, poses, a.heading, lidar, t0))
+                    world, poses, a.heading, t0))
         for a in agents:
             reports[a.index].append(a.agent_cycle(t))
         while next_due <= t + 1e-9:
@@ -108,9 +111,8 @@ def run_scenario(scenario, out_dir=None):
                 broadcast(a, t)
             next_due += bcast_period
 
-    tau = agents[0].config.tau
-    n_samples = int(round(scenario.duration / tau)) + 1
-    times = np.arange(n_samples) * tau
+    n_samples = int(round(scenario.duration / TAU)) + 1
+    times = np.arange(n_samples) * TAU
     table = {}
     rows = []
     for a in agents:

@@ -15,17 +15,14 @@ from .geometry import (Circle, Square, Rectangle, Triangle,
                        circle_from_three_points, oriented_rectangle)
 from .sensor import scan_point_position
 
-
-@dataclass
-class PerceptionConfig:
-    radius_threshold: float = 100.0   # circle fits at least this large are lines
-    fit_tol: float = 0.05             # circle consistency band, meters
-    line_tol: float = 0.03            # perpendicular residual band for lines
-    min_square_side: float = 0.1      # two-point clusters become this square
-    max_classify_iters: int = 5
-    jump_distance: float = 0.3        # adjacent-return gap that splits a cluster
-    map_radius: float = 15.0          # shapes farther than this are dropped
-    window_radius: float = 5.0        # moving-volume admission distance
+RADIUS_THRESHOLD = 100.0   # circle fits at least this large are lines, m
+FIT_TOL = 0.05             # circle consistency band, m
+LINE_TOL = 0.03            # perpendicular residual band for lines, m
+MIN_SQUARE_SIDE = 0.1      # two-point clusters become this square, m
+MAX_CLASSIFY_ITERS = 5
+JUMP_DISTANCE = 0.3        # adjacent-return gap that splits a cluster, m
+MAP_RADIUS = 15.0          # shapes farther than this are dropped, m
+WINDOW_RADIUS = 5.0        # moving-volume admission distance, m
 
 
 @dataclass
@@ -42,12 +39,12 @@ class Cluster:
     closed: bool = False
 
 
-def segment_scan(scan, jump_distance=None):
+def segment_scan(scan):
     """Split a scan into clusters of consecutive finite returns.
 
     Runs wrap across the sweep seam when the field of view closes the circle,
     and additionally split wherever adjacent returns are farther apart than
-    jump_distance (occlusion boundaries between objects at different depths).
+    JUMP_DISTANCE (occlusion boundaries between objects at different depths).
     Single-return runs are discarded as speckle.  Points are placed from each
     beam's own origin pose.
     """
@@ -77,17 +74,13 @@ def segment_scan(scan, jump_distance=None):
             continue
         pts = np.stack([scan_point_position(scan.ranges[k], angles[k], origins[k])
                         for k in run])
-        if jump_distance is not None:
-            gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            pieces = np.split(np.arange(len(run)), np.flatnonzero(gaps > jump_distance) + 1)
-        else:
-            pieces = [np.arange(len(run))]
+        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        pieces = np.split(np.arange(len(run)), np.flatnonzero(gaps > JUMP_DISTANCE) + 1)
         for piece in pieces:
             if len(piece) < 2:
                 continue
             seam = float(np.linalg.norm(pts[piece[0]] - pts[piece[-1]]))
-            closed = (full_circle and len(piece) == n
-                      and seam <= (jump_distance if jump_distance is not None else 0.3))
+            closed = full_circle and len(piece) == n and seam <= JUMP_DISTANCE
             clusters.append(Cluster(points=pts[piece],
                                     median_stamp=float(np.median(stamps[run][piece])),
                                     closed=closed))
@@ -123,18 +116,18 @@ def _fit_line(points):
     return p0, u, float(np.max(np.abs(perp))), length
 
 
-def fit_rectangle(points, robot_position, line_tol=0.03):
+def fit_rectangle(points, robot_position):
     """Erect a square on a line-like cluster, away from the robot.
 
     The observed chord becomes the near side; the square extends one chord
     length on the far side from the robot.  Raises ValueError when the points
-    are not within line_tol of their chord.
+    are not within LINE_TOL of their chord.
     """
     points = np.asarray(points, dtype=float)
     robot_position = np.asarray(robot_position, dtype=float)
     p0, u, residual, length = _fit_line(points)
-    if residual > line_tol:
-        raise ValueError(f"cluster is not line-like (residual {residual:.4f} > {line_tol})")
+    if residual > LINE_TOL:
+        raise ValueError(f"cluster is not line-like (residual {residual:.4f} > {LINE_TOL})")
     if length < 1e-9:
         raise ValueError("cluster has no extent to erect a square on")
     # Project all points on the chord so partial outliers cannot shrink the side.
@@ -150,7 +143,7 @@ def fit_rectangle(points, robot_position, line_tol=0.03):
     return Square([a, b, b + side * n, a + side * n])
 
 
-def _split_corner(points, line_tol):
+def _split_corner(points):
     """Two-chord decomposition: split at the point farthest from the overall chord.
 
     Returns the corner point when both halves are line-like and their chord
@@ -168,7 +161,7 @@ def _split_corner(points, line_tol):
         return None
     a0, ua, res_a, len_a = _fit_line(points[:k + 1])
     b0, ub, res_b, len_b = _fit_line(points[k:])
-    if res_a > line_tol or res_b > line_tol or len_a < 1e-9 or len_b < 1e-9:
+    if res_a > LINE_TOL or res_b > LINE_TOL or len_a < 1e-9 or len_b < 1e-9:
         return None
     # Intersect the two chord lines.
     denom = ua[0] * ub[1] - ua[1] * ub[0]
@@ -177,7 +170,7 @@ def _split_corner(points, line_tol):
     d = b0 - a0
     t = (d[0] * ub[1] - d[1] * ub[0]) / denom
     corner = a0 + t * ua
-    if np.linalg.norm(corner - points[k]) > max(0.1, 3.0 * line_tol):
+    if np.linalg.norm(corner - points[k]) > max(0.1, 3.0 * LINE_TOL):
         return None
     return corner
 
@@ -211,7 +204,7 @@ def _polyline_breakpoints(points, tol):
     return sorted(out)
 
 
-def decompose_boundary(points, robot_position, config=None, closed=False):
+def decompose_boundary(points, robot_position, closed=False):
     """Split a wall-like run of returns into per-face pieces.
 
     Fitting one convex shape to a boundary that bends around the sensor
@@ -221,14 +214,12 @@ def decompose_boundary(points, robot_position, config=None, closed=False):
     a corner) so the seam does not cut a face in half.  Returns
     (shape, piece_points) pairs.
     """
-    if config is None:
-        config = PerceptionConfig()
     points = np.asarray(points, dtype=float)
     robot_position = np.asarray(robot_position, dtype=float)
     if closed:
         k0 = int(np.argmin(np.linalg.norm(points - robot_position, axis=1)))
         points = np.roll(points, -k0, axis=0)
-    cuts = _polyline_breakpoints(points, config.line_tol)
+    cuts = _polyline_breakpoints(points, LINE_TOL)
     bounds = [0] + cuts + [len(points) - 1]
     out = []
     for i, j in zip(bounds[:-1], bounds[1:]):
@@ -236,7 +227,7 @@ def decompose_boundary(points, robot_position, config=None, closed=False):
         if len(piece) < 2 or np.linalg.norm(piece[-1] - piece[0]) < 1e-9:
             continue
         try:
-            shape = fit_rectangle(piece, robot_position, config.line_tol)
+            shape = fit_rectangle(piece, robot_position)
         except ValueError:
             shape = _pca_rectangle(piece)
         out.append((shape, piece))
@@ -259,20 +250,18 @@ def _pca_rectangle(points):
     return oriented_rectangle(mid, u, half_u, half_v)
 
 
-def _line_family(points, robot_position, config, allow_triangle=True):
+def _line_family(points, robot_position):
     """Classify a cluster already known not to be a clean circle."""
     _, _, residual, length = _fit_line(points)
-    if residual <= config.line_tol:
-        return fit_rectangle(points, robot_position, config.line_tol)
-    if allow_triangle:
-        corner = _split_corner(points, config.line_tol)
-        if corner is not None:
-            tri = Triangle([points[0], corner, points[-1]])
-            return tri
+    if residual <= LINE_TOL:
+        return fit_rectangle(points, robot_position)
+    corner = _split_corner(points)
+    if corner is not None:
+        return Triangle([points[0], corner, points[-1]])
     return _pca_rectangle(points)
 
 
-def classify_cluster(points, robot_position, config=None):
+def classify_cluster(points, robot_position):
     """Fit a shape to a cluster of world-frame points.
 
     Three-point circle fitting over (first, middle, last) recurses into the
@@ -282,13 +271,11 @@ def classify_cluster(points, robot_position, config=None):
     a triangle when two clean chords meet at an observed corner.  Two-point
     clusters become small squares of a fixed minimum side.
     """
-    if config is None:
-        config = PerceptionConfig()
     points = np.asarray(points, dtype=float)
     if len(points) < 2:
         raise ValueError("cannot classify fewer than 2 points")
     if len(points) == 2:
-        side = max(float(np.linalg.norm(points[1] - points[0])), config.min_square_side)
+        side = max(float(np.linalg.norm(points[1] - points[0])), MIN_SQUARE_SIDE)
         mid = points.mean(axis=0)
         u = points[1] - points[0]
         if np.linalg.norm(u) < 1e-12:
@@ -302,19 +289,19 @@ def classify_cluster(points, robot_position, config=None):
         return Square([a, b, b + side * n, a + side * n])
 
     lo, hi = 0, len(points) - 1
-    for iteration in range(1, config.max_classify_iters + 1):
+    for iteration in range(1, MAX_CLASSIFY_ITERS + 1):
         mid = (lo + hi) // 2
         if mid == lo or mid == hi:
-            return _line_family(points, robot_position, config)
+            return _line_family(points, robot_position)
         fit = circle_from_three_points(points[lo], points[mid], points[hi])
-        if fit is None or fit.radius >= config.radius_threshold:
+        if fit is None or fit.radius >= RADIUS_THRESHOLD:
             if iteration == 1:
                 # Straight run seen end to end: erect a square on it.
                 try:
-                    return fit_rectangle(points, robot_position, config.line_tol)
+                    return fit_rectangle(points, robot_position)
                 except ValueError:
-                    return _line_family(points, robot_position, config)
-            return _line_family(points, robot_position, config)
+                    return _line_family(points, robot_position)
+            return _line_family(points, robot_position)
         q1 = (lo + mid) // 2
         q2 = (mid + hi) // 2
         probes = [q for q in (q1, q2) if q not in (lo, mid, hi)]
@@ -323,10 +310,10 @@ def classify_cluster(points, robot_position, config=None):
             return fit
         err = max(abs(float(np.linalg.norm(points[q] - fit.center)) - fit.radius)
                   for q in probes)
-        if err <= config.fit_tol:
+        if err <= FIT_TOL:
             return fit
         hi = mid
-    return _line_family(points, robot_position, config)
+    return _line_family(points, robot_position)
 
 
 # --- local map -------------------------------------------------------------
@@ -341,11 +328,10 @@ class LocalMap:
 
     Shapes whose centers round to nearby buckets are candidates for merging;
     recentering rebuilds the buckets around a new origin and drops shapes
-    beyond the configured radius.
+    beyond MAP_RADIUS.
     """
 
-    def __init__(self, origin=(0.0, 0.0), config=None):
-        self.config = config or PerceptionConfig()
+    def __init__(self, origin=(0.0, 0.0)):
         self.origin = np.asarray(origin, dtype=float)
         self.buckets = {}
 
@@ -383,7 +369,7 @@ class LocalMap:
         self.origin = np.asarray(new_origin, dtype=float)
         self.buckets = {}
         for s in shapes:
-            if np.linalg.norm(s.center - self.origin) <= self.config.map_radius:
+            if np.linalg.norm(s.center - self.origin) <= MAP_RADIUS:
                 self._add(s)
 
     def insert(self, shape, points=None):
@@ -394,7 +380,7 @@ class LocalMap:
         Inserting the same shape twice leaves a single entry.
         """
         center = shape.center
-        if np.linalg.norm(center - self.origin) > self.config.map_radius:
+        if np.linalg.norm(center - self.origin) > MAP_RADIUS:
             return None
         reach = shape.size_scale + self._max_scale()
         for other in self._neighborhood(center, reach):
@@ -559,22 +545,20 @@ class MovingVolume:
     tau: float
 
 
-def build_moving_volume(local_map, trajectory, t_now, horizon, tau, window_radius):
+def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
     """Collect, for each future timestep, map shapes near the old planned position.
 
-    Slice k covers t_now + k*tau for k = 1..horizon/tau; the window center is
-    the previous trajectory evaluated there (clamped into its domain).  A
-    shape lies in a slice when its center is within window_radius of the
-    window center; one broadcast distance test decides every pair.
+    Slice k covers t_now + k*tau for k = 1..round(horizon/tau); the window
+    center is the previous trajectory evaluated there (clamped into its
+    domain).  A shape lies in a slice when its center is within WINDOW_RADIUS
+    of the window center; one broadcast distance test decides every pair.
     """
     n = int(round(horizon / tau))
-    if abs(n * tau - horizon) > 1e-9:
-        raise ValueError(f"tau {tau} does not divide horizon {horizon}")
     t_rel = np.arange(1, n + 1) * tau
     centers = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
     shapes = local_map.shapes()
     at = np.array([s.center for s in shapes]).reshape(-1, 2)
-    member = np.linalg.norm(at - centers[:, None], axis=2) <= window_radius
+    member = np.linalg.norm(at - centers[:, None], axis=2) <= WINDOW_RADIUS
     near = member.any(axis=0)
     return MovingVolume(t_rel=t_rel, centers=centers,
                         shapes=[s for s, keep in zip(shapes, near) if keep],

@@ -24,6 +24,16 @@ from .qp import QPProblem, solve_qp
 
 DISTANCE_FLOOR = 1e-3   # meters; keeps the kernel finite at contact
 
+# Objective weights.
+Q_N = 1.0             # order-n derivative energy
+Q_NM1 = 0.1           # order-(n-1) derivative energy
+Q_FINAL = 1000.0      # end-position pull toward the goal
+Q_FINAL_VEL = 100.0   # velocity pull at the goal stamp
+Q_OBS = 1.0           # obstacle cost scale
+# Obstacle kernel: decay rate (1/m) and threshold distance (m).
+K_P = 10.0
+RHO = 0.2
+
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 # How far ahead (in knot segments) the goal pin sits once its stamp has
@@ -33,27 +43,6 @@ PIN_LEAD_SEGMENTS = 2.0
 # Sampling density of the relaxed derivative-limit rows, per knot segment.
 # Ten per one-second segment matches the prediction grid.
 RELAXED_SAMPLES_PER_SEGMENT = 10
-
-
-@dataclass
-class Weights:
-    """Objective weights and obstacle-kernel parameters."""
-
-    Q_n: float = 1.0        # order-n derivative energy
-    Q_nm1: float = 0.1      # order-(n-1) derivative energy
-    Q_final: float = 1000.0  # end-position pull toward the goal
-    Q_final_vel: float = 100.0  # velocity pull at the goal stamp
-    Q_obs: float = 1.0      # obstacle cost scale
-    K_p: float = 10.0       # kernel decay rate, 1/m
-    rho: float = 0.2        # kernel threshold distance, m
-
-    def __post_init__(self):
-        for name in ("Q_n", "Q_nm1", "Q_final", "Q_final_vel", "Q_obs",
-                     "K_p", "rho"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.K_p <= 0:
-            raise ValueError("K_p must be positive")
 
 
 @dataclass
@@ -109,14 +98,14 @@ class AllSlicesInfeasible(RuntimeError):
     """Every safe-region slice was flagged infeasible; nothing to constrain."""
 
 
-def collision_kernel(d, w):
-    """Obstacle proximity kernel exp(-K_p*(max(d, floor) - rho)) / K_p.
+def collision_kernel(d):
+    """Obstacle proximity kernel exp(-K_P*(max(d, floor) - RHO)) / K_P.
 
-    Equals 1/K_p at the threshold distance rho and decays exponentially
+    Equals 1/K_P at the threshold distance RHO and decays exponentially
     beyond it; the floor removes the contact singularity.
     """
     d = np.maximum(np.asarray(d, dtype=float), DISTANCE_FLOOR)
-    return np.exp(-w.K_p * (d - w.rho)) / w.K_p
+    return np.exp(-K_P * (d - RHO)) / K_P
 
 
 def _quadrature(traj, span):
@@ -173,22 +162,22 @@ def _distance_models(shape, pts):
     return d, u
 
 
-def _kernel_models(d, u, w):
+def _kernel_models(d, u):
     """Value, gradient, and Gauss-Newton Hessian fpp·uu' of the kernel.
 
     The kernel's full Hessian adds fp·Hd, where fp < 0 and the distance
     Hessian Hd is PSD with u in its null space; fpp·uu' is its PSD part.
     """
-    f = collision_kernel(d, w)
+    f = collision_kernel(d)
     act = d > DISTANCE_FLOOR
-    fp = np.where(act, -w.K_p * f, 0.0)
-    fpp = np.where(act, w.K_p * w.K_p * f, 0.0)
+    fp = np.where(act, -K_P * f, 0.0)
+    fpp = np.where(act, K_P * K_P * f, 0.0)
     g = fp[:, None] * u
     H = fpp[:, None, None] * (u[:, :, None] * u[:, None, :])
     return f, g, H
 
 
-def collision_cost_closed_form(traj, obs, span, w):
+def collision_cost_closed_form(traj, obs, span):
     """Integral of the kernel of the trajectory-to-shape distance over span.
 
     Fixed 64-node Gauss-Legendre quadrature per knot interval; the reference
@@ -196,10 +185,10 @@ def collision_cost_closed_form(traj, obs, span, w):
     """
     ts, ws = _quadrature(traj, span)
     dists = np.array([obs.distance(p) for p in traj.positions(ts)])
-    return float(ws @ collision_kernel(dists, w))
+    return float(ws @ collision_kernel(dists))
 
 
-def quadratize_collision(previous, obstacles, span, w):
+def quadratize_collision(previous, obstacles, span):
     """Quadratic model of the summed obstacle cost around the previous
     trajectory.
 
@@ -218,7 +207,7 @@ def quadratize_collision(previous, obstacles, span, w):
     g = np.zeros((len(ts), 2))
     Hn = np.zeros((len(ts), 2, 2))
     for obs in obstacles:
-        f_o, g_o, H_o = _kernel_models(*_distance_models(obs, pts), w)
+        f_o, g_o, H_o = _kernel_models(*_distance_models(obs, pts))
         f += f_o
         g += g_o
         Hn += H_o
@@ -304,7 +293,7 @@ def _gram_cached(layout, order):
     return G
 
 
-def assemble_qp(req, w, layout, reference):
+def assemble_qp(req, layout, reference):
     """Build the cycle QP in the stacked control points [Px; Py].
 
     reference is the previous trajectory refit onto `layout`; obstacle costs
@@ -319,8 +308,8 @@ def assemble_qp(req, w, layout, reference):
     if layout.degree != n + 1:
         raise ValueError(f"layout degree {layout.degree} does not match order {n}")
 
-    G = 2.0 * (w.Q_n * _gram_cached(layout, n)
-               + w.Q_nm1 * _gram_cached(layout, n - 1))
+    G = 2.0 * (Q_N * _gram_cached(layout, n)
+               + Q_NM1 * _gram_cached(layout, n - 1))
     H = np.zeros((nvar, nvar))
     H[:m, :m] = G
     H[m:, m:] = G
@@ -334,7 +323,7 @@ def assemble_qp(req, w, layout, reference):
     # arrival speed.  Everything stays soft so a blocked goal cannot
     # deadlock the solve.
     row = position_map(layout, layout.t_end)
-    H_fin, F_fin = end_cost(req.goal, row, w.Q_final)
+    H_fin, F_fin = end_cost(req.goal, row, Q_FINAL)
     H += H_fin
     F += F_fin
     if req.goal_time is not None:
@@ -343,22 +332,22 @@ def assemble_qp(req, w, layout, reference):
                  else layout.t_start + PIN_LEAD_SEGMENTS * layout.dt)
         if t_pin <= layout.t_end - 1e-9:
             row_g = position_map(layout, t_pin)
-            H_g, F_g = end_cost(req.goal, row_g, w.Q_final)
+            H_g, F_g = end_cost(req.goal, row_g, Q_FINAL)
             H += H_g
             F += F_g
             v_des = np.zeros(2)
             if req.end_velocity is not None and ahead:
                 v_des = req.end_velocity
             row_v = derivative_map(layout, t_pin, 1)
-            H_v, F_v = end_cost(v_des, row_v, w.Q_final_vel)
+            H_v, F_v = end_cost(v_des, row_v, Q_FINAL_VEL)
             H += H_v
             F += F_v
 
     if req.near_obstacles:
         H_o, F_o, _ = quadratize_collision(
-            reference, req.near_obstacles, (layout.t_start, layout.t_end), w)
-        H += w.Q_obs * H_o
-        F += w.Q_obs * F_o
+            reference, req.near_obstacles, (layout.t_start, layout.t_end))
+        H += Q_OBS * H_o
+        F += Q_OBS * F_o
 
     # Equalities: initial derivative stack, then in-horizon waypoints.
     eq_rows = []
@@ -445,7 +434,7 @@ def _unstacked(x):
     return np.column_stack([x[:m], x[m:]])
 
 
-def plan_with_fallback(req, w):
+def plan_with_fallback(req):
     """One replanning cycle: dense solve, relaxed retry, or keep the old plan.
 
     Returns (trajectory, report).  The QP is assembled once.  The dense pass
@@ -476,7 +465,7 @@ def plan_with_fallback(req, w):
         )
 
     try:
-        problem = assemble_qp(req, w, layout, reference)
+        problem = assemble_qp(req, layout, reference)
     except AllSlicesInfeasible:
         return finish(req.previous, "fallback")
     for status in ("optimal", "relaxed"):

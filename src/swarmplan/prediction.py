@@ -16,15 +16,12 @@ import numpy as np
 
 from numpy.polynomial import polynomial as P
 
-
-@dataclass
-class PredictionConfig:
-    window: int = 20                  # states kept per track
-    lambda_jerk: float = 0.05         # smoothness weight in the quintic fit
-    gate: float = 1.0                 # association score admitted to a track
-    w_velocity: float = 0.5           # association weight on velocity mismatch
-    w_acceleration: float = 0.1       # association weight on acceleration mismatch
-    staleness: float = 0.5            # seconds without updates before flagging
+TRACK_WINDOW = 20       # states kept per track
+LAMBDA_JERK = 0.05      # smoothness weight in the quintic fit
+GATE = 1.0              # association score admitted to a track
+W_VELOCITY = 0.5        # association weight on velocity mismatch
+W_ACCELERATION = 0.1    # association weight on acceleration mismatch
+STALENESS = 0.5         # seconds without updates before a track is stale
 
 
 @dataclass
@@ -100,19 +97,19 @@ class PeerTrack:
     as the quadratic [p, v, a, 0, 0, 0] about that state's stamp.
     """
 
-    def __init__(self, state, config):
+    def __init__(self, state):
         self.states = []
-        self.push(state, config)
+        self.push(state)
 
     @property
     def latest(self):
         return self.states[-1]
 
-    def push(self, state, config):
-        self.states = (self.states + [state])[-config.window:]
+    def push(self, state):
+        self.states = (self.states + [state])[-TRACK_WINDOW:]
         t1, t2 = self.states[0].stamp, state.stamp
         if t2 > t1:
-            coeffs = fit_quintic(self.states, t1, t2, config.lambda_jerk)
+            coeffs = fit_quintic(self.states, t1, t2, LAMBDA_JERK)
             self.t_ref = t1
         else:
             coeffs = np.zeros((6, 2))
@@ -123,8 +120,8 @@ class PeerTrack:
         self.stack[:5, 1] = P.polyder(coeffs)
         self.stack[:4, 2] = P.polyder(coeffs, 2)
 
-    def is_stale(self, now, config):
-        return now - self.latest.stamp > config.staleness
+    def is_stale(self, now):
+        return now - self.latest.stamp > STALENESS
 
     def predict(self, t):
         """Position, velocity and acceleration at time t, rows of a (3, 2)."""
@@ -136,16 +133,16 @@ class PeerTrack:
         return P.polyval(s[:, None], self.stack[:, 0], tensor=False)
 
 
-def association_score(track, state, config):
+def association_score(track, state):
     """Mismatch between a track's prediction and an incoming state."""
     p, v, a = track.predict(state.stamp)
     dp = np.linalg.norm(p - state.position)
     dv = np.linalg.norm(v - state.velocity)
     da = np.linalg.norm(a - state.acceleration)
-    return float(dp + config.w_velocity * dv + config.w_acceleration * da)
+    return float(dp + W_VELOCITY * dv + W_ACCELERATION * da)
 
 
-def associate(tracks, state, config):
+def associate(tracks, state):
     """Index of the track that best explains `state`, or None for a new track.
 
     The best score must pass the gate; ties go to the lowest track index.
@@ -153,22 +150,22 @@ def associate(tracks, state, config):
     best_idx = None
     best = np.inf
     for i, tr in enumerate(tracks):
-        score = association_score(tr, state, config)
+        score = association_score(tr, state)
         if score < best - 1e-12:
             best = score
             best_idx = i
-    if best_idx is None or best > config.gate:
+    if best_idx is None or best > GATE:
         return None
     return best_idx
 
 
-def update_tracks(tracks, state, config):
+def update_tracks(tracks, state):
     """Associate one incoming state, updating or creating a track in place."""
-    idx = associate(tracks, state, config)
+    idx = associate(tracks, state)
     if idx is None:
-        tracks.append(PeerTrack(state, config))
+        tracks.append(PeerTrack(state))
         return len(tracks) - 1
-    tracks[idx].push(state, config)
+    tracks[idx].push(state)
     return idx
 
 

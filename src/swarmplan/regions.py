@@ -53,17 +53,15 @@ PROBE_TOL = 1e-9
 # Bound on how far rounding moves a marched sample's containment test,
 # meters; rounding of map-scale coordinates moves it by about 1e-13.
 MARCH_TOL = 1e-9
+# The seed march: rays per region, sample spacing along a ray (m), and the
+# march range, which is also the half width of the capping box (m).
+N_RAYS = 16
+MARCH_STEP = 0.05
+MARCH_RANGE = 5.0
+# Extra clearance cut away around predicted peers, meters.
+PEER_MARGIN = 0.1
 
 _BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-
-
-@dataclass
-class RegionConfig:
-    n_directions: int = 16
-    step: float = 0.05          # march resolution, meters
-    r_max: float = 5.0          # march range and bounding-box half width
-    max_planes: int = 24        # nearest planes kept per region
-    peer_margin: float = 0.1    # extra clearance cut away around peers, meters
 
 
 class SeedInsideObstacle(ValueError):
@@ -267,7 +265,7 @@ def _first_hits(shape, seeds, dirs, offsets_grid, step):
     return first
 
 
-def _tangent_planes(seeds, shapes, member, config):
+def _tangent_planes(seeds, shapes, member):
     """The march of every slice over the shapes it holds: (slice, normal,
     offset) of each tangent plane, slice by slice and in each slice's order
     of planes.
@@ -277,22 +275,22 @@ def _tangent_planes(seeds, shapes, member, config):
     """
     if not shapes:
         return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0)
-    n_steps = int(round(config.r_max / config.step))
-    th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
+    n_steps = int(round(MARCH_RANGE / MARCH_STEP))
+    th = 2.0 * np.pi * np.arange(N_RAYS) / N_RAYS
     dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    radii = config.step * np.arange(1, n_steps + 1)
+    radii = MARCH_STEP * np.arange(1, n_steps + 1)
     grid = radii[None, :, None] * dirs[:, None, :]
-    hits = np.full((len(seeds), config.n_directions, len(shapes)), n_steps)
+    hits = np.full((len(seeds), N_RAYS, len(shapes)), n_steps)
     for j, s in enumerate(shapes):
         members = np.flatnonzero(member[:, j])
         if len(members):
             hits[members, :, j] = _first_hits(s, seeds[members], dirs, grid,
-                                              config.step)
+                                              MARCH_STEP)
     best = hits.argmin(axis=2)
     hit = np.take_along_axis(hits, best[..., None], axis=2)[..., 0] < n_steps
     shape_of = np.where(hit, best, -1)
     # Each shape hit in a slice gives one plane, in order of its first hit.
-    d = np.arange(config.n_directions)
+    d = np.arange(N_RAYS)
     repeat = ((shape_of[:, :, None] == shape_of[:, None, :])
               & (d[None, :] < d[:, None])).any(axis=2)
     pk, pd = np.nonzero(hit & ~repeat)
@@ -312,21 +310,21 @@ def _tangent_planes(seeds, shapes, member, config):
     return pk[made], normals[made], offsets[made]
 
 
-def _seeded(seeds, shapes, member, config):
+def _seeded(seeds, shapes, member):
     """`seed_region` for every slice, slice k holding the shapes j with
     member[k, j]: (stack, inside).
 
     A slice whose seed lies in one of its shapes (inside[k]) is not marched
-    and gets the box alone.
+    and gets the box alone.  Each ray adds at most one plane, so a slice
+    has at most N_RAYS + 4.
     """
     K = len(seeds)
-    r = config.r_max
+    r = MARCH_RANGE
     inside = np.zeros(K, dtype=bool)
     for j, s in enumerate(shapes):
         members = np.flatnonzero(member[:, j])
         inside[members] |= _covers(s, seeds[members])
-    pk, pn, po = _tangent_planes(seeds, shapes, member & ~inside[:, None],
-                                 config)
+    pk, pn, po = _tangent_planes(seeds, shapes, member & ~inside[:, None])
 
     counts = 4 + np.bincount(pk, minlength=K)
     width = counts.max()
@@ -341,12 +339,6 @@ def _seeded(seeds, shapes, member, config):
     normals[pk, slot] = pn
     offsets[pk, slot] = po
     live = np.arange(width) < counts[:, None]
-    for k in np.flatnonzero(counts > config.max_planes):
-        # Too many planes: the ones nearest the seed win, in their order.
-        c = counts[k]
-        dist = offsets[k, :c] - np.vecdot(normals[k, :c], seeds[k])
-        live[k] = False
-        live[k, np.argsort(dist, kind="stable")[:config.max_planes]] = True
     return _distinct(normals, offsets, live), inside
 
 
@@ -411,22 +403,19 @@ def _chebyshev_radius(normals, offsets):
 
 # --- single-slice API ---------------------------------------------------------
 
-def seed_region(seed, shapes, config=None):
+def seed_region(seed, shapes):
     """Convex free-space polytope around a seed point.
 
-    Rays in n_directions march outward in `step` increments up to r_max; the
-    first shape hit per direction contributes one supporting halfplane at the
+    N_RAYS rays march outward in MARCH_STEP increments up to MARCH_RANGE;
+    the first shape hit per ray contributes one supporting halfplane at the
     point where the segment from seed to its center crosses its boundary.
-    Four axis-aligned box planes at r_max close the region.  When more than
-    max_planes accumulate, the planes nearest the seed win.  Raises
+    Four axis-aligned box planes at MARCH_RANGE close the region.  Raises
     SeedInsideObstacle when the seed is covered by a shape.
     """
-    if config is None:
-        config = RegionConfig()
     seed = np.asarray(seed, dtype=float)
     shapes = list(shapes)
     stack, inside = _seeded(seed[None], shapes,
-                            np.ones((1, len(shapes)), dtype=bool), config)
+                            np.ones((1, len(shapes)), dtype=bool))
     if inside[0]:
         raise SeedInsideObstacle(f"seed {seed.tolist()} is inside a shape")
     return stack.polytope(0)
@@ -464,8 +453,7 @@ def region_is_empty(polytope, probe=None):
 
     A probe containment test short-circuits; otherwise the largest inscribed
     disk decides, found exactly in 2D (see _chebyshev_radius).  An unbounded
-    set (one that lost its box planes to max_planes) counts as empty, as
-    the failed Chebyshev LP it replaces did.
+    set counts as empty, as the failed Chebyshev LP it replaces did.
     """
     if probe is not None and polytope.contains(probe):
         return False
@@ -473,22 +461,19 @@ def region_is_empty(polytope, probe=None):
     return not EMPTY_RADIUS <= radius < np.inf
 
 
-def build_safe_regions(volume, tracks, ego_footprint, now, region_config=None,
-                       previous=None):
+def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
     """One deflated polytope per moving-volume slice, in one pass.
 
     Slice seeds are the volume's window centers (the old plan's positions).
     The shapes in each slice's row of the volume's mask bound its region,
-    every live track cuts it at its predicted position, and the result is
-    deflated by the ego footprint.  A seed stuck inside a mapped shape falls
+    every live track cuts it at its predicted position, padded by
+    PEER_MARGIN, and the result is deflated by the ego footprint.  A seed stuck inside a mapped shape falls
     back to the previous cycle's nearest region; slices whose seed is
     covered by a peer or whose polytope ends up empty are flagged
     infeasible.
     """
-    if region_config is None:
-        region_config = RegionConfig()
     t_rel, seeds = volume.t_rel, volume.centers
-    stack, inside = _seeded(seeds, volume.shapes, volume.member, region_config)
+    stack, inside = _seeded(seeds, volume.shapes, volume.member)
     feasible = ~inside
     if previous is not None and inside.any():
         ks = np.flatnonzero(inside)
@@ -504,7 +489,7 @@ def build_safe_regions(volume, tracks, ego_footprint, now, region_config=None,
         stack, free = _cut(stack, seeds,
                            tr.predict_positions(times),
                            footprint_from_size(tr.latest.size or (0.1,)),
-                           region_config.peer_margin)
+                           PEER_MARGIN)
         feasible &= free
     stack = _deflated(stack, ego_footprint)
     probe_in = np.all((stack.dots(seeds) <= stack.offsets + PROBE_TOL)

@@ -21,21 +21,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import plan_knot_layout
-from .perception import (LocalMap, PerceptionConfig, build_moving_volume,
-                         classify_cluster, compensate_motion,
-                         decompose_boundary, segment_scan)
-from .planner import (PlanRequest, Weights, admit_obstacles, constant_spline,
+from .perception import (LocalMap, build_moving_volume, classify_cluster,
+                         compensate_motion, decompose_boundary, segment_scan)
+from .planner import (PlanRequest, admit_obstacles, constant_spline,
                       plan_with_fallback)
-from .prediction import (PeerState, PredictionConfig, footprint_from_size,
-                         update_tracks)
-from .regions import RegionConfig, build_safe_regions
-from .sensor import LidarConfig
+from .prediction import PeerState, footprint_from_size, update_tracks
+from .regions import build_safe_regions
 
 __all__ = [
     "AgentConfig", "AgentState", "Agent", "BusMessage", "MessageBus",
     "CycleReport", "ExecutedPath", "ideal_track", "broadcast",
     "symmetric_limits",
 ]
+
+HORIZON = 4.0        # planning horizon, seconds
+TAU = 0.1            # safe-region slice spacing, seconds; divides HORIZON
+KNOT_SEGMENT = 1.0   # B-spline knot spacing, seconds
 
 
 def _tightest_bound(limits, order):
@@ -48,12 +49,12 @@ def _tightest_bound(limits, order):
     return float(vals.min()) if len(vals) else np.inf
 
 
-def _comfortable_arrival(start, goal, limits, t_segment):
+def _comfortable_arrival(start, goal, limits):
     """Relaxed travel time: cruise at half the velocity cap plus ramp time.
 
     With no velocity bound it is twice the time to cover the distance from
     rest at full acceleration, itself floored at two knot segments; never
-    shorter than two knot segments.
+    shorter than two knot segments (KNOT_SEGMENT each).
     """
     d = float(np.linalg.norm(goal - start))
     a_max = _tightest_bound(limits, 2)
@@ -65,8 +66,8 @@ def _comfortable_arrival(start, goal, limits, t_segment):
     else:
         if a_max <= 0:
             raise ValueError("a_max must be positive")
-        T = 2.0 * max(np.sqrt(2.0 * a_max * d) / a_max, 2.0 * t_segment)
-    return max(T, 2.0 * t_segment)
+        T = 2.0 * max(np.sqrt(2.0 * a_max * d) / a_max, 2.0 * KNOT_SEGMENT)
+    return max(T, 2.0 * KNOT_SEGMENT)
 
 
 def symmetric_limits(bounds):
@@ -93,29 +94,19 @@ def symmetric_limits(bounds):
 
 @dataclass
 class AgentConfig:
-    """Static per-agent parameters: dynamics order, body size, rates, tuning."""
+    """What tells robots apart: dynamics order, body size and limits.
+
+    Every robot replans at the same `plan_rate` (cycles per second).
+    """
 
     order: int = 2
     footprint_size: tuple = (0.3,)
     limits: dict = field(default_factory=lambda: symmetric_limits({1: 2.0, 2: 4.0}))
-    plan_rate: float = 25.0
-    broadcast_rate: float = 10.0
-    lidar: LidarConfig = field(default_factory=LidarConfig)
-    weights: Weights = field(default_factory=Weights)
-    t_h: float = 4.0
-    tau: float = 0.1
-    t_segment: float = 1.0
-    perception: PerceptionConfig = field(default_factory=PerceptionConfig)
-    prediction: PredictionConfig = field(default_factory=PredictionConfig)
-    region: RegionConfig = field(default_factory=RegionConfig)
+    plan_rate = 25.0
 
     def __post_init__(self):
-        if self.plan_rate <= 0:
-            raise ValueError("plan_rate must be positive")
         if self.order < 1:
             raise ValueError("integrator order must be at least 1")
-        if abs(self.tau * round(self.t_h / self.tau) - self.t_h) > 1e-9:
-            raise ValueError(f"tau {self.tau} must divide the horizon {self.t_h}")
         self.footprint_size = tuple(float(v) for v in np.atleast_1d(self.footprint_size))
         if not 1 <= len(self.footprint_size) <= 3:
             raise ValueError("footprint_size needs 1..3 lengths")
@@ -138,6 +129,14 @@ class AgentState:
         return self.derivatives[0]
 
 
+def _parked(trajectory, n_orders):
+    """Derivative stack past the trajectory's end: its final position, with
+    every motion derivative zero."""
+    derivs = np.zeros((n_orders, 2))
+    derivs[0] = trajectory.position(trajectory.domain[1])
+    return derivs
+
+
 def ideal_track(trajectory, t_from, t_to, n_orders=None):
     """State reached by executing the trajectory exactly from t_from to t_to.
 
@@ -155,9 +154,7 @@ def ideal_track(trajectory, t_from, t_to, n_orders=None):
     if n_orders is None:
         n_orders = trajectory.degree - 1
     if t_to > hi + 1e-9:
-        derivs = np.zeros((n_orders, 2))
-        derivs[0] = trajectory.position(hi)
-        return AgentState(stamp=t_to, derivatives=derivs)
+        return AgentState(stamp=t_to, derivatives=_parked(trajectory, n_orders))
     t_to = trajectory.clamp_time(t_to)
     return AgentState(stamp=t_to, derivatives=trajectory.state_stack(t_to, n_orders))
 
@@ -269,13 +266,8 @@ class ExecutedPath:
 
     def state(self, t, n_orders):
         tr = self._active(t)
-        hi = tr.domain[1]
-        if t > hi + 1e-9:
-            # Past the last plan's end the robot is parked at its final
-            # position with all motion derivatives at zero.
-            out = np.zeros((n_orders, 2))
-            out[0] = tr.position(hi)
-            return out
+        if t > tr.domain[1] + 1e-9:
+            return _parked(tr, n_orders)
         return tr.state_stack(tr.clamp_time(t), n_orders)
 
 
@@ -319,7 +311,7 @@ class Agent:
             # without saturating the dynamic limits.
             goal_time = t_start + _comfortable_arrival(
                 np.asarray(start, dtype=float), np.asarray(goal, dtype=float),
-                config.limits, config.t_segment)
+                config.limits)
         self.goal_time = float(goal_time)
         self.waypoints = [(float(t), np.asarray(p, dtype=float))
                           for t, p in waypoints]
@@ -329,11 +321,11 @@ class Agent:
         self.bus = bus
         start = np.asarray(start, dtype=float)
 
-        layout = plan_knot_layout(t_start, config.t_h, config.t_segment,
+        layout = plan_knot_layout(t_start, HORIZON, KNOT_SEGMENT,
                                   config.order + 1)
         self.trajectory = constant_spline(layout, start)
         self.commits = [(float(t_start), self.trajectory)]
-        self.local_map = LocalMap(origin=start, config=config.perception)
+        self.local_map = LocalMap(origin=start)
         self.footprint = footprint_from_size(config.footprint_size)
         self.staged = []
         self.pending_scan = None
@@ -381,16 +373,16 @@ class Agent:
                 return
             self.pending_scan = None
             history = ExecutedPath(self.commits)
-            for cluster in segment_scan(scan, cfg.perception.jump_distance):
+            for cluster in segment_scan(scan):
                 origin = compensate_motion(cluster, history)
                 if cluster.closed:
                     # The returns surround us: stage one wall piece per face
                     # instead of fitting a single shape we would be inside.
                     self.staged.extend(decompose_boundary(
-                        cluster.points, origin, cfg.perception, closed=True))
+                        cluster.points, origin, closed=True))
                     continue
                 try:
-                    shape = classify_cluster(cluster.points, origin, cfg.perception)
+                    shape = classify_cluster(cluster.points, origin)
                 except ValueError:
                     continue
                 if shape.contains(origin):
@@ -398,7 +390,7 @@ class Agent:
                     # the sensor; the cluster must bend around us, so split
                     # it into per-face pieces instead.
                     self.staged.extend(decompose_boundary(
-                        cluster.points, origin, cfg.perception))
+                        cluster.points, origin))
                     continue
                 self.staged.append((shape, cluster.points))
             scan_processed = True
@@ -409,8 +401,7 @@ class Agent:
                 self.local_map.insert(shape, pts)
             self.local_map.recenter(initial_state[0])
             self.volume = build_moving_volume(
-                self.local_map, prev, now, cfg.t_h, cfg.tau,
-                cfg.perception.window_radius)
+                self.local_map, prev, now, HORIZON, TAU)
 
         try:
             stage_scan()
@@ -422,10 +413,10 @@ class Agent:
         try:
             if self.bus is not None:
                 for payload in self.bus.poll(self.index, now):
-                    update_tracks(self.tracks, payload, cfg.prediction)
+                    update_tracks(self.tracks, payload)
         except Exception as exc:
             flags.append(f"tracks:{type(exc).__name__}")
-        stale = sum(tr.is_stale(now, cfg.prediction) for tr in self.tracks)
+        stale = sum(tr.is_stale(now) for tr in self.tracks)
         if self.tracks and stale:
             flags.append("stale_tracks")
             # A starved track is flagged once, then dropped: extrapolating a
@@ -433,7 +424,7 @@ class Agent:
             # a ghost.  If the peer is still there, its next message simply
             # opens a fresh track.
             self.tracks = [tr for tr in self.tracks
-                           if not tr.is_stale(now, cfg.prediction)]
+                           if not tr.is_stale(now)]
 
         # (5) Safe regions along the previous plan.
         regions = self.regions
@@ -441,7 +432,7 @@ class Agent:
             if self.volume is not None:
                 regions = build_safe_regions(
                     self.volume, self.tracks, self.footprint, now,
-                    cfg.region, previous=self.regions)
+                    previous=self.regions)
         except Exception as exc:
             flags.append(f"regions:{type(exc).__name__}")
             regions = self.regions
@@ -455,9 +446,9 @@ class Agent:
                 t_now=now, initial_state=initial_state, goal=self.goal,
                 previous=prev, regions=regions, goal_time=self.goal_time,
                 waypoints=self.waypoints, near_obstacles=near,
-                limits=cfg.limits, horizon=cfg.t_h, dt=cfg.t_segment,
+                limits=cfg.limits, horizon=HORIZON, dt=KNOT_SEGMENT,
                 end_velocity=self.end_velocity)
-            traj, plan = plan_with_fallback(req, cfg.weights)
+            traj, plan = plan_with_fallback(req)
         except Exception as exc:
             flags.append(f"plan:{type(exc).__name__}")
             traj, plan = prev, None

@@ -324,6 +324,23 @@ def _start_overlaps(agents):
 
 # --- shapes <-> JSON --------------------------------------------------------
 
+def _convex_corners(corners):
+    """Corners that form a strictly convex polygon, else ValueError.
+
+    Every turn from one edge to the next must bend the same way, none
+    straight.  For three or four corners that also rules out a polygon
+    that crosses itself.
+    """
+    c = np.asarray(corners, dtype=float)
+    e = np.roll(c, -1, axis=0) - c
+    f = np.roll(e, -1, axis=0)
+    turn = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    if not (np.all(turn > 0.0) or np.all(turn < 0.0)):
+        raise ValueError(f"corners {c.tolist()} do not form a strictly "
+                         f"convex polygon")
+    return c
+
+
 def _shape_from_spec(spec):
     kind = spec["type"]
     if kind == "circle":
@@ -336,9 +353,9 @@ def _shape_from_spec(spec):
         return axis_rectangle(spec["xmin"], spec["ymin"],
                               spec["xmax"], spec["ymax"])
     if kind == "rectangle":
-        return Rectangle(spec["corners"])
+        return Rectangle(_convex_corners(spec["corners"]))
     if kind == "triangle":
-        return Triangle(spec["corners"])
+        return Triangle(_convex_corners(spec["corners"]))
     raise ValueError(f"unknown obstacle type {kind!r}")
 
 
@@ -359,7 +376,8 @@ def _shape_to_spec(shape):
 def parse_scenario(text, source="<string>"):
     """Validate and build a Scenario from JSON text.
 
-    Raises ScenarioError carrying every schema violation with its line.
+    Raises ScenarioError carrying every schema violation with its line, or
+    else every agent or obstacle that cannot be built.
     """
     try:
         doc = json.loads(text)
@@ -405,6 +423,12 @@ def parse_scenario(text, source="<string>"):
     if not bad:
         bad = [(("agents", j, "start"), msg)
                for j, msg in _start_overlaps(agents)]
+    obstacles = []
+    for i, spec in enumerate(world.get("obstacles", [])):
+        try:
+            obstacles.append(_shape_from_spec(spec))
+        except ValueError as exc:
+            bad.append((("world", "obstacles", i), str(exc)))
     if bad:
         lines = index_json_lines(text)
         raise ScenarioError(source, [
@@ -419,8 +443,7 @@ def parse_scenario(text, source="<string>"):
             bus_latency=bus.get("latency", 0.0),
             bus_drop=bus.get("drop_probability", 0.0),
             bounds=tuple(world.get("bounds", (-15.0, -15.0, 15.0, 15.0))),
-            obstacles=[_shape_from_spec(s)
-                       for s in world.get("obstacles", [])],
+            obstacles=obstacles,
         )
     except ValueError as exc:
         raise ScenarioError(source, [(1, "", str(exc))]) from exc
@@ -531,7 +554,7 @@ def resolve_agents(scenario, rng):
         if any(t is None for t, _ in waypoints):
             gt = a.goal_time
             if gt is None:
-                gt = _comfortable_arrival(start, goal, a.limits, 1.0)
+                gt = _comfortable_arrival(start, goal, a.limits)
             k = len(waypoints)
             waypoints = [
                 (gt * (i + 1) / (k + 1) if t is None else t, p)

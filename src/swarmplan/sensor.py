@@ -12,6 +12,17 @@ import numpy as np
 
 from .geometry import _as_point
 
+# The scanner: beam spacing, range cutoff and sweeps per second.  Its field
+# of view is the full circle.
+ANGULAR_RESOLUTION = np.deg2rad(1.0)
+MAX_RANGE = 5.0
+SWEEP_RATE = 5.0
+
+
+def n_beams():
+    """Beams per sweep of the full circle."""
+    return int(np.floor(2.0 * np.pi / ANGULAR_RESOLUTION + 1e-9))
+
 
 @dataclass
 class World:
@@ -32,24 +43,6 @@ class World:
     def inside(self, p):
         xmin, ymin, xmax, ymax = self.bounds
         return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
-
-
-@dataclass
-class LidarConfig:
-    """Scanner parameters: beam spacing, range cutoff, sweep rate, field of view."""
-
-    angular_resolution: float = np.deg2rad(1.0)
-    max_range: float = 5.0
-    rate: float = 5.0
-    fov: float = 2.0 * np.pi
-
-    @property
-    def n_beams(self):
-        return int(np.floor(self.fov / self.angular_resolution + 1e-9))
-
-    @property
-    def sweep_duration(self):
-        return 1.0 / self.rate
 
 
 @dataclass
@@ -78,49 +71,51 @@ class Scan:
         return self.stamp + self.sweep_duration * np.arange(self.n_beams) / self.n_beams
 
 
-def _cast_all(world, origins, angles, max_range):
+def _cast_all(world, origins, angles):
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     dist = np.full(len(angles), np.inf)
     for obs in world.obstacles:
         dist = np.minimum(dist, obs.ray_distances(origins, dirs))
-    ranges = np.where(dist <= max_range, dist, np.nan)
+    ranges = np.where(dist <= MAX_RANGE, dist, np.nan)
     return ranges
 
 
-def simulate_scan(world, position, heading, config, stamp):
+def simulate_scan(world, position, heading, stamp):
     """Instantaneous sweep from a single pose.
 
-    Every finite range lies in (0, max_range]; misses are NaN.  The pose must
+    Every finite range lies in (0, MAX_RANGE]; misses are NaN.  The pose must
     be inside the world bounds.
     """
     position = _as_point(position)
     if not world.inside(position):
         raise ValueError(f"scan pose {position.tolist()} outside world bounds")
-    angles = heading + config.angular_resolution * np.arange(config.n_beams)
-    ranges = _cast_all(world, position[None, :], angles, config.max_range)
+    n = n_beams()
+    angles = heading + ANGULAR_RESOLUTION * np.arange(n)
+    ranges = _cast_all(world, position[None, :], angles)
     return Scan(stamp=stamp, angle_start=heading,
-                angle_increment=config.angular_resolution, ranges=ranges,
-                sweep_duration=0.0, origins=np.broadcast_to(position, (config.n_beams, 2)).copy())
+                angle_increment=ANGULAR_RESOLUTION, ranges=ranges,
+                sweep_duration=0.0, origins=np.broadcast_to(position, (n, 2)).copy())
 
 
-def simulate_swept_scan(world, positions, heading, config, stamp):
+def simulate_swept_scan(world, positions, heading, stamp):
     """Sweep where beam k is cast from positions[k], its pose at emission time.
 
-    positions is (n_beams, 2); the caller supplies the robot path sampled at
-    the per-beam stamps.  All poses must be inside the world bounds.
+    positions is (n_beams(), 2); the caller supplies the robot path sampled
+    at the per-beam stamps.  All poses must be inside the world bounds.
     """
     positions = np.asarray(positions, dtype=float)
-    if positions.shape != (config.n_beams, 2):
+    n = n_beams()
+    if positions.shape != (n, 2):
         raise ValueError(f"need one pose per beam, got {positions.shape}")
     xmin, ymin, xmax, ymax = world.bounds
     if (positions[:, 0].min() < xmin or positions[:, 0].max() > xmax
             or positions[:, 1].min() < ymin or positions[:, 1].max() > ymax):
         raise ValueError("swept scan pose leaves world bounds")
-    angles = heading + config.angular_resolution * np.arange(config.n_beams)
-    ranges = _cast_all(world, positions, angles, config.max_range)
+    angles = heading + ANGULAR_RESOLUTION * np.arange(n)
+    ranges = _cast_all(world, positions, angles)
     return Scan(stamp=stamp, angle_start=heading,
-                angle_increment=config.angular_resolution, ranges=ranges,
-                sweep_duration=config.sweep_duration, origins=positions.copy())
+                angle_increment=ANGULAR_RESOLUTION, ranges=ranges,
+                sweep_duration=1.0 / SWEEP_RATE, origins=positions.copy())
 
 
 def scan_point_position(length, angle, robot_position):

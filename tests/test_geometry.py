@@ -10,8 +10,31 @@ import pytest
 
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, Halfplane,
                                 ConvexPolytope, axis_rectangle,
-                                circle_from_three_points, ray_cast,
+                                circle_from_three_points,
                                 segment_shape_intersections, supporting_halfplanes)
+
+
+def boundary_samples(shape, n):
+    """n points spaced evenly along the shape's boundary, from corner 0."""
+    if isinstance(shape, Circle):
+        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return shape.center + shape.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+    a = shape.corners
+    b = np.roll(a, -1, axis=0)
+    lens = np.linalg.norm(b - a, axis=1)
+    s = np.linspace(0.0, lens.sum(), n, endpoint=False)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
+    frac = (s - cum[idx]) / lens[idx]
+    return a[idx] + frac[:, None] * (b[idx] - a[idx])
+
+
+def ray_cast(origin, angle, shape, max_range):
+    """`shape.ray_distances` for one ray: the distance from origin at `angle`
+    to the boundary, or None when it is beyond max_range or absent."""
+    u = np.array([np.cos(angle), np.sin(angle)])
+    t = float(shape.ray_distances(np.asarray(origin, float)[None], u[None])[0])
+    return t if np.isfinite(t) and t <= max_range else None
 
 
 def unit_square():
@@ -48,7 +71,7 @@ def oracle_distance(p, shape, n=4000):
     """Min distance to dense boundary samples; 0 when inside."""
     if shape.contains(p):
         return 0.0
-    samples = shape.boundary_samples(n)
+    samples = boundary_samples(shape, n)
     return float(np.min(np.linalg.norm(samples - p, axis=1)))
 
 
@@ -181,7 +204,7 @@ class TestSupportingHalfplane:
         assert np.allclose(hp.normal, [-1, 0], atol=1e-12)
         assert hp.offset == pytest.approx(-1.0, abs=1e-12)
         assert hp.contains([3, 0])
-        for p in c.boundary_samples(256):
+        for p in boundary_samples(c, 256):
             assert float(hp.normal @ p) >= hp.offset - 1e-9
 
     def test_polygon_edge(self):
@@ -190,7 +213,7 @@ class TestSupportingHalfplane:
             s, np.array([[0.0, 0.5]]), np.array([[-2.0, 0.5]]))
         hp = Halfplane(normals[0], offsets[0])
         assert hp.contains([-2, 0.5])
-        for p in s.boundary_samples(256):
+        for p in boundary_samples(s, 256):
             assert float(hp.normal @ p) >= hp.offset - 1e-9
 
     def test_random_shapes_exclude_obstacle(self):
@@ -206,7 +229,7 @@ class TestSupportingHalfplane:
             normals, offsets = supporting_halfplanes(shape, q, e[None])
             hp = Halfplane(normals[0], offsets[0])
             assert hp.contains(e, tol=1e-7)
-            for p in shape.boundary_samples(512):
+            for p in boundary_samples(shape, 512):
                 assert float(hp.normal @ p) >= hp.offset - 1e-7
 
     def test_rejects_off_boundary_point(self):
@@ -244,7 +267,7 @@ class TestSupport:
             th = rng.uniform(0, 2 * np.pi, size=7)
             dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
             got = shape.support(dirs)
-            want = np.max(dirs @ shape.boundary_samples(4000).T, axis=1)
+            want = np.max(dirs @ boundary_samples(shape, 4000).T, axis=1)
             assert got.shape == (7,)
             assert np.allclose(got, want, atol=2e-3)
             assert np.all(got >= want - 1e-9)

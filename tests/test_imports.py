@@ -1,11 +1,14 @@
 """Import-level guards: no plotting or scipy code at run time, and every
-name that packaging and the benchmark tracer refer to exists.
+name that packaging and the benchmark tracer refer to exists and works.
 
 scipy is a test-only dependency (spline and LP oracles) and matplotlib is
 not a dependency at all; importing either at run time would cost set-up
 time and memory in every simulation.  `pyproject.toml` console scripts and
 the functions `perfbench/tracing.py` wraps are looked up by name, so a
-rename or deletion would only show when someone runs them.
+rename or deletion would only show when someone runs them.  The tracer's
+observers also read arguments and results of the functions they wrap
+(`agent.config.plan_rate`, the track list, `problem.A_in`), so a short
+traced run checks that they still can.
 """
 
 import importlib
@@ -44,3 +47,31 @@ def test_bench_tracer_targets_exist(monkeypatch):
     assert targets
     for owner, attr, span, *_ in targets:
         assert hasattr(owner, attr), f"{span}: {owner.__name__}.{attr}"
+
+
+def outcomes(result):
+    return {agent: [(r.status, r.iterations, r.flags) for r in reports]
+            for agent, reports in result.reports.items()}
+
+
+def test_bench_tracer_observes_runs_unchanged(monkeypatch):
+    from swarmplan.harness import run_scenario
+    from swarmplan.scenario import builtin_scenario
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    for name in ("intersection", "antipodal"):
+        scenario = builtin_scenario(name, duration=0.4)
+        plain = run_scenario(scenario)
+        with tracer.installed():
+            traced = run_scenario(scenario)
+        assert outcomes(traced) == outcomes(plain), name
+        # A stage that raised, in the tracer or in the program, leaves a
+        # "<stage>:<exception>" flag.
+        flags = {f for reports in traced.reports.values()
+                 for r in reports for f in r.flags}
+        assert not [f for f in flags if ":" in f], name
+    calls = tracer.deterministic_counts()["calls"]
+    for span in ("qp.solve", "regions.build", "prediction.update",
+                 "perception.classify"):
+        assert calls.get(span, 0) > 0, span

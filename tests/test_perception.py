@@ -3,13 +3,25 @@
 import numpy as np
 import pytest
 
+from swarmplan import perception
 from swarmplan.geometry import Circle, Square, Rectangle, Triangle, axis_rectangle
-from swarmplan.perception import (Cluster, LocalMap, PerceptionConfig,
-                                  build_moving_volume, classify_cluster,
-                                  compensate_motion, fit_rectangle,
-                                  segment_scan)
-from swarmplan.sensor import LidarConfig, Scan, World, simulate_scan
+from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
+                                  classify_cluster, compensate_motion,
+                                  fit_rectangle, segment_scan)
+from swarmplan.sensor import Scan, World, simulate_scan
 from swarmplan.bspline import TrajectorySpline
+
+
+def boundary_samples(polygon, n):
+    """n points spaced evenly along a polygon's boundary, from corner 0."""
+    a = polygon.corners
+    b = np.roll(a, -1, axis=0)
+    lens = np.linalg.norm(b - a, axis=1)
+    s = np.linspace(0.0, lens.sum(), n, endpoint=False)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
+    frac = (s - cum[idx]) / lens[idx]
+    return a[idx] + frac[:, None] * (b[idx] - a[idx])
 
 
 def make_scan(ranges, stamp=0.0, sweep=0.2, fov_closed=True):
@@ -22,9 +34,13 @@ def make_scan(ranges, stamp=0.0, sweep=0.2, fov_closed=True):
 
 
 class TestSegmentation:
+    """At 1.5 m, returns 10 degrees apart are 0.26 m apart, within
+    JUMP_DISTANCE: unless a test says otherwise, only missing returns split
+    its runs."""
+
     def test_basic_runs(self):
         r = np.full(36, np.nan)
-        r[3:8] = 2.0
+        r[3:8] = 1.5
         r[20:22] = 1.5
         clusters = segment_scan(make_scan(r))
         assert len(clusters) == 2
@@ -33,16 +49,16 @@ class TestSegmentation:
 
     def test_single_returns_discarded(self):
         r = np.full(36, np.nan)
-        r[5] = 2.0
-        r[10:12] = 2.0
+        r[5] = 1.5
+        r[10:12] = 1.5
         clusters = segment_scan(make_scan(r))
         assert len(clusters) == 1
         assert len(clusters[0].points) == 2
 
     def test_wraparound_merges(self):
         r = np.full(36, np.nan)
-        r[0:3] = 2.0
-        r[-2:] = 2.0
+        r[0:3] = 1.5
+        r[-2:] = 1.5
         clusters = segment_scan(make_scan(r))
         assert len(clusters) == 1
         assert len(clusters[0].points) == 5
@@ -56,11 +72,20 @@ class TestSegmentation:
 
     def test_median_stamp(self):
         r = np.full(10, np.nan)
-        r[2:5] = 1.0
+        r[2:5] = 0.4
         scan = make_scan(r, stamp=1.0, sweep=1.0)
         clusters = segment_scan(scan)
         # Beams 2, 3, 4 at stamps 1.2, 1.3, 1.4.
         assert clusters[0].median_stamp == pytest.approx(1.3)
+
+    def test_depth_jump_splits_run(self):
+        # Returns 0.26 m apart stay together; the 0.5 m step to the nearer
+        # object splits the run.
+        r = np.full(36, np.nan)
+        r[3:6] = 1.5
+        r[6:9] = 1.0
+        clusters = segment_scan(make_scan(r))
+        assert [len(c.points) for c in clusters] == [3, 3]
 
     def test_all_nan(self):
         assert segment_scan(make_scan(np.full(12, np.nan))) == []
@@ -102,7 +127,7 @@ class TestFitRectangle:
     def test_rejects_bent_cluster(self):
         pts = np.array([[0, 0], [0.5, 0.4], [1, 0]])
         with pytest.raises(ValueError):
-            fit_rectangle(pts, robot_position=[0.5, -3.0], line_tol=0.03)
+            fit_rectangle(pts, robot_position=[0.5, -3.0])
 
 
 class TestClassification:
@@ -159,7 +184,7 @@ class TestClassification:
 
     def test_end_to_end_scan_of_circle(self):
         world = World(obstacles=[Circle([3.0, 0.0], 0.6)], bounds=(-10, -10, 10, 10))
-        scan = simulate_scan(world, [0.0, 0.0], 0.0, LidarConfig(), 0.0)
+        scan = simulate_scan(world, [0.0, 0.0], 0.0, 0.0)
         clusters = segment_scan(scan)
         assert len(clusters) == 1
         shape = classify_cluster(clusters[0].points, robot_position=[0.0, 0.0])
@@ -217,14 +242,14 @@ class TestLocalMap:
         m.insert(Circle([1.0, 1.0], 0.5))
         # New evidence: points hugging a square around the same center.
         sq = Square([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]])
-        pts = sq.boundary_samples(40)
+        pts = boundary_samples(sq, 40)
         m.insert(sq, points=pts)
         assert len(m) == 1
         assert isinstance(m.shapes()[0], Square)
 
-    def test_recenter_drops_far_shapes(self):
-        cfg = PerceptionConfig(map_radius=5.0)
-        m = LocalMap(config=cfg)
+    def test_recenter_drops_far_shapes(self, monkeypatch):
+        monkeypatch.setattr(perception, "MAP_RADIUS", 5.0)
+        m = LocalMap()
         m.insert(Circle([2.0, 0.0], 0.5))
         m.insert(Circle([-4.0, 0.0], 0.5))
         m.recenter([4.0, 0.0])
@@ -232,8 +257,7 @@ class TestLocalMap:
         assert centers == [2.0]
 
     def test_insert_beyond_radius_ignored(self):
-        cfg = PerceptionConfig(map_radius=5.0)
-        m = LocalMap(config=cfg)
+        m = LocalMap()
         m.insert(Circle([20.0, 0.0], 0.5))
         assert len(m) == 0
 
@@ -270,22 +294,15 @@ class TestMovingVolume:
         m.insert(Circle([12.0, 0.0], 0.5))
         control = np.stack([np.linspace(0, 7, 8), np.zeros(8)], axis=1)
         traj = TrajectorySpline(3, 0.0, 1.0, control)
-        vol = build_moving_volume(m, traj, t_now=3.0, horizon=2.0, tau=0.5,
-                                  window_radius=5.0)
+        vol = build_moving_volume(m, traj, t_now=3.0, horizon=2.0, tau=0.5)
         assert vol.member.shape == (4, len(vol.shapes))
         assert vol.t_rel[0] == pytest.approx(0.5)
         assert vol.t_rel[-1] == pytest.approx(2.0)
         # Early slices near x=3 see only the near circle.
         assert volume_lists(vol)[0] == [m.shapes()[0]]
 
-    def test_tau_must_divide_horizon(self):
-        m = LocalMap()
-        control = np.zeros((8, 2))
-        traj = TrajectorySpline(3, 0.0, 1.0, control)
-        with pytest.raises(ValueError):
-            build_moving_volume(m, traj, 0.0, 2.0, 0.3, 5.0)
-
-    def test_window_filters_by_center_distance(self):
+    def test_window_filters_by_center_distance(self, monkeypatch):
+        monkeypatch.setattr(perception, "WINDOW_RADIUS", 3.0)
         m = LocalMap()
         near = Circle([1.0, 0.0], 0.5)
         far = Circle([9.0, 0.0], 0.5)
@@ -293,7 +310,7 @@ class TestMovingVolume:
         m.insert(far)
         control = np.zeros((8, 2))
         traj = TrajectorySpline(3, 0.0, 1.0, control)
-        vol = build_moving_volume(m, traj, 0.0, 1.0, 0.5, window_radius=3.0)
+        vol = build_moving_volume(m, traj, 0.0, 1.0, 0.5)
         assert vol.shapes == [near]
         assert vol.member.all()
 
@@ -306,7 +323,7 @@ class TestMovingVolume:
         shapes = [Circle([-3.0, 0.0], 0.2), Circle([8.0, 0.0], 0.2),
                   Circle([np.nextafter(8.0, 9.0), 0.0], 0.2),
                   Circle([6.0, -4.0], 0.2)]
-        vol = build_moving_volume(ShapeList(shapes), traj, 3.0, 2.0, 0.5, 5.0)
+        vol = build_moving_volume(ShapeList(shapes), traj, 3.0, 2.0, 0.5)
         assert vol.centers[1:].tolist() == [[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]]
         assert vol.shapes == [shapes[0], shapes[1], shapes[3]]
         assert vol.member.tolist() == [[True, False, False],
@@ -317,7 +334,7 @@ class TestMovingVolume:
     def test_mask_matches_per_slice_loop(self):
         # Shapes at random and on the windows' rims up to rounding.
         rng = np.random.default_rng(71)
-        radius = 5.0
+        radius = perception.WINDOW_RADIUS
         for _ in range(30):
             traj = TrajectorySpline(3, 0.0, 1.0,
                                     rng.uniform(-4.0, 4.0, size=(8, 2)))
@@ -335,7 +352,7 @@ class TestMovingVolume:
                     path[k] + radius * np.array([np.cos(th), np.sin(th)]), 0.2))
             rng.shuffle(shapes)
             vol = build_moving_volume(ShapeList(shapes), traj, t_now, 4.0,
-                                      0.1, radius)
+                                      0.1)
             want = oracle_volume_lists(shapes, traj, t_now, 4.0, 0.1, radius)
             assert volume_lists(vol) == want
             assert vol.shapes == [s for s in shapes

@@ -10,7 +10,7 @@ from swarmplan.bspline import (TrajectorySpline, derivative_map,
 from swarmplan.geometry import (Circle, ConvexPolytope, Halfplane, Square,
                                 Triangle)
 from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, PlanRequest,
-                               RELAXED_SAMPLES_PER_SEGMENT, Weights,
+                               RELAXED_SAMPLES_PER_SEGMENT,
                                admit_obstacles, assemble_qp,
                                collision_cost_closed_form, collision_kernel,
                                constant_spline, end_cost, fit_to_layout,
@@ -47,52 +47,39 @@ def random_trajectory(rng, degree=3, m=7, t0=0.0, dt=1.0, scale=2.0):
 
 class TestKernel:
     def test_threshold_value(self):
-        w = Weights()
-        assert collision_kernel(w.rho, w) == pytest.approx(1.0 / w.K_p)
+        assert collision_kernel(planner.RHO) == pytest.approx(1.0 / planner.K_P)
 
     def test_decay_ten_efolds(self):
-        w = Weights()
-        d = w.rho + 10.0 / w.K_p
-        assert collision_kernel(d, w) == pytest.approx(np.exp(-10.0) / w.K_p)
+        d = planner.RHO + 10.0 / planner.K_P
+        assert collision_kernel(d) == pytest.approx(np.exp(-10.0) / planner.K_P)
 
     def test_monotone_decreasing(self):
-        w = Weights()
         d = np.linspace(0.0, 3.0, 1000)
-        vals = collision_kernel(d, w)
+        vals = collision_kernel(d)
         assert np.all(np.diff(vals) <= 1e-15)
 
     def test_floor_flattens_contact(self):
-        w = Weights()
-        assert collision_kernel(0.0, w) == collision_kernel(DISTANCE_FLOOR, w)
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            Weights(K_p=0.0)
-        with pytest.raises(ValueError):
-            Weights(Q_final=-1.0)
+        assert collision_kernel(0.0) == collision_kernel(DISTANCE_FLOOR)
 
 
 class TestClosedForm:
     def test_static_point_at_threshold(self):
-        w = Weights()
         layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
         traj = constant_spline(layout, [0.0, 0.0])
-        obs = Circle([w.rho + 1.0, 0.0], 1.0)  # distance exactly rho
-        got = collision_cost_closed_form(traj, obs, (0.0, 1.0), w)
-        assert got == pytest.approx(1.0 / w.K_p, rel=1e-12)
+        obs = Circle([planner.RHO + 1.0, 0.0], 1.0)  # distance exactly rho
+        got = collision_cost_closed_form(traj, obs, (0.0, 1.0))
+        assert got == pytest.approx(1.0 / planner.K_P, rel=1e-12)
 
     def test_distant_trajectory_negligible(self):
-        w = Weights()
         layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
         traj = constant_spline(layout, [0.0, 0.0])
         obs = Circle([50.0, 0.0], 1.0)
-        got = collision_cost_closed_form(traj, obs, (0.0, 4.0), w)
-        assert got < 1e-3 * 4.0 / w.K_p
+        got = collision_cost_closed_form(traj, obs, (0.0, 4.0))
+        assert got < 1e-3 * 4.0 / planner.K_P
 
     def test_matches_riemann_oracle(self):
         # The reference quadrature targets trajectories that keep clear of
         # the shape; the integrand loses smoothness exactly at contact.
-        w = Weights()
         rng = np.random.default_rng(17)
         checked = 0
         attempts = 0
@@ -114,19 +101,18 @@ class TestClosedForm:
             dists = dist_many(obs, pts)
             if dists.min() < 0.05:
                 continue
-            got = collision_cost_closed_form(traj, obs, span, w)
-            want = float(np.sum(collision_kernel(dists, w)) * step)
+            got = collision_cost_closed_form(traj, obs, span)
+            want = float(np.sum(collision_kernel(dists)) * step)
             assert got == pytest.approx(want, rel=1e-5)
             checked += 1
         assert checked == 6
 
     def test_span_clipped_to_domain(self):
-        w = Weights()
         layout = plan_knot_layout(0.0, 2.0, 1.0, 3)
         traj = constant_spline(layout, [0.0, 0.0])
-        obs = Circle([w.rho + 1.0, 0.0], 1.0)
-        full = collision_cost_closed_form(traj, obs, (-10.0, 10.0), w)
-        assert full == pytest.approx(2.0 / w.K_p, rel=1e-12)
+        obs = Circle([planner.RHO + 1.0, 0.0], 1.0)
+        full = collision_cost_closed_form(traj, obs, (-10.0, 10.0))
+        assert full == pytest.approx(2.0 / planner.K_P, rel=1e-12)
 
 
 class TestQuadratize:
@@ -138,20 +124,18 @@ class TestQuadratize:
         return traj, obs, (lo, hi), rng
 
     def test_value_matches_closed_form(self):
-        w = Weights()
         for seed in range(5):
             traj, obs, span, _ = self.setup_pair(seed)
-            H, F, c0 = quadratize_collision(traj, [obs], span, w)
+            H, F, c0 = quadratize_collision(traj, [obs], span)
             x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
             got = 0.5 * x0 @ H @ x0 + F @ x0 + c0
-            want = collision_cost_closed_form(traj, obs, span, w)
+            want = collision_cost_closed_form(traj, obs, span)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        w = Weights()
         for seed in (3, 9, 21):
             traj, obs, span, _ = self.setup_pair(seed)
-            H, F, _ = quadratize_collision(traj, [obs], span, w)
+            H, F, _ = quadratize_collision(traj, [obs], span)
             x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
             grad = H @ x0 + F
             h = 1e-6
@@ -161,34 +145,31 @@ class TestQuadratize:
                     c = traj.control.copy()
                     c[i % traj.m, i // traj.m] += sgn * h
                     t2 = TrajectorySpline(traj.degree, traj.t0, traj.dt, c)
-                    fd[i] += acc * collision_cost_closed_form(t2, obs, span, w)
+                    fd[i] += acc * collision_cost_closed_form(t2, obs, span)
                 fd[i] /= 2 * h
             scale = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad - fd) / scale < 1e-4
 
     def test_far_obstacle_vanishes(self):
-        w = Weights()
         traj, _, span, _ = self.setup_pair(2)
         obs = Circle([100.0, 100.0], 1.0)
-        H, F, c0 = quadratize_collision(traj, [obs], span, w)
+        H, F, c0 = quadratize_collision(traj, [obs], span)
         assert np.linalg.norm(H) < 1e-8
         assert np.linalg.norm(F) < 1e-8
 
     def test_hessian_psd(self):
-        w = Weights()
         for seed in range(6):
             traj, obs, span, _ = self.setup_pair(seed)
-            H, _, _ = quadratize_collision(traj, [obs], span, w)
+            H, _, _ = quadratize_collision(traj, [obs], span)
             assert np.linalg.eigvalsh(H).min() >= -1e-9
 
     def test_polygon_obstacle_gradient(self):
-        w = Weights()
         rng = np.random.default_rng(31)
         traj = random_trajectory(rng)
         obs = Square([[0.5, -0.5], [1.5, -0.5], [1.5, 0.5], [0.5, 0.5]])
         lo, hi = traj.domain
         span = (lo, hi)
-        H, F, _ = quadratize_collision(traj, [obs], span, w)
+        H, F, _ = quadratize_collision(traj, [obs], span)
         x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
         grad = H @ x0 + F
         h = 1e-6
@@ -199,9 +180,9 @@ class TestQuadratize:
             c_hi[i % traj.m, i // traj.m] += h
             c_lo[i % traj.m, i // traj.m] -= h
             hi_v = collision_cost_closed_form(
-                TrajectorySpline(traj.degree, traj.t0, traj.dt, c_hi), obs, span, w)
+                TrajectorySpline(traj.degree, traj.t0, traj.dt, c_hi), obs, span)
             lo_v = collision_cost_closed_form(
-                TrajectorySpline(traj.degree, traj.t0, traj.dt, c_lo), obs, span, w)
+                TrajectorySpline(traj.degree, traj.t0, traj.dt, c_lo), obs, span)
             fd[i] = (hi_v - lo_v) / (2 * h)
         scale = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(grad - fd) / scale < 1e-4
@@ -209,7 +190,6 @@ class TestQuadratize:
     def test_node_hessian_is_psd_part_of_exact_hessian(self):
         # The node model's Hessian equals the finite-difference Hessian of
         # kernel(distance(p)) with its negative eigenvalues clamped to zero.
-        w = Weights()
         rng = np.random.default_rng(17)
         h = 1e-4
         steps = [np.array(s, float) for s in ((h, 0), (0, h))]
@@ -219,8 +199,8 @@ class TestQuadratize:
             pts = rng.uniform(-1.5, 1.8, size=(400, 2))
             pts = pts[dist_many(shape, pts) > DISTANCE_FLOOR + 3 * h]
             _, _, H = planner._kernel_models(
-                *planner._distance_models(shape, pts), w)
-            k = lambda p: collision_kernel(dist_many(shape, p), w)
+                *planner._distance_models(shape, pts))
+            k = lambda p: collision_kernel(dist_many(shape, p))
             exact = np.empty((len(pts), 2, 2))
             for i, si in enumerate(steps):
                 for j, sj in enumerate(steps):
@@ -235,7 +215,6 @@ class TestQuadratize:
         # Several obstacles give the sum of their single-obstacle models,
         # and the model still reproduces the reference at the expansion
         # point.
-        w = Weights()
         rng = np.random.default_rng(41)
         traj = random_trajectory(rng, scale=1.0)
         span = traj.domain
@@ -245,14 +224,14 @@ class TestQuadratize:
                                              [0.6, 0.2], [0.2, 0.2]])),
                   Triangle(near[2] + np.array([[0.0, 0.3], [0.5, 0.3],
                                                [0.2, 0.7]]))]
-        H, F, c0 = quadratize_collision(traj, shapes, span, w)
-        parts = [quadratize_collision(traj, [s], span, w) for s in shapes]
+        H, F, c0 = quadratize_collision(traj, shapes, span)
+        parts = [quadratize_collision(traj, [s], span) for s in shapes]
         for got, k in ((H, 0), (F, 1), (c0, 2)):
             want = sum(part[k] for part in parts)
             assert np.linalg.norm(want) > 0.0
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
-        want = sum(collision_cost_closed_form(traj, s, span, w) for s in shapes)
+        want = sum(collision_cost_closed_form(traj, s, span) for s in shapes)
         assert 0.5 * x0 @ H @ x0 + F @ x0 + c0 == pytest.approx(want, rel=1e-9)
 
 
@@ -304,24 +283,24 @@ class TestEndTime:
     def test_rest_to_goal(self):
         # 4 = 2 T^2 / 2  ->  T = 2, doubled.
         got = _comfortable_arrival(np.zeros(2), np.array([4.0, 0.0]),
-                                   self.accel_only, 0.5)
+                                   self.accel_only)
         assert got == pytest.approx(4.0)
 
     def test_zero_distance_floor(self):
         start = np.array([1.0, 1.0])
-        assert _comfortable_arrival(start, start.copy(), self.accel_only,
-                                    1.0) == pytest.approx(4.0)
+        assert (_comfortable_arrival(start, start.copy(), self.accel_only)
+                == pytest.approx(4.0))
 
     def test_floor_applies(self):
         got = _comfortable_arrival(np.zeros(2), np.array([0.1, 0.0]),
-                                   symmetric_limits({2: 10.0}), 1.0)
+                                   symmetric_limits({2: 10.0}))
         assert got == pytest.approx(4.0)
 
     def test_zero_acceleration_rejected(self):
         # symmetric_limits refuses this box, so pass it raw.
         with pytest.raises(ValueError):
             _comfortable_arrival(np.zeros(2), np.array([1.0, 0.0]),
-                                 {2: (np.zeros(2), np.zeros(2))}, 1.0)
+                                 {2: (np.zeros(2), np.zeros(2))})
 
 
 def stacked_region(polytopes, tau=0.1):
@@ -372,8 +351,7 @@ def base_request(**kw):
 class TestAssembleAndSolve:
     def test_free_space_reaches_goal(self):
         req = base_request()
-        w = Weights()
-        traj, report = plan_with_fallback(req, w)
+        traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         assert np.linalg.norm(traj.position(4.0) - req.goal) < 1e-3
 
@@ -381,11 +359,10 @@ class TestAssembleAndSolve:
         # With inactive boxes the solution equals the unconstrained
         # equality-KKT solve of the same objective.
         req = base_request()
-        w = Weights()
         layout = plan_knot_layout(req.t_now, req.horizon, req.dt, 3,
                                   goal_time=req.goal_time)
         reference = fit_to_layout(req.previous, layout)
-        qp = assemble_qp(req, w, layout, reference)
+        qp = assemble_qp(req, layout, reference)
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         nvar = len(qp.F)
@@ -400,8 +377,7 @@ class TestAssembleAndSolve:
 
     def test_goal_behind_wall_clamps_to_wall(self):
         req = base_request(goal=np.array([5.0, 0.0]), regions=wall_region())
-        w = Weights()
-        traj, report = plan_with_fallback(req, w)
+        traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         end = traj.position(4.0)
         assert abs(end[0] - 2.0) < 1e-4
@@ -409,7 +385,7 @@ class TestAssembleAndSolve:
 
     def test_region_compliance_at_slice_times(self):
         req = base_request(goal=np.array([5.0, 0.0]), regions=wall_region())
-        traj, _ = plan_with_fallback(req, Weights())
+        traj, _ = plan_with_fallback(req)
         for sl in req.regions.slices:
             p = traj.position(req.t_now + sl.t_rel)
             assert sl.polytope.violation(p) <= 1e-6
@@ -417,14 +393,14 @@ class TestAssembleAndSolve:
     def test_waypoint_interpolated(self):
         wp = (1.5, np.array([1.0, 0.5]))
         req = base_request(waypoints=[wp])
-        traj, report = plan_with_fallback(req, Weights())
+        traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         assert np.linalg.norm(traj.position(1.5) - wp[1]) < 1e-6
 
     def test_out_of_horizon_waypoint_deferred(self):
         wp = (9.5, np.array([50.0, 50.0]))
         req = base_request(waypoints=[wp])
-        traj, report = plan_with_fallback(req, Weights())
+        traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         # The far waypoint must not bend this cycle's spline to reach it.
         assert np.linalg.norm(traj.position(4.0) - req.goal) < 1e-3
@@ -432,21 +408,22 @@ class TestAssembleAndSolve:
     def test_continuity_with_moving_start(self):
         req = base_request(
             initial_state=np.array([[0.5, -0.2], [0.8, 0.3]]))
-        traj, report = plan_with_fallback(req, Weights())
+        traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         assert report.continuity_error <= 1e-6
         assert np.allclose(traj.position(0.0), [0.5, -0.2], atol=1e-6)
         assert np.allclose(traj.derivative_value(0.0, 1), [0.8, 0.3], atol=1e-6)
 
-    def test_minimum_derivative_degeneracy(self):
+    def test_minimum_derivative_degeneracy(self, monkeypatch):
         # Only the order-n energy active: the optimum coasts on the initial
         # straight line, the analytic minimum-acceleration trajectory.
-        w = Weights(Q_n=1.0, Q_nm1=0.0, Q_final=0.0, Q_final_vel=0.0,
-                    Q_obs=0.0)
+        monkeypatch.setattr(planner, "Q_N", 1.0)
+        for name in ("Q_NM1", "Q_FINAL", "Q_FINAL_VEL", "Q_OBS"):
+            monkeypatch.setattr(planner, name, 0.0)
         req = base_request(
             initial_state=np.array([[1.0, 2.0], [0.5, -0.3]]),
             goal=np.array([3.0, 0.8]), goal_time=None, limits={})
-        traj, report = plan_with_fallback(req, w)
+        traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         lo, hi = traj.domain
         for t in np.linspace(lo, hi, 9):
@@ -457,7 +434,7 @@ class TestAssembleAndSolve:
         req = base_request()
         layout = plan_knot_layout(0.0, 4.0, 1.0, 5)
         with pytest.raises(ValueError):
-            assemble_qp(req, Weights(), layout, constant_spline(layout, [0, 0]))
+            assemble_qp(req, layout, constant_spline(layout, [0, 0]))
 
 
 class TestFallbackLadder:
@@ -468,7 +445,7 @@ class TestFallbackLadder:
         req = base_request(
             waypoints=[(1.0, np.array([0.72, 0.0]))],
             limits={1: (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))})
-        traj, report = plan_with_fallback(req, Weights())
+        traj, report = plan_with_fallback(req)
         assert report.status == "relaxed"
         assert np.linalg.norm(traj.position(1.0) - [0.72, 0.0]) < 1e-6
         # Sampled speeds respect the cap on the enforcement grid.
@@ -498,7 +475,7 @@ class TestFallbackLadder:
             regions=region,
             waypoints=[(1.0, np.array([0.72, 0.0]))],
             limits={1: (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))})
-        _, report = plan_with_fallback(req, Weights())
+        _, report = plan_with_fallback(req)
         assert report.status == "relaxed"
         assert len(assembled) == 1
         dense, relaxed = problems
@@ -526,12 +503,11 @@ class TestFallbackLadder:
 
     def test_feasible_problem_identical_to_plain_solve(self):
         req = base_request()
-        w = Weights()
-        traj, report = plan_with_fallback(req, w)
+        traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         layout = report.layout
         reference = fit_to_layout(req.previous, layout)
-        sol = solve_qp(assemble_qp(req, w, layout, reference))
+        sol = solve_qp(assemble_qp(req, layout, reference))
         assert np.array_equal(
             np.concatenate([traj.control[:, 0], traj.control[:, 1]]), sol.x)
 
@@ -539,7 +515,7 @@ class TestFallbackLadder:
         region = wall_region()
         region.feasible[:] = False
         req = base_request(regions=region)
-        traj, report = plan_with_fallback(req, Weights())
+        traj, report = plan_with_fallback(req)
         assert report.status == "fallback"
         assert traj is req.previous
 
@@ -548,7 +524,7 @@ class TestFallbackLadder:
         # region rows, which both passes keep.
         req = base_request(regions=wall_region(),
                            waypoints=[(1.0, np.array([10.0, 0.0]))])
-        traj, report = plan_with_fallback(req, Weights())
+        traj, report = plan_with_fallback(req)
         assert report.status == "fallback"
         assert traj is req.previous
 
@@ -583,10 +559,10 @@ class TestHelpers:
     def test_admit_requires_regions(self):
         assert admit_obstacles([Circle([0.0, 0.0], 1.0)], None) == []
 
-    def test_quadratization_contracts_on_repeats(self):
+    def test_quadratization_contracts_on_repeats(self, monkeypatch):
         # Re-expanding around the latest solution in a frozen world shrinks
         # the step between successive solutions.
-        w = Weights(Q_final=50.0)
+        monkeypatch.setattr(planner, "Q_FINAL", 50.0)
         obs = Circle([1.5, 0.05], 0.4)
         req = base_request(goal=np.array([3.0, 0.0]), near_obstacles=[obs])
         prev = req.previous
@@ -594,7 +570,7 @@ class TestHelpers:
         for _ in range(3):
             req = base_request(goal=np.array([3.0, 0.0]), near_obstacles=[obs],
                                previous=prev)
-            traj, report = plan_with_fallback(req, w)
+            traj, report = plan_with_fallback(req)
             assert report.status == "optimal"
             controls.append(traj.control.copy())
             prev = traj

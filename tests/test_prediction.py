@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from swarmplan import prediction
 from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
-                                  PredictionConfig, SquareFootprint, associate,
-                                  fit_quintic, footprint_from_size,
-                                  update_tracks, _jerk_gram)
+                                  SquareFootprint, associate, fit_quintic,
+                                  footprint_from_size, update_tracks,
+                                  _jerk_gram)
 
 
 def state(stamp, p, v=(0, 0), a=(0, 0), size=(0.3,)):
@@ -16,10 +17,10 @@ def state(stamp, p, v=(0, 0), a=(0, 0), size=(0.3,)):
                      acceleration=np.array(a, float), size=size)
 
 
-def oracle(track, t, order, cfg):
+def oracle(track, t, order):
     """Order-th derivative of the window's quintic, one axis at a time."""
     t1, t2 = track.states[0].stamp, track.states[-1].stamp
-    coeffs = fit_quintic(track.states, t1, t2, cfg.lambda_jerk)
+    coeffs = fit_quintic(track.states, t1, t2, prediction.LAMBDA_JERK)
     out = np.empty(2)
     for ax in range(2):
         c = coeffs[:, ax]
@@ -34,11 +35,10 @@ class TestConstantAccel:
 
     def test_printed_form_no_half(self):
         rng = np.random.default_rng(2)
-        cfg = PredictionConfig()
         for _ in range(50):
             stamp = float(rng.uniform(-5.0, 5.0))
             p, v, a = rng.normal(size=(3, 2))
-            tr = PeerTrack(state(stamp, p, v, a), cfg)
+            tr = PeerTrack(state(stamp, p, v, a))
             for dt in rng.uniform(-1.0, 3.0, size=5):
                 pos, vel, acc = tr.predict(stamp + dt)
                 assert np.allclose(pos, p + v * dt + a * dt * dt,
@@ -47,7 +47,7 @@ class TestConstantAccel:
                 assert np.allclose(acc, 2.0 * a, rtol=0.0, atol=1e-12)
 
     def test_zero_accel_is_linear(self):
-        tr = PeerTrack(state(1.0, [0.0, 0.0], v=[2.0, 1.0]), PredictionConfig())
+        tr = PeerTrack(state(1.0, [0.0, 0.0], v=[2.0, 1.0]))
         assert np.allclose(tr.predict(4.0)[0], [6.0, 3.0], atol=1e-12)
 
 
@@ -126,7 +126,7 @@ class TestQuinticFit:
 class TestTrackPrediction:
     def test_single_state_uses_constant_accel(self):
         st = state(0.5, [0, 0], v=[1, 0], a=[0.5, 0])
-        tr = PeerTrack(st, PredictionConfig())
+        tr = PeerTrack(st)
         times = np.array([0.5, 1.0, 2.5])
         dt = (times - st.stamp)[:, None]
         want = st.position + st.velocity * dt + st.acceleration * dt * dt
@@ -135,9 +135,8 @@ class TestTrackPrediction:
     def test_equal_stamps_bootstrap_newest_state(self):
         # A window that spans no time has nothing to fit: the newest state's
         # bootstrap is the prediction.
-        cfg = PredictionConfig()
-        tr = PeerTrack(state(1.0, [0, 0], v=[1, 0]), cfg)
-        tr.push(state(1.0, [0.2, 0.1], v=[0, 1], a=[0.5, 0]), cfg)
+        tr = PeerTrack(state(1.0, [0, 0], v=[1, 0]))
+        tr.push(state(1.0, [0.2, 0.1], v=[0, 1], a=[0.5, 0]))
         assert np.allclose(tr.predict(2.0), [[0.7, 1.1], [1.0, 1.0], [1.0, 0.0]],
                            rtol=0.0, atol=1e-12)
 
@@ -145,83 +144,77 @@ class TestTrackPrediction:
         # predict and predict_positions equal, bit for bit, the per-axis
         # derivatives and evaluations of the window's fit.
         rng = np.random.default_rng(13)
-        cfg = PredictionConfig()
         for _ in range(20):
-            tr = PeerTrack(state(0.0, *rng.normal(size=(3, 2))), cfg)
+            tr = PeerTrack(state(0.0, *rng.normal(size=(3, 2))))
             for t in np.cumsum(rng.uniform(0.02, 0.2, size=int(rng.integers(1, 25)))):
-                tr.push(state(float(t), *rng.normal(size=(3, 2))), cfg)
+                tr.push(state(float(t), *rng.normal(size=(3, 2))))
                 times = t + rng.uniform(-0.5, 2.0, size=6)
                 for s in times:
-                    want = np.stack([oracle(tr, s, k, cfg) for k in range(3)])
+                    want = np.stack([oracle(tr, s, k) for k in range(3)])
                     assert np.array_equal(tr.predict(s), want)
-                want = np.stack([oracle(tr, s, 0, cfg) for s in times])
+                want = np.stack([oracle(tr, s, 0) for s in times])
                 assert np.array_equal(tr.predict_positions(times), want)
 
-    def test_window_capped(self):
-        cfg = PredictionConfig(window=5)
-        tr = PeerTrack(state(0.0, [0.0, 0.0], v=[1, 0]), cfg)
+    def test_window_capped(self, monkeypatch):
+        monkeypatch.setattr(prediction, "TRACK_WINDOW", 5)
+        tr = PeerTrack(state(0.0, [0.0, 0.0], v=[1, 0]))
         for k in range(1, 12):
-            tr.push(state(0.1 * k, [0.1 * k, 0.0], v=[1, 0]), cfg)
+            tr.push(state(0.1 * k, [0.1 * k, 0.0], v=[1, 0]))
         assert len(tr.states) == 5
         assert tr.states[0].stamp == pytest.approx(0.7)
 
-    def test_fitted_track_matches_linear_motion(self):
-        cfg = PredictionConfig(lambda_jerk=1e-8)
-        tr = PeerTrack(state(0.0, [0.0, 1.0], v=[2.0, -1.0]), cfg)
+    def test_fitted_track_matches_linear_motion(self, monkeypatch):
+        monkeypatch.setattr(prediction, "LAMBDA_JERK", 1e-8)
+        tr = PeerTrack(state(0.0, [0.0, 1.0], v=[2.0, -1.0]))
         for k in range(1, 10):
             t = 0.1 * k
-            tr.push(state(t, [2.0 * t, 1.0 - t], v=[2.0, -1.0]), cfg)
+            tr.push(state(t, [2.0 * t, 1.0 - t], v=[2.0, -1.0]))
         p, v, _ = tr.predict(1.5)
         assert np.allclose(p, [3.0, -0.5], atol=1e-6)
         assert np.allclose(v, [2.0, -1.0], atol=1e-6)
 
     def test_vectorized_prediction_matches_scalar(self):
-        cfg = PredictionConfig()
-        tr = PeerTrack(state(0.0, [0.0, 1.0], v=[1.0, 0.0]), cfg)
+        tr = PeerTrack(state(0.0, [0.0, 1.0], v=[1.0, 0.0]))
         for k in range(1, 8):
             t = 0.1 * k
-            tr.push(state(t, [np.sin(t), np.cos(t)], v=[np.cos(t), -np.sin(t)]), cfg)
+            tr.push(state(t, [np.sin(t), np.cos(t)], v=[np.cos(t), -np.sin(t)]))
         times = np.linspace(0.8, 2.0, 9)
         pos = tr.predict_positions(times)
         for k, t in enumerate(times):
             assert np.allclose(pos[k], tr.predict(t)[0], atol=1e-12)
 
-    def test_staleness(self):
-        cfg = PredictionConfig(staleness=0.5)
-        tr = PeerTrack(state(1.0, [0, 0]), cfg)
-        assert not tr.is_stale(1.4, cfg)
-        assert tr.is_stale(1.6, cfg)
+    def test_staleness(self, monkeypatch):
+        monkeypatch.setattr(prediction, "STALENESS", 0.5)
+        tr = PeerTrack(state(1.0, [0, 0]))
+        assert not tr.is_stale(1.4)
+        assert tr.is_stale(1.6)
 
 
 class TestAssociation:
     def test_matching_track_updated(self):
-        cfg = PredictionConfig()
         tracks = []
-        update_tracks(tracks, state(0.0, [0, 0], v=[1, 0]), cfg)
-        idx = update_tracks(tracks, state(0.1, [0.1, 0], v=[1, 0]), cfg)
+        update_tracks(tracks, state(0.0, [0, 0], v=[1, 0]))
+        idx = update_tracks(tracks, state(0.1, [0.1, 0], v=[1, 0]))
         assert idx == 0
         assert len(tracks) == 1
         assert len(tracks[0].states) == 2
 
     def test_distant_state_creates_new_track(self):
-        cfg = PredictionConfig()
         tracks = []
-        update_tracks(tracks, state(0.0, [0, 0], v=[1, 0]), cfg)
-        idx = update_tracks(tracks, state(0.1, [5.0, 5.0], v=[0, 0]), cfg)
+        update_tracks(tracks, state(0.0, [0, 0], v=[1, 0]))
+        idx = update_tracks(tracks, state(0.1, [5.0, 5.0], v=[0, 0]))
         assert idx == 1
         assert len(tracks) == 2
 
     def test_tie_breaks_to_lowest_index(self):
-        cfg = PredictionConfig()
         # Two identical tracks; the incoming state fits both equally.
-        tracks = [PeerTrack(state(0.0, [0, 0]), cfg),
-                  PeerTrack(state(0.0, [0, 0]), cfg)]
-        idx = associate(tracks, state(0.1, [0.0, 0.0]), cfg)
+        tracks = [PeerTrack(state(0.0, [0, 0])),
+                  PeerTrack(state(0.0, [0, 0]))]
+        idx = associate(tracks, state(0.1, [0.0, 0.0]))
         assert idx == 0
 
     def test_crossing_targets_stay_separated(self):
         # Two peers crossing paths; prediction keeps their tracks apart.
-        cfg = PredictionConfig()
         rng = np.random.default_rng(11)
         for _ in range(20):
             tracks = []
@@ -236,7 +229,7 @@ class TestAssociation:
                 pb = pb0 + vb * t
                 for who, (p, v) in enumerate(((pa, va), (pb, vb))):
                     noisy = p + rng.normal(scale=0.005, size=2)
-                    idx = update_tracks(tracks, state(t, noisy, v=v), cfg)
+                    idx = update_tracks(tracks, state(t, noisy, v=v))
                     if k == 0:
                         truth.append(idx)
                     else:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from swarmplan import regions
 from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolytope,
                                 Halfplane, Square, Triangle, axis_rectangle,
                                 oriented_rectangle)
 from swarmplan.perception import MovingVolume
 from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
-                                  PredictionConfig, SquareFootprint,
-                                  footprint_from_size)
-from swarmplan.regions import (PlaneStack, RegionConfig, SeedInsideObstacle,
+                                  SquareFootprint, footprint_from_size)
+from swarmplan.regions import (PlaneStack, SeedInsideObstacle,
                                _first_hits, build_safe_regions,
                                contract_for_peer, deflate_for_ego,
                                region_is_empty, seed_region)
@@ -19,6 +19,21 @@ from swarmplan.regions import (PlaneStack, RegionConfig, SeedInsideObstacle,
 
 def brute_force_free(point, shapes):
     return not any(s.contains(point) for s in shapes)
+
+
+def boundary_samples(shape, n):
+    """n points spaced evenly along the shape's boundary, from corner 0."""
+    if isinstance(shape, Circle):
+        th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return shape.center + shape.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+    a = shape.corners
+    b = np.roll(a, -1, axis=0)
+    lens = np.linalg.norm(b - a, axis=1)
+    s = np.linspace(0.0, lens.sum(), n, endpoint=False)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
+    frac = (s - cum[idx]) / lens[idx]
+    return a[idx] + frac[:, None] * (b[idx] - a[idx])
 
 
 def axis_square(center, side):
@@ -57,25 +72,22 @@ def box_polytope(half):
 
 class TestSeedRegion:
     def test_empty_world_box_only(self):
-        cfg = RegionConfig()
         seed = np.array([1.0, -2.0])
-        poly = seed_region(seed, [], cfg)
+        poly = seed_region(seed, [])
         assert len(poly.normals) == 4
         # Box extends r_max in each axis direction.
         for u in (np.array([1.0, 0]), np.array([-1.0, 0]),
                   np.array([0, 1.0]), np.array([0, -1.0])):
-            d = poly.violation(seed + u * (cfg.r_max - 1e-6))
+            d = poly.violation(seed + u * (regions.MARCH_RANGE - 1e-6))
             assert d <= 0
-            assert poly.violation(seed + u * (cfg.r_max + 0.1)) > 0
+            assert poly.violation(seed + u * (regions.MARCH_RANGE + 0.1)) > 0
 
     def test_seed_inside_raises(self):
-        cfg = RegionConfig()
         with pytest.raises(SeedInsideObstacle):
-            seed_region(np.array([0.0, 0.0]), [Circle(np.zeros(2), 1.0)], cfg)
+            seed_region(np.array([0.0, 0.0]), [Circle(np.zeros(2), 1.0)])
 
     def test_seed_always_contained(self):
         rng = np.random.default_rng(2)
-        cfg = RegionConfig()
         for _ in range(30):
             shapes = []
             for _ in range(rng.integers(1, 5)):
@@ -87,20 +99,20 @@ class TestSeedRegion:
             seed = rng.uniform(-4, 4, size=2)
             if not brute_force_free(seed, shapes):
                 continue
-            poly = seed_region(seed, shapes, cfg)
+            poly = seed_region(seed, shapes)
             assert poly.contains(seed, tol=1e-9)
 
-    def first_hit_shapes(self, seed, shapes, cfg):
+    def first_hit_shapes(self, seed, shapes):
         """Oracle: shapes first blocked along each marched direction.
 
         Replays the documented sampling (n_directions rays, `step` grid) with
         an independent containment sweep per shape.
         """
         hits = set()
-        n_steps = int(round(cfg.r_max / cfg.step))
-        radii = cfg.step * np.arange(1, n_steps + 1)
-        for d in range(cfg.n_directions):
-            th = 2 * np.pi * d / cfg.n_directions
+        n_steps = int(round(regions.MARCH_RANGE / regions.MARCH_STEP))
+        radii = regions.MARCH_STEP * np.arange(1, n_steps + 1)
+        for d in range(regions.N_RAYS):
+            th = 2 * np.pi * d / regions.N_RAYS
             pts = seed + radii[:, None] * np.array([np.cos(th), np.sin(th)])
             best_idx, best_shape = n_steps, None
             for si, s in enumerate(shapes):
@@ -116,7 +128,6 @@ class TestSeedRegion:
         # A supporting halfplane of a convex shape excludes the whole shape,
         # so every shape hit by the marching fan must lie outside the region.
         rng = np.random.default_rng(3)
-        cfg = RegionConfig()
         checked = 0
         for trial in range(20):
             shapes = [Circle(rng.uniform(-3, 3, size=2), float(rng.uniform(0.4, 1.0)))
@@ -126,8 +137,8 @@ class TestSeedRegion:
             seed = rng.uniform(-2, 2, size=2)
             if not brute_force_free(seed, shapes):
                 continue
-            poly = seed_region(seed, shapes, cfg)
-            for si in self.first_hit_shapes(seed, shapes, cfg):
+            poly = seed_region(seed, shapes)
+            for si in self.first_hit_shapes(seed, shapes):
                 s = shapes[si]
                 if isinstance(s, Circle):
                     th = np.linspace(0, 2 * np.pi, 72, endpoint=False)
@@ -145,28 +156,18 @@ class TestSeedRegion:
     def test_matches_marching_oracle_single_circle(self):
         # One circle dead ahead: the halfplane along +x must sit on the
         # near boundary of the circle.
-        cfg = RegionConfig()
         seed = np.zeros(2)
         circle = Circle(np.array([3.0, 0.0]), 1.0)
-        poly = seed_region(seed, [circle], cfg)
+        poly = seed_region(seed, [circle])
         # The +x direction from the seed exits the region at x ~= 2.
-        lo, hi = 0.0, cfg.r_max
+        lo, hi = 0.0, regions.MARCH_RANGE
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if poly.contains(np.array([mid, 0.0]), tol=0.0):
                 lo = mid
             else:
                 hi = mid
-        assert 0.5 * (lo + hi) == pytest.approx(2.0, abs=2 * cfg.step)
-
-    def test_plane_cap_respected(self):
-        cfg = RegionConfig(max_planes=6)
-        rng = np.random.default_rng(5)
-        shapes = [Circle(rng.uniform(-4, 4, size=2), 0.6) for _ in range(12)]
-        seed = np.zeros(2)
-        if brute_force_free(seed, shapes):
-            poly = seed_region(seed, shapes, cfg)
-            assert len(poly.normals) <= 6
+        assert 0.5 * (lo + hi) == pytest.approx(2.0, abs=2 * regions.MARCH_STEP)
 
 
 class TestContraction:
@@ -284,13 +285,12 @@ class TestBuildSafeRegions:
     def track_at(self, pos, vel, stamp=0.0, size=(0.3,)):
         return PeerTrack(PeerState(stamp=stamp, position=np.array(pos, float),
                                    velocity=np.array(vel, float),
-                                   acceleration=np.zeros(2), size=size),
-                         PredictionConfig())
+                                   acceleration=np.zeros(2), size=size))
 
     def test_slices_cover_horizon(self):
         vol = self.make_volume([[] for _ in range(10)])
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, region_config=RegionConfig())
+                                    now=0.0)
         assert len(region.slices) == 10
         assert region.slices[0].t_rel == pytest.approx(0.1)
         assert region.slices[-1].t_rel == pytest.approx(1.0)
@@ -299,7 +299,7 @@ class TestBuildSafeRegions:
         circle = Circle(np.array([2.0, 0.0]), 0.5)
         vol = self.make_volume([[circle]] * 5)
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, region_config=RegionConfig())
+                                    now=0.0)
         for sl in region.slices:
             assert sl.feasible
             assert not sl.polytope.contains(np.array([2.0, 0.0]))
@@ -310,7 +310,7 @@ class TestBuildSafeRegions:
         vol = self.make_volume([[] for _ in range(20)])
         tr = self.track_at([-3.0, 0.0], [1.0, 0.0])
         region = build_safe_regions(vol, [tr], CircleFootprint(0.2),
-                                    now=0.0, region_config=RegionConfig())
+                                    now=0.0)
         early = region.slices[0].polytope
         late = region.slices[-1].polytope
         # At t_rel=0.1 the peer sits near (-2.9, 0); at 2.0 near (-1, 0).
@@ -321,31 +321,30 @@ class TestBuildSafeRegions:
         circle = Circle(np.zeros(2), 1.0)  # swallows the seed
         vol = self.make_volume([[circle]] * 3)
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, region_config=RegionConfig())
+                                    now=0.0)
         for sl in region.slices:
             assert not sl.feasible
             assert len(sl.polytope.normals) >= 4
 
     def test_seed_inside_reuses_previous_region(self):
-        cfg = RegionConfig()
         free = self.make_volume([[] for _ in range(3)])
         prev = build_safe_regions(free, [], CircleFootprint(0.2),
-                                  now=0.0, region_config=cfg)
+                                  now=0.0)
         blocked = self.make_volume([[Circle(np.zeros(2), 1.0)]] * 3)
         region = build_safe_regions(blocked, [], CircleFootprint(0.2),
-                                    now=0.1, region_config=cfg, previous=prev)
+                                    now=0.1, previous=prev)
         for sl in region.slices:
             # Borrowing last cycle's region is a successful recovery.
             assert sl.feasible
             # Polytope borrowed from the matching previous slice (box-only),
             # re-deflated from its pre-deflation planes (no double shrink).
             assert len(sl.polytope.normals) == 4
-            assert np.allclose(sl.polytope.offsets, cfg.r_max - 0.2)
+            assert np.allclose(sl.polytope.offsets, regions.MARCH_RANGE - 0.2)
 
     def test_slice_lookup(self):
         vol = self.make_volume([[] for _ in range(5)])
         region = build_safe_regions(vol, [], CircleFootprint(0.2),
-                                    now=0.0, region_config=RegionConfig())
+                                    now=0.0)
         assert region.t_rel[region.index_at(0.1)] == pytest.approx(0.1)
         assert region.t_rel[region.index_at(0.52)] == pytest.approx(0.5)
         assert region.t_rel[region.index_at(10.0)] == pytest.approx(0.5)
@@ -410,40 +409,40 @@ def oracle_tangent(shape, q, e):
     return hp
 
 
-def march_grid(config):
+def march_grid():
     """The march's unit directions and sample offsets (directions, steps, 2)."""
-    n_steps = int(round(config.r_max / config.step))
-    th = 2.0 * np.pi * np.arange(config.n_directions) / config.n_directions
+    n_steps = int(round(regions.MARCH_RANGE / regions.MARCH_STEP))
+    th = 2.0 * np.pi * np.arange(regions.N_RAYS) / regions.N_RAYS
     dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    radii = config.step * np.arange(1, n_steps + 1)
+    radii = regions.MARCH_STEP * np.arange(1, n_steps + 1)
     return dirs, radii[None, :, None] * dirs[:, None, :]
 
 
-def oracle_first_hits(seed, shape, config):
+def oracle_first_hits(seed, shape):
     """First sample inside `shape` per direction, every sample tested."""
-    dirs, grid = march_grid(config)
+    dirs, grid = march_grid()
     n_steps = grid.shape[1]
     pts = np.asarray(seed, dtype=float) + grid
     inside = shape.contains_many(pts.reshape(-1, 2)).reshape(len(dirs), n_steps)
     return np.where(inside.any(axis=1), inside.argmax(axis=1), n_steps)
 
 
-def oracle_seed_region(seed, shapes, config):
+def oracle_seed_region(seed, shapes):
     seed = np.asarray(seed, dtype=float)
     for s in shapes:
         if s.contains(seed):
             raise SeedInsideObstacle("seed inside")
-    r = config.r_max
+    r = regions.MARCH_RANGE
     planes = [Halfplane(np.array([1.0, 0.0]), seed[0] + r),
               Halfplane(np.array([-1.0, 0.0]), -seed[0] + r),
               Halfplane(np.array([0.0, 1.0]), seed[1] + r),
               Halfplane(np.array([0.0, -1.0]), -seed[1] + r)]
     if shapes:
-        n_steps = int(round(config.r_max / config.step))
-        first_hit = np.full(config.n_directions, n_steps, dtype=int)
-        hit_shape = np.full(config.n_directions, -1, dtype=int)
+        n_steps = int(round(regions.MARCH_RANGE / regions.MARCH_STEP))
+        first_hit = np.full(regions.N_RAYS, n_steps, dtype=int)
+        hit_shape = np.full(regions.N_RAYS, -1, dtype=int)
         for si, s in enumerate(shapes):
-            idx = oracle_first_hits(seed, s, config)
+            idx = oracle_first_hits(seed, s)
             closer = idx < first_hit
             first_hit[closer] = idx[closer]
             hit_shape[closer] = si
@@ -456,10 +455,6 @@ def oracle_seed_region(seed, shapes, config):
             q = oracle_crossing(seed, s.center, s)
             if q is not None:
                 planes.append(oracle_tangent(s, q, seed))
-    if len(planes) > config.max_planes:
-        dist = [hp.offset - float(hp.normal @ seed) for hp in planes]
-        order = np.argsort(dist, kind="stable")[:config.max_planes]
-        planes = [planes[i] for i in sorted(order)]
     return ConvexPolytope(planes)
 
 
@@ -493,7 +488,7 @@ def oracle_empty(poly, probe):
     return not res.success or -res.fun < -1e-9
 
 
-def oracle_build(volume, tracks, ego, now, cfg, previous=None):
+def oracle_build(volume, tracks, ego, now, previous=None):
     """[(polytope, static polytope, feasible)] per slice."""
     times = np.array([now + t for t in volume.t_rel])
     paths = [(tr.predict_positions(times),
@@ -502,23 +497,24 @@ def oracle_build(volume, tracks, ego, now, cfg, previous=None):
     for k, (t_rel, seed) in enumerate(zip(volume.t_rel, volume.centers)):
         feasible = True
         try:
-            poly = oracle_seed_region(seed, slice_shapes(volume, k), cfg)
+            poly = oracle_seed_region(seed, slice_shapes(volume, k))
         except SeedInsideObstacle:
             if previous is not None:
                 j = min(max(int(round(t_rel / volume.tau)) - 1, 0),
                         len(previous) - 1)
                 _, poly, feasible = previous[j]
             else:
+                r = regions.MARCH_RANGE
                 poly = ConvexPolytope([
-                    Halfplane(np.array([1.0, 0.0]), seed[0] + cfg.r_max),
-                    Halfplane(np.array([-1.0, 0.0]), -seed[0] + cfg.r_max),
-                    Halfplane(np.array([0.0, 1.0]), seed[1] + cfg.r_max),
-                    Halfplane(np.array([0.0, -1.0]), -seed[1] + cfg.r_max)])
+                    Halfplane(np.array([1.0, 0.0]), seed[0] + r),
+                    Halfplane(np.array([-1.0, 0.0]), -seed[0] + r),
+                    Halfplane(np.array([0.0, 1.0]), seed[1] + r),
+                    Halfplane(np.array([0.0, -1.0]), -seed[1] + r)])
                 feasible = False
         static = poly
         for path, fp in paths:
             poly, ok = oracle_contract(poly, seed, path[k], fp,
-                                       cfg.peer_margin)
+                                       regions.PEER_MARGIN)
             feasible = feasible and ok
         poly = oracle_deflate(poly, ego)
         if feasible and oracle_empty(poly, seed):
@@ -575,7 +571,7 @@ def random_volume(rng, n_slices, tau=0.1, inside_frac=0.1):
                         shapes=pool, member=member, tau=tau)
 
 
-def random_tracks(rng, volume, pcfg):
+def random_tracks(rng, volume):
     tracks = []
     seeds = volume.centers
     for _ in range(int(rng.integers(1, 6))):
@@ -585,9 +581,9 @@ def random_tracks(rng, volume, pcfg):
         states = [PeerState(stamp=-0.2 * i, position=p0 - 0.2 * i * v,
                             velocity=v, acceleration=np.zeros(2), size=size)
                   for i in range(int(rng.integers(1, 4)))]
-        tr = PeerTrack(states[0], pcfg)
+        tr = PeerTrack(states[0])
         for st in states[1:]:
-            tr.push(st, pcfg)
+            tr.push(st)
         tracks.append(tr)
     # A peer sitting on a seed, and a duplicate of a track: the copy meets
     # the first one's cut exactly at its margin.
@@ -607,30 +603,25 @@ def assert_same_regions(region, oracle):
 
 
 class TestOnePassParity:
-    @pytest.mark.parametrize("config", [RegionConfig(),
-                                        RegionConfig(max_planes=6)],
-                             ids=["default", "max_planes_6"])
-    def test_random_volumes_bit_identical(self, config):
+    def test_random_volumes_bit_identical(self):
         rng = np.random.default_rng(17)
-        pcfg = PredictionConfig()
         for trial in range(6):
             ego = CircleFootprint(0.2) if trial % 2 else SquareFootprint(0.15)
             first = random_volume(rng, 40)
-            tracks = random_tracks(rng, first, pcfg)
-            prev = build_safe_regions(first, tracks, ego, 0.0, config)
-            prev_oracle = oracle_build(first, tracks, ego, 0.0, config)
+            tracks = random_tracks(rng, first)
+            prev = build_safe_regions(first, tracks, ego, 0.0)
+            prev_oracle = oracle_build(first, tracks, ego, 0.0)
             assert_same_regions(prev, prev_oracle)
             second = random_volume(rng, 40, inside_frac=0.3)
             region = build_safe_regions(second, tracks, ego, 0.04,
-                                        config, previous=prev)
+                                        previous=prev)
             assert_same_regions(region, oracle_build(
-                second, tracks, ego, 0.04, config, previous=prev_oracle))
+                second, tracks, ego, 0.04, previous=prev_oracle))
 
     def test_peers_on_footprint_rims(self):
         # Seeds exactly on a peer disk's rim: the covered test must round
         # |rel| as np.linalg.norm does.
         rng = np.random.default_rng(29)
-        cfg = RegionConfig()
         vol = random_volume(rng, 40, inside_frac=0.0)
         tracks = []
         for seed in vol.centers:
@@ -639,40 +630,21 @@ class TestOnePassParity:
                 seed + 0.3 * np.array([np.cos(th), np.sin(th)]),
                 [0.0, 0.0], size=(0.3,)))
         ego = CircleFootprint(0.2)
-        region = build_safe_regions(vol, tracks, ego, 0.0, cfg)
-        assert_same_regions(region, oracle_build(vol, tracks, ego, 0.0, cfg))
-
-    def test_plane_cap_ties(self):
-        # A ring of equal circles puts eight planes at one distance from the
-        # seed; rounding of the distances decides which one the cap drops.
-        rng = np.random.default_rng(41)
-        cfg = RegionConfig(max_planes=7)
-        seeds, rings = [], []
-        for k in range(40):
-            seed = rng.uniform(-3, 3, size=2)
-            d = rng.uniform(1.0, 3.0)
-            th = 2 * np.pi * np.arange(0, 16, 2) / 16
-            seeds.append(seed)
-            rings.append([Circle(seed + d * np.array([np.cos(a), np.sin(a)]),
-                                 0.3) for a in th])
-        vol = volume_of(seeds, rings, 0.1)
-        ego = CircleFootprint(0.2)
-        region = build_safe_regions(vol, [], ego, 0.0, cfg)
-        assert_same_regions(region, oracle_build(vol, [], ego, 0.0, cfg))
+        region = build_safe_regions(vol, tracks, ego, 0.0)
+        assert_same_regions(region, oracle_build(vol, tracks, ego, 0.0))
 
     def test_seeds_on_square_diagonals(self):
         # The segment to the center meets a corner, where two edges fit the
         # seed equally well: the first edge wins.
         rng = np.random.default_rng(43)
-        cfg = RegionConfig()
         for _ in range(20):
             c = rng.uniform(-3, 3, size=2)
             d = rng.uniform(1.0, 3.0)
             for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
                 seed = c + d * np.array([sx, sy])
                 square = axis_square(c, float(rng.uniform(0.5, 1.5)))
-                got = seed_region(seed, [square], cfg)
-                want = oracle_seed_region(seed, [square], cfg)
+                got = seed_region(seed, [square])
+                want = oracle_seed_region(seed, [square])
                 assert np.array_equal(got.normals, want.normals)
                 assert np.array_equal(got.offsets, want.offsets)
 
@@ -694,27 +666,25 @@ class TestOnePassParity:
 
     def test_single_slice_api_matches_oracle(self):
         rng = np.random.default_rng(23)
-        cfg = RegionConfig()
-        pcfg = PredictionConfig()
         for _ in range(10):
             vol = random_volume(rng, 8, inside_frac=0.0)
-            tracks = random_tracks(rng, vol, pcfg)
+            tracks = random_tracks(rng, vol)
             for k, (t_rel, seed) in enumerate(zip(vol.t_rel, vol.centers)):
                 shapes = slice_shapes(vol, k)
                 try:
-                    want = oracle_seed_region(seed, shapes, cfg)
+                    want = oracle_seed_region(seed, shapes)
                 except SeedInsideObstacle:
                     with pytest.raises(SeedInsideObstacle):
-                        seed_region(seed, shapes, cfg)
+                        seed_region(seed, shapes)
                     continue
-                got = seed_region(seed, shapes, cfg)
+                got = seed_region(seed, shapes)
                 for tr in tracks:
                     peer = tr.predict_positions(np.array([t_rel]))[0]
                     fp = footprint_from_size(tr.latest.size)
                     want, ok_want = oracle_contract(want, seed, peer, fp,
-                                                    cfg.peer_margin)
+                                                    regions.PEER_MARGIN)
                     got, ok = contract_for_peer(got, seed, peer, fp,
-                                                cfg.peer_margin)
+                                                regions.PEER_MARGIN)
                     assert ok == ok_want
                     assert np.array_equal(got.normals, want.normals)
                     assert np.array_equal(got.offsets, want.offsets)
@@ -731,20 +701,18 @@ class TestMarchWindow:
     shape; a march that tests every sample must agree where the entry is
     hardest to place."""
 
-    cfg = RegionConfig()
-
     def assert_matches(self, shape, seeds):
         """Compare with the full march; returns how many rays hit."""
-        dirs, grid = march_grid(self.cfg)
+        dirs, grid = march_grid()
         seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        got = _first_hits(shape, seeds, dirs, grid, self.cfg.step)
-        want = np.array([oracle_first_hits(p, shape, self.cfg) for p in seeds])
+        got = _first_hits(shape, seeds, dirs, grid, regions.MARCH_STEP)
+        want = np.array([oracle_first_hits(p, shape) for p in seeds])
         assert np.array_equal(got, want), shape
         return int(np.sum(want < grid.shape[1]))
 
     def test_rays_graze_vertices_and_touch_circles(self):
         rng = np.random.default_rng(51)
-        dirs, grid = march_grid(self.cfg)
+        dirs, grid = march_grid()
         hits = 0
         for _ in range(60):
             seed = rng.uniform(-5.0, 5.0, size=2)
@@ -785,7 +753,7 @@ class TestMarchWindow:
     def test_samples_on_edges(self):
         # Walls and triangles whose edge or corner holds a sample exactly.
         rng = np.random.default_rng(52)
-        dirs, grid = march_grid(self.cfg)
+        dirs, grid = march_grid()
         hits = 0
         for _ in range(80):
             seed = rng.uniform(-5.0, 5.0, size=2)
@@ -817,7 +785,7 @@ class TestMarchWindow:
 
     def test_seeds_within_a_step(self):
         rng = np.random.default_rng(54)
-        step = self.cfg.step
+        step = regions.MARCH_STEP
         hits = 0
         for _ in range(12):
             c = rng.uniform(-3.0, 3.0, size=2)
@@ -827,7 +795,7 @@ class TestMarchWindow:
                           oriented_rectangle(c, [np.cos(th), np.sin(th)],
                                              r, 0.1),
                           Triangle(c + rng.uniform(-1.0, 1.0, size=(3, 2)))):
-                b = shape.boundary_samples(24)
+                b = boundary_samples(shape, 24)
                 out = (b - shape.center) / np.linalg.norm(b - shape.center,
                                                           axis=1)[:, None]
                 for gap in (0.0, 1e-12, 0.5 * step, step - 1e-12, step):

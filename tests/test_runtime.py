@@ -1,5 +1,7 @@
 """Agent cycle, ideal tracking, and message-bus delivery semantics."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from swarmplan.prediction import PeerState
 from swarmplan.runtime import (Agent, AgentConfig, AgentState, BusMessage,
                                ExecutedPath, MessageBus, broadcast,
                                ideal_track, symmetric_limits)
-from swarmplan.sensor import LidarConfig, Scan, World, simulate_scan
+from swarmplan.sensor import Scan, World, simulate_scan
 
 
 def make_agent(start, goal, *, bus=None, index=0, goal_time=None,
@@ -48,9 +50,12 @@ class TestLimitsAndConfig:
         with pytest.raises(ValueError):
             symmetric_limits({2: 0.0})
 
-    def test_tau_must_divide_horizon(self):
-        with pytest.raises(ValueError):
-            AgentConfig(t_h=4.0, tau=0.3)
+    def test_config_holds_only_what_tells_robots_apart(self):
+        # Every other tuning value is a module constant; the plan rate is
+        # shared by all robots.
+        assert [f.name for f in fields(AgentConfig)] == [
+            "order", "footprint_size", "limits"]
+        assert AgentConfig().plan_rate == 25.0
 
     def test_footprint_length_checked(self):
         with pytest.raises(ValueError):
@@ -242,7 +247,7 @@ class TestAgentCycle:
     def test_staged_shapes_fold_next_cycle(self):
         world = World(obstacles=[Circle((3.0, 1.0), 0.5)])
         agent = make_agent((0.0, 0.0), (0.0, 0.0))
-        scan = simulate_scan(world, (0.0, 0.0), 0.0, LidarConfig(), stamp=0.0)
+        scan = simulate_scan(world, (0.0, 0.0), 0.0, stamp=0.0)
         agent.receive_scan(scan)
         agent.agent_cycle(0.0)
         assert len(agent.staged) > 0 and len(agent.local_map) == 0

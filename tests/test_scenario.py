@@ -177,6 +177,34 @@ class TestParsing:
             "waypoints": [{"t": 2.0, "pos": [6, 0]}, {"t": 1.0, "pos": [7, 0]}]})
         assert line == 4 and "increasing" in msg
 
+    def obstacle_error(self, bad_obstacle):
+        """Parse a document whose second obstacle, on line 5, is
+        `bad_obstacle`; returns the one error's line and message."""
+        text = ('{\n  "world": {"obstacles": [\n'
+                '    {"type": "circle", "center": [5, 5], "radius": 1},\n'
+                '\n    ' + json.dumps(bad_obstacle) + '\n  ]},\n'
+                '  "agents": [' + json.dumps(MINIMAL["agents"][0]) + ']\n}\n')
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text, source="bad.json")
+        (line, path, msg), = exc.value.errors
+        assert path == "world.obstacles.1" and "bad.json" in str(exc.value)
+        return line, msg
+
+    def test_three_corner_rectangle_reports_obstacle_line(self):
+        line, msg = self.obstacle_error(
+            {"type": "rectangle", "corners": [[0, 0], [1, 0], [0, 1]]})
+        assert (line, msg) == (5, "rectangle needs exactly 4 corners")
+
+    def test_self_intersecting_rectangle_rejected(self):
+        line, msg = self.obstacle_error(
+            {"type": "rectangle", "corners": [[0, 0], [1, 1], [1, 0], [0, 1]]})
+        assert line == 5 and "strictly convex" in msg
+
+    def test_collinear_triangle_rejected(self):
+        line, msg = self.obstacle_error(
+            {"type": "triangle", "corners": [[0, 0], [1, 0], [2, 0]]})
+        assert line == 5 and "strictly convex" in msg
+
 
 class TestLineIndex:
     def test_paths_map_to_their_lines(self):

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from swarmplan.geometry import Circle, Square, axis_rectangle, ray_cast
-from swarmplan.sensor import (LidarConfig, Scan, World, scan_point_position,
+from swarmplan import sensor
+from swarmplan.geometry import Circle, Square, axis_rectangle
+from swarmplan.sensor import (World, n_beams, scan_point_position,
                               simulate_scan, simulate_swept_scan)
+
+
+def ray_cast(origin, angle, shape, max_range):
+    """One beam: distance from origin at `angle` to the shape boundary, or
+    None when it is beyond max_range or absent."""
+    u = np.array([np.cos(angle), np.sin(angle)])
+    t = float(shape.ray_distances(np.asarray(origin, float)[None], u[None])[0])
+    return t if np.isfinite(t) and t <= max_range else None
 
 
 def small_world():
@@ -15,20 +24,20 @@ def small_world():
 
 
 class TestConfig:
-    def test_beam_count(self):
-        cfg = LidarConfig()
-        assert cfg.n_beams == 360
-        cfg2 = LidarConfig(angular_resolution=np.deg2rad(2.0))
-        assert cfg2.n_beams == 180
+    def test_beam_count(self, monkeypatch):
+        assert n_beams() == 360
+        monkeypatch.setattr(sensor, "ANGULAR_RESOLUTION", np.deg2rad(2.0))
+        assert n_beams() == 180
 
     def test_sweep_duration(self):
-        assert LidarConfig(rate=5.0).sweep_duration == pytest.approx(0.2)
+        positions = np.zeros((n_beams(), 2))
+        scan = simulate_swept_scan(small_world(), positions, 0.0, stamp=0.0)
+        assert scan.sweep_duration == pytest.approx(0.2)
 
 
 class TestSimulateScan:
     def test_known_ranges(self):
-        cfg = LidarConfig()
-        scan = simulate_scan(small_world(), [0.0, 0.0], 0.0, cfg, stamp=1.0)
+        scan = simulate_scan(small_world(), [0.0, 0.0], 0.0, stamp=1.0)
         # Beam 0 along +x hits the circle at 2.0.
         assert scan.ranges[0] == pytest.approx(2.0, abs=1e-9)
         # Beam 180 along -x hits the square face x = -2 at 2.0.
@@ -37,25 +46,25 @@ class TestSimulateScan:
         assert np.isnan(scan.ranges[90])
 
     def test_finite_ranges_positive_and_cut(self):
-        cfg = LidarConfig(max_range=5.0)
         rng = np.random.default_rng(3)
         world = small_world()
         for _ in range(10):
             pos = rng.uniform(-6, 6, size=2)
             if any(o.contains(pos) for o in world.obstacles):
                 continue
-            scan = simulate_scan(world, pos, rng.uniform(0, 2 * np.pi), cfg, 0.0)
+            scan = simulate_scan(world, pos, rng.uniform(0, 2 * np.pi), 0.0)
             finite = scan.ranges[np.isfinite(scan.ranges)]
             assert np.all(finite > 0)
-            assert np.all(finite <= cfg.max_range + 1e-12)
+            assert np.all(finite <= sensor.MAX_RANGE + 1e-12)
 
-    def test_matches_scalar_raycast(self):
-        cfg = LidarConfig(angular_resolution=np.deg2rad(10.0))
+    def test_matches_scalar_raycast(self, monkeypatch):
+        monkeypatch.setattr(sensor, "ANGULAR_RESOLUTION", np.deg2rad(10.0))
         world = small_world()
-        scan = simulate_scan(world, [0.5, -0.5], 0.3, cfg, 0.0)
+        scan = simulate_scan(world, [0.5, -0.5], 0.3, 0.0)
         angles = scan.beam_angles()
+        assert scan.n_beams == 36
         for k in range(scan.n_beams):
-            hits = [ray_cast([0.5, -0.5], angles[k], o, cfg.max_range)
+            hits = [ray_cast([0.5, -0.5], angles[k], o, sensor.MAX_RANGE)
                     for o in world.obstacles]
             hits = [hh for hh in hits if hh is not None]
             if hits:
@@ -65,45 +74,47 @@ class TestSimulateScan:
 
     def test_pose_outside_world_rejected(self):
         with pytest.raises(ValueError):
-            simulate_scan(small_world(), [50.0, 0.0], 0.0, LidarConfig(), 0.0)
+            simulate_scan(small_world(), [50.0, 0.0], 0.0, 0.0)
 
     def test_beam_stamps_spread_over_sweep(self):
-        cfg = LidarConfig()
         world = small_world()
-        positions = np.tile([0.0, 0.0], (cfg.n_beams, 1))
-        scan = simulate_swept_scan(world, positions, 0.0, cfg, stamp=2.0)
+        n = n_beams()
+        positions = np.tile([0.0, 0.0], (n, 1))
+        scan = simulate_swept_scan(world, positions, 0.0, stamp=2.0)
         stamps = scan.beam_stamps()
         assert stamps[0] == pytest.approx(2.0)
-        assert stamps[-1] == pytest.approx(2.0 + cfg.sweep_duration * (cfg.n_beams - 1) / cfg.n_beams)
+        assert stamps[-1] == pytest.approx(2.0 + 0.2 * (n - 1) / n)
         assert np.all(np.diff(stamps) > 0)
 
 
 class TestSweptScan:
-    def test_moving_platform_shifts_returns(self):
+    def test_moving_platform_shifts_returns(self, monkeypatch):
         # A robot moving +x scans a wall ahead; late beams start closer.
-        cfg = LidarConfig(angular_resolution=np.deg2rad(90.0), max_range=8.0)
+        monkeypatch.setattr(sensor, "ANGULAR_RESOLUTION", np.deg2rad(90.0))
+        monkeypatch.setattr(sensor, "MAX_RANGE", 8.0)
         world = World(obstacles=[axis_rectangle(4, -6, 5, 6)], bounds=(-10, -10, 10, 10))
         v = 2.0
-        stamps = cfg.sweep_duration * np.arange(cfg.n_beams) / cfg.n_beams
-        positions = np.stack([v * stamps, np.zeros(cfg.n_beams)], axis=1)
-        scan = simulate_swept_scan(world, positions, 0.0, cfg, stamp=0.0)
+        n = n_beams()
+        stamps = 0.2 * np.arange(n) / n
+        positions = np.stack([v * stamps, np.zeros(n)], axis=1)
+        scan = simulate_swept_scan(world, positions, 0.0, stamp=0.0)
         # Beam 0 from x=0 -> range 4; a static scan would give 4 for that
         # heading regardless of emission time.
         assert scan.ranges[0] == pytest.approx(4.0, abs=1e-9)
-        static = simulate_scan(world, [0.0, 0.0], 0.0, cfg, 0.0)
+        static = simulate_scan(world, [0.0, 0.0], 0.0, 0.0)
         assert static.ranges[0] == pytest.approx(4.0, abs=1e-9)
 
-    def test_reconstruction_error_smaller_with_compensation(self):
+    def test_reconstruction_error_smaller_with_compensation(self, monkeypatch):
         # Rebuilding scan points with per-beam poses must beat using the
         # start pose when the platform moved during the sweep.
-        cfg = LidarConfig(angular_resolution=np.deg2rad(4.0))
+        monkeypatch.setattr(sensor, "ANGULAR_RESOLUTION", np.deg2rad(4.0))
         world = World(obstacles=[Circle([4.0, 2.0], 1.0)], bounds=(-10, -10, 10, 10))
         v = np.array([1.5, 0.0])
-        stamps = cfg.sweep_duration * np.arange(cfg.n_beams) / cfg.n_beams
+        stamps = 0.2 * np.arange(n_beams()) / n_beams()
         positions = stamps[:, None] * v[None, :]
         # Heading offset puts the target late in the sweep, when the platform
         # has moved appreciably from the start pose.
-        scan = simulate_swept_scan(world, positions, np.pi, cfg, stamp=0.0)
+        scan = simulate_swept_scan(world, positions, np.pi, stamp=0.0)
         angles = scan.beam_angles()
         hit = np.flatnonzero(np.isfinite(scan.ranges))
         assert len(hit) > 3
@@ -119,9 +130,8 @@ class TestSweptScan:
         assert max(err_naive) > 0.05
 
     def test_wrong_pose_count_rejected(self):
-        cfg = LidarConfig()
         with pytest.raises(ValueError):
-            simulate_swept_scan(small_world(), np.zeros((10, 2)), 0.0, cfg, 0.0)
+            simulate_swept_scan(small_world(), np.zeros((10, 2)), 0.0, 0.0)
 
 
 class TestScanPointPosition:
