@@ -59,13 +59,13 @@ class PlanRequest:
     initial_state: np.ndarray
     goal: np.ndarray
     previous: TrajectorySpline
+    horizon: float
+    dt: float
     regions: object = None
     goal_time: float = None
     waypoints: list = field(default_factory=list)     # (time, point) pairs
     near_obstacles: list = field(default_factory=list)
     limits: dict = field(default_factory=dict)        # order -> (lower, upper)
-    horizon: float = 4.0
-    dt: float = 1.0
     end_velocity: np.ndarray = None                   # velocity pinned at goal_time
 
     def __post_init__(self):

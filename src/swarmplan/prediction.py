@@ -7,14 +7,16 @@ Until the window spans time, the newest state's constant-acceleration
 bootstrap P + v dt + a dt^2 fills in as the same kind of polynomial, a
 quadratic about its stamp, so every prediction is one evaluation of one
 coefficient stack.
+
+One evaluator, `predict_tracks`, runs Horner's rule over the polynomials
+of many tracks at once, in `P.polyval`'s order, for association, the region
+cuts and the one-track views `PeerTrack.predict` and `predict_positions`.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from numpy.polynomial import polynomial as P
 
 TRACK_WINDOW = 20       # states kept per track
 LAMBDA_JERK = 0.05      # smoothness weight in the quintic fit
@@ -52,15 +54,6 @@ def _jerk_gram(T):
     return J
 
 
-def _state_rows(s):
-    """Position/velocity/acceleration observation rows at relative time s."""
-    return np.array([
-        [1.0, s, s ** 2, s ** 3, s ** 4, s ** 5],
-        [0.0, 1.0, 2 * s, 3 * s ** 2, 4 * s ** 3, 5 * s ** 4],
-        [0.0, 0.0, 2.0, 6 * s, 12 * s ** 2, 20 * s ** 3],
-    ])
-
-
 def fit_quintic(states, t1, t2, lambda_jerk):
     """Least-squares quintic through the window, regularized by jerk energy.
 
@@ -75,13 +68,16 @@ def fit_quintic(states, t1, t2, lambda_jerk):
     if T <= 0:
         raise ValueError(f"window must have positive length, got {T}")
     rows = []
-    rhs = []
     for st in states:
         s = st.stamp - t1
-        rows.append(_state_rows(s))
-        rhs.append(np.stack([st.position, st.velocity, st.acceleration]))
-    A = np.vstack(rows)
-    b = np.vstack(rhs)
+        # Python's ** on the float, as numpy's ** rounds some powers apart.
+        s2, s3, s4, s5 = s ** 2, s ** 3, s ** 4, s ** 5
+        rows += [[1.0, s, s2, s3, s4, s5],
+                 [0.0, 1.0, 2 * s, 3 * s2, 4 * s3, 5 * s4],
+                 [0.0, 0.0, 2.0, 6 * s, 12 * s2, 20 * s3]]
+    A = np.array(rows)
+    b = np.array([(st.position, st.velocity, st.acceleration)
+                  for st in states]).reshape(-1, 2)
     H = A.T @ A + lambda_jerk * _jerk_gram(T)
     return np.linalg.solve(H, A.T @ b)
 
@@ -108,49 +104,58 @@ class PeerTrack:
     def push(self, state):
         self.states = (self.states + [state])[-TRACK_WINDOW:]
         t1, t2 = self.states[0].stamp, state.stamp
+        self.stack = np.zeros((6, 3, 2))
         if t2 > t1:
-            coeffs = fit_quintic(self.states, t1, t2, LAMBDA_JERK)
+            self.stack[:, 0] = fit_quintic(self.states, t1, t2, LAMBDA_JERK)
             self.t_ref = t1
         else:
-            coeffs = np.zeros((6, 2))
-            coeffs[:3] = state.position, state.velocity, state.acceleration
+            self.stack[:3, 0] = state.position, state.velocity, state.acceleration
             self.t_ref = t2
-        self.stack = np.zeros((6, 3, 2))
-        self.stack[:, 0] = coeffs
-        self.stack[:5, 1] = P.polyder(coeffs)
-        self.stack[:4, 2] = P.polyder(coeffs, 2)
+        j = np.arange(1.0, 6.0)[:, None]     # P.polyder's j * c[j]
+        self.stack[:5, 1] = self.stack[1:, 0] * j
+        self.stack[:4, 2] = self.stack[1:5, 1] * j[:4]
 
     def is_stale(self, now):
         return now - self.latest.stamp > STALENESS
 
     def predict(self, t):
         """Position, velocity and acceleration at time t, rows of a (3, 2)."""
-        return P.polyval(t - self.t_ref, self.stack)
+        return predict_tracks([self], [t])[0, 0]
 
     def predict_positions(self, times):
         """Positions (n, 2) at an array of times."""
-        s = np.asarray(times) - self.t_ref
-        return P.polyval(s[:, None], self.stack[:, 0], tensor=False)
+        return predict_tracks([self], times)[0, :, 0]
 
 
-def association_score(track, state):
-    """Mismatch between a track's prediction and an incoming state."""
-    p, v, a = track.predict(state.stamp)
-    dp = np.linalg.norm(p - state.position)
-    dv = np.linalg.norm(v - state.velocity)
-    da = np.linalg.norm(a - state.acceleration)
-    return float(dp + W_VELOCITY * dv + W_ACCELERATION * da)
+def predict_tracks(tracks, times):
+    """Position, velocity and acceleration (tracks, times, 3, 2), each equal
+    bit for bit to the track's own `P.polyval`: c[-1] + x*0, then c[-i] + v*x.
+    """
+    c = np.stack([tr.stack for tr in tracks])[:, None]
+    t_ref = np.array([tr.t_ref for tr in tracks])
+    x = (np.asarray(times)[None, :] - t_ref[:, None])[..., None, None]
+    v = c[:, :, -1] + x * 0
+    for i in range(2, 7):
+        v = c[:, :, -i] + v * x
+    return v
 
 
 def associate(tracks, state):
     """Index of the track that best explains `state`, or None for a new track.
 
-    The best score must pass the gate; ties go to the lowest track index.
+    A score is the position error plus W_VELOCITY and W_ACCELERATION times
+    the velocity and acceleration errors of the track's prediction.  The
+    best must pass the gate; ties within 1e-12 go to the lowest index.
     """
+    if not tracks:
+        return None
+    d = (predict_tracks(tracks, [state.stamp])[:, 0]
+         - np.stack([state.position, state.velocity, state.acceleration]))
+    err = np.sqrt(np.vecdot(d, d))
+    scores = err[:, 0] + W_VELOCITY * err[:, 1] + W_ACCELERATION * err[:, 2]
     best_idx = None
     best = np.inf
-    for i, tr in enumerate(tracks):
-        score = association_score(tr, state)
+    for i, score in enumerate(scores.tolist()):
         if score < best - 1e-12:
             best = score
             best_idx = i

@@ -14,10 +14,15 @@ one pass over every slice: the moving volume's slice x shape mask says
 which shapes each slice holds, the seed march takes each shape once, for
 all slices that hold it, and tests only the samples where each ray enters
 it, which finds the same first sample inside as a march over every sample
-(`_first_hits`); each peer track cuts all slices in one array step;
-deflation and the seed probe are one step each.  The single-slice functions
-(`seed_region`, `contract_for_peer`, `deflate_for_ego`, `region_is_empty`)
-run the same kernels on a one-slice stack.
+(`_first_hits`).  The peer cut (`_peer_cuts`) evaluates every track at
+every slice time at once and cuts one stack, widened once by a column per
+track.  It goes track by track, since an earlier peer's plane can separate
+a later peer: each track renormalizes the rows of the slices it cuts and
+writes its plane at column counts[k].  Duplicate rows are dropped once at
+the end; a row equal to an earlier one is renormalized with it and stays
+equal.  Deflation and the seed probe are one step each.  The single-slice
+functions (`seed_region`, `contract_for_peer`, `deflate_for_ego`,
+`region_is_empty`) run the same kernels on a one-slice stack.
 
 Arithmetic.  Regions are defined per slice as a chain of `Halfplane` and
 `ConvexPolytope` objects: every cut renormalizes each plane of the slice
@@ -33,7 +38,11 @@ bit.  Hence the forms below:
   and np.linalg.norm do (norm(axis=...) and einsum do not);
 - a seed's containment in a circle compares the root distance, as
   `Circle.contains` does, while the march compares squares, as
-  `contains_many` does; the two disagree on the boundary.
+  `contains_many` does; the two disagree on the boundary;
+- a peer is cut when no plane has gap = n.peer - o - support(-n) above the
+  margin, with n.peer from `PlaneStack.dots`.  Kept duplicates raise a
+  slice's row count, which on the BLAS measured changes the rounding of
+  n.peer only at a count of 1, and every slice holds its 4 box rows.
 """
 
 from dataclasses import dataclass
@@ -44,7 +53,7 @@ import numpy as np
 
 from .geometry import (Circle, ConvexPolytope, segment_shape_intersections,
                        supporting_halfplanes, unit_rows)
-from .prediction import footprint_from_size
+from .prediction import footprint_from_size, predict_tracks
 
 # A region whose largest inscribed disk has a radius below this is empty.
 EMPTY_RADIUS = -1e-9
@@ -99,27 +108,20 @@ class PlaneStack(NamedTuple):
         return out
 
     def widened(self, width):
-        pad = width - self.offsets.shape[1]
-        if pad <= 0:
-            return self
-        return PlaneStack(
-            np.concatenate([self.normals,
-                            np.full((len(self.counts), pad, 2), np.nan)], axis=1),
-            np.concatenate([self.offsets,
-                            np.full((len(self.counts), pad), np.nan)], axis=1),
-            self.counts)
+        """Copy with NaN rows added up to `width` planes (at least its own)."""
+        w = self.offsets.shape[1]
+        normals = np.full((len(self.counts), max(width, w), 2), np.nan)
+        offsets = np.full(normals.shape[:2], np.nan)
+        normals[:, :w] = self.normals
+        offsets[:, :w] = self.offsets
+        return PlaneStack(normals, offsets, self.counts.copy())
 
     def replaced(self, ks, other):
         """Copy with slices ks taken from `other`, slice for slice."""
-        width = max(self.offsets.shape[1], other.offsets.shape[1])
-        out = self.widened(width)
-        other = other.widened(width)
-        normals, offsets, counts = (out.normals.copy(), out.offsets.copy(),
-                                    out.counts.copy())
-        normals[ks] = other.normals
-        offsets[ks] = other.offsets
-        counts[ks] = other.counts
-        return PlaneStack(normals, offsets, counts)
+        out = self.widened(other.offsets.shape[1])
+        out.normals[ks], out.offsets[ks], out.counts[ks] = other.widened(
+            out.offsets.shape[1])
+        return out
 
 
 @dataclass
@@ -342,23 +344,33 @@ def _seeded(seeds, shapes, member):
     return _distinct(normals, offsets, live), inside
 
 
-def _cut(stack, seeds, peers, footprint, margin):
-    """`contract_for_peer` on every slice: (stack, seed not covered)."""
-    rel = seeds - peers
-    free = ~footprint.contains(rel)
-    gap = stack.dots(peers) - stack.offsets - footprint.support(-stack.normals)
-    ks = np.flatnonzero(free & ~np.any(gap > margin, axis=1))
-    if len(ks) == 0:
+def _peer_cuts(stack, seeds, peers, footprints, margin):
+    """`contract_for_peer` on every slice by each track t in turn, at
+    peers[t] (tracks, slices, 2) with footprints[t]: (stack, seed covered
+    by no track).  The input stack comes back when nothing is cut."""
+    normals, offsets, counts = stack.widened(
+        stack.offsets.shape[1] + len(footprints))
+    free = np.ones(len(seeds), dtype=bool)
+    for peer, footprint in zip(peers, footprints):
+        rel = seeds - peer
+        clear = ~footprint.contains(rel)
+        free &= clear
+        gap = (PlaneStack(normals, offsets, counts).dots(peer) - offsets
+               - footprint.support(-normals))
+        ks = np.flatnonzero(clear & ~np.any(gap > margin, axis=1))
+        if len(ks) == 0:
+            continue
+        r = rel[ks]
+        u = -r / np.sqrt(np.vecdot(r, r))[:, None]
+        offset = np.vecdot(u, peer[ks]) - footprint.support(-u) - margin
+        normals[ks], offsets[ks] = unit_rows(normals[ks], offsets[ks])
+        at = (ks, counts[ks])
+        normals[at], offsets[at] = unit_rows(u, offset)
+        counts[ks] += 1
+    if np.array_equal(counts, stack.counts):
         return stack, free
-    r = rel[ks]
-    u = -r / np.sqrt(np.vecdot(r, r))[:, None]
-    offset = np.vecdot(u, peers[ks]) - footprint.support(-u) - margin
-    part = stack.widened(stack.counts[ks].max() + 1)
-    normals, offsets = unit_rows(part.normals[ks], part.offsets[ks])
-    at = (np.arange(len(ks)), part.counts[ks])
-    normals[at], offsets[at] = unit_rows(u, offset)
-    live = np.arange(offsets.shape[1]) <= part.counts[ks][:, None]
-    return stack.replaced(ks, _distinct(normals, offsets, live)), free
+    live = np.arange(offsets.shape[1]) < counts[:, None]
+    return _distinct(normals, offsets, live), free
 
 
 def _deflated(stack, footprint):
@@ -432,9 +444,9 @@ def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
     feasible); feasible goes False when the seed itself is covered.
     """
     before = PlaneStack.of(polytope)
-    after, free = _cut(before, np.asarray(seed, dtype=float)[None],
-                       np.asarray(peer_position, dtype=float)[None],
-                       footprint, margin)
+    after, free = _peer_cuts(before, np.asarray(seed, dtype=float)[None],
+                             np.asarray(peer_position, dtype=float)[None, None],
+                             [footprint], margin)
     if after is before:
         return polytope, bool(free[0])
     return after.polytope(0), True
@@ -484,12 +496,11 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
                                               borrowed.counts[src]))
         feasible[ks] = previous.feasible[src]
     static = stack
-    times = now + t_rel
-    for tr in tracks:
-        stack, free = _cut(stack, seeds,
-                           tr.predict_positions(times),
-                           footprint_from_size(tr.latest.size or (0.1,)),
-                           PEER_MARGIN)
+    if tracks:
+        stack, free = _peer_cuts(
+            stack, seeds, predict_tracks(tracks, now + t_rel)[:, :, 0],
+            [footprint_from_size(tr.latest.size or (0.1,)) for tr in tracks],
+            PEER_MARGIN)
         feasible &= free
     stack = _deflated(stack, ego_footprint)
     probe_in = np.all((stack.dots(seeds) <= stack.offsets + PROBE_TOL)

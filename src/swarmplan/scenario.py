@@ -19,6 +19,7 @@ from jsonschema import Draft7Validator
 from .geometry import Circle, Rectangle, Square, Triangle, axis_rectangle
 from .prediction import footprint_from_size
 from .runtime import _comfortable_arrival, symmetric_limits
+from .sensor import World
 
 __all__ = [
     "SCENARIO_SCHEMA", "AgentSpec", "Scenario", "ScenarioError",
@@ -423,10 +424,13 @@ def parse_scenario(text, source="<string>"):
     if not bad:
         bad = [(("agents", j, "start"), msg)
                for j, msg in _start_overlaps(agents)]
+    bounds = tuple(world.get("bounds", (-15.0, -15.0, 15.0, 15.0)))
     obstacles = []
     for i, spec in enumerate(world.get("obstacles", [])):
         try:
-            obstacles.append(_shape_from_spec(spec))
+            shape = _shape_from_spec(spec)
+            World([shape], bounds)      # the center must lie in the bounds
+            obstacles.append(shape)
         except ValueError as exc:
             bad.append((("world", "obstacles", i), str(exc)))
     if bad:
@@ -442,7 +446,7 @@ def parse_scenario(text, source="<string>"):
             duration=doc.get("duration", 10.0),
             bus_latency=bus.get("latency", 0.0),
             bus_drop=bus.get("drop_probability", 0.0),
-            bounds=tuple(world.get("bounds", (-15.0, -15.0, 15.0, 15.0))),
+            bounds=bounds,
             obstacles=obstacles,
         )
     except ValueError as exc:

@@ -7,8 +7,8 @@ from numpy.polynomial import polynomial as P
 from swarmplan import prediction
 from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
                                   SquareFootprint, associate, fit_quintic,
-                                  footprint_from_size, update_tracks,
-                                  _jerk_gram)
+                                  footprint_from_size, predict_tracks,
+                                  update_tracks, _jerk_gram)
 
 
 def state(stamp, p, v=(0, 0), a=(0, 0), size=(0.3,)):
@@ -28,6 +28,61 @@ def oracle(track, t, order):
             c = P.polyder(c)
         out[ax] = P.polyval(t - t1, c)
     return out
+
+
+# --- oracles: the per-track forms the batched kernels replace ---------------
+
+def _state_rows(s):
+    """Position/velocity/acceleration observation rows at relative time s."""
+    return np.array([
+        [1.0, s, s ** 2, s ** 3, s ** 4, s ** 5],
+        [0.0, 1.0, 2 * s, 3 * s ** 2, 4 * s ** 3, 5 * s ** 4],
+        [0.0, 0.0, 2.0, 6 * s, 12 * s ** 2, 20 * s ** 3],
+    ])
+
+
+def oracle_fit(states, t1, t2, lambda_jerk):
+    """fit_quintic with its design matrix stacked state by state."""
+    A = np.vstack([_state_rows(st.stamp - t1) for st in states])
+    b = np.vstack([np.stack([st.position, st.velocity, st.acceleration])
+                   for st in states])
+    H = A.T @ A + lambda_jerk * _jerk_gram(t2 - t1)
+    return np.linalg.solve(H, A.T @ b)
+
+
+def association_score(track, state):
+    """Mismatch between one track's prediction and an incoming state."""
+    p, v, a = P.polyval(state.stamp - track.t_ref, track.stack)
+    dp = np.linalg.norm(p - state.position)
+    dv = np.linalg.norm(v - state.velocity)
+    da = np.linalg.norm(a - state.acceleration)
+    return float(dp + prediction.W_VELOCITY * dv
+                 + prediction.W_ACCELERATION * da)
+
+
+def scalar_associate(tracks, state):
+    """associate, scoring one track at a time."""
+    best_idx = None
+    best = np.inf
+    for i, tr in enumerate(tracks):
+        score = association_score(tr, state)
+        if score < best - 1e-12:
+            best = score
+            best_idx = i
+    if best_idx is None or best > prediction.GATE:
+        return None
+    return best_idx
+
+
+def random_track(rng, n_states):
+    """A track of n_states random states, 0.02-0.2 s apart; one state
+    leaves it on its bootstrap."""
+    t = float(rng.uniform(-3.0, 3.0))
+    tr = PeerTrack(state(t, *rng.normal(size=(3, 2))))
+    for _ in range(n_states - 1):
+        t += float(rng.uniform(0.02, 0.2))
+        tr.push(state(t, *rng.normal(size=(3, 2))))
+    return tr
 
 
 class TestConstantAccel:
@@ -271,3 +326,86 @@ class TestFootprints:
             footprint_from_size((0.1, 0.2, 0.3, 0.4))
         with pytest.raises(ValueError):
             footprint_from_size((-0.1,))
+
+
+class TestBatchedKernels:
+    """The one-pass kernels equal their per-track forms bit for bit."""
+
+    def test_predict_tracks_matches_polyval(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            tracks = [random_track(rng, int(n))
+                      for n in rng.integers(1, 25, size=int(rng.integers(1, 9)))]
+            # States sharing one stamp keep the newest state's bootstrap.
+            twin = PeerTrack(state(1.0, *rng.normal(size=(3, 2))))
+            twin.push(state(1.0, *rng.normal(size=(3, 2))))
+            tracks.append(twin)
+            times = rng.uniform(-4.0, 8.0, size=int(rng.integers(1, 40)))
+            got = predict_tracks(tracks, times)
+            assert got.shape == (len(tracks), len(times), 3, 2)
+            for i, tr in enumerate(tracks):
+                for j, t in enumerate(times):
+                    want = P.polyval(t - tr.t_ref, tr.stack)
+                    assert np.array_equal(got[i, j], want)
+                    assert np.array_equal(tr.predict(t), want)
+                assert np.array_equal(
+                    tr.predict_positions(times),
+                    P.polyval((times - tr.t_ref)[:, None], tr.stack[:, 0],
+                              tensor=False))
+
+    def test_fit_matches_stacked_state_rows(self):
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            n = int(rng.integers(1, 21))
+            stamps = np.cumsum(rng.uniform(0.0, 0.3, size=n)) + rng.uniform(-5, 5)
+            # Python floats as the bus sends them, and numpy scalars.
+            stamps = stamps.tolist() if rng.random() < 0.5 else list(stamps)
+            states = [state(t, *rng.normal(size=(3, 2))) for t in stamps]
+            t2 = stamps[-1] + float(rng.uniform(0.01, 0.5))
+            lam = float(rng.choice([1e-8, prediction.LAMBDA_JERK, 1.0]))
+            assert np.array_equal(fit_quintic(states, stamps[0], t2, lam),
+                                  oracle_fit(states, stamps[0], t2, lam))
+
+    def test_associate_matches_scalar_loop(self):
+        rng = np.random.default_rng(79)
+        hits = 0
+        for _ in range(300):
+            tracks = [random_track(rng, int(n))
+                      for n in rng.integers(1, 8, size=int(rng.integers(1, 7)))]
+            src = tracks[int(rng.integers(len(tracks)))]
+            t = src.latest.stamp + float(rng.uniform(0.0, 0.2))
+            p, v, a = P.polyval(t - src.t_ref, src.stack)
+            st = state(t, p + rng.normal(scale=0.3, size=2),
+                       v + rng.normal(scale=0.3, size=2),
+                       a + rng.normal(scale=0.3, size=2))
+            want = scalar_associate(tracks, st)
+            assert associate(tracks, st) == want
+            hits += want is not None
+        assert 0 < hits < 300
+
+    def test_near_ties_and_gate(self):
+        # Resting one-state tracks on the x axis score their distance to a
+        # resting state at the origin.  Offsets below 1e-12 tie (the lower
+        # index wins), larger ones do not; a score of exactly GATE passes.
+        rng = np.random.default_rng(83)
+        gate = prediction.GATE
+        ulp = np.spacing(gate)
+        pools = [[0.5, 0.5 + 4e-13, 0.5 - 6e-13, 0.5 - 1.1e-12, 0.5 + 2e-12],
+                 [gate, gate + ulp, gate - 5e-13, gate + 3 * ulp],
+                 [gate + ulp, gate + 2 * ulp],
+                 [gate - 2e-12, gate - 1.5e-12, gate - 0.5e-12]]
+        outcomes = set()
+        for pool in pools:
+            for _ in range(30):
+                order = rng.permutation(len(pool))
+                tracks = [PeerTrack(state(0.0, [pool[i], 0.0])) for i in order]
+                st = state(0.0, [0.0, 0.0])
+                scores = [association_score(tr, st) for tr in tracks]
+                assert sorted(scores) == sorted(pool)
+                want = scalar_associate(tracks, st)
+                assert associate(tracks, st) == want
+                outcomes.add(None if want is None else pool[order[want]])
+        # A tie kept the earlier track, an exact-gate score passed, and
+        # scores just past the gate opened a new track.
+        assert {gate, None} <= outcomes
+        assert outcomes & {0.5 + 4e-13, 0.5 - 6e-13, 0.5}

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from scipy.optimize import linprog
 
 from swarmplan import regions
@@ -647,6 +648,61 @@ class TestOnePassParity:
                 want = oracle_seed_region(seed, [square])
                 assert np.array_equal(got.normals, want.normals)
                 assert np.array_equal(got.offsets, want.offsets)
+
+    def test_many_tracks_match_contract_chain(self):
+        # build_safe_regions cuts all tracks in one stack; each slice must
+        # equal its static polytope cut by contract_for_peer track by track
+        # (each step checked against the Halfplane oracle), then deflated.
+        # Peer B stands behind peer A, so that on some slices only A's plane
+        # separates it; two identical tracks give bit-equal planes that the
+        # cut drops.
+        rng = np.random.default_rng(89)
+        make = TestBuildSafeRegions().track_at
+        shadowed = merged = 0
+        for trial in range(8):
+            vol = random_volume(rng, 30, inside_frac=0.0)
+            th = rng.uniform(0, 2 * np.pi)
+            d = np.array([np.cos(th), np.sin(th)])
+            mid = vol.centers[len(vol.centers) // 2]
+            v = rng.uniform(-0.5, 0.5, size=2)
+            tracks = [make(mid + 1.2 * d, [0.0, 0.0], size=(0.2,)),
+                      make(mid + 2.8 * d, [0.0, 0.0], size=(0.2,)),
+                      make(mid - 0.9 * d, v, size=(0.3,)),
+                      make(mid - 0.9 * d, v, size=(0.3,)),
+                      *random_tracks(rng, vol)]
+            assert len(tracks) >= 6
+            ego = CircleFootprint(0.2) if trial % 2 else SquareFootprint(0.15)
+            now = 0.05
+            region = build_safe_regions(vol, tracks, ego, now)
+            for k, (t_rel, seed) in enumerate(zip(vol.t_rel, vol.centers)):
+                static = region.static.polytope(k)
+                poly = static
+                feasible = brute_force_free(seed, slice_shapes(vol, k))
+                for i, tr in enumerate(tracks):
+                    peer = P.polyval(now + t_rel - tr.t_ref, tr.stack[:, 0])
+                    fp = footprint_from_size(tr.latest.size)
+                    cut, ok = contract_for_peer(poly, seed, peer, fp,
+                                                regions.PEER_MARGIN)
+                    want, ok_want = oracle_contract(poly, seed, peer, fp,
+                                                    regions.PEER_MARGIN)
+                    assert ok == ok_want
+                    assert np.array_equal(cut.normals, want.normals)
+                    assert np.array_equal(cut.offsets, want.offsets)
+                    feasible = feasible and ok
+                    if i == 1 and cut is poly and ok:
+                        alone, _ = contract_for_peer(static, seed, peer, fp,
+                                                     regions.PEER_MARGIN)
+                        shadowed += alone is not static
+                    merged += cut is not poly and len(cut) <= len(poly)
+                    poly = cut
+                poly = deflate_for_ego(poly, ego)
+                got = region.planes.polytope(k)
+                assert np.array_equal(got.normals, poly.normals), k
+                assert np.array_equal(got.offsets, poly.offsets), k
+                if feasible:
+                    feasible = not region_is_empty(poly, probe=seed)
+                assert region.feasible[k] == feasible, k
+        assert shadowed > 0 and merged > 0
 
     def test_plane_dots_round_as_each_slice_product(self):
         # Batched products must round like each slice's own gemv, whose

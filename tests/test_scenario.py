@@ -205,6 +205,13 @@ class TestParsing:
             {"type": "triangle", "corners": [[0, 0], [1, 0], [2, 0]]})
         assert line == 5 and "strictly convex" in msg
 
+    def test_obstacle_center_outside_bounds_reports_obstacle_line(self):
+        # The default bounds are +-15; run_scenario's World would raise
+        # for this circle with no line at all.
+        line, msg = self.obstacle_error(
+            {"type": "circle", "center": [20, 0], "radius": 1})
+        assert line == 5 and "outside bounds" in msg
+
 
 class TestLineIndex:
     def test_paths_map_to_their_lines(self):
