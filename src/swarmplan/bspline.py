@@ -116,10 +116,6 @@ class KnotLayout:
     def t_end(self):
         return self.t_start + self.horizon
 
-    @property
-    def segments(self):
-        return self.m - self.degree
-
 
 def plan_knot_layout(t_now, horizon, dt, degree, goal_time=None):
     """Choose the knot grid for a replanning cycle starting at t_now.

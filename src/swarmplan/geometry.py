@@ -262,10 +262,6 @@ class ConvexPolytope:
     def contains(self, p, tol=1e-9):
         return bool(np.all(self.normals @ _as_point(p) <= self.offsets + tol))
 
-    def violation(self, p):
-        """Largest constraint violation at p (<= 0 means inside)."""
-        return float(np.max(self.normals @ _as_point(p) - self.offsets))
-
 
 def circle_from_three_points(p1, p2, p3):
     """Circumscribed circle through three points, or None if collinear.

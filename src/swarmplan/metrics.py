@@ -184,12 +184,6 @@ class RunMetrics:
     flag_counts: dict = field(default_factory=dict)
     unrecovered_infeasibility: bool = False
 
-    @property
-    def clean(self):
-        """True when the run had no collisions and ended out of fallback."""
-        return (not self.collision_events
-                and not self.unrecovered_infeasibility)
-
     def to_dict(self):
         out = asdict(self)
         for key in ("min_pairwise_distance", "min_obstacle_clearance"):

@@ -2,9 +2,11 @@
 
 Scans are segmented into contiguous return runs, each run is compensated for
 robot motion during the sweep, classified into a circle / square / rectangle /
-triangle, and inserted into a robot-centric map of shapes bucketed on a 1 m
-hash grid.  Overlapping observations of the same obstacle merge into a single
-grown shape, so the map stays small no matter how often an obstacle is seen.
+triangle, and inserted into a robot-centric map: one list of shapes, read in
+the order of the 1 m cells their centers round to.  Overlapping observations
+of the same obstacle merge into a single grown shape, so the map stays small
+no matter how often an obstacle is seen; the cell order fixes which stored
+shape a new one merges with first.
 """
 
 from dataclasses import dataclass
@@ -324,53 +326,31 @@ def _bucket_key(center, origin):
 
 
 class LocalMap:
-    """Robot-centric shape store bucketed on a 1 m grid.
+    """Robot-centric shape store: one list, read in 1 m cell order.
 
-    Shapes whose centers round to nearby buckets are candidates for merging;
-    recentering rebuilds the buckets around a new origin and drops shapes
+    `shapes()` is the list stably sorted by the cell each center rounds to
+    relative to the origin (x cell, then y cell), and a shape joins the end
+    of its cell.  That order decides which overlapping shape an insert
+    merges with first, and the moving volume and regions read the map in
+    it, so it is part of the planner's behaviour.  Recentering drops shapes
     beyond MAP_RADIUS.
     """
 
     def __init__(self, origin=(0.0, 0.0)):
         self.origin = np.asarray(origin, dtype=float)
-        self.buckets = {}
+        self._shapes = []
 
     def __len__(self):
-        return sum(len(v) for v in self.buckets.values())
+        return len(self._shapes)
 
     def shapes(self):
-        out = []
-        for key in sorted(self.buckets):
-            out.extend(self.buckets[key])
-        return out
-
-    def _add(self, shape):
-        key = _bucket_key(shape.center, self.origin)
-        self.buckets.setdefault(key, []).append(shape)
-
-    def _remove(self, shape):
-        key = _bucket_key(shape.center, self.origin)
-        entries = self.buckets.get(key, [])
-        entries.remove(shape)
-        if not entries:
-            del self.buckets[key]
-
-    def _neighborhood(self, center, reach):
-        k = _bucket_key(center, self.origin)
-        r = int(np.ceil(reach)) + 1
-        found = []
-        for dx in range(-r, r + 1):
-            for dy in range(-r, r + 1):
-                found.extend(self.buckets.get((k[0] + dx, k[1] + dy), ()))
-        return found
+        return sorted(self._shapes, key=lambda s: _bucket_key(s.center, self.origin))
 
     def recenter(self, new_origin):
         shapes = self.shapes()
         self.origin = np.asarray(new_origin, dtype=float)
-        self.buckets = {}
-        for s in shapes:
-            if np.linalg.norm(s.center - self.origin) <= MAP_RADIUS:
-                self._add(s)
+        self._shapes = [s for s in shapes
+                        if np.linalg.norm(s.center - self.origin) <= MAP_RADIUS]
 
     def insert(self, shape, points=None):
         """Insert a classified shape, merging with an overlapping stored one.
@@ -382,8 +362,7 @@ class LocalMap:
         center = shape.center
         if np.linalg.norm(center - self.origin) > MAP_RADIUS:
             return None
-        reach = shape.size_scale + self._max_scale()
-        for other in self._neighborhood(center, reach):
+        for other in self.shapes():
             gap = float(np.linalg.norm(center - other.center))
             if gap >= max(shape.size_scale, other.size_scale):
                 continue
@@ -398,17 +377,10 @@ class LocalMap:
                 # The union would claim the spot the robot stands on even
                 # though neither observation does; refuse to grow over it.
                 continue
-            self._remove(other)
+            self._shapes.remove(other)
             return self.insert(merged, points=None)
-        self._add(shape)
+        self._shapes.append(shape)
         return shape
-
-    def _max_scale(self):
-        best = 0.0
-        for entries in self.buckets.values():
-            for s in entries:
-                best = max(best, s.size_scale)
-        return best
 
 
 def _family(shape):

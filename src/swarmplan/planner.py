@@ -230,8 +230,6 @@ def end_cost(goal, row, q_final):
     m = len(row)
     H = np.zeros((2 * m, 2 * m))
     F = np.zeros(2 * m)
-    if q_final == 0.0:
-        return H, F
     block = 2.0 * q_final * np.outer(row, row)
     H[:m, :m] = block
     H[m:, m:] = block

@@ -10,7 +10,7 @@ coefficient stack.
 
 One evaluator, `predict_tracks`, runs Horner's rule over the polynomials
 of many tracks at once, in `P.polyval`'s order, for association, the region
-cuts and the one-track views `PeerTrack.predict` and `predict_positions`.
+cuts and the one-track view `PeerTrack.predict_positions`.
 """
 
 import math
@@ -117,10 +117,6 @@ class PeerTrack:
 
     def is_stale(self, now):
         return now - self.latest.stamp > STALENESS
-
-    def predict(self, t):
-        """Position, velocity and acceleration at time t, rows of a (3, 2)."""
-        return predict_tracks([self], [t])[0, 0]
 
     def predict_positions(self, times):
         """Positions (n, 2) at an array of times."""

@@ -87,9 +87,6 @@ class QPProblem:
     def n(self):
         return len(self.F)
 
-    def objective(self, x):
-        return float(0.5 * x @ self.H @ x + self.F @ x)
-
 
 @dataclass
 class QPSolution:

@@ -9,8 +9,10 @@ separately (`resolve_agents`) so the same file can be re-run under different
 seeds.  `builtin_scenario` generates the bundled benchmark worlds.
 """
 
+import ast
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,72 +173,32 @@ SCENARIO_SCHEMA = {
 def index_json_lines(text):
     """Map JSON paths (tuples of object keys / array indices) to line numbers.
 
-    A single forward scan tracks strings, escapes, and the container stack;
-    the recorded line is where each key or array element begins.
+    Text that `json.loads` accepted is, wrapped in parentheses, a Python
+    expression (true, false, null and NaN parse as names), so Python's parser
+    gives the line where each key or array element begins; the first
+    occurrence of a path wins.  A document nested deeper than the parser
+    allows maps only the root.
     """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # escapes such as "\/"
+            tree = ast.parse("(" + text + "\n)", mode="eval")
+    except (SyntaxError, RecursionError):
+        return {(): 1}
     lines = {(): 1}
-    stack = []  # entries: ["obj", key or None, expecting_key] / ["arr", idx, started]
-    line = 1
-    i = 0
-    n = len(text)
 
-    def path():
-        parts = []
-        for frame in stack:
-            if frame[1] is not None:
-                parts.append(frame[1])
-        return tuple(parts)
+    def walk(path, node):
+        if isinstance(node, ast.Dict):
+            items = [(k.value, k.lineno, v) for k, v in zip(node.keys, node.values)]
+        elif isinstance(node, ast.List):
+            items = [(i, v.lineno, v) for i, v in enumerate(node.elts)]
+        else:
+            return
+        for key, line, value in items:
+            lines.setdefault(path + (key,), line)
+            walk(path + (key,), value)
 
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-        elif c == '"':
-            start_line = line
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                if text[j] == "\n":
-                    line += 1
-                j += 1
-            content = text[i + 1:j]
-            if stack and stack[-1][0] == "obj" and stack[-1][2]:
-                stack[-1][1] = content
-                stack[-1][2] = False
-                lines.setdefault(path(), start_line)
-            elif stack and stack[-1][0] == "arr" and not stack[-1][2]:
-                stack[-1][2] = True
-                lines.setdefault(path(), start_line)
-            i = j
-        elif c == "{":
-            if stack and stack[-1][0] == "arr" and not stack[-1][2]:
-                stack[-1][2] = True
-                lines.setdefault(path(), line)
-            stack.append(["obj", None, True])
-        elif c == "[":
-            if stack and stack[-1][0] == "arr" and not stack[-1][2]:
-                stack[-1][2] = True
-                lines.setdefault(path(), line)
-            stack.append(["arr", 0, False])
-        elif c in "}]":
-            if stack:
-                stack.pop()
-        elif c == ",":
-            if stack and stack[-1][0] == "obj":
-                stack[-1][1] = None
-                stack[-1][2] = True
-            elif stack and stack[-1][0] == "arr":
-                stack[-1][1] += 1
-                stack[-1][2] = False
-        elif not c.isspace() and c != ":":
-            if stack and stack[-1][0] == "arr" and not stack[-1][2]:
-                stack[-1][2] = True
-                lines.setdefault(path(), line)
-        i += 1
+    walk((), tree.body)
     return lines
 
 
@@ -425,11 +387,18 @@ def parse_scenario(text, source="<string>"):
         bad = [(("agents", j, "start"), msg)
                for j, msg in _start_overlaps(agents)]
     bounds = tuple(world.get("bounds", (-15.0, -15.0, 15.0, 15.0)))
+    try:
+        World([], bounds)
+        bounds_ok = True
+    except ValueError as exc:
+        bad.append((("world", "bounds"), str(exc)))
+        bounds_ok = False
     obstacles = []
     for i, spec in enumerate(world.get("obstacles", [])):
         try:
             shape = _shape_from_spec(spec)
-            World([shape], bounds)      # the center must lie in the bounds
+            if bounds_ok:
+                World([shape], bounds)      # the center must lie in the bounds
             obstacles.append(shape)
         except ValueError as exc:
             bad.append((("world", "obstacles", i), str(exc)))

@@ -247,7 +247,7 @@ class TestPolytope:
         assert box.contains([0, 0])
         assert box.contains([1, 1])
         assert not box.contains([1.1, 0])
-        assert box.violation([2, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(box.normals @ [2, 0] - box.offsets) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_duplicates_dropped(self):
         hps = [Halfplane([1, 0], 1), Halfplane([1, 0], 1), Halfplane([0, 1], 1)]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from swarmplan import perception
-from swarmplan.geometry import Circle, Square, Rectangle, Triangle, axis_rectangle
+from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, axis_rectangle,
+                               oriented_rectangle)
 from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
                                   classify_cluster, compensate_motion,
                                   fit_rectangle, segment_scan)
@@ -260,6 +261,128 @@ class TestLocalMap:
         m = LocalMap()
         m.insert(Circle([20.0, 0.0], 0.5))
         assert len(m) == 0
+
+
+class GridMap:
+    """Reference LocalMap: the 1 m hash grid the list replaced.
+
+    Buckets keyed by cell relative to the origin, rebuilt on every
+    recenter; an insert scans the cells within the reach of its shape plus
+    the largest stored one.
+    """
+
+    def __init__(self, origin=(0.0, 0.0)):
+        self.origin = np.asarray(origin, dtype=float)
+        self.buckets = {}
+
+    def shapes(self):
+        return [s for key in sorted(self.buckets) for s in self.buckets[key]]
+
+    def _key(self, shape):
+        return perception._bucket_key(shape.center, self.origin)
+
+    def recenter(self, new_origin):
+        shapes = self.shapes()
+        self.origin = np.asarray(new_origin, dtype=float)
+        self.buckets = {}
+        for s in shapes:
+            if np.linalg.norm(s.center - self.origin) <= perception.MAP_RADIUS:
+                self.buckets.setdefault(self._key(s), []).append(s)
+
+    def insert(self, shape, points=None):
+        center = shape.center
+        if np.linalg.norm(center - self.origin) > perception.MAP_RADIUS:
+            return None
+        largest = max((s.size_scale for s in self.shapes()), default=0.0)
+        r = int(np.ceil(shape.size_scale + largest)) + 1
+        kx, ky = self._key(shape)
+        window = [s for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+                  for s in self.buckets.get((kx + dx, ky + dy), ())]
+        for other in window:
+            gap = float(np.linalg.norm(center - other.center))
+            if gap >= max(shape.size_scale, other.size_scale):
+                continue
+            merged = perception._merge_shapes(other, shape, points)
+            if merged is None:
+                continue
+            if (merged.contains(self.origin)
+                    and not shape.contains(self.origin)
+                    and not other.contains(self.origin)):
+                continue
+            entries = self.buckets[self._key(other)]
+            entries.remove(other)
+            if not entries:
+                del self.buckets[self._key(other)]
+            return self.insert(merged, points=None)
+        self.buckets.setdefault(self._key(shape), []).append(shape)
+        return shape
+
+
+def random_observation(rng, origin):
+    """A circle, rectangle or triangle near the origin, sometimes with points.
+
+    Centers reach up to 19 m out, past MAP_RADIUS; the points, when given,
+    trace a circle or a square at the same spot, so they may come from
+    another family than the shape.
+    """
+    center = origin + rng.uniform(-1.0, 1.0, 2) * (19.0 if rng.random() < 0.2 else 4.0)
+    size = rng.uniform(0.2, 1.6)
+    kind = rng.integers(3)
+    if kind == 0:
+        shape = Circle(center, size)
+    elif kind == 1:
+        shape = oriented_rectangle(
+            center, rng.normal(size=2), size, rng.uniform(0.2, 1.0) * size)
+    else:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))
+        shape = Triangle(center + size * np.stack([np.cos(angles), np.sin(angles)], 1))
+    if rng.random() < 0.5:
+        return shape, None
+    if rng.random() < 0.5:
+        angles = rng.uniform(0.0, 2.0 * np.pi, 20)
+        points = center + size * np.stack([np.cos(angles), np.sin(angles)], 1)
+    else:
+        points = boundary_samples(axis_rectangle(*(center - size), *(center + size)), 20)
+    return shape, points + rng.normal(scale=0.02, size=points.shape)
+
+
+class TestLocalMapOracle:
+    def test_list_matches_grid(self, monkeypatch):
+        # Both maps share each merge result, so equal behaviour means the
+        # very same objects in the same order.
+        merges = {}
+        merge = perception._merge_shapes
+
+        def shared_merge(stored, incoming, points):
+            key = (id(stored), id(incoming), id(points))
+            if key not in merges:
+                merges[key] = (stored, incoming, points,
+                               merge(stored, incoming, points))
+            return merges[key][3]
+
+        monkeypatch.setattr(perception, "_merge_shapes", shared_merge)
+        refused = dropped = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            origin = rng.uniform(-3.0, 3.0, 2)
+            listed, grid = LocalMap(origin), GridMap(origin)
+            for _ in range(80):
+                if rng.random() < 0.15:
+                    origin = origin + rng.uniform(-8.0, 8.0, 2)
+                    before = len(listed)
+                    listed.recenter(origin)
+                    grid.recenter(origin)
+                    dropped += before - len(listed)
+                else:
+                    shape, points = random_observation(rng, origin)
+                    kept = listed.insert(shape, points)
+                    assert grid.insert(shape, points) is kept
+                    refused += kept is None
+                got, want = listed.shapes(), grid.shapes()
+                assert [id(s) for s in got] == [id(s) for s in want]
+        # The sequences exercise every path: merges, refusals and drops.
+        assert len(merges) > 100 and refused > 10 and dropped > 10
+        assert any(m[3] is not None for m in merges.values())
 
 
 class ShapeList:

@@ -388,7 +388,7 @@ class TestAssembleAndSolve:
         traj, _ = plan_with_fallback(req)
         for sl in req.regions.slices:
             p = traj.position(req.t_now + sl.t_rel)
-            assert sl.polytope.violation(p) <= 1e-6
+            assert np.max(sl.polytope.normals @ p - sl.polytope.offsets) <= 1e-6
 
     def test_waypoint_interpolated(self):
         wp = (1.5, np.array([1.0, 0.5]))

@@ -95,7 +95,7 @@ class TestConstantAccel:
             p, v, a = rng.normal(size=(3, 2))
             tr = PeerTrack(state(stamp, p, v, a))
             for dt in rng.uniform(-1.0, 3.0, size=5):
-                pos, vel, acc = tr.predict(stamp + dt)
+                pos, vel, acc = predict_tracks([tr], [stamp + dt])[0, 0]
                 assert np.allclose(pos, p + v * dt + a * dt * dt,
                                    rtol=0.0, atol=1e-12)
                 assert np.allclose(vel, v + 2.0 * a * dt, rtol=0.0, atol=1e-12)
@@ -103,7 +103,7 @@ class TestConstantAccel:
 
     def test_zero_accel_is_linear(self):
         tr = PeerTrack(state(1.0, [0.0, 0.0], v=[2.0, 1.0]))
-        assert np.allclose(tr.predict(4.0)[0], [6.0, 3.0], atol=1e-12)
+        assert np.allclose(predict_tracks([tr], [4.0])[0, 0, 0], [6.0, 3.0], atol=1e-12)
 
 
 class TestJerkGram:
@@ -192,8 +192,8 @@ class TestTrackPrediction:
         # bootstrap is the prediction.
         tr = PeerTrack(state(1.0, [0, 0], v=[1, 0]))
         tr.push(state(1.0, [0.2, 0.1], v=[0, 1], a=[0.5, 0]))
-        assert np.allclose(tr.predict(2.0), [[0.7, 1.1], [1.0, 1.0], [1.0, 0.0]],
-                           rtol=0.0, atol=1e-12)
+        assert np.allclose(predict_tracks([tr], [2.0])[0, 0],
+                           [[0.7, 1.1], [1.0, 1.0], [1.0, 0.0]], rtol=0.0, atol=1e-12)
 
     def test_fitted_track_matches_polyder_oracle(self):
         # predict and predict_positions equal, bit for bit, the per-axis
@@ -206,7 +206,7 @@ class TestTrackPrediction:
                 times = t + rng.uniform(-0.5, 2.0, size=6)
                 for s in times:
                     want = np.stack([oracle(tr, s, k) for k in range(3)])
-                    assert np.array_equal(tr.predict(s), want)
+                    assert np.array_equal(predict_tracks([tr], [s])[0, 0], want)
                 want = np.stack([oracle(tr, s, 0) for s in times])
                 assert np.array_equal(tr.predict_positions(times), want)
 
@@ -224,7 +224,7 @@ class TestTrackPrediction:
         for k in range(1, 10):
             t = 0.1 * k
             tr.push(state(t, [2.0 * t, 1.0 - t], v=[2.0, -1.0]))
-        p, v, _ = tr.predict(1.5)
+        p, v, _ = predict_tracks([tr], [1.5])[0, 0]
         assert np.allclose(p, [3.0, -0.5], atol=1e-6)
         assert np.allclose(v, [2.0, -1.0], atol=1e-6)
 
@@ -236,7 +236,7 @@ class TestTrackPrediction:
         times = np.linspace(0.8, 2.0, 9)
         pos = tr.predict_positions(times)
         for k, t in enumerate(times):
-            assert np.allclose(pos[k], tr.predict(t)[0], atol=1e-12)
+            assert np.allclose(pos[k], predict_tracks([tr], [t])[0, 0, 0], atol=1e-12)
 
     def test_staleness(self, monkeypatch):
         monkeypatch.setattr(prediction, "STALENESS", 0.5)
@@ -347,7 +347,7 @@ class TestBatchedKernels:
                 for j, t in enumerate(times):
                     want = P.polyval(t - tr.t_ref, tr.stack)
                     assert np.array_equal(got[i, j], want)
-                    assert np.array_equal(tr.predict(t), want)
+                    assert np.array_equal(predict_tracks([tr], [t])[0, 0], want)
                 assert np.array_equal(
                     tr.predict_positions(times),
                     P.polyval((times - tr.t_ref)[:, None], tr.stack[:, 0],

@@ -175,9 +175,10 @@ class TestRandomProblems:
             sol = solve_qp(p)
             check_kkt(p, sol, tol=1e-6)
             solved += 1
-            f_star = p.objective(sol.x)
+            f_star = 0.5 * sol.x @ p.H @ sol.x + p.F @ sol.x
             for z in sample_feasible_points(p, x_feas, rng, count=15):
-                assert f_star <= p.objective(z) + 1e-7 * max(1.0, abs(f_star))
+                f = 0.5 * z @ p.H @ z + p.F @ z
+                assert f_star <= f + 1e-7 * max(1.0, abs(f_star))
         assert solved == 60
 
     def test_deterministic(self):

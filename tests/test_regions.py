@@ -79,9 +79,10 @@ class TestSeedRegion:
         # Box extends r_max in each axis direction.
         for u in (np.array([1.0, 0]), np.array([-1.0, 0]),
                   np.array([0, 1.0]), np.array([0, -1.0])):
-            d = poly.violation(seed + u * (regions.MARCH_RANGE - 1e-6))
-            assert d <= 0
-            assert poly.violation(seed + u * (regions.MARCH_RANGE + 0.1)) > 0
+            inner = seed + u * (regions.MARCH_RANGE - 1e-6)
+            outer = seed + u * (regions.MARCH_RANGE + 0.1)
+            assert np.max(poly.normals @ inner - poly.offsets) <= 0
+            assert np.max(poly.normals @ outer - poly.offsets) > 0
 
     def test_seed_inside_raises(self):
         with pytest.raises(SeedInsideObstacle):

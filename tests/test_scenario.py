@@ -212,6 +212,19 @@ class TestParsing:
             {"type": "circle", "center": [20, 0], "radius": 1})
         assert line == 5 and "outside bounds" in msg
 
+    @pytest.mark.parametrize("obstacles", [
+        [], [{"type": "circle", "center": [0, 0], "radius": 1}]])
+    def test_degenerate_bounds_report_bounds_line(self, obstacles):
+        # xmin >= xmax: reported once, at world.bounds; the obstacles are
+        # not checked against bounds that enclose nothing.
+        text = ('{\n  "world": {\n    "obstacles": ' + json.dumps(obstacles)
+                + ',\n    "bounds": [5, 5, -5, -5]\n  },\n'
+                '  "agents": [' + json.dumps(MINIMAL["agents"][0]) + ']\n}\n')
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.errors == [
+            (4, "world.bounds", "degenerate world bounds (5, 5, -5, -5)")]
+
 
 class TestLineIndex:
     def test_paths_map_to_their_lines(self):
@@ -236,6 +249,17 @@ class TestLineIndex:
         text = '{\n  "name": "a{[,]}b",\n  "seed": 3\n}'
         lines = index_json_lines(text)
         assert lines[("seed",)] == 3
+
+    def test_nesting_beyond_the_parser_still_raises_scenario_error(self):
+        # json.loads takes 300 levels; Python's parser stops near 200, so
+        # the schema error for "name" is reported at line 1.
+        doc = dict(MINIMAL, name=json.loads("[" * 300 + "]" * 300))
+        text = json.dumps(doc, indent=1)
+        assert index_json_lines(text) == {(): 1}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        (line, path, msg), = exc.value.errors
+        assert (line, path) == (1, "name") and "not of type 'string'" in msg
 
 
 class TestRoundTrip:

@@ -209,17 +209,17 @@ class TestKnotLayout:
     def test_horizon_rounds_up_to_whole_segments(self):
         lay = plan_knot_layout(t_now=0.0, horizon=3.3, dt=1.0, degree=2)
         assert lay.horizon == pytest.approx(4.0)
-        assert lay.segments == 4
+        assert lay.m - lay.degree == 4
 
     def test_goal_at_domain_end_extends(self):
         lay = plan_knot_layout(t_now=1.0, horizon=4.0, dt=1.0, degree=3, goal_time=5.0)
-        assert lay.segments == 4 + 2
+        assert lay.m - lay.degree == 4 + 2
         assert lay.t_end == pytest.approx(7.0)
 
     def test_goal_elsewhere_does_not_extend(self):
         for goal_t in (3.0, 9.0, None):
             lay = plan_knot_layout(t_now=1.0, horizon=4.0, dt=1.0, degree=3, goal_time=goal_t)
-            assert lay.segments == 4
+            assert lay.m - lay.degree == 4
 
     def test_spline_from_layout_valid_on_horizon(self):
         lay = plan_knot_layout(t_now=0.0, horizon=4.0, dt=1.0, degree=3)
