@@ -191,20 +191,7 @@ class RunMetrics:
                 out[key] = None
         return out
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        for key in ("min_pairwise_distance", "min_obstacle_clearance"):
-            if d.get(key) is None:
-                d[key] = math.inf
-        return cls(**d)
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))

@@ -22,6 +22,8 @@ from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
 from .geometry import Circle
 from .qp import QPProblem, solve_qp
 
+HORIZON = 4.0           # planning horizon, seconds
+KNOT_SEGMENT = 1.0      # B-spline knot spacing, seconds
 DISTANCE_FLOOR = 1e-3   # meters; keeps the kernel finite at contact
 
 # Objective weights.
@@ -50,7 +52,7 @@ class PlanRequest:
     """Inputs for one replanning cycle.
 
     initial_state stacks derivative orders 0..n-1 at t_now; limits maps a
-    derivative order to per-axis (lower, upper) bounds; waypoint and goal
+    derivative order to per-axis (lo, hi) bounds; waypoint and goal
     times are absolute.  goal_time None means no goal pin: only the horizon
     end is pulled to the goal.  regions may be None in open space.
     """
@@ -59,13 +61,11 @@ class PlanRequest:
     initial_state: np.ndarray
     goal: np.ndarray
     previous: TrajectorySpline
-    horizon: float
-    dt: float
     regions: object = None
     goal_time: float = None
     waypoints: list = field(default_factory=list)     # (time, point) pairs
     near_obstacles: list = field(default_factory=list)
-    limits: dict = field(default_factory=dict)        # order -> (lower, upper)
+    limits: dict = field(default_factory=dict)        # order -> (lo, hi)
     end_velocity: np.ndarray = None                   # velocity pinned at goal_time
 
     def __post_init__(self):
@@ -368,7 +368,7 @@ def assemble_qp(req, layout, reference):
 
     # Safe-region halfplanes at every usable slice time.
     region_rows = np.zeros((0, nvar))
-    region_hi = np.zeros(0)
+    region_b = np.zeros(0)
     regions = req.regions
     if regions is not None and len(regions.t_rel):
         times = req.t_now + regions.t_rel
@@ -381,36 +381,35 @@ def assemble_qp(req, layout, reference):
         live = regions.planes.live()[usable]
         region_rows = np.concatenate([normals[..., :1] * R,
                                       normals[..., 1:] * R], axis=2)[live]
-        region_hi = regions.planes.offsets[usable][live]
+        region_b = regions.planes.offsets[usable][live]
 
-    A_lim, lo_lim, hi_lim = _limit_rows(req, layout, sampled=False)
+    A_lim, b_lim = _limit_rows(req, layout, sampled=False)
     return QPProblem(
         H=H, F=F, A_eq=np.array(eq_rows), b_eq=np.array(eq_b),
         A_in=np.concatenate([region_rows, A_lim]),
-        lower=np.concatenate([np.full(len(region_hi), -np.inf), lo_lim]),
-        upper=np.concatenate([region_hi, hi_lim]),
+        b_in=np.concatenate([region_b, b_lim]),
     )
 
 
 def _limit_rows(req, layout, sampled):
-    """Derivative box-limit rows (A, lower, upper) of req.limits.
+    """Derivative box-limit rows (A, b) of req.limits, A x <= b.
 
-    Each row of an order's derivative map gives an x row then a y row.  The
-    control-point rows (sampled=False) guarantee the bound at every instant
-    (convex hull).  The sampled rows check it at RELAXED_SAMPLES_PER_SEGMENT
-    instants per knot segment, the dense grid the regions use, trading the
-    guarantee between samples for feasibility when the convex-hull rows are
-    too conservative.  The samples sit on absolute multiples of the step so
-    every logged state lands on a constrained instant no matter when the
-    cycle started.
+    Each row d of an order's derivative map gives four rows: d x <= hi,
+    -d x <= -lo, d y <= hi, -d y <= -lo.  The control-point rows
+    (sampled=False) guarantee the bound at every instant (convex hull).  The
+    sampled rows check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot
+    segment, the dense grid the regions use, trading the guarantee between
+    samples for feasibility when the convex-hull rows are too conservative.
+    The samples sit on absolute multiples of the step so every logged state
+    lands on a constrained instant no matter when the cycle started.
     """
     m = layout.m
-    A, lower, upper = [np.zeros((0, 2 * m))], [np.zeros(0)], [np.zeros(0)]
-    for order, (lo_b, hi_b) in sorted(req.limits.items()):
-        lo_b = np.asarray(lo_b, dtype=float)
-        hi_b = np.asarray(hi_b, dtype=float)
-        if np.any(lo_b >= hi_b):
-            raise ValueError(f"limits for order {order} must satisfy lower < upper")
+    A, b = [np.zeros((0, 2 * m))], [np.zeros(0)]
+    for order, (lo, hi) in sorted(req.limits.items()):
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if np.any(lo >= hi):
+            raise ValueError(f"limits for order {order} must satisfy lo < hi")
         if sampled:
             h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
             first = math.ceil(layout.t_start / h - 1e-9)
@@ -421,10 +420,9 @@ def _limit_rows(req, layout, sampled):
         rows = np.zeros((len(D), 2, 2 * m))
         rows[:, 0, :m] = D
         rows[:, 1, m:] = D
-        A.append(rows.reshape(-1, 2 * m))
-        lower.append(np.tile(lo_b[:2], len(D)))
-        upper.append(np.tile(hi_b[:2], len(D)))
-    return np.concatenate(A), np.concatenate(lower), np.concatenate(upper)
+        A.append(np.stack([rows, -rows], axis=2).reshape(-1, 2 * m))
+        b.append(np.tile(np.stack([hi[:2], -lo[:2]], axis=1).ravel(), len(D)))
+    return np.concatenate(A), np.concatenate(b)
 
 
 def _unstacked(x):
@@ -443,7 +441,7 @@ def plan_with_fallback(req):
     unchanged with status 'fallback'.
     """
     t_begin = time.perf_counter()
-    layout = plan_knot_layout(req.t_now, req.horizon, req.dt,
+    layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
                               req.order + 1, goal_time=req.goal_time)
     reference = fit_to_layout(req.previous, layout)
 
@@ -468,15 +466,14 @@ def plan_with_fallback(req):
         return finish(req.previous, "fallback")
     for status in ("optimal", "relaxed"):
         if status == "relaxed":
-            # The dense limit rows close A_in: an x and a y row per
-            # derivative control point of each limited order.
-            fixed = len(problem.A_in) - sum(2 * (layout.m - order)
+            # The dense limit rows close A_in: four rows per derivative
+            # control point of each limited order.
+            fixed = len(problem.A_in) - sum(4 * (layout.m - order)
                                             for order in req.limits)
-            A, lo, hi = _limit_rows(req, layout, sampled=True)
+            A, b = _limit_rows(req, layout, sampled=True)
             problem = replace(
                 problem, A_in=np.concatenate([problem.A_in[:fixed], A]),
-                lower=np.concatenate([problem.lower[:fixed], lo]),
-                upper=np.concatenate([problem.upper[:fixed], hi]))
+                b_in=np.concatenate([problem.b_in[:fixed], b]))
         sol = solve_qp(problem)
         if sol.status == "optimal":
             return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),

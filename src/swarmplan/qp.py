@@ -1,16 +1,19 @@
 """Dense convex quadratic programming by the dual method of Goldfarb & Idnani.
 
-The equalities are eliminated first: one SVD of A_eq gives its rank, a
-consistency check (inconsistent rows make the problem infeasible), a
-particular solution x0 and an orthonormal null-space basis Z, so that
-x = x0 + Z y.  The reduced Hessian Z'HZ is factored once as L L', and the
-substitution y = L^-T w turns the objective into 1/2 |w|^2 + c'w, so every
-step below works in the identity metric.
+The problem is min 1/2 x'Hx + F'x subject to A_eq x = b_eq and the
+one-sided rows A_in x <= b_in, the form the method is stated in; a caller
+with a two-sided limit passes it as two rows.  The equalities are
+eliminated first: one SVD of A_eq gives its rank, a consistency check
+(inconsistent rows make the problem infeasible), a particular solution x0
+and an orthonormal null-space basis Z, so that x = x0 + Z y.  The reduced
+Hessian Z'HZ is factored once as L L', and the substitution y = L^-T w
+turns the objective into 1/2 |w|^2 + c'w, so every step below works in the
+identity metric.
 
 The dual active-set method (Goldfarb & Idnani, Math. Programming 27, 1983)
 then starts at the unconstrained minimizer w = -c, which is dual feasible
 with no rows active, and keeps dual feasibility throughout: each step adds
-a violated one-sided row and moves the primal point and the multipliers
+a violated row of A_in and moves the primal point and the multipliers
 along the path that keeps the active rows tight.  When a multiplier reaches
 zero first, that row is dropped (a partial step) and the same row is tried
 again.  A violated row that gives a zero primal step while no active
@@ -44,11 +47,13 @@ _ZERO_STEP = 1e-10   # primal step norm, relative to the row norm
 
 @dataclass
 class QPProblem:
-    """min 1/2 x'Hx + F'x  s.t.  A_eq x = b_eq,  lower <= A_in x <= upper.
+    """min 1/2 x'Hx + F'x  s.t.  A_eq x = b_eq,  A_in x <= b_in.
 
-    H must be symmetric and positive definite on the null space of A_eq; it
-    may be singular on the whole space.  Otherwise the Cholesky factor of
-    the reduced Hessian does not exist and solve_qp raises LinAlgError.
+    Every row of A_in is one-sided with a finite bound: a two-sided limit
+    is two rows, and a side with no bound is no row.  H must be symmetric
+    and positive definite on the null space of A_eq; it may be singular on
+    the whole space.  Otherwise the Cholesky factor of the reduced Hessian
+    does not exist and solve_qp raises LinAlgError.
     """
 
     H: np.ndarray
@@ -56,8 +61,7 @@ class QPProblem:
     A_eq: np.ndarray = None
     b_eq: np.ndarray = None
     A_in: np.ndarray = None
-    lower: np.ndarray = None
-    upper: np.ndarray = None
+    b_in: np.ndarray = None
 
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
@@ -73,15 +77,15 @@ class QPProblem:
             self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
         if self.A_in is None:
             self.A_in = np.zeros((0, n))
-            self.lower = np.zeros(0)
-            self.upper = np.zeros(0)
+            self.b_in = np.zeros(0)
         else:
             self.A_in = np.atleast_2d(np.asarray(self.A_in, dtype=float))
-            m = len(self.A_in)
-            self.lower = (np.full(m, -np.inf) if self.lower is None
-                          else np.atleast_1d(np.asarray(self.lower, dtype=float)))
-            self.upper = (np.full(m, np.inf) if self.upper is None
-                          else np.atleast_1d(np.asarray(self.upper, dtype=float)))
+            self.b_in = np.atleast_1d(np.asarray(self.b_in, dtype=float))
+        if self.b_in.shape != (len(self.A_in),):
+            raise ValueError(f"b_in must be ({len(self.A_in)},), "
+                             f"got {self.b_in.shape}")
+        if not np.isfinite(self.b_in).all():
+            raise ValueError("b_in must be finite; leave an unbounded row out")
 
     @property
     def n(self):
@@ -94,16 +98,8 @@ class QPSolution:
     status: str                      # optimal | infeasible | maxiter
     iterations: int
     stationarity: float
-    duals_in: np.ndarray = None      # per one-sided row, see _one_sided
-    working_set: list = field(default_factory=list)   # final active rows
-
-
-def _one_sided(A_in, lower, upper):
-    """Expand two-sided rows into G x <= h: row i of A_in gives its upper
-    row, then its lower row, each when finite."""
-    keep = np.stack([np.isfinite(upper), np.isfinite(lower)], axis=1)
-    return (np.stack([A_in, -A_in], axis=1)[keep],
-            np.stack([upper, -lower], axis=1)[keep])
+    duals_in: np.ndarray = None      # one multiplier per row of A_in
+    working_set: list = field(default_factory=list)   # active rows of A_in
 
 
 def solve_qp(problem):
@@ -114,7 +110,7 @@ def solve_qp(problem):
     guard of 50 + 10 (n + rows) steps runs out.
     """
     n = problem.n
-    G, h = _one_sided(problem.A_in, problem.lower, problem.upper)
+    G, h = problem.A_in, problem.b_in
     duals = np.zeros(len(G))
 
     U, S, Vt = np.linalg.svd(problem.A_eq)

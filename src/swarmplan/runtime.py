@@ -23,8 +23,8 @@ import numpy as np
 from .bspline import plan_knot_layout
 from .perception import (LocalMap, build_moving_volume, classify_cluster,
                          compensate_motion, decompose_boundary, segment_scan)
-from .planner import (PlanRequest, admit_obstacles, constant_spline,
-                      plan_with_fallback)
+from .planner import (HORIZON, KNOT_SEGMENT, PlanRequest, admit_obstacles,
+                      constant_spline, plan_with_fallback)
 from .prediction import PeerState, footprint_from_size, update_tracks
 from .regions import build_safe_regions
 
@@ -34,19 +34,14 @@ __all__ = [
     "symmetric_limits",
 ]
 
-HORIZON = 4.0        # planning horizon, seconds
 TAU = 0.1            # safe-region slice spacing, seconds; divides HORIZON
-KNOT_SEGMENT = 1.0   # B-spline knot spacing, seconds
 
 
 def _tightest_bound(limits, order):
-    """Smallest finite absolute bound on the order-th derivative, else inf."""
+    """Smallest absolute bound on the order-th derivative, inf if unlimited."""
     if order not in limits:
         return np.inf
-    lo, hi = limits[order]
-    vals = np.abs(np.concatenate([np.atleast_1d(lo), np.atleast_1d(hi)]))
-    vals = vals[np.isfinite(vals)]
-    return float(vals.min()) if len(vals) else np.inf
+    return float(np.abs(np.concatenate(limits[order])).min())
 
 
 def _comfortable_arrival(start, goal, limits):
@@ -75,8 +70,8 @@ def symmetric_limits(bounds):
 
     A scalar b becomes ((-b, -b), (b, b)); a (lo, hi) pair is taken as
     given, so mixed forms are fine.  Orders may be strings, as JSON keys
-    are.  Every box must hold rest, lo < 0 < hi on both axes; any other box
-    raises ValueError.
+    are.  Every box must be finite and hold rest, lo < 0 < hi on both axes;
+    any other box raises ValueError.  An unbounded order is left out.
     """
     out = {}
     for order, b in bounds.items():
@@ -85,6 +80,10 @@ def symmetric_limits(bounds):
             lo, hi = np.array([-b, -b]), np.array([b, b])
         else:
             lo, hi = (np.asarray(v, dtype=float) for v in b)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError(f"limits of order {order} must be finite, got "
+                             f"{lo.tolist()}, {hi.tolist()}; leave an "
+                             "unbounded order out")
         if not (np.all(lo < 0.0) and np.all(hi > 0.0)):
             raise ValueError(f"limits of order {order} must satisfy "
                              f"lo < 0 < hi, got {lo.tolist()}, {hi.tolist()}")
@@ -446,8 +445,7 @@ class Agent:
                 t_now=now, initial_state=initial_state, goal=self.goal,
                 previous=prev, regions=regions, goal_time=self.goal_time,
                 waypoints=self.waypoints, near_obstacles=near,
-                limits=cfg.limits, horizon=HORIZON, dt=KNOT_SEGMENT,
-                end_velocity=self.end_velocity)
+                limits=cfg.limits, end_velocity=self.end_velocity)
             traj, plan = plan_with_fallback(req)
         except Exception as exc:
             flags.append(f"plan:{type(exc).__name__}")

@@ -483,6 +483,16 @@ def _clear_of_obstacles(point, radius, obstacles, margin):
     return all(s.distance(point) >= radius + margin for s in obstacles)
 
 
+def _draw_clear(rng, radius, obstacles, accept, what):
+    """First uniform draw over the spawn square, within 5000 tries, that
+    clears every obstacle by radius + 0.3 m and that `accept` takes."""
+    for _ in range(5000):
+        cand = rng.uniform(-SPAWN_RANGE, SPAWN_RANGE, 2)
+        if _clear_of_obstacles(cand, radius, obstacles, 0.3) and accept(cand):
+            return cand
+    raise RuntimeError(f"could not place a random {what}")
+
+
 def resolve_agents(scenario, rng):
     """Concrete AgentSpec list: random spawns drawn, waypoint stamps filled.
 
@@ -499,29 +509,18 @@ def resolve_agents(scenario, rng):
         r = footprint_from_size(a.footprint).circumradius
         start, heading = a.start, a.heading
         if start is None:
-            for _ in range(5000):
-                cand = rng.uniform(-SPAWN_RANGE, SPAWN_RANGE, 2)
-                ok = (_clear_of_obstacles(cand, r, scenario.obstacles, 0.3)
-                      and all(np.linalg.norm(cand - p) > r + pr + 0.2
-                              for p, pr in placed))
-                if ok:
-                    break
-            else:
-                raise RuntimeError("could not place a random spawn")
-            start = cand
+            start = _draw_clear(
+                rng, r, scenario.obstacles,
+                lambda c: all(np.linalg.norm(c - p) > r + pr + 0.2
+                              for p, pr in placed), "spawn")
             heading = math.radians(float(rng.integers(0, 360)))
         placed.append((start, r))
 
         goal = a.goal
         if goal is None:
-            for _ in range(5000):
-                cand = rng.uniform(-SPAWN_RANGE, SPAWN_RANGE, 2)
-                if (_clear_of_obstacles(cand, r, scenario.obstacles, 0.3)
-                        and np.linalg.norm(cand - start) >= 2.0):
-                    break
-            else:
-                raise RuntimeError("could not place a random goal")
-            goal = cand
+            goal = _draw_clear(rng, r, scenario.obstacles,
+                               lambda c: np.linalg.norm(c - start) >= 2.0,
+                               "goal")
 
         waypoints = list(a.waypoints)
         if any(t is None for t, _ in waypoints):

@@ -9,8 +9,9 @@ from swarmplan.bspline import (TrajectorySpline, derivative_map,
                                difference_matrix, plan_knot_layout, position_map)
 from swarmplan.geometry import (Circle, ConvexPolytope, Halfplane, Square,
                                 Triangle)
-from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, PlanRequest,
-                               RELAXED_SAMPLES_PER_SEGMENT,
+from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
+                               KNOT_SEGMENT, PlanRequest,
+                               RELAXED_SAMPLES_PER_SEGMENT, _limit_rows,
                                admit_obstacles, assemble_qp,
                                collision_cost_closed_form, collision_kernel,
                                constant_spline, end_cost, fit_to_layout,
@@ -336,13 +337,10 @@ def base_request(**kw):
         goal_time=4.0,
         limits={1: (np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
                 2: (np.array([-10.0, -10.0]), np.array([10.0, 10.0]))},
-        horizon=4.0,
-        dt=1.0,
     )
     defaults.update(kw)
     if defaults["previous"] is None:
-        layout = plan_knot_layout(defaults["t_now"], defaults["horizon"],
-                                  defaults["dt"], 3)
+        layout = plan_knot_layout(defaults["t_now"], HORIZON, KNOT_SEGMENT, 3)
         defaults["previous"] = constant_spline(
             layout, np.atleast_2d(defaults["initial_state"])[0])
     return PlanRequest(**defaults)
@@ -359,7 +357,7 @@ class TestAssembleAndSolve:
         # With inactive boxes the solution equals the unconstrained
         # equality-KKT solve of the same objective.
         req = base_request()
-        layout = plan_knot_layout(req.t_now, req.horizon, req.dt, 3,
+        layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT, 3,
                                   goal_time=req.goal_time)
         reference = fit_to_layout(req.previous, layout)
         qp = assemble_qp(req, layout, reference)
@@ -452,6 +450,24 @@ class TestFallbackLadder:
         for t in np.arange(0.0, 4.01, 0.1):
             v = traj.derivative_value(t, 1)
             assert np.all(np.abs(v) <= 1.0 + 1e-6)
+        # Each derivative row d gives d x <= hi, -d x <= -lo, d y <= hi,
+        # -d y <= -lo, in that order: the dense rows at the control points,
+        # the relaxed rows at the sampling grid.
+        layout = report.layout
+        m = layout.m
+        h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
+        for sampled, D in (
+                (False, difference_matrix(m, layout.dt, 1)),
+                (True, derivative_map(
+                    layout, h * np.arange(round(layout.t_end / h) + 1), 1))):
+            A, b = _limit_rows(req, layout, sampled)
+            assert A.shape == (4 * len(D), 2 * m)
+            for k, (sign, axis) in enumerate(
+                    [(1, 0), (-1, 0), (1, 1), (-1, 1)]):
+                block = np.zeros((len(D), 2 * m))
+                block[:, axis * m:(axis + 1) * m] = sign * D
+                assert np.array_equal(A[k::4], block)
+            assert np.array_equal(b, np.ones(4 * len(D)))
 
     def test_relaxed_pass_swaps_only_limit_rows(self, monkeypatch):
         # The setting above, inside a region: the QP is assembled once and
@@ -483,23 +499,13 @@ class TestFallbackLadder:
             a, b = getattr(dense, name), getattr(relaxed, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         k = int(region.planes.live().sum())
-        for name in ("A_in", "lower", "upper"):
+        for name in ("A_in", "b_in"):
             a, b = getattr(dense, name)[:k], getattr(relaxed, name)[:k]
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert np.all(dense.lower[:k] == -np.inf)
-        layout = report.layout
-        m = layout.m
-        D = difference_matrix(m, layout.dt, 1)
-        h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
-        S = derivative_map(layout, h * np.arange(round(layout.t_end / h) + 1), 1)
-        for problem, rows in ((dense, D), (relaxed, S)):
-            tail = problem.A_in[k:]
-            assert len(tail) == 2 * len(rows)
-            assert np.array_equal(tail[0::2, :m], rows)
-            assert np.array_equal(tail[1::2, m:], rows)
-            assert not tail[0::2, m:].any() and not tail[1::2, :m].any()
-            assert np.array_equal(problem.lower[k:], np.full(len(tail), -1.0))
-            assert np.array_equal(problem.upper[k:], np.full(len(tail), 1.0))
+        for problem, sampled in ((dense, False), (relaxed, True)):
+            A, b = _limit_rows(req, report.layout, sampled)
+            assert problem.A_in[k:].tobytes() == A.tobytes()
+            assert problem.b_in[k:].tobytes() == b.tobytes()
 
     def test_feasible_problem_identical_to_plain_solve(self):
         req = base_request()

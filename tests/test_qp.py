@@ -12,11 +12,24 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from swarmplan.qp import QPProblem, QPSolution, _one_sided, solve_qp
+from swarmplan.qp import QPProblem, solve_qp
+
+
+def one_sided(A, lower, upper):
+    """Rows lower <= A x <= upper as G x <= h: each row's upper side, then
+    its lower side, where finite (the order the planner emits its limit
+    rows in)."""
+    keep = np.stack([np.isfinite(upper), np.isfinite(lower)], axis=1)
+    return (np.stack([A, -A], axis=1)[keep],
+            np.stack([upper, -lower], axis=1)[keep])
 
 
 def random_feasible_qp(rng, n=None, with_eq=True, with_ineq=True):
-    """QP with a known strictly feasible point."""
+    """QP with a known strictly feasible point.
+
+    The inequalities are drawn two-sided, some sides open, and passed as
+    their one-sided rows.
+    """
     n = n or int(rng.integers(4, 20))
     A = rng.normal(size=(n, n))
     H = A.T @ A + 0.1 * np.eye(n)
@@ -27,7 +40,7 @@ def random_feasible_qp(rng, n=None, with_eq=True, with_ineq=True):
         k = int(rng.integers(1, max(2, n // 4) + 1))
         A_eq = rng.normal(size=(k, n))
         b_eq = A_eq @ x_feas
-    A_in = lower = upper = None
+    A_in = b_in = None
     if with_ineq:
         m = int(rng.integers(1, 3 * n))
         A_in = rng.normal(size=(m, n))
@@ -37,8 +50,9 @@ def random_feasible_qp(rng, n=None, with_eq=True, with_ineq=True):
         # Leave some sides open.
         lower[rng.random(m) < 0.3] = -np.inf
         upper[(rng.random(m) < 0.3) & np.isfinite(lower)] = np.inf
+        A_in, b_in = one_sided(A_in, lower, upper)
     return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=b_eq,
-                     A_in=A_in, lower=lower, upper=upper), x_feas
+                     A_in=A_in, b_in=b_in), x_feas
 
 
 def check_kkt(p, sol, tol=1e-6):
@@ -46,16 +60,16 @@ def check_kkt(p, sol, tol=1e-6):
     x = sol.x
     if len(p.A_eq):
         assert np.linalg.norm(p.A_eq @ x - p.b_eq, np.inf) < tol
-    if len(p.A_in):
-        v = p.A_in @ x
-        assert np.all(v <= p.upper + tol)
-        assert np.all(v >= p.lower - tol)
+    slack = p.b_in - p.A_in @ x
+    assert np.all(slack >= -tol)
     assert sol.stationarity < tol * max(1.0, np.abs(p.H).max())
+    # One multiplier per row of A_in; the working set are rows of A_in,
+    # and only tight rows carry a multiplier (complementary slackness).
+    assert sol.duals_in.shape == p.b_in.shape
     assert np.all(sol.duals_in >= 0.0)
-    # Complementary slackness: only tight rows carry a multiplier.
-    G, h = _one_sided(p.A_in, p.lower, p.upper)
-    slack = np.abs(sol.duals_in * (h - G @ x)).max(initial=0.0)
-    assert slack < tol * max(1.0, np.abs(p.H).max())
+    assert np.all(np.abs(slack[sol.working_set]) < tol)
+    assert (np.abs(sol.duals_in * slack).max(initial=0.0)
+            < tol * max(1.0, np.abs(p.H).max()))
 
 
 def sample_feasible_points(p, x_feas, rng, count=40):
@@ -74,21 +88,29 @@ def sample_feasible_points(p, x_feas, rng, count=40):
             continue
         d /= nd
         lo, hi = -1e3, 1e3
-        if len(p.A_in):
-            Ad = p.A_in @ d
-            Ax = p.A_in @ x
-            for i in range(len(Ad)):
-                if Ad[i] > 1e-12:
-                    hi = min(hi, (p.upper[i] - Ax[i]) / Ad[i])
-                    lo = max(lo, (p.lower[i] - Ax[i]) / Ad[i])
-                elif Ad[i] < -1e-12:
-                    hi = min(hi, (p.lower[i] - Ax[i]) / Ad[i])
-                    lo = max(lo, (p.upper[i] - Ax[i]) / Ad[i])
+        for a, room in zip(p.A_in @ d, p.b_in - p.A_in @ x):
+            if a > 1e-12:
+                hi = min(hi, room / a)
+            elif a < -1e-12:
+                lo = max(lo, room / a)
         if hi <= lo:
             continue
         step = rng.uniform(0.1 * lo, 0.1 * hi)
         pts.append(x + step * d)
     return pts
+
+
+class TestProblemForm:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bound_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QPProblem(H=np.eye(2), F=np.zeros(2), A_in=np.eye(2),
+                      b_in=np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("b_in", [None, np.ones(3), np.ones((2, 1))])
+    def test_mis_shaped_bound_rejected(self, b_in):
+        with pytest.raises(ValueError):
+            QPProblem(H=np.eye(2), F=np.zeros(2), A_in=np.eye(2), b_in=b_in)
 
 
 class TestUnconstrained:
@@ -149,9 +171,9 @@ class TestBoxQP:
             d = rng.uniform(0.5, 3.0, size=n)
             H = np.diag(d)
             F = rng.normal(size=n) * 3
-            lo = np.full(n, -1.0)
-            hi = np.full(n, 1.0)
-            sol = solve_qp(QPProblem(H=H, F=F, A_in=np.eye(n), lower=lo, upper=hi))
+            sol = solve_qp(QPProblem(H=H, F=F,
+                                     A_in=np.vstack([np.eye(n), -np.eye(n)]),
+                                     b_in=np.ones(2 * n)))
             ref = np.clip(-F / d, -1.0, 1.0)
             assert sol.status == "optimal"
             assert np.allclose(sol.x, ref, atol=1e-8)
@@ -159,8 +181,7 @@ class TestBoxQP:
     def test_active_bound(self):
         # min (x-3)^2 with x <= 1 -> x = 1, dual 4 on that row.
         sol = solve_qp(QPProblem(H=np.array([[2.0]]), F=np.array([-6.0]),
-                                 A_in=np.array([[1.0]]), lower=np.array([-np.inf]),
-                                 upper=np.array([1.0])))
+                                 A_in=np.array([[1.0]]), b_in=np.array([1.0])))
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(1.0, abs=1e-10)
         assert sol.duals_in.max() == pytest.approx(4.0, abs=1e-8)
@@ -204,8 +225,7 @@ class TestPivot:
             scale = 10.0 ** rng.integers(-3, 4, size=len(p.A_in))
             scale[rng.random(len(scale)) < 0.5] = 1.0
             q = QPProblem(H=p.H, F=p.F, A_eq=p.A_eq, b_eq=p.b_eq,
-                          A_in=p.A_in * scale[:, None], lower=p.lower * scale,
-                          upper=p.upper * scale)
+                          A_in=p.A_in * scale[:, None], b_in=p.b_in * scale)
             a, b = solve_qp(p), solve_qp(q)
             assert (a.status, a.iterations) == (b.status, b.iterations)
             assert a.working_set == b.working_set
@@ -215,13 +235,13 @@ class TestPivot:
         # From x = 3, x <= 1 and 2x <= 2 both violate by 2 per unit norm:
         # the lower index is added, which satisfies the other.
         p = QPProblem(H=np.eye(1), F=np.array([-3.0]),
-                      A_in=np.array([[1.0], [2.0]]), upper=np.array([1.0, 2.0]))
+                      A_in=np.array([[1.0], [2.0]]), b_in=np.array([1.0, 2.0]))
         sol = solve_qp(p)
         assert (sol.status, sol.iterations, sol.working_set) == ("optimal", 1, [0])
         # The zero row 0 <= -1 keeps its raw violation 1, so x <= 1 (2 per
         # unit norm) is added first; the zero row then certifies infeasibility.
         p = QPProblem(H=np.eye(1), F=np.array([-3.0]),
-                      A_in=np.array([[0.0], [1.0]]), upper=np.array([-1.0, 1.0]))
+                      A_in=np.array([[0.0], [1.0]]), b_in=np.array([-1.0, 1.0]))
         sol = solve_qp(p)
         assert (sol.status, sol.iterations, sol.working_set) == ("infeasible", 2, [1])
 
@@ -240,7 +260,7 @@ class TestPivot:
                     + 1e-5 * rng.normal(size=(m, n)))
             p = QPProblem(H=A.T @ A + 1e-3 * np.eye(n),
                           F=30.0 * rng.normal(size=n), A_in=A_in,
-                          upper=rng.uniform(0.0, 1.0, size=m))
+                          b_in=rng.uniform(0.0, 1.0, size=m))
             sol = solve_qp(p)
             check_kkt(p, sol, tol=1e-8)
             drops += (sol.iterations - len(sol.working_set)) // 2
@@ -249,11 +269,10 @@ class TestPivot:
 
 class TestInfeasible:
     def test_box_conflict(self):
-        # x <= -1 and x >= 1 cannot hold.
+        # -x <= -1 and x <= -1 cannot hold.
         p = QPProblem(H=np.eye(1), F=np.zeros(1),
-                      A_in=np.array([[1.0], [1.0]]),
-                      lower=np.array([1.0, -np.inf]),
-                      upper=np.array([np.inf, -1.0]))
+                      A_in=np.array([[-1.0], [1.0]]),
+                      b_in=np.array([-1.0, -1.0]))
         sol = solve_qp(p)
         assert sol.status == "infeasible"
 
@@ -261,7 +280,7 @@ class TestInfeasible:
         # x + y = 4 with x <= 1, y <= 1.
         p = QPProblem(H=np.eye(2), F=np.zeros(2),
                       A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([4.0]),
-                      A_in=np.eye(2), lower=None, upper=np.array([1.0, 1.0]))
+                      A_in=np.eye(2), b_in=np.array([1.0, 1.0]))
         sol = solve_qp(p)
         assert sol.status == "infeasible"
 
@@ -273,20 +292,17 @@ class TestInfeasible:
             a = rng.normal(size=n)
             a /= np.linalg.norm(a)
             gap = rng.uniform(0.1, 2.0)
-            A_in = np.vstack([a, a])
-            lower = np.array([gap, -np.inf])
-            upper = np.array([np.inf, -gap])
-            p = QPProblem(H=np.eye(n), F=rng.normal(size=n), A_in=A_in,
-                          lower=lower, upper=upper)
+            # a x >= gap and a x <= -gap.
+            p = QPProblem(H=np.eye(n), F=rng.normal(size=n),
+                          A_in=np.vstack([-a, a]), b_in=np.array([-gap, -gap]))
             sol = solve_qp(p)
             assert sol.status == "infeasible"
 
     def test_feasible_after_relaxation(self):
         # The same conflicting rows widened become solvable.
         p = QPProblem(H=np.eye(1), F=np.array([1.0]),
-                      A_in=np.array([[1.0], [1.0]]),
-                      lower=np.array([-2.0, -np.inf]),
-                      upper=np.array([np.inf, 2.0]))
+                      A_in=np.array([[-1.0], [1.0]]),
+                      b_in=np.array([2.0, 2.0]))
         sol = solve_qp(p)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(-1.0, abs=1e-8)
@@ -297,7 +313,7 @@ class TestDegenerate:
         # The same row twice must not confuse the working set.
         p = QPProblem(H=np.eye(2) * 2, F=np.array([-6.0, 0.0]),
                       A_in=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                      lower=None, upper=np.array([1.0, 1.0]))
+                      b_in=np.array([1.0, 1.0]))
         sol = solve_qp(p)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
@@ -306,20 +322,34 @@ class TestDegenerate:
         # Three planes through one vertex in 2D.
         p = QPProblem(H=np.eye(2), F=np.array([-4.0, -4.0]),
                       A_in=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-                      lower=None, upper=np.array([1.0, 1.0, 2.0]))
+                      b_in=np.array([1.0, 1.0, 2.0]))
         sol = solve_qp(p)
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-8)
 
     def test_fixed_by_bounds(self):
-        # lower == upper pins the variable.
+        # x <= 0.7 and -x <= -0.7 pin the variable.
         p = QPProblem(H=np.eye(2), F=np.array([1.0, 1.0]),
-                      A_in=np.array([[1.0, 0.0]]),
-                      lower=np.array([0.7]), upper=np.array([0.7]))
+                      A_in=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                      b_in=np.array([0.7, -0.7]))
         sol = solve_qp(p)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(0.7, abs=1e-9)
         assert sol.x[1] == pytest.approx(-1.0, abs=1e-9)
+
+
+def recorded(path, index):
+    """Planner QP `index` of a recorded archive, in one-sided form.
+
+    The archives hold each call's arrays in the two-sided form
+    lower <= A_in x <= upper that the planner used when they were recorded.
+    """
+    with np.load(path) as data:
+        arrays = {k: data[f"s{index}_{k}"] for k in
+                  ("H", "F", "A_eq", "b_eq", "A_in", "lower", "upper")}
+    A_in, b_in = one_sided(arrays.pop("A_in"), arrays.pop("lower"),
+                           arrays.pop("upper"))
+    return QPProblem(**arrays, A_in=A_in, b_in=b_in)
 
 
 class TestRecordedCorridorCross:
@@ -327,14 +357,14 @@ class TestRecordedCorridorCross:
 
     Recorded from the corridor_cross bench window at commit b7caeac, seed 0
     (`perfbench/run.py` `window("corridor_cross", 30)` through `execute`),
-    with `swarmplan.planner.solve_qp` monkeypatched to append the seven
-    QPProblem arrays of each call to a list; keys are `s<call index>_<field>`
-    with zero-based call indices.  `s<i>_warm` is the warm point the planner
-    passed that solver (`warm_start=(x, [])`, the previous plan refit onto
-    the new knots).  From it, that solver stopped at its iteration cap on
-    solves 43, 48, 88, 127, 175 and 213, and ended solve 133 `optimal` at a
-    point 9.6e-4 off the initial-state equalities; from a cold start it
-    still stopped at the cap on 43 and 88.  All seven are feasible; Z'HZ
+    with `swarmplan.planner.solve_qp` monkeypatched to append the arrays of
+    each call to a list; keys are `s<call index>_<field>` with zero-based
+    call indices.  Started from the previous plan refit onto the new knots,
+    that solver stopped at its iteration cap on solves 43, 48, 88, 127, 175
+    and 213, and ended solve 133 `optimal` at a point 9.6e-4 off the
+    initial-state equalities; from a cold start it still stopped at the cap
+    on 43 and 88.  (The archive keeps that start as `s<i>_warm`; the dual
+    solver needs none, and no test reads it.)  All seven are feasible; Z'HZ
     has smallest eigenvalue 0.051, while that of H is 2e-11 to 1.2e-7.
     """
 
@@ -342,19 +372,14 @@ class TestRecordedCorridorCross:
 
     @pytest.mark.parametrize("index", [43, 48, 88, 127, 133, 175, 213])
     def test_optimal_with_kkt(self, index):
-        with np.load(self.DATA) as data:
-            p = QPProblem(**{k: data[f"s{index}_{k}"] for k in
-                             ("H", "F", "A_eq", "b_eq", "A_in", "lower", "upper")})
+        p = recorded(self.DATA, index)
         sol = solve_qp(p)
         check_kkt(p, sol, tol=1e-8)
 
 
 def lp_feasible(p):
     """HiGHS verdict on the constraints of `p` alone."""
-    up, lo = np.isfinite(p.upper), np.isfinite(p.lower)
-    res = linprog(np.zeros(p.n),
-                  A_ub=np.vstack([p.A_in[up], -p.A_in[lo]]),
-                  b_ub=np.concatenate([p.upper[up], -p.lower[lo]]),
+    res = linprog(np.zeros(p.n), A_ub=p.A_in, b_ub=p.b_in,
                   A_eq=p.A_eq, b_eq=p.b_eq, bounds=(None, None),
                   method="highs")
     assert res.status in (0, 2)
@@ -366,15 +391,13 @@ class TestRecordedClutterWaypoints:
 
     Recorded at commit ab01655, seed 0 (`perfbench/run.py`
     `window("clutter_waypoints", 30)` through `execute`), with
-    `swarmplan.planner.solve_qp` monkeypatched to append the seven
-    QPProblem arrays of each call to a list; keys are `s<call index>_<field>`
-    with zero-based call indices.  Of the window's 299 solves, 198 end
-    infeasible, and HiGHS agrees with every verdict.  Kept here: the first
-    infeasible solve (1), the optimal and infeasible solves on which this
-    solver drops rows most often (5, 10, 49 with 8, 6 and 7 drops; 272 and
-    279 with 8 and 6),
-    the optimal solve with the most rows (169) and the last optimal one
-    (298).
+    `swarmplan.planner.solve_qp` monkeypatched to append the arrays of each
+    call to a list; keys are `s<call index>_<field>` with zero-based call
+    indices.  Of the window's 299 solves, 198 end infeasible, and HiGHS
+    agrees with every verdict.  Kept here: the first infeasible solve (1),
+    the optimal and infeasible solves on which this solver drops rows most
+    often (5, 10, 49 with 8, 6 and 7 drops; 272 and 279 with 8 and 6), the
+    optimal solve with the most rows (169) and the last optimal one (298).
     """
 
     DATA = Path(__file__).parent / "data" / "qp_clutter_waypoints.npz"
@@ -384,9 +407,7 @@ class TestRecordedClutterWaypoints:
         (169, "optimal"), (272, "infeasible"), (279, "infeasible"),
         (298, "optimal")])
     def test_status_certified(self, index, status):
-        with np.load(self.DATA) as data:
-            p = QPProblem(**{k: data[f"s{index}_{k}"] for k in
-                             ("H", "F", "A_eq", "b_eq", "A_in", "lower", "upper")})
+        p = recorded(self.DATA, index)
         sol = solve_qp(p)
         assert sol.status == status
         if status == "optimal":

@@ -50,6 +50,15 @@ class TestLimitsAndConfig:
         with pytest.raises(ValueError):
             symmetric_limits({2: 0.0})
 
+    @pytest.mark.parametrize("box", [
+        np.inf, np.nan, ([-np.inf, -1.0], [1.0, 1.0]),
+        ([-1.0, -1.0], [1.0, np.inf]), ([-1.0, np.nan], [1.0, 1.0])])
+    def test_non_finite_bounds_rejected(self, box):
+        # An unbounded order is left out; an infinite bound would give the
+        # QP an infinite row.
+        with pytest.raises(ValueError, match="finite"):
+            symmetric_limits({1: box})
+
     def test_config_holds_only_what_tells_robots_apart(self):
         # Every other tuning value is a module constant; the plan rate is
         # shared by all robots.

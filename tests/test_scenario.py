@@ -171,6 +171,13 @@ class TestParsing:
                                       "limits": {"1": [[1, 1], [0, 0]]}})
         assert line == 4 and "lo < 0 < hi" in msg
 
+    def test_infinite_limit_reports_agent_line(self):
+        # Python's JSON reader takes the literal Infinity; an unbounded
+        # order is written by leaving it out.
+        line, msg = self.agent_error({"start": [5.0, 0.0], "goal": [8.0, 0.0],
+                                      "limits": {"1": math.inf}})
+        assert line == 4 and "finite" in msg
+
     def test_decreasing_waypoint_stamps_report_agent_line(self):
         line, msg = self.agent_error({
             "start": [5.0, 0.0], "goal": [8.0, 0.0],
@@ -348,6 +355,20 @@ class TestSpawnResolution:
         for _ in range(200):
             a, = resolve_agents(sc, rng)
             assert np.linalg.norm(a.goal - a.start) >= 2.0
+
+    def test_draws_start_heading_then_goal(self):
+        # Per agent: spawn draws until one is accepted, then the heading,
+        # then goal draws until one lies 2 m out.
+        a, = resolve_agents(Scenario(agents=[AgentSpec()]),
+                            np.random.default_rng(5))
+        ref = np.random.default_rng(5)
+        start = ref.uniform(-10.0, 10.0, 2)
+        heading = math.radians(float(ref.integers(0, 360)))
+        goal = ref.uniform(-10.0, 10.0, 2)
+        while np.linalg.norm(goal - start) < 2.0:
+            goal = ref.uniform(-10.0, 10.0, 2)
+        assert np.array_equal(a.start, start) and a.heading == heading
+        assert np.array_equal(a.goal, goal)
 
     def test_fixed_start_kept_verbatim(self):
         sc = Scenario(agents=[AgentSpec(start=(1.5, -2.0), goal=(4.0, 4.0),
