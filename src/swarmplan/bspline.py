@@ -8,21 +8,26 @@ knot order*dt later, so linear maps from control points to sampled positions
 or derivatives are banded with at most l+1 nonzeros per row.
 
 `basis_weights` is the only evaluator of the basis: one Cox-de Boor
-recursion written as plain arithmetic over a list of per-basis columns, so
-the same code weighs one time (a float, in Python arithmetic) or many (an
-array, in numpy's).  Trajectories, the linear maps, the Gram matrices and
-the planner's quadrature all take their rows from it.  Its arithmetic forms
-are those of the per-time loops it replaced, so that batched and per-time
-results agree bit for bit:
+recursion, run column by column in Python arithmetic for one time (a
+float) and level by level in whole-array numpy arithmetic for many (an
+array), with the same operations on every element.  Trajectories, the
+linear maps, the Gram matrices and the planner's quadrature all take their
+rows from it.  Its arithmetic forms are those of the per-time loops it
+replaced, so that batched and per-time results agree bit for bit:
 
-- every column is accumulated from 0.0 in the order of the per-time loop;
+- every column is accumulated from 0.0 in the order of the per-time loop:
+  the array path writes the loop's `0.0 + x` and `(0.0 + x) + y` as such;
 - values are `np.matmul(w[..., None, :], c[idx])`, which rounds each row
   like one time's `w @ c[idx]` (einsum and elementwise sums do not);
 - a derivative's origin knot is reached by repeated `t0 + dt`, and times
   are clamped to that derivative's own domain;
 - `derivative_gram` keeps its `t0 + order*dt` origin and adds node by node.
+
+`difference_matrix` is cached per (m, dt, order) and returns a read-only
+array, which every caller shares.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,17 +46,30 @@ def basis_weights(degree, u):
     there is sum_i w[..., i] * c[j - degree + i].  u is a float, giving w of
     shape (degree+1,), or an array, giving u.shape + (degree+1,).
     """
-    cols = [1.0]
-    for k in range(1, degree + 1):
-        nxt = [0.0] * (k + 1)
-        for i, w in enumerate(cols):
-            a = (u + (k - 1 - i)) / k
-            nxt[i] = nxt[i] + (1.0 - a) * w
-            nxt[i + 1] = nxt[i + 1] + a * w
-        cols = nxt
     if np.ndim(u) == 0:
+        cols = [1.0]
+        for k in range(1, degree + 1):
+            nxt = [0.0] * (k + 1)
+            for i, w in enumerate(cols):
+                a = (u + (k - 1 - i)) / k
+                nxt[i] = nxt[i] + (1.0 - a) * w
+                nxt[i + 1] = nxt[i + 1] + a * w
+            cols = nxt
         return np.array(cols)
-    return np.stack(np.broadcast_arrays(u, *cols)[1:], axis=-1)
+    # The same recursion one level at a time, basis index first: column i
+    # of level k is (0.0 + a[i-1]*w[i-1]) + (1-a[i])*w[i], the loop's sums
+    # in its order.
+    u = np.asarray(u)
+    # shifted[i] = u + (degree - 1 - i); level k takes the last k rows.
+    shifted = u + np.arange(degree - 1, -1, -1.0).reshape(
+        (-1,) + (1,) * u.ndim)
+    w = np.ones((1,) + u.shape)
+    for k in range(1, degree + 1):
+        a = shifted[degree - k:] / k
+        up = 0.0 + a * w
+        down = (1.0 - a) * w
+        w = np.concatenate([0.0 + down[:1], up[:-1] + down[1:], up[-1:]])
+    return w.transpose(*range(1, w.ndim), 0).copy()
 
 
 def _active_basis(degree, t0, dt, m, t, order=0):
@@ -84,8 +102,10 @@ def _active_basis(degree, t0, dt, m, t, order=0):
     return np.add.outer(j - degree, np.arange(degree + 1)), w
 
 
+@functools.lru_cache(maxsize=256)
 def difference_matrix(m, dt, order):
-    """(m-order, m) matrix mapping control points to order-th derivative controls."""
+    """(m-order, m) matrix mapping control points to order-th derivative
+    controls; cached, so it is read-only."""
     D = np.eye(m)
     for _ in range(order):
         n = D.shape[0]
@@ -94,6 +114,7 @@ def difference_matrix(m, dt, order):
         S[idx, idx] = -1.0 / dt
         S[idx, idx + 1] = 1.0 / dt
         D = S @ D
+    D.setflags(write=False)
     return D
 
 

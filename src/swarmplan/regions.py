@@ -18,11 +18,14 @@ it, which finds the same first sample inside as a march over every sample
 every slice time at once and cuts one stack, widened once by a column per
 track.  It goes track by track, since an earlier peer's plane can separate
 a later peer: each track renormalizes the rows of the slices it cuts and
-writes its plane at column counts[k].  Duplicate rows are dropped once at
-the end; a row equal to an earlier one is renormalized with it and stays
-equal.  Deflation and the seed probe are one step each.  The single-slice
-functions (`seed_region`, `contract_for_peer`, `deflate_for_ego`,
-`region_is_empty`) run the same kernels on a one-slice stack.
+writes its plane at column counts[k].  Duplicate rows are dropped once, by
+the deflation: a row equal to an earlier one is renormalized and deflated
+with it and stays equal, so dropping it before or after gives the same
+rows.  The seed probe is one step, and the slices that fail it get one
+emptiness test over the padded stack (`_chebyshev_radius`).  The
+single-slice functions (`seed_region`, `contract_for_peer`,
+`deflate_for_ego`, `region_is_empty`) run the same kernels on a one-slice
+stack.
 
 Arithmetic.  Regions are defined per slice as a chain of `Halfplane` and
 `ConvexPolytope` objects: every cut renormalizes each plane of the slice
@@ -30,9 +33,13 @@ Arithmetic.  Regions are defined per slice as a chain of `Halfplane` and
 exact duplicate rows, keeping the first.  The kernels repeat those steps and
 keep each one's rounding, so the arrays equal the per-slice chain bit for
 bit.  Hence the forms below:
-- a slice's plane dots with a point are that slice's own (planes, 2) @ (2,)
-  product, batched only over slices with equal plane counts: BLAS gemv
-  rounds some rows differently depending on the row count, and einsum or
+- a slice's plane dots with a point are one np.matmul over the padded
+  (slices, planes, 2) stack, which runs one BLAS gemv per slice.  On the
+  OpenBLAS measured, a gemv rounds each row the same whatever the row
+  count from 2 rows up, so a padded slice of 2 or more rows rounds as its
+  own (planes, 2) @ (2,) product.  A one-row product is a dot, which rounds
+  differently, so slices of one row take their own product.  Every slice
+  that `build_safe_regions` makes holds its 4 box rows; einsum or
   elementwise products round differently again;
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
@@ -40,9 +47,10 @@ bit.  Hence the forms below:
   `Circle.contains` does, while the march compares squares, as
   `contains_many` does; the two disagree on the boundary;
 - a peer is cut when no plane has gap = n.peer - o - support(-n) above the
-  margin, with n.peer from `PlaneStack.dots`.  Kept duplicates raise a
-  slice's row count, which on the BLAS measured changes the rounding of
-  n.peer only at a count of 1, and every slice holds its 4 box rows.
+  margin, with n.peer from `PlaneStack.dots`; kept duplicates raise a
+  slice's row count, which leaves that rounding alone;
+- the emptiness test computes each live pair and triple of a slice's rows
+  as the one-slice test does, and never touches the padding.
 """
 
 from dataclasses import dataclass
@@ -100,11 +108,11 @@ class PlaneStack(NamedTuple):
     def dots(self, points):
         """Each slice's normals times its point, rounded as that slice's
         own matrix-vector product (see the module notes)."""
-        out = np.full(self.offsets.shape, np.nan)
-        for c in np.unique(self.counts):
-            ks = np.flatnonzero(self.counts == c)
-            out[ks, :c] = np.matmul(self.normals[ks, :c],
-                                    points[ks, :, None])[..., 0]
+        out = np.matmul(self.normals, points[:, :, None])[..., 0]
+        ones = np.flatnonzero(self.counts == 1)
+        if len(ones):
+            out[ones, :1] = np.matmul(self.normals[ones, :1],
+                                      points[ones, :, None])[..., 0]
         return out
 
     def widened(self, width):
@@ -162,14 +170,21 @@ class SafeRegion:
 
 # --- kernels ----------------------------------------------------------------
 
-def _distinct(normals, offsets, live):
-    """Live rows, packed in order, without rows equal in every bit to an
-    earlier row of their slice (the `ConvexPolytope` rule)."""
+def _distinct(normals, offsets, counts):
+    """Each slice's first counts[k] rows, packed in order, without rows
+    equal in every bit to an earlier row of their slice (the
+    `ConvexPolytope` rule).  Rows past counts[k] must be NaN."""
+    width = max(counts.max(), 1)
     rows = np.arange(offsets.shape[1])
-    same = offsets[:, :, None] == offsets[:, None, :]
+    earlier = rows[None, :] < rows[:, None]
+    # NaN padding equals nothing, so without two equal live offsets in a
+    # slice every live row is kept where it is.
+    same = (offsets[:, :, None] == offsets[:, None, :]) & earlier
+    if not same.any():
+        return PlaneStack(normals[:, :width], offsets[:, :width], counts)
     same &= normals[:, :, None, 0] == normals[:, None, :, 0]
     same &= normals[:, :, None, 1] == normals[:, None, :, 1]
-    keep = live & ~(same & (rows[None, :] < rows[:, None])).any(axis=2)
+    keep = (rows < counts[:, None]) & ~same.any(axis=2)
     counts = keep.sum(axis=1)
     order = np.argsort(~keep, axis=1, kind="stable")[:, :max(counts.max(), 1)]
     normals = np.take_along_axis(normals, order[..., None], axis=1)
@@ -340,14 +355,14 @@ def _seeded(seeds, shapes, member):
     slot = 4 + np.arange(len(pk)) - np.searchsorted(pk, pk)
     normals[pk, slot] = pn
     offsets[pk, slot] = po
-    live = np.arange(width) < counts[:, None]
-    return _distinct(normals, offsets, live), inside
+    return _distinct(normals, offsets, counts), inside
 
 
 def _peer_cuts(stack, seeds, peers, footprints, margin):
     """`contract_for_peer` on every slice by each track t in turn, at
     peers[t] (tracks, slices, 2) with footprints[t]: (stack, seed covered
-    by no track).  The input stack comes back when nothing is cut."""
+    by no track).  The input stack comes back when nothing is cut; else the
+    cut stack still holds rows equal to earlier ones (see `_distinct`)."""
     normals, offsets, counts = stack.widened(
         stack.offsets.shape[1] + len(footprints))
     free = np.ones(len(seeds), dtype=bool)
@@ -369,48 +384,60 @@ def _peer_cuts(stack, seeds, peers, footprints, margin):
         counts[ks] += 1
     if np.array_equal(counts, stack.counts):
         return stack, free
-    live = np.arange(offsets.shape[1]) < counts[:, None]
-    return _distinct(normals, offsets, live), free
+    return PlaneStack(normals, offsets, counts), free
 
 
 def _deflated(stack, footprint):
     """`deflate_for_ego` on every slice."""
     normals, offsets = unit_rows(
         stack.normals, stack.offsets - footprint.support(stack.normals))
-    return _distinct(normals, offsets, stack.live())
+    return _distinct(normals, offsets, stack.counts)
 
 
-def _chebyshev_radius(normals, offsets):
-    """Radius of the largest disk in {p : n.p <= o} with unit normals; inf
-    when the set holds arbitrarily large disks.
+def _chebyshev_radius(normals, offsets, counts):
+    """Per slice, the radius of the largest disk in {p : n.p <= o} over its
+    first counts[k] rows, which have unit normals; inf when the set holds
+    arbitrarily large disks.
 
     By LP duality the radius is the least sum(w * o) over weights w >= 0
     with sum(w) = 1 and sum(w * n) = 0, and some least one has at most three
     nonzero weights: an antiparallel pair, or a triple whose normals
-    surround the origin.  Both kinds are enumerated.
+    surround the origin.  Both kinds are enumerated over live rows only.
     """
-    def cross(p, q):
-        return normals[p, 0] * normals[q, 1] - normals[p, 1] * normals[q, 0]
+    best = np.full(len(counts), np.inf)
+    rows = np.arange(offsets.shape[1])
 
-    best = np.inf
-    rows = np.arange(len(offsets))
-    a, b = np.triu_indices(len(offsets), 1)
-    pair = ((np.abs(cross(a, b)) <= 1e-12)
-            & (np.vecdot(normals[a], normals[b]) < 0.0))
-    if pair.any():
-        best = np.min(0.5 * (offsets[a] + offsets[b])[pair])
+    def cross(s, p, q):
+        return (normals[s, p, 0] * normals[s, q, 1]
+                - normals[s, p, 1] * normals[s, q, 0])
+
+    a, b = np.triu_indices(len(rows), 1)
+    s, t = np.nonzero(b < counts[:, None])
+    a, b = a[t], b[t]
+    pair = ((np.abs(cross(s, a, b)) <= 1e-12)
+            & (np.vecdot(normals[s, a], normals[s, b]) < 0.0))
+    np.minimum.at(best, s[pair], 0.5 * (offsets[s, a] + offsets[s, b])[pair])
     i, j, k = np.nonzero((rows[:, None, None] < rows[None, :, None])
                          & (rows[None, :, None] < rows[None, None, :]))
+    s, t = np.nonzero(k < counts[:, None])
+    i, j, k = i[t], j[t], k[t]
     # Barycentric weights of the origin in the triangle of three normals.
-    w = np.stack([cross(j, k), cross(k, i), cross(i, j)])
+    w = np.stack([cross(s, j, k), cross(s, k, i), cross(s, i, j)])
     det = w.sum(axis=0)
     solid = np.abs(det) > 1e-12
     w = w[:, solid] / det[solid]
     around = np.all(w >= -1e-12, axis=0)
-    if around.any():
-        r = (w * offsets[np.stack([i, j, k])[:, solid]]).sum(axis=0)
-        best = min(best, np.min(r[around]))
-    return float(best)
+    s, i, j, k = s[solid], i[solid], j[solid], k[solid]
+    r = (w * offsets[s, np.stack([i, j, k])]).sum(axis=0)
+    np.minimum.at(best, s[around], r[around])
+    return best
+
+
+def _has_interior(stack):
+    """Per slice: not `region_is_empty`, that is a largest inscribed disk
+    that is finite and of radius EMPTY_RADIUS or more."""
+    radius = _chebyshev_radius(*stack)
+    return (EMPTY_RADIUS <= radius) & (radius < np.inf)
 
 
 # --- single-slice API ---------------------------------------------------------
@@ -449,7 +476,7 @@ def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
                              [footprint], margin)
     if after is before:
         return polytope, bool(free[0])
-    return after.polytope(0), True
+    return _distinct(*after).polytope(0), True
 
 
 def deflate_for_ego(polytope, footprint):
@@ -469,8 +496,7 @@ def region_is_empty(polytope, probe=None):
     """
     if probe is not None and polytope.contains(probe):
         return False
-    radius = _chebyshev_radius(polytope.normals, polytope.offsets)
-    return not EMPTY_RADIUS <= radius < np.inf
+    return not _has_interior(PlaneStack.of(polytope))[0]
 
 
 def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
@@ -505,7 +531,9 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
     stack = _deflated(stack, ego_footprint)
     probe_in = np.all((stack.dots(seeds) <= stack.offsets + PROBE_TOL)
                       | ~stack.live(), axis=1)
-    for k in np.flatnonzero(feasible & ~probe_in):
-        feasible[k] = not region_is_empty(stack.polytope(k))
+    ks = np.flatnonzero(feasible & ~probe_in)
+    if len(ks):
+        feasible[ks] = _has_interior(PlaneStack(
+            stack.normals[ks], stack.offsets[ks], stack.counts[ks]))
     return SafeRegion(t_rel=t_rel, seeds=seeds, planes=stack, static=static,
                       feasible=feasible, tau=volume.tau)

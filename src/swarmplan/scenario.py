@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from .geometry import Circle, Rectangle, Square, Triangle, axis_rectangle
 from .prediction import footprint_from_size
@@ -336,12 +335,31 @@ def _shape_to_spec(shape):
 
 # --- parse / serialize ------------------------------------------------------
 
+def _non_finite(node, path=()):
+    """Paths of the infinite and NaN numbers in a parsed JSON document."""
+    if isinstance(node, float):
+        return [] if math.isfinite(node) else [path]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, value in items
+            for p in _non_finite(value, path + (key,))]
+
+
 def parse_scenario(text, source="<string>"):
     """Validate and build a Scenario from JSON text.
 
     Raises ScenarioError carrying every schema violation with its line, or
-    else every agent or obstacle that cannot be built.
+    else every infinite or NaN number, or else every agent or obstacle that
+    cannot be built.
     """
+    # Imported here: builtin scenarios never validate JSON, and importing
+    # jsonschema is a large part of a run's set-up time.
+    from jsonschema import Draft7Validator
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -359,6 +377,20 @@ def parse_scenario(text, source="<string>"):
             dotted = ".".join(str(k) for k in e.absolute_path)
             out.append((lines.get(p, 1), dotted, e.message))
         raise ScenarioError(source, out)
+
+    def reject(bad):
+        lines = index_json_lines(text)
+        raise ScenarioError(source, [
+            (lines.get(path, 1), ".".join(map(str, path)), msg)
+            for path, msg in bad])
+
+    # Python's JSON reader takes the literals Infinity and NaN, and the
+    # schema's numbers let them through.  Limits are left to
+    # symmetric_limits, which reports them at the agent's line.
+    bad = [(path, "number must be finite") for path in _non_finite(doc)
+           if not (path[0] == "agents" and path[2:3] == ("limits",))]
+    if bad:
+        reject(bad)
 
     world = doc.get("world", {})
     bus = doc.get("bus", {})
@@ -403,10 +435,7 @@ def parse_scenario(text, source="<string>"):
         except ValueError as exc:
             bad.append((("world", "obstacles", i), str(exc)))
     if bad:
-        lines = index_json_lines(text)
-        raise ScenarioError(source, [
-            (lines.get(path, 1), ".".join(map(str, path)), msg)
-            for path, msg in bad])
+        reject(bad)
     try:
         return Scenario(
             agents=agents,

@@ -1,14 +1,15 @@
-"""Import-level guards: no plotting or scipy code at run time, and every
-name that packaging and the benchmark tracer refer to exists and works.
+"""Import-level guards: no plotting, scipy or schema code at run time, and
+every name that packaging and the benchmark tracer refer to exists and works.
 
 scipy is a test-only dependency (spline and LP oracles) and matplotlib is
 not a dependency at all; importing either at run time would cost set-up
-time and memory in every simulation.  `pyproject.toml` console scripts and
-the functions `perfbench/tracing.py` wraps are looked up by name, so a
-rename or deletion would only show when someone runs them.  The tracer's
-observers also read arguments and results of the functions they wrap
-(`agent.config.plan_rate`, the track list, `problem.A_in`), so a short
-traced run checks that they still can.
+time and memory in every simulation.  jsonschema is needed only to parse a
+scenario file, which builtin scenarios never do.  `pyproject.toml` console
+scripts and the functions `perfbench/tracing.py` wraps are looked up by
+name, so a rename or deletion would only show when someone runs them.
+The tracer's observers also read arguments and results of the functions
+they wrap (`agent.config.plan_rate`, the track list, `problem.A_in`), so a
+short traced run checks that they still can.
 """
 
 import importlib
@@ -25,7 +26,7 @@ SRC = ROOT / "src"
 def test_harness_and_scenario_import_without_scipy_or_matplotlib():
     code = ("import sys, swarmplan.harness, swarmplan.scenario; "
             "print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'scipy', 'matplotlib'}))")
+            " & {'scipy', 'matplotlib', 'jsonschema'}))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

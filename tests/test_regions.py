@@ -279,6 +279,95 @@ class TestEmptiness:
         assert region_is_empty(poly, probe=np.zeros(2))
 
 
+def packed(polytopes, width):
+    """One NaN-padded stack holding the polytopes' rows, slice by slice."""
+    stack = PlaneStack(np.full((len(polytopes), width, 2), np.nan),
+                       np.full((len(polytopes), width), np.nan),
+                       np.array([len(p) for p in polytopes]))
+    for k, p in enumerate(polytopes):
+        stack.normals[k, :len(p)] = p.normals
+        stack.offsets[k, :len(p)] = p.offsets
+    return stack
+
+
+class TestBatchedKernels:
+    def test_batched_emptiness_matches_each_slice(self):
+        # The emptiness test of all failing slices at once must give each
+        # slice the radius, and so the verdict, of its own polytope.
+        rng = np.random.default_rng(67)
+        polys = [box_polytope(1.0), box_polytope(0.4),
+                 deflate_for_ego(box_polytope(0.4), CircleFootprint(0.5)),
+                 ConvexPolytope([Halfplane(np.array([1.0, 0.0]), -1.0),
+                                 Halfplane(np.array([-1.0, 0.0]), -1.0)]),
+                 *TestEmptinessAgainstLP().polytopes(rng)]
+        order = rng.permutation(len(polys))
+        polys = [polys[i] for i in order]
+        width = max(len(p) for p in polys) + 2
+        stack = packed(polys, width)
+        assert len(set(stack.counts.tolist())) > 5
+        radius = regions._chebyshev_radius(*stack)
+        interior = regions._has_interior(stack)
+        for k, p in enumerate(polys):
+            alone = regions._chebyshev_radius(*PlaneStack.of(p))
+            assert radius[k].tobytes() == alone[0].tobytes(), k
+            assert interior[k] == (not region_is_empty(p)), k
+        assert 20 < np.sum(~interior) < len(polys) - 20
+
+    @staticmethod
+    def oracle_distinct(stack):
+        """The ConvexPolytope rule, slice by slice, packed and padded."""
+        kept = []
+        for k, c in enumerate(stack.counts):
+            seen, rows = set(), []
+            for n, o in zip(stack.normals[k, :c], stack.offsets[k, :c]):
+                if (n[0], n[1], o) not in seen:
+                    seen.add((n[0], n[1], o))
+                    rows.append(np.append(n, o))
+            kept.append(rows)
+        width = max(max(len(r) for r in kept), 1)
+        want = np.full((len(kept), width, 3), np.nan)
+        for k, rows in enumerate(kept):
+            if rows:
+                want[k, :len(rows)] = rows
+        return want, np.array([len(r) for r in kept])
+
+    def test_distinct_early_return_matches_compaction(self):
+        # Stacks with distinct offsets take the early return; stacks where
+        # offsets repeat, with equal or with different normals, take the
+        # compaction.  Both must give the ConvexPolytope rule's rows.
+        rng = np.random.default_rng(71)
+        th = 2.0 * np.pi * np.arange(8) / 8
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        seen = set()
+        for trial in range(300):
+            n_slices = int(rng.integers(1, 9))
+            counts = rng.integers(1, 12, size=n_slices)
+            width = int(counts.max() + rng.integers(0, 4))
+            kind = trial % 3
+            if kind == 0:       # every offset distinct
+                offsets = rng.uniform(-1.0, 1.0, size=(n_slices, width))
+            else:               # few offset values: repeats
+                offsets = rng.choice([0.5, -0.25, 1.0], size=(n_slices, width))
+            if kind == 1:
+                # Equal offsets with different normals: nothing to drop.
+                normals = dirs[np.arange(width) % 8][None].repeat(n_slices, 0)
+                counts = np.minimum(counts, 8)
+            else:
+                normals = dirs[rng.integers(0, 2, size=(n_slices, width))]
+            pad = np.arange(width) >= counts[:, None]
+            normals[pad] = np.nan
+            offsets[pad] = np.nan
+            stack = PlaneStack(normals, offsets, counts)
+            got = regions._distinct(*stack)
+            want, want_counts = self.oracle_distinct(stack)
+            assert np.array_equal(got.counts, want_counts)
+            assert np.array_equal(np.dstack([got.normals, got.offsets]), want,
+                                  equal_nan=True)
+            seen.add((kind, bool(np.any(want_counts < counts))))
+        assert {(0, False), (1, False), (2, True)} <= seen
+        assert (0, True) not in seen and (1, True) not in seen
+
+
 class TestBuildSafeRegions:
     def make_volume(self, shapes_per_slice, tau=0.1, center=(0.0, 0.0)):
         return volume_of([center] * len(shapes_per_slice), shapes_per_slice,

@@ -178,6 +178,39 @@ class TestParsing:
                                       "limits": {"1": math.inf}})
         assert line == 4 and "finite" in msg
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"agents": [{"start": [0.0, 0.0], "goal": [math.inf, 0.0]}]},
+         "agents.0.goal.0"),
+        ({"agents": [{"start": [0.0, math.nan], "goal": [3.0, 0.0]}]},
+         "agents.0.start.1"),
+        ({"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0],
+                      "waypoints": [{"pos": [math.nan, 0.0]}]}]},
+         "agents.0.waypoints.0.pos.0"),
+        ({"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0],
+                      "waypoints": [{"t": math.inf, "pos": [1.0, 0.0]}]}]},
+         "agents.0.waypoints.0.t"),
+        ({"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0],
+                      "goal_time": math.nan}]}, "agents.0.goal_time"),
+        ({"duration": math.inf, **MINIMAL}, "duration"),
+        ({"world": {"obstacles": [{"type": "circle", "center": [5.0, 5.0],
+                                   "radius": math.inf}]}, **MINIMAL},
+         "world.obstacles.0.radius"),
+        ({"world": {"bounds": [-5.0, -5.0, 5.0, math.inf]}, **MINIMAL},
+         "world.bounds.3"),
+        ({"bus": {"latency": 0.0, "drop_probability": math.nan}, **MINIMAL},
+         "bus.drop_probability"),
+    ], ids=["goal", "start", "waypoint_pos", "waypoint_time", "goal_time",
+            "duration", "obstacle", "bounds", "bus"])
+    def test_non_finite_number_reports_its_line(self, doc, path):
+        # Python's JSON reader takes the literals Infinity and NaN.
+        text = json.dumps(doc, indent=2)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text, source="bad.json")
+        (line, got, msg), = exc.value.errors
+        assert got == path and "finite" in msg
+        literal = text.split("\n")[line - 1].strip().rstrip(",")
+        assert literal.split(": ")[-1] in ("Infinity", "NaN")
+
     def test_decreasing_waypoint_stamps_report_agent_line(self):
         line, msg = self.agent_error({
             "start": [5.0, 0.0], "goal": [8.0, 0.0],

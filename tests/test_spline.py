@@ -276,6 +276,32 @@ class TestBatchedBasisWeights:
             assert np.allclose(W.sum(axis=1), 1.0, atol=1e-13)
             assert np.all(W >= -1e-14)
 
+    def test_array_path_equals_float_path_bitwise(self):
+        # Level-wise array arithmetic must round, and sign its zeros, as the
+        # per-column float loop: compare the bits, not the values.
+        rng = np.random.default_rng(61)
+        u = np.concatenate([[-1e-9, -0.0, 0.0, 5e-324, 0.5, 1.0 - 1e-16, 1.0,
+                             1.0 + 1e-9], rng.uniform(-1e-6, 1.0 + 1e-6, 24)])
+        for degree in range(6):
+            for shape in ((32,), (4, 8)):
+                W = basis_weights(degree, u.reshape(shape))
+                assert W.shape == shape + (degree + 1,)
+                assert W.flags.c_contiguous
+                for uk, row in zip(u, W.reshape(-1, degree + 1)):
+                    want = basis_weights(degree, float(uk))
+                    assert row.tobytes() == want.tobytes(), (degree, uk)
+
+    def test_difference_matrix_cached_read_only(self):
+        for m, dt, order in ((7, 1.0, 1), (9, 0.5, 3), (6, 0.1, 0)):
+            D = difference_matrix(m, dt, order)
+            assert D is difference_matrix(m, dt, order)
+            assert not D.flags.writeable
+            with pytest.raises(ValueError):
+                D[0, 0] = 1.0
+            fresh = difference_matrix.__wrapped__(m, dt, order)
+            assert fresh is not D
+            assert D.tobytes() == fresh.tobytes()
+
 
 # --- the per-time evaluator the shared one replaced, kept as oracle ---------
 
