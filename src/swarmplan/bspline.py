@@ -23,8 +23,13 @@ replaced, so that batched and per-time results agree bit for bit:
   are clamped to that derivative's own domain;
 - `derivative_gram` keeps its `t0 + order*dt` origin and adds node by node.
 
-`difference_matrix` is cached per (m, dt, order) and returns a read-only
-array, which every caller shares.
+`derivative_gram` and the planner's obstacle quadrature take their nodes
+from one per-interval Gauss-Legendre walk, `interval_quadrature`.  A Gram
+depends only on the knot topology (degree, m, dt), so it is built on the
+layout that starts at t = 0, and a run's Grams never depend on what ran
+before it.  `difference_matrix` is cached per (m, dt, order) and
+`derivative_gram` per (degree, m, dt, order); both return read-only arrays,
+which every caller shares.
 """
 
 import functools
@@ -241,37 +246,48 @@ def derivative_map(layout, times, order):
     return rows @ difference_matrix(layout.m, layout.dt, order)
 
 
-def derivative_gram(layout, order, span=None):
-    """Gram matrix G with c' G c = integral over span of (d^order s/dt^order)^2.
+def interval_quadrature(t_start, dt, intervals, span, rule):
+    """Nodes and weights of a quadrature rule on every knot interval.
 
-    Integration uses Gauss-Legendre quadrature per knot interval with enough
-    nodes to be exact for the piecewise-polynomial integrand.  G is symmetric
-    positive semidefinite.  span defaults to the full domain.
+    rule is (nodes, weights) on [-1, 1], as np.polynomial.legendre.leggauss
+    gives them.  The intervals are [t_start + k*dt, t_start + (k+1)*dt] for
+    k < intervals, clipped to span; clipped intervals shorter than 1e-12
+    are dropped.  Returns (ts, ws), each of shape (kept intervals, nodes).
     """
-    deg_d = layout.degree - order
-    if deg_d < 0:
-        return np.zeros((layout.m, layout.m))
-    lo, hi = layout.t_start, layout.t_end
-    if span is not None:
-        lo, hi = max(lo, span[0]), min(hi, span[1])
-    if hi <= lo:
-        return np.zeros((layout.m, layout.m))
-    m_d = layout.m - order
-    t0_d = layout.t0 + order * layout.dt
-    nodes, weights = np.polynomial.legendre.leggauss(deg_d + 1)
-    G_d = np.zeros((m_d, m_d))
-    # Walk whole knot intervals clipped to the span.
-    k_lo = int(np.floor((lo - layout.t_start) / layout.dt + 1e-12))
-    k_hi = int(np.ceil((hi - layout.t_start) / layout.dt - 1e-12))
-    for k in range(k_lo, k_hi):
-        a = max(lo, layout.t_start + k * layout.dt)
-        b = min(hi, layout.t_start + (k + 1) * layout.dt)
-        if b - a < 1e-12:
-            continue
-        ts = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-        ws = 0.5 * (b - a) * weights
-        idx, rows = _active_basis(deg_d, t0_d, layout.dt, m_d, ts)
-        for ix, row, w in zip(idx, rows, ws):
+    nodes, weights = rule
+    knots = t_start + np.arange(intervals + 1) * dt
+    a = np.maximum(span[0], knots[:-1])
+    b = np.minimum(span[1], knots[1:])
+    keep = b - a >= 1e-12
+    a, b = a[keep], b[keep]
+    half = 0.5 * (b - a)[:, None]
+    return half * nodes + 0.5 * (b + a)[:, None], half * weights
+
+
+@functools.lru_cache(maxsize=64)
+def derivative_gram(degree, m, dt, order):
+    """(m, m) Gram matrix G with c' G c = the integral over the domain of
+    (d^order s/dt^order)^2, for a spline of this degree, control count and
+    knot spacing.
+
+    The Gram depends only on that knot topology, so it is built once, on
+    the layout whose domain starts at t = 0, with Gauss-Legendre quadrature
+    exact for the piecewise-polynomial integrand.  G is symmetric positive
+    semidefinite; cached, so it is read-only.
+    """
+    G = np.zeros((m, m))
+    deg_d, m_d = degree - order, m - order
+    if deg_d >= 0:
+        segs = m - degree
+        ts, ws = interval_quadrature(
+            0.0, dt, segs, (0.0, segs * dt),
+            np.polynomial.legendre.leggauss(deg_d + 1))
+        idx, rows = _active_basis(deg_d, -degree * dt + order * dt, dt, m_d,
+                                  ts.ravel())
+        G_d = np.zeros((m_d, m_d))
+        for ix, row, w in zip(idx, rows, ws.ravel()):
             G_d[np.ix_(ix, ix)] += w * np.outer(row, row)
-    D = difference_matrix(layout.m, layout.dt, order)
-    return D.T @ G_d @ D
+        D = difference_matrix(m, dt, order)
+        G = D.T @ G_d @ D
+    G.setflags(write=False)
+    return G

@@ -1,14 +1,17 @@
 """Receding-horizon trajectory optimization over uniform B-splines.
 
-Each cycle builds one convex QP in the stacked control points [Px; Py]:
-derivative-energy smoothing, a quadratic end cost pulling x(t_end) to the
-goal, and obstacle costs quadratized around the previous trajectory, subject
-to initial-state and waypoint equalities, safe-region halfplanes at every
-future timestep, and per-derivative box limits on the derivative control
-points.  An infeasible solve is retried on the same problem with the box
-limits sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment instead;
-if that also fails the previous trajectory is kept and the cycle reports
-failure.
+Each cycle builds one convex QP in the stacked control points [Px; Py].
+Its objective is one (m, m) block per axis, the same on both:
+derivative-energy smoothing plus quadratic pulls of x(t_end), and of the
+position and velocity at a pin instant, toward the goal.  Obstacle costs,
+quadratized around the previous trajectory refit onto the cycle's knots,
+are the only term that couples the axes; the refit is made only when an
+obstacle was admitted.  The constraints are the initial-state and waypoint
+equalities and the safe-region halfplanes at every future timestep.  The
+fallback ladder closes A_in with the derivative box limits of each pass:
+first on the derivative control points, then, if that is infeasible,
+sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment.  If both fail
+the previous trajectory is kept and the cycle reports failure.
 """
 
 import math
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
-                      derivative_map, plan_knot_layout, position_map)
+                      derivative_map, interval_quadrature, plan_knot_layout,
+                      position_map)
 from .geometry import Circle
 from .qp import QPProblem, solve_qp
 
@@ -36,7 +40,7 @@ Q_OBS = 1.0           # obstacle cost scale
 K_P = 10.0
 RHO = 0.2
 
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL64 = np.polynomial.legendre.leggauss(64)
 
 # How far ahead (in knot segments) the goal pin sits once its stamp has
 # passed; keeps the spline station-keeping at the goal.
@@ -115,16 +119,8 @@ def _quadrature(traj, span):
     position_map(traj, ts).
     """
     lo, hi = traj.domain
-    lo = max(lo, span[0])
-    hi = min(hi, span[1])
-    t_start = traj.t0 + traj.degree * traj.dt
-    knots = t_start + np.arange(traj.m - traj.degree + 1) * traj.dt
-    a = np.maximum(lo, knots[:-1])
-    b = np.minimum(hi, knots[1:])
-    keep = b - a >= 1e-12
-    a, b = a[keep], b[keep]
-    ts = 0.5 * (b - a)[:, None] * _GL64_NODES + 0.5 * (b + a)[:, None]
-    ws = 0.5 * (b - a)[:, None] * _GL64_WEIGHTS
+    ts, ws = interval_quadrature(lo, traj.dt, traj.m - traj.degree,
+                                 (max(lo, span[0]), min(hi, span[1])), _GL64)
     return ts.ravel(), ws.ravel()
 
 
@@ -221,21 +217,15 @@ def quadratize_collision(previous, obstacles, span):
 
 
 def end_cost(goal, row, q_final):
-    """Quadratic pull of the position at one time row toward the goal.
+    """Quadratic pull of the value at one time row toward the goal, per axis.
 
-    row is the (m,) position map row at the end time; returns (H, F) in the
-    stacked [Px; Py] space so 1/2 P'HP + F'P + q_final*|goal|^2 equals
-    q_final * |x(t_end) - goal|^2.
+    row is the (m,) map row at that time.  Returns the (m, m) block B that
+    both axes share and the (2, m) linear rows f, one per axis, so that
+    sum over axes a of 1/2 P_a'B P_a + f_a'P_a, plus q_final*|goal|^2,
+    equals q_final * |row @ P - goal|^2.
     """
-    m = len(row)
-    H = np.zeros((2 * m, 2 * m))
-    F = np.zeros(2 * m)
-    block = 2.0 * q_final * np.outer(row, row)
-    H[:m, :m] = block
-    H[m:, m:] = block
-    F[:m] = -2.0 * q_final * goal[0] * row
-    F[m:] = -2.0 * q_final * goal[1] * row
-    return H, F
+    return (2.0 * q_final * np.outer(row, row),
+            -2.0 * q_final * goal[:, None] * row)
 
 
 def admit_obstacles(shapes, regions):
@@ -261,8 +251,9 @@ def fit_to_layout(traj, layout):
     """Least-squares refit of a trajectory onto a new knot layout.
 
     Samples the old trajectory (held constant outside its domain) densely
-    over the new domain and fits the new control points; used to carry the
-    previous solution into the shifted knot grid each cycle.
+    over the new domain and fits the new control points; assemble_qp uses
+    it to carry the previous solution into the cycle's knot grid, which
+    only the obstacle cost reads.
     """
     times = np.linspace(layout.t_start, layout.t_end, 2 * layout.m)
     A = position_map(layout, times)
@@ -277,41 +268,19 @@ def constant_spline(layout, point):
     return TrajectorySpline.from_layout(layout, control)
 
 
-_GRAM_CACHE = {}
-
-
-def _gram_cached(layout, order):
-    """Full-domain derivative Gram, cached: it only depends on the knot
-    topology (degree, control count, spacing), not on the absolute start."""
-    key = (layout.degree, layout.m, round(layout.dt, 12), order)
-    G = _GRAM_CACHE.get(key)
-    if G is None:
-        G = derivative_gram(layout, order)
-        _GRAM_CACHE[key] = G
-    return G
-
-
-def assemble_qp(req, layout, reference):
+def assemble_qp(req, layout):
     """Build the cycle QP in the stacked control points [Px; Py].
 
-    reference is the previous trajectory refit onto `layout`; obstacle costs
-    are quadratized around it.  The box limits are the control-point rows
-    of _limit_rows, which close A_in so that the relaxed retry can swap
-    them.  Raises AllSlicesInfeasible when regions exist but no slice is
-    usable.
+    A_in holds only the safe-region rows; plan_with_fallback closes it with
+    each pass's limit rows.  Obstacle costs are quadratized around the
+    previous trajectory refit onto `layout`; without near_obstacles there
+    is no refit.  Raises AllSlicesInfeasible when regions exist but no
+    slice is usable.
     """
     m = layout.m
-    nvar = 2 * m
     n = req.order
     if layout.degree != n + 1:
         raise ValueError(f"layout degree {layout.degree} does not match order {n}")
-
-    G = 2.0 * (Q_N * _gram_cached(layout, n)
-               + Q_NM1 * _gram_cached(layout, n - 1))
-    H = np.zeros((nvar, nvar))
-    H[:m, :m] = G
-    H[m:, m:] = G
-    F = np.zeros(nvar)
 
     # Goal pull at the horizon end, and again at a pin instant: the goal
     # stamp while it is still ahead, then a point two knot segments out once
@@ -320,54 +289,50 @@ def assemble_qp(req, layout, reference):
     # end velocity (rest by default, and rest after the stamp), damping
     # arrival speed.  Everything stays soft so a blocked goal cannot
     # deadlock the solve.
-    row = position_map(layout, layout.t_end)
-    H_fin, F_fin = end_cost(req.goal, row, Q_FINAL)
-    H += H_fin
-    F += F_fin
+    pulls = [(req.goal, position_map(layout, layout.t_end), Q_FINAL)]
     if req.goal_time is not None:
         ahead = req.goal_time > layout.t_start + 1e-9
         t_pin = (req.goal_time if ahead
                  else layout.t_start + PIN_LEAD_SEGMENTS * layout.dt)
         if t_pin <= layout.t_end - 1e-9:
-            row_g = position_map(layout, t_pin)
-            H_g, F_g = end_cost(req.goal, row_g, Q_FINAL)
-            H += H_g
-            F += F_g
             v_des = np.zeros(2)
             if req.end_velocity is not None and ahead:
                 v_des = req.end_velocity
-            row_v = derivative_map(layout, t_pin, 1)
-            H_v, F_v = end_cost(v_des, row_v, Q_FINAL_VEL)
-            H += H_v
-            F += F_v
-
+            pulls += [(req.goal, position_map(layout, t_pin), Q_FINAL),
+                      (v_des, derivative_map(layout, t_pin, 1), Q_FINAL_VEL)]
+    topology = (layout.degree, m, layout.dt)
+    block = 2.0 * (Q_N * derivative_gram(*topology, n)
+                   + Q_NM1 * derivative_gram(*topology, n - 1))
+    f = np.zeros((2, m))
+    for target, row, q in pulls:
+        B, f_k = end_cost(target, row, q)
+        block += B
+        f += f_k
+    H = np.zeros((2 * m, 2 * m))
+    H[:m, :m] = block
+    H[m:, m:] = block
+    F = f.reshape(-1)
     if req.near_obstacles:
         H_o, F_o, _ = quadratize_collision(
-            reference, req.near_obstacles, (layout.t_start, layout.t_end))
+            fit_to_layout(req.previous, layout), req.near_obstacles,
+            (layout.t_start, layout.t_end))
         H += Q_OBS * H_o
         F += Q_OBS * F_o
 
-    # Equalities: initial derivative stack, then in-horizon waypoints.
-    eq_rows = []
-    eq_b = []
-    for k in range(n):
-        r = derivative_map(layout, layout.t_start, k)
-        eq_rows.append(np.concatenate([r, np.zeros(m)]))
-        eq_b.append(req.initial_state[k, 0])
-        eq_rows.append(np.concatenate([np.zeros(m), r]))
-        eq_b.append(req.initial_state[k, 1])
+    # Equalities, x then y for each row: initial derivative stack, then
+    # in-horizon waypoints.
+    rows = [derivative_map(layout, layout.t_start, k) for k in range(n)]
+    values = list(req.initial_state)
     for t_wp, p_wp in req.waypoints:
-        if t_wp <= layout.t_start + 1e-9 or t_wp > layout.t_end + 1e-9:
-            continue
-        r = position_map(layout, t_wp)
-        p_wp = np.asarray(p_wp, dtype=float)
-        eq_rows.append(np.concatenate([r, np.zeros(m)]))
-        eq_b.append(p_wp[0])
-        eq_rows.append(np.concatenate([np.zeros(m), r]))
-        eq_b.append(p_wp[1])
+        if layout.t_start + 1e-9 < t_wp <= layout.t_end + 1e-9:
+            rows.append(position_map(layout, t_wp))
+            values.append(np.asarray(p_wp, dtype=float))
+    A_eq = np.zeros((2 * len(rows), 2 * m))
+    A_eq[0::2, :m] = rows
+    A_eq[1::2, m:] = rows
 
     # Safe-region halfplanes at every usable slice time.
-    region_rows = np.zeros((0, nvar))
+    region_rows = np.zeros((0, 2 * m))
     region_b = np.zeros(0)
     regions = req.regions
     if regions is not None and len(regions.t_rel):
@@ -383,12 +348,8 @@ def assemble_qp(req, layout, reference):
                                       normals[..., 1:] * R], axis=2)[live]
         region_b = regions.planes.offsets[usable][live]
 
-    A_lim, b_lim = _limit_rows(req, layout, sampled=False)
-    return QPProblem(
-        H=H, F=F, A_eq=np.array(eq_rows), b_eq=np.array(eq_b),
-        A_in=np.concatenate([region_rows, A_lim]),
-        b_in=np.concatenate([region_b, b_lim]),
-    )
+    return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=np.ravel(values),
+                     A_in=region_rows, b_in=region_b)
 
 
 def _limit_rows(req, layout, sampled):
@@ -433,17 +394,16 @@ def _unstacked(x):
 def plan_with_fallback(req):
     """One replanning cycle: dense solve, relaxed retry, or keep the old plan.
 
-    Returns (trajectory, report).  The QP is assembled once.  The dense pass
-    enforces the box limits on the derivative control points; if it is
-    infeasible, the relaxed pass solves the same problem with those rows
-    swapped for limits sampled RELAXED_SAMPLES_PER_SEGMENT times per knot
-    segment; if that also fails the previous trajectory is returned
+    Returns (trajectory, report).  The QP is assembled once, and each pass
+    closes its A_in with its own limit rows.  The dense pass enforces the
+    box limits on the derivative control points; if it is infeasible, the
+    relaxed pass samples them RELAXED_SAMPLES_PER_SEGMENT times per knot
+    segment instead; if that also fails the previous trajectory is returned
     unchanged with status 'fallback'.
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
                               req.order + 1, goal_time=req.goal_time)
-    reference = fit_to_layout(req.previous, layout)
 
     def finish(traj, status, sol=None):
         elapsed = (time.perf_counter() - t_begin) * 1e6
@@ -461,20 +421,14 @@ def plan_with_fallback(req):
         )
 
     try:
-        problem = assemble_qp(req, layout, reference)
+        problem = assemble_qp(req, layout)
     except AllSlicesInfeasible:
         return finish(req.previous, "fallback")
-    for status in ("optimal", "relaxed"):
-        if status == "relaxed":
-            # The dense limit rows close A_in: four rows per derivative
-            # control point of each limited order.
-            fixed = len(problem.A_in) - sum(4 * (layout.m - order)
-                                            for order in req.limits)
-            A, b = _limit_rows(req, layout, sampled=True)
-            problem = replace(
-                problem, A_in=np.concatenate([problem.A_in[:fixed], A]),
-                b_in=np.concatenate([problem.b_in[:fixed], b]))
-        sol = solve_qp(problem)
+    for status, sampled in (("optimal", False), ("relaxed", True)):
+        A, b = _limit_rows(req, layout, sampled)
+        sol = solve_qp(replace(problem,
+                               A_in=np.concatenate([problem.A_in, A]),
+                               b_in=np.concatenate([problem.b_in, b])))
         if sol.status == "optimal":
             return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),
                           status, sol)

@@ -267,6 +267,7 @@ class Scenario:
         overlaps = _start_overlaps(self.agents)
         if overlaps:
             raise ValueError(overlaps[0][1])
+        World(list(self.obstacles), tuple(self.bounds))   # the world's checks
 
 
 def _start_overlaps(agents):

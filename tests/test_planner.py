@@ -5,8 +5,9 @@ import pytest
 from scipy.interpolate import BSpline as SciBSpline
 
 import swarmplan.planner as planner
-from swarmplan.bspline import (TrajectorySpline, derivative_map,
-                               difference_matrix, plan_knot_layout, position_map)
+from swarmplan.bspline import (TrajectorySpline, derivative_gram,
+                               derivative_map, difference_matrix,
+                               plan_knot_layout, position_map)
 from swarmplan.geometry import (Circle, ConvexPolytope, Halfplane, Square,
                                 Triangle)
 from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
@@ -16,7 +17,7 @@ from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
                                collision_cost_closed_form, collision_kernel,
                                constant_spline, end_cost, fit_to_layout,
                                plan_with_fallback, quadratize_collision)
-from swarmplan.qp import solve_qp
+from swarmplan.qp import QPProblem, solve_qp
 from swarmplan.regions import PlaneStack, SafeRegion
 from swarmplan.runtime import _comfortable_arrival, symmetric_limits
 
@@ -236,9 +237,16 @@ class TestQuadratize:
         assert 0.5 * x0 @ H @ x0 + F @ x0 + c0 == pytest.approx(want, rel=1e-9)
 
 
+def stacked_end_cost(goal, row, q_final):
+    """end_cost's per-axis block and rows as (H, F) in [Px; Py]."""
+    B, f = end_cost(goal, row, q_final)
+    assert B.shape == (len(row), len(row)) and f.shape == (2, len(row))
+    return np.kron(np.eye(2), B), f.ravel()
+
+
 class TestEndCost:
     def test_zero_weight(self):
-        H, F = end_cost(np.array([1.0, 2.0]), np.ones(5), 0.0)
+        H, F = stacked_end_cost(np.array([1.0, 2.0]), np.ones(5), 0.0)
         assert not H.any() and not F.any()
 
     def test_pinned_at_goal_zero_gradient(self):
@@ -246,7 +254,7 @@ class TestEndCost:
         goal = np.array([1.5, -0.5])
         traj = constant_spline(layout, goal)
         row = position_map(layout, [layout.t_end])[0]
-        H, F = end_cost(goal, row, 7.0)
+        H, F = stacked_end_cost(goal, row, 7.0)
         x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
         assert np.linalg.norm(H @ x0 + F) < 1e-10
         # Cost at the pinned point equals the dropped constant.
@@ -258,7 +266,7 @@ class TestEndCost:
         control = rng.normal(size=(layout.m, 2))
         goal = rng.normal(size=2)
         row = position_map(layout, [layout.t_end])[0]
-        H, F = end_cost(goal, row, 3.0)
+        H, F = stacked_end_cost(goal, row, 3.0)
         x0 = np.concatenate([control[:, 0], control[:, 1]])
         grad = H @ x0 + F
 
@@ -346,6 +354,16 @@ def base_request(**kw):
     return PlanRequest(**defaults)
 
 
+def dense_problem(req, layout):
+    """The dense pass's QP: assemble_qp closed by the control-point limits."""
+    problem = assemble_qp(req, layout)
+    A, b = _limit_rows(req, layout, sampled=False)
+    return QPProblem(H=problem.H, F=problem.F, A_eq=problem.A_eq,
+                     b_eq=problem.b_eq,
+                     A_in=np.concatenate([problem.A_in, A]),
+                     b_in=np.concatenate([problem.b_in, b]))
+
+
 class TestAssembleAndSolve:
     def test_free_space_reaches_goal(self):
         req = base_request()
@@ -359,8 +377,7 @@ class TestAssembleAndSolve:
         req = base_request()
         layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT, 3,
                                   goal_time=req.goal_time)
-        reference = fit_to_layout(req.previous, layout)
-        qp = assemble_qp(req, layout, reference)
+        qp = dense_problem(req, layout)
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         nvar = len(qp.F)
@@ -432,7 +449,42 @@ class TestAssembleAndSolve:
         req = base_request()
         layout = plan_knot_layout(0.0, 4.0, 1.0, 5)
         with pytest.raises(ValueError):
-            assemble_qp(req, layout, constant_spline(layout, [0, 0]))
+            assemble_qp(req, layout)
+
+    def test_refit_only_with_obstacles(self, monkeypatch):
+        # Only the obstacle cost reads the previous plan's refit.
+        calls = []
+
+        def counting_fit(traj, layout):
+            calls.append(layout)
+            return fit_to_layout(traj, layout)
+
+        monkeypatch.setattr(planner, "fit_to_layout", counting_fit)
+        _, report = plan_with_fallback(base_request(regions=wall_region()))
+        assert report.status == "optimal" and calls == []
+        _, report = plan_with_fallback(base_request(
+            regions=wall_region(), near_obstacles=[Circle([1.5, 0.5], 0.3)]))
+        assert report.status == "optimal"
+        assert calls == [report.layout]
+
+    def test_qp_independent_of_earlier_requests(self):
+        # The Gram depends only on the knot topology, so a request at
+        # t = 0.16 on the same topology cannot change the QP at t = 0.
+        def qp_at(t_now):
+            req = base_request(t_now=t_now, goal_time=t_now + HORIZON,
+                               regions=wall_region())
+            layout = plan_knot_layout(t_now, HORIZON, KNOT_SEGMENT, 3,
+                                      goal_time=req.goal_time)
+            return layout.m, assemble_qp(req, layout)
+
+        derivative_gram.cache_clear()
+        m, alone = qp_at(0.0)
+        derivative_gram.cache_clear()
+        assert qp_at(0.16)[0] == m
+        after = qp_at(0.0)[1]
+        for name in ("H", "F", "A_in"):
+            a, b = getattr(alone, name), getattr(after, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestFallbackLadder:
@@ -511,9 +563,7 @@ class TestFallbackLadder:
         req = base_request()
         traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
-        layout = report.layout
-        reference = fit_to_layout(req.previous, layout)
-        sol = solve_qp(assemble_qp(req, layout, reference))
+        sol = solve_qp(dense_problem(req, report.layout))
         assert np.array_equal(
             np.concatenate([traj.control[:, 0], traj.control[:, 1]]), sol.x)
 

@@ -266,6 +266,21 @@ class TestParsing:
             (4, "world.bounds", "degenerate world bounds (5, 5, -5, -5)")]
 
 
+class TestScenarioWorld:
+    @pytest.mark.parametrize("world, msg", [
+        (dict(bounds=(5.0, 5.0, -5.0, -5.0)),
+         "degenerate world bounds (5.0, 5.0, -5.0, -5.0)"),
+        (dict(bounds=(-5.0, -5.0, 5.0, 5.0),
+              obstacles=[Circle([8.0, 0.0], 0.5)]),
+         "obstacle center (8.0, 0.0) outside bounds")])
+    def test_rejected_at_construction(self, world, msg):
+        # The checks run_scenario's World would make, made before any run.
+        with pytest.raises(ValueError) as exc:
+            Scenario(agents=[AgentSpec(start=[0.0, 0.0], goal=[1.0, 0.0])],
+                     **world)
+        assert str(exc.value) == msg
+
+
 class TestLineIndex:
     def test_paths_map_to_their_lines(self):
         text = ('{\n'

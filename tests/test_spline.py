@@ -172,26 +172,16 @@ class TestGram:
             s = random_trajectory(rng, degree=int(rng.integers(2, 5)))
             c = s.control[:, 0]
             for order in range(1, s.degree):
-                G = derivative_gram(layout_of(s), order)
+                G = derivative_gram(s.degree, s.m, s.dt, order)
                 want = self.quad_oracle(s, order, s.domain)
                 assert float(c @ G @ c) == pytest.approx(want, rel=1e-4, abs=1e-9)
-
-    def test_gram_partial_span(self):
-        rng = np.random.default_rng(29)
-        s = random_trajectory(rng, degree=3, m=8)
-        lo, hi = s.domain
-        span = (lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo))
-        G = derivative_gram(layout_of(s), 2, span=span)
-        c = s.control[:, 0]
-        want = self.quad_oracle(s, 2, span)
-        assert float(c @ G @ c) == pytest.approx(want, rel=1e-4, abs=1e-9)
 
     def test_gram_psd_and_symmetric(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             s = random_trajectory(rng, degree=int(rng.integers(2, 6)))
             for order in range(1, s.degree + 1):
-                G = derivative_gram(layout_of(s), order)
+                G = derivative_gram(s.degree, s.m, s.dt, order)
                 assert np.allclose(G, G.T, atol=1e-12)
                 eig = np.linalg.eigvalsh(G)
                 assert eig.min() >= -1e-9
@@ -301,6 +291,18 @@ class TestBatchedBasisWeights:
             fresh = difference_matrix.__wrapped__(m, dt, order)
             assert fresh is not D
             assert D.tobytes() == fresh.tobytes()
+
+    def test_derivative_gram_cached_read_only(self):
+        for degree, m, dt, order in ((3, 7, 1.0, 2), (5, 11, 0.5, 4),
+                                     (2, 4, 0.1, 3)):
+            G = derivative_gram(degree, m, dt, order)
+            assert G is derivative_gram(degree, m, dt, order)
+            assert not G.flags.writeable
+            with pytest.raises(ValueError):
+                G[0, 0] = 1.0
+            fresh = derivative_gram.__wrapped__(degree, m, dt, order)
+            assert fresh is not G
+            assert G.tobytes() == fresh.tobytes()
 
 
 # --- the per-time evaluator the shared one replaced, kept as oracle ---------
@@ -482,5 +484,9 @@ class TestEvaluatorParity:
         for _ in range(100):
             s = random_trajectory(rng)
             for order in range(s.degree + 1):
-                assert _same(derivative_gram(layout_of(s), order),
-                             old_derivative_gram(layout_of(s), order))
+                # The Gram is built on the layout that starts at t = 0.
+                at_zero = KnotLayout(degree=s.degree, t0=-s.degree * s.dt,
+                                     dt=s.dt, m=s.m, t_start=0.0,
+                                     horizon=(s.m - s.degree) * s.dt)
+                assert _same(derivative_gram(s.degree, s.m, s.dt, order),
+                             old_derivative_gram(at_zero, order))
