@@ -1,8 +1,12 @@
-"""2D geometric primitives: obstacle shapes, halfplanes, and convex polytopes.
+"""2D geometric primitives: convex shapes, halfplanes, and convex polytopes.
 
-Shapes are closed point sets (boundary included).  All polygons store their
-corners counter-clockwise so that edge normals computed as (dy, -dx) point
-outward.  Angles are radians, distances meters.
+One family of shapes models both the mapped obstacles and the robots'
+bodies (`footprint_from_size`, a shape about the origin).  Every shape
+answers the same questions: `support` along unit directions, `contains` at
+one point or many, `distance`, the nearest-point `distance_gradient`, and
+`ray_distances`.  Shapes are closed point sets (boundary included).  All
+polygons store their corners counter-clockwise so that edge normals computed
+as (dy, -dx) point outward.  Angles are radians, distances meters.
 """
 
 import numpy as np
@@ -20,6 +24,17 @@ def _as_point(p):
 
 def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _outward(v, length, dist, outside):
+    """(d, u) of a nearest-point query: `dist` and the unit gradient
+    v / length where `outside` holds and length > 1e-12, else zeros."""
+    mask = outside & (length > 1e-12)
+    d = np.zeros(len(v))
+    u = np.zeros_like(v)
+    d[mask] = dist[mask]
+    u[mask] = v[mask] / length[mask, None]
+    return d, u
 
 
 class Circle:
@@ -46,11 +61,17 @@ class Circle:
         return max(0.0, float(np.linalg.norm(_as_point(p) - self.center)) - self.radius)
 
     def contains(self, p, tol=0.0):
-        return float(np.linalg.norm(_as_point(p) - self.center)) <= self.radius + tol
+        """Whether the point (2,), or each point of (..., 2), lies in the
+        disk: the root distance, rounded as np.linalg.norm rounds it."""
+        d = np.asarray(p, dtype=float) - self.center
+        return np.sqrt(np.vecdot(d, d)) <= self.radius + tol
 
-    def contains_many(self, pts, tol=0.0):
-        d = pts - self.center
-        return d[:, 0] ** 2 + d[:, 1] ** 2 <= (self.radius + tol) ** 2
+    def distance_gradient(self, pts):
+        """Distance from each point (n, 2) to the disk and its unit gradient;
+        points inside get distance 0 and a zero gradient."""
+        v = pts - self.center
+        ell = np.linalg.norm(v, axis=1)
+        return _outward(v, ell, ell - self.radius, ell > self.radius)
 
     def ray_distances(self, origins, dirs):
         """First-hit distances for rays origin + t*dir, t > 0; inf on miss.
@@ -78,7 +99,7 @@ class Circle:
 
 
 class ConvexPolygonShape:
-    """Base for convex polygon obstacles with CCW corners (k, 2)."""
+    """Base for convex polygons with CCW corners (k, 2)."""
 
     __slots__ = ("corners", "center", "size_scale")
 
@@ -110,35 +131,37 @@ class ConvexPolygonShape:
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def contains(self, p, tol=0.0):
-        p = _as_point(p)
+        """Whether the point (2,), or each point of (..., 2), lies on the
+        inner side of every edge."""
         a, b = self._edges()
-        return bool(np.all(_cross(b - a, p - a) >= -tol * np.linalg.norm(b - a, axis=1)))
-
-    def contains_many(self, pts, tol=0.0):
-        a, b = self._edges()
-        e = b - a
-        lens = np.linalg.norm(e, axis=1)
-        rel = pts[:, None, :] - a[None, :, :]
-        cr = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-        return np.all(cr >= -tol * lens[None, :], axis=1)
+        rel = np.asarray(p, dtype=float)[..., None, :] - a
+        return np.all(_cross(b - a, rel) >= -tol * np.linalg.norm(b - a, axis=1),
+                      axis=-1)
 
     def distance(self, p):
         p = _as_point(p)
         if self.contains(p):
             return 0.0
-        return self._boundary_dist(p)
+        return float(np.min(self._edge_projections(p[None])[1]))
 
-    def _edge_distances(self, pts):
-        """Distance from each point (n, 2) to each edge segment: (n, edges)."""
+    def _edge_projections(self, pts):
+        """Nearest point of each edge segment to each point (n, 2), and its
+        distance: (n, edges, 2) and (n, edges)."""
         a, b = self._edges()
         e = b - a
         t = np.clip(np.sum((pts[:, None, :] - a) * e, axis=-1)
                     / np.sum(e * e, axis=1), 0.0, 1.0)
         proj = a + t[..., None] * e
-        return np.linalg.norm(pts[:, None, :] - proj, axis=-1)
+        return proj, np.linalg.norm(pts[:, None, :] - proj, axis=-1)
 
-    def _boundary_dist(self, p):
-        return float(np.min(self._edge_distances(p[None])))
+    def distance_gradient(self, pts):
+        """Distance from each point (n, 2) to the polygon and its unit
+        gradient; points inside get distance 0 and a zero gradient."""
+        proj, dist = self._edge_projections(pts)
+        rows = np.arange(len(pts))
+        best = np.argmin(dist, axis=1)
+        dv = dist[rows, best]
+        return _outward(pts - proj[rows, best], dv, dv, ~self.contains(pts))
 
     def ray_distances(self, origins, dirs):
         """First-hit distances against all edges; inf on miss."""
@@ -159,8 +182,12 @@ class ConvexPolygonShape:
         return t.min(axis=1)
 
     def support(self, u):
-        """max over the shape of u.x, per row of unit directions (..., 2)."""
-        return np.max(u @ self.corners.T, axis=-1)
+        """max over the shape of u.x, per row of unit directions (..., 2).
+
+        Each corner's dot goes through np.vecdot, which rounds it the same
+        however many directions there are (a one-row matmul does not).
+        """
+        return np.max(np.vecdot(u[..., None, :], self.corners), axis=-1)
 
 
 class Square(ConvexPolygonShape):
@@ -263,6 +290,25 @@ class ConvexPolytope:
         return bool(np.all(self.normals @ _as_point(p) <= self.offsets + tol))
 
 
+def footprint_from_size(size):
+    """A body's shape about the origin, per the broadcast size convention.
+
+    One or two lengths describe a round body: a Circle of the largest
+    length.  Three lengths describe an angular body: an axis-aligned Square
+    with half extent sqrt(2) times the largest length, covering it in any
+    orientation.
+    """
+    size = tuple(float(v) for v in size)
+    if not 1 <= len(size) <= 3:
+        raise ValueError(f"size descriptor needs 1..3 lengths, got {len(size)}")
+    if any(v <= 0 for v in size):
+        raise ValueError("size lengths must be positive")
+    if len(size) == 3:
+        h = np.sqrt(2.0) * max(size)
+        return Square([[-h, -h], [h, -h], [h, h], [-h, h]])
+    return Circle((0.0, 0.0), max(size))
+
+
 def circle_from_three_points(p1, p2, p3):
     """Circumscribed circle through three points, or None if collinear.
 
@@ -330,10 +376,10 @@ def supporting_halfplanes(shape, boundary_points, exterior_points):
         covered = np.sqrt(np.vecdot(w, w)) - shape.radius <= 0.0
         n_out = v / r_q[:, None]
     else:
-        dists = shape._edge_distances(q)
+        dists = shape._edge_projections(q)[1]
         off_boundary = dists.min(axis=1) > BOUNDARY_TOL
-        covered = (shape.contains_many(e)
-                   | (shape._edge_distances(e).min(axis=1) <= 0.0))
+        covered = (shape.contains(e)
+                   | (shape._edge_projections(e)[1].min(axis=1) <= 0.0))
         # At a vertex two edges qualify; pick the one whose outward side best
         # contains the exterior point.
         on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)

@@ -4,8 +4,9 @@ The geometric metrics are computed purely from the logged trajectory table
 (agent, t, x, y, vx, vy, ax, ay sampled on the prediction grid), so anyone
 holding the CSV can recompute them bit for bit.  Pairwise gaps use footprint
 supports along the center line: exact for disk footprints, conservative for
-square ones.  Obstacle clearance subtracts the footprint circumradius from
-the center-to-shape distance.  A collision event is a maximal run of
+square ones.  Obstacle clearance subtracts the footprint's `size_scale`, the
+radius of the smallest disk about its center that covers it, from the
+center-to-shape distance.  A collision event is a maximal run of
 consecutive samples where a gap or clearance is nonpositive.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .prediction import footprint_from_size
+from .geometry import footprint_from_size
 
 __all__ = [
     "TRAJECTORY_COLUMNS", "RunMetrics", "write_trajectories",
@@ -110,7 +111,7 @@ def compute_motion_metrics(table, *, footprints, goals, limits, obstacles,
 
     min_clear = math.inf
     for ii, a in enumerate(ids):
-        r = fps[ii].circumradius
+        r = fps[ii].size_scale
         for oi, shape in enumerate(obstacles):
             clear = np.array([shape.distance(p) for p in pos[a]]) - r
             min_clear = min(min_clear, float(clear.min()))

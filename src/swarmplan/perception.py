@@ -268,9 +268,10 @@ def classify_cluster(points, robot_position):
 
     Three-point circle fitting over (first, middle, last) recurses into the
     first half whenever interior midpoints disagree with the fitted circle.
-    Degenerate or enormous fits mean the points run straight: a square erected
-    away from the robot on the first pass, or on later passes a rectangle, or
-    a triangle when two clean chords meet at an observed corner.  Two-point
+    A degenerate or enormous fit, on any pass, hands the whole cluster to
+    the line family: a square erected away from the robot when the points
+    run straight, a triangle when two clean chords meet at an observed
+    corner, and else a rectangle along the principal axes.  Two-point
     clusters become small squares of a fixed minimum side.
     """
     points = np.asarray(points, dtype=float)
@@ -291,18 +292,12 @@ def classify_cluster(points, robot_position):
         return Square([a, b, b + side * n, a + side * n])
 
     lo, hi = 0, len(points) - 1
-    for iteration in range(1, MAX_CLASSIFY_ITERS + 1):
+    for _ in range(MAX_CLASSIFY_ITERS):
         mid = (lo + hi) // 2
         if mid == lo or mid == hi:
             return _line_family(points, robot_position)
         fit = circle_from_three_points(points[lo], points[mid], points[hi])
         if fit is None or fit.radius >= RADIUS_THRESHOLD:
-            if iteration == 1:
-                # Straight run seen end to end: erect a square on it.
-                try:
-                    return fit_rectangle(points, robot_position)
-                except ValueError:
-                    return _line_family(points, robot_position)
             return _line_family(points, robot_position)
         q1 = (lo + mid) // 2
         q2 = (mid + hi) // 2

@@ -23,7 +23,6 @@ import numpy as np
 from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
                       derivative_map, interval_quadrature, plan_knot_layout,
                       position_map)
-from .geometry import Circle
 from .qp import QPProblem, solve_qp
 
 HORIZON = 4.0           # planning horizon, seconds
@@ -124,40 +123,6 @@ def _quadrature(traj, span):
     return ts.ravel(), ws.ravel()
 
 
-def _distance_models(shape, pts):
-    """Distance and its unit gradient at many query points.
-
-    Points inside the shape get distance 0 and a zero gradient.
-    """
-    n = len(pts)
-    d = np.zeros(n)
-    u = np.zeros((n, 2))
-    if isinstance(shape, Circle):
-        v = pts - shape.center
-        ell = np.linalg.norm(v, axis=1)
-        mask = (ell > shape.radius) & (ell > 1e-12)
-        d[mask] = ell[mask] - shape.radius
-        u[mask] = v[mask] / ell[mask, None]
-        return d, u
-    corners = shape.corners
-    a = corners
-    b = np.roll(corners, -1, axis=0)
-    e = b - a
-    ee = np.sum(e * e, axis=1)
-    t = np.clip(np.einsum("nkd,kd->nk", pts[:, None, :] - a, e) / ee, 0.0, 1.0)
-    proj = a + t[:, :, None] * e
-    diff = pts[:, None, :] - proj
-    dist = np.linalg.norm(diff, axis=2)
-    best = np.argmin(dist, axis=1)
-    rows = np.arange(n)
-    v = pts - proj[rows, best]
-    dv = dist[rows, best]
-    mask = (~shape.contains_many(pts)) & (dv > 1e-12)
-    d[mask] = dv[mask]
-    u[mask] = v[mask] / dv[mask, None]
-    return d, u
-
-
 def _kernel_models(d, u):
     """Value, gradient, and Gauss-Newton Hessian fpp·uu' of the kernel.
 
@@ -203,7 +168,7 @@ def quadratize_collision(previous, obstacles, span):
     g = np.zeros((len(ts), 2))
     Hn = np.zeros((len(ts), 2, 2))
     for obs in obstacles:
-        f_o, g_o, H_o = _kernel_models(*_distance_models(obs, pts))
+        f_o, g_o, H_o = _kernel_models(*obs.distance_gradient(pts))
         f += f_o
         g += g_o
         Hn += H_o

@@ -13,7 +13,6 @@ of many tracks at once, in `P.polyval`'s order, for association, the region
 cuts and the one-track view `PeerTrack.predict_positions`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,71 +167,3 @@ def update_tracks(tracks, state):
         return len(tracks) - 1
     tracks[idx].push(state)
     return idx
-
-
-# --- footprints ------------------------------------------------------------
-
-class CircleFootprint:
-    """Disk footprint used for peers reporting one or two size lengths."""
-
-    __slots__ = ("radius",)
-
-    def __init__(self, radius):
-        if radius <= 0:
-            raise ValueError("footprint radius must be positive")
-        self.radius = float(radius)
-
-    @property
-    def circumradius(self):
-        """Radius of the smallest disk about the center covering the footprint."""
-        return self.radius
-
-    def support(self, u):
-        """max over the footprint of u.x, per row of unit directions (..., 2)."""
-        return np.full(np.shape(u)[:-1], self.radius)
-
-    def contains(self, rel, tol=0.0):
-        """Whether offsets (..., 2) from the center lie in the disk."""
-        return np.sqrt(np.vecdot(rel, rel)) <= self.radius + tol
-
-
-class SquareFootprint:
-    """Axis-aligned square footprint for peers reporting three size lengths."""
-
-    __slots__ = ("half_extent",)
-
-    def __init__(self, half_extent):
-        if half_extent <= 0:
-            raise ValueError("footprint half extent must be positive")
-        self.half_extent = float(half_extent)
-
-    @property
-    def circumradius(self):
-        """Radius of the smallest disk about the center covering the footprint."""
-        return self.half_extent * math.sqrt(2.0)
-
-    def support(self, u):
-        """max over the footprint of u.x, per row of unit directions (..., 2)."""
-        u = np.asarray(u)
-        return self.half_extent * (np.abs(u[..., 0]) + np.abs(u[..., 1]))
-
-    def contains(self, rel, tol=0.0):
-        """Whether offsets (..., 2) from the center lie in the square."""
-        return np.max(np.abs(rel), axis=-1) <= self.half_extent + tol
-
-
-def footprint_from_size(size):
-    """Bounding footprint per the broadcast size convention.
-
-    One or two lengths describe a round body: a disk of the largest length.
-    Three lengths describe an angular body: an axis-aligned square with half
-    extent sqrt(2) times the largest length, covering it in any orientation.
-    """
-    size = tuple(float(v) for v in size)
-    if not 1 <= len(size) <= 3:
-        raise ValueError(f"size descriptor needs 1..3 lengths, got {len(size)}")
-    if any(v <= 0 for v in size):
-        raise ValueError("size lengths must be positive")
-    if len(size) == 3:
-        return SquareFootprint(np.sqrt(2.0) * max(size))
-    return CircleFootprint(max(size))

@@ -43,9 +43,9 @@ bit.  Hence the forms below:
   elementwise products round differently again;
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
-- a seed's containment in a circle compares the root distance, as
-  `Circle.contains` does, while the march compares squares, as
-  `contains_many` does; the two disagree on the boundary;
+- every containment test, of a seed in a shape, of a marched sample, or
+  of a seed in a peer's footprint, is the shape's one `contains`, which
+  takes one point or many; a circle's compares the root distance;
 - a peer is cut when no plane has gap = n.peer - o - support(-n) above the
   margin, with n.peer from `PlaneStack.dots`; kept duplicates raise a
   slice's row count, which leaves that rounding alone;
@@ -59,9 +59,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Circle, ConvexPolytope, segment_shape_intersections,
-                       supporting_halfplanes, unit_rows)
-from .prediction import footprint_from_size, predict_tracks
+from .geometry import (Circle, ConvexPolytope, footprint_from_size,
+                       segment_shape_intersections, supporting_halfplanes,
+                       unit_rows)
+from .prediction import predict_tracks
 
 # A region whose largest inscribed disk has a radius below this is empty.
 EMPTY_RADIUS = -1e-9
@@ -195,15 +196,6 @@ def _distinct(normals, offsets, counts):
     return PlaneStack(normals, offsets, counts)
 
 
-def _covers(shape, points):
-    """`shape.contains` at many points: the circle test compares the root
-    distance (contains_many compares squares)."""
-    if isinstance(shape, Circle):
-        d = points - shape.center
-        return np.sqrt(np.vecdot(d, d)) <= shape.radius
-    return shape.contains_many(points)
-
-
 def _spans(shape, seeds, dirs, along, across2):
     """Per ray origin + t*dir: (lo, hi), the t outside which a marched
     sample surely tests outside `shape`, and (sure_lo, sure_hi), the t
@@ -250,7 +242,7 @@ def _first_hits(shape, seeds, dirs, offsets_grid, step):
     every sample before the ray's entry into the shape (`_spans`) tests
     outside, and so does every sample past its exit; from the entry on,
     samples are tested up to the first one that surely tests inside.  That
-    is one or two samples unless the ray grazes an edge.  `contains_many`
+    is one or two samples unless the ray grazes an edge.  `shape.contains`
     decides every tested sample, so the result equals a march that tests
     them all.
     """
@@ -274,7 +266,7 @@ def _first_hits(shape, seeds, dirs, offsets_grid, step):
         group = np.repeat(np.arange(len(n)), n)
         idx = start[group] + np.arange(len(group)) - (np.cumsum(n) - n)[group]
         pts = seeds[k[group]] + offsets_grid[d[group], idx]
-        inside = shape.contains_many(pts)
+        inside = shape.contains(pts)
         group, idx = group[inside], idx[inside]
         # Samples run outward within each group: its first inside is nearest.
         lead = np.flatnonzero(np.diff(group, prepend=-1))
@@ -340,7 +332,7 @@ def _seeded(seeds, shapes, member):
     inside = np.zeros(K, dtype=bool)
     for j, s in enumerate(shapes):
         members = np.flatnonzero(member[:, j])
-        inside[members] |= _covers(s, seeds[members])
+        inside[members] |= s.contains(seeds[members])
     pk, pn, po = _tangent_planes(seeds, shapes, member & ~inside[:, None])
 
     counts = 4 + np.bincount(pk, minlength=K)

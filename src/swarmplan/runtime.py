@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import plan_knot_layout
+from .geometry import footprint_from_size
 from .perception import (LocalMap, build_moving_volume, classify_cluster,
                          compensate_motion, decompose_boundary, segment_scan)
 from .planner import (HORIZON, KNOT_SEGMENT, PlanRequest, admit_obstacles,
                       constant_spline, plan_with_fallback)
-from .prediction import PeerState, footprint_from_size, update_tracks
+from .prediction import PeerState, update_tracks
 from .regions import build_safe_regions
 
 __all__ = [

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Circle, Rectangle, Square, Triangle, axis_rectangle
-from .prediction import footprint_from_size
+from .geometry import (Circle, Rectangle, Square, Triangle, axis_rectangle,
+                       footprint_from_size)
 from .runtime import _comfortable_arrival, symmetric_limits
 from .sensor import World
 
@@ -264,18 +264,21 @@ class Scenario:
             raise ValueError("duration must be nonnegative")
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
-        overlaps = _start_overlaps(self.agents)
-        if overlaps:
-            raise ValueError(overlaps[0][1])
         World(list(self.obstacles), tuple(self.bounds))   # the world's checks
+        bad_starts = _start_errors(self.agents, self.bounds)
+        if bad_starts:
+            raise ValueError(bad_starts[0][1])
 
 
-def _start_overlaps(agents):
-    """(j, message) for each pair i < j of fixed starts that overlap after
-    footprint inflation; i and j index `agents`."""
-    placed = [(i, a.start, footprint_from_size(a.footprint).circumradius)
+def _start_errors(agents, bounds):
+    """(j, message) for each fixed start outside the world bounds, where
+    the scanner cannot run, then for each pair i < j of fixed starts that
+    overlap after footprint inflation; i and j index `agents`."""
+    world = World([], tuple(bounds))
+    placed = [(i, a.start, footprint_from_size(a.footprint).size_scale)
               for i, a in enumerate(agents) if a.start is not None]
-    out = []
+    out = [(i, f"start {start.tolist()} outside world bounds {world.bounds}")
+           for i, start, _ in placed if not world.inside(start)]
     for k, (i, start_i, radius_i) in enumerate(placed):
         for j, start_j, radius_j in placed[k + 1:]:
             gap = np.linalg.norm(start_i - start_j) - radius_i - radius_j
@@ -416,9 +419,6 @@ def parse_scenario(text, source="<string>"):
             ))
         except ValueError as exc:
             bad.append((("agents", i), str(exc)))
-    if not bad:
-        bad = [(("agents", j, "start"), msg)
-               for j, msg in _start_overlaps(agents)]
     bounds = tuple(world.get("bounds", (-15.0, -15.0, 15.0, 15.0)))
     try:
         World([], bounds)
@@ -426,6 +426,9 @@ def parse_scenario(text, source="<string>"):
     except ValueError as exc:
         bad.append((("world", "bounds"), str(exc)))
         bounds_ok = False
+    if not bad:
+        bad = [(("agents", j, "start"), msg)
+               for j, msg in _start_errors(agents, bounds)]
     obstacles = []
     for i, spec in enumerate(world.get("obstacles", [])):
         try:
@@ -506,41 +509,48 @@ def save_scenario(scenario, path):
 
 # --- spawn resolution -------------------------------------------------------
 
-SPAWN_RANGE = 10.0   # random positions drawn from [-10, 10] per component
+# Random positions are drawn from [-10, 10] per component, within the bounds.
+SPAWN_RANGE = 10.0
 
 
 def _clear_of_obstacles(point, radius, obstacles, margin):
     return all(s.distance(point) >= radius + margin for s in obstacles)
 
 
-def _draw_clear(rng, radius, obstacles, accept, what):
-    """First uniform draw over the spawn square, within 5000 tries, that
-    clears every obstacle by radius + 0.3 m and that `accept` takes."""
-    for _ in range(5000):
-        cand = rng.uniform(-SPAWN_RANGE, SPAWN_RANGE, 2)
-        if _clear_of_obstacles(cand, radius, obstacles, 0.3) and accept(cand):
-            return cand
+def _draw_clear(rng, radius, scenario, accept, what):
+    """First uniform draw over the spawn square clipped to the world bounds,
+    within 5000 tries, that clears every obstacle by radius + 0.3 m and that
+    `accept` takes."""
+    lo = np.maximum(-SPAWN_RANGE, scenario.bounds[:2])
+    hi = np.minimum(SPAWN_RANGE, scenario.bounds[2:])
+    if np.all(lo <= hi):
+        for _ in range(5000):
+            cand = rng.uniform(lo, hi)
+            if (_clear_of_obstacles(cand, radius, scenario.obstacles, 0.3)
+                    and accept(cand)):
+                return cand
     raise RuntimeError(f"could not place a random {what}")
 
 
 def resolve_agents(scenario, rng):
     """Concrete AgentSpec list: random spawns drawn, waypoint stamps filled.
 
-    Spawn positions are uniform over [-10, 10] per component with integer-
-    degree headings; draws are rejected until the start clears obstacles and
-    every previously placed agent.  Goals left unset draw the same way, at
-    least 2 m from their start.  Unstamped waypoints get stamps evenly spaced
-    between zero and the agent's goal time.
+    Spawn positions are uniform over [-10, 10] per component, clipped to
+    the world bounds, with integer-degree headings; draws are rejected until
+    the start clears obstacles and every previously placed agent.  Goals
+    left unset draw the same way, at least 2 m from their start.  Unstamped
+    waypoints get stamps evenly spaced between zero and the agent's goal
+    time.
     """
-    placed = [(a.start, footprint_from_size(a.footprint).circumradius)
+    placed = [(a.start, footprint_from_size(a.footprint).size_scale)
               for a in scenario.agents if a.start is not None]
     resolved = []
     for a in scenario.agents:
-        r = footprint_from_size(a.footprint).circumradius
+        r = footprint_from_size(a.footprint).size_scale
         start, heading = a.start, a.heading
         if start is None:
             start = _draw_clear(
-                rng, r, scenario.obstacles,
+                rng, r, scenario,
                 lambda c: all(np.linalg.norm(c - p) > r + pr + 0.2
                               for p, pr in placed), "spawn")
             heading = math.radians(float(rng.integers(0, 360)))
@@ -548,7 +558,7 @@ def resolve_agents(scenario, rng):
 
         goal = a.goal
         if goal is None:
-            goal = _draw_clear(rng, r, scenario.obstacles,
+            goal = _draw_clear(rng, r, scenario,
                                lambda c: np.linalg.norm(c - start) >= 2.0,
                                "goal")
 

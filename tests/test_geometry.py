@@ -10,7 +10,7 @@ import pytest
 
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, Halfplane,
                                 ConvexPolytope, axis_rectangle,
-                                circle_from_three_points,
+                                circle_from_three_points, footprint_from_size,
                                 segment_shape_intersections, supporting_halfplanes)
 
 
@@ -162,7 +162,7 @@ class TestRayCast:
             # March in fine steps and find the first covered sample.
             ts = np.arange(1e-4, 30.0, 1e-3)
             pts = origin + ts[:, None] * np.array([np.cos(angle), np.sin(angle)])
-            inside = shape.contains_many(pts)
+            inside = shape.contains(pts)
             if got is None:
                 assert not np.any(inside)
             else:
@@ -300,3 +300,146 @@ class TestValidation:
         assert r.contains([0, 0])
         assert not r.contains([3.1, 0])
         assert r.center == pytest.approx([1.0, 1.0])
+
+
+# --- footprints, containment and the nearest-point kernel ----------------------
+
+def one_of_each(rng):
+    """A shape of every kind, the two footprint kinds included."""
+    th = rng.uniform(0, np.pi)
+    return [Circle(rng.uniform(-5, 5, size=2), rng.uniform(0.2, 2.0)),
+            unit_square(),
+            axis_rectangle(-1.0, 0.5, 2.5, 0.7),
+            Rectangle([[0, 0], [2 * np.cos(th), 2 * np.sin(th)],
+                       [2 * np.cos(th) - np.sin(th), 2 * np.sin(th) + np.cos(th)],
+                       [-np.sin(th), np.cos(th)]]),
+            Triangle([[0.0, 0.0], [1.0, 0.2], [0.3, 0.8]]),
+            footprint_from_size((0.3,)),
+            footprint_from_size((0.1, 0.2, 0.3))]
+
+
+def old_distance_models(shape, pts):
+    """The planner's nearest-point kernel as it was before it moved into
+    the shapes, kept as an oracle: einsum projection, and the polygon's
+    many-point containment spelled out."""
+    n = len(pts)
+    d = np.zeros(n)
+    u = np.zeros((n, 2))
+    if isinstance(shape, Circle):
+        v = pts - shape.center
+        ell = np.linalg.norm(v, axis=1)
+        mask = (ell > shape.radius) & (ell > 1e-12)
+        d[mask] = ell[mask] - shape.radius
+        u[mask] = v[mask] / ell[mask, None]
+        return d, u
+    a = shape.corners
+    e = np.roll(a, -1, axis=0) - a
+    ee = np.sum(e * e, axis=1)
+    t = np.clip(np.einsum("nkd,kd->nk", pts[:, None, :] - a, e) / ee, 0.0, 1.0)
+    proj = a + t[:, :, None] * e
+    dist = np.linalg.norm(pts[:, None, :] - proj, axis=2)
+    best = np.argmin(dist, axis=1)
+    rows = np.arange(n)
+    v = pts - proj[rows, best]
+    dv = dist[rows, best]
+    rel = pts[:, None, :] - a[None, :, :]
+    cr = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
+    mask = ~np.all(cr >= 0.0, axis=1) & (dv > 1e-12)
+    d[mask] = dv[mask]
+    u[mask] = v[mask] / dv[mask, None]
+    return d, u
+
+
+class TestFootprints:
+    def test_disks_keep_the_old_closed_forms(self):
+        # One or two lengths: support r along every direction, containment
+        # sqrt(rel . rel) <= r + tol, scale r, all bit for bit.  The plane
+        # stacks read the support only against offsets, NaN on padding.
+        rng = np.random.default_rng(61)
+        for size in ((0.3,), (0.2, 0.4), (0.1,), (0.7, 0.05)):
+            r = max(size)
+            fp = footprint_from_size(size)
+            assert fp.size_scale == r
+            th = rng.uniform(0, 2 * np.pi, size=(20, 9))
+            normals = np.stack([np.cos(th), np.sin(th)], axis=-1)
+            offsets = rng.uniform(-3.0, 3.0, size=th.shape)
+            pad = np.arange(9) >= rng.integers(1, 10, size=20)[:, None]
+            normals[pad] = np.nan
+            offsets[pad] = np.nan
+            closed = np.full(th.shape, r)
+            for u in (normals, -normals):
+                got = fp.support(u)
+                assert np.array_equal(got[~pad], closed[~pad])
+                assert np.array_equal(offsets - got, offsets - closed,
+                                      equal_nan=True)
+            ang = rng.uniform(0, 2 * np.pi, size=500)
+            for rel in (rng.uniform(-2 * r, 2 * r, size=(500, 2)),
+                        r * np.stack([np.cos(ang), np.sin(ang)], axis=1)):
+                for tol in (0.0, 1e-9):
+                    assert np.array_equal(
+                        fp.contains(rel, tol),
+                        np.sqrt(np.vecdot(rel, rel)) <= r + tol)
+
+    def test_squares_round_as_polygons(self):
+        # Three lengths: an axis-aligned square of half extent sqrt(2)
+        # times the largest.  Support and scale round as any polygon's (max
+        # over corners, corner norm), within 4 ulps of the closed forms
+        # h (|u0| + |u1|) and h sqrt(2); containment is max|rel| <= h.
+        rng = np.random.default_rng(62)
+        for size in ((0.1, 0.2, 0.3), (0.5, 0.5, 0.5), (1.0, 0.2, 0.05)):
+            h = np.sqrt(2.0) * max(size)
+            fp = footprint_from_size(size)
+            assert isinstance(fp, Square)
+            assert np.array_equal(fp.corners,
+                                  h * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]))
+            assert fp.size_scale == float(np.linalg.norm([h, h]))
+            assert abs(fp.size_scale - h * np.sqrt(2.0)) <= 4 * np.spacing(h)
+            th = rng.uniform(0, 2 * np.pi, size=400)
+            u = np.stack([np.cos(th), np.sin(th)], axis=1)
+            got = fp.support(u)
+            assert np.array_equal(
+                got, [max(float(c @ v) for c in fp.corners) for v in u])
+            assert np.array_equal(got[:1], fp.support(u[:1]))
+            closed = h * (np.abs(u[:, 0]) + np.abs(u[:, 1]))
+            assert np.all(np.abs(got - closed) <= 4 * np.spacing(closed))
+            rel = np.concatenate([rng.uniform(-2 * h, 2 * h, size=(400, 2)),
+                                  h * rng.choice([-1.0, 1.0], size=(40, 2))
+                                  * rng.uniform(0, 1, size=(40, 1))])
+            assert np.array_equal(fp.contains(rel),
+                                  np.max(np.abs(rel), axis=1) <= h)
+
+
+class TestContains:
+    def test_arrays_match_each_point(self):
+        rng = np.random.default_rng(67)
+        shapes = one_of_each(rng) + [sample_shape(rng) for _ in range(20)]
+        for shape in shapes:
+            pts = np.concatenate([shape.center + rng.uniform(-3, 3, size=(59, 2)),
+                                  boundary_samples(shape, 40), shape.center[None]])
+            for tol in (0.0, 1e-9, -1e-9):
+                flat = shape.contains(pts, tol)
+                assert flat.shape == (len(pts),)
+                assert np.array_equal(flat, [shape.contains(p, tol) for p in pts])
+                assert np.array_equal(shape.contains(pts.reshape(4, -1, 2), tol),
+                                      flat.reshape(4, -1))
+            assert flat.any() and not flat.all()
+
+
+class TestDistanceGradient:
+    def test_matches_the_old_planner_kernel(self):
+        rng = np.random.default_rng(71)
+        shapes = one_of_each(rng) + [sample_shape(rng) for _ in range(60)]
+        pairs = 0
+        for shape in shapes:
+            b = boundary_samples(shape, 64)
+            pts = np.concatenate([
+                shape.center + rng.uniform(-4, 4, size=(300, 2)), b,
+                b + rng.normal(scale=1e-9, size=b.shape), shape.center[None],
+                getattr(shape, "corners", b[:0])])
+            d, u = shape.distance_gradient(pts)
+            want_d, want_u = old_distance_models(shape, pts)
+            assert np.array_equal(d, want_d)
+            assert np.array_equal(u, want_u)
+            assert (d == 0.0).any() and (d > 0.0).any()
+            pairs += len(pts) * len(getattr(shape, "corners", ()))
+        assert pairs > 50_000

@@ -32,7 +32,7 @@ def dist_many(shape, pts):
     t = np.clip(np.einsum("nkd,kd->nk", pts[:, None, :] - a, e)
                 / np.sum(e * e, axis=1), 0.0, 1.0)
     d = np.linalg.norm(pts[:, None, :] - (a + t[:, :, None] * e), axis=2).min(axis=1)
-    d[shape.contains_many(pts)] = 0.0
+    d[shape.contains(pts)] = 0.0
     return d
 
 
@@ -201,7 +201,7 @@ class TestQuadratize:
             pts = rng.uniform(-1.5, 1.8, size=(400, 2))
             pts = pts[dist_many(shape, pts) > DISTANCE_FLOOR + 3 * h]
             _, _, H = planner._kernel_models(
-                *planner._distance_models(shape, pts))
+                *shape.distance_gradient(pts))
             k = lambda p: collision_kernel(dist_many(shape, p))
             exact = np.empty((len(pts), 2, 2))
             for i, si in enumerate(steps):

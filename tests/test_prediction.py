@@ -1,14 +1,14 @@
-"""Peer tracking: quintic fits, extrapolation, association, footprints."""
+"""Peer tracking: quintic fits, extrapolation, association; the footprint
+shapes peers broadcast sizes for."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 from swarmplan import prediction
-from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
-                                  SquareFootprint, associate, fit_quintic,
-                                  footprint_from_size, predict_tracks,
-                                  update_tracks, _jerk_gram)
+from swarmplan.geometry import Circle, Square, footprint_from_size
+from swarmplan.prediction import (PeerState, PeerTrack, associate, fit_quintic,
+                                  predict_tracks, update_tracks, _jerk_gram)
 
 
 def state(stamp, p, v=(0, 0), a=(0, 0), size=(0.3,)):
@@ -292,30 +292,38 @@ class TestAssociation:
             assert len(tracks) == 2
 
 
+def origin_square(h):
+    """Axis-aligned square of half extent h about the origin."""
+    return Square([[-h, -h], [h, -h], [h, h], [-h, h]])
+
+
 class TestFootprints:
     def test_round_sizes(self):
         fp = footprint_from_size((0.3,))
-        assert isinstance(fp, CircleFootprint)
+        assert isinstance(fp, Circle)
         assert fp.radius == pytest.approx(0.3)
+        assert np.array_equal(fp.center, [0.0, 0.0])
         fp2 = footprint_from_size((0.2, 0.4))
         assert fp2.radius == pytest.approx(0.4)
 
     def test_three_sizes_square(self):
         fp = footprint_from_size((0.1, 0.2, 0.3))
-        assert isinstance(fp, SquareFootprint)
-        assert fp.half_extent == pytest.approx(np.sqrt(2) * 0.3)
+        assert isinstance(fp, Square)
+        h = np.sqrt(2) * 0.3
+        assert fp.corners == pytest.approx(
+            h * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]))
 
     def test_support_functions(self):
-        c = CircleFootprint(0.5)
+        c = footprint_from_size((0.5,))
         for th in np.linspace(0, 2 * np.pi, 13):
             u = np.array([np.cos(th), np.sin(th)])
             assert c.support(u) == pytest.approx(0.5)
-        s = SquareFootprint(1.0)
+        s = origin_square(1.0)
         assert s.support(np.array([1.0, 0.0])) == pytest.approx(1.0)
         assert s.support(np.array([np.sqrt(0.5), np.sqrt(0.5)])) == pytest.approx(np.sqrt(2))
 
     def test_contains(self):
-        s = SquareFootprint(1.0)
+        s = origin_square(1.0)
         assert s.contains(np.array([0.9, -0.9]))
         assert not s.contains(np.array([1.1, 0.0]))
 

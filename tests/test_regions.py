@@ -8,14 +8,23 @@ from scipy.optimize import linprog
 from swarmplan import regions
 from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolytope,
                                 Halfplane, Square, Triangle, axis_rectangle,
-                                oriented_rectangle)
+                                footprint_from_size, oriented_rectangle)
 from swarmplan.perception import MovingVolume
-from swarmplan.prediction import (CircleFootprint, PeerState, PeerTrack,
-                                  SquareFootprint, footprint_from_size)
+from swarmplan.prediction import PeerState, PeerTrack
 from swarmplan.regions import (PlaneStack, SeedInsideObstacle,
                                _first_hits, build_safe_regions,
                                contract_for_peer, deflate_for_ego,
                                region_is_empty, seed_region)
+
+
+def disk(r):
+    """Disk footprint of radius r."""
+    return Circle([0.0, 0.0], r)
+
+
+def origin_square(h):
+    """Axis-aligned square footprint of half extent h."""
+    return Square([[-h, -h], [h, -h], [h, h], [-h, h]])
 
 
 def brute_force_free(point, shapes):
@@ -177,7 +186,7 @@ class TestContraction:
         poly = box_polytope(1.0)
         seed = np.zeros(2)
         out, feasible = contract_for_peer(poly, seed, np.array([10.0, 0.0]),
-                                          CircleFootprint(0.3))
+                                          disk(0.3))
         assert feasible
         assert len(out.normals) == len(poly.normals)
 
@@ -185,7 +194,7 @@ class TestContraction:
         poly = box_polytope(3.0)
         seed = np.zeros(2)
         peer = np.array([2.0, 0.0])
-        fp = CircleFootprint(0.5)
+        fp = disk(0.5)
         out, feasible = contract_for_peer(poly, seed, peer, fp)
         assert feasible
         assert len(out.normals) == len(poly.normals) + 1
@@ -199,7 +208,7 @@ class TestContraction:
         poly = box_polytope(5.0)
         seed = np.zeros(2)
         peer = np.array([3.0, 3.0])
-        fp = SquareFootprint(1.0)
+        fp = origin_square(1.0)
         out, feasible = contract_for_peer(poly, seed, peer, fp)
         assert feasible
         u = peer / np.linalg.norm(peer)
@@ -211,7 +220,7 @@ class TestContraction:
     def test_peer_on_seed_reports_infeasible(self):
         poly = box_polytope(1.0)
         out, feasible = contract_for_peer(poly, np.zeros(2), np.array([0.1, 0.0]),
-                                          CircleFootprint(0.5))
+                                          disk(0.5))
         assert not feasible
 
     def test_contracted_region_excludes_peer_footprint(self):
@@ -222,7 +231,7 @@ class TestContraction:
             peer = rng.uniform(-3, 3, size=2)
             if np.linalg.norm(peer) < 0.8:
                 continue
-            fp = CircleFootprint(float(rng.uniform(0.2, 0.6)))
+            fp = disk(float(rng.uniform(0.2, 0.6)))
             out, feasible = contract_for_peer(poly, seed, peer, fp)
             if not feasible:
                 continue
@@ -234,7 +243,7 @@ class TestContraction:
 
 class TestDeflation:
     def test_circle_footprint_shrinks_offsets(self):
-        out = deflate_for_ego(box_polytope(2.0), CircleFootprint(0.5))
+        out = deflate_for_ego(box_polytope(2.0), disk(0.5))
         assert np.allclose(out.offsets, 1.5)
 
     def test_deflated_center_keeps_footprint_inside(self):
@@ -246,7 +255,7 @@ class TestDeflation:
                 planes.append(Halfplane(np.array([np.cos(th), np.sin(th)]),
                                         float(rng.uniform(1.0, 3.0))))
             poly = ConvexPolytope(planes)
-            fp = SquareFootprint(float(rng.uniform(0.1, 0.5)))
+            fp = origin_square(float(rng.uniform(0.1, 0.5)))
             out = deflate_for_ego(poly, fp)
             # Any center admitted by the deflated region keeps every corner
             # of the footprint inside the original region.
@@ -254,10 +263,8 @@ class TestDeflation:
                 c = rng.uniform(-3, 3, size=2)
                 if not out.contains(c):
                     continue
-                for sx in (-1, 1):
-                    for sy in (-1, 1):
-                        corner = c + fp.half_extent * np.array([sx, sy])
-                        assert poly.contains(corner, tol=1e-9)
+                for corner in c + fp.corners:
+                    assert poly.contains(corner, tol=1e-9)
 
 
 class TestEmptiness:
@@ -265,7 +272,7 @@ class TestEmptiness:
         assert not region_is_empty(box_polytope(1.0), probe=np.zeros(2))
 
     def test_empty_after_over_deflation(self):
-        poly = deflate_for_ego(box_polytope(0.4), CircleFootprint(0.5))
+        poly = deflate_for_ego(box_polytope(0.4), disk(0.5))
         assert region_is_empty(poly, probe=np.zeros(2))
 
     def test_lp_finds_interior_when_probe_outside(self):
@@ -296,7 +303,7 @@ class TestBatchedKernels:
         # slice the radius, and so the verdict, of its own polytope.
         rng = np.random.default_rng(67)
         polys = [box_polytope(1.0), box_polytope(0.4),
-                 deflate_for_ego(box_polytope(0.4), CircleFootprint(0.5)),
+                 deflate_for_ego(box_polytope(0.4), disk(0.5)),
                  ConvexPolytope([Halfplane(np.array([1.0, 0.0]), -1.0),
                                  Halfplane(np.array([-1.0, 0.0]), -1.0)]),
                  *TestEmptinessAgainstLP().polytopes(rng)]
@@ -380,7 +387,7 @@ class TestBuildSafeRegions:
 
     def test_slices_cover_horizon(self):
         vol = self.make_volume([[] for _ in range(10)])
-        region = build_safe_regions(vol, [], CircleFootprint(0.2),
+        region = build_safe_regions(vol, [], disk(0.2),
                                     now=0.0)
         assert len(region.slices) == 10
         assert region.slices[0].t_rel == pytest.approx(0.1)
@@ -389,7 +396,7 @@ class TestBuildSafeRegions:
     def test_static_obstacle_blocks_every_slice(self):
         circle = Circle(np.array([2.0, 0.0]), 0.5)
         vol = self.make_volume([[circle]] * 5)
-        region = build_safe_regions(vol, [], CircleFootprint(0.2),
+        region = build_safe_regions(vol, [], disk(0.2),
                                     now=0.0)
         for sl in region.slices:
             assert sl.feasible
@@ -400,7 +407,7 @@ class TestBuildSafeRegions:
         # later slices cut nearer to the origin.
         vol = self.make_volume([[] for _ in range(20)])
         tr = self.track_at([-3.0, 0.0], [1.0, 0.0])
-        region = build_safe_regions(vol, [tr], CircleFootprint(0.2),
+        region = build_safe_regions(vol, [tr], disk(0.2),
                                     now=0.0)
         early = region.slices[0].polytope
         late = region.slices[-1].polytope
@@ -411,7 +418,7 @@ class TestBuildSafeRegions:
     def test_seed_inside_marks_infeasible_with_box(self):
         circle = Circle(np.zeros(2), 1.0)  # swallows the seed
         vol = self.make_volume([[circle]] * 3)
-        region = build_safe_regions(vol, [], CircleFootprint(0.2),
+        region = build_safe_regions(vol, [], disk(0.2),
                                     now=0.0)
         for sl in region.slices:
             assert not sl.feasible
@@ -419,10 +426,10 @@ class TestBuildSafeRegions:
 
     def test_seed_inside_reuses_previous_region(self):
         free = self.make_volume([[] for _ in range(3)])
-        prev = build_safe_regions(free, [], CircleFootprint(0.2),
+        prev = build_safe_regions(free, [], disk(0.2),
                                   now=0.0)
         blocked = self.make_volume([[Circle(np.zeros(2), 1.0)]] * 3)
-        region = build_safe_regions(blocked, [], CircleFootprint(0.2),
+        region = build_safe_regions(blocked, [], disk(0.2),
                                     now=0.1, previous=prev)
         for sl in region.slices:
             # Borrowing last cycle's region is a successful recovery.
@@ -434,7 +441,7 @@ class TestBuildSafeRegions:
 
     def test_slice_lookup(self):
         vol = self.make_volume([[] for _ in range(5)])
-        region = build_safe_regions(vol, [], CircleFootprint(0.2),
+        region = build_safe_regions(vol, [], disk(0.2),
                                     now=0.0)
         assert region.t_rel[region.index_at(0.1)] == pytest.approx(0.1)
         assert region.t_rel[region.index_at(0.52)] == pytest.approx(0.5)
@@ -449,15 +456,16 @@ class TestBuildSafeRegions:
 # the HiGHS Chebyshev LP.  The one-pass build must equal it bit for bit.
 
 def _fp_support(fp, u):
-    if isinstance(fp, CircleFootprint):
+    if isinstance(fp, Circle):
         return fp.radius
-    return fp.half_extent * (abs(u[0]) + abs(u[1]))
+    # A square footprint is a polygon: the max of u over its corners.
+    return max(float(corner @ u) for corner in fp.corners)
 
 
 def _fp_contains(fp, rel):
-    if isinstance(fp, CircleFootprint):
+    if isinstance(fp, Circle):
         return float(np.linalg.norm(rel)) <= fp.radius
-    return float(np.max(np.abs(rel))) <= fp.half_extent
+    return float(np.max(np.abs(rel))) <= float(np.max(fp.corners))
 
 
 def oracle_crossing(a, b, shape):
@@ -514,7 +522,7 @@ def oracle_first_hits(seed, shape):
     dirs, grid = march_grid()
     n_steps = grid.shape[1]
     pts = np.asarray(seed, dtype=float) + grid
-    inside = shape.contains_many(pts.reshape(-1, 2)).reshape(len(dirs), n_steps)
+    inside = shape.contains(pts)
     return np.where(inside.any(axis=1), inside.argmax(axis=1), n_steps)
 
 
@@ -650,9 +658,8 @@ def random_volume(rng, n_slices, tau=0.1, inside_frac=0.1):
     member = rng.random((n_slices, len(pool))) < 0.7
     for k, seed in enumerate(seeds):
         if rng.random() < inside_frac:
-            # A seed inside a shape, or exactly on a circle's rim where
-            # Circle.contains and contains_many can disagree; only slice k
-            # holds it.
+            # A seed inside a shape, or exactly on a circle's rim, where
+            # rounding decides; only slice k holds it.
             th = rng.uniform(0, 2 * np.pi)
             rim = Circle(seed + 0.4 * np.array([np.cos(th), np.sin(th)]), 0.4)
             at = int(rng.integers(len(pool) + 1))
@@ -697,7 +704,7 @@ class TestOnePassParity:
     def test_random_volumes_bit_identical(self):
         rng = np.random.default_rng(17)
         for trial in range(6):
-            ego = CircleFootprint(0.2) if trial % 2 else SquareFootprint(0.15)
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
             first = random_volume(rng, 40)
             tracks = random_tracks(rng, first)
             prev = build_safe_regions(first, tracks, ego, 0.0)
@@ -720,7 +727,7 @@ class TestOnePassParity:
             tracks.append(TestBuildSafeRegions().track_at(
                 seed + 0.3 * np.array([np.cos(th), np.sin(th)]),
                 [0.0, 0.0], size=(0.3,)))
-        ego = CircleFootprint(0.2)
+        ego = disk(0.2)
         region = build_safe_regions(vol, tracks, ego, 0.0)
         assert_same_regions(region, oracle_build(vol, tracks, ego, 0.0))
 
@@ -761,7 +768,7 @@ class TestOnePassParity:
                       make(mid - 0.9 * d, v, size=(0.3,)),
                       *random_tracks(rng, vol)]
             assert len(tracks) >= 6
-            ego = CircleFootprint(0.2) if trial % 2 else SquareFootprint(0.15)
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
             now = 0.05
             region = build_safe_regions(vol, tracks, ego, now)
             for k, (t_rel, seed) in enumerate(zip(vol.t_rel, vol.centers)):
@@ -834,7 +841,7 @@ class TestOnePassParity:
                     assert ok == ok_want
                     assert np.array_equal(got.normals, want.normals)
                     assert np.array_equal(got.offsets, want.offsets)
-                for fp in (CircleFootprint(0.2), SquareFootprint(0.2)):
+                for fp in (disk(0.2), origin_square(0.2)):
                     a, b = deflate_for_ego(got, fp), oracle_deflate(want, fp)
                     assert np.array_equal(a.normals, b.normals)
                     assert np.array_equal(a.offsets, b.offsets)
@@ -912,7 +919,7 @@ class TestMarchWindow:
                       Triangle([p, p + rng.uniform(-1.0, 1.0, size=2),
                                 p + rng.uniform(-1.0, 1.0, size=2)])]
             for shape in shapes:
-                if not shape.contains_many(seed[None])[0]:
+                if not shape.contains(seed):
                     hits += self.assert_matches(shape, seed)
         assert hits > 50
 
@@ -926,7 +933,7 @@ class TestMarchWindow:
                                       float(rng.uniform(1.0, 5.0)), 0.1)
             seeds = c + rng.uniform(-6.0, 6.0, size=(40, 2))
             hits += self.assert_matches(
-                wall, seeds[~wall.contains_many(seeds)])
+                wall, seeds[~wall.contains(seeds)])
         assert hits > 500
 
     def test_seeds_within_a_step(self):

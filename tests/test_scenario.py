@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from swarmplan.geometry import Circle, Rectangle
+from swarmplan.harness import run_scenario
 from swarmplan.scenario import (
     AgentSpec,
     Scenario,
@@ -252,6 +253,17 @@ class TestParsing:
             {"type": "circle", "center": [20, 0], "radius": 1})
         assert line == 5 and "outside bounds" in msg
 
+    def test_start_outside_bounds_reports_start_line(self):
+        # The scanner cannot run outside the bounds; run_scenario would
+        # raise on this start with no line at all.
+        text = ('{\n  "world": {"bounds": [-5, -5, 5, 5]},\n  "agents": [\n'
+                '    {"goal": [0, 0],\n     "start": [6, 0]}\n  ]\n}\n')
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.errors == [
+            (5, "agents.0.start",
+             "start [6.0, 0.0] outside world bounds (-5, -5, 5, 5)")]
+
     @pytest.mark.parametrize("obstacles", [
         [], [{"type": "circle", "center": [0, 0], "radius": 1}]])
     def test_degenerate_bounds_report_bounds_line(self, obstacles):
@@ -279,6 +291,15 @@ class TestScenarioWorld:
             Scenario(agents=[AgentSpec(start=[0.0, 0.0], goal=[1.0, 0.0])],
                      **world)
         assert str(exc.value) == msg
+
+
+    def test_start_outside_bounds_rejected_at_construction(self):
+        with pytest.raises(ValueError) as exc:
+            Scenario(agents=[AgentSpec(start=[0.0, 0.0], goal=[1.0, 0.0]),
+                             AgentSpec(start=[6.0, 0.0], goal=[1.0, 2.0])],
+                     bounds=(-5.0, -5.0, 5.0, 5.0))
+        assert str(exc.value) == ("start [6.0, 0.0] outside world bounds "
+                                  "(-5.0, -5.0, 5.0, 5.0)")
 
 
 class TestLineIndex:
@@ -363,6 +384,22 @@ class TestSpawnResolution:
                 pts.append(a.goal)
         pts = np.asarray(pts)
         assert np.all(np.abs(pts) <= 10.0)
+
+    def test_draws_stay_in_small_world_and_runs_start(self):
+        # The spawn square is clipped to bounds smaller than it; unclipped,
+        # four of these five seeds drew a start the scanner rejects.
+        for seed in range(5):
+            sc = Scenario(agents=[AgentSpec()], seed=seed, duration=0.08,
+                          bounds=(-4.0, -4.0, 4.0, 4.0))
+            result = run_scenario(sc)
+            a, = result.resolved
+            assert np.all(np.abs(a.start) <= 4.0)
+            assert np.all(np.abs(a.goal) <= 4.0)
+
+    def test_spawn_square_missing_the_bounds_raises(self):
+        sc = Scenario(agents=[AgentSpec()], bounds=(20.0, 20.0, 30.0, 30.0))
+        with pytest.raises(RuntimeError, match="could not place a random spawn"):
+            resolve_agents(sc, np.random.default_rng(0))
 
     def test_headings_are_integer_degrees(self):
         sc = Scenario(agents=[AgentSpec() for _ in range(3)])
