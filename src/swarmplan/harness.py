@@ -1,10 +1,10 @@
 """Closed-loop simulation: run a scenario and collect artifacts.
 
-One run builds the world, the shared message bus, and one `Agent` per spec,
-then steps a fixed planning-rate clock.  Each tick delivers any completed
-LiDAR sweep (beams cast from the poses the agent actually occupied during
-the sweep), runs every agent's replanning cycle in index order, and then
-fires due broadcasts — so a state sent at tick k is visible to peers from
+One run builds the world, the shared message bus, and one `Agent` per
+resolved `AgentSpec`, then steps a fixed planning-rate clock.  Each tick
+delivers any completed LiDAR sweep (beams cast from the poses the agent
+actually occupied during the sweep), runs every agent's replanning cycle in
+index order, and then fires due broadcasts — so a state sent at tick k is visible to peers from
 tick k+1 at the earliest, as it would be over a real link.
 
 Everything is seeded: one seed stream resolves random spawns, a second
@@ -23,7 +23,7 @@ import numpy as np
 
 from .metrics import (RunMetrics, compute_motion_metrics, solve_time_stats,
                       write_trajectories)
-from .runtime import TAU, Agent, AgentConfig, MessageBus, broadcast
+from .runtime import TAU, Agent, AgentSpec, MessageBus, broadcast
 from .scenario import resolve_agents
 from .sensor import (SWEEP_RATE, World, n_beams, simulate_scan,
                      simulate_swept_scan)
@@ -45,15 +45,7 @@ class RunResult:
 
 def build_agents(resolved, bus):
     """One Agent per resolved spec, indexed in list order."""
-    agents = []
-    for i, spec in enumerate(resolved):
-        cfg = AgentConfig(order=spec.order, footprint_size=spec.footprint,
-                          limits=spec.limits)
-        agents.append(Agent(
-            i, cfg, spec.start, spec.goal, goal_time=spec.goal_time,
-            waypoints=spec.waypoints, end_velocity=spec.end_velocity,
-            heading=spec.heading, bus=bus))
-    return agents
+    return [Agent(i, spec, bus=bus) for i, spec in enumerate(resolved)]
 
 
 def _swept_poses(agent, stamps, bounds):
@@ -81,7 +73,7 @@ def run_scenario(scenario, out_dir=None):
                      rng=np.random.default_rng(bus_seed))
     agents = build_agents(resolved, bus)
 
-    plan_rate = AgentConfig.plan_rate
+    plan_rate = AgentSpec.plan_rate
     bcast_period = 1.0 / BROADCAST_RATE
     sweep_duration = 1.0 / SWEEP_RATE
     ticks_per_sweep = int(round(plan_rate / SWEEP_RATE))
@@ -96,14 +88,14 @@ def run_scenario(scenario, out_dir=None):
             # knows the nearby walls.
             for a in agents:
                 a.receive_scan(simulate_scan(
-                    world, a.path.position(t), a.heading, t))
+                    world, a.path.position(t), a.config.heading, t))
         elif k % ticks_per_sweep == 0:
             t0 = t - sweep_duration
             stamps = t0 + sweep_duration * np.arange(n_beams()) / n_beams()
             for a in agents:
                 poses = _swept_poses(a, stamps, world.bounds)
                 a.receive_scan(simulate_swept_scan(
-                    world, poses, a.heading, t0))
+                    world, poses, a.config.heading, t0))
         for a in agents:
             reports[a.index].append(a.agent_cycle(t))
         while next_due <= t + 1e-9:

@@ -14,6 +14,7 @@ sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment.  If both fail
 the previous trajectory is kept and the cycle reports failure.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -317,6 +318,24 @@ def assemble_qp(req, layout):
                      A_in=region_rows, b_in=region_b)
 
 
+def _box_rows(D):
+    """Four rows per row d of D over the stacked [Px; Py]: d x, -d x, d y,
+    -d y, in that order."""
+    m = D.shape[1]
+    rows = np.zeros((len(D), 2, 2 * m))
+    rows[:, 0, :m] = D
+    rows[:, 1, m:] = D
+    return np.stack([rows, -rows], axis=2).reshape(-1, 2 * m)
+
+
+@functools.lru_cache(maxsize=256)
+def _control_point_rows(m, dt, order):
+    """_box_rows of the order-th difference matrix; cached, so read-only."""
+    A = _box_rows(difference_matrix(m, dt, order))
+    A.setflags(write=False)
+    return A
+
+
 def _limit_rows(req, layout, sampled):
     """Derivative box-limit rows (A, b) of req.limits, A x <= b.
 
@@ -340,14 +359,13 @@ def _limit_rows(req, layout, sampled):
             h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
             first = math.ceil(layout.t_start / h - 1e-9)
             last = math.floor(layout.t_end / h + 1e-9)
-            D = derivative_map(layout, h * np.arange(first, last + 1), order)
+            rows = _box_rows(derivative_map(
+                layout, h * np.arange(first, last + 1), order))
         else:
-            D = difference_matrix(m, layout.dt, order)
-        rows = np.zeros((len(D), 2, 2 * m))
-        rows[:, 0, :m] = D
-        rows[:, 1, m:] = D
-        A.append(np.stack([rows, -rows], axis=2).reshape(-1, 2 * m))
-        b.append(np.tile(np.stack([hi[:2], -lo[:2]], axis=1).ravel(), len(D)))
+            rows = _control_point_rows(m, layout.dt, order)
+        A.append(rows)
+        b.append(np.tile(np.stack([hi[:2], -lo[:2]], axis=1).ravel(),
+                         len(rows) // 4))
     return np.concatenate(A), np.concatenate(b)
 
 

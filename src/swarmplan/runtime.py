@@ -9,6 +9,10 @@ fallback ladder, and commit the result.  Shape staging (stage 2) and map
 folding (stage 3) touch disjoint state so their order within a cycle does
 not change the outcome.
 
+`AgentSpec` is the one description of a robot, from scenario file to
+agent: its task (start, goal, goal time, end velocity, waypoints, heading)
+and what tells robots apart (dynamics order, footprint, limits).
+
 Agents never see each other directly: coordination happens only through
 `MessageBus`, which delivers anonymous kinematic payloads with configurable
 latency and drop probability, deterministically for a given seed.
@@ -30,7 +34,7 @@ from .prediction import PeerState, update_tracks
 from .regions import build_safe_regions
 
 __all__ = [
-    "AgentConfig", "AgentState", "Agent", "BusMessage", "MessageBus",
+    "AgentSpec", "AgentState", "Agent", "BusMessage", "MessageBus",
     "CycleReport", "ExecutedPath", "ideal_track", "broadcast",
     "symmetric_limits",
 ]
@@ -93,23 +97,44 @@ def symmetric_limits(bounds):
 
 
 @dataclass
-class AgentConfig:
-    """What tells robots apart: dynamics order, body size and limits.
+class AgentSpec:
+    """One robot: its task, and what tells robots apart (dynamics order,
+    body size and limits).
 
+    A start or goal of None is drawn, and a waypoint stamp of None filled,
+    by `scenario.resolve_agents`; an `Agent` takes only a resolved spec.
     Every robot replans at the same `plan_rate` (cycles per second).
     """
 
+    start: object = None
+    goal: object = None
+    heading: float = 0.0
     order: int = 2
-    footprint_size: tuple = (0.3,)
-    limits: dict = field(default_factory=lambda: symmetric_limits({1: 2.0, 2: 4.0}))
+    footprint: tuple = (0.3,)
+    goal_time: float = None
+    end_velocity: object = None
+    waypoints: list = field(default_factory=list)   # (time or None, point)
+    limits: dict = field(default_factory=lambda: {1: 2.0, 2: 4.0})
     plan_rate = 25.0
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("integrator order must be at least 1")
-        self.footprint_size = tuple(float(v) for v in np.atleast_1d(self.footprint_size))
-        if not 1 <= len(self.footprint_size) <= 3:
-            raise ValueError("footprint_size needs 1..3 lengths")
+        footprint_from_size(self.footprint)     # 1..3 positive lengths
+        self.footprint = tuple(float(v) for v in self.footprint)
+        if self.start is not None:
+            self.start = np.asarray(self.start, dtype=float)
+        if self.goal is not None:
+            self.goal = np.asarray(self.goal, dtype=float)
+        if self.end_velocity is not None:
+            self.end_velocity = np.asarray(self.end_velocity, dtype=float)
+        self.waypoints = [(None if t is None else float(t),
+                           np.asarray(p, dtype=float))
+                          for t, p in self.waypoints]
+        self.limits = symmetric_limits(self.limits)
+        stamps = [t for t, _ in self.waypoints if t is not None]
+        if any(b <= a for a, b in zip(stamps, stamps[1:])):
+            raise ValueError("waypoint times must be strictly increasing")
 
 
 @dataclass
@@ -174,7 +199,6 @@ class BusMessage:
     delivery_stamp: float
     dropped: bool
     sender: int
-    seq: int
 
     def __post_init__(self):
         if self.delivery_stamp < self.send_stamp:
@@ -205,7 +229,7 @@ class MessageBus:
                    and float(self._rng.random()) < self.drop_probability)
         msg = BusMessage(payload=payload, send_stamp=float(now),
                          delivery_stamp=float(now) + self.latency,
-                         dropped=dropped, sender=sender, seq=len(self.log))
+                         dropped=dropped, sender=sender)
         self.log.append(msg)
         return msg
 
@@ -297,43 +321,37 @@ class Agent:
     first cycle has a previous plan to fold volumes around and fall back to.
     """
 
-    def __init__(self, index, config, start, goal, *, goal_time=None,
-                 waypoints=(), end_velocity=None, heading=0.0, bus=None,
-                 t_start=0.0):
+    def __init__(self, index, spec, *, bus=None):
+        if (spec.start is None or spec.goal is None
+                or any(t is None for t, _ in spec.waypoints)):
+            raise ValueError("an Agent needs a resolved spec: a fixed start, "
+                             "a goal and a stamp on every waypoint")
         self.index = index
-        self.config = config
-        self.goal = np.asarray(goal, dtype=float)
+        self.config = spec
+        goal_time = spec.goal_time
         if goal_time is None:
             # Anchor an arrival stamp once at spawn: a fixed stamp keeps
             # successive replans consistent, so the approach settles without
             # hunting around the goal.  The schedule is deliberately relaxed
             # (cruise at half the velocity cap) so the soft pins track it
             # without saturating the dynamic limits.
-            goal_time = t_start + _comfortable_arrival(
-                np.asarray(start, dtype=float), np.asarray(goal, dtype=float),
-                config.limits)
+            goal_time = _comfortable_arrival(spec.start, spec.goal,
+                                             spec.limits)
         self.goal_time = float(goal_time)
-        self.waypoints = [(float(t), np.asarray(p, dtype=float))
-                          for t, p in waypoints]
-        self.end_velocity = (None if end_velocity is None
-                             else np.asarray(end_velocity, dtype=float))
-        self.heading = float(heading)
         self.bus = bus
-        start = np.asarray(start, dtype=float)
 
-        layout = plan_knot_layout(t_start, HORIZON, KNOT_SEGMENT,
-                                  config.order + 1)
-        self.trajectory = constant_spline(layout, start)
-        self.commits = [(float(t_start), self.trajectory)]
-        self.local_map = LocalMap(origin=start)
-        self.footprint = footprint_from_size(config.footprint_size)
+        layout = plan_knot_layout(0.0, HORIZON, KNOT_SEGMENT, spec.order + 1)
+        self.trajectory = constant_spline(layout, spec.start)
+        self.commits = [(0.0, self.trajectory)]
+        self.local_map = LocalMap(origin=spec.start)
+        self.footprint = footprint_from_size(spec.footprint)
         self.staged = []
         self.pending_scan = None
         self.volume = None
         self.tracks = []
         self.regions = None
         self.reports = []
-        self._last_now = float(t_start)
+        self._last_now = 0.0
 
     # -- harness-facing helpers ------------------------------------------
 
@@ -443,10 +461,10 @@ class Agent:
             near = admit_obstacles(self.volume.shapes, regions)
         try:
             req = PlanRequest(
-                t_now=now, initial_state=initial_state, goal=self.goal,
+                t_now=now, initial_state=initial_state, goal=cfg.goal,
                 previous=prev, regions=regions, goal_time=self.goal_time,
-                waypoints=self.waypoints, near_obstacles=near,
-                limits=cfg.limits, end_velocity=self.end_velocity)
+                waypoints=cfg.waypoints, near_obstacles=near,
+                limits=cfg.limits, end_velocity=cfg.end_velocity)
             traj, plan = plan_with_fallback(req)
         except Exception as exc:
             flags.append(f"plan:{type(exc).__name__}")
@@ -484,5 +502,5 @@ def broadcast(agent, now):
     traj = agent.trajectory
     st = ideal_track(traj, traj.clamp_time(now), now, n_orders=3).derivatives
     payload = PeerState(stamp=float(now), position=st[0], velocity=st[1],
-                        acceleration=st[2], size=agent.config.footprint_size)
+                        acceleration=st[2], size=agent.config.footprint)
     return agent.bus.post(agent.index, payload, now)

@@ -3,7 +3,9 @@
 A scenario lists the world (bounds plus obstacles), the agents (fixed start
 or random spawn, dynamics order, footprint, goal with optional stamp and end
 velocity, waypoints, per-order limits), the bus parameters, a seed, and a
-duration.  `load_scenario` validates against `SCENARIO_SCHEMA` and reports
+duration.  Each agent is a `runtime.AgentSpec`, re-exported here; a JSON
+agent entry passes only the keys it sets, so the dataclass defaults are the
+only defaults.  `load_scenario` validates against `SCENARIO_SCHEMA` and reports
 every violation with the offending line.  Random spawns are resolved
 separately (`resolve_agents`) so the same file can be re-run under different
 seeds.  `builtin_scenario` generates the bundled benchmark worlds.
@@ -13,13 +15,13 @@ import ast
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import (Circle, Rectangle, Square, Triangle, axis_rectangle,
                        footprint_from_size)
-from .runtime import _comfortable_arrival, symmetric_limits
+from .runtime import AgentSpec, _comfortable_arrival
 from .sensor import World
 
 __all__ = [
@@ -215,38 +217,6 @@ class ScenarioError(ValueError):
 # --- dataclasses ------------------------------------------------------------
 
 @dataclass
-class AgentSpec:
-    """One agent entry; start/goal of None mean draw-at-resolution."""
-
-    start: object = None
-    goal: object = None
-    heading: float = 0.0
-    order: int = 2
-    footprint: tuple = (0.3,)
-    goal_time: float = None
-    end_velocity: object = None
-    waypoints: list = field(default_factory=list)   # (time or None, point)
-    limits: dict = None
-
-    def __post_init__(self):
-        if self.start is not None:
-            self.start = np.asarray(self.start, dtype=float)
-        if self.goal is not None:
-            self.goal = np.asarray(self.goal, dtype=float)
-        if self.end_velocity is not None:
-            self.end_velocity = np.asarray(self.end_velocity, dtype=float)
-        self.footprint = tuple(float(v) for v in self.footprint)
-        self.waypoints = [(None if t is None else float(t),
-                           np.asarray(p, dtype=float))
-                          for t, p in self.waypoints]
-        self.limits = symmetric_limits({1: 2.0, 2: 4.0} if self.limits is None
-                                       else self.limits)
-        stamps = [t for t, _ in self.waypoints if t is not None]
-        if any(b <= a for a, b in zip(stamps, stamps[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
-
-
-@dataclass
 class Scenario:
     """A full validated run description."""
 
@@ -400,23 +370,16 @@ def parse_scenario(text, source="<string>"):
     bus = doc.get("bus", {})
     agents, bad = [], []
     for i, spec in enumerate(doc["agents"]):
-        start = spec["start"]
-        if isinstance(start, dict):
-            start = None
-        waypoints = [(wp.get("t"), wp["pos"])
-                     for wp in spec.get("waypoints", [])]
+        kw = dict(spec)
+        if isinstance(kw["start"], dict):
+            del kw["start"]                 # a random spawn
+        if "heading_deg" in kw:
+            kw["heading"] = math.radians(kw.pop("heading_deg"))
+        if "waypoints" in kw:
+            kw["waypoints"] = [(wp.get("t"), wp["pos"])
+                               for wp in kw["waypoints"]]
         try:
-            agents.append(AgentSpec(
-                start=start,
-                goal=spec.get("goal"),
-                heading=math.radians(spec.get("heading_deg", 0.0)),
-                order=spec.get("order", 2),
-                footprint=tuple(spec.get("footprint", (0.3,))),
-                goal_time=spec.get("goal_time"),
-                end_velocity=spec.get("end_velocity"),
-                waypoints=waypoints,
-                limits=spec.get("limits"),
-            ))
+            agents.append(AgentSpec(**kw))
         except ValueError as exc:
             bad.append((("agents", i), str(exc)))
     bounds = tuple(world.get("bounds", (-15.0, -15.0, 15.0, 15.0)))
@@ -572,11 +535,8 @@ def resolve_agents(scenario, rng):
                 (gt * (i + 1) / (k + 1) if t is None else t, p)
                 for i, (t, p) in enumerate(waypoints)]
 
-        resolved.append(AgentSpec(
-            start=start, goal=goal, heading=heading, order=a.order,
-            footprint=a.footprint, goal_time=a.goal_time,
-            end_velocity=a.end_velocity, waypoints=waypoints,
-            limits=a.limits))
+        resolved.append(replace(a, start=start, goal=goal, heading=heading,
+                                waypoints=waypoints))
     return resolved
 
 

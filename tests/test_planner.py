@@ -521,6 +521,27 @@ class TestFallbackLadder:
                 assert np.array_equal(A[k::4], block)
             assert np.array_equal(b, np.ones(4 * len(D)))
 
+    @pytest.mark.parametrize("dt, order", [(1.0, 1), (1.0, 2), (0.5, 4)])
+    def test_control_point_rows_cached_read_only(self, dt, order):
+        layout = plan_knot_layout(0.0, HORIZON, dt, order + 1)
+        m = layout.m
+        A = planner._control_point_rows(m, dt, order)
+        assert planner._control_point_rows(m, dt, order) is A
+        assert not A.flags.writeable
+        # Byte-equal to a fresh build from an uncached difference matrix.
+        D = difference_matrix.__wrapped__(m, dt, order)
+        rows = np.zeros((len(D), 2, 2 * m))
+        rows[:, 0, :m] = D
+        rows[:, 1, m:] = D
+        fresh = np.stack([rows, -rows], axis=2).reshape(-1, 2 * m)
+        assert A.shape == (4 * (m - order), 2 * m)
+        assert A.tobytes() == fresh.tobytes()
+        # The rows a pass gets are a copy: writing them leaves the cache alone.
+        req = base_request(limits={order: (-np.ones(2), np.ones(2))})
+        passed, _ = _limit_rows(req, layout, sampled=False)
+        passed[:] = 0.0
+        assert A.tobytes() == fresh.tobytes()
+
     def test_relaxed_pass_swaps_only_limit_rows(self, monkeypatch):
         # The setting above, inside a region: the QP is assembled once and
         # the relaxed pass differs from the dense one only in the limit

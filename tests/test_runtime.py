@@ -9,17 +9,14 @@ from swarmplan.bspline import plan_knot_layout
 from swarmplan.geometry import Circle
 from swarmplan.planner import constant_spline
 from swarmplan.prediction import PeerState
-from swarmplan.runtime import (Agent, AgentConfig, AgentState, BusMessage,
+from swarmplan.runtime import (Agent, AgentSpec, AgentState, BusMessage,
                                ExecutedPath, MessageBus, broadcast,
                                ideal_track, symmetric_limits)
 from swarmplan.sensor import Scan, World, simulate_scan
 
 
-def make_agent(start, goal, *, bus=None, index=0, goal_time=None,
-               end_velocity=None, **cfg_kw):
-    config = AgentConfig(**cfg_kw)
-    return Agent(index, config, start, goal, goal_time=goal_time,
-                 end_velocity=end_velocity, bus=bus)
+def make_agent(start, goal, *, bus=None, index=0, **spec_kw):
+    return Agent(index, AgentSpec(start=start, goal=goal, **spec_kw), bus=bus)
 
 
 def run_cycles(agent, n_ticks, rate=25.0):
@@ -59,16 +56,35 @@ class TestLimitsAndConfig:
         with pytest.raises(ValueError, match="finite"):
             symmetric_limits({1: box})
 
-    def test_config_holds_only_what_tells_robots_apart(self):
+    def test_spec_holds_the_task_and_what_tells_robots_apart(self):
         # Every other tuning value is a module constant; the plan rate is
         # shared by all robots.
-        assert [f.name for f in fields(AgentConfig)] == [
-            "order", "footprint_size", "limits"]
-        assert AgentConfig().plan_rate == 25.0
+        assert [f.name for f in fields(AgentSpec)] == [
+            "start", "goal", "heading", "order", "footprint", "goal_time",
+            "end_velocity", "waypoints", "limits"]
+        assert AgentSpec().plan_rate == 25.0
 
     def test_footprint_length_checked(self):
         with pytest.raises(ValueError):
-            AgentConfig(footprint_size=(1, 2, 3, 4))
+            AgentSpec(footprint=(1, 2, 3, 4))
+
+    @pytest.mark.parametrize("size", [(-0.1,), (0.0,), (0.3, -0.2)])
+    def test_nonpositive_footprint_rejected_at_construction(self, size):
+        with pytest.raises(ValueError, match="positive"):
+            AgentSpec(start=(0.0, 0.0), goal=(1.0, 0.0), footprint=size)
+
+    def test_order_checked(self):
+        with pytest.raises(ValueError, match="order"):
+            AgentSpec(order=0)
+
+    @pytest.mark.parametrize("spec", [
+        dict(goal=(1.0, 0.0)),                      # random start
+        dict(start=(0.0, 0.0)),                     # no goal
+        dict(start=(0.0, 0.0), goal=(3.0, 0.0),
+             waypoints=[(1.0, (1.0, 0.0)), (None, (2.0, 0.0))])])
+    def test_agent_rejects_unresolved_spec(self, spec):
+        with pytest.raises(ValueError, match="resolved"):
+            Agent(0, AgentSpec(**spec))
 
     def test_state_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -126,7 +142,7 @@ class TestMessageBus:
     def test_delivery_cannot_precede_send(self):
         with pytest.raises(ValueError):
             BusMessage(payload=None, send_stamp=1.0, delivery_stamp=0.5,
-                       dropped=False, sender=0, seq=0)
+                       dropped=False, sender=0)
 
     def test_zero_latency_next_poll_sees_payload(self):
         bus = MessageBus()

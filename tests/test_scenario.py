@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestParsing:
         assert set(a.limits) == {1, 2}
         assert np.array_equal(a.limits[1][1], [2.0, 2.0])
         assert np.array_equal(a.limits[2][0], [-4.0, -4.0])
+
+    def test_unset_agent_keys_take_the_dataclass_defaults(self):
+        # The parser states no default of its own: an agent entry that
+        # sets only a random spawn equals AgentSpec() field for field.
+        doc = {"agents": [{"start": {"spawn": "random"}}]}
+        a, = parse_scenario(json.dumps(doc)).agents
+        want = AgentSpec()
+        for f in fields(AgentSpec):
+            if f.name != "limits":
+                assert getattr(a, f.name) == getattr(want, f.name), f.name
+        assert limits_equal(a.limits, want.limits)
 
     def test_full_document(self):
         doc = {
