@@ -5,8 +5,19 @@ bodies (`footprint_from_size`, a shape about the origin).  Every shape
 answers the same questions: `support` along unit directions, `contains` at
 one point or many, `distance`, the nearest-point `distance_gradient`, and
 `ray_distances`.  Shapes are closed point sets (boundary included).  All
-polygons store their corners counter-clockwise so that edge normals computed
-as (dy, -dx) point outward.  Angles are radians, distances meters.
+polygons store their corners counter-clockwise, and the edge vectors from
+each corner to the next, so that edge normals computed as (dy, -dx) point
+outward.  Angles are radians, distances meters.
+
+Groups.  `shape_groups` stacks shapes of one kind, circles or polygons of
+one corner count, into a `CircleGroup` (centers (S, 2), radii (S,)) or a
+`PolygonGroup` (corners and edges (S, k, 2)).  A group method takes an index
+array j into the group and points whose leading axes broadcast against it,
+and answers for shape j[i] at point i: the seed march and the LiDAR test
+every shape of a kind in one array pass.  Each kind has one kernel, which
+the shape's own method runs on its own parameters, so a group gives each
+shape's own result bit for bit.  `segment_shape_intersections` and
+`supporting_halfplanes` take a group and such an index.
 """
 
 import numpy as np
@@ -37,6 +48,67 @@ def _outward(v, length, dist, outside):
     return d, u
 
 
+# --- kernels: stacked parameters broadcast against the points ----------------
+
+def _disk_contains(centers, radii, p, tol):
+    """Root distance to the center, rounded as np.linalg.norm rounds it,
+    against the radius."""
+    d = p - centers
+    return np.sqrt(np.vecdot(d, d)) <= radii + tol
+
+
+def _disk_ray_distances(centers, squares, origins, dirs):
+    """First-hit distance of each ray origin + t*dir, t > 0, on the disk
+    whose squared radius is `squares`; inf on a miss."""
+    rel = centers - origins
+    proj = np.sum(rel * dirs, axis=-1)
+    perp2 = np.sum(rel * rel, axis=-1) - proj ** 2
+    disc = squares - perp2
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t_near = proj - root
+    t_far = proj + root
+    # From outside the first crossing is t_near; from inside it is t_far.
+    t = np.where(t_near > BOUNDARY_TOL, t_near, t_far)
+    return np.where((disc >= 0.0) & (t > BOUNDARY_TOL), t, np.inf)
+
+
+def _polygon_contains(corners, edges, p, tol):
+    """Whether p lies on the inner side of every edge (..., k, 2)."""
+    g = _cross(edges, p[..., None, :] - corners)
+    bound = -tol * np.linalg.norm(edges, axis=-1) if tol else 0.0
+    return np.all(g >= bound, axis=-1)
+
+
+def _polygon_ray_distances(corners, edges, origins, dirs):
+    """First-hit distance of each ray over all edges (..., k, 2); inf on a
+    miss."""
+    dirs = dirs[..., None, :]
+    denom = dirs[..., 0] * edges[..., 1] - dirs[..., 1] * edges[..., 0]
+    rel = corners - origins[..., None, :]
+    t_num = rel[..., 0] * edges[..., 1] - rel[..., 1] * edges[..., 0]
+    s_num = rel[..., 0] * dirs[..., 1] - rel[..., 1] * dirs[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = t_num / denom
+        s = s_num / denom
+    ok = (np.abs(denom) > 1e-14) & (s >= 0.0) & (s <= 1.0) & (t > BOUNDARY_TOL)
+    return np.where(ok, t, np.inf).min(axis=-1)
+
+
+def _edge_projections(corners, edges, pts):
+    """Nearest point of each edge segment to each point, and its distance:
+    (..., k, 2) and (..., k)."""
+    t = np.clip(np.sum((pts[..., None, :] - corners) * edges, axis=-1)
+                / np.sum(edges * edges, axis=-1), 0.0, 1.0)
+    proj = corners + t[..., None] * edges
+    return proj, np.linalg.norm(pts[..., None, :] - proj, axis=-1)
+
+
+def _edge_normals(edges):
+    """Outward unit normals (dy, -dx) of CCW edges (..., k, 2)."""
+    n = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+
 class Circle:
     """Disk with center (2,) and radius > 0."""
 
@@ -63,8 +135,8 @@ class Circle:
     def contains(self, p, tol=0.0):
         """Whether the point (2,), or each point of (..., 2), lies in the
         disk: the root distance, rounded as np.linalg.norm rounds it."""
-        d = np.asarray(p, dtype=float) - self.center
-        return np.sqrt(np.vecdot(d, d)) <= self.radius + tol
+        return _disk_contains(self.center, self.radius,
+                              np.asarray(p, dtype=float), tol)
 
     def distance_gradient(self, pts):
         """Distance from each point (n, 2) to the disk and its unit gradient;
@@ -78,20 +150,8 @@ class Circle:
 
         origins is (2,) or (k, 2); dirs is (k, 2) unit vectors.
         """
-        rel = self.center - np.atleast_2d(origins)
-        proj = np.sum(rel * dirs, axis=1)
-        perp2 = np.sum(rel * rel, axis=1) - proj ** 2
-        disc = self.radius ** 2 - perp2
-        out = np.full(len(dirs), np.inf)
-        ok = disc >= 0.0
-        root = np.sqrt(np.maximum(disc, 0.0))
-        t_near = proj - root
-        t_far = proj + root
-        # From outside the first crossing is t_near; from inside it is t_far.
-        t = np.where(t_near > BOUNDARY_TOL, t_near, t_far)
-        hit = ok & (t > BOUNDARY_TOL)
-        out[hit] = t[hit]
-        return out
+        return _disk_ray_distances(self.center, self.radius ** 2,
+                                   np.atleast_2d(origins), dirs)
 
     def support(self, u):
         """max over the shape of u.x, per row of unit directions (..., 2)."""
@@ -101,7 +161,7 @@ class Circle:
 class ConvexPolygonShape:
     """Base for convex polygons with CCW corners (k, 2)."""
 
-    __slots__ = ("corners", "center", "size_scale")
+    __slots__ = ("corners", "edges", "center", "size_scale")
 
     def __init__(self, corners):
         corners = np.asarray(corners, dtype=float)
@@ -113,6 +173,7 @@ class ConvexPolygonShape:
         if area2 < 0:
             corners = corners[::-1].copy()
         self.corners = corners
+        self.edges = np.roll(corners, -1, axis=0) - corners
         self.center = corners.mean(axis=0)
         self.size_scale = float(np.max(np.linalg.norm(corners - self.center,
                                                       axis=1)))
@@ -120,66 +181,39 @@ class ConvexPolygonShape:
     def __repr__(self):
         return f"{type(self).__name__}(corners={self.corners.tolist()})"
 
-    def _edges(self):
-        return self.corners, np.roll(self.corners, -1, axis=0)
-
     def edge_normals(self):
         """Outward unit normals, one per CCW edge."""
-        a, b = self._edges()
-        e = b - a
-        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
+        return _edge_normals(self.edges)
 
     def contains(self, p, tol=0.0):
         """Whether the point (2,), or each point of (..., 2), lies on the
         inner side of every edge."""
-        a, b = self._edges()
-        rel = np.asarray(p, dtype=float)[..., None, :] - a
-        return np.all(_cross(b - a, rel) >= -tol * np.linalg.norm(b - a, axis=1),
-                      axis=-1)
+        return _polygon_contains(self.corners, self.edges,
+                                 np.asarray(p, dtype=float), tol)
 
     def distance(self, p):
         p = _as_point(p)
         if self.contains(p):
             return 0.0
-        return float(np.min(self._edge_projections(p[None])[1]))
-
-    def _edge_projections(self, pts):
-        """Nearest point of each edge segment to each point (n, 2), and its
-        distance: (n, edges, 2) and (n, edges)."""
-        a, b = self._edges()
-        e = b - a
-        t = np.clip(np.sum((pts[:, None, :] - a) * e, axis=-1)
-                    / np.sum(e * e, axis=1), 0.0, 1.0)
-        proj = a + t[..., None] * e
-        return proj, np.linalg.norm(pts[:, None, :] - proj, axis=-1)
+        return float(np.min(_edge_projections(self.corners, self.edges,
+                                              p[None])[1]))
 
     def distance_gradient(self, pts):
         """Distance from each point (n, 2) to the polygon and its unit
         gradient; points inside get distance 0 and a zero gradient."""
-        proj, dist = self._edge_projections(pts)
+        proj, dist = _edge_projections(self.corners, self.edges, pts)
         rows = np.arange(len(pts))
         best = np.argmin(dist, axis=1)
         dv = dist[rows, best]
         return _outward(pts - proj[rows, best], dv, dv, ~self.contains(pts))
 
     def ray_distances(self, origins, dirs):
-        """First-hit distances against all edges; inf on miss."""
-        a, b = self._edges()
-        e = b - a
-        origins = np.atleast_2d(origins)
-        if len(origins) == 1:
-            origins = np.broadcast_to(origins, dirs.shape)
-        denom = dirs[:, None, 0] * e[None, :, 1] - dirs[:, None, 1] * e[None, :, 0]
-        rel = a[None, :, :] - origins[:, None, :]
-        t_num = rel[:, :, 0] * e[None, :, 1] - rel[:, :, 1] * e[None, :, 0]
-        s_num = rel[:, :, 0] * dirs[:, None, 1] - rel[:, :, 1] * dirs[:, None, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = t_num / denom
-            s = s_num / denom
-        ok = (np.abs(denom) > 1e-14) & (s >= 0.0) & (s <= 1.0) & (t > BOUNDARY_TOL)
-        t = np.where(ok, t, np.inf)
-        return t.min(axis=1)
+        """First-hit distances against all edges; inf on miss.
+
+        origins is (2,) or (k, 2); dirs is (k, 2) unit vectors.
+        """
+        return _polygon_ray_distances(self.corners, self.edges,
+                                      np.atleast_2d(origins), dirs)
 
     def support(self, u):
         """max over the shape of u.x, per row of unit directions (..., 2).
@@ -229,6 +263,71 @@ def oriented_rectangle(center, axis_u, half_u, half_v):
     corners = [c - half_u * u - half_v * v, c + half_u * u - half_v * v,
                c + half_u * u + half_v * v, c - half_u * u + half_v * v]
     return Rectangle(corners)
+
+
+class CircleGroup:
+    """Circles stacked for one array pass: centers (S, 2), radii (S,).
+
+    `index` holds each circle's position in the list it was grouped from.
+    """
+
+    def __init__(self, circles, index):
+        self.index = np.asarray(index)
+        self.centers = np.array([c.center for c in circles]).reshape(-1, 2)
+        self.radii = np.array([c.radius for c in circles])
+        # Squared as Circle.ray_distances squares its radius.
+        self._squares = np.array([c.radius ** 2 for c in circles])
+
+    def __len__(self):
+        return len(self.index)
+
+    @property
+    def size_scale(self):
+        return self.radii
+
+    def contains(self, j, p):
+        return _disk_contains(self.centers[j], self.radii[j], p, 0.0)
+
+    def ray_distances(self, j, origins, dirs):
+        return _disk_ray_distances(self.centers[j], self._squares[j],
+                                   origins, dirs)
+
+
+class PolygonGroup:
+    """Polygons of one corner count k stacked for one array pass: corners
+    and edges (S, k, 2), centers (S, 2) and size_scale (S,).
+
+    `index` holds each polygon's position in the list it was grouped from.
+    """
+
+    def __init__(self, polygons, index):
+        self.index = np.asarray(index)
+        self.corners = np.array([s.corners for s in polygons])
+        self.edges = np.array([s.edges for s in polygons])
+        self.centers = np.array([s.center for s in polygons])
+        self.size_scale = np.array([s.size_scale for s in polygons])
+
+    def __len__(self):
+        return len(self.index)
+
+    def contains(self, j, p):
+        return _polygon_contains(self.corners[j], self.edges[j], p, 0.0)
+
+    def ray_distances(self, j, origins, dirs):
+        return _polygon_ray_distances(self.corners[j], self.edges[j],
+                                      origins, dirs)
+
+
+def shape_groups(shapes):
+    """The shapes stacked by kind: one CircleGroup, and one PolygonGroup per
+    corner count, in order of each kind's first shape."""
+    kinds = {}
+    for i, s in enumerate(shapes):
+        kinds.setdefault(0 if isinstance(s, Circle) else len(s.corners),
+                         []).append(i)
+    return [(PolygonGroup if k else CircleGroup)([shapes[i] for i in index],
+                                                 index)
+            for k, index in kinds.items()]
 
 
 class Halfplane:
@@ -335,8 +434,9 @@ def circle_from_three_points(p1, p2, p3):
     return Circle(center, radius)
 
 
-def segment_shape_intersections(a, b, shape):
-    """First boundary crossing of each segment a[i] -> b[i] (rows of (n, 2)).
+def segment_shape_intersections(a, b, group, j):
+    """First boundary crossing of each segment a[i] -> b[i] (rows of (n, 2))
+    with shape j[i] of the group.
 
     Returns (points, crossed): the crossing nearest to a[i], valid where
     crossed[i], which is False when the segment never crosses.
@@ -345,7 +445,7 @@ def segment_shape_intersections(a, b, shape):
     length = np.sqrt(np.vecdot(d, d))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = d / length[:, None]
-    t = shape.ray_distances(a, u)
+    t = group.ray_distances(j, a, u)
     crossed = (length >= 1e-12) & np.isfinite(t) & (t <= length + BOUNDARY_TOL)
     return a + np.minimum(t, length)[:, None] * u, crossed
 
@@ -357,35 +457,39 @@ def unit_rows(normals, offsets):
     return normals / norm[..., None], offsets / norm
 
 
-def supporting_halfplanes(shape, boundary_points, exterior_points):
-    """Halfplanes tangent to the shape at each boundary point (rows of
-    (n, 2)), each containing its exterior point.
+def supporting_halfplanes(group, j, boundary_points, exterior_points):
+    """Halfplanes tangent to shape j[i] of the group at each boundary point
+    (rows of (n, 2)), each containing its exterior point.
 
     The shape lies entirely on the excluded side (normal . p >= offset for
-    all shape points).  Each boundary point must lie on the shape boundary
+    all shape points).  Each boundary point must lie on its shape's boundary
     and its exterior point strictly outside, on the outward side of the
     tangent; otherwise ValueError.  Returns the rows (normals, offsets) a
     Halfplane is built from, before its normalization (see unit_rows).
     """
     q, e = boundary_points, exterior_points
-    if isinstance(shape, Circle):
-        v = q - shape.center
+    if isinstance(group, CircleGroup):
+        center, radius = group.centers[j], group.radii[j]
+        v = q - center
         r_q = np.sqrt(np.vecdot(v, v))
-        w = e - shape.center
-        off_boundary = np.abs(r_q - shape.radius) > BOUNDARY_TOL
-        covered = np.sqrt(np.vecdot(w, w)) - shape.radius <= 0.0
+        w = e - center
+        off_boundary = np.abs(r_q - radius) > BOUNDARY_TOL
+        covered = np.sqrt(np.vecdot(w, w)) - radius <= 0.0
         n_out = v / r_q[:, None]
     else:
-        dists = shape._edge_projections(q)[1]
+        corners, edges = group.corners[j], group.edges[j]
+        dists = _edge_projections(corners, edges, q)[1]
         off_boundary = dists.min(axis=1) > BOUNDARY_TOL
-        covered = (shape.contains(e)
-                   | (shape._edge_projections(e)[1].min(axis=1) <= 0.0))
+        covered = (group.contains(j, e)
+                   | (_edge_projections(corners, edges, e)[1].min(axis=1)
+                      <= 0.0))
         # At a vertex two edges qualify; pick the one whose outward side best
         # contains the exterior point.
         on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)
-        normals = shape.edge_normals()
+        normals = _edge_normals(edges)
         fit = np.where(on_edges, np.vecdot(normals, (e - q)[:, None, :]), -np.inf)
-        n_out = normals[np.argmax(fit, axis=1)]
+        n_out = np.take_along_axis(
+            normals, np.argmax(fit, axis=1)[:, None, None], axis=1)[:, 0]
     if off_boundary.any():
         raise ValueError("boundary_point is not on the shape boundary")
     if covered.any():
@@ -396,4 +500,3 @@ def supporting_halfplanes(shape, boundary_points, exterior_points):
     if np.any(np.vecdot(unit, e) > unit_offsets + BOUNDARY_TOL):
         raise ValueError("exterior_point is not on the outward side of the tangent")
     return normals, offsets
-

@@ -9,12 +9,13 @@ no matter how often an obstacle is seen; the cell order fixes which stored
 shape a new one merges with first.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (Circle, Square, Rectangle, Triangle,
-                       circle_from_three_points, oriented_rectangle)
+                       circle_from_three_points, oriented_rectangle,
+                       shape_groups)
 from .sensor import scan_point_position
 
 RADIUS_THRESHOLD = 100.0   # circle fits at least this large are lines, m
@@ -502,7 +503,8 @@ class MovingVolume:
 
     `shapes` holds every map shape that lies in the window of at least one
     slice, once and in map order; member[k, j] says whether shapes[j] lies
-    in slice k's window.
+    in slice k's window.  `groups` stacks the shapes by kind once, for the
+    array passes of the seed march (`geometry.shape_groups`).
     """
 
     t_rel: np.ndarray     # (slices,) seconds after the cycle start
@@ -510,6 +512,10 @@ class MovingVolume:
     shapes: list
     member: np.ndarray    # (slices, shapes) bool
     tau: float
+    groups: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.groups = shape_groups(self.shapes)
 
 
 def build_moving_volume(local_map, trajectory, t_now, horizon, tau):

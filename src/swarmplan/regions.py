@@ -11,13 +11,17 @@ Layout.  The halfplanes {p : n.p <= o} of all slices of a cycle live in one
 `PlaneStack`: unit normals (slices, planes, 2) and offsets (slices, planes),
 padded with NaN past each slice's plane count.  `build_safe_regions` makes
 one pass over every slice: the moving volume's slice x shape mask says
-which shapes each slice holds, the seed march takes each shape once, for
-all slices that hold it, and tests only the samples where each ray enters
-it, which finds the same first sample inside as a march over every sample
-(`_first_hits`).  The peer cut (`_peer_cuts`) evaluates every track at
-every slice time at once and cuts one stack, widened once by a column per
-track.  It goes track by track, since an earlier peer's plane can separate
-a later peer: each track renormalizes the rows of the slices it cuts and
+which shapes each slice holds, and the volume stacks its shapes by kind
+once per cycle (`geometry.shape_groups`: circles, and polygons by corner
+count).  Every step of the seed march is one array pass per group, over
+all (slice, shape) pairs of that kind: the seed-inside test, the first hits
+(`_first_hits`), which test only the samples where each ray enters a shape
+and so find the same first sample inside as a march over every sample, and
+the tangent planes (`_tangent_planes`).  A lone shape is a group of one.
+The peer cut (`_peer_cuts`) evaluates every track at every slice time at
+once and cuts one stack, widened once by a column per track.  It goes
+track by track, since an earlier peer's plane can separate a later
+peer: each track renormalizes the rows of the slices it cuts and
 writes its plane at column counts[k].  Duplicate rows are dropped once, by
 the deflation: a row equal to an earlier one is renormalized and deflated
 with it and stays equal, so dropping it before or after gives the same
@@ -44,8 +48,13 @@ bit.  Hence the forms below:
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
 - every containment test, of a seed in a shape, of a marched sample, or
-  of a seed in a peer's footprint, is the shape's one `contains`, which
-  takes one point or many; a circle's compares the root distance;
+  of a seed in a peer's footprint, is its kind's one `contains` kernel,
+  which a group and the shape itself both run; a circle's compares the
+  root distance;
+- a group's kernels work pair by pair, elementwise or with 2-vector
+  np.vecdot, so each pair rounds as the shape's own call would.  Only the
+  march's `along` is one matmul over all pairs; MARCH_TOL absorbs how it
+  rounds;
 - a peer is cut when no plane has gap = n.peer - o - support(-n) above the
   margin, with n.peer from `PlaneStack.dots`; kept duplicates raise a
   slice's row count, which leaves that rounding alone;
@@ -59,9 +68,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Circle, ConvexPolytope, footprint_from_size,
-                       segment_shape_intersections, supporting_halfplanes,
-                       unit_rows)
+from .geometry import (CircleGroup, ConvexPolytope, footprint_from_size,
+                       segment_shape_intersections, shape_groups,
+                       supporting_halfplanes, unit_rows)
 from .prediction import predict_tracks
 
 # A region whose largest inscribed disk has a radius below this is empty.
@@ -80,6 +89,18 @@ MARCH_RANGE = 5.0
 PEER_MARGIN = 0.1
 
 _BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _march_fan():
+    """The march's unit directions (N_RAYS, 2) and sample offsets
+    (N_RAYS, steps, 2), built once."""
+    th = 2.0 * np.pi * np.arange(N_RAYS) / N_RAYS
+    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    radii = MARCH_STEP * np.arange(1, int(round(MARCH_RANGE / MARCH_STEP)) + 1)
+    return dirs, radii[None, :, None] * dirs[:, None, :]
+
+
+_MARCH_DIRS, _MARCH_GRID = _march_fan()
 
 
 class SeedInsideObstacle(ValueError):
@@ -196,10 +217,10 @@ def _distinct(normals, offsets, counts):
     return PlaneStack(normals, offsets, counts)
 
 
-def _spans(shape, seeds, dirs, along, across2):
-    """Per ray origin + t*dir: (lo, hi), the t outside which a marched
-    sample surely tests outside `shape`, and (sure_lo, sure_hi), the t
-    inside which it surely tests inside.
+def _spans(group, j, seeds, dirs, along, across2):
+    """Per ray origin + t*dir against shape j[i] of the group: (lo, hi), the
+    t outside which a marched sample surely tests outside the shape, and
+    (sure_lo, sure_hi), the t inside which it surely tests inside.
 
     A polygon sample tests inside when g = cross(e, p - a) >= 0 on every
     edge e from corner a.  Along the ray g is g0 + t*gd, clipped edge by
@@ -208,20 +229,19 @@ def _spans(shape, seeds, dirs, along, across2):
     less than MARCH_TOL, which both spans leave as slack.
     """
     spans = []
-    if isinstance(shape, Circle):
-        r = shape.radius
-        for w in (r + MARCH_TOL, max(r - MARCH_TOL, 0.0)):
+    if isinstance(group, CircleGroup):
+        r = group.radii[j]
+        for w in (r + MARCH_TOL, np.maximum(r - MARCH_TOL, 0.0)):
             ok = across2 <= w * w
             h = np.sqrt(np.where(ok, w * w - across2, 0.0))
             spans += [np.where(ok, along - h, np.inf),
                       np.where(ok, along + h, -np.inf)]
         return tuple(spans)
-    a = shape.corners
-    e = np.roll(a, -1, axis=0) - a
-    slack = MARCH_TOL * np.linalg.norm(e, axis=1)
-    rel = seeds[:, None, :] - a
-    g0 = e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]
-    gd = e[:, 0] * dirs[:, None, 1] - e[:, 1] * dirs[:, None, 0]
+    e = group.edges[j]
+    slack = MARCH_TOL * np.linalg.norm(e, axis=-1)
+    rel = seeds[:, None, :] - group.corners[j]
+    g0 = e[..., 0] * rel[..., 1] - e[..., 1] * rel[..., 0]
+    gd = e[..., 0] * dirs[:, None, 1] - e[..., 1] * dirs[:, None, 0]
     for c in (-slack, slack):
         # Where g0 + t*gd >= c on every edge.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -233,68 +253,70 @@ def _spans(shape, seeds, dirs, along, across2):
     return tuple(spans)
 
 
-def _first_hits(shape, seeds, dirs, offsets_grid, step):
-    """Index of the first marched sample inside `shape` per seed and
-    direction, or the sample count when none is.
+def _first_hits(group, j, seeds, dirs, offsets_grid, step):
+    """Index of the first marched sample inside shape j[i] of the group
+    from seeds[i], per direction, or the sample count when none is.
 
     Sample i of a ray lies at t = (i + 1) * step.  Rays that miss the
     shape's bounding circle (grown by one step) test nothing.  On the others
     every sample before the ray's entry into the shape (`_spans`) tests
     outside, and so does every sample past its exit; from the entry on,
     samples are tested up to the first one that surely tests inside.  That
-    is one or two samples unless the ray grazes an edge.  `shape.contains`
-    decides every tested sample, so the result equals a march that tests
-    them all.
+    is one or two samples unless the ray grazes an edge.  The group's
+    `contains` decides every tested sample, so the result equals a march
+    that tests them all, and `along` may round as the product of any row
+    count does: MARCH_TOL absorbs it.
     """
     n_dirs, n_steps = offsets_grid.shape[:2]
-    rel = shape.center - seeds
+    rel = group.centers[j] - seeds
     along = rel @ dirs.T
     across2 = np.sum(rel * rel, axis=1)[:, None] - along ** 2
     first = np.full((len(seeds), n_dirs), n_steps)
-    k, d = np.nonzero(across2 <= (shape.size_scale + step) ** 2)
+    reach = group.size_scale[j] + step
+    k, d = np.nonzero(across2 <= (reach * reach)[:, None])
     if not len(k):
         return first
     lo, hi, sure_lo, sure_hi = (
         np.clip(t / step - 1.0, -2.0, n_steps + 1.0)
-        for t in _spans(shape, seeds[k], dirs[d], along[k, d], across2[k, d]))
+        for t in _spans(group, j[k], seeds[k], dirs[d], along[k, d],
+                        across2[k, d]))
     start = np.maximum(np.ceil(lo), 0).astype(int)
     stop = np.minimum(np.floor(hi), n_steps - 1).astype(int)
     sure = np.maximum(np.ceil(sure_lo), 0).astype(int)
     stop = np.where(sure <= np.floor(sure_hi), np.minimum(stop, sure), stop)
     n = np.maximum(stop - start + 1, 0)
     if n.sum():
-        group = np.repeat(np.arange(len(n)), n)
-        idx = start[group] + np.arange(len(group)) - (np.cumsum(n) - n)[group]
-        pts = seeds[k[group]] + offsets_grid[d[group], idx]
-        inside = shape.contains(pts)
-        group, idx = group[inside], idx[inside]
-        # Samples run outward within each group: its first inside is nearest.
-        lead = np.flatnonzero(np.diff(group, prepend=-1))
-        first[k[group[lead]], d[group[lead]]] = idx[lead]
+        ray = np.repeat(np.arange(len(n)), n)
+        idx = start[ray] + np.arange(len(ray)) - (np.cumsum(n) - n)[ray]
+        pts = seeds[k[ray]] + offsets_grid[d[ray], idx]
+        inside = group.contains(j[k[ray]], pts)
+        ray, idx = ray[inside], idx[inside]
+        # Samples run outward along each ray: its first inside is nearest.
+        lead = np.flatnonzero(np.diff(ray, prepend=-1))
+        first[k[ray[lead]], d[ray[lead]]] = idx[lead]
     return first
 
 
-def _tangent_planes(seeds, shapes, member):
+def _tangent_planes(seeds, groups, member):
     """The march of every slice over the shapes it holds: (slice, normal,
     offset) of each tangent plane, slice by slice and in each slice's order
     of planes.
 
-    member[k, j] says whether slice k marches shapes[j]; on a tie for the
-    nearest sample the lowest shape index wins.
+    member[k, j] says whether slice k marches shape j, which sits in the
+    group whose `index` holds j; on a tie for the nearest sample the lowest
+    shape index wins.  Each step is one array pass per group, over every
+    (slice, shape) pair of its kind.
     """
-    if not shapes:
+    n_shapes = member.shape[1]
+    if not n_shapes:
         return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0)
-    n_steps = int(round(MARCH_RANGE / MARCH_STEP))
-    th = 2.0 * np.pi * np.arange(N_RAYS) / N_RAYS
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    radii = MARCH_STEP * np.arange(1, n_steps + 1)
-    grid = radii[None, :, None] * dirs[:, None, :]
-    hits = np.full((len(seeds), N_RAYS, len(shapes)), n_steps)
-    for j, s in enumerate(shapes):
-        members = np.flatnonzero(member[:, j])
-        if len(members):
-            hits[members, :, j] = _first_hits(s, seeds[members], dirs, grid,
-                                              MARCH_STEP)
+    n_steps = _MARCH_GRID.shape[1]
+    hits = np.full((len(seeds), N_RAYS, n_shapes), n_steps)
+    for g in groups:
+        k, j = np.nonzero(member[:, g.index])
+        if len(k):
+            hits[k, :, g.index[j]] = _first_hits(g, j, seeds[k], _MARCH_DIRS,
+                                                 _MARCH_GRID, MARCH_STEP)
     best = hits.argmin(axis=2)
     hit = np.take_along_axis(hits, best[..., None], axis=2)[..., 0] < n_steps
     shape_of = np.where(hit, best, -1)
@@ -304,24 +326,32 @@ def _tangent_planes(seeds, shapes, member):
               & (d[None, :] < d[:, None])).any(axis=2)
     pk, pd = np.nonzero(hit & ~repeat)
     pj = shape_of[pk, pd]
+    # Each shape's group and its position there.
+    kind = np.empty(n_shapes, dtype=int)
+    slot = np.empty(n_shapes, dtype=int)
+    for i, g in enumerate(groups):
+        kind[g.index] = i
+        slot[g.index] = np.arange(len(g))
     normals = np.full((len(pk), 2), np.nan)
     offsets = np.full(len(pk), np.nan)
     made = np.zeros(len(pk), dtype=bool)
-    for j in np.unique(pj):
-        s = shapes[j]
-        sel = np.flatnonzero(pj == j)
-        q, crossed = segment_shape_intersections(
-            seeds[pk[sel]], np.broadcast_to(s.center, (len(sel), 2)), s)
-        sel = sel[crossed]
+    for i, g in enumerate(groups):
+        sel = np.flatnonzero(kind[pj] == i)
+        if not len(sel):
+            continue
+        j = slot[pj[sel]]
+        q, crossed = segment_shape_intersections(seeds[pk[sel]], g.centers[j],
+                                                 g, j)
+        sel, j = sel[crossed], j[crossed]
         normals[sel], offsets[sel] = unit_rows(*supporting_halfplanes(
-            s, q[crossed], seeds[pk[sel]]))
+            g, j, q[crossed], seeds[pk[sel]]))
         made[sel] = True
     return pk[made], normals[made], offsets[made]
 
 
-def _seeded(seeds, shapes, member):
+def _seeded(seeds, groups, member):
     """`seed_region` for every slice, slice k holding the shapes j with
-    member[k, j]: (stack, inside).
+    member[k, j], stacked in `groups`: (stack, inside).
 
     A slice whose seed lies in one of its shapes (inside[k]) is not marched
     and gets the box alone.  Each ray adds at most one plane, so a slice
@@ -330,10 +360,10 @@ def _seeded(seeds, shapes, member):
     K = len(seeds)
     r = MARCH_RANGE
     inside = np.zeros(K, dtype=bool)
-    for j, s in enumerate(shapes):
-        members = np.flatnonzero(member[:, j])
-        inside[members] |= s.contains(seeds[members])
-    pk, pn, po = _tangent_planes(seeds, shapes, member & ~inside[:, None])
+    for g in groups:
+        k, j = np.nonzero(member[:, g.index])
+        inside[k[g.contains(j, seeds[k])]] = True
+    pk, pn, po = _tangent_planes(seeds, groups, member & ~inside[:, None])
 
     counts = 4 + np.bincount(pk, minlength=K)
     width = counts.max()
@@ -445,7 +475,7 @@ def seed_region(seed, shapes):
     """
     seed = np.asarray(seed, dtype=float)
     shapes = list(shapes)
-    stack, inside = _seeded(seed[None], shapes,
+    stack, inside = _seeded(seed[None], shape_groups(shapes),
                             np.ones((1, len(shapes)), dtype=bool))
     if inside[0]:
         raise SeedInsideObstacle(f"seed {seed.tolist()} is inside a shape")
@@ -503,7 +533,7 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
     infeasible.
     """
     t_rel, seeds = volume.t_rel, volume.centers
-    stack, inside = _seeded(seeds, volume.shapes, volume.member)
+    stack, inside = _seeded(seeds, volume.groups, volume.member)
     feasible = ~inside
     if previous is not None and inside.any():
         ks = np.flatnonzero(inside)

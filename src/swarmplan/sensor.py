@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _as_point
+from .geometry import _as_point, shape_groups
 
 # The scanner: beam spacing, range cutoff and sweeps per second.  Its field
 # of view is the full circle.
@@ -26,10 +26,14 @@ def n_beams():
 
 @dataclass
 class World:
-    """Static obstacle set inside rectangular bounds (xmin, ymin, xmax, ymax)."""
+    """Static obstacle set inside rectangular bounds (xmin, ymin, xmax, ymax).
+
+    `groups` stacks the obstacles by kind once, for the scans' ray casts.
+    """
 
     obstacles: list
     bounds: tuple = (-20.0, -20.0, 20.0, 20.0)
+    groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.bounds
@@ -39,6 +43,7 @@ class World:
             cx, cy = obs.center
             if not (xmin <= cx <= xmax and ymin <= cy <= ymax):
                 raise ValueError(f"obstacle center ({cx}, {cy}) outside bounds")
+        self.groups = shape_groups(self.obstacles)
 
     def inside(self, p):
         xmin, ymin, xmax, ymax = self.bounds
@@ -72,12 +77,15 @@ class Scan:
 
 
 def _cast_all(world, origins, angles):
+    """Range of each beam from origins (1, 2) or (beams, 2): the nearest hit
+    over every obstacle, one array pass per obstacle kind."""
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     dist = np.full(len(angles), np.inf)
-    for obs in world.obstacles:
-        dist = np.minimum(dist, obs.ray_distances(origins, dirs))
-    ranges = np.where(dist <= MAX_RANGE, dist, np.nan)
-    return ranges
+    for g in world.groups:
+        every = np.arange(len(g))[:, None]
+        dist = np.minimum(dist,
+                          g.ray_distances(every, origins, dirs).min(axis=0))
+    return np.where(dist <= MAX_RANGE, dist, np.nan)
 
 
 def simulate_scan(world, position, heading, stamp):

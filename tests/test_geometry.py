@@ -11,7 +11,8 @@ import pytest
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, Halfplane,
                                 ConvexPolytope, axis_rectangle,
                                 circle_from_three_points, footprint_from_size,
-                                segment_shape_intersections, supporting_halfplanes)
+                                segment_shape_intersections, shape_groups,
+                                supporting_halfplanes)
 
 
 def boundary_samples(shape, n):
@@ -35,6 +36,18 @@ def ray_cast(origin, angle, shape, max_range):
     u = np.array([np.cos(angle), np.sin(angle)])
     t = float(shape.ray_distances(np.asarray(origin, float)[None], u[None])[0])
     return t if np.isfinite(t) and t <= max_range else None
+
+
+def crossings(a, b, shape):
+    """`segment_shape_intersections` with the shape as a group of one."""
+    group, = shape_groups([shape])
+    return segment_shape_intersections(a, b, group, np.zeros(len(a), dtype=int))
+
+
+def tangents(shape, q, e):
+    """`supporting_halfplanes` with the shape as a group of one."""
+    group, = shape_groups([shape])
+    return supporting_halfplanes(group, np.zeros(len(q), dtype=int), q, e)
 
 
 def unit_square():
@@ -174,21 +187,21 @@ class TestRayCast:
 class TestSegmentIntersection:
     def test_crossing(self):
         c = Circle([0, 0], 1.0)
-        p, crossed = segment_shape_intersections(
+        p, crossed = crossings(
             np.array([[-3.0, 0.0]]), np.array([[0.0, 0.0]]), c)
         assert crossed[0]
         assert np.allclose(p[0], [-1, 0], atol=1e-12)
 
     def test_no_crossing(self):
         c = Circle([0, 0], 1.0)
-        _, crossed = segment_shape_intersections(
+        _, crossed = crossings(
             np.array([[-3.0, 5.0], [-3.0, 0.0]]),
             np.array([[3.0, 5.0], [-2.5, 0.0]]), c)
         assert not crossed.any()
 
     def test_nearest_crossing_chosen(self):
         s = unit_square()
-        p, crossed = segment_shape_intersections(
+        p, crossed = crossings(
             np.array([[-1.0, 0.5]]), np.array([[3.0, 0.5]]), s)
         assert crossed[0]
         assert np.allclose(p[0], [0, 0.5], atol=1e-10)
@@ -197,7 +210,7 @@ class TestSegmentIntersection:
 class TestSupportingHalfplane:
     def test_circle_tangent(self):
         c = Circle([0, 0], 1.0)
-        normals, offsets = supporting_halfplanes(
+        normals, offsets = tangents(
             c, np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]))
         hp = Halfplane(normals[0], offsets[0])
         # Tangent x = 1 keeping the exterior point.
@@ -209,7 +222,7 @@ class TestSupportingHalfplane:
 
     def test_polygon_edge(self):
         s = unit_square()
-        normals, offsets = supporting_halfplanes(
+        normals, offsets = tangents(
             s, np.array([[0.0, 0.5]]), np.array([[-2.0, 0.5]]))
         hp = Halfplane(normals[0], offsets[0])
         assert hp.contains([-2, 0.5])
@@ -223,10 +236,10 @@ class TestSupportingHalfplane:
             e = rng.uniform(-8, 8, size=2)
             if shape.distance(e) < 0.05:
                 continue
-            q, crossed = segment_shape_intersections(
+            q, crossed = crossings(
                 e[None], np.asarray(shape.center, float)[None], shape)
             assert crossed[0]
-            normals, offsets = supporting_halfplanes(shape, q, e[None])
+            normals, offsets = tangents(shape, q, e[None])
             hp = Halfplane(normals[0], offsets[0])
             assert hp.contains(e, tol=1e-7)
             for p in boundary_samples(shape, 512):
@@ -235,7 +248,34 @@ class TestSupportingHalfplane:
     def test_rejects_off_boundary_point(self):
         c = Circle([0, 0], 1.0)
         with pytest.raises(ValueError):
-            supporting_halfplanes(c, np.array([[0.5, 0.0]]), np.array([[3.0, 0.0]]))
+            tangents(c, np.array([[0.5, 0.0]]), np.array([[3.0, 0.0]]))
+        with pytest.raises(ValueError, match="not on the shape boundary"):
+            tangents(unit_square(), np.array([[0.5, 0.5]]),
+                     np.array([[-2.0, 0.5]]))
+
+    def test_rejects_covered_exterior_point(self):
+        for shape, q, e in ((Circle([0, 0], 1.0), [1.0, 0.0], [0.5, 0.0]),
+                            (unit_square(), [0.0, 0.5], [0.5, 0.5]),
+                            (unit_square(), [0.0, 0.5], [1.0, 0.5])):
+            with pytest.raises(ValueError, match="not strictly outside"):
+                tangents(shape, np.array([q]), np.array([e]))
+
+    def test_rejects_exterior_point_behind_the_tangent(self):
+        for shape, q, e in ((Circle([0, 0], 1.0), [1.0, 0.0], [-3.0, 0.0]),
+                            (unit_square(), [0.0, 0.5], [2.0, 0.5])):
+            with pytest.raises(ValueError, match="outward side"):
+                tangents(shape, np.array([q]), np.array([e]))
+
+    def test_one_bad_row_fails_the_group(self):
+        # The checks cover every row of a group at once.
+        group, = shape_groups([Circle([0, 0], 1.0), Circle([5, 0], 1.0)])
+        q = np.array([[1.0, 0.0], [5.5, 0.0]])
+        e = np.array([[3.0, 0.0], [8.0, 0.0]])
+        with pytest.raises(ValueError, match="not on the shape boundary"):
+            supporting_halfplanes(group, np.array([0, 1]), q, e)
+        normals, _ = supporting_halfplanes(group, np.array([0, 0]),
+                                           q[[0, 0]], e[[0, 0]])
+        assert np.array_equal(normals, [[-1.0, 0.0], [-1.0, 0.0]])
 
 
 class TestPolytope:

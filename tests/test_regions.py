@@ -6,13 +6,17 @@ from numpy.polynomial import polynomial as P
 from scipy.optimize import linprog
 
 from swarmplan import regions
-from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolytope,
-                                Halfplane, Square, Triangle, axis_rectangle,
-                                footprint_from_size, oriented_rectangle)
+from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolygonShape,
+                                ConvexPolytope, Halfplane, Square, Triangle,
+                                axis_rectangle, footprint_from_size,
+                                oriented_rectangle,
+                                segment_shape_intersections, shape_groups,
+                                supporting_halfplanes, unit_rows)
 from swarmplan.perception import MovingVolume
 from swarmplan.prediction import PeerState, PeerTrack
 from swarmplan.regions import (PlaneStack, SeedInsideObstacle,
-                               _first_hits, build_safe_regions,
+                               _first_hits, _tangent_planes,
+                               build_safe_regions,
                                contract_for_peer, deflate_for_ego,
                                region_is_empty, seed_region)
 
@@ -850,15 +854,17 @@ class TestOnePassParity:
 
 
 class TestMarchWindow:
-    """`_first_hits` tests only the samples at each ray's entry into a
-    shape; a march that tests every sample must agree where the entry is
-    hardest to place."""
+    """`_first_hits`, on each shape as a group of one, tests only the
+    samples at each ray's entry into a shape; a march that tests every
+    sample must agree where the entry is hardest to place."""
 
     def assert_matches(self, shape, seeds):
         """Compare with the full march; returns how many rays hit."""
         dirs, grid = march_grid()
         seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        got = _first_hits(shape, seeds, dirs, grid, regions.MARCH_STEP)
+        group, = shape_groups([shape])
+        got = _first_hits(group, np.zeros(len(seeds), dtype=int), seeds,
+                          dirs, grid, regions.MARCH_STEP)
         want = np.array([oracle_first_hits(p, shape) for p in seeds])
         assert np.array_equal(got, want), shape
         return int(np.sum(want < grid.shape[1]))
@@ -954,6 +960,209 @@ class TestMarchWindow:
                 for gap in (0.0, 1e-12, 0.5 * step, step - 1e-12, step):
                     hits += self.assert_matches(shape, b + gap * out)
         assert hits > 1000
+
+
+def own_crossings(a, b, shape):
+    """`segment_shape_intersections` on one shape's own `ray_distances`."""
+    d = b - a
+    length = np.sqrt(np.vecdot(d, d))
+    u = d / length[:, None]
+    t = shape.ray_distances(a, u)
+    crossed = (length >= 1e-12) & np.isfinite(t) & (t <= length + BOUNDARY_TOL)
+    return a + np.minimum(t, length)[:, None] * u, crossed
+
+
+def own_tangents(shape, q, e):
+    """`supporting_halfplanes` as it ran on one shape at a time, from the
+    shape's own corners and `contains`."""
+    if isinstance(shape, Circle):
+        v = q - shape.center
+        r_q = np.sqrt(np.vecdot(v, v))
+        w = e - shape.center
+        off_boundary = np.abs(r_q - shape.radius) > BOUNDARY_TOL
+        covered = np.sqrt(np.vecdot(w, w)) - shape.radius <= 0.0
+        n_out = v / r_q[:, None]
+    else:
+        a = shape.corners
+        edge = np.roll(a, -1, axis=0) - a
+
+        def edge_dists(pts):
+            t = np.clip(np.sum((pts[:, None, :] - a) * edge, axis=-1)
+                        / np.sum(edge * edge, axis=1), 0.0, 1.0)
+            return np.linalg.norm(pts[:, None, :] - (a + t[..., None] * edge),
+                                  axis=-1)
+        dists = edge_dists(q)
+        off_boundary = dists.min(axis=1) > BOUNDARY_TOL
+        covered = shape.contains(e) | (edge_dists(e).min(axis=1) <= 0.0)
+        on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)
+        normals = shape.edge_normals()
+        fit = np.where(on_edges, np.vecdot(normals, (e - q)[:, None, :]), -np.inf)
+        n_out = normals[np.argmax(fit, axis=1)]
+    if off_boundary.any() or covered.any():
+        raise ValueError("bad tangent input")
+    normals = -n_out
+    offsets = np.vecdot(normals, q)
+    unit, unit_offsets = unit_rows(normals, offsets)
+    if np.any(np.vecdot(unit, e) > unit_offsets + BOUNDARY_TOL):
+        raise ValueError("bad tangent input")
+    return normals, offsets
+
+
+def shape_by_shape_tangent_planes(seeds, shapes, member):
+    """The march as it ran before the groups: every step once per shape,
+    each shape a group of one."""
+    if not shapes:
+        return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0)
+    dirs, grid = march_grid()
+    n_steps = grid.shape[1]
+    hits = np.full((len(seeds), regions.N_RAYS, len(shapes)), n_steps)
+    for j, s in enumerate(shapes):
+        members = np.flatnonzero(member[:, j])
+        if len(members):
+            g, = shape_groups([s])
+            hits[members, :, j] = _first_hits(
+                g, np.zeros(len(members), dtype=int), seeds[members], dirs,
+                grid, regions.MARCH_STEP)
+    best = hits.argmin(axis=2)
+    hit = np.take_along_axis(hits, best[..., None], axis=2)[..., 0] < n_steps
+    shape_of = np.where(hit, best, -1)
+    d = np.arange(regions.N_RAYS)
+    repeat = ((shape_of[:, :, None] == shape_of[:, None, :])
+              & (d[None, :] < d[:, None])).any(axis=2)
+    pk, pd = np.nonzero(hit & ~repeat)
+    pj = shape_of[pk, pd]
+    normals = np.full((len(pk), 2), np.nan)
+    offsets = np.full(len(pk), np.nan)
+    made = np.zeros(len(pk), dtype=bool)
+    for j in np.unique(pj):
+        s = shapes[j]
+        sel = np.flatnonzero(pj == j)
+        q, crossed = own_crossings(
+            seeds[pk[sel]], np.broadcast_to(s.center, (len(sel), 2)), s)
+        sel = sel[crossed]
+        normals[sel], offsets[sel] = unit_rows(*own_tangents(
+            s, q[crossed], seeds[pk[sel]]))
+        made[sel] = True
+    return pk[made], normals[made], offsets[made]
+
+
+def random_mixed_shapes(rng, n):
+    """n shapes around the origin: circles, triangles, squares, thin walls
+    and pentagons, in random order."""
+    shapes = []
+    for _ in range(n):
+        c = rng.uniform(-4.0, 4.0, size=2)
+        kind = rng.integers(5)
+        if kind == 0:
+            shapes.append(Circle(c, float(rng.uniform(0.1, 1.5))))
+        elif kind == 1:
+            shapes.append(Triangle(c + rng.uniform(-1.0, 1.0, size=(3, 2))))
+        elif kind == 2:
+            shapes.append(axis_square(c, float(rng.uniform(0.2, 2.0))))
+        elif kind == 3:
+            th = rng.uniform(0, np.pi)
+            shapes.append(oriented_rectangle(c, [np.cos(th), np.sin(th)],
+                                             float(rng.uniform(0.5, 4.0)), 0.1))
+        else:
+            th = np.sort(rng.uniform(0, 2 * np.pi, size=5))
+            r = float(rng.uniform(0.3, 1.5))
+            shapes.append(ConvexPolygonShape(
+                c + r * np.stack([np.cos(th), np.sin(th)], axis=1)))
+    return shapes
+
+
+class TestGroupedKernels:
+    """Every grouped kernel gives each shape its own result, bit for bit,
+    whatever the other shapes of its group."""
+
+    def groups(self, rng):
+        for trial in range(40):
+            # Small lists make groups of one.
+            n = int(rng.integers(1, 4 if trial % 2 else 12))
+            shapes = random_mixed_shapes(rng, n)
+            groups = shape_groups(shapes)
+            assert sorted(np.concatenate([g.index for g in groups])) == list(range(n))
+            yield shapes, groups
+
+    def test_contains_and_crossings(self):
+        rng = np.random.default_rng(61)
+        crossed_rows = 0
+        for shapes, groups in self.groups(rng):
+            for g in groups:
+                j = rng.integers(len(g), size=200)
+                pts = g.centers[j] + rng.uniform(-3.0, 3.0, size=(200, 2))
+                own = [shapes[i] for i in g.index[j]]
+                assert np.array_equal(g.contains(j, pts), [
+                    s.contains(p) for s, p in zip(own, pts)])
+                q, crossed = segment_shape_intersections(pts, g.centers[j], g, j)
+                for i, s in enumerate(own):
+                    want_q, want_c = own_crossings(pts[i:i + 1],
+                                                   s.center[None], s)
+                    assert crossed[i] == want_c[0]
+                    if crossed[i]:
+                        assert np.array_equal(q[i], want_q[0])
+                crossed_rows += int(crossed.sum())
+        assert crossed_rows > 2000
+
+    def test_supporting_planes(self):
+        rng = np.random.default_rng(62)
+        planes = 0
+        for shapes, groups in self.groups(rng):
+            for g in groups:
+                j = rng.integers(len(g), size=100)
+                e = g.centers[j] + rng.uniform(-4.0, 4.0, size=(100, 2))
+                q, crossed = segment_shape_intersections(e, g.centers[j], g, j)
+                keep = crossed & ~g.contains(j, e)
+                j, q, e = j[keep], q[keep], e[keep]
+                normals, offsets = supporting_halfplanes(g, j, q, e)
+                for i in range(len(j)):
+                    n, o = own_tangents(shapes[g.index[j[i]]], q[i:i + 1],
+                                        e[i:i + 1])
+                    assert np.array_equal(normals[i], n[0])
+                    assert offsets[i] == o[0]
+                planes += len(j)
+        assert planes > 1000
+
+    def test_first_hits(self):
+        rng = np.random.default_rng(63)
+        dirs, grid = march_grid()
+        hits = 0
+        for shapes, groups in self.groups(rng):
+            for g in groups:
+                j = rng.integers(len(g), size=12)
+                seeds = g.centers[j] + rng.uniform(-5.0, 5.0, size=(12, 2))
+                out = ~g.contains(j, seeds)
+                j, seeds = j[out], seeds[out]
+                got = _first_hits(g, j, seeds, dirs, grid, regions.MARCH_STEP)
+                want = np.array([oracle_first_hits(p, shapes[g.index[i]])
+                                 for p, i in zip(seeds, j)]).reshape(got.shape)
+                assert np.array_equal(got, want)
+                hits += int(np.sum(want < grid.shape[1]))
+        assert hits > 500
+
+    def test_tangent_planes_match_the_shape_by_shape_march(self):
+        rng = np.random.default_rng(64)
+        planes = 0
+        for trial in range(60):
+            volume = random_volume(rng, int(rng.integers(1, 12)), inside_frac=0.3)
+            seeds, shapes = volume.centers, volume.shapes
+            member = volume.member.copy()
+            if trial % 3 == 0:
+                # Shapes held by a single slice.
+                member &= np.arange(len(seeds))[:, None] == rng.integers(
+                    len(seeds), size=len(shapes))
+            inside = np.array([any(s.contains(p)
+                                   for s, m in zip(shapes, row) if m)
+                               for p, row in zip(seeds, member)])
+            _, got_inside = regions._seeded(seeds, volume.groups, member)
+            assert np.array_equal(got_inside, inside)
+            marched = member & ~inside[:, None]
+            got = _tangent_planes(seeds, volume.groups, marched)
+            want = shape_by_shape_tangent_planes(seeds, shapes, marched)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            planes += len(got[0])
+        assert planes > 300
 
 
 class TestEmptinessAgainstLP:

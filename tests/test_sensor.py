@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from swarmplan import sensor
-from swarmplan.geometry import Circle, Square, axis_rectangle
+from swarmplan.geometry import (Circle, Square, Triangle, axis_rectangle,
+                                oriented_rectangle)
 from swarmplan.sensor import (World, n_beams, scan_point_position,
                               simulate_scan, simulate_swept_scan)
 
@@ -71,6 +72,34 @@ class TestSimulateScan:
                 assert scan.ranges[k] == pytest.approx(min(hits), abs=1e-9)
             else:
                 assert np.isnan(scan.ranges[k])
+
+    def test_kind_groups_equal_each_obstacle(self):
+        # Several obstacles of each kind, cast in one pass per kind: every
+        # beam is the least of the obstacles' own ray casts, bit for bit.
+        rng = np.random.default_rng(4)
+        obstacles = []
+        for _ in range(12):
+            c = rng.uniform(-5.0, 5.0, size=2)
+            kind = rng.integers(3)
+            if kind == 0:
+                obstacles.append(Circle(c, float(rng.uniform(0.2, 1.0))))
+            elif kind == 1:
+                obstacles.append(Triangle(c + rng.uniform(-1.0, 1.0, size=(3, 2))))
+            else:
+                th = rng.uniform(0, np.pi)
+                obstacles.append(oriented_rectangle(
+                    c, [np.cos(th), np.sin(th)], float(rng.uniform(0.3, 2.0)), 0.1))
+        world = World(obstacles=obstacles, bounds=(-10, -10, 10, 10))
+        assert len(world.groups) == 3
+        angles = 0.2 + sensor.ANGULAR_RESOLUTION * np.arange(n_beams())
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        poses = rng.uniform(-6.0, 6.0, size=(n_beams(), 2))
+        for scan, origins in ((simulate_scan(world, poses[0], 0.2, 0.0), poses[:1]),
+                              (simulate_swept_scan(world, poses, 0.2, 0.0), poses)):
+            own = np.min([o.ray_distances(origins, dirs) for o in obstacles], axis=0)
+            want = np.where(own <= sensor.MAX_RANGE, own, np.nan)
+            assert np.array_equal(scan.ranges, want, equal_nan=True)
+            assert np.isfinite(want).sum() > 100
 
     def test_pose_outside_world_rejected(self):
         with pytest.raises(ValueError):
