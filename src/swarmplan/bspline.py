@@ -235,14 +235,18 @@ def position_map(layout, times):
 def derivative_map(layout, times, order):
     """Rows mapping control points to order-th derivatives at `times`.
 
-    One (m,) row for a float time, (len(times), m) for an array of times.
+    One (m,) row for a float time, (len(times), m) for a 1-D array of times.
     """
     if order > layout.degree:
         return np.zeros(np.shape(times) + (layout.m,))
     idx, w = _active_basis(layout.degree, layout.t0, layout.dt, layout.m,
                            times, order)
     rows = np.zeros(idx.shape[:-1] + (layout.m - order,))
-    np.put_along_axis(rows, idx, w, axis=-1)
+    # A row's active basis is the consecutive run idx[..., 0] ... idx[..., -1].
+    if idx.ndim == 1:
+        rows[idx[0]:idx[-1] + 1] = w
+    else:
+        rows[np.arange(len(idx))[:, None], idx] = w
     return rows @ difference_matrix(layout.m, layout.dt, order)
 
 

@@ -14,10 +14,22 @@ one corner count, into a `CircleGroup` (centers (S, 2), radii (S,)) or a
 `PolygonGroup` (corners and edges (S, k, 2)).  A group method takes an index
 array j into the group and points whose leading axes broadcast against it,
 and answers for shape j[i] at point i: the seed march and the LiDAR test
-every shape of a kind in one array pass.  Each kind has one kernel, which
-the shape's own method runs on its own parameters, so a group gives each
-shape's own result bit for bit.  `segment_shape_intersections` and
-`supporting_halfplanes` take a group and such an index.
+every shape of a kind in one array pass.  `distance_gradient(pts)` instead
+answers for every shape of the group at every point, (S, n) and (S, n, 2):
+the obstacle cost expands all admitted shapes of a kind in one pass.  Each
+kind has one kernel per question, which the shape's own method runs on its
+own parameters, so a group gives each shape's own result bit for bit.
+`segment_shape_intersections` and `supporting_halfplanes` take a group and
+such an index.
+
+The nearest-point kernels (`_edge_projections`, `_disk_distance_gradient`,
+`_polygon_distance_gradient`) and `_polygon_contains` work on x and y
+components: a dot is `rx*ex + ry*ey` and a length `np.sqrt(dx*dx + dy*dy)`,
+never a reduction over a length-2 axis, whose per-call overhead would
+dominate at these sizes.  They round as np.sum and np.linalg.norm over that
+axis did, since both add the two products in the same order.  The unit
+gradient is written with np.where, dividing zero lengths under np.errstate
+and discarding them, rather than scattered through a mask.
 """
 
 import numpy as np
@@ -37,15 +49,15 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _outward(v, length, dist, outside):
+def _outward(vx, vy, length, dist, outside):
     """(d, u) of a nearest-point query: `dist` and the unit gradient
-    v / length where `outside` holds and length > 1e-12, else zeros."""
-    mask = outside & (length > 1e-12)
-    d = np.zeros(len(v))
-    u = np.zeros_like(v)
-    d[mask] = dist[mask]
-    u[mask] = v[mask] / length[mask, None]
-    return d, u
+    (vx, vy) / length where `outside` holds and length > 1e-12, else zeros.
+    Zero lengths are divided through and discarded by the where."""
+    ok = outside & (length > 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = np.where(ok, vx / length, 0.0)
+        uy = np.where(ok, vy / length, 0.0)
+    return np.where(ok, dist, 0.0), np.stack([ux, uy], axis=-1)
 
 
 # --- kernels: stacked parameters broadcast against the points ----------------
@@ -74,7 +86,8 @@ def _disk_ray_distances(centers, squares, origins, dirs):
 
 def _polygon_contains(corners, edges, p, tol):
     """Whether p lies on the inner side of every edge (..., k, 2)."""
-    g = _cross(edges, p[..., None, :] - corners)
+    g = (edges[..., 0] * (p[..., None, 1] - corners[..., 1])
+         - edges[..., 1] * (p[..., None, 0] - corners[..., 0]))
     bound = -tol * np.linalg.norm(edges, axis=-1) if tol else 0.0
     return np.all(g >= bound, axis=-1)
 
@@ -95,12 +108,37 @@ def _polygon_ray_distances(corners, edges, origins, dirs):
 
 
 def _edge_projections(corners, edges, pts):
-    """Nearest point of each edge segment to each point, and its distance:
-    (..., k, 2) and (..., k)."""
-    t = np.clip(np.sum((pts[..., None, :] - corners) * edges, axis=-1)
-                / np.sum(edges * edges, axis=-1), 0.0, 1.0)
-    proj = corners + t[..., None] * edges
-    return proj, np.linalg.norm(pts[..., None, :] - proj, axis=-1)
+    """Offset of each point from the nearest point of each edge segment
+    (..., k, 2), and its length: dx, dy and dist, each (..., k)."""
+    ax, ay = corners[..., 0], corners[..., 1]
+    ex, ey = edges[..., 0], edges[..., 1]
+    px, py = pts[..., None, 0], pts[..., None, 1]
+    t = np.clip(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey),
+                0.0, 1.0)
+    dx = px - (ax + t * ex)
+    dy = py - (ay + t * ey)
+    return dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
+def _disk_distance_gradient(centers, radii, pts):
+    """Distance from each point to the disk and its unit gradient; points
+    inside get distance 0 and a zero gradient."""
+    vx = pts[..., 0] - centers[..., 0]
+    vy = pts[..., 1] - centers[..., 1]
+    ell = np.sqrt(vx * vx + vy * vy)
+    return _outward(vx, vy, ell, ell - radii, ell > radii)
+
+
+def _polygon_distance_gradient(corners, edges, pts):
+    """Distance from each point to the polygon (..., k, 2) and its unit
+    gradient, along the offset from the nearest edge (the first of equally
+    near ones); points inside get distance 0 and a zero gradient."""
+    dx, dy, dist = _edge_projections(corners, edges, pts)
+    best = np.argmin(dist, axis=-1)[None, ..., None]
+    vx, vy, dv = np.take_along_axis(np.stack([dx, dy, dist]), best,
+                                    axis=-1)[..., 0]
+    return _outward(vx, vy, dv, dv,
+                    ~_polygon_contains(corners, edges, pts, 0.0))
 
 
 def _edge_normals(edges):
@@ -141,9 +179,7 @@ class Circle:
     def distance_gradient(self, pts):
         """Distance from each point (n, 2) to the disk and its unit gradient;
         points inside get distance 0 and a zero gradient."""
-        v = pts - self.center
-        ell = np.linalg.norm(v, axis=1)
-        return _outward(v, ell, ell - self.radius, ell > self.radius)
+        return _disk_distance_gradient(self.center, self.radius, pts)
 
     def ray_distances(self, origins, dirs):
         """First-hit distances for rays origin + t*dir, t > 0; inf on miss.
@@ -196,16 +232,12 @@ class ConvexPolygonShape:
         if self.contains(p):
             return 0.0
         return float(np.min(_edge_projections(self.corners, self.edges,
-                                              p[None])[1]))
+                                              p)[2]))
 
     def distance_gradient(self, pts):
         """Distance from each point (n, 2) to the polygon and its unit
         gradient; points inside get distance 0 and a zero gradient."""
-        proj, dist = _edge_projections(self.corners, self.edges, pts)
-        rows = np.arange(len(pts))
-        best = np.argmin(dist, axis=1)
-        dv = dist[rows, best]
-        return _outward(pts - proj[rows, best], dv, dv, ~self.contains(pts))
+        return _polygon_distance_gradient(self.corners, self.edges, pts)
 
     def ray_distances(self, origins, dirs):
         """First-hit distances against all edges; inf on miss.
@@ -292,6 +324,11 @@ class CircleGroup:
         return _disk_ray_distances(self.centers[j], self._squares[j],
                                    origins, dirs)
 
+    def distance_gradient(self, pts):
+        """Every circle's (d, u) at every point (n, 2): (S, n) and (S, n, 2)."""
+        return _disk_distance_gradient(self.centers[:, None],
+                                       self.radii[:, None], pts)
+
 
 class PolygonGroup:
     """Polygons of one corner count k stacked for one array pass: corners
@@ -316,6 +353,11 @@ class PolygonGroup:
     def ray_distances(self, j, origins, dirs):
         return _polygon_ray_distances(self.corners[j], self.edges[j],
                                       origins, dirs)
+
+    def distance_gradient(self, pts):
+        """Every polygon's (d, u) at every point (n, 2): (S, n) and (S, n, 2)."""
+        return _polygon_distance_gradient(self.corners[:, None],
+                                          self.edges[:, None], pts)
 
 
 def shape_groups(shapes):
@@ -478,10 +520,10 @@ def supporting_halfplanes(group, j, boundary_points, exterior_points):
         n_out = v / r_q[:, None]
     else:
         corners, edges = group.corners[j], group.edges[j]
-        dists = _edge_projections(corners, edges, q)[1]
+        dists = _edge_projections(corners, edges, q)[2]
         off_boundary = dists.min(axis=1) > BOUNDARY_TOL
         covered = (group.contains(j, e)
-                   | (_edge_projections(corners, edges, e)[1].min(axis=1)
+                   | (_edge_projections(corners, edges, e)[2].min(axis=1)
                       <= 0.0))
         # At a vertex two edges qualify; pick the one whose outward side best
         # contains the exterior point.

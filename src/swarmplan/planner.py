@@ -24,6 +24,7 @@ import numpy as np
 from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
                       derivative_map, interval_quadrature, plan_knot_layout,
                       position_map)
+from .geometry import shape_groups
 from .qp import QPProblem, solve_qp
 
 HORIZON = 4.0           # planning horizon, seconds
@@ -58,7 +59,9 @@ class PlanRequest:
     initial_state stacks derivative orders 0..n-1 at t_now; limits maps a
     derivative order to per-axis (lo, hi) bounds; waypoint and goal
     times are absolute.  goal_time None means no goal pin: only the horizon
-    end is pulled to the goal.  regions may be None in open space.
+    end is pulled to the goal.  regions may be None in open space.  The
+    limits are checked (lo < hi) and turned into limit_b once, here, not on
+    every pass of the fallback ladder.
     """
 
     t_now: float
@@ -72,6 +75,10 @@ class PlanRequest:
     limits: dict = field(default_factory=dict)        # order -> (lo, hi)
     end_velocity: np.ndarray = None                   # velocity pinned at goal_time
 
+    # Each limited order's right-hand sides hi_x, -lo_x, hi_y, -lo_y, the
+    # pattern of its four box rows, in order of the derivative order.
+    limit_b: dict = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         self.initial_state = np.atleast_2d(np.asarray(self.initial_state, float))
         self.goal = np.asarray(self.goal, dtype=float)
@@ -82,6 +89,13 @@ class PlanRequest:
             self.end_velocity = np.asarray(self.end_velocity, dtype=float)
             if self.goal_time is None:
                 raise ValueError("end_velocity needs a goal_time to pin it at")
+        self.limit_b = {}
+        for order, (lo, hi) in sorted(self.limits.items()):
+            lo = np.asarray(lo, dtype=float)
+            hi = np.asarray(hi, dtype=float)
+            if np.any(lo >= hi):
+                raise ValueError(f"limits for order {order} must satisfy lo < hi")
+            self.limit_b[order] = np.stack([hi[:2], -lo[:2]], axis=1).ravel()
 
     @property
     def order(self):
@@ -125,7 +139,9 @@ def _quadrature(traj, span):
 
 
 def _kernel_models(d, u):
-    """Value, gradient, and Gauss-Newton Hessian fpp·uu' of the kernel.
+    """Value, gradient, and Gauss-Newton Hessian fpp·uu' of the kernel at
+    distances d (...) with unit gradients u (..., 2): (...), (..., 2) and
+    (..., 2, 2).
 
     The kernel's full Hessian adds fp·Hd, where fp < 0 and the distance
     Hessian Hd is PSD with u in its null space; fpp·uu' is its PSD part.
@@ -134,8 +150,8 @@ def _kernel_models(d, u):
     act = d > DISTANCE_FLOOR
     fp = np.where(act, -K_P * f, 0.0)
     fpp = np.where(act, K_P * K_P * f, 0.0)
-    g = fp[:, None] * u
-    H = fpp[:, None, None] * (u[:, :, None] * u[:, None, :])
+    g = fp[..., None] * u
+    H = fpp[..., None, None] * (u[..., :, None] * u[..., None, :])
     return f, g, H
 
 
@@ -158,28 +174,40 @@ def quadratize_collision(previous, obstacles, span):
     value, gradient and Gauss-Newton Hessian fpp·uu' (the PSD part of the
     exact Hessian), summed over the obstacles and projected once into the
     stacked control-point space [Px; Py] of the previous trajectory's own
-    knot layout.  Returns (H, F, c0) with
-    cost(P) ~= 1/2 P'HP + F'P + c0; at P = previous control points this
-    reproduces the sum of collision_cost_closed_form over the obstacles.
+    knot layout.  The expansion is one array pass per shape kind
+    (`geometry.shape_groups`) over every obstacle of the kind and every
+    node; the sums then run from zeros in the obstacles' given order, so
+    each obstacle's terms are added as a loop over the list adds them.
+    Returns (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P + c0; at P = previous
+    control points this reproduces the sum of collision_cost_closed_form
+    over the obstacles.
     """
     ts, ws = _quadrature(previous, span)
     A = position_map(previous, ts)
     pts = A @ previous.control
+    models = [None] * len(obstacles)
+    for group in shape_groups(obstacles):
+        f_s, g_s, H_s = _kernel_models(*group.distance_gradient(pts))
+        for slot, i in enumerate(group.index):
+            models[i] = f_s[slot], g_s[slot], H_s[slot]
     f = np.zeros(len(ts))
     g = np.zeros((len(ts), 2))
     Hn = np.zeros((len(ts), 2, 2))
-    for obs in obstacles:
-        f_o, g_o, H_o = _kernel_models(*obs.distance_gradient(pts))
+    for f_o, g_o, H_o in models:
         f += f_o
         g += g_o
         Hn += H_o
-    Hxx, Hxy, Hyy = (A.T @ ((ws * h)[:, None] * A)
-                     for h in (Hn[:, 0, 0], Hn[:, 0, 1], Hn[:, 1, 1]))
+    m = previous.m
+    H = np.empty((2 * m, 2 * m))
+    H[:m, :m], H[:m, m:], H[m:, m:] = (
+        A.T @ ((ws * h)[:, None] * A)
+        for h in (Hn[:, 0, 0], Hn[:, 0, 1], Hn[:, 1, 1]))
+    H[m:, :m] = H[:m, m:].T
     lin = ws[:, None] * (g - np.einsum("nij,nj->ni", Hn, pts))
     F = np.concatenate([A.T @ lin[:, 0], A.T @ lin[:, 1]])
     c0 = float(ws @ (f - np.einsum("ni,ni->n", g, pts)
                      + 0.5 * np.einsum("ni,nij,nj->n", pts, Hn, pts)))
-    return np.block([[Hxx, Hxy], [Hxy.T, Hyy]]), F, c0
+    return H, F, c0
 
 
 def end_cost(goal, row, q_final):
@@ -337,7 +365,8 @@ def _control_point_rows(m, dt, order):
 
 
 def _limit_rows(req, layout, sampled):
-    """Derivative box-limit rows (A, b) of req.limits, A x <= b.
+    """Derivative box-limit rows (A, b) of req.limits, A x <= b; none
+    without limits.
 
     Each row d of an order's derivative map gives four rows: d x <= hi,
     -d x <= -lo, d y <= hi, -d y <= -lo.  The control-point rows
@@ -349,12 +378,10 @@ def _limit_rows(req, layout, sampled):
     lands on a constrained instant no matter when the cycle started.
     """
     m = layout.m
-    A, b = [np.zeros((0, 2 * m))], [np.zeros(0)]
-    for order, (lo, hi) in sorted(req.limits.items()):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if np.any(lo >= hi):
-            raise ValueError(f"limits for order {order} must satisfy lo < hi")
+    if not req.limit_b:
+        return np.zeros((0, 2 * m)), np.zeros(0)
+    A, b = [], []
+    for order, pattern in req.limit_b.items():
         if sampled:
             h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
             first = math.ceil(layout.t_start / h - 1e-9)
@@ -364,8 +391,7 @@ def _limit_rows(req, layout, sampled):
         else:
             rows = _control_point_rows(m, layout.dt, order)
         A.append(rows)
-        b.append(np.tile(np.stack([hi[:2], -lo[:2]], axis=1).ravel(),
-                         len(rows) // 4))
+        b.append(np.tile(pattern, len(rows) // 4))
     return np.concatenate(A), np.concatenate(b)
 
 

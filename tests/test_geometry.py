@@ -465,7 +465,72 @@ class TestContains:
             assert flat.any() and not flat.all()
 
 
+def mixed_shape(rng):
+    """A circle, triangle, rectangle, square or thin wall.  Half of them sit
+    axis-aligned on the integer grid, so that grid points fall on their
+    vertices and edges and line up with them exactly."""
+    kind = rng.integers(0, 5)
+    if rng.random() < 0.5:
+        x, y = rng.integers(-3, 3, size=2).astype(float)
+        if kind == 0:
+            return Circle([x, y], rng.choice([0.5, 1.0]))
+        if kind == 1:
+            return Triangle([[x, y], [x + 2, y], [x, y + 1]])
+        if kind == 2:
+            return axis_rectangle(x, y, x + 2, y + 1)
+        if kind == 3:
+            return Square([[x, y], [x + 1, y], [x + 1, y + 1], [x, y + 1]])
+        return axis_rectangle(x, y, x + 3, y + 0.125)
+    if kind == 4:
+        th = rng.uniform(0, 2 * np.pi)
+        u = 1.5 * np.array([np.cos(th), np.sin(th)])
+        v = 0.05 * np.array([-u[1], u[0]])
+        c = rng.uniform(-3, 3, size=2)
+        return Rectangle([c - u - v, c + u - v, c + u + v, c - u + v])
+    return sample_shape(rng)
+
+
+def probe_points(shapes, rng):
+    """Points inside, on vertices and edges, just off the boundary, on the
+    half-meter grid (with -0.0 coordinates) and far away."""
+    axis = np.concatenate([np.arange(-4.0, 4.5, 0.5), [-0.0]])
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    parts = [grid, rng.uniform(-60, 60, size=(20, 2))]
+    for shape in shapes:
+        b = boundary_samples(shape, 16)
+        parts += [shape.center[None], b, b + rng.normal(scale=1e-9, size=b.shape),
+                  getattr(shape, "corners", b[:0])]
+    return np.concatenate(parts)
+
+
 class TestDistanceGradient:
+    def test_groups_give_each_shape_its_own_bits(self):
+        # Mixed lists of 1-11 shapes: every group slot's (d, u) is its
+        # shape's own and the old planner kernel's, signed zeros included.
+        # Points on a boundary or at a center divide by a zero length, which
+        # the kernels must keep silent.
+        rng = np.random.default_rng(89)
+        signed_zeros = 0
+        for _ in range(40):
+            shapes = [mixed_shape(rng) for _ in range(rng.integers(1, 12))]
+            pts = probe_points(shapes, rng)
+            seen = []
+            with np.errstate(divide="raise", invalid="raise"):
+                for group in shape_groups(shapes):
+                    d, u = group.distance_gradient(pts)
+                    assert d.shape == (len(group), len(pts))
+                    assert u.shape == (len(group), len(pts), 2)
+                    for slot, i in enumerate(group.index):
+                        own_d, own_u = shapes[i].distance_gradient(pts)
+                        old_d, old_u = old_distance_models(shapes[i], pts)
+                        for got, want in ((d[slot], own_d), (u[slot], own_u),
+                                          (d[slot], old_d), (u[slot], old_u)):
+                            assert got.tobytes() == want.tobytes()
+                        seen.append(i)
+                    signed_zeros += np.count_nonzero((u == 0.0) & np.signbit(u))
+            assert sorted(seen) == list(range(len(shapes)))
+        assert signed_zeros > 0
+
     def test_matches_the_old_planner_kernel(self):
         rng = np.random.default_rng(71)
         shapes = one_of_each(rng) + [sample_shape(rng) for _ in range(60)]

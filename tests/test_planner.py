@@ -8,8 +8,8 @@ import swarmplan.planner as planner
 from swarmplan.bspline import (TrajectorySpline, derivative_gram,
                                derivative_map, difference_matrix,
                                plan_knot_layout, position_map)
-from swarmplan.geometry import (Circle, ConvexPolytope, Halfplane, Square,
-                                Triangle)
+from swarmplan.geometry import (Circle, ConvexPolytope, Halfplane, Rectangle,
+                                Square, Triangle)
 from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
                                KNOT_SEGMENT, PlanRequest,
                                RELAXED_SAMPLES_PER_SEGMENT, _limit_rows,
@@ -117,7 +117,65 @@ class TestClosedForm:
         assert full == pytest.approx(2.0 / planner.K_P, rel=1e-12)
 
 
+def loop_quadratize(previous, obstacles, span):
+    """quadratize_collision as it was before the grouped pass, kept as an
+    oracle: one distance_gradient and one kernel model per obstacle, summed
+    from zeros in list order."""
+    ts, ws = planner._quadrature(previous, span)
+    A = position_map(previous, ts)
+    pts = A @ previous.control
+    f = np.zeros(len(ts))
+    g = np.zeros((len(ts), 2))
+    Hn = np.zeros((len(ts), 2, 2))
+    for obs in obstacles:
+        d, u = obs.distance_gradient(pts)
+        f_o = collision_kernel(d)
+        act = d > DISTANCE_FLOOR
+        fp = np.where(act, -planner.K_P * f_o, 0.0)
+        fpp = np.where(act, planner.K_P * planner.K_P * f_o, 0.0)
+        f += f_o
+        g += fp[:, None] * u
+        Hn += fpp[:, None, None] * (u[:, :, None] * u[:, None, :])
+    Hxx, Hxy, Hyy = (A.T @ ((ws * h)[:, None] * A)
+                     for h in (Hn[:, 0, 0], Hn[:, 0, 1], Hn[:, 1, 1]))
+    lin = ws[:, None] * (g - np.einsum("nij,nj->ni", Hn, pts))
+    F = np.concatenate([A.T @ lin[:, 0], A.T @ lin[:, 1]])
+    c0 = float(ws @ (f - np.einsum("ni,ni->n", g, pts)
+                     + 0.5 * np.einsum("ni,nij,nj->n", pts, Hn, pts)))
+    return np.block([[Hxx, Hxy], [Hxy.T, Hyy]]), F, c0
+
+
+def shape_near(rng, kind, p):
+    """A circle, triangle, rectangle or square (kind 0-3) about p."""
+    c = p + rng.normal(scale=0.3, size=2)
+    s = rng.uniform(0.15, 0.5)
+    if kind == 0:
+        return Circle(c, s)
+    if kind == 1:
+        return Triangle(c + s * np.array([[-1.0, -0.6], [1.0, -0.4], [0.1, 1.0]]))
+    if kind == 2:
+        return Rectangle(c + s * np.array([[-1, -0.4], [1, -0.4], [1, 0.4], [-1, 0.4]]))
+    return Square(c + s * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]))
+
+
 class TestQuadratize:
+    def test_grouped_pass_equals_the_obstacle_loop(self):
+        # Kinds interleaved in the list, shapes overlapping along the
+        # trajectory: H, F and c0 are the per-obstacle loop's bit for bit.
+        rng = np.random.default_rng(97)
+        for trial in range(30):
+            traj = random_trajectory(rng, scale=1.0)
+            n = 1 + trial % 11
+            kinds = rng.permutation(np.arange(n) % 4)
+            times = rng.uniform(*traj.domain, size=n)
+            shapes = [shape_near(rng, k, traj.position(t))
+                      for k, t in zip(kinds, times)]
+            got = quadratize_collision(traj, shapes, traj.domain)
+            want = loop_quadratize(traj, shapes, traj.domain)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert repr(got[2]) == repr(want[2])
+
     def setup_pair(self, seed):
         rng = np.random.default_rng(seed)
         traj = random_trajectory(rng)
@@ -520,6 +578,17 @@ class TestFallbackLadder:
                 block[:, axis * m:(axis + 1) * m] = sign * D
                 assert np.array_equal(A[k::4], block)
             assert np.array_equal(b, np.ones(4 * len(D)))
+
+    def test_limits_checked_once_at_the_request(self):
+        # An empty box fails when the request is built; without limits each
+        # pass gets no limit rows.
+        with pytest.raises(ValueError, match="lo < hi"):
+            base_request(limits={1: (np.ones(2), -np.ones(2))})
+        req = base_request(limits={})
+        layout = plan_knot_layout(0.0, HORIZON, KNOT_SEGMENT, req.order + 1)
+        for sampled in (False, True):
+            A, b = _limit_rows(req, layout, sampled)
+            assert A.shape == (0, 2 * layout.m) and b.shape == (0,)
 
     @pytest.mark.parametrize("dt, order", [(1.0, 1), (1.0, 2), (0.5, 4)])
     def test_control_point_rows_cached_read_only(self, dt, order):
