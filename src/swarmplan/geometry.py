@@ -167,8 +167,11 @@ class Circle:
         return self.radius
 
     def distance(self, p):
-        """Distance from p to the disk (0 if inside)."""
-        return max(0.0, float(np.linalg.norm(_as_point(p) - self.center)) - self.radius)
+        """Distance from the point (2,), or each point of (..., 2), to the
+        disk (0 inside): the root distance, rounded as np.linalg.norm
+        rounds it, less the radius."""
+        d = np.asarray(p, dtype=float) - self.center
+        return np.maximum(np.sqrt(np.vecdot(d, d)) - self.radius, 0.0)
 
     def contains(self, p, tol=0.0):
         """Whether the point (2,), or each point of (..., 2), lies in the
@@ -228,11 +231,11 @@ class ConvexPolygonShape:
                                  np.asarray(p, dtype=float), tol)
 
     def distance(self, p):
-        p = _as_point(p)
-        if self.contains(p):
-            return 0.0
-        return float(np.min(_edge_projections(self.corners, self.edges,
-                                              p)[2]))
+        """Distance from the point (2,), or each point of (..., 2), to the
+        polygon (0 inside): the nearest edge's."""
+        p = np.asarray(p, dtype=float)
+        near = _edge_projections(self.corners, self.edges, p)[2].min(axis=-1)
+        return np.where(self.contains(p), 0.0, near)[()]
 
     def distance_gradient(self, pts):
         """Distance from each point (n, 2) to the polygon and its unit

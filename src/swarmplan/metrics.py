@@ -113,7 +113,7 @@ def compute_motion_metrics(table, *, footprints, goals, limits, obstacles,
     for ii, a in enumerate(ids):
         r = fps[ii].size_scale
         for oi, shape in enumerate(obstacles):
-            clear = np.array([shape.distance(p) for p in pos[a]]) - r
+            clear = shape.distance(pos[a]) - r
             min_clear = min(min_clear, float(clear.min()))
             for s, e in _runs(clear <= 0.0):
                 events.append({

@@ -2,7 +2,7 @@
 
 Scans are segmented into contiguous return runs, each run is compensated for
 robot motion during the sweep, classified into a circle / square / rectangle /
-triangle, and inserted into a robot-centric map: one list of shapes, read in
+triangle, and inserted into a robot-centric map: one list of shapes, kept in
 the order of the 1 m cells their centers round to.  Overlapping observations
 of the same obstacle merge into a single grown shape, so the map stays small
 no matter how often an obstacle is seen; the cell order fixes which stored
@@ -50,43 +50,48 @@ def segment_scan(scan):
     JUMP_DISTANCE (occlusion boundaries between objects at different depths).
     Single-return runs are discarded as speckle.  Points are placed from each
     beam's own origin pose.
+
+    A sweep is a few array passes: the finite beams are put in cluster
+    order (a run that wraps the seam first), placed with one
+    `scan_point_position` call, and their gaps taken in one norm; each
+    cluster is then a slice of those arrays.
     """
     finite = np.isfinite(scan.ranges)
     if not np.any(finite):
         return []
     n = scan.n_beams
-    angles = scan.beam_angles()
-    stamps = scan.beam_stamps()
     origins = scan.origins
     if origins is None:
         raise ValueError("scan carries no origin poses")
     full_circle = abs(scan.angle_increment * n - 2.0 * np.pi) < 1e-6
 
     idx = np.flatnonzero(finite)
-    # Break runs where consecutive finite beams are not adjacent.
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    runs = np.split(idx, breaks + 1)
-    wraps = (len(runs) > 1 and idx[0] == 0 and idx[-1] == n - 1 and full_circle)
-    if wraps:
-        runs[0] = np.concatenate([runs[-1], runs[0]])
-        runs = runs[:-1]
+    # Runs start where consecutive finite beams are not adjacent.
+    starts = np.flatnonzero(np.diff(idx) > 1) + 1
+    if len(starts) and idx[0] == 0 and idx[-1] == n - 1 and full_circle:
+        # The last run continues across the seam into the first: move it
+        # to the front, where the first run's returns follow it.
+        k = starts[-1]
+        idx = np.concatenate([idx[k:], idx[:k]])
+        starts = starts[:-1] + (len(idx) - k)
+    pts = scan_point_position(scan.ranges[idx], scan.beam_angles()[idx],
+                              origins[idx])
+    stamps = scan.beam_stamps()[idx]
+    first = np.zeros(len(idx), dtype=bool)
+    first[0] = True
+    first[starts] = True
+    first[1:] |= np.linalg.norm(np.diff(pts, axis=0), axis=1) > JUMP_DISTANCE
+    bounds = np.append(np.flatnonzero(first), len(idx)).tolist()
 
     clusters = []
-    for run in runs:
-        if len(run) < 2:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo < 2:
             continue
-        pts = np.stack([scan_point_position(scan.ranges[k], angles[k], origins[k])
-                        for k in run])
-        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        pieces = np.split(np.arange(len(run)), np.flatnonzero(gaps > JUMP_DISTANCE) + 1)
-        for piece in pieces:
-            if len(piece) < 2:
-                continue
-            seam = float(np.linalg.norm(pts[piece[0]] - pts[piece[-1]]))
-            closed = full_circle and len(piece) == n and seam <= JUMP_DISTANCE
-            clusters.append(Cluster(points=pts[piece],
-                                    median_stamp=float(np.median(stamps[run][piece])),
-                                    closed=closed))
+        closed = (full_circle and hi - lo == n
+                  and float(np.linalg.norm(pts[lo] - pts[hi - 1])) <= JUMP_DISTANCE)
+        clusters.append(Cluster(points=pts[lo:hi],
+                                median_stamp=float(np.median(stamps[lo:hi])),
+                                closed=closed))
     return clusters
 
 
@@ -316,20 +321,19 @@ def classify_cluster(points, robot_position):
 
 # --- local map -------------------------------------------------------------
 
-def _bucket_key(center, origin):
-    return (int(np.floor(center[0] - origin[0] + 0.5)),
-            int(np.floor(center[1] - origin[1] + 0.5)))
-
-
 class LocalMap:
-    """Robot-centric shape store: one list, read in 1 m cell order.
+    """Robot-centric shape store: one list, kept in 1 m cell order.
 
-    `shapes()` is the list stably sorted by the cell each center rounds to
-    relative to the origin (x cell, then y cell), and a shape joins the end
-    of its cell.  That order decides which overlapping shape an insert
-    merges with first, and the moving volume and regions read the map in
-    it, so it is part of the planner's behaviour.  Recentering drops shapes
-    beyond MAP_RADIUS.
+    The list is stably sorted by the cell each center rounds to relative
+    to the origin (x cell, then y cell): recentering re-sorts it, and a
+    shape joins the end of its cell.  That order decides which overlapping
+    shape an insert merges with first, and the moving volume and regions
+    read the map in it, so it is part of the planner's behaviour.
+    Recentering drops shapes beyond MAP_RADIUS.
+
+    Distances to stored centers are taken for the whole map at once, as
+    np.sqrt(np.vecdot(d, d)), which rounds as np.linalg.norm of one (2,)
+    offset does.
     """
 
     def __init__(self, origin=(0.0, 0.0)):
@@ -340,28 +344,44 @@ class LocalMap:
         return len(self._shapes)
 
     def shapes(self):
-        return sorted(self._shapes, key=lambda s: _bucket_key(s.center, self.origin))
+        return list(self._shapes)
+
+    def _centers(self):
+        return np.array([s.center for s in self._shapes]).reshape(-1, 2)
+
+    def _cells(self, centers):
+        return np.floor(centers - self.origin + 0.5)
 
     def recenter(self, new_origin):
-        shapes = self.shapes()
         self.origin = np.asarray(new_origin, dtype=float)
-        self._shapes = [s for s in shapes
-                        if np.linalg.norm(s.center - self.origin) <= MAP_RADIUS]
+        if not self._shapes:
+            # A robot that sees nothing recenters every cycle; skip the
+            # array passes for it.
+            return
+        centers = self._centers()
+        d = centers - self.origin
+        near = np.flatnonzero(np.sqrt(np.vecdot(d, d)) <= MAP_RADIUS)
+        cells = self._cells(centers[near])
+        order = np.lexsort((cells[:, 1], cells[:, 0]))
+        self._shapes = [self._shapes[near[i]] for i in order]
 
     def insert(self, shape, points=None):
         """Insert a classified shape, merging with an overlapping stored one.
 
         `points` are the cluster points behind `shape`; they arbitrate
         conflicts between different shape families by refit residual.
-        Inserting the same shape twice leaves a single entry.
+        Inserting the same shape twice leaves a single entry.  Candidates
+        are the stored shapes whose center is nearer than the larger of
+        the two size scales, walked in cell order.
         """
         center = shape.center
         if np.linalg.norm(center - self.origin) > MAP_RADIUS:
             return None
-        for other in self.shapes():
-            gap = float(np.linalg.norm(center - other.center))
-            if gap >= max(shape.size_scale, other.size_scale):
-                continue
+        centers = self._centers()
+        d = center - centers
+        reach = np.maximum([s.size_scale for s in self._shapes], shape.size_scale)
+        for i in np.flatnonzero(np.sqrt(np.vecdot(d, d)) < reach):
+            other = self._shapes[i]
             merged = _merge_shapes(other, shape, points)
             if merged is None:
                 # Unfaithful union: keep the stored shape and look for a
@@ -373,9 +393,12 @@ class LocalMap:
                 # The union would claim the spot the robot stands on even
                 # though neither observation does; refuse to grow over it.
                 continue
-            self._shapes.remove(other)
+            del self._shapes[i]
             return self.insert(merged, points=None)
-        self._shapes.append(shape)
+        # Join the end of the shape's cell.
+        (cx, cy), cells = self._cells(center), self._cells(centers)
+        before = (cells[:, 0] < cx) | ((cells[:, 0] == cx) & (cells[:, 1] <= cy))
+        self._shapes.insert(int(np.count_nonzero(before)), shape)
         return shape
 
 
@@ -389,7 +412,7 @@ def _family(shape):
 
 def _mean_boundary_residual(shape, points):
     """Mean distance from sample points to the shape (0 when all are inside)."""
-    return float(np.mean([shape.distance(p) for p in points]))
+    return float(np.mean(shape.distance(points)))
 
 
 def _enclosing_circle(a, b):
@@ -404,8 +427,13 @@ def _enclosing_circle(a, b):
     return Circle(center, r)
 
 
-def _enclosing_rect(a, b):
-    big = a if _corners_area(a.corners) >= _corners_area(b.corners) else b
+def _enclosing_rect(a, b, area_a, area_b):
+    """Least rectangle about polygons a and b along the first edge of the
+    larger (areas `area_a`, `area_b`): its class, Square when the sides are
+    equal and else Rectangle, and its CCW corners (4, 2), which that class
+    keeps as given.  A Rectangle's corners are those `oriented_rectangle`
+    builds, which normalizes the axis once more."""
+    big = a if area_a >= area_b else b
     e = big.corners[1] - big.corners[0]
     u = e / np.linalg.norm(e)
     v = np.array([-u[1], u[0]])
@@ -415,40 +443,52 @@ def _enclosing_rect(a, b):
     mid = (su.max() + su.min()) / 2.0 * u + (sv.max() + sv.min()) / 2.0 * v
     half_u = (su.max() - su.min()) / 2.0
     half_v = (sv.max() - sv.min()) / 2.0
-    if abs(half_u - half_v) <= 1e-9 * max(half_u, half_v):
-        return Square([mid - half_u * u - half_v * v, mid + half_u * u - half_v * v,
-                       mid + half_u * u + half_v * v, mid - half_u * u + half_v * v])
-    return oriented_rectangle(mid, u, half_u, half_v)
+    cls = Square
+    if abs(half_u - half_v) > 1e-9 * max(half_u, half_v):
+        cls = Rectangle
+        u = u / np.linalg.norm(u)
+        v = np.array([-u[1], u[0]])
+    return cls, np.array([mid - half_u * u - half_v * v,
+                          mid + half_u * u - half_v * v,
+                          mid + half_u * u + half_v * v,
+                          mid - half_u * u + half_v * v])
 
 
 def _corners_area(corners):
+    """Shoelace area of a polygon's corners (k, 2), in either orientation."""
     corners = np.asarray(corners, dtype=float)
-    n = np.roll(corners, -1, axis=0)
+    n = np.concatenate([corners[1:], corners[:1]])
     return 0.5 * abs(float(np.sum(corners[:, 0] * n[:, 1] - corners[:, 1] * n[:, 0])))
 
 
 def _convex_intersection_area(a_corners, b_corners):
-    """Area of the intersection of two convex CCW polygons (clip a by b)."""
-    out = [np.asarray(p, dtype=float) for p in a_corners]
-    b_corners = np.asarray(b_corners, dtype=float)
-    for i in range(len(b_corners)):
-        va = b_corners[i]
-        edge = b_corners[(i + 1) % len(b_corners)] - va
+    """Area of the intersection of two convex CCW polygons (clip a by b).
+
+    The clip runs on Python floats: the same IEEE operations, in the same
+    order, as on numpy scalars, without their per-operation cost.
+    """
+    out = [tuple(p) for p in np.asarray(a_corners, dtype=float).tolist()]
+    b = np.asarray(b_corners, dtype=float).tolist()
+    for i in range(len(b)):
+        vx, vy = b[i]
+        wx, wy = b[(i + 1) % len(b)]
+        ex, ey = wx - vx, wy - vy
         cur = out
         out = []
         if not cur:
             return 0.0
-        side = [edge[0] * (p[1] - va[1]) - edge[1] * (p[0] - va[0]) for p in cur]
+        side = [ex * (py - vy) - ey * (px - vx) for px, py in cur]
         for j in range(len(cur)):
-            p, q = cur[j], cur[(j + 1) % len(cur)]
+            (px, py), (qx, qy) = cur[j], cur[(j + 1) % len(cur)]
             sp, sq = side[j], side[(j + 1) % len(cur)]
             if sp >= -1e-12:
-                out.append(p)
+                out.append((px, py))
             if (sp >= -1e-12) != (sq >= -1e-12):
-                d = q - p
-                denom = edge[0] * d[1] - edge[1] * d[0]
+                dx, dy = qx - px, qy - py
+                denom = ex * dy - ey * dx
                 if abs(denom) > 1e-15:
-                    out.append(p - (sp / denom) * d)
+                    t = sp / denom
+                    out.append((px - t * dx, py - t * dy))
     if len(out) < 3:
         return 0.0
     return _corners_area(out)
@@ -479,15 +519,21 @@ def _merge_shapes(stored, incoming, points):
         if union.radius ** 2 > MERGE_AREA_SLACK * parts:
             return None
         return union
-    if (fam_s == "rect" and fam_i == "rect") or (
-            fam_s == "triangle" and fam_i == "triangle"):
-        union = _enclosing_rect(stored, incoming)
-        overlap = _convex_intersection_area(stored.corners, incoming.corners)
-        covered = (_corners_area(stored.corners) + _corners_area(incoming.corners)
-                   - overlap)
-        if _corners_area(union.corners) > MERGE_AREA_SLACK * max(covered, 1e-12):
+    if fam_s == fam_i:
+        # Two polygons of a family: the area test runs on the union's
+        # corners, and only a kept union becomes a shape.  Overlap can only
+        # shrink the covered area, so a union too large for the parts'
+        # summed area is refused without clipping.
+        area_s = _corners_area(stored.corners)
+        area_i = _corners_area(incoming.corners)
+        cls, corners = _enclosing_rect(stored, incoming, area_s, area_i)
+        union = _corners_area(corners)
+        if union > MERGE_AREA_SLACK * max(area_s + area_i, 1e-12):
             return None
-        return union
+        overlap = _convex_intersection_area(stored.corners, incoming.corners)
+        if union > MERGE_AREA_SLACK * max(area_s + area_i - overlap, 1e-12):
+            return None
+        return cls(corners)
     if points is None or len(points) == 0:
         return None
     if _mean_boundary_residual(incoming, points) < _mean_boundary_residual(stored, points):

@@ -162,7 +162,7 @@ def collision_cost_closed_form(traj, obs, span):
     value all quadratic approximations are measured against.
     """
     ts, ws = _quadrature(traj, span)
-    dists = np.array([obs.distance(p) for p in traj.positions(ts)])
+    dists = obs.distance(traj.positions(ts))
     return float(ws @ collision_kernel(dists))
 
 

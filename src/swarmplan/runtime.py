@@ -258,15 +258,16 @@ class ExecutedPath:
     During a tick the robot follows the trajectory committed at that tick's
     cycle, so the executed position at time t comes from the latest commit
     at or before t (clamped into that spline's domain at the run edges).
+    The commit stamps are read once, at construction: a path is a snapshot
+    of the commits made so far.
     """
 
     def __init__(self, commits):
         self._commits = commits
+        self._stamps = [c[0] for c in commits]
 
     def _active(self, t):
-        times = [c[0] for c in self._commits]
-        i = bisect_right(times, t + 1e-12) - 1
-        return self._commits[max(i, 0)][1]
+        return self._commits[max(bisect_right(self._stamps, t + 1e-12) - 1, 0)][1]
 
     def clamp_time(self, t):
         return max(t, self._commits[0][0])
@@ -278,8 +279,9 @@ class ExecutedPath:
     def positions(self, times):
         """Vectorized lookup: times grouped by their governing commit."""
         times = np.asarray(times, dtype=float)
-        stamps = [c[0] for c in self._commits]
-        which = np.clip(np.searchsorted(stamps, times + 1e-12) - 1, 0, None)
+        # The same rule as _active: the latest commit at or before t + 1e-12.
+        which = np.clip(np.searchsorted(self._stamps, times + 1e-12,
+                                        side="right") - 1, 0, None)
         out = np.empty((len(times), 2))
         for k in np.unique(which):
             sel = which == k

@@ -126,12 +126,17 @@ def simulate_swept_scan(world, positions, heading, stamp):
                 sweep_duration=1.0 / SWEEP_RATE, origins=positions.copy())
 
 
-def scan_point_position(length, angle, robot_position):
-    """World position of a return: robot + length * (cos angle, sin angle).
+def scan_point_position(lengths, angles, origins):
+    """World position of each return: origin + length * (cos angle, sin angle).
 
-    Rejects NaN lengths; a missing return must never enter geometry.
+    Takes one return (scalars and a (2,) origin) or a whole sweep's ((n,)
+    lengths and angles, (n, 2) origins) in one array pass; a segmenter
+    places every finite return of a sweep with one call.  Rejects NaN
+    lengths: a missing return must never enter geometry.
     """
-    if not np.isfinite(length):
+    lengths = np.asarray(lengths, dtype=float)
+    if not np.all(np.isfinite(lengths)):
         raise ValueError("cannot place a beam with no return")
-    robot_position = _as_point(robot_position)
-    return robot_position + length * np.array([np.cos(angle), np.sin(angle)])
+    angles = np.asarray(angles, dtype=float)
+    rays = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return np.asarray(origins, dtype=float) + lengths[..., None] * rays

@@ -147,6 +147,25 @@ class TestDistances:
             p = rng.uniform(-8, 8, size=2)
             assert shape.distance(p) >= 0.0
 
+    def test_arrays_match_each_point(self):
+        rng = np.random.default_rng(17)
+        shapes = [sample_shape(rng) for _ in range(30)]
+        for shape in shapes:
+            pts = np.concatenate([shape.center + rng.uniform(-3, 3, size=(59, 2)),
+                                  boundary_samples(shape, 40), shape.center[None]])
+            flat = shape.distance(pts)
+            assert flat.shape == (len(pts),)
+            assert flat.tobytes() == np.array([shape.distance(p) for p in pts]).tobytes()
+            assert np.array_equal(shape.distance(pts.reshape(4, -1, 2)),
+                                  flat.reshape(4, -1))
+            if isinstance(shape, Circle):
+                # One np.linalg.norm per point, as the disk distance was
+                # taken before it ran over arrays.
+                want = [max(0.0, float(np.linalg.norm(p - shape.center)) - shape.radius)
+                        for p in pts]
+                assert flat.tobytes() == np.array(want).tobytes()
+        assert any(isinstance(s, Circle) for s in shapes)
+
 
 class TestRayCast:
     def test_circle_head_on(self):

@@ -5,7 +5,7 @@ import pytest
 
 from swarmplan import perception
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, axis_rectangle,
-                               oriented_rectangle)
+                               oriented_rectangle, _edge_projections)
 from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
                                   classify_cluster, compensate_motion,
                                   fit_rectangle, segment_scan)
@@ -279,7 +279,8 @@ class GridMap:
         return [s for key in sorted(self.buckets) for s in self.buckets[key]]
 
     def _key(self, shape):
-        return perception._bucket_key(shape.center, self.origin)
+        return (int(np.floor(shape.center[0] - self.origin[0] + 0.5)),
+                int(np.floor(shape.center[1] - self.origin[1] + 0.5)))
 
     def recenter(self, new_origin):
         shapes = self.shapes()
@@ -481,3 +482,358 @@ class TestMovingVolume:
             assert vol.shapes == [s for s in shapes
                                   if any(s is t for lst in want for t in lst)]
             assert np.array_equal(vol.centers, path)
+
+
+# --- parity with the per-element code that the array passes replaced -------
+#
+# Each `per_*` helper below is the code a sweep and a fold ran before they
+# became array passes, kept as the reference those passes must equal bit
+# for bit.
+
+def per_beam_position(length, angle, robot_position):
+    robot_position = np.asarray(robot_position, dtype=float)
+    return robot_position + length * np.array([np.cos(angle), np.sin(angle)])
+
+
+def per_beam_segment_scan(scan):
+    finite = np.isfinite(scan.ranges)
+    if not np.any(finite):
+        return []
+    n = scan.n_beams
+    angles = scan.beam_angles()
+    stamps = scan.beam_stamps()
+    origins = scan.origins
+    full_circle = abs(scan.angle_increment * n - 2.0 * np.pi) < 1e-6
+    idx = np.flatnonzero(finite)
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    runs = np.split(idx, breaks + 1)
+    wraps = (len(runs) > 1 and idx[0] == 0 and idx[-1] == n - 1 and full_circle)
+    if wraps:
+        runs[0] = np.concatenate([runs[-1], runs[0]])
+        runs = runs[:-1]
+    clusters = []
+    for run in runs:
+        if len(run) < 2:
+            continue
+        pts = np.stack([per_beam_position(scan.ranges[k], angles[k], origins[k])
+                        for k in run])
+        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        pieces = np.split(np.arange(len(run)),
+                          np.flatnonzero(gaps > perception.JUMP_DISTANCE) + 1)
+        for piece in pieces:
+            if len(piece) < 2:
+                continue
+            seam = float(np.linalg.norm(pts[piece[0]] - pts[piece[-1]]))
+            closed = (full_circle and len(piece) == n
+                      and seam <= perception.JUMP_DISTANCE)
+            clusters.append(Cluster(
+                points=pts[piece],
+                median_stamp=float(np.median(stamps[run][piece])),
+                closed=closed))
+    return clusters
+
+
+def random_sweep(rng, n, full_circle, ring=False):
+    """A swept scan with NaN gaps, depth jumps and a drifting origin.
+
+    A ring is finite everywhere at a nearly constant depth, so it closes.
+    """
+    if ring:
+        ranges = 1.0 + rng.normal(scale=1e-3, size=n)
+    else:
+        ranges = np.empty(n)
+        depth, missing = rng.uniform(1.0, 4.0), rng.random() < 0.3
+        for k in range(n):
+            u = rng.random()
+            if u < 0.04:
+                missing = not missing
+            elif u < 0.08:
+                depth = rng.uniform(1.0, 4.0)   # a jump past JUMP_DISTANCE
+            elif u < 0.10:
+                ranges[k] = np.nan              # a one-beam gap
+                continue
+            ranges[k] = np.nan if missing else depth + rng.normal(scale=0.005)
+        if rng.random() < 0.5:
+            # Returns on both sides of the seam.
+            ranges[:3] = ranges[-3:] = depth
+    inc = 2.0 * np.pi / n if full_circle else np.deg2rad(1.0)
+    origins = rng.uniform(-3, 3, 2) + np.cumsum(
+        rng.normal(scale=0.01, size=(n, 2)), axis=0)
+    return Scan(stamp=float(rng.uniform(0, 10)),
+                angle_start=float(rng.uniform(-np.pi, np.pi)),
+                angle_increment=inc, ranges=ranges, sweep_duration=0.2,
+                origins=origins)
+
+
+class TestSweepParity:
+    def test_one_pass_equals_per_beam(self):
+        seen = {"wrapped": 0, "closed": 0, "jump": 0, "partial": 0}
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            full = seed % 4 != 3
+            n = 360 if full else 200
+            scan = random_sweep(rng, n, full, ring=seed % 10 == 0)
+            got, want = segment_scan(scan), per_beam_segment_scan(scan)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.points.tobytes() == w.points.tobytes()
+                assert g.median_stamp == w.median_stamp
+                assert g.closed == w.closed
+            finite = np.isfinite(scan.ranges)
+            seen["wrapped"] += bool(full and finite[0] and finite[-1]
+                                    and not finite.all())
+            seen["closed"] += sum(c.closed for c in got)
+            seen["jump"] += len(got) > len(np.split(
+                np.flatnonzero(finite),
+                np.flatnonzero(np.diff(np.flatnonzero(finite)) > 1) + 1))
+            seen["partial"] += not full
+        assert min(seen.values()) >= 3, seen
+
+    def test_all_missing(self):
+        scan = random_sweep(np.random.default_rng(0), 360, True)
+        scan.ranges[:] = np.nan
+        assert segment_scan(scan) == per_beam_segment_scan(scan) == []
+
+
+def per_corners_area(corners):
+    corners = np.asarray(corners, dtype=float)
+    n = np.roll(corners, -1, axis=0)
+    return 0.5 * abs(float(np.sum(corners[:, 0] * n[:, 1] - corners[:, 1] * n[:, 0])))
+
+
+def per_scalar_intersection_area(a_corners, b_corners, sizes=None):
+    """The clip on numpy scalars; `sizes` collects the clipped corner counts."""
+    out = [np.asarray(p, dtype=float) for p in a_corners]
+    b_corners = np.asarray(b_corners, dtype=float)
+    for i in range(len(b_corners)):
+        va = b_corners[i]
+        edge = b_corners[(i + 1) % len(b_corners)] - va
+        cur = out
+        out = []
+        if not cur:
+            break
+        side = [edge[0] * (p[1] - va[1]) - edge[1] * (p[0] - va[0]) for p in cur]
+        for j in range(len(cur)):
+            p, q = cur[j], cur[(j + 1) % len(cur)]
+            sp, sq = side[j], side[(j + 1) % len(cur)]
+            if sp >= -1e-12:
+                out.append(p)
+            if (sp >= -1e-12) != (sq >= -1e-12):
+                d = q - p
+                denom = edge[0] * d[1] - edge[1] * d[0]
+                if abs(denom) > 1e-15:
+                    out.append(p - (sp / denom) * d)
+    if sizes is not None:
+        sizes.append(len(out))
+    if len(out) < 3:
+        return 0.0
+    return per_corners_area(out)
+
+
+def per_shape_enclosing_rect(a, b):
+    big = a if per_corners_area(a.corners) >= per_corners_area(b.corners) else b
+    e = big.corners[1] - big.corners[0]
+    u = e / np.linalg.norm(e)
+    v = np.array([-u[1], u[0]])
+    pts = np.vstack([a.corners, b.corners])
+    su = pts @ u
+    sv = pts @ v
+    mid = (su.max() + su.min()) / 2.0 * u + (sv.max() + sv.min()) / 2.0 * v
+    half_u = (su.max() - su.min()) / 2.0
+    half_v = (sv.max() - sv.min()) / 2.0
+    if abs(half_u - half_v) <= 1e-9 * max(half_u, half_v):
+        return Square([mid - half_u * u - half_v * v, mid + half_u * u - half_v * v,
+                       mid + half_u * u + half_v * v, mid - half_u * u + half_v * v])
+    return oriented_rectangle(mid, u, half_u, half_v)
+
+
+def per_point_distance(shape, p):
+    if isinstance(shape, Circle):
+        return max(0.0, float(np.linalg.norm(p - shape.center)) - shape.radius)
+    if shape.contains(p):
+        return 0.0
+    return float(np.min(_edge_projections(shape.corners, shape.edges, p)[2]))
+
+
+def per_point_mean_residual(shape, points):
+    return float(np.mean([per_point_distance(shape, p) for p in points]))
+
+
+def per_shape_merge(stored, incoming, points):
+    fam_s, fam_i = perception._family(stored), perception._family(incoming)
+    if fam_s == "circle" and fam_i == "circle":
+        union = perception._enclosing_circle(stored, incoming)
+        parts = stored.radius ** 2 + incoming.radius ** 2
+        if union.radius ** 2 > perception.MERGE_AREA_SLACK * parts:
+            return None
+        return union
+    if fam_s == fam_i:
+        union = per_shape_enclosing_rect(stored, incoming)
+        overlap = per_scalar_intersection_area(stored.corners, incoming.corners)
+        covered = (per_corners_area(stored.corners)
+                   + per_corners_area(incoming.corners) - overlap)
+        if per_corners_area(union.corners) > perception.MERGE_AREA_SLACK * max(covered, 1e-12):
+            return None
+        return union
+    if points is None or len(points) == 0:
+        return None
+    PerShapeMap.cross_family += 1
+    if per_point_mean_residual(incoming, points) < per_point_mean_residual(stored, points):
+        return incoming
+    return stored
+
+
+class PerShapeMap:
+    """The map fold that tested one stored shape at a time."""
+
+    cross_family = 0
+
+    def __init__(self, origin=(0.0, 0.0)):
+        self.origin = np.asarray(origin, dtype=float)
+        self._shapes = []
+
+    def _key(self, center):
+        return (int(np.floor(center[0] - self.origin[0] + 0.5)),
+                int(np.floor(center[1] - self.origin[1] + 0.5)))
+
+    def shapes(self):
+        return sorted(self._shapes, key=lambda s: self._key(s.center))
+
+    def recenter(self, new_origin):
+        shapes = self.shapes()
+        self.origin = np.asarray(new_origin, dtype=float)
+        self._shapes = [s for s in shapes if np.linalg.norm(
+            s.center - self.origin) <= perception.MAP_RADIUS]
+
+    def insert(self, shape, points=None):
+        center = shape.center
+        if np.linalg.norm(center - self.origin) > perception.MAP_RADIUS:
+            return None
+        for other in self.shapes():
+            gap = float(np.linalg.norm(center - other.center))
+            if gap >= max(shape.size_scale, other.size_scale):
+                continue
+            merged = per_shape_merge(other, shape, points)
+            if merged is None:
+                continue
+            if (merged.contains(self.origin)
+                    and not shape.contains(self.origin)
+                    and not other.contains(self.origin)):
+                continue
+            self._shapes.remove(other)
+            return self.insert(merged, points=None)
+        self._shapes.append(shape)
+        return shape
+
+
+def shape_bits(shape):
+    if isinstance(shape, Circle):
+        return ("Circle", shape.center.tobytes(), repr(shape.radius))
+    return (type(shape).__name__, shape.corners.tobytes())
+
+
+def polygon_pairs(rng):
+    """(a, b, how) pairs of rectangles, squares and triangles: disjoint,
+    nested, touching at a corner, sharing an edge, clipping to an octagon,
+    and overlapping at random."""
+    def square(c, h, th=0.0):
+        u = np.array([np.cos(th), np.sin(th)])
+        v = np.array([-u[1], u[0]])
+        return Square([c - h * u - h * v, c + h * u - h * v,
+                       c + h * u + h * v, c - h * u + h * v])
+
+    def triangle(c, s):
+        ang = np.sort(rng.uniform(0, 2 * np.pi, 3))
+        return Triangle(c + s * np.stack([np.cos(ang), np.sin(ang)], 1))
+
+    def rect(c, s):
+        return oriented_rectangle(c, rng.normal(size=2), s, rng.uniform(0.2, 1.0) * s)
+
+    for _ in range(8):
+        c, s = rng.uniform(-5, 5, 2), rng.uniform(0.3, 2.0)
+        make = [rect, triangle, lambda c, s: square(c, s, rng.uniform(0, np.pi))]
+        ka, kb = rng.integers(3, size=2)
+        yield make[ka](c, s), make[kb](c + rng.uniform(3, 5, 2) * s, s), "disjoint"
+        yield make[ka](c, s), make[ka](c + rng.uniform(-0.05, 0.05, 2) * s, 0.3 * s), "nested"
+        yield make[ka](c, s), make[kb](c + rng.uniform(-1, 1, 2) * s, s), "overlapping"
+        x, y = (int(v) for v in rng.integers(-5, 5, 2))
+        w, h = (int(v) for v in rng.integers(1, 4, 2))
+        yield (axis_rectangle(x, y, x + w, y + h),
+               axis_rectangle(x + w, y, x + w + 2, y + h), "shared edge")
+        yield (axis_rectangle(x, y, x + w, y + h),
+               axis_rectangle(x + w, y + h, x + w + 1, y + h + 2), "touching")
+        yield square(c, s), square(c, s, np.pi / 4), "octagon"
+
+
+class TestFoldParity:
+    def test_areas_and_clips(self):
+        sizes = []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for a, b, _ in polygon_pairs(rng):
+                for p, q in ((a, b), (b, a)):
+                    got = perception._convex_intersection_area(p.corners, q.corners)
+                    want = per_scalar_intersection_area(p.corners, q.corners, sizes)
+                    assert repr(got) == repr(want)
+                    assert (repr(perception._corners_area(p.corners))
+                            == repr(per_corners_area(p.corners)))
+        # Disjoint pairs clip to nothing, octagons to 8 corners, where
+        # np.sum takes its 8-wide path.
+        assert min(sizes) == 0 and max(sizes) >= 8
+        rng = np.random.default_rng(99)
+        for k in range(3, 13):
+            ang = np.sort(rng.uniform(0, 2 * np.pi, k))
+            ring = rng.uniform(-3, 3, 2) + np.stack([np.cos(ang), np.sin(ang)], 1)
+            for corners in (ring, ring[::-1]):
+                assert (repr(perception._corners_area(corners))
+                        == repr(per_corners_area(corners)))
+
+    def test_enclosing_rect(self):
+        squares = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            for a, b, _ in polygon_pairs(rng):
+                want = per_shape_enclosing_rect(a, b)
+                cls, corners = perception._enclosing_rect(
+                    a, b, perception._corners_area(a.corners),
+                    perception._corners_area(b.corners))
+                assert cls is type(want)
+                assert corners.tobytes() == want.corners.tobytes()
+                assert cls(corners).corners.tobytes() == corners.tobytes()
+                squares += cls is Square
+        assert squares > 0
+
+    def test_mean_boundary_residual(self):
+        rng = np.random.default_rng(5)
+        for a, b, _ in polygon_pairs(rng):
+            for shape in (a, b, Circle(a.center, a.size_scale * 0.7)):
+                pts = shape.center + rng.normal(scale=shape.size_scale, size=(30, 2))
+                pts[:3] = shape.center           # inside
+                if not isinstance(shape, Circle):
+                    pts[3:6] = shape.corners[:3]  # on the boundary
+                got = perception._mean_boundary_residual(shape, pts)
+                assert repr(got) == repr(per_point_mean_residual(shape, pts))
+
+    def test_insert_stream_equals_per_shape_fold(self):
+        PerShapeMap.cross_family = 0
+        merged = 0
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            origin = rng.uniform(-3.0, 3.0, 2)
+            fold, ref = LocalMap(origin), PerShapeMap(origin)
+            for _ in range(80):
+                if rng.random() < 0.15:
+                    origin = origin + rng.uniform(-8.0, 8.0, 2)
+                    fold.recenter(origin)
+                    ref.recenter(origin)
+                else:
+                    shape, points = random_observation(rng, origin)
+                    kept = fold.insert(shape, points)
+                    want = ref.insert(shape, points)
+                    assert (kept is None) == (want is None)
+                    if kept is not None:
+                        assert shape_bits(kept) == shape_bits(want)
+                        merged += kept is not shape
+                assert ([shape_bits(s) for s in fold.shapes()]
+                        == [shape_bits(s) for s in ref.shapes()])
+        assert merged > 20 and PerShapeMap.cross_family > 20

@@ -220,6 +220,24 @@ class TestExecutedPath:
         single = np.stack([path.position(t) for t in ts])
         assert np.max(np.abs(batch - single)) < 1e-12
 
+    def test_one_lookup_rule_at_commit_stamps(self):
+        # Commits at k/25 s, as the agents make them; t = stamp - 1e-12
+        # lands exactly on the stamp once the lookup adds its 1e-12, so
+        # both lookups must take the commit made at that stamp.
+        stamps = [k / 25.0 for k in range(200)]
+        commits = [(t, constant_spline(plan_knot_layout(t, 4.0, 1.0, 3),
+                                       (float(k), 0.0)))
+                   for k, t in enumerate(stamps)]
+        path = ExecutedPath(commits)
+        ties = np.array(stamps[1:]) - 1e-12
+        assert np.array_equal(ties + 1e-12, stamps[1:])
+        rng = np.random.default_rng(4)
+        for ts in (ties, np.array(stamps), rng.uniform(-1.0, 9.0, 300)):
+            batch = path.positions(ts)
+            assert batch.tobytes() == np.stack(
+                [path.position(t) for t in ts]).tobytes()
+        assert np.rint(path.positions(ties)[:, 0]).tolist() == list(range(1, 200))
+
     def test_state_past_last_commit_is_parked(self):
         layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
         rng = np.random.default_rng(7)

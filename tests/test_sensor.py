@@ -171,3 +171,48 @@ class TestScanPointPosition:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             scan_point_position(np.nan, 0.0, [0.0, 0.0])
+
+    def test_rejects_nan_in_a_sweep(self):
+        with pytest.raises(ValueError):
+            scan_point_position([1.0, np.nan, 2.0], [0.0, 0.1, 0.2],
+                                np.zeros((3, 2)))
+
+
+def per_beam_position(length, angle, robot_position):
+    """One return placed on its own, as the scanner placed every return
+    before sweeps were placed in one pass."""
+    robot_position = np.asarray(robot_position, dtype=float)
+    return robot_position + length * np.array([np.cos(angle), np.sin(angle)])
+
+
+class TestSweepPlacement:
+    def test_one_pass_equals_per_beam_bit_for_bit(self):
+        # The sweep's placement rests on np.cos/np.sin rounding the same for
+        # an array as for one angle at a time; any drift shows here first.
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            obstacles = [Circle(rng.uniform(-6, 6, 2), rng.uniform(0.3, 1.5))
+                         for _ in range(4)]
+            obstacles += [oriented_rectangle(rng.uniform(-6, 6, 2),
+                                             rng.normal(size=2),
+                                             rng.uniform(0.3, 2.0),
+                                             rng.uniform(0.1, 1.0))
+                          for _ in range(4)]
+            world = World(obstacles=obstacles, bounds=(-10, -10, 10, 10))
+            n = n_beams()
+            start = rng.uniform(-2, 2, 2)
+            positions = start + np.cumsum(rng.normal(scale=0.01, size=(n, 2)),
+                                          axis=0)
+            scan = simulate_swept_scan(world, positions, rng.uniform(-np.pi, np.pi),
+                                       stamp=0.0)
+            hit = np.flatnonzero(np.isfinite(scan.ranges))
+            assert len(hit) > 0
+            angles = scan.beam_angles()
+            placed = scan_point_position(scan.ranges[hit], angles[hit],
+                                         scan.origins[hit])
+            want = np.stack([per_beam_position(scan.ranges[k], angles[k],
+                                               scan.origins[k]) for k in hit])
+            assert placed.tobytes() == want.tobytes()
+            one = np.stack([scan_point_position(scan.ranges[k], angles[k],
+                                                scan.origins[k]) for k in hit])
+            assert one.tobytes() == want.tobytes()
