@@ -8,12 +8,12 @@ trajectory.  The harness steps all agents on a fixed clock so that runs are
 bit-for-bit reproducible for a given scenario and seed.
 """
 
-from .geometry import Circle, Square, Rectangle, Triangle, Halfplane, ConvexPolytope
+from .geometry import Circle, Square, Rectangle, Triangle
 from .bspline import TrajectorySpline, KnotLayout, plan_knot_layout
 from .qp import QPProblem, QPSolution, solve_qp
 
 __all__ = [
-    "Circle", "Square", "Rectangle", "Triangle", "Halfplane", "ConvexPolytope",
+    "Circle", "Square", "Rectangle", "Triangle",
     "TrajectorySpline", "KnotLayout", "plan_knot_layout",
     "QPProblem", "QPSolution", "solve_qp",
 ]

@@ -1,13 +1,13 @@
-"""2D geometric primitives: convex shapes, halfplanes, and convex polytopes.
+"""2D convex shapes, alone and stacked by kind, and their tangent halfplanes.
 
 One family of shapes models both the mapped obstacles and the robots'
 bodies (`footprint_from_size`, a shape about the origin).  Every shape
 answers the same questions: `support` along unit directions, `contains` at
-one point or many, `distance`, the nearest-point `distance_gradient`, and
-`ray_distances`.  Shapes are closed point sets (boundary included).  All
-polygons store their corners counter-clockwise, and the edge vectors from
-each corner to the next, so that edge normals computed as (dy, -dx) point
-outward.  Angles are radians, distances meters.
+one point or many, `distance`, and `ray_distances`.  Shapes are closed
+point sets (boundary included).  All polygons store their corners
+counter-clockwise, and the edge vectors from each corner to the next, so
+that edge normals computed as (dy, -dx) point outward.  Angles are
+radians, distances meters.
 
 Groups.  `shape_groups` stacks shapes of one kind, circles or polygons of
 one corner count, into a `CircleGroup` (centers (S, 2), radii (S,)) or a
@@ -17,8 +17,9 @@ and answers for shape j[i] at point i: the seed march and the LiDAR test
 every shape of a kind in one array pass.  `distance_gradient(pts)` instead
 answers for every shape of the group at every point, (S, n) and (S, n, 2):
 the obstacle cost expands all admitted shapes of a kind in one pass.  Each
-kind has one kernel per question, which the shape's own method runs on its
-own parameters, so a group gives each shape's own result bit for bit.
+kind has one kernel per question, which the shape's own method (if it has
+one) runs on its own parameters, so a group gives each shape its own
+result bit for bit.
 `segment_shape_intersections` and `supporting_halfplanes` take a group and
 such an index.
 
@@ -62,11 +63,11 @@ def _outward(vx, vy, length, dist, outside):
 
 # --- kernels: stacked parameters broadcast against the points ----------------
 
-def _disk_contains(centers, radii, p, tol):
+def _disk_contains(centers, radii, p):
     """Root distance to the center, rounded as np.linalg.norm rounds it,
     against the radius."""
     d = p - centers
-    return np.sqrt(np.vecdot(d, d)) <= radii + tol
+    return np.sqrt(np.vecdot(d, d)) <= radii
 
 
 def _disk_ray_distances(centers, squares, origins, dirs):
@@ -84,12 +85,11 @@ def _disk_ray_distances(centers, squares, origins, dirs):
     return np.where((disc >= 0.0) & (t > BOUNDARY_TOL), t, np.inf)
 
 
-def _polygon_contains(corners, edges, p, tol):
+def _polygon_contains(corners, edges, p):
     """Whether p lies on the inner side of every edge (..., k, 2)."""
     g = (edges[..., 0] * (p[..., None, 1] - corners[..., 1])
          - edges[..., 1] * (p[..., None, 0] - corners[..., 0]))
-    bound = -tol * np.linalg.norm(edges, axis=-1) if tol else 0.0
-    return np.all(g >= bound, axis=-1)
+    return np.all(g >= 0.0, axis=-1)
 
 
 def _polygon_ray_distances(corners, edges, origins, dirs):
@@ -138,13 +138,7 @@ def _polygon_distance_gradient(corners, edges, pts):
     vx, vy, dv = np.take_along_axis(np.stack([dx, dy, dist]), best,
                                     axis=-1)[..., 0]
     return _outward(vx, vy, dv, dv,
-                    ~_polygon_contains(corners, edges, pts, 0.0))
-
-
-def _edge_normals(edges):
-    """Outward unit normals (dy, -dx) of CCW edges (..., k, 2)."""
-    n = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)
-    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+                    ~_polygon_contains(corners, edges, pts))
 
 
 class Circle:
@@ -173,16 +167,11 @@ class Circle:
         d = np.asarray(p, dtype=float) - self.center
         return np.maximum(np.sqrt(np.vecdot(d, d)) - self.radius, 0.0)
 
-    def contains(self, p, tol=0.0):
+    def contains(self, p):
         """Whether the point (2,), or each point of (..., 2), lies in the
         disk: the root distance, rounded as np.linalg.norm rounds it."""
         return _disk_contains(self.center, self.radius,
-                              np.asarray(p, dtype=float), tol)
-
-    def distance_gradient(self, pts):
-        """Distance from each point (n, 2) to the disk and its unit gradient;
-        points inside get distance 0 and a zero gradient."""
-        return _disk_distance_gradient(self.center, self.radius, pts)
+                              np.asarray(p, dtype=float))
 
     def ray_distances(self, origins, dirs):
         """First-hit distances for rays origin + t*dir, t > 0; inf on miss.
@@ -220,15 +209,11 @@ class ConvexPolygonShape:
     def __repr__(self):
         return f"{type(self).__name__}(corners={self.corners.tolist()})"
 
-    def edge_normals(self):
-        """Outward unit normals, one per CCW edge."""
-        return _edge_normals(self.edges)
-
-    def contains(self, p, tol=0.0):
+    def contains(self, p):
         """Whether the point (2,), or each point of (..., 2), lies on the
         inner side of every edge."""
         return _polygon_contains(self.corners, self.edges,
-                                 np.asarray(p, dtype=float), tol)
+                                 np.asarray(p, dtype=float))
 
     def distance(self, p):
         """Distance from the point (2,), or each point of (..., 2), to the
@@ -236,11 +221,6 @@ class ConvexPolygonShape:
         p = np.asarray(p, dtype=float)
         near = _edge_projections(self.corners, self.edges, p)[2].min(axis=-1)
         return np.where(self.contains(p), 0.0, near)[()]
-
-    def distance_gradient(self, pts):
-        """Distance from each point (n, 2) to the polygon and its unit
-        gradient; points inside get distance 0 and a zero gradient."""
-        return _polygon_distance_gradient(self.corners, self.edges, pts)
 
     def ray_distances(self, origins, dirs):
         """First-hit distances against all edges; inf on miss.
@@ -321,7 +301,7 @@ class CircleGroup:
         return self.radii
 
     def contains(self, j, p):
-        return _disk_contains(self.centers[j], self.radii[j], p, 0.0)
+        return _disk_contains(self.centers[j], self.radii[j], p)
 
     def ray_distances(self, j, origins, dirs):
         return _disk_ray_distances(self.centers[j], self._squares[j],
@@ -351,7 +331,7 @@ class PolygonGroup:
         return len(self.index)
 
     def contains(self, j, p):
-        return _polygon_contains(self.corners[j], self.edges[j], p, 0.0)
+        return _polygon_contains(self.corners[j], self.edges[j], p)
 
     def ray_distances(self, j, origins, dirs):
         return _polygon_ray_distances(self.corners[j], self.edges[j],
@@ -373,65 +353,6 @@ def shape_groups(shapes):
     return [(PolygonGroup if k else CircleGroup)([shapes[i] for i in index],
                                                  index)
             for k, index in kinds.items()]
-
-
-class Halfplane:
-    """Closed halfplane {p : normal . p <= offset} with unit normal."""
-
-    __slots__ = ("normal", "offset")
-
-    def __init__(self, normal, offset):
-        normal = _as_point(normal)
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            raise ValueError("halfplane normal must be nonzero")
-        self.normal = normal / norm
-        self.offset = float(offset) / norm
-
-    def __repr__(self):
-        return f"Halfplane(normal={self.normal.tolist()}, offset={self.offset})"
-
-    def contains(self, p, tol=BOUNDARY_TOL):
-        return float(self.normal @ _as_point(p)) <= self.offset + tol
-
-
-class ConvexPolytope:
-    """Intersection of halfplanes, stored as normals (m, 2) and offsets (m,).
-
-    Construction drops exact duplicate rows (same normal and offset bits).
-    """
-
-    __slots__ = ("normals", "offsets")
-
-    def __init__(self, halfplanes):
-        normals = []
-        offsets = []
-        seen = set()
-        for hp in halfplanes:
-            key = (hp.normal[0], hp.normal[1], hp.offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            normals.append(hp.normal)
-            offsets.append(hp.offset)
-        if not normals:
-            raise ValueError("polytope needs at least one halfplane")
-        self.normals = np.array(normals)
-        self.offsets = np.array(offsets)
-
-    @classmethod
-    def from_arrays(cls, normals, offsets):
-        """Polytope over rows that already have unit normals and no duplicates."""
-        poly = cls.__new__(cls)
-        poly.normals = normals
-        poly.offsets = offsets
-        return poly
-
-    def __len__(self):
-        return len(self.offsets)
-
-    def contains(self, p, tol=1e-9):
-        return bool(np.all(self.normals @ _as_point(p) <= self.offsets + tol))
 
 
 def footprint_from_size(size):
@@ -496,21 +417,22 @@ def segment_shape_intersections(a, b, group, j):
 
 
 def unit_rows(normals, offsets):
-    """Halfplane rows (..., 2) and (...) scaled by 1/|normal|, as Halfplane
-    stores them."""
+    """The halfplane rows {p : n.p <= o}, normals (..., 2) and offsets (...),
+    divided by the norm of their normal, which np.vecdot measures as
+    np.linalg.norm does."""
     norm = np.sqrt(np.vecdot(normals, normals))
     return normals / norm[..., None], offsets / norm
 
 
 def supporting_halfplanes(group, j, boundary_points, exterior_points):
-    """Halfplanes tangent to shape j[i] of the group at each boundary point
+    """The halfplanes tangent to shape j[i] of the group at each boundary point
     (rows of (n, 2)), each containing its exterior point.
 
     The shape lies entirely on the excluded side (normal . p >= offset for
     all shape points).  Each boundary point must lie on its shape's boundary
     and its exterior point strictly outside, on the outward side of the
-    tangent; otherwise ValueError.  Returns the rows (normals, offsets) a
-    Halfplane is built from, before its normalization (see unit_rows).
+    tangent; otherwise ValueError.  Returns the rows (normals, offsets)
+    before their normalization (see unit_rows).
     """
     q, e = boundary_points, exterior_points
     if isinstance(group, CircleGroup):
@@ -531,7 +453,8 @@ def supporting_halfplanes(group, j, boundary_points, exterior_points):
         # At a vertex two edges qualify; pick the one whose outward side best
         # contains the exterior point.
         on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)
-        normals = _edge_normals(edges)
+        outward = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)
+        normals = outward / np.linalg.norm(outward, axis=-1, keepdims=True)
         fit = np.where(on_edges, np.vecdot(normals, (e - q)[:, None, :]), -np.inf)
         n_out = np.take_along_axis(
             normals, np.argmax(fit, axis=1)[:, None, None], axis=1)[:, 0]

@@ -26,6 +26,10 @@ __all__ = [
 
 TRAJECTORY_COLUMNS = ("agent", "t", "x", "y", "vx", "vy", "ax", "ay")
 
+# A logged velocity or acceleration component counts as a limit violation
+# only beyond its bound by more than this.
+LIMIT_TOL = 1e-6
+
 
 def write_trajectories(path, rows):
     """Write (agent, t, x, y, vx, vy, ax, ay) rows as CSV.
@@ -69,14 +73,14 @@ def _runs(mask):
     return [(int(idx[s]), int(idx[e])) for s, e in zip(starts, ends)]
 
 
-def compute_motion_metrics(table, *, footprints, goals, limits, obstacles,
-                           tol=1e-6):
+def compute_motion_metrics(table, *, footprints, goals, limits, obstacles):
     """Geometric metrics from a trajectory table.
 
     table: {agent: (T, 7) array} as produced by `read_trajectories`; all
     agents must share the same time grid.  footprints/goals/limits are
     per-agent (goal None skips that agent's goal error; limits maps
-    derivative order to (lo, hi) component bounds, orders 1 and 2 checked).
+    derivative order to (lo, hi) component bounds, orders 1 and 2 checked,
+    with LIMIT_TOL of slack).
 
     Returns a dict with min_pairwise_distance, min_obstacle_clearance,
     goal_errors, limit_violations, and collision_events.
@@ -138,7 +142,8 @@ def compute_motion_metrics(table, *, footprints, goals, limits, obstacles,
                 continue
             lo, hi = (np.asarray(v, dtype=float) for v in lim[order])
             vals = table[a][:, cols[0]:cols[1]]
-            bad = np.any((vals < lo - tol) | (vals > hi + tol), axis=1)
+            bad = np.any((vals < lo - LIMIT_TOL) | (vals > hi + LIMIT_TOL),
+                         axis=1)
             violations += int(bad.sum())
 
     events.sort(key=lambda e: e["t_start"])

@@ -60,8 +60,9 @@ class PlanRequest:
     derivative order to per-axis (lo, hi) bounds; waypoint and goal
     times are absolute.  goal_time None means no goal pin: only the horizon
     end is pulled to the goal.  regions may be None in open space.  The
-    limits are checked (lo < hi) and turned into limit_b once, here, not on
-    every pass of the fallback ladder.
+    limits, boxes that `runtime.symmetric_limits` has checked (lo < 0 < hi),
+    are turned into limit_b once, here, not on every pass of the fallback
+    ladder.
     """
 
     t_now: float
@@ -93,8 +94,6 @@ class PlanRequest:
         for order, (lo, hi) in sorted(self.limits.items()):
             lo = np.asarray(lo, dtype=float)
             hi = np.asarray(hi, dtype=float)
-            if np.any(lo >= hi):
-                raise ValueError(f"limits for order {order} must satisfy lo < hi")
             self.limit_b[order] = np.stack([hi[:2], -lo[:2]], axis=1).ravel()
 
     @property
@@ -155,17 +154,6 @@ def _kernel_models(d, u):
     return f, g, H
 
 
-def collision_cost_closed_form(traj, obs, span):
-    """Integral of the kernel of the trajectory-to-shape distance over span.
-
-    Fixed 64-node Gauss-Legendre quadrature per knot interval; the reference
-    value all quadratic approximations are measured against.
-    """
-    ts, ws = _quadrature(traj, span)
-    dists = obs.distance(traj.positions(ts))
-    return float(ws @ collision_kernel(dists))
-
-
 def quadratize_collision(previous, obstacles, span):
     """Quadratic model of the summed obstacle cost around the previous
     trajectory.
@@ -179,8 +167,9 @@ def quadratize_collision(previous, obstacles, span):
     node; the sums then run from zeros in the obstacles' given order, so
     each obstacle's terms are added as a loop over the list adds them.
     Returns (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P + c0; at P = previous
-    control points this reproduces the sum of collision_cost_closed_form
-    over the obstacles.
+    control points this reproduces the cost itself: each obstacle's kernel
+    of the trajectory-to-shape distance, integrated over span by the same
+    quadrature, summed over the obstacles.
     """
     ts, ws = _quadrature(previous, span)
     A = position_map(previous, ts)

@@ -31,12 +31,13 @@ single-slice functions (`seed_region`, `contract_for_peer`,
 `deflate_for_ego`, `region_is_empty`) run the same kernels on a one-slice
 stack.
 
-Arithmetic.  Regions are defined per slice as a chain of `Halfplane` and
-`ConvexPolytope` objects: every cut renormalizes each plane of the slice
-(`Halfplane` divides by the norm it measures), and every polytope drops
-exact duplicate rows, keeping the first.  The kernels repeat those steps and
-keep each one's rounding, so the arrays equal the per-slice chain bit for
-bit.  Hence the forms below:
+Arithmetic.  A region is defined slice by slice: every cut renormalizes
+each live row of the slice by the norm it measures (`unit_rows`), and
+exact duplicate rows, equal in every bit of normal and offset, are dropped,
+keeping the first.  The kernels take those steps on the whole stack and
+keep each one's rounding, so the arrays equal that per-slice chain bit for
+bit; the tests keep the chain, one row object at a time, as the reference.
+Hence the forms below:
 - a slice's plane dots with a point are one np.matmul over the padded
   (slices, planes, 2) stack, which runs one BLAS gemv per slice.  On the
   OpenBLAS measured, a gemv rounds each row the same whatever the row
@@ -68,14 +69,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (CircleGroup, ConvexPolytope, footprint_from_size,
+from .geometry import (CircleGroup, footprint_from_size,
                        segment_shape_intersections, shape_groups,
                        supporting_halfplanes, unit_rows)
 from .prediction import predict_tracks
 
 # A region whose largest inscribed disk has a radius below this is empty.
 EMPTY_RADIUS = -1e-9
-# Slack of the seed probe, as in ConvexPolytope.contains.
+# Slack of the seed probe and of ConvexPolytope.contains.
 PROBE_TOL = 1e-9
 # Bound on how far rounding moves a marched sample's containment test,
 # meters; rounding of map-scale coordinates moves it by about 1e-13.
@@ -108,7 +109,7 @@ class SeedInsideObstacle(ValueError):
 
 
 class PlaneStack(NamedTuple):
-    """Halfplanes of many slices; rows from counts[k] on are NaN padding."""
+    """Many slices' halfplanes; rows from counts[k] on are NaN padding."""
 
     normals: np.ndarray   # (slices, planes, 2), unit rows
     offsets: np.ndarray   # (slices, planes)
@@ -125,7 +126,7 @@ class PlaneStack(NamedTuple):
 
     def polytope(self, k):
         c = self.counts[k]
-        return ConvexPolytope.from_arrays(self.normals[k, :c], self.offsets[k, :c])
+        return ConvexPolytope(self.normals[k, :c], self.offsets[k, :c])
 
     def dots(self, points):
         """Each slice's normals times its point, rounded as that slice's
@@ -152,6 +153,24 @@ class PlaneStack(NamedTuple):
         out.normals[ks], out.offsets[ks], out.counts[ks] = other.widened(
             out.offsets.shape[1])
         return out
+
+
+class ConvexPolytope:
+    """One slice of a PlaneStack: its live rows, unit normals (m, 2) and
+    offsets (m,), as `PlaneStack.polytope` hands them out."""
+
+    __slots__ = ("normals", "offsets")
+
+    def __init__(self, normals, offsets):
+        self.normals = normals
+        self.offsets = offsets
+
+    def __len__(self):
+        return len(self.offsets)
+
+    def contains(self, p, tol=PROBE_TOL):
+        return bool(np.all(self.normals @ np.asarray(p, dtype=float)
+                           <= self.offsets + tol))
 
 
 @dataclass
@@ -194,8 +213,8 @@ class SafeRegion:
 
 def _distinct(normals, offsets, counts):
     """Each slice's first counts[k] rows, packed in order, without rows
-    equal in every bit to an earlier row of their slice (the
-    `ConvexPolytope` rule).  Rows past counts[k] must be NaN."""
+    equal in every bit to an earlier row of their slice.  Rows past
+    counts[k] must be NaN."""
     width = max(counts.max(), 1)
     rows = np.arange(offsets.shape[1])
     earlier = rows[None, :] < rows[:, None]

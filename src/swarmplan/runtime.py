@@ -64,8 +64,6 @@ def _comfortable_arrival(start, goal, limits):
     if np.isfinite(v_max):
         T = d / (0.5 * v_max) + v_max / a_max
     else:
-        if a_max <= 0:
-            raise ValueError("a_max must be positive")
         T = 2.0 * max(np.sqrt(2.0 * a_max * d) / a_max, 2.0 * KNOT_SEGMENT)
     return max(T, 2.0 * KNOT_SEGMENT)
 

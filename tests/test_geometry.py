@@ -8,11 +8,13 @@ closed-form implementations never grade their own homework.
 import numpy as np
 import pytest
 
-from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, Halfplane,
-                                ConvexPolytope, axis_rectangle,
+from swarmplan import geometry
+from swarmplan.geometry import (BOUNDARY_TOL, Circle, Square, Rectangle,
+                                Triangle, axis_rectangle,
                                 circle_from_three_points, footprint_from_size,
                                 segment_shape_intersections, shape_groups,
-                                supporting_halfplanes)
+                                supporting_halfplanes, unit_rows)
+from swarmplan.regions import ConvexPolytope, _distinct
 
 
 def boundary_samples(shape, n):
@@ -48,6 +50,14 @@ def tangents(shape, q, e):
     """`supporting_halfplanes` with the shape as a group of one."""
     group, = shape_groups([shape])
     return supporting_halfplanes(group, np.zeros(len(q), dtype=int), q, e)
+
+
+def own_distance_gradient(shape, pts):
+    """The shape's kind's nearest-point kernel on the shape's own
+    parameters: (d, u) at each point (n, 2)."""
+    if isinstance(shape, Circle):
+        return geometry._disk_distance_gradient(shape.center, shape.radius, pts)
+    return geometry._polygon_distance_gradient(shape.corners, shape.edges, pts)
 
 
 def unit_square():
@@ -231,22 +241,22 @@ class TestSupportingHalfplane:
         c = Circle([0, 0], 1.0)
         normals, offsets = tangents(
             c, np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]))
-        hp = Halfplane(normals[0], offsets[0])
+        n, o = unit_rows(normals[0], offsets[0])
         # Tangent x = 1 keeping the exterior point.
-        assert np.allclose(hp.normal, [-1, 0], atol=1e-12)
-        assert hp.offset == pytest.approx(-1.0, abs=1e-12)
-        assert hp.contains([3, 0])
+        assert np.allclose(n, [-1, 0], atol=1e-12)
+        assert o == pytest.approx(-1.0, abs=1e-12)
+        assert n @ [3, 0] <= o + BOUNDARY_TOL
         for p in boundary_samples(c, 256):
-            assert float(hp.normal @ p) >= hp.offset - 1e-9
+            assert float(n @ p) >= o - 1e-9
 
     def test_polygon_edge(self):
         s = unit_square()
         normals, offsets = tangents(
             s, np.array([[0.0, 0.5]]), np.array([[-2.0, 0.5]]))
-        hp = Halfplane(normals[0], offsets[0])
-        assert hp.contains([-2, 0.5])
+        n, o = unit_rows(normals[0], offsets[0])
+        assert n @ [-2, 0.5] <= o + BOUNDARY_TOL
         for p in boundary_samples(s, 256):
-            assert float(hp.normal @ p) >= hp.offset - 1e-9
+            assert float(n @ p) >= o - 1e-9
 
     def test_random_shapes_exclude_obstacle(self):
         rng = np.random.default_rng(23)
@@ -259,10 +269,10 @@ class TestSupportingHalfplane:
                 e[None], np.asarray(shape.center, float)[None], shape)
             assert crossed[0]
             normals, offsets = tangents(shape, q, e[None])
-            hp = Halfplane(normals[0], offsets[0])
-            assert hp.contains(e, tol=1e-7)
+            n, o = unit_rows(normals[0], offsets[0])
+            assert n @ e <= o + 1e-7
             for p in boundary_samples(shape, 512):
-                assert float(hp.normal @ p) >= hp.offset - 1e-7
+                assert float(n @ p) >= o - 1e-7
 
     def test_rejects_off_boundary_point(self):
         c = Circle([0, 0], 1.0)
@@ -298,24 +308,27 @@ class TestSupportingHalfplane:
 
 
 class TestPolytope:
+    """A region slice's rows: the view a plane stack hands out, the
+    duplicate rule and the normalization every cut applies."""
+
     def test_containment(self):
-        box = ConvexPolytope([
-            Halfplane([1, 0], 1), Halfplane([-1, 0], 1),
-            Halfplane([0, 1], 1), Halfplane([0, -1], 1),
-        ])
+        box = ConvexPolytope(np.array([[1.0, 0.0], [-1.0, 0.0],
+                                       [0.0, 1.0], [0.0, -1.0]]), np.ones(4))
         assert box.contains([0, 0])
         assert box.contains([1, 1])
         assert not box.contains([1.1, 0])
         assert np.max(box.normals @ [2, 0] - box.offsets) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_duplicates_dropped(self):
-        hps = [Halfplane([1, 0], 1), Halfplane([1, 0], 1), Halfplane([0, 1], 1)]
-        assert len(ConvexPolytope(hps)) == 2
+        rows = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        stack = _distinct(rows, np.ones((1, 3)), np.array([3]))
+        assert len(stack.polytope(0)) == 2
+        assert np.array_equal(stack.normals[0], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_normalization(self):
-        hp = Halfplane([3, 0], 6)
-        assert np.allclose(hp.normal, [1, 0])
-        assert hp.offset == pytest.approx(2.0)
+        n, o = unit_rows(np.array([3.0, 0.0]), 6.0)
+        assert np.allclose(n, [1, 0])
+        assert o == pytest.approx(2.0)
 
 
 class TestSupport:
@@ -342,13 +355,11 @@ class TestValidation:
             Square([[0, 0], [1, 0], [1, 1]])
         with pytest.raises(ValueError):
             Triangle([[0, 0], [1, 0], [1, 1], [0, 1]])
-        with pytest.raises(ValueError):
-            Halfplane([0, 0], 1.0)
 
     def test_ccw_enforced(self):
         s = Square([[0, 1], [1, 1], [1, 0], [0, 0]])  # given clockwise
-        normals = s.edge_normals()
-        # Outward normals must point away from the centroid.
+        normals = np.stack([s.edges[:, 1], -s.edges[:, 0]], axis=1)
+        # Edge normals (dy, -dx) must point away from the centroid.
         c = s.center
         mids = (s.corners + np.roll(s.corners, -1, axis=0)) / 2
         for n, m in zip(normals, mids):
@@ -412,8 +423,9 @@ def old_distance_models(shape, pts):
 class TestFootprints:
     def test_disks_keep_the_old_closed_forms(self):
         # One or two lengths: support r along every direction, containment
-        # sqrt(rel . rel) <= r + tol, scale r, all bit for bit.  The plane
-        # stacks read the support only against offsets, NaN on padding.
+        # sqrt(rel . rel) <= r, distance within tol where sqrt(rel . rel) - r
+        # is, scale r, all bit for bit.  The plane stacks read the support
+        # only against offsets, NaN on padding.
         rng = np.random.default_rng(61)
         for size in ((0.3,), (0.2, 0.4), (0.1,), (0.7, 0.05)):
             r = max(size)
@@ -434,10 +446,11 @@ class TestFootprints:
             ang = rng.uniform(0, 2 * np.pi, size=500)
             for rel in (rng.uniform(-2 * r, 2 * r, size=(500, 2)),
                         r * np.stack([np.cos(ang), np.sin(ang)], axis=1)):
+                root = np.sqrt(np.vecdot(rel, rel))
+                assert np.array_equal(fp.contains(rel), root <= r)
                 for tol in (0.0, 1e-9):
-                    assert np.array_equal(
-                        fp.contains(rel, tol),
-                        np.sqrt(np.vecdot(rel, rel)) <= r + tol)
+                    assert np.array_equal(fp.distance(rel) <= tol,
+                                          root - r <= tol)
 
     def test_squares_round_as_polygons(self):
         # Three lengths: an axis-aligned square of half extent sqrt(2)
@@ -475,13 +488,18 @@ class TestContains:
         for shape in shapes:
             pts = np.concatenate([shape.center + rng.uniform(-3, 3, size=(59, 2)),
                                   boundary_samples(shape, 40), shape.center[None]])
-            for tol in (0.0, 1e-9, -1e-9):
-                flat = shape.contains(pts, tol)
-                assert flat.shape == (len(pts),)
-                assert np.array_equal(flat, [shape.contains(p, tol) for p in pts])
-                assert np.array_equal(shape.contains(pts.reshape(4, -1, 2), tol),
-                                      flat.reshape(4, -1))
+            flat = shape.contains(pts)
+            assert flat.shape == (len(pts),)
+            assert np.array_equal(flat, [shape.contains(p) for p in pts])
+            assert np.array_equal(shape.contains(pts.reshape(4, -1, 2)),
+                                  flat.reshape(4, -1))
             assert flat.any() and not flat.all()
+            # A tolerance is a distance: every contained point is within it.
+            for tol in (0.0, 1e-9):
+                near = shape.distance(pts) <= tol
+                assert np.array_equal(near, [shape.distance(p) <= tol
+                                             for p in pts])
+                assert np.all(near[flat])
 
 
 def mixed_shape(rng):
@@ -540,7 +558,7 @@ class TestDistanceGradient:
                     assert d.shape == (len(group), len(pts))
                     assert u.shape == (len(group), len(pts), 2)
                     for slot, i in enumerate(group.index):
-                        own_d, own_u = shapes[i].distance_gradient(pts)
+                        own_d, own_u = own_distance_gradient(shapes[i], pts)
                         old_d, old_u = old_distance_models(shapes[i], pts)
                         for got, want in ((d[slot], own_d), (u[slot], own_u),
                                           (d[slot], old_d), (u[slot], old_u)):
@@ -560,7 +578,7 @@ class TestDistanceGradient:
                 shape.center + rng.uniform(-4, 4, size=(300, 2)), b,
                 b + rng.normal(scale=1e-9, size=b.shape), shape.center[None],
                 getattr(shape, "corners", b[:0])])
-            d, u = shape.distance_gradient(pts)
+            d, u = own_distance_gradient(shape, pts)
             want_d, want_u = old_distance_models(shape, pts)
             assert np.array_equal(d, want_d)
             assert np.array_equal(u, want_u)

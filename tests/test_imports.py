@@ -1,5 +1,6 @@
-"""Import-level guards: no plotting, scipy or schema code at run time, and
-every name that packaging and the benchmark tracer refer to exists and works.
+"""Import-level guards: no plotting, scipy or schema code at run time,
+every name that packaging and the benchmark tracer refer to exists and
+works, and `src/` defines no function that nothing refers to.
 
 scipy is a test-only dependency (spline and LP oracles) and matplotlib is
 not a dependency at all; importing either at run time would cost set-up
@@ -12,6 +13,7 @@ they wrap (`agent.config.plan_rate`, the track list, `problem.A_in`), so a
 short traced run checks that they still can.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -76,3 +78,51 @@ def test_bench_tracer_observes_runs_unchanged(monkeypatch):
     for span in ("qp.solve", "regions.build", "prediction.update",
                  "perception.classify"):
         assert calls.get(span, 0) > 0, span
+
+
+# Names the scan would flag, each with why it stays.
+UNREFERENCED_ALLOWED = {
+    # Read, not wrapped, by the tracer's regions observer
+    # (perfbench/tracing.py:_regions_after).
+    "slices",
+}
+
+
+def test_no_unreferenced_definitions(monkeypatch):
+    """Every function, class and method that `src/swarmplan/*.py` defines is
+    referred to somewhere in `src/` (as a name, an attribute or an import),
+    exported in a module's `__all__`, wrapped by the benchmark tracer, or a
+    `[project.scripts]` target.  A helper that only tests call belongs in
+    the tests.
+
+    The scan matches by name only: a definition that shares its name with
+    another that is used passes (a per-shape method named like its group's,
+    say), and dunder methods are skipped.
+    """
+    defined, used, exported = {}, set(), set()
+    for path in sorted((SRC / "swarmplan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    traced = {attr for _, attr, *_ in
+              importlib.import_module("tracing")._targets()}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    targets = {t.partition(":")[2] for t in scripts.values()}
+    keep = used | exported | traced | targets | UNREFERENCED_ALLOWED
+    unused = sorted(f"{name} ({where})" for name, where in defined.items()
+                    if name not in keep
+                    and not (name.startswith("__") and name.endswith("__")))
+    assert not unused, f"defined in src/ but referred to nowhere: {unused}"

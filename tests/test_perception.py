@@ -236,7 +236,7 @@ class TestLocalMap:
         merged = m.shapes()[0]
         assert isinstance(merged, (Square, Rectangle))
         for p in ([0, 0], [3, 1], [0, 1], [3, 0]):
-            assert merged.contains(p, tol=1e-9)
+            assert merged.distance(p) <= 1e-9
 
     def test_heterogeneous_resolved_by_residual(self):
         m = LocalMap()

@@ -7,9 +7,8 @@ from scipy.optimize import linprog
 
 from swarmplan import regions
 from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolygonShape,
-                                ConvexPolytope, Halfplane, Square, Triangle,
-                                axis_rectangle, footprint_from_size,
-                                oriented_rectangle,
+                                Square, Triangle, _as_point, axis_rectangle,
+                                footprint_from_size, oriented_rectangle,
                                 segment_shape_intersections, shape_groups,
                                 supporting_halfplanes, unit_rows)
 from swarmplan.perception import MovingVolume
@@ -19,6 +18,72 @@ from swarmplan.regions import (PlaneStack, SeedInsideObstacle,
                                build_safe_regions,
                                contract_for_peer, deflate_for_ego,
                                region_is_empty, seed_region)
+
+
+# --- the per-row region chain -------------------------------------------------
+#
+# A region as it was defined before the plane stacks: one Halfplane object
+# per row, which divides by the norm it measures, gathered into a
+# ConvexPolytope, which drops exact duplicate rows keeping the first.  Both
+# classes are kept here verbatim as the reference that the stacked kernels
+# must equal bit for bit, and as the polytopes the single-slice functions
+# take.
+
+class Halfplane:
+    """Closed halfplane {p : normal . p <= offset} with unit normal."""
+
+    __slots__ = ("normal", "offset")
+
+    def __init__(self, normal, offset):
+        normal = _as_point(normal)
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            raise ValueError("halfplane normal must be nonzero")
+        self.normal = normal / norm
+        self.offset = float(offset) / norm
+
+    def __repr__(self):
+        return f"Halfplane(normal={self.normal.tolist()}, offset={self.offset})"
+
+    def contains(self, p, tol=BOUNDARY_TOL):
+        return float(self.normal @ _as_point(p)) <= self.offset + tol
+
+
+class ConvexPolytope:
+    """Intersection of halfplanes, stored as normals (m, 2) and offsets (m,).
+
+    Construction drops exact duplicate rows (same normal and offset bits).
+    """
+
+    __slots__ = ("normals", "offsets")
+
+    def __init__(self, halfplanes):
+        normals = []
+        offsets = []
+        seen = set()
+        for hp in halfplanes:
+            key = (hp.normal[0], hp.normal[1], hp.offset)
+            if key in seen:
+                continue
+            seen.add(key)
+            normals.append(hp.normal)
+            offsets.append(hp.offset)
+        if not normals:
+            raise ValueError("polytope needs at least one halfplane")
+        self.normals = np.array(normals)
+        self.offsets = np.array(offsets)
+
+    def __len__(self):
+        return len(self.offsets)
+
+    def contains(self, p, tol=1e-9):
+        return bool(np.all(self.normals @ _as_point(p) <= self.offsets + tol))
+
+
+def edge_normals(shape):
+    """Outward unit normals (dy, -dx) of a polygon's CCW edges."""
+    n = np.stack([shape.edges[:, 1], -shape.edges[:, 0]], axis=-1)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 def disk(r):
@@ -456,8 +521,8 @@ class TestBuildSafeRegions:
 #
 # The oracle is the per-slice composition that defines a region: march the
 # seed's ray fan, cut with contract_for_peer track by track (rebuilding
-# Halfplane and ConvexPolytope objects), deflate_for_ego, then the probe and
-# the HiGHS Chebyshev LP.  The one-pass build must equal it bit for bit.
+# the chain's Halfplane and ConvexPolytope objects), deflate_for_ego, then
+# the probe and the HiGHS Chebyshev LP.  The one-pass build must equal it bit for bit.
 
 def _fp_support(fp, u):
     if isinstance(fp, Circle):
@@ -503,7 +568,7 @@ def oracle_tangent(shape, q, e):
         n_out = v / np.linalg.norm(v)
     else:
         on_edges = np.flatnonzero(dists <= BOUNDARY_TOL * 10 + dists.min())
-        normals = shape.edge_normals()
+        normals = edge_normals(shape)
         best = max(on_edges, key=lambda i: float(normals[i] @ (e - q)))
         n_out = normals[best]
     hp = Halfplane(-n_out, float(-n_out @ q))
@@ -853,6 +918,38 @@ class TestOnePassParity:
                             == oracle_empty(b, seed))
 
 
+class TestSliceViews:
+    """`SafeRegion.slices` is what the benchmark tracer reads per slice
+    (plane count and feasibility): each view holds its slice's live rows of
+    the stacks, so the tracer's plane and infeasible-slice metrics count
+    the stacks themselves."""
+
+    def test_views_are_the_stacks_live_rows(self):
+        rng = np.random.default_rng(19)
+        views = infeasible = 0
+        for trial in range(4):
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
+            first = random_volume(rng, 30)
+            tracks = random_tracks(rng, first)
+            prev = build_safe_regions(first, tracks, ego, 0.0)
+            region = build_safe_regions(random_volume(rng, 30, inside_frac=0.3),
+                                        tracks, ego, 0.04, previous=prev)
+            for r in (prev, region):
+                assert len(r.slices) == len(r.t_rel)
+                for k, sl in enumerate(r.slices):
+                    assert len(sl.polytope) == r.planes.counts[k]
+                    assert sl.feasible == r.feasible[k]
+                    for view, stack in ((sl.polytope, r.planes),
+                                        (sl.static_polytope, r.static)):
+                        c = stack.counts[k]
+                        assert view.normals.tobytes() == stack.normals[k, :c].tobytes()
+                        assert view.offsets.tobytes() == stack.offsets[k, :c].tobytes()
+                    views += 1
+                    infeasible += not sl.feasible
+        assert views == 8 * 30
+        assert 0 < infeasible < views
+
+
 class TestMarchWindow:
     """`_first_hits`, on each shape as a group of one, tests only the
     samples at each ray's entry into a shape; a march that tests every
@@ -995,7 +1092,7 @@ def own_tangents(shape, q, e):
         off_boundary = dists.min(axis=1) > BOUNDARY_TOL
         covered = shape.contains(e) | (edge_dists(e).min(axis=1) <= 0.0)
         on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)
-        normals = shape.edge_normals()
+        normals = edge_normals(shape)
         fit = np.where(on_edges, np.vecdot(normals, (e - q)[:, None, :]), -np.inf)
         n_out = normals[np.argmax(fit, axis=1)]
     if off_boundary.any() or covered.any():
