@@ -30,6 +30,17 @@ layout that starts at t = 0, and a run's Grams never depend on what ran
 before it.  `difference_matrix` is cached per (m, dt, order) and
 `derivative_gram` per (degree, m, dt, order); both return read-only arrays,
 which every caller shares.
+
+`_active_basis` is memoized on its exact arguments: the grid (degree, t0,
+dt, m), the derivative order and the times, a float time by its value and
+an array of times by its shape and bytes.  A miss runs the evaluator on
+the same values, so a hit returns the very (idx, w) a fresh call would
+compute; both arrays are read-only, since every caller that asks for the
+same key shares them.  A time outside the domain raises on every call, as
+exceptions are never cached.  Agents that plan at the same tick build the
+same layout and ask for the same rows, so most hits come from peers.  A
+`TrajectorySpline` keeps each derivative's control points after their
+first use.
 """
 
 import functools
@@ -84,8 +95,22 @@ def _active_basis(degree, t0, dt, m, t, order=0):
     row for an array t; idx and w have shape t.shape + (degree-order+1,).
     Times within _DOMAIN_TOL of the derivative's own domain are clamped into
     it; farther ones raise ValueError.  A float t takes Python arithmetic,
-    an array numpy's, with the same operations in the same order.
+    an array numpy's, with the same operations in the same order.  Both
+    arrays come from a memo and are read-only.
     """
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        return _memo_basis(degree, t0, dt, m, order, (t.shape, t.tobytes()))
+    return _memo_basis(degree, t0, dt, m, order, float(t))
+
+
+@functools.lru_cache(maxsize=64)
+def _memo_basis(degree, t0, dt, m, order, t):
+    """_active_basis on a hashable time: a float, or an array's (shape,
+    bytes)."""
+    if not isinstance(t, float):
+        shape, data = t
+        t = np.frombuffer(data).reshape(shape)
     for _ in range(order):
         t0 = t0 + dt
     degree, m = degree - order, m - order
@@ -104,7 +129,10 @@ def _active_basis(degree, t0, dt, m, t, order=0):
         j = np.floor((t - t0) / dt + _DOMAIN_TOL).astype(int)
         j = np.minimum(np.maximum(j, degree), m - 1)
     w = basis_weights(degree, (t - (t0 + j * dt)) / dt)
-    return np.add.outer(j - degree, np.arange(degree + 1)), w
+    idx = np.add.outer(j - degree, np.arange(degree + 1))
+    idx.setflags(write=False)
+    w.setflags(write=False)
+    return idx, w
 
 
 @functools.lru_cache(maxsize=256)
@@ -166,10 +194,12 @@ def plan_knot_layout(t_now, horizon, dt, degree, goal_time=None):
 class TrajectorySpline:
     """Planar trajectory: one uniform B-spline per axis on a shared knot grid.
 
-    control is (m, 2) holding x and y control points columnwise.
+    control is (m, 2) holding x and y control points columnwise; it must
+    not change after construction, since each derivative's control points
+    are kept after their first use.
     """
 
-    __slots__ = ("degree", "t0", "dt", "control")
+    __slots__ = ("degree", "t0", "dt", "control", "_controls")
 
     def __init__(self, degree, t0, dt, control):
         control = np.asarray(control, dtype=float)
@@ -183,6 +213,7 @@ class TrajectorySpline:
         self.t0 = float(t0)
         self.dt = float(dt)
         self.control = control
+        self._controls = {0: control}
 
     @classmethod
     def from_layout(cls, layout, control):
@@ -204,11 +235,20 @@ class TrajectorySpline:
         """order-th derivative: (2,) at a float t, (n, 2) at an array of n."""
         if order > self.degree:
             return np.zeros(np.shape(t) + (2,))
-        c = self.control
-        if order:
-            c = difference_matrix(self.m, self.dt, order) @ c
+        c = self.derivative_control(order)
         idx, w = _active_basis(self.degree, self.t0, self.dt, self.m, t, order)
         return np.matmul(w[..., None, :], c[idx])[..., 0, :]
+
+    def derivative_control(self, order):
+        """(m-order, 2) control points of the order-th derivative spline,
+        `difference_matrix(m, dt, order) @ control`, computed once per order
+        and read-only; order 0 is `control` itself."""
+        c = self._controls.get(order)
+        if c is None:
+            c = difference_matrix(self.m, self.dt, order) @ self.control
+            c.setflags(write=False)
+            self._controls[order] = c
+        return c
 
     def position(self, t):
         return self._evaluate(t, 0)
@@ -247,6 +287,11 @@ def derivative_map(layout, times, order):
         rows[idx[0]:idx[-1] + 1] = w
     else:
         rows[np.arange(len(idx))[:, None], idx] = w
+    if order == 0:
+        # difference_matrix(m, dt, 0) is the identity, and rows @ I would
+        # give rows back bit for bit: no weight is -0.0, since every column
+        # of the basis is accumulated from 0.0.
+        return rows
     return rows @ difference_matrix(layout.m, layout.dt, order)
 
 

@@ -46,10 +46,6 @@ def _as_point(p):
     return p
 
 
-def _cross(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 def _outward(vx, vy, length, dist, outside):
     """(d, u) of a nearest-point query: `dist` and the unit gradient
     (vx, vy) / length where `outside` holds and length > 1e-12, else zeros.
@@ -186,25 +182,44 @@ class Circle:
         return u @ self.center + self.radius
 
 
+def corners_area(corners):
+    """Shoelace area of a polygon's corners (k, 2), in either orientation."""
+    corners = np.asarray(corners, dtype=float)
+    n = np.concatenate([corners[1:], corners[:1]])
+    return 0.5 * abs(float(np.sum(corners[:, 0] * n[:, 1] - corners[:, 1] * n[:, 0])))
+
+
 class ConvexPolygonShape:
     """Base for convex polygons with CCW corners (k, 2)."""
 
-    __slots__ = ("corners", "edges", "center", "size_scale")
+    __slots__ = ("corners", "edges", "center", "size_scale", "_area")
 
     def __init__(self, corners):
         corners = np.asarray(corners, dtype=float)
         if corners.ndim != 2 or corners.shape[1] != 2 or len(corners) < 3:
             raise ValueError(f"polygon corners must be (k>=3, 2), got {corners.shape}")
+        # The orientation test runs on Python floats: the same IEEE
+        # operations, in the same order, as on numpy scalars.
+        pts = corners.tolist()
         area2 = 0.0
-        for i in range(len(corners)):
-            area2 += _cross(corners[i], corners[(i + 1) % len(corners)])
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+            area2 += ax * by - ay * bx
         if area2 < 0:
             corners = corners[::-1].copy()
         self.corners = corners
-        self.edges = np.roll(corners, -1, axis=0) - corners
+        self.edges = np.concatenate([corners[1:], corners[:1]]) - corners
         self.center = corners.mean(axis=0)
         self.size_scale = float(np.max(np.linalg.norm(corners - self.center,
                                                       axis=1)))
+        self._area = None
+
+    @property
+    def area(self):
+        """`corners_area` of the corners, computed on first use: the corners
+        never change."""
+        if self._area is None:
+            self._area = corners_area(self.corners)
+        return self._area
 
     def __repr__(self):
         return f"{type(self).__name__}(corners={self.corners.tolist()})"

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (Circle, Square, Rectangle, Triangle,
-                       circle_from_three_points, oriented_rectangle,
-                       shape_groups)
+                       circle_from_three_points, corners_area,
+                       oriented_rectangle, shape_groups)
 from .sensor import scan_point_position
 
 RADIUS_THRESHOLD = 100.0   # circle fits at least this large are lines, m
@@ -454,13 +454,6 @@ def _enclosing_rect(a, b, area_a, area_b):
                           mid - half_u * u + half_v * v])
 
 
-def _corners_area(corners):
-    """Shoelace area of a polygon's corners (k, 2), in either orientation."""
-    corners = np.asarray(corners, dtype=float)
-    n = np.concatenate([corners[1:], corners[:1]])
-    return 0.5 * abs(float(np.sum(corners[:, 0] * n[:, 1] - corners[:, 1] * n[:, 0])))
-
-
 def _convex_intersection_area(a_corners, b_corners):
     """Area of the intersection of two convex CCW polygons (clip a by b).
 
@@ -491,7 +484,7 @@ def _convex_intersection_area(a_corners, b_corners):
                     out.append((px - t * dx, py - t * dy))
     if len(out) < 3:
         return 0.0
-    return _corners_area(out)
+    return corners_area(out)
 
 
 #: A union is kept only while its area stays within this factor of the
@@ -523,11 +516,11 @@ def _merge_shapes(stored, incoming, points):
         # Two polygons of a family: the area test runs on the union's
         # corners, and only a kept union becomes a shape.  Overlap can only
         # shrink the covered area, so a union too large for the parts'
-        # summed area is refused without clipping.
-        area_s = _corners_area(stored.corners)
-        area_i = _corners_area(incoming.corners)
+        # summed area is refused without clipping.  Each shape computes its
+        # own area once, however many merges it is offered to.
+        area_s, area_i = stored.area, incoming.area
         cls, corners = _enclosing_rect(stored, incoming, area_s, area_i)
-        union = _corners_area(corners)
+        union = corners_area(corners)
         if union > MERGE_AREA_SLACK * max(area_s + area_i, 1e-12):
             return None
         overlap = _convex_intersection_area(stored.corners, incoming.corners)

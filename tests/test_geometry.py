@@ -345,6 +345,22 @@ class TestSupport:
             assert np.all(got >= want - 1e-9)
 
 
+def old_polygon_fields(corners):
+    """corners, edges, center and size_scale as the polygon constructor
+    computed them with a loop over numpy scalars and np.roll."""
+    corners = np.asarray(corners, dtype=float)
+    area2 = 0.0
+    for i in range(len(corners)):
+        a, b = corners[i], corners[(i + 1) % len(corners)]
+        area2 += a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    if area2 < 0:
+        corners = corners[::-1].copy()
+    edges = np.roll(corners, -1, axis=0) - corners
+    center = corners.mean(axis=0)
+    return (corners, edges, center,
+            float(np.max(np.linalg.norm(corners - center, axis=1))))
+
+
 class TestValidation:
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -364,6 +380,26 @@ class TestValidation:
         mids = (s.corners + np.roll(s.corners, -1, axis=0)) / 2
         for n, m in zip(normals, mids):
             assert float(n @ (m - c)) > 0
+
+    def test_constructor_matches_the_numpy_scalar_loop(self):
+        rng = np.random.default_rng(83)
+        polygons = [np.zeros((3, 2)), [[0, 0], [1, 1], [2, 2]],
+                    [[0, 0], [1e-300, 0], [0, 1e-300]]]
+        for _ in range(200):
+            for k in (3, 4, 8):
+                ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+                if k == 4 and rng.random() < 0.5:
+                    ang = rng.uniform(0.0, np.pi / 2) + np.arange(4) * np.pi / 2
+                ring = (rng.uniform(-20.0, 20.0, 2)
+                        + rng.uniform(0.01, 5.0)
+                        * np.stack([np.cos(ang), np.sin(ang)], 1))
+                polygons += [ring, ring[::-1]]
+        for corners in polygons:
+            shape = geometry.ConvexPolygonShape(corners)
+            want = old_polygon_fields(corners)
+            for name, value in zip(("corners", "edges", "center"), want):
+                assert getattr(shape, name).tobytes() == value.tobytes(), name
+            assert repr(shape.size_scale) == repr(want[3])
 
     def test_axis_rectangle(self):
         r = axis_rectangle(-1, -2, 3, 4)

@@ -9,12 +9,17 @@ tracks seven peers and dozens of tracks open on one-state bootstraps;
 seed march meets long corridor walls; `unstructured` is the 2.0 s
 clutter_waypoints bench window, where a cluttered map fills the moving
 volume's slice x shape mask and obstacle admission decides between shapes.
+
+The package memoizes B-spline bases, difference matrices and Grams across
+runs; `test_runs_do_not_depend_on_the_memos` runs one window from empty
+memos and again from memos another scenario filled.
 """
 
 import pytest
 
 import numpy as np
 
+from swarmplan import bspline
 from swarmplan.harness import run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
 from swarmplan.scenario import builtin_scenario
@@ -68,3 +73,22 @@ def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
         obstacles=list(scenario.obstacles))
     for key, value in motion.items():
         assert repr(value) == repr(getattr(first.metrics, key)), key
+
+
+def test_runs_do_not_depend_on_the_memos():
+    scenario = builtin_scenario("antipodal", duration=DURATIONS["antipodal"])
+    memos = (bspline._memo_basis, bspline.difference_matrix,
+             bspline.derivative_gram)
+    for memo in memos:
+        memo.cache_clear()
+    cold = run_scenario(scenario)
+    run_scenario(builtin_scenario("unstructured",
+                                  duration=DURATIONS["unstructured"]))
+    assert all(memo.cache_info().currsize for memo in memos)
+    warm = run_scenario(scenario)
+
+    assert cold.table.keys() == warm.table.keys()
+    for agent in cold.table:
+        assert cold.table[agent].tobytes() == warm.table[agent].tobytes()
+    assert outcomes(cold) == outcomes(warm)
+    assert deterministic(cold.metrics) == deterministic(warm.metrics)

@@ -5,7 +5,8 @@ import pytest
 
 from swarmplan import perception
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, axis_rectangle,
-                               oriented_rectangle, _edge_projections)
+                               corners_area, oriented_rectangle,
+                               _edge_projections)
 from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
                                   classify_cluster, compensate_motion,
                                   fit_rectangle, segment_scan)
@@ -775,8 +776,9 @@ class TestFoldParity:
                     got = perception._convex_intersection_area(p.corners, q.corners)
                     want = per_scalar_intersection_area(p.corners, q.corners, sizes)
                     assert repr(got) == repr(want)
-                    assert (repr(perception._corners_area(p.corners))
+                    assert (repr(corners_area(p.corners))
                             == repr(per_corners_area(p.corners)))
+                    assert repr(p.area) == repr(per_corners_area(p.corners))
         # Disjoint pairs clip to nothing, octagons to 8 corners, where
         # np.sum takes its 8-wide path.
         assert min(sizes) == 0 and max(sizes) >= 8
@@ -785,7 +787,7 @@ class TestFoldParity:
             ang = np.sort(rng.uniform(0, 2 * np.pi, k))
             ring = rng.uniform(-3, 3, 2) + np.stack([np.cos(ang), np.sin(ang)], 1)
             for corners in (ring, ring[::-1]):
-                assert (repr(perception._corners_area(corners))
+                assert (repr(corners_area(corners))
                         == repr(per_corners_area(corners)))
 
     def test_enclosing_rect(self):
@@ -795,8 +797,7 @@ class TestFoldParity:
             for a, b, _ in polygon_pairs(rng):
                 want = per_shape_enclosing_rect(a, b)
                 cls, corners = perception._enclosing_rect(
-                    a, b, perception._corners_area(a.corners),
-                    perception._corners_area(b.corners))
+                    a, b, a.area, b.area)
                 assert cls is type(want)
                 assert corners.tobytes() == want.corners.tobytes()
                 assert cls(corners).corners.tobytes() == corners.tobytes()

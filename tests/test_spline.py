@@ -4,13 +4,15 @@ scipy.interpolate.BSpline on the same knot vector provides an independent
 evaluator; Gram matrices are compared with dense numerical integration of
 the squared derivative.  `TestEvaluatorParity` keeps the per-time evaluator
 the package used before it had one shared basis evaluator, and requires the
-shared one to reproduce it bit for bit.
+shared one to reproduce it bit for bit.  `TestBasisCache` requires the
+memoized basis to equal its uncached body bit for bit.
 """
 
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline as SciBSpline
 
+from swarmplan import bspline
 from swarmplan.bspline import (TrajectorySpline, KnotLayout, basis_weights,
                                derivative_gram, derivative_map,
                                difference_matrix, plan_knot_layout, position_map)
@@ -490,3 +492,104 @@ class TestEvaluatorParity:
                                      horizon=(s.m - s.degree) * s.dt)
                 assert _same(derivative_gram(s.degree, s.m, s.dt, order),
                              old_derivative_gram(at_zero, order))
+
+
+# --- the basis memo ------------------------------------------------------------
+
+def _uncached_basis(grid, t, order):
+    """_active_basis through the memo's body, which no cache sits in front of."""
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+    else:
+        key = float(t)
+    return bspline._memo_basis.__wrapped__(grid.degree, grid.t0, grid.dt,
+                                           grid.m, order, key)
+
+
+class TestBasisCache:
+    def test_cached_equals_uncached(self):
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            s = random_trajectory(rng, degree=int(rng.integers(2, 6)))
+            inside = np.array(_parity_times(rng, s, far=False))
+            inside = inside[:len(inside) // 2 * 2]
+            times = [*_parity_times(rng, s, far=True), inside,
+                     inside.reshape(2, -1), list(inside[:3])]
+            for order in range(s.degree + 1):
+                def cached(t):
+                    return bspline._active_basis(s.degree, s.t0, s.dt, s.m,
+                                                 t, order)
+                for t in times:
+                    want = _outcome(_uncached_basis, s, t, order)
+                    # The first call may fill the memo, the second hits it.
+                    for _ in range(2):
+                        got = _outcome(cached, t)
+                        if want is ValueError:
+                            assert got is ValueError, t
+                            continue
+                        for a, b in zip(got, want):
+                            assert _same(a, b) and a.dtype == b.dtype, t
+
+    def test_entries_are_read_only_and_bounded(self):
+        rng = np.random.default_rng(71)
+        info = bspline._memo_basis.cache_info
+        for _ in range(40):
+            s = random_trajectory(rng, degree=int(rng.integers(2, 6)))
+            lo, hi = s.domain
+            for t in (float(rng.uniform(lo, hi)), rng.uniform(lo, hi, 5),
+                      rng.uniform(lo, hi, (2, 3))):
+                idx, w = bspline._active_basis(s.degree, s.t0, s.dt, s.m, t)
+                for a in (idx, w):
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[..., 0] = 0
+                assert info().currsize <= info().maxsize
+        assert info().currsize == info().maxsize
+
+    def test_out_of_domain_raises_on_every_call(self):
+        # lru_cache caches no exception: a raise before or after an
+        # in-domain call on the same grid must still raise.
+        s = TrajectorySpline(3, 0.25, 0.5, np.zeros((7, 2)))
+        lo, hi = s.domain
+        layout = layout_of(s)
+        for bad in (lo - 1e-6, hi + 1e-6, np.array([lo, hi + 1e-6]),
+                    np.array([[lo - 1e-6], [hi]])):
+            good = np.clip(bad, lo, hi)
+            for order in range(s.degree + 1):
+                for _ in range(2):
+                    with pytest.raises(ValueError):
+                        s.derivative_values(bad, order)
+                    s.derivative_values(good, order)
+                    s.derivative_values(good, order)
+                    if np.ndim(bad) < 2:
+                        with pytest.raises(ValueError):
+                            derivative_map(layout, bad, order)
+                        derivative_map(layout, good, order)
+
+    def test_derivative_controls(self):
+        rng = np.random.default_rng(73)
+        for _ in range(40):
+            s = random_trajectory(rng)
+            lo, hi = s.domain
+            for order in range(s.degree + 1):
+                s.derivative_value(float(rng.uniform(lo, hi)), order)
+                c = s.derivative_control(order)
+                assert c is s.derivative_control(order)
+                assert c is s.control if order == 0 else not c.flags.writeable
+                want = difference_matrix(s.m, s.dt, order) @ s.control
+                assert _same(c, want)
+
+    def test_order_zero_map_is_its_rows(self):
+        rng = np.random.default_rng(79)
+        for _ in range(100):
+            s = random_trajectory(rng, degree=int(rng.integers(2, 6)))
+            layout = layout_of(s)
+            times = _parity_times(rng, s, far=False)
+            rows = derivative_map(layout, np.array(times), 0)
+            assert _same(rows, rows @ np.eye(s.m))
+            assert _same(rows, old_derivative_map(layout, times, 0))
+            for t in times:
+                row = derivative_map(layout, t, 0)
+                assert _same(row, row @ np.eye(s.m))
+                assert _same(row, rows[times.index(t)])
