@@ -3,10 +3,10 @@
 One family of shapes models both the mapped obstacles and the robots'
 bodies (`footprint_from_size`, a shape about the origin).  Every shape
 answers the same questions: `support` along unit directions, `contains` at
-one point or many, `distance`, and `ray_distances`.  Shapes are closed
-point sets (boundary included).  All polygons store their corners
-counter-clockwise, and the edge vectors from each corner to the next, so
-that edge normals computed as (dy, -dx) point outward.  Angles are
+one point or many, and `distance`; ray casts go through the groups below.
+Shapes are closed point sets (boundary included).  All polygons store their
+corners counter-clockwise, and the edge vectors from each corner to the
+next, so that edge normals computed as (dy, -dx) point outward.  Angles are
 radians, distances meters.
 
 Groups.  `shape_groups` stacks shapes of one kind, circles or polygons of
@@ -169,14 +169,6 @@ class Circle:
         return _disk_contains(self.center, self.radius,
                               np.asarray(p, dtype=float))
 
-    def ray_distances(self, origins, dirs):
-        """First-hit distances for rays origin + t*dir, t > 0; inf on miss.
-
-        origins is (2,) or (k, 2); dirs is (k, 2) unit vectors.
-        """
-        return _disk_ray_distances(self.center, self.radius ** 2,
-                                   np.atleast_2d(origins), dirs)
-
     def support(self, u):
         """max over the shape of u.x, per row of unit directions (..., 2)."""
         return u @ self.center + self.radius
@@ -236,14 +228,6 @@ class ConvexPolygonShape:
         p = np.asarray(p, dtype=float)
         near = _edge_projections(self.corners, self.edges, p)[2].min(axis=-1)
         return np.where(self.contains(p), 0.0, near)[()]
-
-    def ray_distances(self, origins, dirs):
-        """First-hit distances against all edges; inf on miss.
-
-        origins is (2,) or (k, 2); dirs is (k, 2) unit vectors.
-        """
-        return _polygon_ray_distances(self.corners, self.edges,
-                                      np.atleast_2d(origins), dirs)
 
     def support(self, u):
         """max over the shape of u.x, per row of unit directions (..., 2).
@@ -305,7 +289,7 @@ class CircleGroup:
         self.index = np.asarray(index)
         self.centers = np.array([c.center for c in circles]).reshape(-1, 2)
         self.radii = np.array([c.radius for c in circles])
-        # Squared as Circle.ray_distances squares its radius.
+        # Each radius squared on its own, as a float.
         self._squares = np.array([c.radius ** 2 for c in circles])
 
     def __len__(self):

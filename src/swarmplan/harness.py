@@ -10,9 +10,9 @@ tick k+1 at the earliest, as it would be over a real link.
 Everything is seeded: one seed stream resolves random spawns, a second
 drives bus drops.  Identical scenario + seed gives bitwise-identical logs.
 
-The executed motion is sampled on the prediction grid into a trajectory
-table; metrics are computed from that table alone so they can be recomputed
-from the CSV bit for bit.
+Each agent's executed path is sampled on the prediction grid into a
+trajectory table, with one whole-array read per agent; metrics are computed
+from that table alone so they can be recomputed from the CSV bit for bit.
 """
 
 from collections import Counter
@@ -79,7 +79,6 @@ def run_scenario(scenario, out_dir=None):
     ticks_per_sweep = int(round(plan_rate / SWEEP_RATE))
 
     n_ticks = int(round(scenario.duration * plan_rate))
-    reports = {a.index: [] for a in agents}
     next_due = 0.0
     for k in range(n_ticks):
         t = k / plan_rate
@@ -97,7 +96,7 @@ def run_scenario(scenario, out_dir=None):
                 a.receive_scan(simulate_swept_scan(
                     world, poses, a.config.heading, t0))
         for a in agents:
-            reports[a.index].append(a.agent_cycle(t))
+            a.agent_cycle(t)
         while next_due <= t + 1e-9:
             for a in agents:
                 broadcast(a, t)
@@ -105,19 +104,10 @@ def run_scenario(scenario, out_dir=None):
 
     n_samples = int(round(scenario.duration / TAU)) + 1
     times = np.arange(n_samples) * TAU
-    table = {}
-    rows = []
-    for a in agents:
-        path = a.path
-        data = np.empty((n_samples, 7))
-        data[:, 0] = times
-        for s, t in enumerate(times):
-            stack = path.state(t, 3)
-            data[s, 1:3] = stack[0]
-            data[s, 3:5] = stack[1]
-            data[s, 5:7] = stack[2]
-        table[a.index] = data
-        rows.extend((a.index, *data[s]) for s in range(n_samples))
+    table = {a.index: np.column_stack(
+                 [times, a.path.states(times, 3).reshape(n_samples, 6)])
+             for a in agents}
+    reports = {a.index: a.reports for a in agents}
 
     motion = compute_motion_metrics(
         table,
@@ -141,7 +131,9 @@ def run_scenario(scenario, out_dir=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         metrics.save(out / "metrics.json")
-        write_trajectories(out / "trajectories.csv", rows)
+        write_trajectories(out / "trajectories.csv",
+                           [(i, *row) for i, data in table.items()
+                            for row in data])
 
     return RunResult(metrics=metrics, table=table, reports=reports,
                      resolved=resolved)

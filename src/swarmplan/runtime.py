@@ -1,7 +1,7 @@
 """Per-agent receding-horizon loop and the timestamped message bus.
 
 Each agent runs the same ordered cycle at the planning rate: read its own
-state from the ideal tracker, process any finished LiDAR sweep into staged
+state from its executed path, process any finished LiDAR sweep into staged
 shapes, fold previously staged shapes into the local map and rebuild the
 moving obstacle volume along the old plan, drain peer broadcasts into
 anonymous tracks, grow/contract/deflate the safe regions, replan with the
@@ -34,9 +34,8 @@ from .prediction import PeerState, update_tracks
 from .regions import build_safe_regions
 
 __all__ = [
-    "AgentSpec", "AgentState", "Agent", "BusMessage", "MessageBus",
-    "CycleReport", "ExecutedPath", "ideal_track", "broadcast",
-    "symmetric_limits",
+    "AgentSpec", "Agent", "BusMessage", "MessageBus", "CycleReport",
+    "ExecutedPath", "broadcast", "symmetric_limits",
 ]
 
 TAU = 0.1            # safe-region slice spacing, seconds; divides HORIZON
@@ -129,57 +128,15 @@ class AgentSpec:
         self.waypoints = [(None if t is None else float(t),
                            np.asarray(p, dtype=float))
                           for t, p in self.waypoints]
+        points = [self.start, self.goal, self.end_velocity,
+                  *(p for _, p in self.waypoints)]
+        if not all(np.isfinite(p).all() for p in points if p is not None):
+            raise ValueError("start, goal, end velocity and waypoints "
+                             "must be finite")
         self.limits = symmetric_limits(self.limits)
         stamps = [t for t, _ in self.waypoints if t is not None]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("waypoint times must be strictly increasing")
-
-
-@dataclass
-class AgentState:
-    """Snapshot of one agent: stamp plus derivative orders 0..n-1, each (2,)."""
-
-    stamp: float
-    derivatives: np.ndarray
-
-    def __post_init__(self):
-        self.derivatives = np.atleast_2d(np.asarray(self.derivatives, dtype=float))
-        if not np.all(np.isfinite(self.derivatives)):
-            raise ValueError("agent state must be finite")
-
-    @property
-    def position(self):
-        return self.derivatives[0]
-
-
-def _parked(trajectory, n_orders):
-    """Derivative stack past the trajectory's end: its final position, with
-    every motion derivative zero."""
-    derivs = np.zeros((n_orders, 2))
-    derivs[0] = trajectory.position(trajectory.domain[1])
-    return derivs
-
-
-def ideal_track(trajectory, t_from, t_to, n_orders=None):
-    """State reached by executing the trajectory exactly from t_from to t_to.
-
-    Perfect tracking: the state is simply the trajectory's derivative stack
-    at t_to.  Past the domain end the robot has run out of plan and holds
-    position: the state is the final point with zero derivatives.  Reads
-    before the domain start are rejected.
-    """
-    lo, hi = trajectory.domain
-    if t_to < t_from - 1e-12:
-        raise ValueError(f"cannot track backwards from {t_from} to {t_to}")
-    for t in (t_from, t_to):
-        if t < lo - 1e-9:
-            raise ValueError(f"t={t} precedes trajectory domain start {lo}")
-    if n_orders is None:
-        n_orders = trajectory.degree - 1
-    if t_to > hi + 1e-9:
-        return AgentState(stamp=t_to, derivatives=_parked(trajectory, n_orders))
-    t_to = trajectory.clamp_time(t_to)
-    return AgentState(stamp=t_to, derivatives=trajectory.state_stack(t_to, n_orders))
 
 
 # --- message bus ------------------------------------------------------------
@@ -251,48 +208,72 @@ class MessageBus:
 # --- executed-motion history ------------------------------------------------
 
 class ExecutedPath:
-    """Position lookup over the sequence of committed trajectories.
+    """The motion a robot executes: its committed trajectories, by stamp.
 
     During a tick the robot follows the trajectory committed at that tick's
-    cycle, so the executed position at time t comes from the latest commit
-    at or before t (clamped into that spline's domain at the run edges).
-    The commit stamps are read once, at construction: a path is a snapshot
-    of the commits made so far.
+    cycle, so the executed state at time t comes from the latest commit at
+    or before t (the first commit before any), clamped into that spline's
+    domain.  Past the domain's end, beyond a 1e-9 tolerance, the robot has
+    run out of plan: it is parked at the final point, with every motion
+    derivative zero.  Each `Agent` keeps one path and commits to it every
+    cycle that yields a new plan, so the path is the agent's live record of
+    its motion.
     """
 
     def __init__(self, commits):
-        self._commits = commits
-        self._stamps = [c[0] for c in commits]
+        self._commits = list(commits)
+        self._stamps = [c[0] for c in self._commits]
 
-    def _active(self, t):
-        return self._commits[max(bisect_right(self._stamps, t + 1e-12) - 1, 0)][1]
+    def commit(self, t, trajectory):
+        """Follow `trajectory` from time t on; t is no earlier than the
+        latest stamp."""
+        self._commits.append((float(t), trajectory))
+        self._stamps.append(float(t))
+
+    @property
+    def latest(self):
+        """The trajectory of the latest commit."""
+        return self._commits[-1][1]
 
     def clamp_time(self, t):
         return max(t, self._commits[0][0])
 
-    def position(self, t):
-        tr = self._active(t)
-        return tr.position(tr.clamp_time(t))
+    def state(self, t, n_orders):
+        """(n_orders, 2) stack of derivative orders 0..n_orders-1 at time t."""
+        tr = self._commits[max(bisect_right(self._stamps, t + 1e-12) - 1, 0)][1]
+        if t > tr.domain[1] + 1e-9:
+            derivs = np.zeros((n_orders, 2))
+            derivs[0] = tr.position(tr.domain[1])
+            return derivs
+        return tr.state_stack(tr.clamp_time(t), n_orders)
 
-    def positions(self, times):
-        """Vectorized lookup: times grouped by their governing commit."""
+    def states(self, times, n_orders):
+        """(n, n_orders, 2): `state` at each of n times, with one evaluation
+        per commit and order."""
         times = np.asarray(times, dtype=float)
-        # The same rule as _active: the latest commit at or before t + 1e-12.
+        # The same rule as `state`: the latest commit at or before t + 1e-12.
         which = np.clip(np.searchsorted(self._stamps, times + 1e-12,
                                         side="right") - 1, 0, None)
-        out = np.empty((len(times), 2))
+        out = np.zeros((len(times), n_orders, 2))
         for k in np.unique(which):
-            sel = which == k
             tr = self._commits[k][1]
             lo, hi = tr.domain
-            out[sel] = tr.positions(np.clip(times[sel], lo, hi))
+            sel = which == k
+            parked = sel & (times > hi + 1e-9)
+            if parked.any():
+                out[parked, 0] = tr.position(hi)
+            sel &= ~parked
+            if sel.any():
+                ts = np.clip(times[sel], lo, hi)
+                for order in range(n_orders):
+                    out[sel, order] = tr.derivative_values(ts, order)
         return out
 
-    def state(self, t, n_orders):
-        tr = self._active(t)
-        if t > tr.domain[1] + 1e-9:
-            return _parked(tr, n_orders)
-        return tr.state_stack(tr.clamp_time(t), n_orders)
+    def position(self, t):
+        return self.state(t, 1)[0]
+
+    def positions(self, times):
+        return self.states(times, 1)[:, 0]
 
 
 # --- the agent --------------------------------------------------------------
@@ -341,8 +322,7 @@ class Agent:
         self.bus = bus
 
         layout = plan_knot_layout(0.0, HORIZON, KNOT_SEGMENT, spec.order + 1)
-        self.trajectory = constant_spline(layout, spec.start)
-        self.commits = [(0.0, self.trajectory)]
+        self.path = ExecutedPath([(0.0, constant_spline(layout, spec.start))])
         self.local_map = LocalMap(origin=spec.start)
         self.footprint = footprint_from_size(spec.footprint)
         self.staged = []
@@ -351,13 +331,6 @@ class Agent:
         self.tracks = []
         self.regions = None
         self.reports = []
-        self._last_now = 0.0
-
-    # -- harness-facing helpers ------------------------------------------
-
-    @property
-    def path(self):
-        return ExecutedPath(self.commits)
 
     def receive_scan(self, scan):
         self.pending_scan = scan
@@ -368,14 +341,12 @@ class Agent:
         """Run one full planning cycle at time `now`; returns a CycleReport."""
         t_wall = time.perf_counter()
         flags = []
-        prev = self.trajectory
+        prev = self.path.latest
         cfg = self.config
 
-        # (1) Own state from the ideal tracker.  Reading past the plan's
+        # (1) Own state from the executed path.  Reading past the plan's
         # end reports the robot parked there, not still moving.
-        state = ideal_track(prev, prev.clamp_time(self._last_now), now,
-                            n_orders=cfg.order)
-        initial_state = state.derivatives
+        initial_state = self.path.state(now, cfg.order)
 
         # Snapshot handoff: stage 3 folds only shapes staged by earlier
         # cycles; shapes staged now are folded next cycle.
@@ -390,9 +361,8 @@ class Agent:
             if scan is None:
                 return
             self.pending_scan = None
-            history = ExecutedPath(self.commits)
             for cluster in segment_scan(scan):
-                origin = compensate_motion(cluster, history)
+                origin = compensate_motion(cluster, self.path)
                 if cluster.closed:
                     # The returns surround us: stage one wall piece per face
                     # instead of fitting a single shape we would be inside.
@@ -471,11 +441,9 @@ class Agent:
             traj, plan = prev, None
 
         # (7) Commit and report.
-        self.trajectory = traj
         if traj is not prev:
-            self.commits.append((float(now), traj))
+            self.path.commit(now, traj)
         self.regions = regions
-        self._last_now = float(now)
         report = CycleReport(
             t=float(now),
             status=plan.status if plan is not None else "fallback",
@@ -499,8 +467,7 @@ def broadcast(agent, now):
     The payload carries no identity: receivers must associate it with a
     track from the motion alone.
     """
-    traj = agent.trajectory
-    st = ideal_track(traj, traj.clamp_time(now), now, n_orders=3).derivatives
+    st = agent.path.state(now, 3)
     payload = PeerState(stamp=float(now), position=st[0], velocity=st[1],
                         acceleration=st[2], size=agent.config.footprint)
     return agent.bus.post(agent.index, payload, now)

@@ -32,11 +32,23 @@ def boundary_samples(shape, n):
     return a[idx] + frac[:, None] * (b[idx] - a[idx])
 
 
+def own_ray_distances(shape, origins, dirs):
+    """The shape's kind's ray-cast kernel on the shape's own parameters:
+    the first-hit distance of each ray origin + t*dir, t > 0; inf on a
+    miss."""
+    if isinstance(shape, Circle):
+        return geometry._disk_ray_distances(shape.center, shape.radius ** 2,
+                                            origins, dirs)
+    return geometry._polygon_ray_distances(shape.corners, shape.edges,
+                                           origins, dirs)
+
+
 def ray_cast(origin, angle, shape, max_range):
-    """`shape.ray_distances` for one ray: the distance from origin at `angle`
+    """`own_ray_distances` for one ray: the distance from origin at `angle`
     to the boundary, or None when it is beyond max_range or absent."""
     u = np.array([np.cos(angle), np.sin(angle)])
-    t = float(shape.ray_distances(np.asarray(origin, float)[None], u[None])[0])
+    t = float(own_ray_distances(shape, np.asarray(origin, float)[None],
+                                u[None])[0])
     return t if np.isfinite(t) and t <= max_range else None
 
 

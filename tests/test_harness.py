@@ -13,15 +13,20 @@ volume's slice x shape mask and obstacle admission decides between shapes.
 The package memoizes B-spline bases, difference matrices and Grams across
 runs; `test_runs_do_not_depend_on_the_memos` runs one window from empty
 memos and again from memos another scenario filled.
+
+The table is read from each agent's executed path in one array pass;
+`test_table_equals_per_sample_reads` holds it to one `state` read per
+sample.
 """
 
 import pytest
 
 import numpy as np
 
-from swarmplan import bspline
-from swarmplan.harness import run_scenario
+from swarmplan import bspline, harness
+from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
+from swarmplan.runtime import TAU
 from swarmplan.scenario import builtin_scenario
 
 # Wall-clock fields of RunMetrics; every other field is deterministic.
@@ -92,3 +97,33 @@ def test_runs_do_not_depend_on_the_memos():
         assert cold.table[agent].tobytes() == warm.table[agent].tobytes()
     assert outcomes(cold) == outcomes(warm)
     assert deterministic(cold.metrics) == deterministic(warm.metrics)
+
+
+def per_sample_table(path, times):
+    """An agent's table as one `state` read per sample."""
+    data = np.empty((len(times), 7))
+    data[:, 0] = times
+    for s, t in enumerate(times):
+        stack = path.state(t, 3)
+        data[s, 1:3] = stack[0]
+        data[s, 3:5] = stack[1]
+        data[s, 5:7] = stack[2]
+    return data
+
+
+@pytest.mark.parametrize("name", ["walled_in", "unstructured"])
+def test_table_equals_per_sample_reads(name, monkeypatch):
+    built = []
+
+    def keep(*args):
+        built.extend(build_agents(*args))
+        return built
+
+    monkeypatch.setattr(harness, "build_agents", keep)
+    scenario = builtin_scenario(name, duration=DURATIONS.get(name))
+    result = run_scenario(scenario)
+    times = np.arange(int(round(scenario.duration / TAU)) + 1) * TAU
+    assert [a.index for a in built] == list(result.table)
+    for a in built:
+        want = per_sample_table(a.path, times)
+        assert result.table[a.index].tobytes() == want.tobytes()

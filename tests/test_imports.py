@@ -1,6 +1,6 @@
 """Import-level guards: no plotting, scipy or schema code at run time,
-every name that packaging and the benchmark tracer refer to exists and
-works, and `src/` defines no function that nothing refers to.
+every name that packaging, the benchmark tracer and `__all__` refer to
+exists and works, and `src/` defines no function that nothing refers to.
 
 scipy is a test-only dependency (spline and LP oracles) and matplotlib is
 not a dependency at all; importing either at run time would cost set-up
@@ -78,6 +78,17 @@ def test_bench_tracer_observes_runs_unchanged(monkeypatch):
     for span in ("qp.solve", "regions.build", "prediction.update",
                  "perception.classify"):
         assert calls.get(span, 0) > 0, span
+
+
+def test_all_exports_resolve():
+    """Every name in a module's `__all__` exists on that module: `import *`
+    fails on a stale export, and the scan below counts exports as uses."""
+    for path in sorted((SRC / "swarmplan").glob("*.py")):
+        module = importlib.import_module(
+            "swarmplan" if path.stem == "__init__" else f"swarmplan.{path.stem}")
+        missing = [n for n in getattr(module, "__all__", ())
+                   if not hasattr(module, n)]
+        assert not missing, f"{path.name}: {missing}"
 
 
 # Names the scan would flag, each with why it stays.

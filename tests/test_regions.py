@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 from scipy.optimize import linprog
 
-from swarmplan import regions
+from swarmplan import geometry, regions
 from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolygonShape,
                                 Square, Triangle, _as_point, axis_rectangle,
                                 footprint_from_size, oriented_rectangle,
@@ -537,13 +537,24 @@ def _fp_contains(fp, rel):
     return float(np.max(np.abs(rel))) <= float(np.max(fp.corners))
 
 
+def own_ray_distances(shape, origins, dirs):
+    """The shape's kind's ray-cast kernel on the shape's own parameters:
+    the first-hit distance of each ray origin + t*dir, t > 0; inf on a
+    miss."""
+    if isinstance(shape, Circle):
+        return geometry._disk_ray_distances(shape.center, shape.radius ** 2,
+                                            origins, dirs)
+    return geometry._polygon_ray_distances(shape.corners, shape.edges,
+                                           origins, dirs)
+
+
 def oracle_crossing(a, b, shape):
     d = b - a
     length = float(np.linalg.norm(d))
     if length < 1e-12:
         return None
     u = d / length
-    t = float(shape.ray_distances(a[None, :], u[None, :])[0])
+    t = float(own_ray_distances(shape, a[None, :], u[None, :])[0])
     if not np.isfinite(t) or t > length + BOUNDARY_TOL:
         return None
     return a + min(t, length) * u
@@ -1060,11 +1071,11 @@ class TestMarchWindow:
 
 
 def own_crossings(a, b, shape):
-    """`segment_shape_intersections` on one shape's own `ray_distances`."""
+    """`segment_shape_intersections` on one shape's `own_ray_distances`."""
     d = b - a
     length = np.sqrt(np.vecdot(d, d))
     u = d / length[:, None]
-    t = shape.ray_distances(a, u)
+    t = own_ray_distances(shape, a, u)
     crossed = (length >= 1e-12) & np.isfinite(t) & (t <= length + BOUNDARY_TOL)
     return a + np.minimum(t, length)[:, None] * u, crossed
 

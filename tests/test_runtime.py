@@ -1,17 +1,16 @@
-"""Agent cycle, ideal tracking, and message-bus delivery semantics."""
+"""Agent cycle, the executed path, and message-bus delivery semantics."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from swarmplan.bspline import plan_knot_layout
+from swarmplan.bspline import TrajectorySpline, plan_knot_layout
 from swarmplan.geometry import Circle
 from swarmplan.planner import constant_spline
 from swarmplan.prediction import PeerState
-from swarmplan.runtime import (Agent, AgentSpec, AgentState, BusMessage,
-                               ExecutedPath, MessageBus, broadcast,
-                               ideal_track, symmetric_limits)
+from swarmplan.runtime import (Agent, AgentSpec, BusMessage, ExecutedPath,
+                               MessageBus, broadcast, symmetric_limits)
 from swarmplan.sensor import Scan, World, simulate_scan
 
 
@@ -86,52 +85,18 @@ class TestLimitsAndConfig:
         with pytest.raises(ValueError, match="resolved"):
             Agent(0, AgentSpec(**spec))
 
-    def test_state_must_be_finite(self):
-        with pytest.raises(ValueError):
-            AgentState(stamp=0.0, derivatives=[[np.nan, 0.0]])
-
-
-class TestIdealTrack:
-    def setup_method(self):
-        layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
-        rng = np.random.default_rng(5)
-        control = rng.normal(size=(layout.m, 2))
-        from swarmplan.bspline import TrajectorySpline
-        self.traj = TrajectorySpline.from_layout(layout, control)
-
-    def test_zero_length_interval(self):
-        t0 = self.traj.domain[0]
-        st = ideal_track(self.traj, t0, t0, n_orders=2)
-        assert np.allclose(st.derivatives, self.traj.state_stack(t0, 2))
-
-    def test_full_segment_matches_evaluation(self):
-        lo, hi = self.traj.domain
-        st = ideal_track(self.traj, lo, hi, n_orders=2)
-        assert st.stamp == hi
-        assert np.allclose(st.derivatives, self.traj.state_stack(hi, 2))
-
-    def test_chained_micro_steps_match_single_step(self):
-        lo, hi = self.traj.domain
-        times = np.linspace(lo, hi, 37)
-        state = None
-        for a, b in zip(times[:-1], times[1:]):
-            state = ideal_track(self.traj, a, b, n_orders=2)
-        direct = ideal_track(self.traj, lo, hi, n_orders=2)
-        assert np.max(np.abs(state.derivatives - direct.derivatives)) < 1e-12
-
-    def test_domain_violation_raises(self):
-        lo, hi = self.traj.domain
-        with pytest.raises(ValueError):
-            ideal_track(self.traj, lo - 1.0, hi)
-        with pytest.raises(ValueError):
-            ideal_track(self.traj, hi, lo)
-
-    def test_past_domain_end_reports_parked(self):
-        lo, hi = self.traj.domain
-        st = ideal_track(self.traj, lo, hi + 2.5, n_orders=3)
-        assert st.stamp == hi + 2.5
-        assert np.allclose(st.derivatives[0], self.traj.position(hi))
-        assert np.all(st.derivatives[1:] == 0.0)
+    @pytest.mark.parametrize("spec", [
+        dict(start=(np.nan, 0.0)),
+        dict(goal=(3.0, np.inf)),
+        dict(end_velocity=(np.nan, 0.0)),
+        dict(waypoints=[(1.0, (1.0, 0.0)), (2.0, (-np.inf, 0.0))]),
+        dict(waypoints=[(None, (np.nan, np.nan))])],
+        ids=["start", "goal", "end_velocity", "waypoint", "unstamped_waypoint"])
+    def test_spec_points_must_be_finite(self, spec):
+        # An agent's state comes from its spawn point and committed plans,
+        # so a finite spec keeps every state finite.
+        with pytest.raises(ValueError, match="finite"):
+            AgentSpec(**{"start": (0.0, 0.0), "goal": (3.0, 0.0), **spec})
 
 
 class TestMessageBus:
@@ -194,7 +159,58 @@ class TestMessageBus:
         assert bus.poll(consumer=0, now=0.1) == ps
 
 
+def random_spline(rng, t0, degree=3, dt=1.0, horizon=4.0):
+    layout = plan_knot_layout(t0, horizon, dt, degree)
+    return TrajectorySpline.from_layout(layout, rng.normal(size=(layout.m, 2)))
+
+
 class TestExecutedPath:
+    def test_state_is_the_trajectory_stack_on_its_domain(self):
+        traj = random_spline(np.random.default_rng(5), 0.0)
+        path = ExecutedPath([(0.0, traj)])
+        lo, hi = traj.domain
+        for t in (lo, 0.5 * (lo + hi), hi, hi + 1e-9):
+            assert np.allclose(path.state(t, 2),
+                               traj.state_stack(min(t, hi), 2))
+
+    def test_states_equal_state_on_random_commits(self):
+        # Byte for byte at the times where the lookup rule turns: just
+        # before and at each stamp, before the first commit, within the
+        # 1e-9 tolerance past a domain end, and parked beyond it.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            stamps = np.cumsum(rng.choice([1 / 25, 0.3, 2.5], size=6))
+            stamps -= stamps[0] - rng.uniform(-1.0, 1.0)
+            commits = [(float(t), random_spline(
+                rng, float(t), degree=int(rng.integers(2, 6)),
+                dt=float(rng.choice([0.25, 1.0])),
+                horizon=float(rng.choice([1.0, 4.0])))) for t in stamps]
+            path = ExecutedPath(commits)
+            ends = np.array([tr.domain[1] for _, tr in commits])
+            ts = np.concatenate([
+                stamps - 1e-12, stamps, stamps[0] - rng.uniform(0.0, 2.0, 5),
+                ends, ends + 1e-9, ends + 0.5e-9, ends + 1e-6,
+                ends + rng.uniform(0.0, 3.0, len(ends)),
+                rng.uniform(stamps[0] - 1.0, ends.max() + 2.0, 100)])
+            for n in (1, 2, 3, 4):
+                want = np.stack([path.state(t, n) for t in ts])
+                assert path.states(ts, n).tobytes() == want.tobytes()
+            want = np.stack([path.position(t) for t in ts])
+            assert path.positions(ts).tobytes() == want.tobytes()
+
+    def test_reads_after_commit_see_the_new_trajectory(self):
+        tr0 = constant_spline(plan_knot_layout(0.0, 4.0, 1.0, 3), (0.0, 0.0))
+        tr1 = constant_spline(plan_knot_layout(1.0, 4.0, 1.0, 3), (5.0, 0.0))
+        path = ExecutedPath([(0.0, tr0)])
+        assert np.allclose(path.position(2.0), [0, 0])
+        path.commit(1.0, tr1)
+        assert path.latest is tr1
+        ts = np.array([0.5, 1.0, 2.0])
+        want = [[0, 0], [5, 0], [5, 0]]
+        assert np.allclose(path.positions(ts), want)
+        assert np.allclose(path.states(ts, 2)[:, 0], want)
+        assert np.allclose(path.state(2.0, 2), [[5, 0], [0, 0]])
+
     def test_lookup_spans_commits(self):
         l0 = plan_knot_layout(0.0, 4.0, 1.0, 3)
         l1 = plan_knot_layout(1.0, 4.0, 1.0, 3)
@@ -208,12 +224,8 @@ class TestExecutedPath:
         assert np.allclose(path.position(-1.0), [0, 0])
 
     def test_vectorized_matches_scalar(self):
-        l0 = plan_knot_layout(0.0, 4.0, 1.0, 3)
-        l1 = plan_knot_layout(2.0, 4.0, 1.0, 3)
         rng = np.random.default_rng(2)
-        from swarmplan.bspline import TrajectorySpline
-        tr0 = TrajectorySpline.from_layout(l0, rng.normal(size=(l0.m, 2)))
-        tr1 = TrajectorySpline.from_layout(l1, rng.normal(size=(l1.m, 2)))
+        tr0, tr1 = random_spline(rng, 0.0), random_spline(rng, 2.0)
         path = ExecutedPath([(0.0, tr0), (2.0, tr1)])
         ts = np.linspace(0.0, 5.0, 41)
         batch = path.positions(ts)
@@ -239,15 +251,14 @@ class TestExecutedPath:
         assert np.rint(path.positions(ties)[:, 0]).tolist() == list(range(1, 200))
 
     def test_state_past_last_commit_is_parked(self):
-        layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
         rng = np.random.default_rng(7)
-        from swarmplan.bspline import TrajectorySpline
-        traj = TrajectorySpline.from_layout(layout, rng.normal(size=(layout.m, 2)))
+        traj = random_spline(rng, 0.0)
         path = ExecutedPath([(0.0, traj)])
         end = traj.domain[1]
-        st = path.state(end + 1.5, 3)
-        assert np.allclose(st[0], traj.position(end))
-        assert np.all(st[1:] == 0.0)
+        for t in (end + 1e-6, end + 1.5, end + 2.5):
+            st = path.state(t, 3)
+            assert np.allclose(st[0], traj.position(end))
+            assert np.all(st[1:] == 0.0)
 
 
 class TestAgentCycle:
@@ -366,7 +377,7 @@ class TestBroadcast:
         for k in range(26):
             agent.agent_cycle(k / 25.0)
         msg = broadcast(agent, 1.0)
-        expect = agent.trajectory.state_stack(1.0, 2)
+        expect = agent.path.latest.state_stack(1.0, 2)
         assert np.allclose(msg.payload.position, expect[0], atol=1e-12)
         assert np.allclose(msg.payload.velocity, expect[1], atol=1e-12)
         assert np.linalg.norm(msg.payload.velocity) > 0.1
