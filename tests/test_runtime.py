@@ -169,7 +169,7 @@ class TestExecutedPath:
         traj = random_spline(np.random.default_rng(5), 0.0)
         path = ExecutedPath([(0.0, traj)])
         lo, hi = traj.domain
-        for t in (lo, 0.5 * (lo + hi), hi, hi + 1e-9):
+        for t in (0.5 * (lo + hi), hi + 1e-9):
             assert np.allclose(path.state(t, 2),
                                traj.state_stack(min(t, hi), 2))
 
@@ -255,10 +255,35 @@ class TestExecutedPath:
         traj = random_spline(rng, 0.0)
         path = ExecutedPath([(0.0, traj)])
         end = traj.domain[1]
-        for t in (end + 1e-6, end + 1.5, end + 2.5):
+        for t in (end + 1e-6, end + 1.5):
             st = path.state(t, 3)
             assert np.allclose(st[0], traj.position(end))
             assert np.all(st[1:] == 0.0)
+
+
+class TestIdealTrack:
+    """The ideal track: an agent's state read off its one committed plan."""
+
+    def setup_method(self):
+        self.traj = random_spline(np.random.default_rng(5), 0.0)
+        self.path = ExecutedPath([(0.0, self.traj)])
+
+    def test_zero_length_interval(self):
+        t0 = self.traj.domain[0]
+        assert np.allclose(self.path.state(t0, 2),
+                           self.traj.state_stack(t0, 2))
+
+    def test_full_segment_matches_evaluation(self):
+        hi = self.traj.domain[1]
+        assert np.allclose(self.path.state(hi, 2),
+                           self.traj.state_stack(hi, 2))
+
+    def test_past_domain_end_reports_parked(self):
+        hi = self.traj.domain[1]
+        st = self.path.state(hi + 2.5, 3)
+        assert st.shape == (3, 2)
+        assert np.allclose(st[0], self.traj.position(hi))
+        assert np.all(st[1:] == 0.0)
 
 
 class TestAgentCycle:
