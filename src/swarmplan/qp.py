@@ -30,10 +30,22 @@ Householder reflection of J[:, q:] and a new column of R; dropping one is a
 sweep of Givens rotations that re-triangularizes R, applied to the columns
 of J and of R^-1 alike.
 
-Everything is plain numpy with fixed tie-breaking, so identical inputs give
-bitwise-identical solutions.
+The elimination and the factor depend on H and A_eq alone, and a planner
+re-solves the same pair often: agents with one layout share it, and a
+relaxed retry keeps its dense pass's pair.  So `_factor` keeps the SVD,
+rank, Z and M of the last 16 distinct pairs, keyed on their exact bytes
+and shape, and returns them read-only; each solve computes only x0, w, the
+rows B = A_in M and their slack from them.
+
+The vectors and products are numpy, and every reduction is the same numpy
+call on the same operands on every path.  The dual loop keeps its scalar
+bookkeeping (the ratio test and the multiplier update, both elementwise)
+on Python floats, which round as numpy's elementwise operations do.  With
+fixed tie-breaking, identical inputs give bitwise-identical solutions,
+from a cold memo or a warm one.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +55,7 @@ _EQ_TOL = 1e-7       # equality consistency, absolute
 _RANK_TOL = 1e-10    # singular values of A_eq, relative to the largest
 _VIOL_TOL = 1e-10    # row violation, relative to 1 + max |h|
 _ZERO_STEP = 1e-10   # primal step norm, relative to the row norm
+_FACTOR_MEMO = 16    # distinct (H, A_eq) pairs whose factors are kept
 
 
 @dataclass
@@ -50,10 +63,13 @@ class QPProblem:
     """min 1/2 x'Hx + F'x  s.t.  A_eq x = b_eq,  A_in x <= b_in.
 
     Every row of A_in is one-sided with a finite bound: a two-sided limit
-    is two rows, and a side with no bound is no row.  H must be symmetric
-    and positive definite on the null space of A_eq; it may be singular on
-    the whole space.  Otherwise the Cholesky factor of the reduced Hessian
-    does not exist and solve_qp raises LinAlgError.
+    is two rows, and a side with no bound is no row.  Both blocks have n
+    columns and a finite right-hand side of one value per row; anything
+    else raises ValueError here.  H must be symmetric and positive
+    definite on the null space of A_eq; it may be singular on the whole
+    space.  Otherwise the Cholesky factor of the reduced Hessian does not
+    exist and solve_qp raises LinAlgError, also when the equalities are
+    inconsistent.
     """
 
     H: np.ndarray
@@ -69,23 +85,27 @@ class QPProblem:
         n = len(self.F)
         if self.H.shape != (n, n):
             raise ValueError(f"H must be ({n}, {n}), got {self.H.shape}")
-        if self.A_eq is None:
-            self.A_eq = np.zeros((0, n))
-            self.b_eq = np.zeros(0)
-        else:
-            self.A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-            self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-        if self.A_in is None:
-            self.A_in = np.zeros((0, n))
-            self.b_in = np.zeros(0)
-        else:
-            self.A_in = np.atleast_2d(np.asarray(self.A_in, dtype=float))
-            self.b_in = np.atleast_1d(np.asarray(self.b_in, dtype=float))
-        if self.b_in.shape != (len(self.A_in),):
-            raise ValueError(f"b_in must be ({len(self.A_in)},), "
-                             f"got {self.b_in.shape}")
-        if not np.isfinite(self.b_in).all():
-            raise ValueError("b_in must be finite; leave an unbounded row out")
+        for side in ("eq", "in"):
+            A, b = getattr(self, f"A_{side}"), getattr(self, f"b_{side}")
+            if A is None:
+                A, b = np.zeros((0, n)), np.zeros(0)
+            elif b is None:
+                raise ValueError(f"A_{side} needs b_{side}")
+            else:
+                A = np.atleast_2d(np.asarray(A, dtype=float))
+                b = np.atleast_1d(np.asarray(b, dtype=float))
+            if A.ndim != 2 or A.shape[1] != n:
+                raise ValueError(f"A_{side} must have {n} columns, "
+                                 f"got {A.shape}")
+            if b.shape != (len(A),):
+                raise ValueError(f"b_{side} must be ({len(A)},), "
+                                 f"got {b.shape}")
+            if not np.isfinite(b).all():
+                raise ValueError(f"b_{side} must be finite"
+                                 + ("; leave an unbounded row out"
+                                    if side == "in" else ""))
+            setattr(self, f"A_{side}", A)
+            setattr(self, f"b_{side}", b)
 
     @property
     def n(self):
@@ -102,6 +122,23 @@ class QPSolution:
     working_set: list = field(default_factory=list)   # active rows of A_in
 
 
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
+def _factor(H, A_eq, shape):
+    """(U, S, Vt, rank, Z, M) of the H and A_eq bytes of shape (n, k): the
+    SVD A_eq = U S Vt, its rank, the null-space basis Z and M with
+    M'HM = I on it.  Every array is read-only."""
+    n, k = shape
+    H = np.frombuffer(H).reshape(n, n)
+    U, S, Vt = np.linalg.svd(np.frombuffer(A_eq).reshape(k, n))
+    rank = int(np.sum(S > _RANK_TOL * S.max(initial=0.0)))
+    Z = Vt[rank:].T
+    L = np.linalg.cholesky(Z.T @ H @ Z)
+    M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
+    for a in (U, S, Vt, Z, M):
+        a.setflags(write=False)
+    return U, S, Vt, rank, Z, M
+
+
 def solve_qp(problem):
     """Solve a convex QP; see QPProblem for the form and the contract.
 
@@ -113,15 +150,13 @@ def solve_qp(problem):
     G, h = problem.A_in, problem.b_in
     duals = np.zeros(len(G))
 
-    U, S, Vt = np.linalg.svd(problem.A_eq)
-    rank = int(np.sum(S > _RANK_TOL * S.max(initial=0.0)))
+    U, S, Vt, rank, Z, M = _factor(problem.H.tobytes(),
+                                   problem.A_eq.tobytes(),
+                                   (n, len(problem.A_eq)))
     x0 = Vt[:rank].T @ ((U[:, :rank].T @ problem.b_eq) / S[:rank])
-    if np.any(np.abs(problem.A_eq @ x0 - problem.b_eq) > _EQ_TOL):
+    if (np.abs(problem.A_eq @ x0 - problem.b_eq) > _EQ_TOL).any():
         return QPSolution(x=x0, status="infeasible", iterations=0,
                           stationarity=np.inf, duals_in=duals)
-    Z = Vt[rank:].T
-    L = np.linalg.cholesky(Z.T @ problem.H @ Z)
-    M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
     w = -M.T @ (problem.H @ x0 + problem.F)
     B = G @ M
     d = h - G @ x0
@@ -130,13 +165,14 @@ def solve_qp(problem):
     norms[norms == 0.0] = 1.0
 
     # J (orthonormal) and Rinv = R^-1 stacked, so that one rotation of
-    # their shared columns moves both; u[:q] are the active multipliers.
+    # their shared columns moves both; u holds the active multipliers as
+    # Python floats.
     p = B.shape[1]
     JR = np.zeros((2 * p, p))
     J, Rinv = JR[:p], JR[p:]
     J[:] = np.eye(p)
     R = np.zeros((p, p))
-    u = np.zeros(p)
+    u = []
     active, j = [], None
     status, it, max_iter = "maxiter", 0, 50 + 10 * (n + len(G))
     while True:
@@ -147,6 +183,7 @@ def solve_qp(problem):
                 status = "optimal"
                 break
             j = int(np.where(viol > tol, viol / norms, -np.inf).argmax())
+            b_j, d_j, norm_j = B[j], float(d[j]), float(norms[j])
             t_plus = 0.0
         if it == max_iter:
             break
@@ -154,43 +191,54 @@ def solve_qp(problem):
         # Path that raises row j's multiplier t_plus while the active rows
         # stay tight: w moves along z and the active multipliers along r.
         q = len(active)
-        v = B[j] @ J
-        z = J[:, q:] @ -v[q:]
+        v = b_j @ J
+        v_free = v[q:]
+        z = J[:, q:] @ -v_free
         r = Rinv[:q, :q] @ -v[:q]
-        ratios = np.full(q + 1, np.inf)
-        np.divide(u[:q], -r, out=ratios[:q], where=r < 0.0)
-        drop = int(ratios.argmin())
-        t_dual = ratios[drop]
-        z_norm = math.sqrt(v[q:] @ v[q:])
-        full = z_norm > _ZERO_STEP * norms[j]
-        if not full and t_dual == np.inf:
+        r_list = r.tolist()
+        # Ratio test, as argmin over u / -r where r < 0 (else inf): the
+        # first minimum wins, and a NaN ratio wins outright.
+        drop, t_dual = 0, math.inf
+        for i, r_i in enumerate(r_list):
+            if r_i < 0.0:
+                ratio = u[i] / -r_i
+                if ratio < t_dual:
+                    drop, t_dual = i, ratio
+                elif ratio != ratio:
+                    drop, t_dual = i, ratio
+                    break
+        z_norm = math.sqrt(v_free @ v_free)
+        full = z_norm > _ZERO_STEP * norm_j
+        if not full and t_dual == math.inf:
             status = "infeasible"
             break
-        t_primal = (B[j] @ w - d[j]) / z_norm**2 if full else np.inf
+        t_primal = (float(b_j @ w) - d_j) / z_norm**2 if full else math.inf
         t = min(t_primal, t_dual)
         if full:
             w = w + t * z
-        u[:q] = np.maximum(u[:q] + t * r, 0.0)
+        # Clamp as np.maximum(., 0.0) does: -0.0 becomes 0.0, NaN stays.
+        for i, r_i in enumerate(r_list):
+            u_i = u[i] + t * r_i
+            u[i] = u_i if u_i > 0.0 or u_i != u_i else 0.0
         t_plus += t
         if t_primal <= t_dual:
             # Reflect v[q:] onto alpha e_1: J[:, q] joins the active span.
             alpha = -math.copysign(z_norm, v[q])
-            house = v[q:].copy()
+            house = v_free.copy()
             house[0] -= alpha
-            J[:, q:] -= np.outer(J[:, q:] @ house,
-                                 house / (z_norm**2 - alpha * v[q]))
+            J[:, q:] -= ((J[:, q:] @ house)[:, None]
+                         * (house / (z_norm**2 - alpha * v[q]))[None, :])
             R[:q, q] = v[:q]
             R[q, q] = alpha
             Rinv[:q, q] = r / alpha
             Rinv[q, q] = 1.0 / alpha
-            u[q] = t_plus
+            u.append(t_plus)
             active.append(j)
             j = None
         else:
             # Delete the row's column of R and row of R^-1, then rotate the
             # Hessenberg remainder of R back to upper-triangular form.
-            del active[drop]
-            u[drop:q - 1] = u[drop + 1:q]
+            del active[drop], u[drop]
             R[:, drop:q - 1] = R[:, drop + 1:q]
             Rinv[drop:q - 1] = Rinv[drop + 1:q]
             for i in range(drop, q - 1):
@@ -201,10 +249,10 @@ def solve_qp(problem):
             R[q - 1] = R[:, q - 1] = Rinv[q - 1] = Rinv[:, q - 1] = 0.0
 
     x = x0 + M @ w
-    duals[active] = u[:len(active)]
+    duals[active] = u
     stationarity = np.inf
     if status == "optimal":
-        g = problem.H @ x + problem.F + G[active].T @ u[:len(active)]
+        g = problem.H @ x + problem.F + G[active].T @ np.array(u)
         stationarity = float(np.abs(Z @ (Z.T @ g)).max())
     return QPSolution(x=x, status=status, iterations=it,
                       stationarity=stationarity, duals_in=duals,

@@ -6,13 +6,16 @@ and by sampling feasible competitors, never by trusting the solver's own
 bookkeeping.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from swarmplan.qp import QPProblem, solve_qp
+from swarmplan import qp
+from swarmplan.qp import (_EQ_TOL, _RANK_TOL, _VIOL_TOL, _ZERO_STEP,
+                        QPProblem, QPSolution, solve_qp)
 
 
 def one_sided(A, lower, upper):
@@ -53,6 +56,32 @@ def random_feasible_qp(rng, n=None, with_eq=True, with_ineq=True):
         A_in, b_in = one_sided(A_in, lower, upper)
     return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=b_eq,
                      A_in=A_in, b_in=b_in), x_feas
+
+
+def nearly_dependent_qp(rng):
+    """Many rows within 1e-5 of a subspace of lower dimension: adding one
+    often zeroes the multiplier of a nearly parallel active row, so most
+    solves drop rows and re-triangularize."""
+    n = int(rng.integers(4, 12))
+    m = int(rng.integers(3 * n, 8 * n))
+    k = int(rng.integers(2, n))
+    A = rng.normal(size=(n, n))
+    A_in = (rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+            + 1e-5 * rng.normal(size=(m, n)))
+    return QPProblem(H=A.T @ A + 1e-3 * np.eye(n),
+                     F=30.0 * rng.normal(size=n), A_in=A_in,
+                     b_in=rng.uniform(0.0, 1.0, size=m))
+
+
+def shifted_planes_qp(rng):
+    """Two parallel planes pulled past each other: a x >= gap and
+    a x <= -gap."""
+    n = int(rng.integers(2, 8))
+    a = rng.normal(size=n)
+    a /= np.linalg.norm(a)
+    gap = rng.uniform(0.1, 2.0)
+    return QPProblem(H=np.eye(n), F=rng.normal(size=n),
+                     A_in=np.vstack([-a, a]), b_in=np.array([-gap, -gap]))
 
 
 def check_kkt(p, sol, tol=1e-6):
@@ -111,6 +140,30 @@ class TestProblemForm:
     def test_mis_shaped_bound_rejected(self, b_in):
         with pytest.raises(ValueError):
             QPProblem(H=np.eye(2), F=np.zeros(2), A_in=np.eye(2), b_in=b_in)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_equality_rejected(self, bad):
+        with pytest.raises(ValueError, match="b_eq must be finite"):
+            QPProblem(H=np.eye(2), F=np.zeros(2), A_eq=np.eye(2),
+                      b_eq=np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("b_eq", [None, np.ones(3), np.ones((2, 1))])
+    def test_mis_shaped_equality_rejected(self, b_eq):
+        with pytest.raises(ValueError, match="b_eq"):
+            QPProblem(H=np.eye(2), F=np.zeros(2), A_eq=np.eye(2), b_eq=b_eq)
+
+    @pytest.mark.parametrize("side", ["eq", "in"])
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.ones((2, 1)),
+                                   np.ones(3), np.ones((1, 2, 2))])
+    def test_wrong_column_count_rejected(self, side, A):
+        with pytest.raises(ValueError, match=f"A_{side} must have 2 columns"):
+            QPProblem(H=np.eye(2), F=np.zeros(2),
+                      **{f"A_{side}": A, f"b_{side}": np.ones(len(A))})
+
+    def test_no_equality_rows_is_an_empty_block(self):
+        p = QPProblem(H=np.eye(2), F=np.zeros(2))
+        assert p.A_eq.shape == (0, 2) and p.b_eq.shape == (0,)
+        assert p.A_in.shape == (0, 2) and p.b_in.shape == (0,)
 
 
 class TestUnconstrained:
@@ -246,21 +299,10 @@ class TestPivot:
         assert (sol.status, sol.iterations, sol.working_set) == ("infeasible", 2, [1])
 
     def test_nearly_dependent_rows_drop_often(self):
-        # Many rows within 1e-5 of a subspace of lower dimension: adding
-        # one often zeroes the multiplier of a nearly parallel active row,
-        # so most solves drop rows and re-triangularize.
         rng = np.random.default_rng(13)
         drops = 0
         for _ in range(40):
-            n = int(rng.integers(4, 12))
-            m = int(rng.integers(3 * n, 8 * n))
-            k = int(rng.integers(2, n))
-            A = rng.normal(size=(n, n))
-            A_in = (rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
-                    + 1e-5 * rng.normal(size=(m, n)))
-            p = QPProblem(H=A.T @ A + 1e-3 * np.eye(n),
-                          F=30.0 * rng.normal(size=n), A_in=A_in,
-                          b_in=rng.uniform(0.0, 1.0, size=m))
+            p = nearly_dependent_qp(rng)
             sol = solve_qp(p)
             check_kkt(p, sol, tol=1e-8)
             drops += (sol.iterations - len(sol.working_set)) // 2
@@ -285,17 +327,9 @@ class TestInfeasible:
         assert sol.status == "infeasible"
 
     def test_random_shifted_infeasible(self):
-        # Pull two parallel planes past each other.
         rng = np.random.default_rng(7)
         for _ in range(20):
-            n = int(rng.integers(2, 8))
-            a = rng.normal(size=n)
-            a /= np.linalg.norm(a)
-            gap = rng.uniform(0.1, 2.0)
-            # a x >= gap and a x <= -gap.
-            p = QPProblem(H=np.eye(n), F=rng.normal(size=n),
-                          A_in=np.vstack([-a, a]), b_in=np.array([-gap, -gap]))
-            sol = solve_qp(p)
+            sol = solve_qp(shifted_planes_qp(rng))
             assert sol.status == "infeasible"
 
     def test_feasible_after_relaxation(self):
@@ -414,3 +448,202 @@ class TestRecordedClutterWaypoints:
             check_kkt(p, sol, tol=1e-8)
         else:
             assert not lp_feasible(p)
+
+
+def old_solve_qp(problem):
+    """solve_qp before its factors were memoized and its dual loop kept
+    the ratio test and the multipliers on Python floats, verbatim."""
+    n = problem.n
+    G, h = problem.A_in, problem.b_in
+    duals = np.zeros(len(G))
+
+    U, S, Vt = np.linalg.svd(problem.A_eq)
+    rank = int(np.sum(S > _RANK_TOL * S.max(initial=0.0)))
+    x0 = Vt[:rank].T @ ((U[:, :rank].T @ problem.b_eq) / S[:rank])
+    if np.any(np.abs(problem.A_eq @ x0 - problem.b_eq) > _EQ_TOL):
+        return QPSolution(x=x0, status="infeasible", iterations=0,
+                          stationarity=np.inf, duals_in=duals)
+    Z = Vt[rank:].T
+    L = np.linalg.cholesky(Z.T @ problem.H @ Z)
+    M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
+    w = -M.T @ (problem.H @ x0 + problem.F)
+    B = G @ M
+    d = h - G @ x0
+    tol = _VIOL_TOL * (1.0 + np.abs(h).max(initial=0.0))
+    norms = np.sqrt(np.square(B).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+
+    # J (orthonormal) and Rinv = R^-1 stacked, so that one rotation of
+    # their shared columns moves both; u[:q] are the active multipliers.
+    p = B.shape[1]
+    JR = np.zeros((2 * p, p))
+    J, Rinv = JR[:p], JR[p:]
+    J[:] = np.eye(p)
+    R = np.zeros((p, p))
+    u = np.zeros(p)
+    active, j = [], None
+    status, it, max_iter = "maxiter", 0, 50 + 10 * (n + len(G))
+    while True:
+        if j is None:
+            viol = B @ w - d
+            viol[active] = -np.inf
+            if (viol <= tol).all():
+                status = "optimal"
+                break
+            j = int(np.where(viol > tol, viol / norms, -np.inf).argmax())
+            t_plus = 0.0
+        if it == max_iter:
+            break
+        it += 1
+        # Path that raises row j's multiplier t_plus while the active rows
+        # stay tight: w moves along z and the active multipliers along r.
+        q = len(active)
+        v = B[j] @ J
+        z = J[:, q:] @ -v[q:]
+        r = Rinv[:q, :q] @ -v[:q]
+        ratios = np.full(q + 1, np.inf)
+        np.divide(u[:q], -r, out=ratios[:q], where=r < 0.0)
+        drop = int(ratios.argmin())
+        t_dual = ratios[drop]
+        z_norm = math.sqrt(v[q:] @ v[q:])
+        full = z_norm > _ZERO_STEP * norms[j]
+        if not full and t_dual == np.inf:
+            status = "infeasible"
+            break
+        t_primal = (B[j] @ w - d[j]) / z_norm**2 if full else np.inf
+        t = min(t_primal, t_dual)
+        if full:
+            w = w + t * z
+        u[:q] = np.maximum(u[:q] + t * r, 0.0)
+        t_plus += t
+        if t_primal <= t_dual:
+            # Reflect v[q:] onto alpha e_1: J[:, q] joins the active span.
+            alpha = -math.copysign(z_norm, v[q])
+            house = v[q:].copy()
+            house[0] -= alpha
+            J[:, q:] -= np.outer(J[:, q:] @ house,
+                                 house / (z_norm**2 - alpha * v[q]))
+            R[:q, q] = v[:q]
+            R[q, q] = alpha
+            Rinv[:q, q] = r / alpha
+            Rinv[q, q] = 1.0 / alpha
+            u[q] = t_plus
+            active.append(j)
+            j = None
+        else:
+            # Delete the row's column of R and row of R^-1, then rotate the
+            # Hessenberg remainder of R back to upper-triangular form.
+            del active[drop]
+            u[drop:q - 1] = u[drop + 1:q]
+            R[:, drop:q - 1] = R[:, drop + 1:q]
+            Rinv[drop:q - 1] = Rinv[drop + 1:q]
+            for i in range(drop, q - 1):
+                c, s = R[i, i], R[i + 1, i]
+                rot = np.array([[c, s], [-s, c]]) / math.hypot(c, s)
+                R[i:i + 2, i:q - 1] = rot @ R[i:i + 2, i:q - 1]
+                JR[:, i:i + 2] = JR[:, i:i + 2] @ rot.T
+            R[q - 1] = R[:, q - 1] = Rinv[q - 1] = Rinv[:, q - 1] = 0.0
+
+    x = x0 + M @ w
+    duals[active] = u[:len(active)]
+    stationarity = np.inf
+    if status == "optimal":
+        g = problem.H @ x + problem.F + G[active].T @ u[:len(active)]
+        stationarity = float(np.abs(Z @ (Z.T @ g)).max())
+    return QPSolution(x=x, status=status, iterations=it,
+                      stationarity=stationarity, duals_in=duals,
+                      working_set=active)
+
+
+def outcome(sol):
+    return (sol.x.tobytes(), sol.duals_in.tobytes(), sol.working_set,
+            sol.iterations, sol.status, repr(sol.stationarity))
+
+
+def memo_cases():
+    """Every recorded planner QP, then the random, pivot and infeasible
+    generators above: drop-heavy, tied and infeasible solves."""
+    for path in sorted((Path(__file__).parent / "data").glob("qp_*.npz")):
+        with np.load(path) as data:
+            indices = sorted({int(k[1:].partition("_")[0]) for k in data.files})
+        for index in indices:
+            yield recorded(path, index)
+    for seed, count in ((4, 60), (6, 10), (8, 100)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield random_feasible_qp(rng)[0]
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        yield nearly_dependent_qp(rng)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        yield shifted_planes_qp(rng)
+    # Small integer data: exact ties between rows, degenerate vertices.
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        yield QPProblem(H=np.eye(n) * rng.integers(1, 3),
+                        F=rng.integers(-4, 5, size=n).astype(float),
+                        A_in=rng.integers(-2, 3, size=(m, n)).astype(float),
+                        b_in=rng.integers(-3, 3, size=m).astype(float))
+    yield QPProblem(H=np.eye(1), F=np.array([-3.0]),
+                    A_in=np.array([[1.0], [2.0]]), b_in=np.array([1.0, 2.0]))
+    yield QPProblem(H=np.eye(1), F=np.array([-3.0]),
+                    A_in=np.array([[0.0], [1.0]]), b_in=np.array([-1.0, 1.0]))
+    yield QPProblem(H=np.eye(2), F=np.zeros(2),
+                    A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([4.0]),
+                    A_in=np.eye(2), b_in=np.array([1.0, 1.0]))
+    yield QPProblem(H=np.eye(2), F=np.zeros(2),
+                    A_eq=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                    b_eq=np.array([1.0, 2.0]))
+
+
+class TestFactorMemo:
+    """The memoized factors and the float bookkeeping of the dual loop
+    change no bit of any solve, from a cold memo or a warm one."""
+
+    def test_cold_and_warm_match_the_unmemoized_solver(self):
+        cases = list(memo_cases())
+        assert len(cases) == 449
+        statuses, drops = set(), 0
+        for p in cases:
+            want = outcome(old_solve_qp(p))
+            qp._factor.cache_clear()
+            assert outcome(solve_qp(p)) == want
+            assert outcome(solve_qp(p)) == want
+            assert qp._factor.cache_info().hits == 1
+            statuses.add(want[4])
+            drops += (want[3] - len(want[2])) // 2
+        assert statuses == {"optimal", "infeasible"}
+        assert drops >= 100
+
+    def test_a_hit_with_other_data_matches(self):
+        # Each case's (H, A_eq) pair again, with a new linear term, new
+        # equality values and new rows: the factors come from the memo.
+        rng = np.random.default_rng(21)
+        for p in memo_cases():
+            solve_qp(p)
+            m = int(rng.integers(1, 4 * p.n))
+            A_in = rng.normal(size=(m, p.n))
+            other = QPProblem(
+                H=p.H, F=rng.normal(size=p.n) * 3, A_eq=p.A_eq,
+                b_eq=p.b_eq + rng.normal(size=len(p.b_eq)) * 0.1,
+                A_in=A_in, b_in=A_in @ rng.normal(size=p.n)
+                + rng.uniform(-0.5, 1.0, size=m))
+            hits = qp._factor.cache_info().hits
+            assert outcome(solve_qp(other)) == outcome(old_solve_qp(other))
+            assert qp._factor.cache_info().hits == hits + 1
+
+    def test_entries_are_read_only_and_bounded(self):
+        for p in memo_cases():
+            solve_qp(p)
+        info = qp._factor.cache_info()
+        assert 0 < info.currsize <= info.maxsize == qp._FACTOR_MEMO
+        p = next(memo_cases())
+        U, S, Vt, rank, Z, M = qp._factor(p.H.tobytes(), p.A_eq.tobytes(),
+                                          (p.n, len(p.A_eq)))
+        assert 0 < rank <= len(p.A_eq)
+        for a in (U, S, Vt, Z, M):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
