@@ -63,11 +63,11 @@ class QPProblem:
     """min 1/2 x'Hx + F'x  s.t.  A_eq x = b_eq,  A_in x <= b_in.
 
     Every row of A_in is one-sided with a finite bound: a two-sided limit
-    is two rows, and a side with no bound is no row.  Both blocks have n
-    columns and a finite right-hand side of one value per row; anything
-    else raises ValueError here.  H must be symmetric and positive
-    definite on the null space of A_eq; it may be singular on the whole
-    space.  Otherwise the Cholesky factor of the reduced Hessian does not
+    is two rows, and a side with no bound is no row.  H is (n, n), both
+    blocks have n columns and a right-hand side of one value per row, and
+    every entry is finite; anything else raises ValueError here.  H must
+    be symmetric and positive definite on the null space of A_eq; it may
+    be singular on the whole space.  Otherwise the Cholesky factor of the reduced Hessian does not
     exist and solve_qp raises LinAlgError, also when the equalities are
     inconsistent.
     """
@@ -85,6 +85,9 @@ class QPProblem:
         n = len(self.F)
         if self.H.shape != (n, n):
             raise ValueError(f"H must be ({n}, {n}), got {self.H.shape}")
+        for name in ("H", "F"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         for side in ("eq", "in"):
             A, b = getattr(self, f"A_{side}"), getattr(self, f"b_{side}")
             if A is None:
@@ -100,6 +103,8 @@ class QPProblem:
             if b.shape != (len(A),):
                 raise ValueError(f"b_{side} must be ({len(A)},), "
                                  f"got {b.shape}")
+            if not np.isfinite(A).all():
+                raise ValueError(f"A_{side} must be finite")
             if not np.isfinite(b).all():
                 raise ValueError(f"b_{side} must be finite"
                                  + ("; leave an unbounded row out"

@@ -19,17 +19,24 @@ all (slice, shape) pairs of that kind: the seed-inside test, the first hits
 and so find the same first sample inside as a march over every sample, and
 the tangent planes (`_tangent_planes`).  A lone shape is a group of one.
 The peer cut (`_peer_cuts`) evaluates every track at every slice time at
-once and cuts one stack, widened once by a column per track.  It goes
-track by track, since an earlier peer's plane can separate a later
-peer: each track renormalizes the rows of the slices it cuts and
-writes its plane at column counts[k].  Duplicate rows are dropped once, by
-the deflation: a row equal to an earlier one is renormalized and deflated
-with it and stays equal, so dropping it before or after gives the same
-rows.  The seed probe is one step, and the slices that fail it get one
-emptiness test over the padded stack (`_chebyshev_radius`).  The
-single-slice functions (`seed_region`, `contract_for_peer`,
-`deflate_for_ego`, `region_is_empty`) run the same kernels on a one-slice
-stack.
+once and cuts one stack, widened once by a column per track.  What no cut
+changes it finds in one pass over all (track, slice) pairs, one footprint
+at a time (tracks of one broadcast size share one memoized footprint,
+`_footprint`): the seeds each peer covers, the plane each would cut, and
+whether an axis row, such as a box row, separates it.  An axis row has
+norm 1, so renormalizing leaves it alone, and its products are exact, so
+its gap is the same in every product; a track that axis rows separate at
+every slice it leaves clear cuts nothing, and skips the chain.  The chain
+goes track by track over the other tracks, since an earlier peer's plane
+can separate a later peer: each track tests its gaps on the current stack,
+renormalizes the rows of the slices it cuts and writes its plane at column
+counts[k].  Duplicate rows are dropped once, by the deflation: a row equal
+to an earlier one is renormalized and deflated with it and stays equal,
+so dropping it before or after gives the same rows.  The seed probe is
+one step, and the slices that fail it get one emptiness test over the
+padded stack (`_chebyshev_radius`).  The single-slice functions
+(`seed_region`, `contract_for_peer`, `deflate_for_ego`, `region_is_empty`)
+run the same kernels on a one-slice stack.
 
 Arithmetic.  A region is defined slice by slice: every cut renormalizes
 each live row of the slice by the norm it measures (`unit_rows`), and
@@ -58,13 +65,18 @@ Hence the forms below:
   rounds;
 - a peer is cut when no plane has gap = n.peer - o - support(-n) above the
   margin, with n.peer from `PlaneStack.dots`; kept duplicates raise a
-  slice's row count, which leaves that rounding alone;
+  slice's row count, which leaves that rounding alone.  The one-pass test
+  against axis rows forms n.peer elementwise, which is exact for them;
+- a cut plane's direction, offset and `unit_rows` are elementwise, and so
+  is a footprint's support along it: a footprint is a shape about the
+  origin, whose circle adds its radius to a product with a zero center;
 - the emptiness test computes each live pair and triple of a slice's rows
-  as the one-slice test does, and never touches the padding.
+  as the one-slice test does, from index tables memoized per stack width
+  (`_index_tables`), and never touches the padding.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +100,10 @@ MARCH_STEP = 0.05
 MARCH_RANGE = 5.0
 # Extra clearance cut away around predicted peers, meters.
 PEER_MARGIN = 0.1
+# Entries of the memos of peer footprints (one per broadcast size) and of
+# the emptiness test's index tables (one per stack width).
+_FOOTPRINT_MEMO = 16
+_TABLE_MEMO = 16
 
 _BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -132,7 +148,7 @@ class PlaneStack(NamedTuple):
         """Each slice's normals times its point, rounded as that slice's
         own matrix-vector product (see the module notes)."""
         out = np.matmul(self.normals, points[:, :, None])[..., 0]
-        ones = np.flatnonzero(self.counts == 1)
+        ones = (self.counts == 1).nonzero()[0]
         if len(ones):
             out[ones, :1] = np.matmul(self.normals[ones, :1],
                                       points[ones, :, None])[..., 0]
@@ -399,30 +415,64 @@ def _seeded(seeds, groups, member):
     return _distinct(normals, offsets, counts), inside
 
 
+def _by_object(items):
+    """(item, positions) per distinct object of the list, in order of first
+    appearance; the positions are an index array, or every position when
+    one object fills the list."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(id(item), (item, []))[1].append(i)
+    if len(groups) == 1:
+        return [(items[0], slice(None))]
+    return [(item, np.array(at)) for item, at in groups.values()]
+
+
 def _peer_cuts(stack, seeds, peers, footprints, margin):
     """`contract_for_peer` on every slice by each track t in turn, at
-    peers[t] (tracks, slices, 2) with footprints[t]: (stack, seed covered
-    by no track).  The input stack comes back when nothing is cut; else the
-    cut stack still holds rows equal to earlier ones (see `_distinct`)."""
+    peers[t] (tracks, slices, 2) with footprints[t], shapes about the
+    origin: (stack, seed covered by no track).  The input stack comes back
+    when nothing is cut; else the cut stack still holds rows equal to
+    earlier ones (see `_distinct`).
+
+    One pass over all tracks, a footprint's tracks at once, finds which
+    seeds they cover, the plane each would cut at every slice, and which
+    ones an axis row separates at every slice they leave clear (`held`).
+    No cut changes an axis row, or how its gap rounds, so those tracks cut
+    nothing, and the chain runs for the others alone.
+    """
     normals, offsets, counts = stack.widened(
         stack.offsets.shape[1] + len(footprints))
-    free = np.ones(len(seeds), dtype=bool)
-    for peer, footprint in zip(peers, footprints):
-        rel = seeds - peer
-        clear = ~footprint.contains(rel)
-        free &= clear
-        gap = (PlaneStack(normals, offsets, counts).dots(peer) - offsets
-               - footprint.support(-normals))
-        ks = np.flatnonzero(clear & ~np.any(gap > margin, axis=1))
+    peers = np.ascontiguousarray(peers)
+    rel = seeds - peers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = -rel / np.sqrt(np.vecdot(rel, rel))[..., None]
+    # Axis rows, such as the box rows: unit_rows divides them by 1, and
+    # every product of theirs is exact, however it is formed.
+    nx, ny = stack.normals[..., 0], stack.normals[..., 1]
+    axis = ((nx == 0.0) | (ny == 0.0)) & (np.abs(nx) + np.abs(ny) == 1.0)
+    along = nx * peers[..., 0, None] + ny * peers[..., 1, None]
+    clear = np.empty(rel.shape[:2], dtype=bool)
+    held = np.empty(rel.shape[:2], dtype=bool)
+    offset = np.empty(rel.shape[:2])
+    for footprint, ts in _by_object(footprints):
+        clear[ts] = ~footprint.contains(rel[ts])
+        gap = (along[ts] - stack.offsets
+               - footprint.support(-stack.normals))
+        held[ts] = (axis & (gap > margin)).any(axis=2)
+        offset[ts] = (np.vecdot(u[ts], peers[ts]) - footprint.support(-u[ts])
+                      - margin)
+    cut_normals, cut_offsets = unit_rows(u, offset)
+    for t in (clear & ~held).any(axis=1).nonzero()[0]:
+        gap = (PlaneStack(normals, offsets, counts).dots(peers[t]) - offsets
+               - footprints[t].support(-normals))
+        ks = (clear[t] & ~(gap > margin).any(axis=1)).nonzero()[0]
         if len(ks) == 0:
             continue
-        r = rel[ks]
-        u = -r / np.sqrt(np.vecdot(r, r))[:, None]
-        offset = np.vecdot(u, peer[ks]) - footprint.support(-u) - margin
         normals[ks], offsets[ks] = unit_rows(normals[ks], offsets[ks])
         at = (ks, counts[ks])
-        normals[at], offsets[at] = unit_rows(u, offset)
+        normals[at], offsets[at] = cut_normals[t, ks], cut_offsets[t, ks]
         counts[ks] += 1
+    free = clear.all(axis=0)
     if np.array_equal(counts, stack.counts):
         return stack, free
     return PlaneStack(normals, offsets, counts), free
@@ -433,6 +483,29 @@ def _deflated(stack, footprint):
     normals, offsets = unit_rows(
         stack.normals, stack.offsets - footprint.support(stack.normals))
     return _distinct(normals, offsets, stack.counts)
+
+
+@lru_cache(maxsize=_FOOTPRINT_MEMO)
+def _footprint(size):
+    """`footprint_from_size(size)`, one shared read-only shape per size."""
+    footprint = footprint_from_size(size)
+    for name in ("center", "corners", "edges"):
+        if hasattr(footprint, name):
+            getattr(footprint, name).setflags(write=False)
+    return footprint
+
+
+@lru_cache(maxsize=_TABLE_MEMO)
+def _index_tables(width):
+    """The row pairs a < b and triples i < j < k of `width` rows, in
+    lexicographic order, read-only."""
+    rows = np.arange(width)
+    a, b = np.triu_indices(width, 1)
+    i, j, k = np.nonzero((rows[:, None, None] < rows[None, :, None])
+                         & (rows[None, :, None] < rows[None, None, :]))
+    for table in (a, b, i, j, k):
+        table.setflags(write=False)
+    return a, b, i, j, k
 
 
 def _chebyshev_radius(normals, offsets, counts):
@@ -446,20 +519,17 @@ def _chebyshev_radius(normals, offsets, counts):
     surround the origin.  Both kinds are enumerated over live rows only.
     """
     best = np.full(len(counts), np.inf)
-    rows = np.arange(offsets.shape[1])
+    a, b, i, j, k = _index_tables(offsets.shape[1])
 
     def cross(s, p, q):
         return (normals[s, p, 0] * normals[s, q, 1]
                 - normals[s, p, 1] * normals[s, q, 0])
 
-    a, b = np.triu_indices(len(rows), 1)
     s, t = np.nonzero(b < counts[:, None])
     a, b = a[t], b[t]
     pair = ((np.abs(cross(s, a, b)) <= 1e-12)
             & (np.vecdot(normals[s, a], normals[s, b]) < 0.0))
     np.minimum.at(best, s[pair], 0.5 * (offsets[s, a] + offsets[s, b])[pair])
-    i, j, k = np.nonzero((rows[:, None, None] < rows[None, :, None])
-                         & (rows[None, :, None] < rows[None, None, :]))
     s, t = np.nonzero(k < counts[:, None])
     i, j, k = i[t], j[t], k[t]
     # Barycentric weights of the origin in the triangle of three normals.
@@ -566,7 +636,7 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
     if tracks:
         stack, free = _peer_cuts(
             stack, seeds, predict_tracks(tracks, now + t_rel)[:, :, 0],
-            [footprint_from_size(tr.latest.size or (0.1,)) for tr in tracks],
+            [_footprint(tuple(tr.latest.size or (0.1,))) for tr in tracks],
             PEER_MARGIN)
         feasible &= free
     stack = _deflated(stack, ego_footprint)

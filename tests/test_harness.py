@@ -10,9 +10,10 @@ seed march meets long corridor walls; `unstructured` is the 2.0 s
 clutter_waypoints bench window, where a cluttered map fills the moving
 volume's slice x shape mask and obstacle admission decides between shapes.
 
-The package memoizes B-spline bases, difference matrices, Grams and QP
-factors across runs; `test_runs_do_not_depend_on_the_memos` runs one
-window from empty memos and again from memos another scenario filled.
+The package memoizes B-spline bases, difference matrices, Grams, QP
+factors, peer footprints and emptiness-test index tables across runs;
+`test_runs_do_not_depend_on_the_memos` runs one window from empty memos
+and again from memos another scenario filled.
 
 The table is read from each agent's executed path in one array pass;
 `test_table_equals_per_sample_reads` holds it to one `state` read per
@@ -23,7 +24,7 @@ import pytest
 
 import numpy as np
 
-from swarmplan import bspline, harness, qp
+from swarmplan import bspline, harness, qp, regions
 from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
 from swarmplan.runtime import TAU
@@ -83,7 +84,8 @@ def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
 def test_runs_do_not_depend_on_the_memos():
     scenario = builtin_scenario("antipodal", duration=DURATIONS["antipodal"])
     memos = (bspline._memo_basis, bspline.difference_matrix,
-             bspline.derivative_gram, qp._factor)
+             bspline.derivative_gram, qp._factor, regions._footprint,
+             regions._index_tables)
     for memo in memos:
         memo.cache_clear()
     cold = run_scenario(scenario)

@@ -160,6 +160,29 @@ class TestProblemForm:
             QPProblem(H=np.eye(2), F=np.zeros(2),
                       **{f"A_{side}": A, f"b_{side}": np.ones(len(A))})
 
+    # Before these checks a NaN or inf in F raised IndexError from the
+    # first dual step when A_in had rows, and solved to status "optimal"
+    # with x = [nan, nan] when it had none; so did a NaN in H.
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_non_finite_objective_rejected(self, bad, rows):
+        block = {"A_in": np.eye(2), "b_in": np.ones(2)} if rows else {}
+        with pytest.raises(ValueError, match="F must be finite"):
+            QPProblem(H=np.eye(2), F=np.array([bad, 0.0]), **block)
+        H = np.eye(2)
+        H[0, 1] = H[1, 0] = bad
+        with pytest.raises(ValueError, match="H must be finite"):
+            QPProblem(H=H, F=np.zeros(2), **block)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["eq", "in"])
+    def test_non_finite_rows_rejected(self, bad, side):
+        A = np.eye(2)
+        A[1, 0] = bad
+        with pytest.raises(ValueError, match=f"A_{side} must be finite"):
+            QPProblem(H=np.eye(2), F=np.zeros(2),
+                      **{f"A_{side}": A, f"b_{side}": np.ones(2)})
+
     def test_no_equality_rows_is_an_empty_block(self):
         p = QPProblem(H=np.eye(2), F=np.zeros(2))
         assert p.A_eq.shape == (0, 2) and p.b_eq.shape == (0,)

@@ -1323,3 +1323,295 @@ class TestEmptinessAgainstLP:
             checked += 1
             empty += want
         assert checked > 250 and 20 < empty < checked - 20
+
+
+# --- the peer cut against the track-by-track chain -----------------------------
+#
+# `old_peer_cuts` is `regions._peer_cuts` as it was before the cut planes,
+# coverage and box-row separation were computed for all tracks in one pass,
+# kept verbatim: every track runs the whole chain over the whole stack.  The
+# one-pass cut must equal it bit for bit once `_distinct` drops duplicate
+# rows, counts included.
+
+def old_peer_cuts(stack, seeds, peers, footprints, margin):
+    """`contract_for_peer` on every slice by each track t in turn, at
+    peers[t] (tracks, slices, 2) with footprints[t]: (stack, seed covered
+    by no track).  The input stack comes back when nothing is cut; else the
+    cut stack still holds rows equal to earlier ones (see `_distinct`)."""
+    normals, offsets, counts = stack.widened(
+        stack.offsets.shape[1] + len(footprints))
+    free = np.ones(len(seeds), dtype=bool)
+    for peer, footprint in zip(peers, footprints):
+        rel = seeds - peer
+        clear = ~footprint.contains(rel)
+        free &= clear
+        gap = (PlaneStack(normals, offsets, counts).dots(peer) - offsets
+               - footprint.support(-normals))
+        ks = np.flatnonzero(clear & ~np.any(gap > margin, axis=1))
+        if len(ks) == 0:
+            continue
+        r = rel[ks]
+        u = -r / np.sqrt(np.vecdot(r, r))[:, None]
+        offset = np.vecdot(u, peer[ks]) - footprint.support(-u) - margin
+        normals[ks], offsets[ks] = unit_rows(normals[ks], offsets[ks])
+        at = (ks, counts[ks])
+        normals[at], offsets[at] = unit_rows(u, offset)
+        counts[ks] += 1
+    if np.array_equal(counts, stack.counts):
+        return stack, free
+    return PlaneStack(normals, offsets, counts), free
+
+
+def random_stack(rng, seeds, max_rows=10, single=0.15):
+    """A stack about the seeds: per slice the 4 box rows at MARCH_RANGE,
+    shuffled among rows divided by their norm (some of which a second
+    division moves) and copies of earlier rows, or with probability
+    `single` a single row; NaN padding past each count."""
+    K = len(seeds)
+    counts = np.where(rng.random(K) < single, 1, rng.integers(4, max_rows, K))
+    width = int(counts.max())
+    normals = np.full((K, width, 2), np.nan)
+    offsets = np.full((K, width), np.nan)
+    r = regions.MARCH_RANGE
+    for k, (seed, c) in enumerate(zip(seeds, counts)):
+        th = rng.uniform(0, 2 * np.pi, size=c)
+        n = (rng.uniform(0.2, 5.0, size=c)[:, None]
+             * np.stack([np.cos(th), np.sin(th)], axis=1))
+        o = n @ seed + rng.uniform(0.3, 3.0, size=c) * np.hypot(*n.T)
+        if c >= 4:
+            box = rng.choice(c, 4, replace=False)
+            n[box] = regions._BOX_NORMALS
+            o[box] = regions._BOX_NORMALS @ seed + r
+        if c >= 6 and rng.random() < 0.3:
+            n[-1], o[-1] = n[0], o[0]
+        normals[k, :c], offsets[k, :c] = unit_rows(n, o)
+    return PlaneStack(normals, offsets, counts)
+
+
+def random_peers(rng, seeds, n_tracks):
+    """Peer paths (tracks, slices, 2): far beyond the box at some slices,
+    near the seed at others, on it at a few; some tracks repeat an
+    earlier one."""
+    peers = []
+    for _ in range(n_tracks):
+        if peers and rng.random() < 0.2:
+            peers.append(peers[int(rng.integers(len(peers)))])
+            continue
+        th = rng.uniform(0, 2 * np.pi, size=len(seeds))
+        d = np.where(rng.random(len(seeds)) < 0.4,
+                     rng.uniform(5.5, 9.0, len(seeds)),
+                     rng.uniform(0.2, 3.0, len(seeds)))
+        d[rng.random(len(seeds)) < 0.05] = 0.0
+        peers.append(seeds + d[:, None] * np.stack([np.cos(th), np.sin(th)],
+                                                   axis=1))
+    return np.array(peers).reshape(n_tracks, len(seeds), 2)
+
+
+def random_footprints(rng, n_tracks):
+    """Circles and squares of a few sizes, shared through the memo, with
+    now and then a private copy of one."""
+    sizes = [(0.1,), (0.3,), (0.2, 0.5), (0.1, 0.2, 0.3), (0.05, 0.1, 0.4)]
+    fps = []
+    for _ in range(n_tracks):
+        size = sizes[int(rng.integers(len(sizes)))]
+        fps.append(footprint_from_size(size) if rng.random() < 0.2
+                   else regions._footprint(size))
+    return fps
+
+
+def assert_same_cut(stack, got, want):
+    (a, free_a), (b, free_b) = got, want
+    assert (a is stack) == (b is stack)
+    assert free_a.tobytes() == free_b.tobytes()
+    a, b = regions._distinct(*a), regions._distinct(*b)
+    assert np.array_equal(a.counts, b.counts)
+    assert a.normals.tobytes() == b.normals.tobytes()
+    assert a.offsets.tobytes() == b.offsets.tobytes()
+
+
+class TestPeerCutParity:
+    def test_random_stacks_match_the_chain(self):
+        rng = np.random.default_rng(53)
+        cut = single = 0
+        for _ in range(300):
+            K = int(rng.integers(1, 30))
+            seeds = rng.uniform(-4.0, 4.0, size=(K, 2))
+            stack = random_stack(rng, seeds)
+            T = int(rng.integers(1, 9))
+            peers = random_peers(rng, seeds, T)
+            fps = random_footprints(rng, T)
+            got = regions._peer_cuts(stack, seeds, peers, fps,
+                                     regions.PEER_MARGIN)
+            assert_same_cut(stack, got, old_peer_cuts(
+                stack, seeds, peers, fps, regions.PEER_MARGIN))
+            cut += got[0] is not stack
+            single += ((got[0].counts > stack.counts)
+                       & (stack.counts == 1)).any()
+        assert cut > 200 and single > 20
+
+    def test_peers_held_at_some_slices_only(self):
+        # A peer beyond a box row at every other slice: the chain must still
+        # run it at the others, and skip a peer beyond the box everywhere.
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            K = 20
+            seeds = rng.uniform(-2.0, 2.0, size=(K, 2))
+            stack = random_stack(rng, seeds)
+            th = rng.uniform(0, 2 * np.pi)
+            out = np.array([np.cos(th), np.sin(th)])
+            near = seeds + rng.uniform(0.3, 1.5) * out
+            far = seeds + 7.0 * out
+            alternating = np.where((np.arange(K) % 2 == 0)[:, None], far, near)
+            peers = np.stack([far, alternating, near, far])
+            fps = [regions._footprint((0.3,))] * 2 + [
+                regions._footprint((0.1, 0.2, 0.3))] * 2
+            got = regions._peer_cuts(stack, seeds, peers, fps,
+                                     regions.PEER_MARGIN)
+            assert_same_cut(stack, got, old_peer_cuts(
+                stack, seeds, peers, fps, regions.PEER_MARGIN))
+
+    def test_covered_seeds_and_one_cut_slice(self):
+        # One track covers some seeds; another is beyond the box at all
+        # slices but one, so it cuts that slice alone, and its cut offset
+        # takes a one-row Circle.support in the chain.
+        rng = np.random.default_rng(61)
+        cut_one = 0
+        for trial in range(40):
+            K = 12
+            seeds = rng.uniform(-2.0, 2.0, size=(K, 2))
+            stack = random_stack(rng, seeds, single=0.0)
+            th = rng.uniform(0, 2 * np.pi, size=K)
+            ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+            covering = seeds + np.where((rng.random(K) < 0.5)[:, None],
+                                        0.1 * ring, 2.0 * ring)
+            lone = seeds + 8.0 * ring
+            k = int(rng.integers(K))
+            lone[k] = seeds[k] + 0.6 * ring[k]
+            size = (0.3,) if trial % 2 else (0.1, 0.2, 0.3)
+            fps = [regions._footprint(size)] * 2
+            peers = np.stack([covering, lone])
+            got = regions._peer_cuts(stack, seeds, peers, fps,
+                                     regions.PEER_MARGIN)
+            assert_same_cut(stack, got, old_peer_cuts(
+                stack, seeds, peers, fps, regions.PEER_MARGIN))
+            assert not got[1].all()
+            alone = regions._peer_cuts(stack, seeds, peers[1:], fps[1:],
+                                       regions.PEER_MARGIN)[0]
+            cut_one += int((alone.counts > stack.counts).sum()) == 1
+        assert cut_one > 20
+
+    def test_renormalized_row_stops_separating(self):
+        # A row that unit_rows moves separates the second peer by a hair
+        # until the first peer's cut renormalizes it: the second peer must
+        # still run the chain, though a row separated it at first.
+        rng = np.random.default_rng(73)
+        fp = regions._footprint((0.3,))
+        flips = 0
+        for _ in range(300):
+            seed = rng.uniform(-3.0, 3.0, size=2)
+            th = rng.uniform(0, 2 * np.pi)
+            n, _ = unit_rows(rng.uniform(0.2, 5.0) * np.array([np.cos(th),
+                                                               np.sin(th)]),
+                             np.zeros(()))
+            o = n @ seed + 1.0
+            stack = PlaneStack(
+                np.vstack([regions._BOX_NORMALS, n])[None],
+                np.append(regions._BOX_NORMALS @ seed + regions.MARCH_RANGE,
+                          o)[None], np.array([5]))
+            if unit_rows(n, o)[0].tobytes() == n.tobytes():
+                continue
+
+            def cut(j, tracks):
+                # Peer 0 cuts the slice; peer 1 sits j steps past the reach
+                # of the row along its normal.
+                reach = 1.0 + fp.radius + regions.PEER_MARGIN
+                peers = np.stack([seed - 0.8 * n,
+                                  seed + (reach + j * 2e-16) * n])[tracks]
+                args = (stack, seed[None], peers[:, None], [fp] * len(tracks),
+                        regions.PEER_MARGIN)
+                return regions._peer_cuts(*args), old_peer_cuts(*args)
+
+            # The first step at which the row alone separates peer 1.
+            lo, hi = -60, 60
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = ((lo, mid) if cut(mid, [1])[1][0] is stack
+                          else (mid + 1, hi))
+            for j in range(lo, lo + 4):
+                got, want = cut(j, [0, 1])
+                assert_same_cut(stack, got, want)
+                if want[0].counts[0] == 7 and cut(j, [1])[1][0] is stack:
+                    flips += 1
+        assert flips >= 3
+
+    def test_build_with_borrowed_region_matches_the_chain(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        for trial in range(4):
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
+            first = random_volume(rng, 40)
+            tracks = random_tracks(rng, first)
+            second = random_volume(rng, 40, inside_frac=0.3)
+            got = []
+            for cuts in (regions._peer_cuts, old_peer_cuts):
+                monkeypatch.setattr(regions, "_peer_cuts", cuts)
+                prev = build_safe_regions(first, tracks, ego, 0.0)
+                got.append(build_safe_regions(second, tracks, ego, 0.04,
+                                              previous=prev))
+            a, b = got
+            assert a.feasible.tobytes() == b.feasible.tobytes()
+            for x, y in ((a.planes, b.planes), (a.static, b.static)):
+                for u, v in zip(x, y):
+                    assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+class TestRegionMemos:
+    @pytest.mark.parametrize("size", [(0.3,), (0.2, 0.5), (0.1, 0.2, 0.3)])
+    def test_footprint_memo_is_read_only_and_equal(self, size):
+        regions._footprint.cache_clear()
+        fp = regions._footprint(size)
+        want = footprint_from_size(size)
+        assert type(fp) is type(want)
+        assert regions._footprint(tuple(size)) is fp
+        names = ("center", "radius") if isinstance(fp, Circle) else (
+            "corners", "edges", "center", "size_scale")
+        for name in names:
+            a, b = getattr(fp, name), getattr(want, name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+        assert regions._footprint.cache_info().currsize == 1
+
+    def test_index_tables_equal_the_inline_construction(self):
+        regions._index_tables.cache_clear()
+        for width in range(0, 24):
+            a, b, i, j, k = regions._index_tables(width)
+            rows = np.arange(width)
+            wa, wb = np.triu_indices(width, 1)
+            wi, wj, wk = np.nonzero((rows[:, None, None] < rows[None, :, None])
+                                    & (rows[None, :, None] < rows[None, None, :]))
+            for got, want in zip((a, b, i, j, k), (wa, wb, wi, wj, wk)):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+                assert not got.flags.writeable
+            assert regions._index_tables(width)[0] is a
+
+    def test_cold_and_warm_memos_agree(self):
+        rng = np.random.default_rng(71)
+        cases = []
+        for trial in range(3):
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
+            vol = random_volume(rng, 30)
+            cases.append((vol, random_tracks(rng, vol), ego))
+        runs = []
+        for _ in range(2):
+            regions._footprint.cache_clear()
+            regions._index_tables.cache_clear()
+            runs.append([build_safe_regions(v, t, e, 0.0) for v, t, e in cases])
+            runs.append([build_safe_regions(v, t, e, 0.0) for v, t, e in cases])
+        assert regions._footprint.cache_info().hits > 0
+        for region in runs[1:]:
+            for a, b in zip(region, runs[0]):
+                assert a.feasible.tobytes() == b.feasible.tobytes()
+                for u, v in zip(a.planes, b.planes):
+                    assert u.tobytes() == v.tobytes()
