@@ -8,16 +8,17 @@ quadratized around the previous trajectory refit onto the cycle's knots,
 are the only term that couples the axes; the refit is made only when an
 obstacle was admitted.  The constraints are the initial-state and waypoint
 equalities and the safe-region halfplanes at every future timestep.  The
-fallback ladder closes A_in with the derivative box limits of each pass:
-first on the derivative control points, then, if that is infeasible,
-sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment.  If both fail
-the previous trajectory is kept and the cycle reports failure.
+fallback ladder appends each pass's derivative box limits to A_in
+(`QPProblem.with_rows` checks only them): first on the derivative control
+points, a read-only block cached per knot topology and limits, then, if
+that is infeasible and there are limits, sampled RELAXED_SAMPLES_PER_SEGMENT
+times per knot segment.  If both fail the previous trajectory is kept.
 """
 
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,9 +77,9 @@ class PlanRequest:
     limits: dict = field(default_factory=dict)        # order -> (lo, hi)
     end_velocity: np.ndarray = None                   # velocity pinned at goal_time
 
-    # Each limited order's right-hand sides hi_x, -lo_x, hi_y, -lo_y, the
-    # pattern of its four box rows, in order of the derivative order.
-    limit_b: dict = field(init=False, repr=False, compare=False)
+    # (order, bytes of hi_x, -lo_x, hi_y, -lo_y) per limited order, in order:
+    # its four box rows' bounds, exact bytes that key _limit_block.
+    limit_b: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.initial_state = np.atleast_2d(np.asarray(self.initial_state, float))
@@ -90,11 +91,11 @@ class PlanRequest:
             self.end_velocity = np.asarray(self.end_velocity, dtype=float)
             if self.goal_time is None:
                 raise ValueError("end_velocity needs a goal_time to pin it at")
-        self.limit_b = {}
-        for order, (lo, hi) in sorted(self.limits.items()):
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            self.limit_b[order] = np.stack([hi[:2], -lo[:2]], axis=1).ravel()
+        self.limit_b = tuple(
+            (order, np.stack([np.asarray(hi, dtype=float)[:2],
+                              -np.asarray(lo, dtype=float)[:2]],
+                             axis=1).ravel().tobytes())
+            for order, (lo, hi) in sorted(self.limits.items()))
 
     @property
     def order(self):
@@ -254,8 +255,8 @@ def constant_spline(layout, point):
 def assemble_qp(req, layout):
     """Build the cycle QP in the stacked control points [Px; Py].
 
-    A_in holds only the safe-region rows; plan_with_fallback closes it with
-    each pass's limit rows.  Obstacle costs are quadratized around the
+    A_in holds only the safe-region rows of live planes; plan_with_fallback
+    appends each pass's limit rows.  Obstacle costs are quadratized around the
     previous trajectory refit onto `layout`; without near_obstacles there
     is no refit.  Raises AllSlicesInfeasible when regions exist but no
     slice is usable.
@@ -283,9 +284,7 @@ def assemble_qp(req, layout):
                 v_des = req.end_velocity
             pulls += [(req.goal, position_map(layout, t_pin), Q_FINAL),
                       (v_des, derivative_map(layout, t_pin, 1), Q_FINAL_VEL)]
-    topology = (layout.degree, m, layout.dt)
-    block = 2.0 * (Q_N * derivative_gram(*topology, n)
-                   + Q_NM1 * derivative_gram(*topology, n - 1))
+    block = _smoothing(layout.degree, m, layout.dt, n, Q_N, Q_NM1).copy()
     f = np.zeros((2, m))
     for target, row, q in pulls:
         B, f_k = end_cost(target, row, q)
@@ -324,33 +323,51 @@ def assemble_qp(req, layout):
         if not usable.any():
             raise AllSlicesInfeasible(
                 f"{len(regions.t_rel)} slices, none feasible")
-        R = position_map(layout, times[usable])[:, None, :]
-        normals = regions.planes.normals[usable]
-        live = regions.planes.live()[usable]
-        region_rows = np.concatenate([normals[..., :1] * R,
-                                      normals[..., 1:] * R], axis=2)[live]
-        region_b = regions.planes.offsets[usable][live]
+        usable = usable.nonzero()[0]
+        slot, k = regions.planes.live()[usable].nonzero()
+        R = position_map(layout, times[usable])[slot]
+        normals = regions.planes.normals[usable[slot], k]
+        region_rows = np.concatenate([normals[:, :1] * R, normals[:, 1:] * R],
+                                     axis=1)
+        region_b = regions.planes.offsets[usable[slot], k]
 
     return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=np.ravel(values),
                      A_in=region_rows, b_in=region_b)
 
 
-def _box_rows(D):
-    """Four rows per row d of D over the stacked [Px; Py]: d x, -d x, d y,
-    -d y, in that order."""
-    m = D.shape[1]
-    rows = np.zeros((len(D), 2, 2 * m))
-    rows[:, 0, :m] = D
-    rows[:, 1, m:] = D
-    return np.stack([rows, -rows], axis=2).reshape(-1, 2 * m)
+def _box_rows(maps, m):
+    """(A, b) of (D, bounds) pairs: four rows per row d of each derivative
+    map D over the stacked [Px; Py], d x, -d x, d y, -d y in that order, and
+    its bounds (bytes, as in PlanRequest.limit_b) once per row of D."""
+    A, b = [np.zeros((0, 2 * m))], [np.zeros(0)]
+    for D, bounds in maps:
+        rows = np.zeros((len(D), 2, 2 * m))
+        rows[:, 0, :m] = D
+        rows[:, 1, m:] = D
+        A.append(np.stack([rows, -rows], axis=2).reshape(-1, 2 * m))
+        b.append(np.tile(np.frombuffer(bounds), len(D)))
+    return np.concatenate(A), np.concatenate(b)
 
 
-@functools.lru_cache(maxsize=256)
-def _control_point_rows(m, dt, order):
-    """_box_rows of the order-th difference matrix; cached, so read-only."""
-    A = _box_rows(difference_matrix(m, dt, order))
-    A.setflags(write=False)
-    return A
+@functools.lru_cache(maxsize=16)
+def _limit_block(m, dt, limits):
+    """The dense pass's _box_rows over m control points with knot spacing
+    dt, of each order's difference matrix for `limits` as in
+    PlanRequest.limit_b; cached, so read-only."""
+    block = _box_rows([(difference_matrix(m, dt, order), b)
+                       for order, b in limits], m)
+    for a in block:
+        a.setflags(write=False)
+    return block
+
+
+@functools.lru_cache(maxsize=16)
+def _smoothing(degree, m, dt, n, q_n, q_nm1):
+    """One axis's derivative-energy block of a knot topology; read-only."""
+    block = 2.0 * (q_n * derivative_gram(degree, m, dt, n)
+                   + q_nm1 * derivative_gram(degree, m, dt, n - 1))
+    block.setflags(write=False)
+    return block
 
 
 def _limit_rows(req, layout, sampled):
@@ -359,29 +376,22 @@ def _limit_rows(req, layout, sampled):
 
     Each row d of an order's derivative map gives four rows: d x <= hi,
     -d x <= -lo, d y <= hi, -d y <= -lo.  The control-point rows
-    (sampled=False) guarantee the bound at every instant (convex hull).  The
-    sampled rows check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot
-    segment, the dense grid the regions use, trading the guarantee between
-    samples for feasibility when the convex-hull rows are too conservative.
-    The samples sit on absolute multiples of the step so every logged state
-    lands on a constrained instant no matter when the cycle started.
+    (sampled=False) guarantee the bound at every instant (convex hull); they
+    come read-only from _limit_block.  The sampled rows, built per call,
+    check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot segment, the
+    dense grid the regions use, trading the guarantee between samples for
+    feasibility when the convex-hull rows are too conservative.  The samples
+    sit on absolute multiples of the step so every logged state lands on a
+    constrained instant no matter when the cycle started.
     """
-    m = layout.m
-    if not req.limit_b:
-        return np.zeros((0, 2 * m)), np.zeros(0)
-    A, b = [], []
-    for order, pattern in req.limit_b.items():
-        if sampled:
-            h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
-            first = math.ceil(layout.t_start / h - 1e-9)
-            last = math.floor(layout.t_end / h + 1e-9)
-            rows = _box_rows(derivative_map(
-                layout, h * np.arange(first, last + 1), order))
-        else:
-            rows = _control_point_rows(m, layout.dt, order)
-        A.append(rows)
-        b.append(np.tile(pattern, len(rows) // 4))
-    return np.concatenate(A), np.concatenate(b)
+    if not sampled:
+        return _limit_block(layout.m, layout.dt, req.limit_b)
+    h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
+    first = math.ceil(layout.t_start / h - 1e-9)
+    last = math.floor(layout.t_end / h + 1e-9)
+    times = h * np.arange(first, last + 1)
+    return _box_rows([(derivative_map(layout, times, order), b)
+                      for order, b in req.limit_b], layout.m)
 
 
 def _unstacked(x):
@@ -392,12 +402,13 @@ def _unstacked(x):
 def plan_with_fallback(req):
     """One replanning cycle: dense solve, relaxed retry, or keep the old plan.
 
-    Returns (trajectory, report).  The QP is assembled once, and each pass
-    closes its A_in with its own limit rows.  The dense pass enforces the
-    box limits on the derivative control points; if it is infeasible, the
-    relaxed pass samples them RELAXED_SAMPLES_PER_SEGMENT times per knot
-    segment instead; if that also fails the previous trajectory is returned
-    unchanged with status 'fallback'.
+    Returns (trajectory, report).  The QP is assembled and checked once, and
+    each pass appends its own limit rows (QPProblem.with_rows).  The dense
+    pass enforces the box limits on the derivative control points; if it is
+    infeasible and there are limits, the relaxed pass samples them
+    RELAXED_SAMPLES_PER_SEGMENT times per knot segment instead; if that also
+    fails the previous trajectory is returned unchanged with status
+    'fallback'.
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
@@ -423,12 +434,11 @@ def plan_with_fallback(req):
     except AllSlicesInfeasible:
         return finish(req.previous, "fallback")
     for status, sampled in (("optimal", False), ("relaxed", True)):
-        A, b = _limit_rows(req, layout, sampled)
-        sol = solve_qp(replace(problem,
-                               A_in=np.concatenate([problem.A_in, A]),
-                               b_in=np.concatenate([problem.b_in, b])))
+        sol = solve_qp(problem.with_rows(*_limit_rows(req, layout, sampled)))
         if sol.status == "optimal":
             return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),
                           status, sol)
+        if not req.limit_b:
+            break        # no limit rows: the relaxed pass is the same QP
     return finish(req.previous, "fallback", sol)
 

@@ -34,8 +34,10 @@ The elimination and the factor depend on H and A_eq alone, and a planner
 re-solves the same pair often: agents with one layout share it, and a
 relaxed retry keeps its dense pass's pair.  So `_factor` keeps the SVD,
 rank, Z and M of the last 16 distinct pairs, keyed on their exact bytes
-and shape, and returns them read-only; each solve computes only x0, w, the
-rows B = A_in M and their slack from them.
+and shape, with the views a solve reads and the loop's first factors, all
+read-only; each solve computes only x0, w, the rows B = A_in M and their
+slack from them.  Each array is checked once: QPProblem checks what it is
+built from, and `with_rows` appends rows to A_in checking only those.
 
 The vectors and products are numpy, and every reduction is the same numpy
 call on the same operands on every path.  The dual loop keeps its scalar
@@ -45,6 +47,7 @@ fixed tie-breaking, identical inputs give bitwise-identical solutions,
 from a cold memo or a warm one.
 """
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -58,6 +61,24 @@ _ZERO_STEP = 1e-10   # primal step norm, relative to the row norm
 _FACTOR_MEMO = 16    # distinct (H, A_eq) pairs whose factors are kept
 
 
+def _checked_rows(A, b, n, side):
+    """Float rows A and right-hand sides b with n columns, one value per
+    row and every entry finite; anything else raises ValueError."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValueError(f"A_{side} must have {n} columns, got {A.shape}")
+    if b.shape != (len(A),):
+        raise ValueError(f"b_{side} must be ({len(A)},), got {b.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"A_{side} must be finite")
+    if not np.isfinite(b).all():
+        raise ValueError(f"b_{side} must be finite"
+                         + ("; leave an unbounded row out"
+                            if side == "in" else ""))
+    return A, b
+
+
 @dataclass
 class QPProblem:
     """min 1/2 x'Hx + F'x  s.t.  A_eq x = b_eq,  A_in x <= b_in.
@@ -67,9 +88,9 @@ class QPProblem:
     blocks have n columns and a right-hand side of one value per row, and
     every entry is finite; anything else raises ValueError here.  H must
     be symmetric and positive definite on the null space of A_eq; it may
-    be singular on the whole space.  Otherwise the Cholesky factor of the reduced Hessian does not
-    exist and solve_qp raises LinAlgError, also when the equalities are
-    inconsistent.
+    be singular on the whole space.  Otherwise the Cholesky factor of the
+    reduced Hessian does not exist and solve_qp raises LinAlgError, also
+    when the equalities are inconsistent.
     """
 
     H: np.ndarray
@@ -95,22 +116,18 @@ class QPProblem:
             elif b is None:
                 raise ValueError(f"A_{side} needs b_{side}")
             else:
-                A = np.atleast_2d(np.asarray(A, dtype=float))
-                b = np.atleast_1d(np.asarray(b, dtype=float))
-            if A.ndim != 2 or A.shape[1] != n:
-                raise ValueError(f"A_{side} must have {n} columns, "
-                                 f"got {A.shape}")
-            if b.shape != (len(A),):
-                raise ValueError(f"b_{side} must be ({len(A)},), "
-                                 f"got {b.shape}")
-            if not np.isfinite(A).all():
-                raise ValueError(f"A_{side} must be finite")
-            if not np.isfinite(b).all():
-                raise ValueError(f"b_{side} must be finite"
-                                 + ("; leave an unbounded row out"
-                                    if side == "in" else ""))
+                A, b = _checked_rows(A, b, n, side)
             setattr(self, f"A_{side}", A)
             setattr(self, f"b_{side}", b)
+
+    def with_rows(self, A, b):
+        """This problem with the rows A x <= b appended to A_in, checking
+        only them; every other array was checked when self was built."""
+        A, b = _checked_rows(A, b, self.n, "in")
+        grown = copy.copy(self)
+        grown.A_in = np.concatenate([self.A_in, A])
+        grown.b_in = np.concatenate([self.b_in, b])
+        return grown
 
     @property
     def n(self):
@@ -129,9 +146,10 @@ class QPSolution:
 
 @functools.lru_cache(maxsize=_FACTOR_MEMO)
 def _factor(H, A_eq, shape):
-    """(U, S, Vt, rank, Z, M) of the H and A_eq bytes of shape (n, k): the
-    SVD A_eq = U S Vt, its rank, the null-space basis Z and M with
-    M'HM = I on it.  Every array is read-only."""
+    """(U, S, Vt, rank, Z, M, V, Ut, S_r, Mt, JR) of the H and A_eq bytes of
+    shape (n, k): the SVD A_eq = U S Vt, its rank, the null-space basis Z,
+    M with M'HM = I on it, the views Vt[:rank]', U[:, :rank]', S[:rank] and
+    M', and the first J over R^-1 (I over 0).  Every array is read-only."""
     n, k = shape
     H = np.frombuffer(H).reshape(n, n)
     U, S, Vt = np.linalg.svd(np.frombuffer(A_eq).reshape(k, n))
@@ -139,9 +157,11 @@ def _factor(H, A_eq, shape):
     Z = Vt[rank:].T
     L = np.linalg.cholesky(Z.T @ H @ Z)
     M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
-    for a in (U, S, Vt, Z, M):
+    views = (Vt[:rank].T, U[:, :rank].T, S[:rank], M.T,
+             np.eye(2 * M.shape[1], M.shape[1]))
+    for a in (U, S, Vt, Z, M, *views):
         a.setflags(write=False)
-    return U, S, Vt, rank, Z, M
+    return (U, S, Vt, rank, Z, M, *views)
 
 
 def solve_qp(problem):
@@ -155,42 +175,48 @@ def solve_qp(problem):
     G, h = problem.A_in, problem.b_in
     duals = np.zeros(len(G))
 
-    U, S, Vt, rank, Z, M = _factor(problem.H.tobytes(),
-                                   problem.A_eq.tobytes(),
-                                   (n, len(problem.A_eq)))
-    x0 = Vt[:rank].T @ ((U[:, :rank].T @ problem.b_eq) / S[:rank])
+    *_, Z, M, V, Ut, S_r, Mt, JR0 = _factor(problem.H.tobytes(),
+                                            problem.A_eq.tobytes(),
+                                            (n, len(problem.A_eq)))
+    x0 = V @ ((Ut @ problem.b_eq) / S_r)
     if (np.abs(problem.A_eq @ x0 - problem.b_eq) > _EQ_TOL).any():
         return QPSolution(x=x0, status="infeasible", iterations=0,
                           stationarity=np.inf, duals_in=duals)
-    w = -M.T @ (problem.H @ x0 + problem.F)
+    # -M'g as M'(-g): the same products, without negating M'.
+    w = Mt @ np.negative(problem.H @ x0 + problem.F)
     B = G @ M
     d = h - G @ x0
-    tol = _VIOL_TOL * (1.0 + np.abs(h).max(initial=0.0))
-    norms = np.sqrt(np.square(B).sum(axis=1))
+    tol = _VIOL_TOL * (1.0 + np.maximum.reduce(np.abs(h), initial=0.0))
+    norms = np.sqrt(np.add.reduce(np.square(B), axis=1))
     norms[norms == 0.0] = 1.0
 
     # J (orthonormal) and Rinv = R^-1 stacked, so that one rotation of
     # their shared columns moves both; u holds the active multipliers as
-    # Python floats.
+    # Python floats; each step rewrites viol, score and neg_v in place.
     p = B.shape[1]
-    JR = np.zeros((2 * p, p))
+    JR = JR0.copy()
     J, Rinv = JR[:p], JR[p:]
-    J[:] = np.eye(p)
     R = np.zeros((p, p))
+    (viol, score), neg_v = np.empty((2, len(G))), np.empty(p)
     u = []
     active, j = [], None
-    status, it, max_iter = "maxiter", 0, 50 + 10 * (n + len(G))
-    while True:
+    status, it, max_iter = "optimal", 0, 50 + 10 * (n + len(G))
+    while len(G):     # with no rows, w = -c is the optimum
         if j is None:
-            viol = B @ w - d
-            viol[active] = -np.inf
-            if (viol <= tol).all():
-                status = "optimal"
+            np.matmul(B, w, out=viol)
+            viol -= d
+            if active:
+                viol[active] = -np.inf
+            over = viol > tol
+            j = int(np.where(over, np.divide(viol, norms, out=score),
+                             -np.inf).argmax())
+            # Row j is over tol unless none is (or a NaN row is neither).
+            if not over[j] and (viol <= tol).all():
                 break
-            j = int(np.where(viol > tol, viol / norms, -np.inf).argmax())
             b_j, d_j, norm_j = B[j], float(d[j]), float(norms[j])
             t_plus = 0.0
         if it == max_iter:
+            status = "maxiter"
             break
         it += 1
         # Path that raises row j's multiplier t_plus while the active rows
@@ -198,8 +224,9 @@ def solve_qp(problem):
         q = len(active)
         v = b_j @ J
         v_free = v[q:]
-        z = J[:, q:] @ -v_free
-        r = Rinv[:q, :q] @ -v[:q]
+        np.negative(v, out=neg_v)
+        z = J[:, q:] @ neg_v[q:]
+        r = Rinv[:q, :q] @ neg_v[:q] if q else neg_v[:0]
         r_list = r.tolist()
         # Ratio test, as argmin over u / -r where r < 0 (else inf): the
         # first minimum wins, and a NaN ratio wins outright.
@@ -220,7 +247,7 @@ def solve_qp(problem):
         t_primal = (float(b_j @ w) - d_j) / z_norm**2 if full else math.inf
         t = min(t_primal, t_dual)
         if full:
-            w = w + t * z
+            w += t * z
         # Clamp as np.maximum(., 0.0) does: -0.0 becomes 0.0, NaN stays.
         for i, r_i in enumerate(r_list):
             u_i = u[i] + t * r_i
@@ -228,11 +255,13 @@ def solve_qp(problem):
         t_plus += t
         if t_primal <= t_dual:
             # Reflect v[q:] onto alpha e_1: J[:, q] joins the active span.
-            alpha = -math.copysign(z_norm, v[q])
+            v_q = float(v[q])
+            alpha = -math.copysign(z_norm, v_q)
             house = v_free.copy()
-            house[0] -= alpha
-            J[:, q:] -= ((J[:, q:] @ house)[:, None]
-                         * (house / (z_norm**2 - alpha * v[q]))[None, :])
+            house[0] = v_q - alpha
+            J_free = J[:, q:]
+            J_free -= np.multiply.outer(J_free @ house,
+                                        house / (z_norm**2 - alpha * v_q))
             R[:q, q] = v[:q]
             R[q, q] = alpha
             Rinv[:q, q] = r / alpha

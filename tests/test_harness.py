@@ -11,20 +11,26 @@ clutter_waypoints bench window, where a cluttered map fills the moving
 volume's slice x shape mask and obstacle admission decides between shapes.
 
 The package memoizes B-spline bases, difference matrices, Grams, QP
-factors, peer footprints and emptiness-test index tables across runs;
-`test_runs_do_not_depend_on_the_memos` runs one window from empty memos
-and again from memos another scenario filled.
+factors, limit blocks, smoothing blocks, peer footprints and
+emptiness-test index tables across runs;
+`test_runs_do_not_depend_on_the_memos` finds every memo of the package,
+runs one window from all of them empty and again from memos another
+scenario filled.
 
 The table is read from each agent's executed path in one array pass;
 `test_table_equals_per_sample_reads` holds it to one `state` read per
 sample.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
 import numpy as np
 
-from swarmplan import bspline, harness, qp, regions
+import swarmplan
+from swarmplan import harness
 from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
 from swarmplan.runtime import TAU
@@ -81,11 +87,25 @@ def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
         assert repr(value) == repr(getattr(first.metrics, key)), key
 
 
+def package_memos():
+    """Every functools cache defined at module level in the package."""
+    memos = []
+    for info in pkgutil.iter_modules(swarmplan.__path__):
+        module = importlib.import_module(f"swarmplan.{info.name}")
+        memos += [obj for obj in vars(module).values()
+                  if hasattr(obj, "cache_clear")
+                  and obj.__module__ == module.__name__]
+    return memos
+
+
 def test_runs_do_not_depend_on_the_memos():
     scenario = builtin_scenario("antipodal", duration=DURATIONS["antipodal"])
-    memos = (bspline._memo_basis, bspline.difference_matrix,
-             bspline.derivative_gram, qp._factor, regions._footprint,
-             regions._index_tables)
+    memos = package_memos()
+    assert {f"{m.__module__}.{m.__name__}" for m in memos} >= {
+        "swarmplan.bspline._memo_basis", "swarmplan.bspline.difference_matrix",
+        "swarmplan.bspline.derivative_gram", "swarmplan.qp._factor",
+        "swarmplan.planner._limit_block", "swarmplan.planner._smoothing",
+        "swarmplan.regions._footprint", "swarmplan.regions._index_tables"}
     for memo in memos:
         memo.cache_clear()
     cold = run_scenario(scenario)

@@ -1,24 +1,35 @@
 """Trajectory optimizer: obstacle kernel, QP assembly, fallback ladder."""
 
+import copy
+import functools
+import math
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline as SciBSpline
 
 import swarmplan.planner as planner
-from swarmplan import geometry
+from swarmplan import bspline, geometry, qp, runtime
 from swarmplan.bspline import (TrajectorySpline, derivative_gram,
                                derivative_map, difference_matrix,
                                plan_knot_layout, position_map)
 from swarmplan.geometry import Circle, Rectangle, Square, Triangle, unit_rows
+from swarmplan.harness import run_scenario
 from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
-                               KNOT_SEGMENT, PlanRequest,
-                               RELAXED_SAMPLES_PER_SEGMENT, _limit_rows,
-                               admit_obstacles, assemble_qp, collision_kernel,
-                               constant_spline, end_cost, fit_to_layout,
-                               plan_with_fallback, quadratize_collision)
-from swarmplan.qp import QPProblem, solve_qp
+                               KNOT_SEGMENT, PIN_LEAD_SEGMENTS, Q_FINAL,
+                               Q_FINAL_VEL, Q_N, Q_NM1, Q_OBS, PlanReport,
+                               PlanRequest, RELAXED_SAMPLES_PER_SEGMENT,
+                               _limit_rows, _unstacked, admit_obstacles,
+                               assemble_qp, collision_kernel, constant_spline,
+                               end_cost, fit_to_layout, plan_with_fallback,
+                               quadratize_collision)
+from swarmplan.qp import (_EQ_TOL, _FACTOR_MEMO, _RANK_TOL, _VIOL_TOL,
+                          _ZERO_STEP, QPProblem, QPSolution, solve_qp)
 from swarmplan.regions import ConvexPolytope, PlaneStack, SafeRegion
 from swarmplan.runtime import _comfortable_arrival, symmetric_limits
+from swarmplan.scenario import builtin_scenario
 
 
 def dist_many(shape, pts):
@@ -609,9 +620,10 @@ class TestFallbackLadder:
     def test_control_point_rows_cached_read_only(self, dt, order):
         layout = plan_knot_layout(0.0, HORIZON, dt, order + 1)
         m = layout.m
-        A = planner._control_point_rows(m, dt, order)
-        assert planner._control_point_rows(m, dt, order) is A
-        assert not A.flags.writeable
+        req = base_request(limits={order: (-np.ones(2), 2 * np.ones(2))})
+        A, b = _limit_rows(req, layout, sampled=False)
+        assert _limit_rows(req, layout, sampled=False)[0] is A
+        assert not A.flags.writeable and not b.flags.writeable
         # Byte-equal to a fresh build from an uncached difference matrix.
         D = difference_matrix.__wrapped__(m, dt, order)
         rows = np.zeros((len(D), 2, 2 * m))
@@ -620,11 +632,13 @@ class TestFallbackLadder:
         fresh = np.stack([rows, -rows], axis=2).reshape(-1, 2 * m)
         assert A.shape == (4 * (m - order), 2 * m)
         assert A.tobytes() == fresh.tobytes()
-        # The rows a pass gets are a copy: writing them leaves the cache alone.
-        req = base_request(limits={order: (-np.ones(2), np.ones(2))})
-        passed, _ = _limit_rows(req, layout, sampled=False)
-        passed[:] = 0.0
+        assert b.tobytes() == np.tile([2.0, 1.0, 2.0, 1.0], len(D)).tobytes()
+        # A pass appends a copy: writing its rows leaves the cache alone.
+        problem = QPProblem(H=np.eye(2 * m), F=np.zeros(2 * m)).with_rows(A, b)
+        problem.A_in[:] = 0.0
+        problem.b_in[:] = 0.0
         assert A.tobytes() == fresh.tobytes()
+        assert b.tobytes() == np.tile([2.0, 1.0, 2.0, 1.0], len(D)).tobytes()
 
     def test_relaxed_pass_swaps_only_limit_rows(self, monkeypatch):
         # The setting above, inside a region: the QP is assembled once and
@@ -809,3 +823,439 @@ class TestAdmitParity:
             assert region.static.counts.tolist() == [len(p) for p in polytopes]
             got = admit_obstacles(shapes, region)
             assert got == oracle_admit(shapes, region) == touch
+
+
+# --- the parent's ladder, kept as the oracle of the cached limit block, the
+# append path and the in-place dual loop ------------------------------------
+#
+# assemble_qp, _box_rows, _limit_rows, plan_with_fallback, _factor and
+# solve_qp as they were before the limit block was cached, the passes'
+# rows appended through QPProblem.with_rows and the dual loop rewritten in
+# place; verbatim but for the names, the control-point rows built uncached
+# (the cache held exactly these), limit_b from old_limit_b, and the passes'
+# problems recorded.
+
+
+def old_limit_b(req):
+    """PlanRequest.limit_b as it was: order -> hi_x, -lo_x, hi_y, -lo_y."""
+    limit_b = {}
+    for order, (lo, hi) in sorted(req.limits.items()):
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        limit_b[order] = np.stack([hi[:2], -lo[:2]], axis=1).ravel()
+    return limit_b
+
+
+def old_assemble_qp(req, layout):
+    """Build the cycle QP in the stacked control points [Px; Py].
+
+    A_in holds only the safe-region rows; plan_with_fallback closes it with
+    each pass's limit rows.  Obstacle costs are quadratized around the
+    previous trajectory refit onto `layout`; without near_obstacles there
+    is no refit.  Raises AllSlicesInfeasible when regions exist but no
+    slice is usable.
+    """
+    m = layout.m
+    n = req.order
+    if layout.degree != n + 1:
+        raise ValueError(f"layout degree {layout.degree} does not match order {n}")
+
+    # Goal pull at the horizon end, and again at a pin instant: the goal
+    # stamp while it is still ahead, then a point two knot segments out once
+    # it has passed, so the spline keeps station at the goal instead of
+    # gliding through.  The pin also pulls the velocity toward the requested
+    # end velocity (rest by default, and rest after the stamp), damping
+    # arrival speed.  Everything stays soft so a blocked goal cannot
+    # deadlock the solve.
+    pulls = [(req.goal, position_map(layout, layout.t_end), Q_FINAL)]
+    if req.goal_time is not None:
+        ahead = req.goal_time > layout.t_start + 1e-9
+        t_pin = (req.goal_time if ahead
+                 else layout.t_start + PIN_LEAD_SEGMENTS * layout.dt)
+        if t_pin <= layout.t_end - 1e-9:
+            v_des = np.zeros(2)
+            if req.end_velocity is not None and ahead:
+                v_des = req.end_velocity
+            pulls += [(req.goal, position_map(layout, t_pin), Q_FINAL),
+                      (v_des, derivative_map(layout, t_pin, 1), Q_FINAL_VEL)]
+    topology = (layout.degree, m, layout.dt)
+    block = 2.0 * (Q_N * derivative_gram(*topology, n)
+                   + Q_NM1 * derivative_gram(*topology, n - 1))
+    f = np.zeros((2, m))
+    for target, row, q in pulls:
+        B, f_k = end_cost(target, row, q)
+        block += B
+        f += f_k
+    H = np.zeros((2 * m, 2 * m))
+    H[:m, :m] = block
+    H[m:, m:] = block
+    F = f.reshape(-1)
+    if req.near_obstacles:
+        H_o, F_o, _ = quadratize_collision(
+            fit_to_layout(req.previous, layout), req.near_obstacles,
+            (layout.t_start, layout.t_end))
+        H += Q_OBS * H_o
+        F += Q_OBS * F_o
+
+    # Equalities, x then y for each row: initial derivative stack, then
+    # in-horizon waypoints.
+    rows = [derivative_map(layout, layout.t_start, k) for k in range(n)]
+    values = list(req.initial_state)
+    for t_wp, p_wp in req.waypoints:
+        if layout.t_start + 1e-9 < t_wp <= layout.t_end + 1e-9:
+            rows.append(position_map(layout, t_wp))
+            values.append(np.asarray(p_wp, dtype=float))
+    A_eq = np.zeros((2 * len(rows), 2 * m))
+    A_eq[0::2, :m] = rows
+    A_eq[1::2, m:] = rows
+
+    # Safe-region halfplanes at every usable slice time.
+    region_rows = np.zeros((0, 2 * m))
+    region_b = np.zeros(0)
+    regions = req.regions
+    if regions is not None and len(regions.t_rel):
+        times = req.t_now + regions.t_rel
+        usable = regions.feasible & (times <= layout.t_end + 1e-9)
+        if not usable.any():
+            raise AllSlicesInfeasible(
+                f"{len(regions.t_rel)} slices, none feasible")
+        R = position_map(layout, times[usable])[:, None, :]
+        normals = regions.planes.normals[usable]
+        live = regions.planes.live()[usable]
+        region_rows = np.concatenate([normals[..., :1] * R,
+                                      normals[..., 1:] * R], axis=2)[live]
+        region_b = regions.planes.offsets[usable][live]
+
+    return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=np.ravel(values),
+                     A_in=region_rows, b_in=region_b)
+
+
+def old_box_rows(D):
+    """Four rows per row d of D over the stacked [Px; Py]: d x, -d x, d y,
+    -d y, in that order."""
+    m = D.shape[1]
+    rows = np.zeros((len(D), 2, 2 * m))
+    rows[:, 0, :m] = D
+    rows[:, 1, m:] = D
+    return np.stack([rows, -rows], axis=2).reshape(-1, 2 * m)
+
+
+def old_limit_rows(req, layout, sampled):
+    """Derivative box-limit rows (A, b) of req.limits, A x <= b; none
+    without limits.
+
+    Each row d of an order's derivative map gives four rows: d x <= hi,
+    -d x <= -lo, d y <= hi, -d y <= -lo.  The control-point rows
+    (sampled=False) guarantee the bound at every instant (convex hull).  The
+    sampled rows check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot
+    segment, the dense grid the regions use, trading the guarantee between
+    samples for feasibility when the convex-hull rows are too conservative.
+    The samples sit on absolute multiples of the step so every logged state
+    lands on a constrained instant no matter when the cycle started.
+    """
+    m = layout.m
+    if not old_limit_b(req):
+        return np.zeros((0, 2 * m)), np.zeros(0)
+    A, b = [], []
+    for order, pattern in old_limit_b(req).items():
+        if sampled:
+            h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
+            first = math.ceil(layout.t_start / h - 1e-9)
+            last = math.floor(layout.t_end / h + 1e-9)
+            rows = old_box_rows(derivative_map(
+                layout, h * np.arange(first, last + 1), order))
+        else:
+            rows = old_box_rows(difference_matrix(m, layout.dt, order))
+        A.append(rows)
+        b.append(np.tile(pattern, len(rows) // 4))
+    return np.concatenate(A), np.concatenate(b)
+
+
+def old_plan_with_fallback(req, passes):
+    """One replanning cycle: dense solve, relaxed retry, or keep the old plan.
+
+    Returns (trajectory, report).  The QP is assembled once, and each pass
+    closes its A_in with its own limit rows.  The dense pass enforces the
+    box limits on the derivative control points; if it is infeasible, the
+    relaxed pass samples them RELAXED_SAMPLES_PER_SEGMENT times per knot
+    segment instead; if that also fails the previous trajectory is returned
+    unchanged with status 'fallback'.
+    """
+    t_begin = time.perf_counter()
+    layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
+                              req.order + 1, goal_time=req.goal_time)
+
+    def finish(traj, status, sol=None):
+        elapsed = (time.perf_counter() - t_begin) * 1e6
+        err = 0.0
+        for k in range(req.order):
+            have = traj.derivative_value(traj.clamp_time(req.t_now), k)
+            err = max(err, float(np.max(np.abs(have - req.initial_state[k]))))
+        return traj, PlanReport(
+            status=status,
+            iterations=sol.iterations if sol else 0,
+            kkt_residual=sol.stationarity if sol else np.nan,
+            solve_time_us=elapsed,
+            continuity_error=err,
+            layout=layout,
+        )
+
+    try:
+        problem = old_assemble_qp(req, layout)
+    except AllSlicesInfeasible:
+        return finish(req.previous, "fallback")
+    for status, sampled in (("optimal", False), ("relaxed", True)):
+        A, b = old_limit_rows(req, layout, sampled)
+        passes.append(replace(problem,
+                              A_in=np.concatenate([problem.A_in, A]),
+                              b_in=np.concatenate([problem.b_in, b])))
+        sol = old_solve_qp(passes[-1])
+        if sol.status == "optimal":
+            return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),
+                          status, sol)
+    return finish(req.previous, "fallback", sol)
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
+def old_factor(H, A_eq, shape):
+    """(U, S, Vt, rank, Z, M) of the H and A_eq bytes of shape (n, k): the
+    SVD A_eq = U S Vt, its rank, the null-space basis Z and M with
+    M'HM = I on it.  Every array is read-only."""
+    n, k = shape
+    H = np.frombuffer(H).reshape(n, n)
+    U, S, Vt = np.linalg.svd(np.frombuffer(A_eq).reshape(k, n))
+    rank = int(np.sum(S > _RANK_TOL * S.max(initial=0.0)))
+    Z = Vt[rank:].T
+    L = np.linalg.cholesky(Z.T @ H @ Z)
+    M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
+    for a in (U, S, Vt, Z, M):
+        a.setflags(write=False)
+    return U, S, Vt, rank, Z, M
+
+
+def old_solve_qp(problem):
+    """Solve a convex QP; see QPProblem for the form and the contract.
+
+    Status is 'optimal', 'infeasible' (inconsistent equalities, or a
+    certificate from the dual iteration), or 'maxiter' if the internal
+    guard of 50 + 10 (n + rows) steps runs out.
+    """
+    n = problem.n
+    G, h = problem.A_in, problem.b_in
+    duals = np.zeros(len(G))
+
+    U, S, Vt, rank, Z, M = old_factor(problem.H.tobytes(),
+                                      problem.A_eq.tobytes(),
+                                      (n, len(problem.A_eq)))
+    x0 = Vt[:rank].T @ ((U[:, :rank].T @ problem.b_eq) / S[:rank])
+    if (np.abs(problem.A_eq @ x0 - problem.b_eq) > _EQ_TOL).any():
+        return QPSolution(x=x0, status="infeasible", iterations=0,
+                          stationarity=np.inf, duals_in=duals)
+    w = -M.T @ (problem.H @ x0 + problem.F)
+    B = G @ M
+    d = h - G @ x0
+    tol = _VIOL_TOL * (1.0 + np.abs(h).max(initial=0.0))
+    norms = np.sqrt(np.square(B).sum(axis=1))
+    norms[norms == 0.0] = 1.0
+
+    # J (orthonormal) and Rinv = R^-1 stacked, so that one rotation of
+    # their shared columns moves both; u holds the active multipliers as
+    # Python floats.
+    p = B.shape[1]
+    JR = np.zeros((2 * p, p))
+    J, Rinv = JR[:p], JR[p:]
+    J[:] = np.eye(p)
+    R = np.zeros((p, p))
+    u = []
+    active, j = [], None
+    status, it, max_iter = "maxiter", 0, 50 + 10 * (n + len(G))
+    while True:
+        if j is None:
+            viol = B @ w - d
+            viol[active] = -np.inf
+            if (viol <= tol).all():
+                status = "optimal"
+                break
+            j = int(np.where(viol > tol, viol / norms, -np.inf).argmax())
+            b_j, d_j, norm_j = B[j], float(d[j]), float(norms[j])
+            t_plus = 0.0
+        if it == max_iter:
+            break
+        it += 1
+        # Path that raises row j's multiplier t_plus while the active rows
+        # stay tight: w moves along z and the active multipliers along r.
+        q = len(active)
+        v = b_j @ J
+        v_free = v[q:]
+        z = J[:, q:] @ -v_free
+        r = Rinv[:q, :q] @ -v[:q]
+        r_list = r.tolist()
+        # Ratio test, as argmin over u / -r where r < 0 (else inf): the
+        # first minimum wins, and a NaN ratio wins outright.
+        drop, t_dual = 0, math.inf
+        for i, r_i in enumerate(r_list):
+            if r_i < 0.0:
+                ratio = u[i] / -r_i
+                if ratio < t_dual:
+                    drop, t_dual = i, ratio
+                elif ratio != ratio:
+                    drop, t_dual = i, ratio
+                    break
+        z_norm = math.sqrt(v_free @ v_free)
+        full = z_norm > _ZERO_STEP * norm_j
+        if not full and t_dual == math.inf:
+            status = "infeasible"
+            break
+        t_primal = (float(b_j @ w) - d_j) / z_norm**2 if full else math.inf
+        t = min(t_primal, t_dual)
+        if full:
+            w = w + t * z
+        # Clamp as np.maximum(., 0.0) does: -0.0 becomes 0.0, NaN stays.
+        for i, r_i in enumerate(r_list):
+            u_i = u[i] + t * r_i
+            u[i] = u_i if u_i > 0.0 or u_i != u_i else 0.0
+        t_plus += t
+        if t_primal <= t_dual:
+            # Reflect v[q:] onto alpha e_1: J[:, q] joins the active span.
+            alpha = -math.copysign(z_norm, v[q])
+            house = v_free.copy()
+            house[0] -= alpha
+            J[:, q:] -= ((J[:, q:] @ house)[:, None]
+                         * (house / (z_norm**2 - alpha * v[q]))[None, :])
+            R[:q, q] = v[:q]
+            R[q, q] = alpha
+            Rinv[:q, q] = r / alpha
+            Rinv[q, q] = 1.0 / alpha
+            u.append(t_plus)
+            active.append(j)
+            j = None
+        else:
+            # Delete the row's column of R and row of R^-1, then rotate the
+            # Hessenberg remainder of R back to upper-triangular form.
+            del active[drop], u[drop]
+            R[:, drop:q - 1] = R[:, drop + 1:q]
+            Rinv[drop:q - 1] = Rinv[drop + 1:q]
+            for i in range(drop, q - 1):
+                c, s = R[i, i], R[i + 1, i]
+                rot = np.array([[c, s], [-s, c]]) / math.hypot(c, s)
+                R[i:i + 2, i:q - 1] = rot @ R[i:i + 2, i:q - 1]
+                JR[:, i:i + 2] = JR[:, i:i + 2] @ rot.T
+            R[q - 1] = R[:, q - 1] = Rinv[q - 1] = Rinv[:, q - 1] = 0.0
+
+    x = x0 + M @ w
+    duals[active] = u
+    stationarity = np.inf
+    if status == "optimal":
+        g = problem.H @ x + problem.F + G[active].T @ np.array(u)
+        stationarity = float(np.abs(Z @ (Z.T @ g)).max())
+    return QPSolution(x=x, status=status, iterations=it,
+                      stationarity=stationarity, duals_in=duals,
+                      working_set=active)
+
+
+# --- the ladder against its oracle ------------------------------------------
+
+# Short closed-loop windows whose cycles reach every status: antipodal has
+# optimal, relaxed and fallback cycles, intersection relaxed retries of
+# fourth-order agents, unstructured obstacles and certified infeasibility.
+PARITY_WINDOWS = {"antipodal": 1.2, "intersection": 0.8, "unstructured": 0.8}
+
+# The memos a plan reads, emptied for a cold start.
+PLAN_MEMOS = (bspline._memo_basis, bspline.difference_matrix,
+              bspline.derivative_gram, qp._factor, planner._limit_block,
+              planner._smoothing, old_factor)
+
+
+@pytest.fixture(scope="module")
+def window_requests():
+    """Every cycle's PlanRequest of each parity window, copied as the
+    closed loop made it."""
+    recorded = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, duration in PARITY_WINDOWS.items():
+            requests = recorded[name] = []
+
+            def record(req, requests=requests):
+                requests.append(copy.deepcopy(req))
+                return plan_with_fallback(req)
+
+            mp.setattr(runtime, "plan_with_fallback", record)
+            run_scenario(builtin_scenario(name, duration=duration))
+    return recorded
+
+
+def problem_key(p):
+    return tuple((name, getattr(p, name).shape, getattr(p, name).tobytes())
+                 for name in ("H", "F", "A_eq", "b_eq", "A_in", "b_in"))
+
+
+def solution_key(sol):
+    return (sol.x.tobytes(), sol.duals_in.tobytes(), list(sol.working_set),
+            sol.iterations, sol.status, repr(sol.stationarity))
+
+
+def plan_key(traj, report):
+    return (traj.control.tobytes(), report.status, report.iterations,
+            repr(report.kkt_residual), repr(report.continuity_error))
+
+
+def traced_plan(req, monkeypatch):
+    """plan_with_fallback(req) with the problem and solution of each pass."""
+    passes = []
+
+    def solve(problem):
+        passes.append((problem, solve_qp(problem)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(planner, "solve_qp", solve)
+    try:
+        return plan_with_fallback(req), passes
+    finally:
+        monkeypatch.setattr(planner, "solve_qp", solve_qp)
+
+
+class TestLadderParity:
+    """The cached limit block, the append path and the in-place dual loop
+    give every pass the parent's problem, bytes and all, and every cycle
+    the parent's solutions and report, from cold memos and warm ones."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_WINDOWS))
+    def test_recorded_cycles_match_the_parent(self, name, window_requests,
+                                              monkeypatch):
+        requests = window_requests[name]
+        statuses = set()
+        for memo in PLAN_MEMOS:
+            memo.cache_clear()
+        for start in ("cold", "warm"):
+            for req in requests:
+                want_passes = []
+                want = old_plan_with_fallback(req, want_passes)
+                got, got_passes = traced_plan(req, monkeypatch)
+                assert plan_key(*got) == plan_key(*want), start
+                assert got[1].layout == want[1].layout
+                assert len(got_passes) == len(want_passes)
+                for (problem, sol), old in zip(got_passes, want_passes):
+                    assert problem_key(problem) == problem_key(old), start
+                    assert solution_key(sol) == solution_key(
+                        old_solve_qp(old)), start
+                statuses.add(got[1].status)
+        assert planner._limit_block.cache_info().hits > 0
+        if name == "antipodal":
+            assert statuses == {"optimal", "relaxed", "fallback"}
+
+    def test_no_limits_solve_once(self, monkeypatch):
+        # Without limits both passes would solve the same QP, so the relaxed
+        # one is skipped; the report is the one two solves gave.
+        statuses = []
+        for waypoint in ([1.0, 0.5], [10.0, 0.0]):
+            req = base_request(limits={}, regions=wall_region(),
+                               waypoints=[(1.0, np.array(waypoint))])
+            (traj, report), passes = traced_plan(req, monkeypatch)
+            assert len(passes) == 1
+            want_passes = []
+            want = old_plan_with_fallback(req, want_passes)
+            assert plan_key(traj, report) == plan_key(*want)
+            assert problem_key(passes[0][0]) == problem_key(want_passes[0])
+            assert problem_key(want_passes[0]) == problem_key(want_passes[-1])
+            statuses.append((report.status, len(want_passes)))
+        assert statuses == [("optimal", 1), ("fallback", 2)]

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from swarmplan import qp
+from swarmplan import planner, qp
+from swarmplan.bspline import plan_knot_layout
 from swarmplan.qp import (_EQ_TOL, _RANK_TOL, _VIOL_TOL, _ZERO_STEP,
                         QPProblem, QPSolution, solve_qp)
 
@@ -663,10 +664,101 @@ class TestFactorMemo:
         info = qp._factor.cache_info()
         assert 0 < info.currsize <= info.maxsize == qp._FACTOR_MEMO
         p = next(memo_cases())
-        U, S, Vt, rank, Z, M = qp._factor(p.H.tobytes(), p.A_eq.tobytes(),
-                                          (p.n, len(p.A_eq)))
+        U, S, Vt, rank, Z, M, *views = qp._factor(
+            p.H.tobytes(), p.A_eq.tobytes(), (p.n, len(p.A_eq)))
         assert 0 < rank <= len(p.A_eq)
-        for a in (U, S, Vt, Z, M):
+        for a in (U, S, Vt, Z, M, *views):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
+
+
+def problem_arrays(p):
+    return [(name, getattr(p, name).dtype, getattr(p, name).shape,
+             getattr(p, name).tobytes())
+            for name in ("H", "F", "A_eq", "b_eq", "A_in", "b_in")]
+
+
+class TestAppendRows:
+    """QPProblem.with_rows checks the rows it appends, and only those, and
+    builds the problem that QPProblem(...) builds from the stacked rows."""
+
+    base = QPProblem(H=np.eye(2), F=np.zeros(2), A_eq=np.ones((1, 2)),
+                     b_eq=np.ones(1), A_in=np.eye(2), b_in=np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["A", "b"])
+    def test_non_finite_rows_rejected(self, bad, side):
+        A, b = np.eye(2), np.ones(2)
+        (A[1] if side == "A" else b)[0] = bad
+        with pytest.raises(ValueError, match=f"{side}_in must be finite"):
+            self.base.with_rows(A, b)
+
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.ones((2, 1)),
+                                   np.ones(3), np.ones((1, 2, 2))])
+    def test_wrong_column_count_rejected(self, A):
+        with pytest.raises(ValueError, match="A_in must have 2 columns"):
+            self.base.with_rows(A, np.ones(len(A)))
+
+    @pytest.mark.parametrize("b", [None, np.ones(3), np.ones((2, 1))])
+    def test_mis_shaped_bound_rejected(self, b):
+        with pytest.raises(ValueError, match="b_in"):
+            self.base.with_rows(np.eye(2), b)
+
+    def test_only_the_new_rows_are_checked(self, monkeypatch):
+        checked = []
+        real = qp._checked_rows
+
+        def spy(A, b, n, side):
+            checked.append((A, b, n, side))
+            return real(A, b, n, side)
+
+        monkeypatch.setattr(qp, "_checked_rows", spy)
+        A, b = np.array([[1.0, -1.0]]), np.array([0.5])
+        grown = self.base.with_rows(A, b)
+        assert len(checked) == 1
+        assert checked[0][0] is A and checked[0][1] is b
+        assert checked[0][2:] == (2, "in")
+        assert grown.H is self.base.H and grown.A_eq is self.base.A_eq
+        assert len(self.base.A_in) == 2 and len(grown.A_in) == 3
+
+    def test_append_equals_construction(self):
+        # Every split of every recorded and random problem's rows: the
+        # first rows built, the rest appended (and then none appended).
+        cases = list(memo_cases())[::7]
+        assert len(cases) > 50
+        for p in cases:
+            for k in sorted({0, len(p.A_in) // 2, len(p.A_in)}):
+                head = QPProblem(H=p.H, F=p.F, A_eq=p.A_eq, b_eq=p.b_eq,
+                                 A_in=p.A_in[:k], b_in=p.b_in[:k])
+                before = problem_arrays(head)
+                grown = head.with_rows(p.A_in[k:], p.b_in[k:])
+                whole = QPProblem(H=p.H, F=p.F, A_eq=p.A_eq, b_eq=p.b_eq,
+                                  A_in=p.A_in, b_in=p.b_in)
+                assert problem_arrays(grown) == problem_arrays(whole)
+                assert problem_arrays(head) == before
+                assert outcome(solve_qp(grown)) == outcome(solve_qp(whole))
+
+    def test_cached_limit_block_read_only_and_bounded(self):
+        # More distinct (m, dt, limits) keys than the memo holds.
+        blocks = []
+        for dt in (0.5, 1.0, 2.0):
+            for order in (1, 2, 3):
+                layout = plan_knot_layout(0.0, 4.0, dt, order + 1)
+                for bound in (1.0, 2.0, 3.0):
+                    limits = ((order, np.array([bound, 1.0, bound, 1.0])
+                               .tobytes()),)
+                    blocks.append(planner._limit_block(layout.m, dt, limits))
+        info = planner._limit_block.cache_info()
+        assert info.maxsize == 16 and 0 < info.currsize <= 16
+        assert len(blocks) > info.maxsize
+        for A, b in blocks:
+            assert len(A) == len(b) > 0
+            for a in (A, b):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+        A, b = blocks[-1]
+        grown = QPProblem(H=np.eye(A.shape[1]),
+                          F=np.zeros(A.shape[1])).with_rows(A, b)
+        assert grown.A_in.flags.writeable and grown.A_in is not A
