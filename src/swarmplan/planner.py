@@ -325,11 +325,11 @@ def assemble_qp(req, layout):
                 f"{len(regions.t_rel)} slices, none feasible")
         usable = usable.nonzero()[0]
         slot, k = regions.planes.live()[usable].nonzero()
-        R = position_map(layout, times[usable])[slot]
-        normals = regions.planes.normals[usable[slot], k]
-        region_rows = np.concatenate([normals[:, :1] * R, normals[:, 1:] * R],
-                                     axis=1)
-        region_b = regions.planes.offsets[usable[slot], k]
+        at = usable[slot], k
+        R = position_map(layout, times[usable])[slot, None, :]
+        region_rows = (regions.planes.normals[at][:, :, None] * R).reshape(
+            len(slot), 2 * m)
+        region_b = regions.planes.offsets[at]
 
     return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=np.ravel(values),
                      A_in=region_rows, b_in=region_b)
