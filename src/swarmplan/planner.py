@@ -91,11 +91,11 @@ class PlanRequest:
             self.end_velocity = np.asarray(self.end_velocity, dtype=float)
             if self.goal_time is None:
                 raise ValueError("end_velocity needs a goal_time to pin it at")
+        boxes = [(k, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+                 for k, (lo, hi) in sorted(self.limits.items())]
         self.limit_b = tuple(
-            (order, np.stack([np.asarray(hi, dtype=float)[:2],
-                              -np.asarray(lo, dtype=float)[:2]],
-                             axis=1).ravel().tobytes())
-            for order, (lo, hi) in sorted(self.limits.items()))
+            (k, np.array([hi[0], -lo[0], hi[1], -lo[1]]).tobytes())
+            for k, lo, hi in boxes)
 
     @property
     def order(self):
@@ -208,7 +208,7 @@ def end_cost(goal, row, q_final):
     sum over axes a of 1/2 P_a'B P_a + f_a'P_a, plus q_final*|goal|^2,
     equals q_final * |row @ P - goal|^2.
     """
-    return (2.0 * q_final * np.outer(row, row),
+    return (2.0 * q_final * np.multiply.outer(row, row),
             -2.0 * q_final * goal[:, None] * row)
 
 
@@ -419,7 +419,7 @@ def plan_with_fallback(req):
         err = 0.0
         for k in range(req.order):
             have = traj.derivative_value(traj.clamp_time(req.t_now), k)
-            err = max(err, float(np.max(np.abs(have - req.initial_state[k]))))
+            err = max(err, float(np.abs(have - req.initial_state[k]).max()))
         return traj, PlanReport(
             status=status,
             iterations=sol.iterations if sol else 0,
