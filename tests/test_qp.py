@@ -723,8 +723,8 @@ class TestAppendRows:
         assert len(self.base.A_in) == 2 and len(grown.A_in) == 3
 
     def test_append_equals_construction(self):
-        # Every split of every recorded and random problem's rows: the
-        # first rows built, the rest appended (and then none appended).
+        # Every seventh memo case, split at its start, middle and end: the
+        # rows before the split built, the rest appended.
         cases = list(memo_cases())[::7]
         assert len(cases) > 50
         for p in cases:
