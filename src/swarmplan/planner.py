@@ -284,7 +284,9 @@ def assemble_qp(req, layout):
                 v_des = req.end_velocity
             pulls += [(req.goal, position_map(layout, t_pin), Q_FINAL),
                       (v_des, derivative_map(layout, t_pin, 1), Q_FINAL_VEL)]
-    block = _smoothing(layout.degree, m, layout.dt, n, Q_N, Q_NM1).copy()
+    degree, dt = layout.degree, layout.dt
+    block = 2.0 * (Q_N * derivative_gram(degree, m, dt, n)
+                   + Q_NM1 * derivative_gram(degree, m, dt, n - 1))
     f = np.zeros((2, m))
     for target, row, q in pulls:
         B, f_k = end_cost(target, row, q)
@@ -358,15 +360,6 @@ def _limit_block(m, dt, limits):
                        for order, b in limits], m)
     for a in block:
         a.setflags(write=False)
-    return block
-
-
-@functools.lru_cache(maxsize=16)
-def _smoothing(degree, m, dt, n, q_n, q_nm1):
-    """One axis's derivative-energy block of a knot topology; read-only."""
-    block = 2.0 * (q_n * derivative_gram(degree, m, dt, n)
-                   + q_nm1 * derivative_gram(degree, m, dt, n - 1))
-    block.setflags(write=False)
     return block
 
 

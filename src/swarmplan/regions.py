@@ -21,12 +21,13 @@ the tangent planes (`_tangent_planes`).  A lone shape is a group of one.
 The peer cut (`_peer_cuts`) evaluates every track at every slice time at
 once and cuts one stack, widened once by a column per track.  What no cut
 changes it finds in one pass over all (track, slice) pairs, one footprint
-at a time (tracks of one broadcast size share one memoized footprint,
-`_footprint`): the seeds each peer covers, the plane each would cut, and
-whether an axis row, such as a box row, separates it.  An axis row has
-norm 1, so renormalizing leaves it alone, and its products are exact, so
-its gap is the same in every product; a track that axis rows separate at
-every slice it leaves clear cuts nothing, and skips the chain.  The chain
+at a time (`build_safe_regions` builds one footprint per broadcast size
+and shares it among that size's tracks): the seeds each peer covers, the
+plane each would cut, and whether an axis row, such as a box row,
+separates it.  An axis row has norm 1, so renormalizing leaves it alone,
+and its products are exact, so its gap is the same in every product; a
+track that axis rows separate at every slice it leaves clear cuts
+nothing, and skips the chain.  The chain
 goes track by track over the other tracks, since an earlier peer's plane
 can separate a later peer: each track tests its gaps on the current stack,
 renormalizes the rows of the slices it cuts and writes its plane at column
@@ -100,9 +101,8 @@ MARCH_STEP = 0.05
 MARCH_RANGE = 5.0
 # Extra clearance cut away around predicted peers, meters.
 PEER_MARGIN = 0.1
-# Entries of the memos of peer footprints (one per broadcast size) and of
-# the emptiness test's index tables (one per stack width).
-_FOOTPRINT_MEMO = 16
+# Entries of the memo of the emptiness test's index tables (one per stack
+# width).
 _TABLE_MEMO = 16
 
 _BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -485,16 +485,6 @@ def _deflated(stack, footprint):
     return _distinct(normals, offsets, stack.counts)
 
 
-@lru_cache(maxsize=_FOOTPRINT_MEMO)
-def _footprint(size):
-    """`footprint_from_size(size)`, one shared read-only shape per size."""
-    footprint = footprint_from_size(size)
-    for name in ("center", "corners", "edges"):
-        if hasattr(footprint, name):
-            getattr(footprint, name).setflags(write=False)
-    return footprint
-
-
 @lru_cache(maxsize=_TABLE_MEMO)
 def _index_tables(width):
     """The row pairs a < b and triples i < j < k of `width` rows, in
@@ -634,10 +624,11 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
         feasible[ks] = previous.feasible[src]
     static = stack
     if tracks:
+        sizes = [tuple(tr.latest.size or (0.1,)) for tr in tracks]
+        shared = {size: footprint_from_size(size) for size in set(sizes)}
         stack, free = _peer_cuts(
             stack, seeds, predict_tracks(tracks, now + t_rel)[:, :, 0],
-            [_footprint(tuple(tr.latest.size or (0.1,))) for tr in tracks],
-            PEER_MARGIN)
+            [shared[size] for size in sizes], PEER_MARGIN)
         feasible &= free
     stack = _deflated(stack, ego_footprint)
     probe_in = np.all((stack.dots(seeds) <= stack.offsets + PROBE_TOL)

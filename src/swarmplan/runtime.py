@@ -41,32 +41,6 @@ __all__ = [
 TAU = 0.1            # safe-region slice spacing, seconds; divides HORIZON
 
 
-def _tightest_bound(limits, order):
-    """Smallest absolute bound on the order-th derivative, inf if unlimited."""
-    if order not in limits:
-        return np.inf
-    return float(np.abs(np.concatenate(limits[order])).min())
-
-
-def _comfortable_arrival(start, goal, limits):
-    """Relaxed travel time: cruise at half the velocity cap plus ramp time.
-
-    With no velocity bound it is twice the time to cover the distance from
-    rest at full acceleration, itself floored at two knot segments; never
-    shorter than two knot segments (KNOT_SEGMENT each).
-    """
-    d = float(np.linalg.norm(goal - start))
-    a_max = _tightest_bound(limits, 2)
-    if not np.isfinite(a_max):
-        a_max = 1.0
-    v_max = _tightest_bound(limits, 1)
-    if np.isfinite(v_max):
-        T = d / (0.5 * v_max) + v_max / a_max
-    else:
-        T = 2.0 * max(np.sqrt(2.0 * a_max * d) / a_max, 2.0 * KNOT_SEGMENT)
-    return max(T, 2.0 * KNOT_SEGMENT)
-
-
 def symmetric_limits(bounds):
     """Parse {order: bound} into {order: (lo, hi)} boxes of float arrays.
 
@@ -98,8 +72,9 @@ class AgentSpec:
     """One robot: its task, and what tells robots apart (dynamics order,
     body size and limits).
 
-    A start or goal of None is drawn, and a waypoint stamp of None filled,
-    by `scenario.resolve_agents`; an `Agent` takes only a resolved spec.
+    A start or goal of None is drawn, and a goal time or waypoint stamp of
+    None filled, by `scenario.resolve_agents`; an `Agent` takes only a
+    resolved spec.
     Every robot replans at the same `plan_rate` (cycles per second).
     """
 
@@ -135,8 +110,22 @@ class AgentSpec:
                              "must be finite")
         self.limits = symmetric_limits(self.limits)
         stamps = [t for t, _ in self.waypoints if t is not None]
+        if self.goal_time is not None:
+            stamps = [t for t, _ in self.stamped_waypoints(self.goal_time)]
+        elif 0 < len(stamps) < len(self.waypoints):
+            raise ValueError("partly stamped waypoints need a goal time to "
+                             "space the others by")
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
+            raise ValueError("waypoint times must be strictly increasing, "
+                             f"got {stamps} (unstamped ones spaced evenly "
+                             "up to the goal time)")
+
+    def stamped_waypoints(self, goal_time):
+        """The waypoints with each missing stamp filled: the i-th of k
+        waypoints gets goal_time * (i + 1) / (k + 1)."""
+        k = len(self.waypoints)
+        return [(goal_time * (i + 1) / (k + 1) if t is None else t, p)
+                for i, (t, p) in enumerate(self.waypoints)]
 
 
 # --- message bus ------------------------------------------------------------
@@ -303,22 +292,12 @@ class Agent:
     """
 
     def __init__(self, index, spec, *, bus=None):
-        if (spec.start is None or spec.goal is None
+        if (spec.start is None or spec.goal is None or spec.goal_time is None
                 or any(t is None for t, _ in spec.waypoints)):
             raise ValueError("an Agent needs a resolved spec: a fixed start, "
-                             "a goal and a stamp on every waypoint")
+                             "goal, goal time and waypoint stamps")
         self.index = index
         self.config = spec
-        goal_time = spec.goal_time
-        if goal_time is None:
-            # Anchor an arrival stamp once at spawn: a fixed stamp keeps
-            # successive replans consistent, so the approach settles without
-            # hunting around the goal.  The schedule is deliberately relaxed
-            # (cruise at half the velocity cap) so the soft pins track it
-            # without saturating the dynamic limits.
-            goal_time = _comfortable_arrival(spec.start, spec.goal,
-                                             spec.limits)
-        self.goal_time = float(goal_time)
         self.bus = bus
 
         layout = plan_knot_layout(0.0, HORIZON, KNOT_SEGMENT, spec.order + 1)
@@ -432,7 +411,7 @@ class Agent:
         try:
             req = PlanRequest(
                 t_now=now, initial_state=initial_state, goal=cfg.goal,
-                previous=prev, regions=regions, goal_time=self.goal_time,
+                previous=prev, regions=regions, goal_time=cfg.goal_time,
                 waypoints=cfg.waypoints, near_obstacles=near,
                 limits=cfg.limits, end_velocity=cfg.end_velocity)
             traj, plan = plan_with_fallback(req)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .geometry import (Circle, Rectangle, Square, Triangle, axis_rectangle,
                        footprint_from_size)
-from .runtime import AgentSpec, _comfortable_arrival
+from .planner import KNOT_SEGMENT
+from .runtime import AgentSpec
 from .sensor import World
 
 __all__ = [
@@ -235,20 +236,28 @@ class Scenario:
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
         World(list(self.obstacles), tuple(self.bounds))   # the world's checks
-        bad_starts = _start_errors(self.agents, self.bounds)
+        bad_starts = _start_errors(self.agents, self.bounds, self.obstacles)
         if bad_starts:
             raise ValueError(bad_starts[0][1])
 
 
-def _start_errors(agents, bounds):
+def _start_errors(agents, bounds, obstacles):
     """(j, message) for each fixed start outside the world bounds, where
-    the scanner cannot run, then for each pair i < j of fixed starts that
-    overlap after footprint inflation; i and j index `agents`."""
+    the scanner cannot run, then for each one that collides with an
+    obstacle as `compute_motion_metrics` counts it, then for each pair
+    i < j of fixed starts that overlap after footprint inflation; i and j
+    index `agents`."""
     world = World([], tuple(bounds))
     placed = [(i, a.start, footprint_from_size(a.footprint).size_scale)
               for i, a in enumerate(agents) if a.start is not None]
     out = [(i, f"start {start.tolist()} outside world bounds {world.bounds}")
            for i, start, _ in placed if not world.inside(start)]
+    for i, start, radius in placed:
+        for k, shape in enumerate(obstacles):
+            clear = float(shape.distance(start)) - radius
+            if clear <= 0:
+                out.append((i, f"start {start.tolist()} collides with "
+                               f"obstacle {k} (clearance {clear:.3f} m)"))
     for k, (i, start_i, radius_i) in enumerate(placed):
         for j, start_j, radius_j in placed[k + 1:]:
             gap = np.linalg.norm(start_i - start_j) - radius_i - radius_j
@@ -389,10 +398,7 @@ def parse_scenario(text, source="<string>"):
     except ValueError as exc:
         bad.append((("world", "bounds"), str(exc)))
         bounds_ok = False
-    if not bad:
-        bad = [(("agents", j, "start"), msg)
-               for j, msg in _start_errors(agents, bounds)]
-    obstacles = []
+    obstacles, bad_shapes = [], []
     for i, spec in enumerate(world.get("obstacles", [])):
         try:
             shape = _shape_from_spec(spec)
@@ -400,7 +406,11 @@ def parse_scenario(text, source="<string>"):
                 World([shape], bounds)      # the center must lie in the bounds
             obstacles.append(shape)
         except ValueError as exc:
-            bad.append((("world", "obstacles", i), str(exc)))
+            bad_shapes.append((("world", "obstacles", i), str(exc)))
+    if not bad:
+        bad = [(("agents", j, "start"), msg)
+               for j, msg in _start_errors(agents, bounds, obstacles)]
+    bad += bad_shapes
     if bad:
         reject(bad)
     try:
@@ -495,15 +505,37 @@ def _draw_clear(rng, radius, scenario, accept, what):
     raise RuntimeError(f"could not place a random {what}")
 
 
+def _comfortable_arrival(start, goal, limits):
+    """Relaxed travel time: cruise at half the velocity cap plus ramp time.
+
+    The caps are the smallest absolute velocity and acceleration bounds;
+    with no acceleration bound it is 1.  With no velocity bound the time is
+    twice the time to cover the distance from rest at full acceleration,
+    itself floored at two knot segments; never shorter than two knot
+    segments (KNOT_SEGMENT each).
+    """
+    d = float(np.linalg.norm(goal - start))
+    v_max, a_max = (float(np.abs(np.concatenate(limits[k])).min())
+                    if k in limits else unset
+                    for k, unset in ((1, np.inf), (2, 1.0)))
+    if np.isfinite(v_max):
+        T = d / (0.5 * v_max) + v_max / a_max
+    else:
+        T = 2.0 * max(np.sqrt(2.0 * a_max * d) / a_max, 2.0 * KNOT_SEGMENT)
+    return max(T, 2.0 * KNOT_SEGMENT)
+
+
 def resolve_agents(scenario, rng):
-    """Concrete AgentSpec list: random spawns drawn, waypoint stamps filled.
+    """Concrete AgentSpec list: random spawns drawn, goal times and waypoint
+    stamps filled.
 
     Spawn positions are uniform over [-10, 10] per component, clipped to
     the world bounds, with integer-degree headings; draws are rejected until
     the start clears obstacles and every previously placed agent.  Goals
-    left unset draw the same way, at least 2 m from their start.  Unstamped
-    waypoints get stamps evenly spaced between zero and the agent's goal
-    time.
+    left unset draw the same way, at least 2 m from their start.  A goal
+    time left unset is `_comfortable_arrival`'s, fixed once so successive
+    replans agree.  Unstamped waypoints get stamps evenly spaced between
+    zero and the goal time.
     """
     placed = [(a.start, footprint_from_size(a.footprint).size_scale)
               for a in scenario.agents if a.start is not None]
@@ -525,18 +557,12 @@ def resolve_agents(scenario, rng):
                                lambda c: np.linalg.norm(c - start) >= 2.0,
                                "goal")
 
-        waypoints = list(a.waypoints)
-        if any(t is None for t, _ in waypoints):
-            gt = a.goal_time
-            if gt is None:
-                gt = _comfortable_arrival(start, goal, a.limits)
-            k = len(waypoints)
-            waypoints = [
-                (gt * (i + 1) / (k + 1) if t is None else t, p)
-                for i, (t, p) in enumerate(waypoints)]
-
+        gt = a.goal_time
+        if gt is None:
+            gt = _comfortable_arrival(start, goal, a.limits)
         resolved.append(replace(a, start=start, goal=goal, heading=heading,
-                                waypoints=waypoints))
+                                goal_time=float(gt),
+                                waypoints=a.stamped_waypoints(gt)))
     return resolved
 
 

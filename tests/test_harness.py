@@ -104,8 +104,7 @@ def test_runs_do_not_depend_on_the_memos():
     assert {f"{m.__module__}.{m.__name__}" for m in memos} >= {
         "swarmplan.bspline._memo_basis", "swarmplan.bspline.difference_matrix",
         "swarmplan.bspline.derivative_gram", "swarmplan.qp._factor",
-        "swarmplan.planner._limit_block", "swarmplan.planner._smoothing",
-        "swarmplan.regions._footprint", "swarmplan.regions._index_tables"}
+        "swarmplan.planner._limit_block", "swarmplan.regions._index_tables"}
     for memo in memos:
         memo.cache_clear()
     cold = run_scenario(scenario)

@@ -28,8 +28,8 @@ from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
 from swarmplan.qp import (_EQ_TOL, _FACTOR_MEMO, _RANK_TOL, _VIOL_TOL,
                           _ZERO_STEP, QPProblem, QPSolution, solve_qp)
 from swarmplan.regions import ConvexPolytope, PlaneStack, SafeRegion
-from swarmplan.runtime import _comfortable_arrival, symmetric_limits
-from swarmplan.scenario import builtin_scenario
+from swarmplan.runtime import symmetric_limits
+from swarmplan.scenario import _comfortable_arrival, builtin_scenario
 
 
 def dist_many(shape, pts):
@@ -572,6 +572,20 @@ class TestAssembleAndSolve:
         for name in ("H", "F", "A_in"):
             a, b = getattr(alone, name), getattr(after, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_second_assembly_reads_both_grams_from_the_memo(self):
+        # The smoothing block is built on every call from the order-n and
+        # order-(n-1) Grams, which the second call on a topology finds in
+        # derivative_gram's memo.
+        req = base_request(regions=wall_region())
+        layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT, 3,
+                                  goal_time=req.goal_time)
+        assemble_qp(req, layout)
+        before = derivative_gram.cache_info()
+        assemble_qp(req, layout)
+        after = derivative_gram.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (
+            2, 0)
 
 
 class TestFallbackLadder:
@@ -1163,7 +1177,7 @@ PARITY_WINDOWS = {"antipodal": 1.2, "intersection": 0.8, "unstructured": 0.8}
 # The memos a plan reads, emptied for a cold start.
 PLAN_MEMOS = (bspline._memo_basis, bspline.difference_matrix,
               bspline.derivative_gram, qp._factor, planner._limit_block,
-              planner._smoothing, old_factor)
+              old_factor)
 
 
 @pytest.fixture(scope="module")

@@ -1408,14 +1408,16 @@ def random_peers(rng, seeds, n_tracks):
 
 
 def random_footprints(rng, n_tracks):
-    """Circles and squares of a few sizes, shared through the memo, with
-    now and then a private copy of one."""
+    """Circles and squares of a few sizes, one shared object per size, as
+    `build_safe_regions` passes them, with now and then a private copy of
+    one."""
     sizes = [(0.1,), (0.3,), (0.2, 0.5), (0.1, 0.2, 0.3), (0.05, 0.1, 0.4)]
+    shared = {size: footprint_from_size(size) for size in sizes}
     fps = []
     for _ in range(n_tracks):
         size = sizes[int(rng.integers(len(sizes)))]
         fps.append(footprint_from_size(size) if rng.random() < 0.2
-                   else regions._footprint(size))
+                   else shared[size])
     return fps
 
 
@@ -1463,8 +1465,8 @@ class TestPeerCutParity:
             far = seeds + 7.0 * out
             alternating = np.where((np.arange(K) % 2 == 0)[:, None], far, near)
             peers = np.stack([far, alternating, near, far])
-            fps = [regions._footprint((0.3,))] * 2 + [
-                regions._footprint((0.1, 0.2, 0.3))] * 2
+            fps = [footprint_from_size((0.3,))] * 2 + [
+                footprint_from_size((0.1, 0.2, 0.3))] * 2
             got = regions._peer_cuts(stack, seeds, peers, fps,
                                      regions.PEER_MARGIN)
             assert_same_cut(stack, got, old_peer_cuts(
@@ -1488,7 +1490,7 @@ class TestPeerCutParity:
             k = int(rng.integers(K))
             lone[k] = seeds[k] + 0.6 * ring[k]
             size = (0.3,) if trial % 2 else (0.1, 0.2, 0.3)
-            fps = [regions._footprint(size)] * 2
+            fps = [footprint_from_size(size)] * 2
             peers = np.stack([covering, lone])
             got = regions._peer_cuts(stack, seeds, peers, fps,
                                      regions.PEER_MARGIN)
@@ -1505,7 +1507,7 @@ class TestPeerCutParity:
         # until the first peer's cut renormalizes it: the second peer must
         # still run the chain, though a row separated it at first.
         rng = np.random.default_rng(73)
-        fp = regions._footprint((0.3,))
+        fp = footprint_from_size((0.3,))
         flips = 0
         for _ in range(300):
             seed = rng.uniform(-3.0, 3.0, size=2)
@@ -1565,23 +1567,32 @@ class TestPeerCutParity:
 
 
 class TestRegionMemos:
-    @pytest.mark.parametrize("size", [(0.3,), (0.2, 0.5), (0.1, 0.2, 0.3)])
-    def test_footprint_memo_is_read_only_and_equal(self, size):
-        regions._footprint.cache_clear()
-        fp = regions._footprint(size)
-        want = footprint_from_size(size)
-        assert type(fp) is type(want)
-        assert regions._footprint(tuple(size)) is fp
-        names = ("center", "radius") if isinstance(fp, Circle) else (
-            "corners", "edges", "center", "size_scale")
-        for name in names:
-            a, b = getattr(fp, name), getattr(want, name)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-            if isinstance(a, np.ndarray):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[...] = 0.0
-        assert regions._footprint.cache_info().currsize == 1
+    def test_peer_footprints_shared_per_size(self, monkeypatch):
+        # One footprint per broadcast size per call, the same object for
+        # every track of that size, so `_peer_cuts` groups them in one pass.
+        seen = []
+
+        def spy(stack, seeds, peers, footprints, margin):
+            seen.append(footprints)
+            return peer_cuts(stack, seeds, peers, footprints, margin)
+
+        peer_cuts = regions._peer_cuts
+        monkeypatch.setattr(regions, "_peer_cuts", spy)
+        rng = np.random.default_rng(79)
+        for _ in range(5):
+            vol = random_volume(rng, 20)
+            tracks = random_tracks(rng, vol)
+            build_safe_regions(vol, tracks, disk(0.2), 0.0)
+            fps = seen[-1]
+            sizes = [tuple(tr.latest.size) for tr in tracks]
+            assert len(fps) == len(tracks)
+            assert len({id(fp) for fp in fps}) == len(set(sizes)) > 1
+            for size, fp in zip(sizes, fps):
+                assert fp is fps[sizes.index(size)]
+                want = footprint_from_size(size)
+                assert type(fp) is type(want)
+                assert fp.size_scale == want.size_scale
+        assert len(seen) == 5
 
     def test_index_tables_equal_the_inline_construction(self):
         regions._index_tables.cache_clear()
@@ -1605,11 +1616,10 @@ class TestRegionMemos:
             cases.append((vol, random_tracks(rng, vol), ego))
         runs = []
         for _ in range(2):
-            regions._footprint.cache_clear()
             regions._index_tables.cache_clear()
             runs.append([build_safe_regions(v, t, e, 0.0) for v, t, e in cases])
             runs.append([build_safe_regions(v, t, e, 0.0) for v, t, e in cases])
-        assert regions._footprint.cache_info().hits > 0
+        assert regions._index_tables.cache_info().hits > 0
         for region in runs[1:]:
             for a, b in zip(region, runs[0]):
                 assert a.feasible.tobytes() == b.feasible.tobytes()

@@ -11,11 +11,16 @@ from swarmplan.planner import constant_spline
 from swarmplan.prediction import PeerState
 from swarmplan.runtime import (Agent, AgentSpec, BusMessage, ExecutedPath,
                                MessageBus, broadcast, symmetric_limits)
+from swarmplan.scenario import Scenario, resolve_agents
 from swarmplan.sensor import Scan, World, simulate_scan
 
 
 def make_agent(start, goal, *, bus=None, index=0, **spec_kw):
-    return Agent(index, AgentSpec(start=start, goal=goal, **spec_kw), bus=bus)
+    """An Agent of the spec as a scenario run resolves it."""
+    spec = AgentSpec(start=start, goal=goal, **spec_kw)
+    [spec] = resolve_agents(Scenario(agents=[spec]),
+                            np.random.default_rng(0))
+    return Agent(index, spec, bus=bus)
 
 
 def run_cycles(agent, n_ticks, rate=25.0):
@@ -77,10 +82,11 @@ class TestLimitsAndConfig:
             AgentSpec(order=0)
 
     @pytest.mark.parametrize("spec", [
-        dict(goal=(1.0, 0.0)),                      # random start
-        dict(start=(0.0, 0.0)),                     # no goal
-        dict(start=(0.0, 0.0), goal=(3.0, 0.0),
-             waypoints=[(1.0, (1.0, 0.0)), (None, (2.0, 0.0))])])
+        dict(goal=(1.0, 0.0), goal_time=4.0),       # random start
+        dict(start=(0.0, 0.0), goal_time=4.0),      # no goal
+        dict(start=(0.0, 0.0), goal=(3.0, 0.0), goal_time=4.0,
+             waypoints=[(None, (2.0, 0.0))]),       # unstamped waypoint
+        dict(start=(0.0, 0.0), goal=(3.0, 0.0))])   # no goal time
     def test_agent_rejects_unresolved_spec(self, spec):
         with pytest.raises(ValueError, match="resolved"):
             Agent(0, AgentSpec(**spec))

@@ -22,6 +22,7 @@ from swarmplan.scenario import (
     save_scenario,
     scenario_to_dict,
 )
+from swarmplan.scenario import _comfortable_arrival, _start_errors
 
 MINIMAL = {"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0]}]}
 
@@ -166,6 +167,24 @@ class TestParsing:
             AgentSpec(start=(0, 0), goal=(5, 0),
                       waypoints=[(2.0, (1, 0)), (1.0, (2, 0))])
 
+    def test_partly_stamped_waypoints_out_of_order_rejected(self):
+        # Resolution would stamp the first waypoint 3.0 of a 9 s goal time,
+        # after the second's 1.0.
+        with pytest.raises(ValueError, match="increasing"):
+            AgentSpec(start=(0, 0), goal=(5, 0), goal_time=9.0,
+                      waypoints=[(None, (2, 0)), (1.0, (3, 0))])
+
+    def test_partly_stamped_waypoints_need_a_goal_time(self):
+        with pytest.raises(ValueError, match="goal time"):
+            AgentSpec(start=(0, 0), goal=(5, 0),
+                      waypoints=[(1.0, (2, 0)), (None, (3, 0))])
+
+    def test_partly_stamped_waypoints_in_order_accepted(self):
+        spec = AgentSpec(start=(0, 0), goal=(5, 0), goal_time=9.0,
+                         waypoints=[(1.0, (2, 0)), (None, (3, 0))])
+        assert [t for t, _ in spec.waypoints] == [1.0, None]
+        assert [t for t, _ in spec.stamped_waypoints(9.0)] == [1.0, 6.0]
+
     def agent_error(self, bad_agent):
         """Parse a document whose second agent, on line 4, is `bad_agent`;
         returns the one error's line and message."""
@@ -230,6 +249,14 @@ class TestParsing:
             "waypoints": [{"t": 2.0, "pos": [6, 0]}, {"t": 1.0, "pos": [7, 0]}]})
         assert line == 4 and "increasing" in msg
 
+    def test_mixed_waypoint_stamps_report_agent_line(self):
+        # Parsed, this document would make run_scenario raise when it
+        # stamps the unstamped waypoint.
+        line, msg = self.agent_error({
+            "start": [5.0, 0.0], "goal": [8.0, 0.0], "goal_time": 9,
+            "waypoints": [{"pos": [2, 0]}, {"t": 1.0, "pos": [3, 0]}]})
+        assert line == 4 and "increasing" in msg
+
     def obstacle_error(self, bad_obstacle):
         """Parse a document whose second obstacle, on line 5, is
         `bad_obstacle`; returns the one error's line and message."""
@@ -276,6 +303,32 @@ class TestParsing:
             (5, "agents.0.start",
              "start [6.0, 0.0] outside world bounds (-5, -5, 5, 5)")]
 
+    def test_start_inside_obstacle_reports_start_line(self):
+        # Left in, this start would fall back on nearly every cycle and
+        # collide from t = 0.
+        text = ('{\n  "world": {"obstacles": [\n'
+                '    {"type": "circle", "center": [0, 0], "radius": 1}]},\n'
+                '  "agents": [\n    {"goal": [3, 0],\n'
+                '     "start": [0.2, 0]}\n  ]\n}\n')
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.errors == [
+            (6, "agents.0.start",
+             "start [0.2, 0.0] collides with obstacle 0 (clearance -0.300 m)")]
+
+    def test_start_touching_obstacle_rejected(self):
+        # Clearance exactly 0 is a collision, as compute_motion_metrics
+        # counts it; a hair more is not.
+        wall = Circle([0.0, 0.0], 1.0)
+        touching = AgentSpec(start=(1.5, 0.0), goal=(3.0, 0.0),
+                             footprint=(0.5,))
+        clear = AgentSpec(start=(-1.50001, 0.0), goal=(-3.0, 0.0),
+                          footprint=(0.5,))
+        bounds = (-5.0, -5.0, 5.0, 5.0)
+        [(j, msg)] = _start_errors([clear, touching], bounds, [wall])
+        assert j == 1 and "collides with obstacle 0" in msg
+        assert _start_errors([clear], bounds, [wall]) == []
+
     @pytest.mark.parametrize("obstacles", [
         [], [{"type": "circle", "center": [0, 0], "radius": 1}]])
     def test_degenerate_bounds_report_bounds_line(self, obstacles):
@@ -304,6 +357,11 @@ class TestScenarioWorld:
                      **world)
         assert str(exc.value) == msg
 
+
+    def test_start_inside_obstacle_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="collides with obstacle 0"):
+            Scenario(agents=[AgentSpec(start=[0.2, 0.0], goal=[3.0, 0.0])],
+                     obstacles=[Circle([0.0, 0.0], 1.0)])
 
     def test_start_outside_bounds_rejected_at_construction(self):
         with pytest.raises(ValueError) as exc:
@@ -482,6 +540,20 @@ class TestSpawnResolution:
         assert a.waypoints[0][0] == pytest.approx(2.0)
         assert a.waypoints[1][0] == pytest.approx(4.0)
 
+    def test_unset_goal_time_resolves_to_comfortable_arrival(self):
+        specs = [AgentSpec(start=(0, 0), goal=(6, 0)),
+                 AgentSpec(start=(0, 3), goal=(4, 5), order=3,
+                           limits={1: 1.5, 2: 3.0}),
+                 AgentSpec(start=(0, -3), goal=(4, -3), goal_time=7)]
+        resolved = resolve_agents(Scenario(agents=specs),
+                                  np.random.default_rng(0))
+        for spec, a in zip(specs[:2], resolved):
+            want = _comfortable_arrival(a.start, a.goal, a.limits)
+            assert type(a.goal_time) is float and a.goal_time == want
+            assert spec.goal_time is None
+        assert type(resolved[2].goal_time) is float
+        assert resolved[2].goal_time == 7.0
+
     def test_unstamped_waypoints_without_goal_time_get_stamps(self):
         spec = AgentSpec(start=(0, 0), goal=(6, 0),
                          waypoints=[(None, (3, 0))])
@@ -559,6 +631,12 @@ class TestBuiltins:
                     t_prev = t
                     for o in sc.obstacles:
                         assert o.distance(p) >= 0.45
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_fixed_starts_clear_every_obstacle(self, name):
+        for seed in range(3):
+            sc = builtin_scenario(name, seed=seed)
+            assert _start_errors(sc.agents, sc.bounds, sc.obstacles) == []
 
     def test_walled_in_box_seals_the_agent(self):
         sc = builtin_scenario("walled_in")
