@@ -55,51 +55,31 @@ RELAXED_SAMPLES_PER_SEGMENT = 10
 
 @dataclass
 class PlanRequest:
-    """Inputs for one replanning cycle.
+    """Inputs for one replanning cycle: what the cycle measured, and the
+    agent's resolved `runtime.AgentSpec`, whose task (stamped waypoints,
+    absolute times) and limits are read as it holds them.
 
-    initial_state stacks derivative orders 0..n-1 at t_now; limits maps a
-    derivative order to per-axis (lo, hi) bounds; waypoint and goal
-    times are absolute.  goal_time None means no goal pin: only the horizon
-    end is pulled to the goal.  regions may be None in open space.  The
-    limits, boxes that `runtime.symmetric_limits` has checked (lo < 0 < hi),
-    are turned into limit_b once, here, not on every pass of the fallback
-    ladder.
+    initial_state stacks derivative orders 0..spec.order-1 at t_now; regions
+    may be None in open space.  The limits, boxes that
+    `runtime.symmetric_limits` has checked (lo < 0 < hi), are turned into
+    limit_b once, here, not on every pass of the fallback ladder.
     """
 
     t_now: float
     initial_state: np.ndarray
-    goal: np.ndarray
     previous: TrajectorySpline
+    spec: object
     regions: object = None
-    goal_time: float = None
-    waypoints: list = field(default_factory=list)     # (time, point) pairs
     near_obstacles: list = field(default_factory=list)
-    limits: dict = field(default_factory=dict)        # order -> (lo, hi)
-    end_velocity: np.ndarray = None                   # velocity pinned at goal_time
 
     # (order, bytes of hi_x, -lo_x, hi_y, -lo_y) per limited order, in order:
     # its four box rows' bounds, exact bytes that key _limit_block.
     limit_b: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.initial_state = np.atleast_2d(np.asarray(self.initial_state, float))
-        self.goal = np.asarray(self.goal, dtype=float)
-        times = [t for t, _ in self.waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
-        if self.end_velocity is not None:
-            self.end_velocity = np.asarray(self.end_velocity, dtype=float)
-            if self.goal_time is None:
-                raise ValueError("end_velocity needs a goal_time to pin it at")
-        boxes = [(k, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-                 for k, (lo, hi) in sorted(self.limits.items())]
         self.limit_b = tuple(
             (k, np.array([hi[0], -lo[0], hi[1], -lo[1]]).tobytes())
-            for k, lo, hi in boxes)
-
-    @property
-    def order(self):
-        return len(self.initial_state)
+            for k, (lo, hi) in sorted(self.spec.limits.items()))
 
 
 @dataclass
@@ -261,8 +241,9 @@ def assemble_qp(req, layout):
     is no refit.  Raises AllSlicesInfeasible when regions exist but no
     slice is usable.
     """
+    spec = req.spec
     m = layout.m
-    n = req.order
+    n = spec.order
     if layout.degree != n + 1:
         raise ValueError(f"layout degree {layout.degree} does not match order {n}")
 
@@ -273,17 +254,16 @@ def assemble_qp(req, layout):
     # end velocity (rest by default, and rest after the stamp), damping
     # arrival speed.  Everything stays soft so a blocked goal cannot
     # deadlock the solve.
-    pulls = [(req.goal, position_map(layout, layout.t_end), Q_FINAL)]
-    if req.goal_time is not None:
-        ahead = req.goal_time > layout.t_start + 1e-9
-        t_pin = (req.goal_time if ahead
-                 else layout.t_start + PIN_LEAD_SEGMENTS * layout.dt)
-        if t_pin <= layout.t_end - 1e-9:
-            v_des = np.zeros(2)
-            if req.end_velocity is not None and ahead:
-                v_des = req.end_velocity
-            pulls += [(req.goal, position_map(layout, t_pin), Q_FINAL),
-                      (v_des, derivative_map(layout, t_pin, 1), Q_FINAL_VEL)]
+    pulls = [(spec.goal, position_map(layout, layout.t_end), Q_FINAL)]
+    ahead = spec.goal_time > layout.t_start + 1e-9
+    t_pin = (spec.goal_time if ahead
+             else layout.t_start + PIN_LEAD_SEGMENTS * layout.dt)
+    if t_pin <= layout.t_end - 1e-9:
+        v_des = np.zeros(2)
+        if spec.end_velocity is not None and ahead:
+            v_des = spec.end_velocity
+        pulls += [(spec.goal, position_map(layout, t_pin), Q_FINAL),
+                  (v_des, derivative_map(layout, t_pin, 1), Q_FINAL_VEL)]
     degree, dt = layout.degree, layout.dt
     block = 2.0 * (Q_N * derivative_gram(degree, m, dt, n)
                    + Q_NM1 * derivative_gram(degree, m, dt, n - 1))
@@ -307,10 +287,10 @@ def assemble_qp(req, layout):
     # in-horizon waypoints.
     rows = [derivative_map(layout, layout.t_start, k) for k in range(n)]
     values = list(req.initial_state)
-    for t_wp, p_wp in req.waypoints:
+    for t_wp, p_wp in spec.waypoints:
         if layout.t_start + 1e-9 < t_wp <= layout.t_end + 1e-9:
             rows.append(position_map(layout, t_wp))
-            values.append(np.asarray(p_wp, dtype=float))
+            values.append(p_wp)
     A_eq = np.zeros((2 * len(rows), 2 * m))
     A_eq[0::2, :m] = rows
     A_eq[1::2, m:] = rows
@@ -364,7 +344,7 @@ def _limit_block(m, dt, limits):
 
 
 def _limit_rows(req, layout, sampled):
-    """Derivative box-limit rows (A, b) of req.limits, A x <= b; none
+    """Derivative box-limit rows (A, b) of req.spec.limits, A x <= b; none
     without limits.
 
     Each row d of an order's derivative map gives four rows: d x <= hi,
@@ -405,12 +385,12 @@ def plan_with_fallback(req):
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
-                              req.order + 1, goal_time=req.goal_time)
+                              req.spec.order + 1, goal_time=req.spec.goal_time)
 
     def finish(traj, status, sol=None):
         elapsed = (time.perf_counter() - t_begin) * 1e6
         err = 0.0
-        for k in range(req.order):
+        for k in range(req.spec.order):
             have = traj.derivative_value(traj.clamp_time(req.t_now), k)
             err = max(err, float(np.abs(have - req.initial_state[k]).max()))
         return traj, PlanReport(

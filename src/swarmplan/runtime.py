@@ -28,8 +28,8 @@ from .bspline import plan_knot_layout
 from .geometry import footprint_from_size
 from .perception import (LocalMap, build_moving_volume, classify_cluster,
                          compensate_motion, decompose_boundary, segment_scan)
-from .planner import (HORIZON, KNOT_SEGMENT, PlanRequest, admit_obstacles,
-                      constant_spline, plan_with_fallback)
+from .planner import (HORIZON, KNOT_SEGMENT, PlanReport, PlanRequest,
+                      admit_obstacles, constant_spline, plan_with_fallback)
 from .prediction import PeerState, update_tracks
 from .regions import build_safe_regions
 
@@ -109,6 +109,10 @@ class AgentSpec:
             raise ValueError("start, goal, end velocity and waypoints "
                              "must be finite")
         self.limits = symmetric_limits(self.limits)
+        if max(self.limits, default=0) > self.order + 1:
+            raise ValueError(f"limit orders {sorted(self.limits)} go above "
+                             f"{self.order + 1}, the plan spline's degree; "
+                             "higher derivatives are zero between knots")
         stamps = [t for t, _ in self.waypoints if t is not None]
         if self.goal_time is not None:
             stamps = [t for t, _ in self.stamped_waypoints(self.goal_time)]
@@ -321,11 +325,10 @@ class Agent:
         t_wall = time.perf_counter()
         flags = []
         prev = self.path.latest
-        cfg = self.config
 
         # (1) Own state from the executed path.  Reading past the plan's
         # end reports the robot parked there, not still moving.
-        initial_state = self.path.state(now, cfg.order)
+        initial_state = self.path.state(now, self.config.order)
 
         # Snapshot handoff: stage 3 folds only shapes staged by earlier
         # cycles; shapes staged now are folded next cycle.
@@ -409,15 +412,12 @@ class Agent:
         if self.volume is not None and regions is not None:
             near = admit_obstacles(self.volume.shapes, regions)
         try:
-            req = PlanRequest(
-                t_now=now, initial_state=initial_state, goal=cfg.goal,
-                previous=prev, regions=regions, goal_time=cfg.goal_time,
-                waypoints=cfg.waypoints, near_obstacles=near,
-                limits=cfg.limits, end_velocity=cfg.end_velocity)
-            traj, plan = plan_with_fallback(req)
+            traj, plan = plan_with_fallback(PlanRequest(
+                t_now=now, initial_state=initial_state, previous=prev,
+                spec=self.config, regions=regions, near_obstacles=near))
         except Exception as exc:
             flags.append(f"plan:{type(exc).__name__}")
-            traj, plan = prev, None
+            traj, plan = prev, PlanReport("fallback", continuity_error=0.0)
 
         # (7) Commit and report.
         if traj is not prev:
@@ -425,12 +425,12 @@ class Agent:
         self.regions = regions
         report = CycleReport(
             t=float(now),
-            status=plan.status if plan is not None else "fallback",
-            iterations=plan.iterations if plan is not None else 0,
-            kkt_residual=plan.kkt_residual if plan is not None else np.nan,
-            solve_time_us=plan.solve_time_us if plan is not None else 0.0,
+            status=plan.status,
+            iterations=plan.iterations,
+            kkt_residual=plan.kkt_residual,
+            solve_time_us=plan.solve_time_us,
             cycle_time_us=(time.perf_counter() - t_wall) * 1e6,
-            continuity_error=plan.continuity_error if plan is not None else 0.0,
+            continuity_error=plan.continuity_error,
             n_tracks=len(self.tracks),
             stale_tracks=stale,
             scan_processed=scan_processed,

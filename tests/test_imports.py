@@ -1,6 +1,7 @@
 """Import-level guards: no plotting, scipy or schema code at run time,
 every name that packaging, the benchmark tracer and `__all__` refer to
-exists and works, and `src/` defines no function that nothing refers to.
+exists and works, `src/` defines no function that nothing refers to,
+and no module imports a name it never uses.
 
 scipy is a test-only dependency (spline and LP oracles) and matplotlib is
 not a dependency at all; importing either at run time would cost set-up
@@ -137,3 +138,29 @@ def test_no_unreferenced_definitions(monkeypatch):
                     if name not in keep
                     and not (name.startswith("__") and name.endswith("__")))
     assert not unused, f"defined in src/ but referred to nowhere: {unused}"
+
+
+def test_no_unused_imports():
+    """Every name a `src/swarmplan/*.py` module imports is used in that
+    module, as a name or the root of an attribute chain, or is listed in
+    its `__all__`.  The import-side twin of the scan above: a deletion
+    leaves the imports it needed behind, and no linter runs on `src/`.
+    """
+    unused = []
+    for path in sorted((SRC / "swarmplan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported.setdefault(name, node.lineno)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never used: {unused}"

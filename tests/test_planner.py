@@ -28,7 +28,7 @@ from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
 from swarmplan.qp import (_EQ_TOL, _FACTOR_MEMO, _RANK_TOL, _VIOL_TOL,
                           _ZERO_STEP, QPProblem, QPSolution, solve_qp)
 from swarmplan.regions import ConvexPolytope, PlaneStack, SafeRegion
-from swarmplan.runtime import symmetric_limits
+from swarmplan.runtime import AgentSpec, symmetric_limits
 from swarmplan.scenario import _comfortable_arrival, builtin_scenario
 
 
@@ -424,6 +424,8 @@ def wall_region(tau=0.1, n_slices=40, x_wall=2.0):
 
 
 def base_request(**kw):
+    """A PlanRequest whose spec is an AgentSpec of the task keywords, with
+    the order of initial_state."""
     defaults = dict(
         t_now=0.0,
         initial_state=np.array([[0.0, 0.0], [0.0, 0.0]]),
@@ -434,11 +436,16 @@ def base_request(**kw):
                 2: (np.array([-10.0, -10.0]), np.array([10.0, 10.0]))},
     )
     defaults.update(kw)
+    task = {k: defaults.pop(k) for k in ("goal", "goal_time", "waypoints",
+                                         "limits", "end_velocity")
+            if k in defaults}
+    n = len(defaults["initial_state"])
     if defaults["previous"] is None:
-        layout = plan_knot_layout(defaults["t_now"], HORIZON, KNOT_SEGMENT, 3)
+        layout = plan_knot_layout(defaults["t_now"], HORIZON, KNOT_SEGMENT,
+                                  n + 1)
         defaults["previous"] = constant_spline(
-            layout, np.atleast_2d(defaults["initial_state"])[0])
-    return PlanRequest(**defaults)
+            layout, defaults["initial_state"][0])
+    return PlanRequest(spec=AgentSpec(order=n, **task), **defaults)
 
 
 def dense_problem(req, layout):
@@ -456,14 +463,14 @@ class TestAssembleAndSolve:
         req = base_request()
         traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
-        assert np.linalg.norm(traj.position(4.0) - req.goal) < 1e-3
+        assert np.linalg.norm(traj.position(4.0) - req.spec.goal) < 1e-3
 
     def test_matches_equality_only_kkt(self):
         # With inactive boxes the solution equals the unconstrained
         # equality-KKT solve of the same objective.
         req = base_request()
         layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT, 3,
-                                  goal_time=req.goal_time)
+                                  goal_time=req.spec.goal_time)
         qp = dense_problem(req, layout)
         sol = solve_qp(qp)
         assert sol.status == "optimal"
@@ -505,7 +512,7 @@ class TestAssembleAndSolve:
         traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         # The far waypoint must not bend this cycle's spline to reach it.
-        assert np.linalg.norm(traj.position(4.0) - req.goal) < 1e-3
+        assert np.linalg.norm(traj.position(4.0) - req.spec.goal) < 1e-3
 
     def test_continuity_with_moving_start(self):
         req = base_request(
@@ -524,7 +531,7 @@ class TestAssembleAndSolve:
             monkeypatch.setattr(planner, name, 0.0)
         req = base_request(
             initial_state=np.array([[1.0, 2.0], [0.5, -0.3]]),
-            goal=np.array([3.0, 0.8]), goal_time=None, limits={})
+            goal=np.array([3.0, 0.8]), goal_time=2 * HORIZON, limits={})
         traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
         lo, hi = traj.domain
@@ -561,7 +568,7 @@ class TestAssembleAndSolve:
             req = base_request(t_now=t_now, goal_time=t_now + HORIZON,
                                regions=wall_region())
             layout = plan_knot_layout(t_now, HORIZON, KNOT_SEGMENT, 3,
-                                      goal_time=req.goal_time)
+                                      goal_time=req.spec.goal_time)
             return layout.m, assemble_qp(req, layout)
 
         derivative_gram.cache_clear()
@@ -579,7 +586,7 @@ class TestAssembleAndSolve:
         # derivative_gram's memo.
         req = base_request(regions=wall_region())
         layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT, 3,
-                                  goal_time=req.goal_time)
+                                  goal_time=req.spec.goal_time)
         assemble_qp(req, layout)
         before = derivative_gram.cache_info()
         assemble_qp(req, layout)
@@ -625,7 +632,8 @@ class TestFallbackLadder:
     def test_no_limits_give_no_limit_rows(self):
         # Without limits each pass gets no limit rows.
         req = base_request(limits={})
-        layout = plan_knot_layout(0.0, HORIZON, KNOT_SEGMENT, req.order + 1)
+        layout = plan_knot_layout(0.0, HORIZON, KNOT_SEGMENT,
+                                  req.spec.order + 1)
         for sampled in (False, True):
             A, b = _limit_rows(req, layout, sampled)
             assert A.shape == (0, 2 * layout.m) and b.shape == (0,)
@@ -634,7 +642,8 @@ class TestFallbackLadder:
     def test_control_point_rows_cached_read_only(self, dt, order):
         layout = plan_knot_layout(0.0, HORIZON, dt, order + 1)
         m = layout.m
-        req = base_request(limits={order: (-np.ones(2), 2 * np.ones(2))})
+        req = base_request(initial_state=np.zeros((order, 2)),
+                           limits={order: (-np.ones(2), 2 * np.ones(2))})
         A, b = _limit_rows(req, layout, sampled=False)
         assert _limit_rows(req, layout, sampled=False)[0] is A
         assert not A.flags.writeable and not b.flags.writeable
@@ -845,7 +854,8 @@ class TestAdmitParity:
 # assemble_qp, _box_rows, _limit_rows, plan_with_fallback, _factor and
 # solve_qp as they were before the limit block was cached, the passes'
 # rows appended through QPProblem.with_rows and the dual loop rewritten in
-# place; verbatim but for the names, the control-point rows built uncached
+# place; verbatim but for the names, the task and order read from req.spec
+# (the request held copies of them), the control-point rows built uncached
 # (the cache held exactly these), limit_b from old_limit_b, and the passes'
 # problems recorded.
 
@@ -853,7 +863,7 @@ class TestAdmitParity:
 def old_limit_b(req):
     """PlanRequest.limit_b as it was: order -> hi_x, -lo_x, hi_y, -lo_y."""
     limit_b = {}
-    for order, (lo, hi) in sorted(req.limits.items()):
+    for order, (lo, hi) in sorted(req.spec.limits.items()):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         limit_b[order] = np.stack([hi[:2], -lo[:2]], axis=1).ravel()
@@ -870,7 +880,7 @@ def old_assemble_qp(req, layout):
     slice is usable.
     """
     m = layout.m
-    n = req.order
+    n = req.spec.order
     if layout.degree != n + 1:
         raise ValueError(f"layout degree {layout.degree} does not match order {n}")
 
@@ -881,16 +891,16 @@ def old_assemble_qp(req, layout):
     # end velocity (rest by default, and rest after the stamp), damping
     # arrival speed.  Everything stays soft so a blocked goal cannot
     # deadlock the solve.
-    pulls = [(req.goal, position_map(layout, layout.t_end), Q_FINAL)]
-    if req.goal_time is not None:
-        ahead = req.goal_time > layout.t_start + 1e-9
-        t_pin = (req.goal_time if ahead
+    pulls = [(req.spec.goal, position_map(layout, layout.t_end), Q_FINAL)]
+    if req.spec.goal_time is not None:
+        ahead = req.spec.goal_time > layout.t_start + 1e-9
+        t_pin = (req.spec.goal_time if ahead
                  else layout.t_start + PIN_LEAD_SEGMENTS * layout.dt)
         if t_pin <= layout.t_end - 1e-9:
             v_des = np.zeros(2)
-            if req.end_velocity is not None and ahead:
-                v_des = req.end_velocity
-            pulls += [(req.goal, position_map(layout, t_pin), Q_FINAL),
+            if req.spec.end_velocity is not None and ahead:
+                v_des = req.spec.end_velocity
+            pulls += [(req.spec.goal, position_map(layout, t_pin), Q_FINAL),
                       (v_des, derivative_map(layout, t_pin, 1), Q_FINAL_VEL)]
     topology = (layout.degree, m, layout.dt)
     block = 2.0 * (Q_N * derivative_gram(*topology, n)
@@ -915,7 +925,7 @@ def old_assemble_qp(req, layout):
     # in-horizon waypoints.
     rows = [derivative_map(layout, layout.t_start, k) for k in range(n)]
     values = list(req.initial_state)
-    for t_wp, p_wp in req.waypoints:
+    for t_wp, p_wp in req.spec.waypoints:
         if layout.t_start + 1e-9 < t_wp <= layout.t_end + 1e-9:
             rows.append(position_map(layout, t_wp))
             values.append(np.asarray(p_wp, dtype=float))
@@ -955,7 +965,7 @@ def old_box_rows(D):
 
 
 def old_limit_rows(req, layout, sampled):
-    """Derivative box-limit rows (A, b) of req.limits, A x <= b; none
+    """Derivative box-limit rows (A, b) of req.spec.limits, A x <= b; none
     without limits.
 
     Each row d of an order's derivative map gives four rows: d x <= hi,
@@ -997,12 +1007,13 @@ def old_plan_with_fallback(req, passes):
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
-                              req.order + 1, goal_time=req.goal_time)
+                              req.spec.order + 1,
+                              goal_time=req.spec.goal_time)
 
     def finish(traj, status, sol=None):
         elapsed = (time.perf_counter() - t_begin) * 1e6
         err = 0.0
-        for k in range(req.order):
+        for k in range(req.spec.order):
             have = traj.derivative_value(traj.clamp_time(req.t_now), k)
             err = max(err, float(np.max(np.abs(have - req.initial_state[k]))))
         return traj, PlanReport(

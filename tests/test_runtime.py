@@ -5,13 +5,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from swarmplan import runtime
 from swarmplan.bspline import TrajectorySpline, plan_knot_layout
 from swarmplan.geometry import Circle
+from swarmplan.harness import run_scenario
 from swarmplan.planner import constant_spline
 from swarmplan.prediction import PeerState
 from swarmplan.runtime import (Agent, AgentSpec, BusMessage, ExecutedPath,
                                MessageBus, broadcast, symmetric_limits)
-from swarmplan.scenario import Scenario, resolve_agents
+from swarmplan.scenario import Scenario, builtin_scenario, resolve_agents
 from swarmplan.sensor import Scan, World, simulate_scan
 
 
@@ -80,6 +82,20 @@ class TestLimitsAndConfig:
     def test_order_checked(self):
         with pytest.raises(ValueError, match="order"):
             AgentSpec(order=0)
+
+    @pytest.mark.parametrize("order, limits", [
+        (1, {1: 2.0, 3: 0.5}), (1, {1: 2.0, 7: 1.0}), (2, {4: 1.0}),
+        (4, {"6": 1.0})])
+    def test_limit_above_spline_degree_rejected(self, order, limits):
+        # The plan spline has degree order + 1; a higher derivative is zero
+        # between knots, so no QP row can bound it.
+        with pytest.raises(ValueError, match=f"above {order + 1},"):
+            AgentSpec(order=order, limits=limits)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_limit_at_spline_degree_accepted(self, order):
+        spec = AgentSpec(order=order, limits={1: 2.0, order + 1: 1.0})
+        assert sorted(spec.limits) == sorted({1, order + 1})
 
     @pytest.mark.parametrize("spec", [
         dict(goal=(1.0, 0.0), goal_time=4.0),       # random start
@@ -385,6 +401,45 @@ class TestAgentCycle:
         report = agent.agent_cycle(0.0)
         assert any(f.startswith("perception:") for f in report.flags)
         assert report.status == "optimal"
+
+    def test_planner_exception_reports_fallback(self, monkeypatch):
+        # The report of a cycle whose planner raised: the fields the
+        # benchmark fingerprint reprs keep their values.
+        def broken(req):
+            raise ZeroDivisionError("broken planner")
+
+        monkeypatch.setattr(runtime, "plan_with_fallback", broken)
+        agent = make_agent((0.0, 0.0), (3.0, 0.0))
+        prev = agent.path.latest
+        report = agent.agent_cycle(0.0)
+        assert (report.status, report.iterations, repr(report.kkt_residual),
+                report.solve_time_us, repr(report.continuity_error)) == (
+            "fallback", 0, "nan", 0.0, "0.0")
+        assert report.flags == ("plan:ZeroDivisionError",)
+        assert agent.path.latest is prev
+
+    def test_agent_hands_the_planner_its_own_spec(self, monkeypatch):
+        # Every cycle's request carries the agent's resolved spec itself,
+        # not copies of its fields.
+        seen, cycling = [], []
+        real_cycle, real_plan = Agent.agent_cycle, runtime.plan_with_fallback
+
+        def cycle(agent, now):
+            cycling.append(agent)
+            return real_cycle(agent, now)
+
+        def plan(req):
+            seen.append((cycling[-1], req))
+            return real_plan(req)
+
+        monkeypatch.setattr(Agent, "agent_cycle", cycle)
+        monkeypatch.setattr(runtime, "plan_with_fallback", plan)
+        result = run_scenario(builtin_scenario("intersection", duration=0.4))
+        assert len(seen) == len(cycling) == sum(
+            len(r) for r in result.reports.values()) > 0
+        for agent, req in seen:
+            assert req.spec is agent.config
+            assert agent.config is result.resolved[agent.index]
 
 
 class TestBroadcast:

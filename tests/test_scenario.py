@@ -210,6 +210,15 @@ class TestParsing:
                                       "limits": {"1": math.inf}})
         assert line == 4 and "finite" in msg
 
+    @pytest.mark.parametrize("limits", [{"1": 2, "3": 0.5}, {"1": 2, "7": 1}],
+                             ids=["jerk", "seventh"])
+    def test_limit_above_spline_degree_reports_agent_line(self, limits):
+        # An order-1 robot plans a quadratic spline: its third derivative is
+        # zero between knots, and no difference matrix of order 7 exists.
+        line, msg = self.agent_error({"start": [5.0, 0.0], "goal": [8.0, 0.0],
+                                      "order": 1, "limits": limits})
+        assert line == 4 and "go above 2," in msg
+
     @pytest.mark.parametrize("doc, path", [
         ({"agents": [{"start": [0.0, 0.0], "goal": [math.inf, 0.0]}]},
          "agents.0.goal.0"),
@@ -637,6 +646,14 @@ class TestBuiltins:
         for seed in range(3):
             sc = builtin_scenario(name, seed=seed)
             assert _start_errors(sc.agents, sc.bounds, sc.obstacles) == []
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_limits_fit_the_plan_splines(self, name):
+        # Building checks it too: AgentSpec rejects a limit on an order
+        # above its plan spline's degree, order + 1.
+        for seed in range(3):
+            sc = builtin_scenario(name, seed=seed)
+            assert all(k <= a.order + 1 for a in sc.agents for k in a.limits)
 
     def test_walled_in_box_seals_the_agent(self):
         sc = builtin_scenario("walled_in")
