@@ -109,10 +109,10 @@ class AgentSpec:
             raise ValueError("start, goal, end velocity and waypoints "
                              "must be finite")
         self.limits = symmetric_limits(self.limits)
-        if max(self.limits, default=0) > self.order + 1:
-            raise ValueError(f"limit orders {sorted(self.limits)} go above "
-                             f"{self.order + 1}, the plan spline's degree; "
-                             "higher derivatives are zero between knots")
+        if not all(1 <= k <= self.order + 1 for k in self.limits):
+            raise ValueError(f"limit orders {sorted(self.limits)} must lie in "
+                             f"1..{self.order + 1}; above the plan spline's "
+                             "degree, derivatives are zero between knots")
         stamps = [t for t, _ in self.waypoints if t is not None]
         if self.goal_time is not None:
             stamps = [t for t, _ in self.stamped_waypoints(self.goal_time)]

@@ -85,11 +85,12 @@ class TestLimitsAndConfig:
 
     @pytest.mark.parametrize("order, limits", [
         (1, {1: 2.0, 3: 0.5}), (1, {1: 2.0, 7: 1.0}), (2, {4: 1.0}),
-        (4, {"6": 1.0})])
-    def test_limit_above_spline_degree_rejected(self, order, limits):
+        (4, {"6": 1.0}), (2, {0: 1.0, 1: 2.0}), (2, {-1: 1.0})])
+    def test_limit_order_outside_the_spline_rejected(self, order, limits):
         # The plan spline has degree order + 1; a higher derivative is zero
-        # between knots, so no QP row can bound it.
-        with pytest.raises(ValueError, match=f"above {order + 1},"):
+        # between knots, so no QP row can bound it.  Order 0 would box the
+        # position, and a negative order is no derivative.
+        with pytest.raises(ValueError, match=rf"1\.\.{order + 1};"):
             AgentSpec(order=order, limits=limits)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])

@@ -217,7 +217,7 @@ class TestParsing:
         # zero between knots, and no difference matrix of order 7 exists.
         line, msg = self.agent_error({"start": [5.0, 0.0], "goal": [8.0, 0.0],
                                       "order": 1, "limits": limits})
-        assert line == 4 and "go above 2," in msg
+        assert line == 4 and "must lie in 1..2;" in msg
 
     @pytest.mark.parametrize("doc, path", [
         ({"agents": [{"start": [0.0, 0.0], "goal": [math.inf, 0.0]}]},
