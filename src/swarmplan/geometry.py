@@ -170,8 +170,9 @@ class Circle:
                               np.asarray(p, dtype=float))
 
     def support(self, u):
-        """max over the shape of u.x, per row of unit directions (..., 2)."""
-        return u @ self.center + self.radius
+        """max over the shape of u.x, per row of unit directions (..., 2),
+        rounded alike for any row count (np.vecdot; a matmul is not)."""
+        return np.vecdot(u, self.center) + self.radius
 
 
 def corners_area(corners):

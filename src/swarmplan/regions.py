@@ -19,33 +19,26 @@ all (slice, shape) pairs of that kind: the seed-inside test, the first hits
 and so find the same first sample inside as a march over every sample, and
 the tangent planes (`_tangent_planes`).  A lone shape is a group of one.
 The peer cut (`_peer_cuts`) evaluates every track at every slice time at
-once and cuts one stack, widened once by a column per track.  What no cut
-changes it finds in one pass over all (track, slice) pairs, one footprint
-at a time (`build_safe_regions` builds one footprint per broadcast size
-and shares it among that size's tracks): the seeds each peer covers, the
-plane each would cut, and whether an axis row, such as a box row,
-separates it.  An axis row has norm 1, so renormalizing leaves it alone,
-and its products are exact, so its gap is the same in every product; a
-track that axis rows separate at every slice it leaves clear cuts
-nothing, and skips the chain.  The chain
-goes track by track over the other tracks, since an earlier peer's plane
-can separate a later peer: each track tests its gaps on the current stack,
-renormalizes the rows of the slices it cuts and writes its plane at column
-counts[k].  Duplicate rows are dropped once, by the deflation: a row equal
-to an earlier one is renormalized and deflated with it and stays equal,
-so dropping it before or after gives the same rows.  The seed probe is
-one step, and the slices that fail it get one emptiness test over the
-padded stack (`_chebyshev_radius`).  The single-slice functions
-(`seed_region`, `contract_for_peer`, `deflate_for_ego`, `region_is_empty`)
-run the same kernels on a one-slice stack.
+once.  A cut appends its plane and changes no row, so one product over a
+candidate stack, the slice rows and a column per track plane, gives every
+row's gap to every peer, and a loop of boolean operations over the tracks
+decides the cuts.  Coverage and planes are found one footprint at a time:
+`build_safe_regions` passes one per broadcast size with its tracks'
+indices.  Duplicate rows are dropped once, by the deflation: a row equal
+to an earlier one is deflated with it and stays equal, so dropping it
+before or after gives the same rows.  The seed probe is one step, and the
+slices that fail it get one emptiness test over the padded stack
+(`_chebyshev_radius`).  The single-slice functions (`seed_region`,
+`contract_for_peer`, `deflate_for_ego`, `region_is_empty`) run the same
+kernels on a one-slice stack.
 
-Arithmetic.  A region is defined slice by slice: every cut renormalizes
-each live row of the slice by the norm it measures (`unit_rows`), and
-exact duplicate rows, equal in every bit of normal and offset, are dropped,
-keeping the first.  The kernels take those steps on the whole stack and
-keep each one's rounding, so the arrays equal that per-slice chain bit for
-bit; the tests keep the chain, one row object at a time, as the reference.
-Hence the forms below:
+Arithmetic.  A region is defined slice by slice: a cut appends its plane,
+divided by the norm it measures (`unit_rows`), the deflation divides every
+row by its norm once more, and exact duplicate rows, equal in every bit of
+normal and offset, are dropped, keeping the first.  The kernels take
+those steps on the whole stack and keep each one's rounding, so the arrays
+equal that per-slice chain bit for bit; the tests keep the chain, one row
+object at a time, as the reference.  Hence the forms below:
 - a slice's plane dots with a point are one np.matmul over the padded
   (slices, planes, 2) stack, which runs one BLAS gemv per slice.  On the
   OpenBLAS measured, a gemv rounds each row the same whatever the row
@@ -53,7 +46,8 @@ Hence the forms below:
   own (planes, 2) @ (2,) product.  A one-row product is a dot, which rounds
   differently, so slices of one row take their own product.  Every slice
   that `build_safe_regions` makes holds its 4 box rows; einsum or
-  elementwise products round differently again;
+  elementwise products round differently again.  The peer cut's product
+  is one gemv per (track, slice), so a row rounds as at any column;
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
 - every containment test, of a seed in a shape, of a marched sample, or
@@ -64,13 +58,11 @@ Hence the forms below:
   np.vecdot, so each pair rounds as the shape's own call would.  Only the
   march's `along` is one matmul over all pairs; MARCH_TOL absorbs how it
   rounds;
-- a peer is cut when no plane has gap = n.peer - o - support(-n) above the
-  margin, with n.peer from `PlaneStack.dots`; kept duplicates raise a
-  slice's row count, which leaves that rounding alone.  The one-pass test
-  against axis rows forms n.peer elementwise, which is exact for them;
+- a peer is cut when no row has gap = n.peer - o - support(-n) above the
+  margin; kept duplicates raise a slice's row count, which leaves that
+  rounding alone;
 - a cut plane's direction, offset and `unit_rows` are elementwise, and so
-  is a footprint's support along it: a footprint is a shape about the
-  origin, whose circle adds its radius to a product with a zero center;
+  is a footprint's support along any row (np.vecdot per circle or corner);
 - the emptiness test computes each live pair and triple of a slice's rows
   as the one-slice test does, from index tables memoized per stack width
   (`_index_tables`), and never touches the padding.
@@ -415,67 +407,59 @@ def _seeded(seeds, groups, member):
     return _distinct(normals, offsets, counts), inside
 
 
-def _by_object(items):
-    """(item, positions) per distinct object of the list, in order of first
-    appearance; the positions are an index array, or every position when
-    one object fills the list."""
-    groups = {}
-    for i, item in enumerate(items):
-        groups.setdefault(id(item), (item, []))[1].append(i)
-    if len(groups) == 1:
-        return [(items[0], slice(None))]
-    return [(item, np.array(at)) for item, at in groups.values()]
-
-
-def _peer_cuts(stack, seeds, peers, footprints, margin):
+def _peer_cuts(stack, seeds, peers, groups, margin):
     """`contract_for_peer` on every slice by each track t in turn, at
-    peers[t] (tracks, slices, 2) with footprints[t], shapes about the
-    origin: (stack, seed covered by no track).  The input stack comes back
-    when nothing is cut; else the cut stack still holds rows equal to
-    earlier ones (see `_distinct`).
-
-    One pass over all tracks, a footprint's tracks at once, finds which
-    seeds they cover, the plane each would cut at every slice, and which
-    ones an axis row separates at every slice they leave clear (`held`).
-    No cut changes an axis row, or how its gap rounds, so those tracks cut
-    nothing, and the chain runs for the others alone.
-    """
-    normals, offsets, counts = stack.widened(
-        stack.offsets.shape[1] + len(footprints))
-    peers = np.ascontiguousarray(peers)
+    peers[t] (tracks, slices, 2); `groups` pairs each footprint, a shape
+    about the origin, with its tracks' indices.  Returns (stack, seed
+    covered by no track): the input stack when nothing is cut, else each
+    slice's rows and then, in track order, the planes of the tracks that
+    cut it, rows equal to earlier ones included (see `_distinct`)."""
+    n_rows = stack.offsets.shape[1]
     rel = seeds - peers
     with np.errstate(divide="ignore", invalid="ignore"):
         u = -rel / np.sqrt(np.vecdot(rel, rel))[..., None]
-    # Axis rows, such as the box rows: unit_rows divides them by 1, and
-    # every product of theirs is exact, however it is formed.
-    nx, ny = stack.normals[..., 0], stack.normals[..., 1]
-    axis = ((nx == 0.0) | (ny == 0.0)) & (np.abs(nx) + np.abs(ny) == 1.0)
-    along = nx * peers[..., 0, None] + ny * peers[..., 1, None]
     clear = np.empty(rel.shape[:2], dtype=bool)
-    held = np.empty(rel.shape[:2], dtype=bool)
     offset = np.empty(rel.shape[:2])
-    for footprint, ts in _by_object(footprints):
+    for footprint, ts in groups:
         clear[ts] = ~footprint.contains(rel[ts])
-        gap = (along[ts] - stack.offsets
-               - footprint.support(-stack.normals))
-        held[ts] = (axis & (gap > margin)).any(axis=2)
         offset[ts] = (np.vecdot(u[ts], peers[ts]) - footprint.support(-u[ts])
                       - margin)
     cut_normals, cut_offsets = unit_rows(u, offset)
-    for t in (clear & ~held).any(axis=1).nonzero()[0]:
-        gap = (PlaneStack(normals, offsets, counts).dots(peers[t]) - offsets
-               - footprints[t].support(-normals))
-        ks = (clear[t] & ~(gap > margin).any(axis=1)).nonzero()[0]
-        if len(ks) == 0:
-            continue
-        normals[ks], offsets[ks] = unit_rows(normals[ks], offsets[ks])
-        at = (ks, counts[ks])
-        normals[at], offsets[at] = cut_normals[t, ks], cut_offsets[t, ks]
-        counts[ks] += 1
-    free = clear.all(axis=0)
-    if np.array_equal(counts, stack.counts):
-        return stack, free
-    return PlaneStack(normals, offsets, counts), free
+    normals = np.hstack([stack.normals, cut_normals.swapaxes(0, 1)])
+    offsets = np.hstack([stack.offsets, cut_offsets.T])
+    # Every row's gap to every peer, a gemv per (track, slice) as in the
+    # chain.  Whether an input row keeps peer t out at slice k is `by_rows`
+    # once a cut has widened the slice, and `alone` before.
+    along = np.matmul(normals, peers[..., None])[..., 0]
+    support = np.empty(along.shape)
+    for footprint, ts in groups:
+        support[ts] = footprint.support(-normals)
+    keeps = along - offsets - support > margin
+    by_rows = keeps[..., :n_rows].any(axis=2)
+    alone = by_rows.copy()
+    ones = (stack.counts == 1).nonzero()[0]
+    if len(ones):
+        # A one-row slice takes a dot until a cut adds a second row.
+        dot = np.matmul(normals[ones, :1], peers[:, ones, :, None])[..., 0, 0]
+        alone[:, ones] = dot - offsets[ones, 0] - support[:, ones, 0] > margin
+    # A track that input rows keep out wherever it is clear cuts nothing.
+    cuts = np.zeros(clear.shape, dtype=bool)
+    cut = np.zeros(len(seeds), dtype=bool)
+    for t in (clear & ~(by_rows & alone)).any(axis=1).nonzero()[0]:
+        kept = (np.where(cut, by_rows[t], alone[t])
+                | (keeps[t, :, n_rows:n_rows + t] & cuts[:t].T).any(axis=1))
+        cuts[t] = clear[t] & ~kept
+        cut |= cuts[t]
+    if not cut.any():
+        return stack, clear.all(axis=0)
+    k, t = np.nonzero(cuts.T)
+    slot = stack.counts[k] + np.arange(len(k)) - np.searchsorted(k, k)
+    normals[k, slot], offsets[k, slot] = (normals[k, n_rows + t],
+                                          offsets[k, n_rows + t])
+    counts = stack.counts + cuts.sum(axis=0)
+    pad = np.arange(normals.shape[1]) >= counts[:, None]
+    normals[pad], offsets[pad] = np.nan, np.nan
+    return PlaneStack(normals, offsets, counts), clear.all(axis=0)
 
 
 def _deflated(stack, footprint):
@@ -567,14 +551,16 @@ def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
     The peer occupies `footprint` centered at peer_position, padded by
     `margin` to absorb prediction error and inter-sample motion.  If a
     region plane already separates the padded footprint, nothing changes.
-    Otherwise one plane normal to the seed-to-peer direction is added,
-    touching the padded footprint on the seed side.  Returns (polytope,
-    feasible); feasible goes False when the seed itself is covered.
+    Otherwise one plane normal to the seed-to-peer direction is appended,
+    touching the padded footprint on the seed side, and the region's own
+    rows keep their bits.  Returns (polytope, feasible); feasible goes
+    False when the seed itself is covered.  The one-track case of
+    `_peer_cuts`, which `build_safe_regions` runs for all tracks at once.
     """
     before = PlaneStack.of(polytope)
     after, free = _peer_cuts(before, np.asarray(seed, dtype=float)[None],
                              np.asarray(peer_position, dtype=float)[None, None],
-                             [footprint], margin)
+                             [(footprint, slice(None))], margin)
     if after is before:
         return polytope, bool(free[0])
     return _distinct(*after).polytope(0), True
@@ -624,11 +610,13 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
         feasible[ks] = previous.feasible[src]
     static = stack
     if tracks:
-        sizes = [tuple(tr.latest.size or (0.1,)) for tr in tracks]
-        shared = {size: footprint_from_size(size) for size in set(sizes)}
+        sizes = {}
+        for t, tr in enumerate(tracks):
+            sizes.setdefault(tuple(tr.latest.size or (0.1,)), []).append(t)
         stack, free = _peer_cuts(
             stack, seeds, predict_tracks(tracks, now + t_rel)[:, :, 0],
-            [shared[size] for size in sizes], PEER_MARGIN)
+            [(footprint_from_size(size), ts) for size, ts in sizes.items()],
+            PEER_MARGIN)
         feasible &= free
     stack = _deflated(stack, ego_footprint)
     probe_in = np.all((stack.dots(seeds) <= stack.offsets + PROBE_TOL)

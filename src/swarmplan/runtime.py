@@ -90,8 +90,10 @@ class AgentSpec:
     plan_rate = 25.0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("integrator order must be at least 1")
+        if not float(self.order).is_integer() or self.order < 1:
+            raise ValueError("integrator order must be an integer of at "
+                             f"least 1, got {self.order!r}")
+        self.order = int(self.order)
         footprint_from_size(self.footprint)     # 1..3 positive lengths
         self.footprint = tuple(float(v) for v in self.footprint)
         if self.start is not None:
@@ -103,11 +105,15 @@ class AgentSpec:
         self.waypoints = [(None if t is None else float(t),
                            np.asarray(p, dtype=float))
                           for t, p in self.waypoints]
-        points = [self.start, self.goal, self.end_velocity,
+        points = [self.start, self.goal, self.heading, self.end_velocity,
                   *(p for _, p in self.waypoints)]
         if not all(np.isfinite(p).all() for p in points if p is not None):
-            raise ValueError("start, goal, end velocity and waypoints "
-                             "must be finite")
+            raise ValueError("start, goal, heading, end velocity and "
+                             "waypoints must be finite")
+        times = [self.goal_time, *(t for t, _ in self.waypoints)]
+        if not all(0.0 < t < np.inf for t in times if t is not None):
+            raise ValueError("goal time and waypoint times must be finite "
+                             f"and positive, got {times}")
         self.limits = symmetric_limits(self.limits)
         if not all(1 <= k <= self.order + 1 for k in self.limits):
             raise ValueError(f"limit orders {sorted(self.limits)} must lie in "

@@ -231,6 +231,9 @@ class Scenario:
     obstacles: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not float(self.seed).is_integer():
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = int(self.seed)
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
         if not self.agents:

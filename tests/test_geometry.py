@@ -356,6 +356,20 @@ class TestSupport:
             assert np.allclose(got, want, atol=2e-3)
             assert np.all(got >= want - 1e-9)
 
+    def test_one_row_rounds_as_many(self):
+        # A row's support has the same bits alone as among 8 rows, also for
+        # an off-centre circle, whose one-row matmul rounded differently.
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            shape = Circle(rng.uniform(-20.0, 20.0, size=2),
+                           float(rng.uniform(0.1, 3.0)))
+            th = rng.uniform(0, 2 * np.pi, size=8)
+            u = np.stack([np.cos(th), np.sin(th)], axis=1)
+            many = shape.support(u)
+            for i in range(8):
+                assert shape.support(u[i:i + 1]).tobytes() == many[i:i + 1].tobytes()
+                assert shape.support(u[i]).tobytes() == many[i].tobytes()
+
 
 def old_polygon_fields(corners):
     """corners, edges, center and size_scale as the polygon constructor

@@ -9,10 +9,12 @@ tracks seven peers and dozens of tracks open on one-state bootstraps;
 seed march meets long corridor walls; `unstructured` is the 2.0 s
 clutter_waypoints bench window, where a cluttered map fills the moving
 volume's slice x shape mask and obstacle admission decides between shapes.
+`test_sixteen_agents_cut_as_the_chain` runs sixteen antipodal agents for
+0.4 s and holds every peer cut to the track-by-track chain of
+`test_regions.old_peer_cuts`.
 
 The package memoizes B-spline bases, difference matrices, Grams, QP
-factors, limit blocks, smoothing blocks, peer footprints and
-emptiness-test index tables across runs;
+factors, limit blocks and emptiness-test index tables across runs;
 `test_runs_do_not_depend_on_the_memos` finds every memo of the package,
 runs one window from all of them empty and again from memos another
 scenario filled.
@@ -30,11 +32,12 @@ import pytest
 import numpy as np
 
 import swarmplan
-from swarmplan import harness
+from swarmplan import harness, regions
 from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
 from swarmplan.runtime import TAU
 from swarmplan.scenario import builtin_scenario
+from test_regions import assert_same_cut, old_peer_cuts
 
 # Wall-clock fields of RunMetrics; every other field is deterministic.
 TIMING_FIELDS = ("solve_times", "cycle_times")
@@ -55,10 +58,10 @@ def deterministic(metrics):
     return d
 
 
-@pytest.mark.parametrize("name", ["open", "walled_in", "antipodal",
-                                  "intersection", "unstructured"])
-def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
-    scenario = builtin_scenario(name, duration=DURATIONS.get(name))
+def check_run(scenario, tmp_path):
+    """Run the scenario twice, the first time writing its CSV: both runs
+    must agree bit for bit, no stage may raise, and the motion metrics
+    recomputed from the CSV must equal the run's.  Returns the first run."""
     first = run_scenario(scenario, out_dir=tmp_path)
     second = run_scenario(scenario)
 
@@ -70,9 +73,6 @@ def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
     # Flags of the form "<stage>:<exception>" mean a stage raised.
     assert not [f for reports in first.reports.values() for r in reports
                 for f in r.flags if ":" in f]
-    if name == "walled_in":
-        statuses = first.metrics.cycle_statuses
-        assert statuses.get("relaxed", 0) > 0 and statuses.get("fallback", 0) > 0
 
     table = read_trajectories(tmp_path / "trajectories.csv")
     assert table.keys() == first.table.keys()
@@ -85,6 +85,38 @@ def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
         obstacles=list(scenario.obstacles))
     for key, value in motion.items():
         assert repr(value) == repr(getattr(first.metrics, key)), key
+    return first
+
+
+@pytest.mark.parametrize("name", ["open", "walled_in", "antipodal",
+                                  "intersection", "unstructured"])
+def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
+    first = check_run(builtin_scenario(name, duration=DURATIONS.get(name)),
+                      tmp_path)
+    if name == "walled_in":
+        statuses = first.metrics.cycle_statuses
+        assert statuses.get("relaxed", 0) > 0 and statuses.get("fallback", 0) > 0
+
+
+def test_sixteen_agents_cut_as_the_chain(tmp_path, monkeypatch):
+    # Sixteen agents swap across the antipodal circle for 0.4 s.  Each
+    # robot holds 15 tracks from its second cycle on (30 in the last, where
+    # every peer opens a second track), about twice the most any other
+    # test drives.  Every peer cut of both runs must equal the write-once
+    # track-by-track chain bit for bit.
+    tracks = []
+
+    def checked(*args):
+        got = peer_cuts(*args)
+        assert_same_cut(args[0], got, old_peer_cuts(*args))
+        tracks.append(len(args[2]))
+        return got
+
+    peer_cuts = regions._peer_cuts
+    monkeypatch.setattr(regions, "_peer_cuts", checked)
+    check_run(builtin_scenario("antipodal", n_agents=16, duration=0.4),
+              tmp_path)
+    assert max(tracks) >= 15
 
 
 def package_memos():

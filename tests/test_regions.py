@@ -1,5 +1,7 @@
 """Safe convex regions: seeding, peer contraction, deflation, emptiness."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -520,9 +522,10 @@ class TestBuildSafeRegions:
 # --- the one-pass build against the per-slice definition ----------------------
 #
 # The oracle is the per-slice composition that defines a region: march the
-# seed's ray fan, cut with contract_for_peer track by track (rebuilding
-# the chain's Halfplane and ConvexPolytope objects), deflate_for_ego, then
-# the probe and the HiGHS Chebyshev LP.  The one-pass build must equal it bit for bit.
+# seed's ray fan, cut with contract_for_peer track by track (a ConvexPolytope
+# of the earlier rows, bits kept, and the new plane's Halfplane),
+# deflate_for_ego, then the probe and the HiGHS Chebyshev LP.  The one-pass
+# build must equal it bit for bit.
 
 def _fp_support(fp, u):
     if isinstance(fp, Circle):
@@ -647,7 +650,10 @@ def oracle_contract(poly, seed, peer, fp, margin):
         return poly, True
     u = -rel / np.linalg.norm(rel)
     offset = float(u @ peer) - _fp_support(fp, -u) - margin
-    planes = [Halfplane(n, o) for n, o in zip(poly.normals, poly.offsets)]
+    # The earlier rows keep their bits; only the new plane is divided by
+    # its norm.
+    planes = [SimpleNamespace(normal=n, offset=o)
+              for n, o in zip(poly.normals, poly.offsets)]
     planes.append(Halfplane(u, offset))
     return ConvexPolytope(planes), True
 
@@ -896,6 +902,29 @@ class TestOnePassParity:
             got = stack.dots(points)
             for k, c in enumerate(counts):
                 assert np.array_equal(got[k, :c], normals[k, :c] @ points[k])
+
+    def test_stack_products_round_each_row_alike_at_any_column(self):
+        # `_peer_cuts` forms every row's product with every peer in one
+        # matmul over (tracks, slices) stacks of input rows and track
+        # planes, where the chain formed it on stacks of other widths, at
+        # other columns.  From 2 rows up, each row rounds as it does at
+        # column 0 of a stack of two, whatever rows or NaN padding sit
+        # beside it.
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            K, W, T = (int(rng.integers(1, 12)), int(rng.integers(2, 40)),
+                       int(rng.integers(1, 9)))
+            th = rng.uniform(0, 2 * np.pi, size=(K, W))
+            normals = (rng.uniform(0.2, 5.0, size=(K, W, 1))
+                       * np.stack([np.cos(th), np.sin(th)], axis=-1))
+            live = np.arange(W) < rng.integers(1, W + 1, size=K)[:, None]
+            normals[~live] = np.nan
+            peers = rng.uniform(-10.0, 10.0, size=(T, K, 2))
+            got = np.matmul(normals, peers[..., None])[..., 0]
+            for t, k, r in zip(*np.nonzero(np.broadcast_to(live, got.shape))):
+                pair = np.stack([normals[k, r], normals[k, r]])
+                assert (got[t, k, r].tobytes()
+                        == (pair @ peers[t, k])[0].tobytes())
 
     def test_single_slice_api_matches_oracle(self):
         rng = np.random.default_rng(23)
@@ -1327,17 +1356,37 @@ class TestEmptinessAgainstLP:
 
 # --- the peer cut against the track-by-track chain -----------------------------
 #
-# `old_peer_cuts` is `regions._peer_cuts` as it was before the cut planes,
-# coverage and box-row separation were computed for all tracks in one pass,
-# kept verbatim: every track runs the whole chain over the whole stack.  The
-# one-pass cut must equal it bit for bit once `_distinct` drops duplicate
-# rows, counts included.
+# `old_peer_cuts` is the track-by-track chain that `regions._peer_cuts`
+# replaced: every track runs the whole chain over the whole stack, testing
+# its gaps on the rows that the earlier tracks left and writing its plane
+# after them.  The one-pass cut must equal it bit for bit once `_distinct`
+# drops duplicate rows, counts included.
 
-def old_peer_cuts(stack, seeds, peers, footprints, margin):
+def footprint_groups(footprints):
+    """The (footprint, track indices) groups of a per-track footprint list,
+    one per distinct object, as `_peer_cuts` takes them."""
+    groups = {}
+    for t, fp in enumerate(footprints):
+        groups.setdefault(id(fp), (fp, []))[1].append(t)
+    return list(groups.values())
+
+
+def track_footprints(groups, n_tracks):
+    """The per-track footprint list of `_peer_cuts`' groups."""
+    footprints = [None] * n_tracks
+    for fp, ts in groups:
+        for t in np.arange(n_tracks)[ts]:
+            footprints[t] = fp
+    return footprints
+
+
+def old_peer_cuts(stack, seeds, peers, groups, margin):
     """`contract_for_peer` on every slice by each track t in turn, at
-    peers[t] (tracks, slices, 2) with footprints[t]: (stack, seed covered
-    by no track).  The input stack comes back when nothing is cut; else the
-    cut stack still holds rows equal to earlier ones (see `_distinct`)."""
+    peers[t] (tracks, slices, 2), grouped by footprint as `_peer_cuts`
+    takes them: (stack, seed covered by no track).  The input stack comes
+    back when nothing is cut; else the cut stack still holds rows equal to
+    earlier ones (see `_distinct`)."""
+    footprints = track_footprints(groups, len(peers))
     normals, offsets, counts = stack.widened(
         stack.offsets.shape[1] + len(footprints))
     free = np.ones(len(seeds), dtype=bool)
@@ -1353,7 +1402,6 @@ def old_peer_cuts(stack, seeds, peers, footprints, margin):
         r = rel[ks]
         u = -r / np.sqrt(np.vecdot(r, r))[:, None]
         offset = np.vecdot(u, peer[ks]) - footprint.support(-u) - margin
-        normals[ks], offsets[ks] = unit_rows(normals[ks], offsets[ks])
         at = (ks, counts[ks])
         normals[at], offsets[at] = unit_rows(u, offset)
         counts[ks] += 1
@@ -1410,7 +1458,7 @@ def random_peers(rng, seeds, n_tracks):
 def random_footprints(rng, n_tracks):
     """Circles and squares of a few sizes, one shared object per size, as
     `build_safe_regions` passes them, with now and then a private copy of
-    one."""
+    one; grouped by object, as `_peer_cuts` takes them."""
     sizes = [(0.1,), (0.3,), (0.2, 0.5), (0.1, 0.2, 0.3), (0.05, 0.1, 0.4)]
     shared = {size: footprint_from_size(size) for size in sizes}
     fps = []
@@ -1418,7 +1466,7 @@ def random_footprints(rng, n_tracks):
         size = sizes[int(rng.integers(len(sizes)))]
         fps.append(footprint_from_size(size) if rng.random() < 0.2
                    else shared[size])
-    return fps
+    return footprint_groups(fps)
 
 
 def assert_same_cut(stack, got, want):
@@ -1452,8 +1500,8 @@ class TestPeerCutParity:
         assert cut > 200 and single > 20
 
     def test_peers_held_at_some_slices_only(self):
-        # A peer beyond a box row at every other slice: the chain must still
-        # run it at the others, and skip a peer beyond the box everywhere.
+        # A peer beyond a box row at every other slice cuts the others, and
+        # a peer beyond the box everywhere cuts nothing.
         rng = np.random.default_rng(59)
         for _ in range(50):
             K = 20
@@ -1465,8 +1513,8 @@ class TestPeerCutParity:
             far = seeds + 7.0 * out
             alternating = np.where((np.arange(K) % 2 == 0)[:, None], far, near)
             peers = np.stack([far, alternating, near, far])
-            fps = [footprint_from_size((0.3,))] * 2 + [
-                footprint_from_size((0.1, 0.2, 0.3))] * 2
+            fps = [(footprint_from_size((0.3,)), [0, 1]),
+                   (footprint_from_size((0.1, 0.2, 0.3)), [2, 3])]
             got = regions._peer_cuts(stack, seeds, peers, fps,
                                      regions.PEER_MARGIN)
             assert_same_cut(stack, got, old_peer_cuts(
@@ -1474,8 +1522,7 @@ class TestPeerCutParity:
 
     def test_covered_seeds_and_one_cut_slice(self):
         # One track covers some seeds; another is beyond the box at all
-        # slices but one, so it cuts that slice alone, and its cut offset
-        # takes a one-row Circle.support in the chain.
+        # slices but one, so it cuts that slice alone.
         rng = np.random.default_rng(61)
         cut_one = 0
         for trial in range(40):
@@ -1490,61 +1537,54 @@ class TestPeerCutParity:
             k = int(rng.integers(K))
             lone[k] = seeds[k] + 0.6 * ring[k]
             size = (0.3,) if trial % 2 else (0.1, 0.2, 0.3)
-            fps = [footprint_from_size(size)] * 2
+            fp = footprint_from_size(size)
+            fps = [(fp, [0, 1])]
             peers = np.stack([covering, lone])
             got = regions._peer_cuts(stack, seeds, peers, fps,
                                      regions.PEER_MARGIN)
             assert_same_cut(stack, got, old_peer_cuts(
                 stack, seeds, peers, fps, regions.PEER_MARGIN))
             assert not got[1].all()
-            alone = regions._peer_cuts(stack, seeds, peers[1:], fps[1:],
+            alone = regions._peer_cuts(stack, seeds, peers[1:], [(fp, [0])],
                                        regions.PEER_MARGIN)[0]
             cut_one += int((alone.counts > stack.counts).sum()) == 1
         assert cut_one > 20
 
-    def test_renormalized_row_stops_separating(self):
-        # A row that unit_rows moves separates the second peer by a hair
-        # until the first peer's cut renormalizes it: the second peer must
-        # still run the chain, though a row separated it at first.
+    def test_cuts_leave_earlier_rows_and_planes_in_force(self):
+        # A cut appends its plane and leaves every earlier row's bytes
+        # alone, rows that a second division by their norm would move
+        # included.  Peer B stands behind peer A, inside the box: where A's
+        # plane alone keeps B out, B adds nothing, though alone it cuts.
         rng = np.random.default_rng(73)
-        fp = footprint_from_size((0.3,))
-        flips = 0
-        for _ in range(300):
-            seed = rng.uniform(-3.0, 3.0, size=2)
-            th = rng.uniform(0, 2 * np.pi)
-            n, _ = unit_rows(rng.uniform(0.2, 5.0) * np.array([np.cos(th),
-                                                               np.sin(th)]),
-                             np.zeros(()))
-            o = n @ seed + 1.0
-            stack = PlaneStack(
-                np.vstack([regions._BOX_NORMALS, n])[None],
-                np.append(regions._BOX_NORMALS @ seed + regions.MARCH_RANGE,
-                          o)[None], np.array([5]))
-            if unit_rows(n, o)[0].tobytes() == n.tobytes():
-                continue
-
-            def cut(j, tracks):
-                # Peer 0 cuts the slice; peer 1 sits j steps past the reach
-                # of the row along its normal.
-                reach = 1.0 + fp.radius + regions.PEER_MARGIN
-                peers = np.stack([seed - 0.8 * n,
-                                  seed + (reach + j * 2e-16) * n])[tracks]
-                args = (stack, seed[None], peers[:, None], [fp] * len(tracks),
-                        regions.PEER_MARGIN)
-                return regions._peer_cuts(*args), old_peer_cuts(*args)
-
-            # The first step at which the row alone separates peer 1.
-            lo, hi = -60, 60
-            while lo < hi:
-                mid = (lo + hi) // 2
-                lo, hi = ((lo, mid) if cut(mid, [1])[1][0] is stack
-                          else (mid + 1, hi))
-            for j in range(lo, lo + 4):
-                got, want = cut(j, [0, 1])
-                assert_same_cut(stack, got, want)
-                if want[0].counts[0] == 7 and cut(j, [1])[1][0] is stack:
-                    flips += 1
-        assert flips >= 3
+        fp = footprint_from_size((0.2,))
+        moved = shadowed = 0
+        for _ in range(100):
+            K = 10
+            seeds = rng.uniform(-2.0, 2.0, size=(K, 2))
+            stack = random_stack(rng, seeds, single=0.0)
+            th = rng.uniform(0, 2 * np.pi, size=K)
+            d = np.stack([np.cos(th), np.sin(th)], axis=1)
+            peers = np.stack([seeds + 1.2 * d, seeds + 2.8 * d])
+            got = regions._peer_cuts(stack, seeds, peers, [(fp, [0, 1])],
+                                     regions.PEER_MARGIN)
+            assert_same_cut(stack, got, old_peer_cuts(
+                stack, seeds, peers, [(fp, [0, 1])], regions.PEER_MARGIN))
+            out = got[0]
+            a, b = (regions._peer_cuts(stack, seeds, peers[[t]], [(fp, [0])],
+                                       regions.PEER_MARGIN)[0]
+                    for t in (0, 1))
+            for k, c in enumerate(stack.counts):
+                assert out.normals[k, :c].tobytes() == stack.normals[k, :c].tobytes()
+                assert out.offsets[k, :c].tobytes() == stack.offsets[k, :c].tobytes()
+                if out.counts[k] == c:
+                    continue
+                again = unit_rows(stack.normals[k, :c], stack.offsets[k, :c])
+                moved += (again[0].tobytes() != stack.normals[k, :c].tobytes()
+                          or again[1].tobytes() != stack.offsets[k, :c].tobytes())
+                if out.counts[k] == c + 1 and b.counts[k] == c + 1:
+                    assert out.normals[k, c].tobytes() == a.normals[k, c].tobytes()
+                    shadowed += 1
+        assert moved > 20 and shadowed > 20
 
     def test_build_with_borrowed_region_matches_the_chain(self, monkeypatch):
         rng = np.random.default_rng(67)
@@ -1568,13 +1608,13 @@ class TestPeerCutParity:
 
 class TestRegionMemos:
     def test_peer_footprints_shared_per_size(self, monkeypatch):
-        # One footprint per broadcast size per call, the same object for
-        # every track of that size, so `_peer_cuts` groups them in one pass.
+        # One footprint per broadcast size per call, with the indices of
+        # every track of that size, so `_peer_cuts` takes each in one pass.
         seen = []
 
-        def spy(stack, seeds, peers, footprints, margin):
-            seen.append(footprints)
-            return peer_cuts(stack, seeds, peers, footprints, margin)
+        def spy(stack, seeds, peers, groups, margin):
+            seen.append(groups)
+            return peer_cuts(stack, seeds, peers, groups, margin)
 
         peer_cuts = regions._peer_cuts
         monkeypatch.setattr(regions, "_peer_cuts", spy)
@@ -1583,13 +1623,14 @@ class TestRegionMemos:
             vol = random_volume(rng, 20)
             tracks = random_tracks(rng, vol)
             build_safe_regions(vol, tracks, disk(0.2), 0.0)
-            fps = seen[-1]
+            groups = seen[-1]
             sizes = [tuple(tr.latest.size) for tr in tracks]
-            assert len(fps) == len(tracks)
-            assert len({id(fp) for fp in fps}) == len(set(sizes)) > 1
-            for size, fp in zip(sizes, fps):
-                assert fp is fps[sizes.index(size)]
-                want = footprint_from_size(size)
+            assert sorted(t for _, ts in groups for t in ts) == list(
+                range(len(tracks)))
+            assert len(groups) == len(set(sizes)) > 1
+            for fp, ts in groups:
+                assert len({sizes[t] for t in ts}) == 1
+                want = footprint_from_size(sizes[ts[0]])
                 assert type(fp) is type(want)
                 assert fp.size_scale == want.size_scale
         assert len(seen) == 5

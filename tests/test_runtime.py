@@ -83,6 +83,32 @@ class TestLimitsAndConfig:
         with pytest.raises(ValueError, match="order"):
             AgentSpec(order=0)
 
+    def test_integral_order_becomes_an_int(self):
+        # A JSON schema's "integer" takes 2.0; the planner sizes arrays by
+        # the order, so a float order would raise there.
+        spec = AgentSpec(order=2.0)
+        assert spec.order == 2 and type(spec.order) is int
+        with pytest.raises(ValueError, match="integer"):
+            AgentSpec(order=2.5)
+
+    def test_heading_must_be_finite(self):
+        # A NaN heading makes every beam of the agent's scanner NaN.
+        with pytest.raises(ValueError, match="heading"):
+            AgentSpec(heading=np.nan)
+
+    @pytest.mark.parametrize("goal_time", [np.nan, np.inf, -1.0, 0.0])
+    def test_goal_time_must_be_finite_and_positive(self, goal_time):
+        # Each ran as if the goal time had already passed.
+        with pytest.raises(ValueError, match="finite and positive"):
+            AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0), goal_time=goal_time)
+
+    @pytest.mark.parametrize("stamp", [np.nan, np.inf, -1.0, 0.0])
+    def test_waypoint_times_must_be_finite_and_positive(self, stamp):
+        # A waypoint stamped so never enters a horizon.
+        with pytest.raises(ValueError, match="finite and positive"):
+            AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0),
+                      waypoints=[(stamp, (1.0, 0.0))])
+
     @pytest.mark.parametrize("order, limits", [
         (1, {1: 2.0, 3: 0.5}), (1, {1: 2.0, 7: 1.0}), (2, {4: 1.0}),
         (4, {"6": 1.0}), (2, {0: 1.0, 1: 2.0}), (2, {-1: 1.0})])

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -251,6 +251,22 @@ class TestParsing:
         assert got == path and "finite" in msg
         literal = text.split("\n")[line - 1].strip().rstrip(",")
         assert literal.split(": ")[-1] in ("Infinity", "NaN")
+
+    @pytest.mark.parametrize("doc", [
+        {"seed": 1.0, **MINIMAL},
+        {"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0], "order": 2.0}]}],
+        ids=["seed", "order"])
+    def test_integral_floats_run(self, doc):
+        # A JSON schema's "integer" takes 1.0 and 2.0; both reach the run as
+        # ints.
+        sc = replace(parse_scenario(json.dumps(doc)), duration=0.2)
+        assert type(sc.seed) is int and type(sc.agents[0].order) is int
+        result = run_scenario(sc)
+        assert all(np.isfinite(t).all() for t in result.table.values())
+
+    def test_non_integral_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            Scenario(agents=[AgentSpec()], seed=0.5)
 
     def test_decreasing_waypoint_stamps_report_agent_line(self):
         line, msg = self.agent_error({
