@@ -610,12 +610,12 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
         feasible[ks] = previous.feasible[src]
     static = stack
     if tracks:
-        sizes = {}
+        by_size = {}
         for t, tr in enumerate(tracks):
-            sizes.setdefault(tuple(tr.latest.size or (0.1,)), []).append(t)
+            by_size.setdefault(tuple(tr.latest.size or (0.1,)), []).append(t)
         stack, free = _peer_cuts(
             stack, seeds, predict_tracks(tracks, now + t_rel)[:, :, 0],
-            [(footprint_from_size(size), ts) for size, ts in sizes.items()],
+            [(footprint_from_size(size), ts) for size, ts in by_size.items()],
             PEER_MARGIN)
         feasible &= free
     stack = _deflated(stack, ego_footprint)

@@ -367,8 +367,9 @@ class TestSupport:
             u = np.stack([np.cos(th), np.sin(th)], axis=1)
             many = shape.support(u)
             for i in range(8):
-                assert shape.support(u[i:i + 1]).tobytes() == many[i:i + 1].tobytes()
-                assert shape.support(u[i]).tobytes() == many[i].tobytes()
+                one = many[i:i + 1].tobytes()
+                assert shape.support(u[i:i + 1]).tobytes() == one
+                assert shape.support(u[i]).tobytes() == one
 
 
 def old_polygon_fields(corners):

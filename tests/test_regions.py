@@ -1574,15 +1574,16 @@ class TestPeerCutParity:
                                        regions.PEER_MARGIN)[0]
                     for t in (0, 1))
             for k, c in enumerate(stack.counts):
-                assert out.normals[k, :c].tobytes() == stack.normals[k, :c].tobytes()
-                assert out.offsets[k, :c].tobytes() == stack.offsets[k, :c].tobytes()
+                rows = (stack.normals[k, :c], stack.offsets[k, :c])
+                assert out.normals[k, :c].tobytes() == rows[0].tobytes()
+                assert out.offsets[k, :c].tobytes() == rows[1].tobytes()
                 if out.counts[k] == c:
                     continue
-                again = unit_rows(stack.normals[k, :c], stack.offsets[k, :c])
-                moved += (again[0].tobytes() != stack.normals[k, :c].tobytes()
-                          or again[1].tobytes() != stack.offsets[k, :c].tobytes())
-                if out.counts[k] == c + 1 and b.counts[k] == c + 1:
-                    assert out.normals[k, c].tobytes() == a.normals[k, c].tobytes()
+                moved += any(x.tobytes() != y.tobytes()
+                             for x, y in zip(unit_rows(*rows), rows))
+                if out.counts[k] == a.counts[k] == b.counts[k] == c + 1:
+                    assert (out.normals[k, c].tobytes()
+                            == a.normals[k, c].tobytes())
                     shadowed += 1
         assert moved > 20 and shadowed > 20
 
