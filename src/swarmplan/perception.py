@@ -550,7 +550,6 @@ class MovingVolume:
     centers: np.ndarray   # (slices, 2) window centers on the old plan
     shapes: list
     member: np.ndarray    # (slices, shapes) bool
-    tau: float
     groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -574,4 +573,4 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
     near = member.any(axis=0)
     return MovingVolume(t_rel=t_rel, centers=centers,
                         shapes=[s for s, keep in zip(shapes, near) if keep],
-                        member=member[:, near], tau=tau)
+                        member=member[:, near])

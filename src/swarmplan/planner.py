@@ -202,8 +202,6 @@ def admit_obstacles(shapes, regions):
     the stacked static planes at once.  Conservative, so nearby shapes are
     always admitted into the obstacle cost.
     """
-    if regions is None:
-        return []
     static = regions.static
     u, padding = -static.normals, ~static.live()
     return [s for s in shapes

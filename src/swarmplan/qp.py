@@ -32,9 +32,9 @@ of J and of R^-1 alike.
 
 The elimination and the factor depend on H and A_eq alone, and a planner
 re-solves the same pair often: agents with one layout share it, and a
-relaxed retry keeps its dense pass's pair.  So `_factor` keeps the SVD,
-rank, Z and M of the last 16 distinct pairs, keyed on their exact bytes
-and shape, with the views a solve reads and the loop's first factors, all
+relaxed retry keeps its dense pass's pair.  So `_factor` keeps Z, M, the
+views of the SVD that a solve reads and the loop's first factors of the
+last 16 distinct pairs, keyed on their exact bytes and shape, all
 read-only; each solve computes only x0, w, the rows B = A_in M and their
 slack from them.  Each array is checked once: QPProblem checks what it is
 built from, and `with_rows` appends rows to A_in checking only those.
@@ -146,10 +146,10 @@ class QPSolution:
 
 @functools.lru_cache(maxsize=_FACTOR_MEMO)
 def _factor(H, A_eq, shape):
-    """(U, S, Vt, rank, Z, M, V, Ut, S_r, Mt, JR) of the H and A_eq bytes of
-    shape (n, k): the SVD A_eq = U S Vt, its rank, the null-space basis Z,
-    M with M'HM = I on it, the views Vt[:rank]', U[:, :rank]', S[:rank] and
-    M', and the first J over R^-1 (I over 0).  Every array is read-only."""
+    """(Z, M, V, Ut, S_r, Mt, JR) of the H and A_eq bytes of shape (n, k):
+    the null-space basis Z of A_eq, M with M'HM = I on it, from the SVD
+    A_eq = U S Vt of rank r the views Vt[:r]', U[:, :r]' and S[:r], then
+    M' and the first J over R^-1 (I over 0).  Every array is read-only."""
     n, k = shape
     H = np.frombuffer(H).reshape(n, n)
     U, S, Vt = np.linalg.svd(np.frombuffer(A_eq).reshape(k, n))
@@ -157,11 +157,11 @@ def _factor(H, A_eq, shape):
     Z = Vt[rank:].T
     L = np.linalg.cholesky(Z.T @ H @ Z)
     M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
-    views = (Vt[:rank].T, U[:, :rank].T, S[:rank], M.T,
-             np.eye(2 * M.shape[1], M.shape[1]))
-    for a in (U, S, Vt, Z, M, *views):
+    entries = (Z, M, Vt[:rank].T, U[:, :rank].T, S[:rank], M.T,
+               np.eye(2 * M.shape[1], M.shape[1]))
+    for a in entries:
         a.setflags(write=False)
-    return (U, S, Vt, rank, Z, M, *views)
+    return entries
 
 
 def solve_qp(problem):
@@ -175,9 +175,9 @@ def solve_qp(problem):
     G, h = problem.A_in, problem.b_in
     duals = np.zeros(len(G))
 
-    *_, Z, M, V, Ut, S_r, Mt, JR0 = _factor(problem.H.tobytes(),
-                                            problem.A_eq.tobytes(),
-                                            (n, len(problem.A_eq)))
+    Z, M, V, Ut, S_r, Mt, JR0 = _factor(problem.H.tobytes(),
+                                        problem.A_eq.tobytes(),
+                                        (n, len(problem.A_eq)))
     x0 = V @ ((Ut @ problem.b_eq) / S_r)
     if (np.abs(problem.A_eq @ x0 - problem.b_eq) > _EQ_TOL).any():
         return QPSolution(x=x0, status="infeasible", iterations=0,

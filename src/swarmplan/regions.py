@@ -42,12 +42,12 @@ object at a time, as the reference.  Hence the forms below:
 - a slice's plane dots with a point are one np.matmul over the padded
   (slices, planes, 2) stack, which runs one BLAS gemv per slice.  On the
   OpenBLAS measured, a gemv rounds each row the same whatever the row
-  count from 2 rows up, so a padded slice of 2 or more rows rounds as its
-  own (planes, 2) @ (2,) product.  A one-row product is a dot, which rounds
-  differently, so slices of one row take their own product.  Every slice
-  that `build_safe_regions` makes holds its 4 box rows; einsum or
-  elementwise products round differently again.  The peer cut's product
-  is one gemv per (track, slice), so a row rounds as at any column;
+  count from 2 rows up, so a padded slice rounds as its own (planes, 2) @
+  (2,) product.  Every slice holds its 4 box rows, whose normals differ,
+  so no slice has the one row whose product would be a dot, which rounds
+  differently; einsum or elementwise products round differently again.
+  The peer cut's product is one gemv per (track, slice), so a row rounds
+  as at any column;
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
 - every containment test, of a seed in a shape, of a marched sample, or
@@ -136,31 +136,18 @@ class PlaneStack(NamedTuple):
         c = self.counts[k]
         return ConvexPolytope(self.normals[k, :c], self.offsets[k, :c])
 
-    def dots(self, points):
-        """Each slice's normals times its point, rounded as that slice's
-        own matrix-vector product (see the module notes)."""
-        out = np.matmul(self.normals, points[:, :, None])[..., 0]
-        ones = (self.counts == 1).nonzero()[0]
-        if len(ones):
-            out[ones, :1] = np.matmul(self.normals[ones, :1],
-                                      points[ones, :, None])[..., 0]
-        return out
-
-    def widened(self, width):
-        """Copy with NaN rows added up to `width` planes (at least its own)."""
-        w = self.offsets.shape[1]
-        normals = np.full((len(self.counts), max(width, w), 2), np.nan)
+    def replaced(self, taken, other):
+        """Copy with the slices where `taken` holds taken from the same
+        slices of `other`, NaN padded to the wider stack's width."""
+        width = max(self.offsets.shape[1], other.offsets.shape[1])
+        normals = np.full((len(self.counts), width, 2), np.nan)
         offsets = np.full(normals.shape[:2], np.nan)
-        normals[:, :w] = self.normals
-        offsets[:, :w] = self.offsets
-        return PlaneStack(normals, offsets, self.counts.copy())
-
-    def replaced(self, ks, other):
-        """Copy with slices ks taken from `other`, slice for slice."""
-        out = self.widened(other.offsets.shape[1])
-        out.normals[ks], out.offsets[ks], out.counts[ks] = other.widened(
-            out.offsets.shape[1])
-        return out
+        for rows, src in ((~taken, self), (taken, other)):
+            w = src.offsets.shape[1]
+            normals[rows, :w] = src.normals[rows]
+            offsets[rows, :w] = src.offsets[rows]
+        return PlaneStack(normals, offsets,
+                          np.where(taken, other.counts, self.counts))
 
 
 class ConvexPolytope:
@@ -201,7 +188,6 @@ class SafeRegion:
     planes: PlaneStack       # peer-contracted and ego-deflated
     static: PlaneStack       # before peer cuts and deflation
     feasible: np.ndarray     # (slices,) bool
-    tau: float
 
     @cached_property
     def slices(self):
@@ -210,11 +196,6 @@ class SafeRegion:
                             feasible=bool(self.feasible[k]),
                             static_polytope=self.static.polytope(k))
                 for k, t in enumerate(self.t_rel)]
-
-    def index_at(self, t_rel):
-        """Index of the slice whose timestep is nearest to t_rel."""
-        k = int(round(t_rel / self.tau)) - 1
-        return min(max(k, 0), len(self.t_rel) - 1)
 
 
 # --- kernels ----------------------------------------------------------------
@@ -382,7 +363,8 @@ def _seeded(seeds, groups, member):
 
     A slice whose seed lies in one of its shapes (inside[k]) is not marched
     and gets the box alone.  Each ray adds at most one plane, so a slice
-    has at most N_RAYS + 4.
+    has at most N_RAYS + 4, rows equal to earlier ones included (see
+    `_distinct`).
     """
     K = len(seeds)
     r = MARCH_RANGE
@@ -404,7 +386,7 @@ def _seeded(seeds, groups, member):
     slot = 4 + np.arange(len(pk)) - np.searchsorted(pk, pk)
     normals[pk, slot] = pn
     offsets[pk, slot] = po
-    return _distinct(normals, offsets, counts), inside
+    return PlaneStack(normals, offsets, counts), inside
 
 
 def _peer_cuts(stack, seeds, peers, groups, margin):
@@ -428,29 +410,21 @@ def _peer_cuts(stack, seeds, peers, groups, margin):
     normals = np.hstack([stack.normals, cut_normals.swapaxes(0, 1)])
     offsets = np.hstack([stack.offsets, cut_offsets.T])
     # Every row's gap to every peer, a gemv per (track, slice) as in the
-    # chain.  Whether an input row keeps peer t out at slice k is `by_rows`
-    # once a cut has widened the slice, and `alone` before.
+    # chain; by_rows[t, k] says whether an input row keeps peer t out at
+    # slice k.
     along = np.matmul(normals, peers[..., None])[..., 0]
     support = np.empty(along.shape)
     for footprint, ts in groups:
         support[ts] = footprint.support(-normals)
     keeps = along - offsets - support > margin
     by_rows = keeps[..., :n_rows].any(axis=2)
-    alone = by_rows.copy()
-    ones = (stack.counts == 1).nonzero()[0]
-    if len(ones):
-        # A one-row slice takes a dot until a cut adds a second row.
-        dot = np.matmul(normals[ones, :1], peers[:, ones, :, None])[..., 0, 0]
-        alone[:, ones] = dot - offsets[ones, 0] - support[:, ones, 0] > margin
     # A track that input rows keep out wherever it is clear cuts nothing.
     cuts = np.zeros(clear.shape, dtype=bool)
-    cut = np.zeros(len(seeds), dtype=bool)
-    for t in (clear & ~(by_rows & alone)).any(axis=1).nonzero()[0]:
-        kept = (np.where(cut, by_rows[t], alone[t])
-                | (keeps[t, :, n_rows:n_rows + t] & cuts[:t].T).any(axis=1))
+    for t in (clear & ~by_rows).any(axis=1).nonzero()[0]:
+        kept = by_rows[t] | (keeps[t, :, n_rows:n_rows + t]
+                             & cuts[:t].T).any(axis=1)
         cuts[t] = clear[t] & ~kept
-        cut |= cuts[t]
-    if not cut.any():
+    if not cuts.any():
         return stack, clear.all(axis=0)
     k, t = np.nonzero(cuts.T)
     slot = stack.counts[k] + np.arange(len(k)) - np.searchsorted(k, k)
@@ -542,7 +516,7 @@ def seed_region(seed, shapes):
                             np.ones((1, len(shapes)), dtype=bool))
     if inside[0]:
         raise SeedInsideObstacle(f"seed {seed.tolist()} is inside a shape")
-    return stack.polytope(0)
+    return _distinct(*stack).polytope(0)
 
 
 def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
@@ -592,22 +566,19 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
     Slice seeds are the volume's window centers (the old plan's positions).
     The shapes in each slice's row of the volume's mask bound its region,
     every live track cuts it at its predicted position, padded by
-    PEER_MARGIN, and the result is deflated by the ego footprint.  A seed stuck inside a mapped shape falls
-    back to the previous cycle's nearest region; slices whose seed is
-    covered by a peer or whose polytope ends up empty are flagged
-    infeasible.
+    PEER_MARGIN, and the result is deflated by the ego footprint.  A seed
+    stuck inside a mapped shape falls back to the previous cycle's static
+    region of the same slice; slices whose seed is covered by a peer or
+    whose polytope ends up empty are flagged infeasible.
     """
     t_rel, seeds = volume.t_rel, volume.centers
     stack, inside = _seeded(seeds, volume.groups, volume.member)
     feasible = ~inside
     if previous is not None and inside.any():
-        ks = np.flatnonzero(inside)
-        src = [previous.index_at(t) for t in t_rel[ks]]
-        borrowed = previous.static
-        stack = stack.replaced(ks, PlaneStack(borrowed.normals[src],
-                                              borrowed.offsets[src],
-                                              borrowed.counts[src]))
-        feasible[ks] = previous.feasible[src]
+        # Every volume has the same slices at the same times after its
+        # cycle, so slice k borrows the previous slice k.
+        stack = stack.replaced(inside, previous.static)
+        feasible[inside] = previous.feasible[inside]
     static = stack
     if tracks:
         by_size = {}
@@ -619,11 +590,12 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
             PEER_MARGIN)
         feasible &= free
     stack = _deflated(stack, ego_footprint)
-    probe_in = np.all((stack.dots(seeds) <= stack.offsets + PROBE_TOL)
-                      | ~stack.live(), axis=1)
+    dots = np.matmul(stack.normals, seeds[:, :, None])[..., 0]
+    probe_in = np.all((dots <= stack.offsets + PROBE_TOL) | ~stack.live(),
+                      axis=1)
     ks = np.flatnonzero(feasible & ~probe_in)
     if len(ks):
         feasible[ks] = _has_interior(PlaneStack(
             stack.normals[ks], stack.offsets[ks], stack.counts[ks]))
     return SafeRegion(t_rel=t_rel, seeds=seeds, planes=stack, static=static,
-                      feasible=feasible, tau=volume.tau)
+                      feasible=feasible)

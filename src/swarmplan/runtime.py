@@ -168,8 +168,9 @@ class MessageBus:
     """
 
     def __init__(self, latency=0.0, drop_probability=0.0, rng=None):
-        if latency < 0:
-            raise ValueError("latency must be nonnegative")
+        if not (np.isfinite(latency) and latency >= 0):
+            raise ValueError(f"latency must be finite and nonnegative, "
+                             f"got {latency!r}")
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
         self.latency = float(latency)

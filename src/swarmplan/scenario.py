@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import (Circle, Rectangle, Square, Triangle, axis_rectangle,
                        footprint_from_size)
 from .planner import KNOT_SEGMENT
-from .runtime import AgentSpec
+from .runtime import AgentSpec, MessageBus
 from .sensor import World
 
 __all__ = [
@@ -234,11 +234,13 @@ class Scenario:
         if not float(self.seed).is_integer():
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"duration must be finite and nonnegative, "
+                             f"got {self.duration!r}")
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
         World(list(self.obstacles), tuple(self.bounds))   # the world's checks
+        MessageBus(self.bus_latency, self.bus_drop)         # the bus's checks
         bad_starts = _start_errors(self.agents, self.bounds, self.obstacles)
         if bad_starts:
             raise ValueError(bad_starts[0][1])

@@ -11,7 +11,9 @@ clutter_waypoints bench window, where a cluttered map fills the moving
 volume's slice x shape mask and obstacle admission decides between shapes.
 `test_sixteen_agents_cut_as_the_chain` runs sixteen antipodal agents for
 0.4 s and holds every peer cut to the track-by-track chain of
-`test_regions.old_peer_cuts`.
+`test_regions.old_peer_cuts`.  `test_solves_end_in_a_definite_answer`
+holds every QP solve of 0.8 s of each builtin to `optimal` or
+`infeasible`, never the iteration cap's `maxiter`.
 
 The package memoizes B-spline bases, difference matrices, Grams, QP
 factors, limit blocks and emptiness-test index tables across runs;
@@ -26,13 +28,14 @@ sample.
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 
 import numpy as np
 
 import swarmplan
-from swarmplan import harness, regions
+from swarmplan import harness, planner, regions
 from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
 from swarmplan.runtime import TAU
@@ -117,6 +120,23 @@ def test_sixteen_agents_cut_as_the_chain(tmp_path, monkeypatch):
     check_run(builtin_scenario("antipodal", n_agents=16, duration=0.4),
               tmp_path)
     assert max(tracks) >= 15
+
+
+@pytest.mark.parametrize("name", ["open", "walled_in", "antipodal",
+                                  "intersection", "unstructured"])
+def test_solves_end_in_a_definite_answer(name, monkeypatch):
+    statuses = Counter()
+
+    def counted(problem):
+        solution = solve_qp(problem)
+        statuses[solution.status] += 1
+        return solution
+
+    solve_qp = planner.solve_qp
+    monkeypatch.setattr(planner, "solve_qp", counted)
+    run_scenario(builtin_scenario(name, duration=0.8))
+    assert sum(statuses.values()) >= 20
+    assert set(statuses) <= {"optimal", "infeasible"}, statuses
 
 
 def package_memos():

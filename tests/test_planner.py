@@ -414,7 +414,7 @@ def stacked_region(polytopes, tau=0.1):
     stack = PlaneStack(normals, offsets, counts)
     return SafeRegion(t_rel=tau * np.arange(1, n_slices + 1),
                       seeds=np.zeros((n_slices, 2)), planes=stack, static=stack,
-                      feasible=np.ones(n_slices, dtype=bool), tau=tau)
+                      feasible=np.ones(n_slices, dtype=bool))
 
 
 def wall_region(tau=0.1, n_slices=40, x_wall=2.0):
@@ -753,9 +753,6 @@ class TestHelpers:
         outside_wall = Circle([30.0, 0.0], 0.5)
         got = admit_obstacles([near, outside_wall], region)
         assert got == [near]
-
-    def test_admit_requires_regions(self):
-        assert admit_obstacles([Circle([0.0, 0.0], 1.0)], None) == []
 
     def test_quadratization_contracts_on_repeats(self, monkeypatch):
         # Re-expanding around the latest solution in a frozen world shrinks

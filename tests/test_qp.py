@@ -664,10 +664,15 @@ class TestFactorMemo:
         info = qp._factor.cache_info()
         assert 0 < info.currsize <= info.maxsize == qp._FACTOR_MEMO
         p = next(memo_cases())
-        U, S, Vt, rank, Z, M, *views = qp._factor(
-            p.H.tobytes(), p.A_eq.tobytes(), (p.n, len(p.A_eq)))
+        entries = qp._factor(p.H.tobytes(), p.A_eq.tobytes(),
+                             (p.n, len(p.A_eq)))
+        Z, M, V, Ut, S_r, Mt, JR = entries
+        rank = len(S_r)
         assert 0 < rank <= len(p.A_eq)
-        for a in (U, S, Vt, Z, M, *views):
+        assert V.shape == (p.n, rank) and Ut.shape == (rank, len(p.A_eq))
+        assert Z.shape == M.shape == Mt.T.shape == (p.n, p.n - rank)
+        assert JR.shape == (2 * (p.n - rank), p.n - rank)
+        for a in entries:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0

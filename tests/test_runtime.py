@@ -200,6 +200,14 @@ class TestMessageBus:
         assert pattern(7) == pattern(7)
         assert pattern(7) != pattern(8)
 
+    @pytest.mark.parametrize("latency", [np.nan, np.inf, -0.1],
+                             ids=["nan", "inf", "negative"])
+    def test_latency_must_be_finite_and_nonnegative(self, latency):
+        # A NaN latency used to pass the sign check and deliver nothing,
+        # since no poll time reaches a NaN delivery stamp.
+        with pytest.raises(ValueError, match="latency must be finite"):
+            MessageBus(latency=latency)
+
     def test_send_order_preserved(self):
         bus = MessageBus()
         ps = [self.payload(0.0, pos=(k, 0)) for k in range(5)]

@@ -268,6 +268,21 @@ class TestParsing:
         with pytest.raises(ValueError, match="seed must be an integer"):
             Scenario(agents=[AgentSpec()], seed=0.5)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("duration", math.nan, "duration must be finite"),
+        ("duration", math.inf, "duration must be finite"),
+        ("bus_latency", math.nan, "latency must be finite"),
+        ("bus_latency", math.inf, "latency must be finite"),
+        ("bus_drop", math.nan, r"drop_probability must be in \[0, 1\]"),
+    ], ids=["duration_nan", "duration_inf", "bus_latency_nan",
+            "bus_latency_inf", "bus_drop_nan"])
+    def test_non_finite_run_values_rejected(self, field, value, match):
+        # Built in code rather than parsed from JSON, these reached the run:
+        # a NaN bus latency ran with no peer ever heard, and a NaN or
+        # infinite duration failed in run_scenario's tick count.
+        with pytest.raises(ValueError, match=match):
+            replace(builtin_scenario("open", duration=1.0), **{field: value})
+
     def test_decreasing_waypoint_stamps_report_agent_line(self):
         line, msg = self.agent_error({
             "start": [5.0, 0.0], "goal": [8.0, 0.0],
