@@ -1,4 +1,4 @@
-"""2D convex shapes, alone and stacked by kind, and their tangent halfplanes.
+"""2D convex shapes, alone and stacked by kind.
 
 One family of shapes models both the mapped obstacles and the robots'
 bodies (`footprint_from_size`, a shape about the origin).  Every shape
@@ -11,17 +11,18 @@ radians, distances meters.
 
 Groups.  `shape_groups` stacks shapes of one kind, circles or polygons of
 one corner count, into a `CircleGroup` (centers (S, 2), radii (S,)) or a
-`PolygonGroup` (corners and edges (S, k, 2)).  A group method takes an index
-array j into the group and points whose leading axes broadcast against it,
-and answers for shape j[i] at point i: the seed march and the LiDAR test
-every shape of a kind in one array pass.  `distance_gradient(pts)` instead
-answers for every shape of the group at every point, (S, n) and (S, n, 2):
-the obstacle cost expands all admitted shapes of a kind in one pass.  Each
+`PolygonGroup` (corners and edges (S, k, 2)).  `ray_distances` takes an
+index array j into the group and rays whose leading axes broadcast against
+it, and answers for shape j[i] along ray i: the LiDAR casts every beam at
+every shape of a kind in one array pass.  `distance_gradient(pts)` and
+`support(u)` instead answer for every shape of the group at every point or
+along every direction, (S, n), with gradients (S, n, 2): the moving volume
+measures every map shape's distance from every slice seed in one pass per
+kind (`distance_gradients`), which its membership and the regions both
+read, and the obstacle cost expands its admitted shapes the same way.  Each
 kind has one kernel per question, which the shape's own method (if it has
 one) runs on its own parameters, so a group gives each shape its own
 result bit for bit.
-`segment_shape_intersections` and `supporting_halfplanes` take a group and
-such an index.
 
 The nearest-point kernels (`_edge_projections`, `_disk_distance_gradient`,
 `_polygon_distance_gradient`) and `_polygon_contains` work on x and y
@@ -59,11 +60,10 @@ def _outward(vx, vy, length, dist, outside):
 
 # --- kernels: stacked parameters broadcast against the points ----------------
 
-def _disk_contains(centers, radii, p):
-    """Root distance to the center, rounded as np.linalg.norm rounds it,
-    against the radius."""
-    d = p - centers
-    return np.sqrt(np.vecdot(d, d)) <= radii
+def _disk_support(centers, radii, u):
+    """max over each disk of u.x, per row of unit directions u (..., 2);
+    np.vecdot rounds each row alike for any row count (a matmul does not)."""
+    return np.vecdot(u, centers) + radii
 
 
 def _disk_ray_distances(centers, squares, origins, dirs):
@@ -86,6 +86,13 @@ def _polygon_contains(corners, edges, p):
     g = (edges[..., 0] * (p[..., None, 1] - corners[..., 1])
          - edges[..., 1] * (p[..., None, 0] - corners[..., 0]))
     return np.all(g >= 0.0, axis=-1)
+
+
+def _polygon_support(corners, u):
+    """max over each polygon (..., k, 2) of u.x, per row of unit directions
+    u (..., 2): the largest of the corners' np.vecdot, which rounds each
+    alike however many directions there are (a one-row matmul does not)."""
+    return np.max(np.vecdot(u[..., None, :], corners), axis=-1)
 
 
 def _polygon_ray_distances(corners, edges, origins, dirs):
@@ -166,13 +173,12 @@ class Circle:
     def contains(self, p):
         """Whether the point (2,), or each point of (..., 2), lies in the
         disk: the root distance, rounded as np.linalg.norm rounds it."""
-        return _disk_contains(self.center, self.radius,
-                              np.asarray(p, dtype=float))
+        d = np.asarray(p, dtype=float) - self.center
+        return np.sqrt(np.vecdot(d, d)) <= self.radius
 
     def support(self, u):
-        """max over the shape of u.x, per row of unit directions (..., 2),
-        rounded alike for any row count (np.vecdot; a matmul is not)."""
-        return np.vecdot(u, self.center) + self.radius
+        """max over the shape of u.x, per row of unit directions (..., 2)."""
+        return _disk_support(self.center, self.radius, u)
 
 
 def corners_area(corners):
@@ -231,12 +237,8 @@ class ConvexPolygonShape:
         return np.where(self.contains(p), 0.0, near)[()]
 
     def support(self, u):
-        """max over the shape of u.x, per row of unit directions (..., 2).
-
-        Each corner's dot goes through np.vecdot, which rounds it the same
-        however many directions there are (a one-row matmul does not).
-        """
-        return np.max(np.vecdot(u[..., None, :], self.corners), axis=-1)
+        """max over the shape of u.x, per row of unit directions (..., 2)."""
+        return _polygon_support(self.corners, u)
 
 
 class Square(ConvexPolygonShape):
@@ -296,13 +298,6 @@ class CircleGroup:
     def __len__(self):
         return len(self.index)
 
-    @property
-    def size_scale(self):
-        return self.radii
-
-    def contains(self, j, p):
-        return _disk_contains(self.centers[j], self.radii[j], p)
-
     def ray_distances(self, j, origins, dirs):
         return _disk_ray_distances(self.centers[j], self._squares[j],
                                    origins, dirs)
@@ -312,10 +307,14 @@ class CircleGroup:
         return _disk_distance_gradient(self.centers[:, None],
                                        self.radii[:, None], pts)
 
+    def support(self, u):
+        """Every circle's support along every direction (n, 2): (S, n)."""
+        return _disk_support(self.centers[:, None], self.radii[:, None], u)
+
 
 class PolygonGroup:
     """Polygons of one corner count k stacked for one array pass: corners
-    and edges (S, k, 2), centers (S, 2) and size_scale (S,).
+    and edges (S, k, 2).
 
     `index` holds each polygon's position in the list it was grouped from.
     """
@@ -324,14 +323,9 @@ class PolygonGroup:
         self.index = np.asarray(index)
         self.corners = np.array([s.corners for s in polygons])
         self.edges = np.array([s.edges for s in polygons])
-        self.centers = np.array([s.center for s in polygons])
-        self.size_scale = np.array([s.size_scale for s in polygons])
 
     def __len__(self):
         return len(self.index)
-
-    def contains(self, j, p):
-        return _polygon_contains(self.corners[j], self.edges[j], p)
 
     def ray_distances(self, j, origins, dirs):
         return _polygon_ray_distances(self.corners[j], self.edges[j],
@@ -341,6 +335,10 @@ class PolygonGroup:
         """Every polygon's (d, u) at every point (n, 2): (S, n) and (S, n, 2)."""
         return _polygon_distance_gradient(self.corners[:, None],
                                           self.edges[:, None], pts)
+
+    def support(self, u):
+        """Every polygon's support along every direction (n, 2): (S, n)."""
+        return _polygon_support(self.corners[:, None], u)
 
 
 def shape_groups(shapes):
@@ -353,6 +351,20 @@ def shape_groups(shapes):
     return [(PolygonGroup if k else CircleGroup)([shapes[i] for i in index],
                                                  index)
             for k, index in kinds.items()]
+
+
+def distance_gradients(groups, pts):
+    """Every grouped shape's (d, u) at every point (n, 2), in the order of
+    the list the groups were made from: (n, S) and (n, S, 2).  One
+    `distance_gradient` pass per group."""
+    n_shapes = sum(len(g) for g in groups)
+    d = np.empty((len(pts), n_shapes))
+    u = np.empty((len(pts), n_shapes, 2))
+    for g in groups:
+        gd, gu = g.distance_gradient(pts)
+        d[:, g.index] = gd.T
+        u[:, g.index] = gu.swapaxes(0, 1)
+    return d, u
 
 
 def footprint_from_size(size):
@@ -400,71 +412,9 @@ def circle_from_three_points(p1, p2, p3):
     return Circle(center, radius)
 
 
-def segment_shape_intersections(a, b, group, j):
-    """First boundary crossing of each segment a[i] -> b[i] (rows of (n, 2))
-    with shape j[i] of the group.
-
-    Returns (points, crossed): the crossing nearest to a[i], valid where
-    crossed[i], which is False when the segment never crosses.
-    """
-    d = b - a
-    length = np.sqrt(np.vecdot(d, d))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = d / length[:, None]
-    t = group.ray_distances(j, a, u)
-    crossed = (length >= 1e-12) & np.isfinite(t) & (t <= length + BOUNDARY_TOL)
-    return a + np.minimum(t, length)[:, None] * u, crossed
-
-
 def unit_rows(normals, offsets):
     """The halfplane rows {p : n.p <= o}, normals (..., 2) and offsets (...),
     divided by the norm of their normal, which np.vecdot measures as
     np.linalg.norm does."""
     norm = np.sqrt(np.vecdot(normals, normals))
     return normals / norm[..., None], offsets / norm
-
-
-def supporting_halfplanes(group, j, boundary_points, exterior_points):
-    """The halfplanes tangent to shape j[i] of the group at each boundary point
-    (rows of (n, 2)), each containing its exterior point.
-
-    The shape lies entirely on the excluded side (normal . p >= offset for
-    all shape points).  Each boundary point must lie on its shape's boundary
-    and its exterior point strictly outside, on the outward side of the
-    tangent; otherwise ValueError.  Returns the rows (normals, offsets)
-    before their normalization (see unit_rows).
-    """
-    q, e = boundary_points, exterior_points
-    if isinstance(group, CircleGroup):
-        center, radius = group.centers[j], group.radii[j]
-        v = q - center
-        r_q = np.sqrt(np.vecdot(v, v))
-        w = e - center
-        off_boundary = np.abs(r_q - radius) > BOUNDARY_TOL
-        covered = np.sqrt(np.vecdot(w, w)) - radius <= 0.0
-        n_out = v / r_q[:, None]
-    else:
-        corners, edges = group.corners[j], group.edges[j]
-        dists = _edge_projections(corners, edges, q)[2]
-        off_boundary = dists.min(axis=1) > BOUNDARY_TOL
-        covered = (group.contains(j, e)
-                   | (_edge_projections(corners, edges, e)[2].min(axis=1)
-                      <= 0.0))
-        # At a vertex two edges qualify; pick the one whose outward side best
-        # contains the exterior point.
-        on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)
-        outward = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)
-        normals = outward / np.linalg.norm(outward, axis=-1, keepdims=True)
-        fit = np.where(on_edges, np.vecdot(normals, (e - q)[:, None, :]), -np.inf)
-        n_out = np.take_along_axis(
-            normals, np.argmax(fit, axis=1)[:, None, None], axis=1)[:, 0]
-    if off_boundary.any():
-        raise ValueError("boundary_point is not on the shape boundary")
-    if covered.any():
-        raise ValueError("exterior_point is not strictly outside the shape")
-    normals = -n_out
-    offsets = np.vecdot(normals, q)
-    unit, unit_offsets = unit_rows(normals, offsets)
-    if np.any(np.vecdot(unit, e) > unit_offsets + BOUNDARY_TOL):
-        raise ValueError("exterior_point is not on the outward side of the tangent")
-    return normals, offsets

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import (Circle, Square, Rectangle, Triangle,
                        circle_from_three_points, corners_area,
-                       oriented_rectangle, shape_groups)
+                       distance_gradients, oriented_rectangle, shape_groups)
 from .sensor import scan_point_position
 
 RADIUS_THRESHOLD = 100.0   # circle fits at least this large are lines, m
@@ -25,7 +25,7 @@ MIN_SQUARE_SIDE = 0.1      # two-point clusters become this square, m
 MAX_CLASSIFY_ITERS = 5
 JUMP_DISTANCE = 0.3        # adjacent-return gap that splits a cluster, m
 MAP_RADIUS = 15.0          # shapes farther than this are dropped, m
-WINDOW_RADIUS = 5.0        # moving-volume admission distance, m
+WINDOW_RADIUS = 5.0        # moving-volume admission distance to a shape, m
 
 
 @dataclass
@@ -542,14 +542,19 @@ class MovingVolume:
 
     `shapes` holds every map shape that lies in the window of at least one
     slice, once and in map order; member[k, j] says whether shapes[j] lies
-    in slice k's window.  `groups` stacks the shapes by kind once, for the
-    array passes of the seed march (`geometry.shape_groups`).
+    in slice k's window.  distances[k, j] and gradients[k, j] are the
+    shape's distance from the window center and its unit gradient there
+    (`geometry.distance_gradients`; 0 and (0, 0) when the center is inside
+    the shape or within 1e-12 of it), which the regions turn into planes.  `groups` stacks the
+    shapes by kind once (`geometry.shape_groups`).
     """
 
-    t_rel: np.ndarray     # (slices,) seconds after the cycle start
-    centers: np.ndarray   # (slices, 2) window centers on the old plan
+    t_rel: np.ndarray      # (slices,) seconds after the cycle start
+    centers: np.ndarray    # (slices, 2) window centers on the old plan
     shapes: list
-    member: np.ndarray    # (slices, shapes) bool
+    member: np.ndarray     # (slices, shapes) bool
+    distances: np.ndarray  # (slices, shapes)
+    gradients: np.ndarray  # (slices, shapes, 2)
     groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -561,16 +566,18 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
 
     Slice k covers t_now + k*tau for k = 1..round(horizon/tau); the window
     center is the previous trajectory evaluated there (clamped into its
-    domain).  A shape lies in a slice when its center is within WINDOW_RADIUS
-    of the window center; one broadcast distance test decides every pair.
+    domain).  A shape lies in a slice when its distance from the window
+    center is at most WINDOW_RADIUS; one grouped distance pass measures
+    every pair, and the volume keeps its distances and gradients.
     """
     n = int(round(horizon / tau))
     t_rel = np.arange(1, n + 1) * tau
     centers = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
     shapes = local_map.shapes()
-    at = np.array([s.center for s in shapes]).reshape(-1, 2)
-    member = np.linalg.norm(at - centers[:, None], axis=2) <= WINDOW_RADIUS
+    d, u = distance_gradients(shape_groups(shapes), centers)
+    member = d <= WINDOW_RADIUS
     near = member.any(axis=0)
     return MovingVolume(t_rel=t_rel, centers=centers,
                         shapes=[s for s, keep in zip(shapes, near) if keep],
-                        member=member[:, near])
+                        member=member[:, near], distances=d[:, near],
+                        gradients=u[:, near])

@@ -1,9 +1,13 @@
 """Convex safe regions carved from free space around a seed path.
 
-For every future timestep (a slice) a polytope is grown around the previously
-planned position: rays marched in a fan of directions find the obstacles
-that bound free space, each contributes a supporting halfplane, and a box
-caps the region.  Predicted peers cut the polytope further, and finally it is
+For every future timestep (a slice) a polytope is grown around the
+previously planned position: a box caps the region, and each mapped shape
+the slice holds, nearest first, adds the halfplane through its nearest
+point, normal to the seed-to-nearest direction, unless a plane kept before
+it already separates the shape (the safe flight corridor of Liu et al.,
+RA-L 2017: IRIS without the ellipsoid).  Every such plane supports its
+shape, so each shape the slice holds lies beyond one of the region's
+planes.  Predicted peers cut the polytope further, and finally it is
 deflated by the ego footprint so the trajectory optimizer can treat the
 robot as a point.
 
@@ -11,19 +15,20 @@ Layout.  The halfplanes {p : n.p <= o} of all slices of a cycle live in one
 `PlaneStack`: unit normals (slices, planes, 2) and offsets (slices, planes),
 padded with NaN past each slice's plane count.  `build_safe_regions` makes
 one pass over every slice: the moving volume's slice x shape mask says
-which shapes each slice holds, and the volume stacks its shapes by kind
-once per cycle (`geometry.shape_groups`: circles, and polygons by corner
-count).  Every step of the seed march is one array pass per group, over
-all (slice, shape) pairs of that kind: the seed-inside test, the first hits
-(`_first_hits`), which test only the samples where each ray enters a shape
-and so find the same first sample inside as a march over every sample, and
-the tangent planes (`_tangent_planes`).  A lone shape is a group of one.
-The peer cut (`_peer_cuts`) evaluates every track at every slice time at
-once.  A cut appends its plane and changes no row, so one product over a
-candidate stack, the slice rows and a column per track plane, gives every
-row's gap to every peer, and a loop of boolean operations over the tracks
-decides the cuts.  Coverage and planes are found one footprint at a time:
-`build_safe_regions` passes one per broadcast size with its tracks'
+which shapes each slice holds, its distance pass gives every (slice, shape)
+pair the distance d and unit gradient u at the seed, and it stacks its
+shapes by kind once per cycle (`geometry.shape_groups`: circles, and
+polygons by corner count).  The seeding (`_seeded`) makes each pair's row
+n = -u, o = n.seed + d after the slice's 4 box rows, measures every row
+against every shape in one `support` pass per group, and then walks the
+slices' shapes in order of distance in one loop of array steps, keeping a
+shape's row when no kept row separates the shape.  A lone shape is a group
+of one.  The peer cut (`_peer_cuts`) evaluates every track at every slice
+time at once.  A cut appends its plane and changes no row, so one product
+over a candidate stack, the slice rows and a column per track plane, gives
+every row's gap to every peer, and a loop of boolean operations over the
+tracks decides the cuts.  Coverage and planes are found one footprint at a
+time: `build_safe_regions` passes one per broadcast size with its tracks'
 indices.  Duplicate rows are dropped once, by the deflation: a row equal
 to an earlier one is deflated with it and stays equal, so dropping it
 before or after gives the same rows.  The seed probe is one step, and the
@@ -32,13 +37,14 @@ slices that fail it get one emptiness test over the padded stack
 `contract_for_peer`, `deflate_for_ego`, `region_is_empty`) run the same
 kernels on a one-slice stack.
 
-Arithmetic.  A region is defined slice by slice: a cut appends its plane,
-divided by the norm it measures (`unit_rows`), the deflation divides every
-row by its norm once more, and exact duplicate rows, equal in every bit of
-normal and offset, are dropped, keeping the first.  The kernels take
-those steps on the whole stack and keep each one's rounding, so the arrays
-equal that per-slice chain bit for bit; the tests keep the chain, one row
-object at a time, as the reference.  Hence the forms below:
+Arithmetic.  A region is defined slice by slice: a shape's row is n = -u
+and o = n.seed + d as the distance pass gives them, a cut appends its
+plane, divided by the norm it measures (`unit_rows`), the deflation
+divides every row by its norm once more, and exact duplicate rows, equal
+in every bit of normal and offset, are dropped, keeping the first.  The
+kernels take those steps on the whole stack and keep each one's rounding,
+so the arrays equal that per-slice chain bit for bit; the tests keep the
+chain, one row object at a time, as the reference.  Hence the forms below:
 - a slice's plane dots with a point are one np.matmul over the padded
   (slices, planes, 2) stack, which runs one BLAS gemv per slice.  On the
   OpenBLAS measured, a gemv rounds each row the same whatever the row
@@ -50,17 +56,17 @@ object at a time, as the reference.  Hence the forms below:
   as at any column;
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
-- every containment test, of a seed in a shape, of a marched sample, or
-  of a seed in a peer's footprint, is its kind's one `contains` kernel,
-  which a group and the shape itself both run; a circle's compares the
-  root distance;
-- a group's kernels work pair by pair, elementwise or with 2-vector
-  np.vecdot, so each pair rounds as the shape's own call would.  Only the
-  march's `along` is one matmul over all pairs; MARCH_TOL absorbs how it
-  rounds;
-- a peer is cut when no row has gap = n.peer - o - support(-n) above the
-  margin; kept duplicates raise a slice's row count, which leaves that
-  rounding alone;
+- a group's kernels work elementwise or with 2-vector np.vecdot, so every
+  (slice, shape) pair's distance and gradient round as its kind's kernel
+  does on the shape alone, and its support as the shape's `support`;
+- a seed lies inside a shape when the distance pass gives it d = 0.  A
+  circle's `distance` and `contains` sum the squares in np.vecdot, which
+  now and then rounds apart from the kernel's x*x + y*y, so on a rim they
+  may disagree with the pass; a seed in a peer's footprint is its kind's
+  `contains`;
+- a row separates a shape when o + support(-n) <= 0, and a peer is cut
+  when no row has gap = n.peer - o - support(-n) above the margin; kept
+  duplicates raise a slice's row count, which leaves that rounding alone;
 - a cut plane's direction, offset and `unit_rows` are elementwise, and so
   is a footprint's support along any row (np.vecdot per circle or corner);
 - the emptiness test computes each live pair and triple of a slice's rows
@@ -74,23 +80,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (CircleGroup, footprint_from_size,
-                       segment_shape_intersections, shape_groups,
-                       supporting_halfplanes, unit_rows)
+from .geometry import (distance_gradients, footprint_from_size, shape_groups,
+                       unit_rows)
 from .prediction import predict_tracks
 
 # A region whose largest inscribed disk has a radius below this is empty.
 EMPTY_RADIUS = -1e-9
 # Slack of the seed probe and of ConvexPolytope.contains.
 PROBE_TOL = 1e-9
-# Bound on how far rounding moves a marched sample's containment test,
-# meters; rounding of map-scale coordinates moves it by about 1e-13.
-MARCH_TOL = 1e-9
-# The seed march: rays per region, sample spacing along a ray (m), and the
-# march range, which is also the half width of the capping box (m).
-N_RAYS = 16
-MARCH_STEP = 0.05
-MARCH_RANGE = 5.0
+# Half width of the axis-aligned box that caps every region, meters.
+BOX_HALF_WIDTH = 5.0
 # Extra clearance cut away around predicted peers, meters.
 PEER_MARGIN = 0.1
 # Entries of the memo of the emptiness test's index tables (one per stack
@@ -98,18 +97,6 @@ PEER_MARGIN = 0.1
 _TABLE_MEMO = 16
 
 _BOX_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-
-
-def _march_fan():
-    """The march's unit directions (N_RAYS, 2) and sample offsets
-    (N_RAYS, steps, 2), built once."""
-    th = 2.0 * np.pi * np.arange(N_RAYS) / N_RAYS
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    radii = MARCH_STEP * np.arange(1, int(round(MARCH_RANGE / MARCH_STEP)) + 1)
-    return dirs, radii[None, :, None] * dirs[:, None, :]
-
-
-_MARCH_DIRS, _MARCH_GRID = _march_fan()
 
 
 class SeedInsideObstacle(ValueError):
@@ -200,6 +187,23 @@ class SafeRegion:
 
 # --- kernels ----------------------------------------------------------------
 
+def _packed(normals, offsets, keep):
+    """The rows where keep[k] holds, packed in order into a NaN-padded
+    stack; the rows as they are when every one is kept, as in a slice
+    with no shape to bound it."""
+    counts = keep.sum(axis=1)
+    if keep.all():
+        return PlaneStack(normals, offsets, counts)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :max(counts.max(), 1)]
+    slices = np.arange(len(keep))[:, None]
+    normals = normals[slices, order]
+    offsets = offsets[slices, order]
+    pad = np.arange(order.shape[1]) >= counts[:, None]
+    normals[pad] = np.nan
+    offsets[pad] = np.nan
+    return PlaneStack(normals, offsets, counts)
+
+
 def _distinct(normals, offsets, counts):
     """Each slice's first counts[k] rows, packed in order, without rows
     equal in every bit to an earlier row of their slice.  Rows past
@@ -214,179 +218,48 @@ def _distinct(normals, offsets, counts):
         return PlaneStack(normals[:, :width], offsets[:, :width], counts)
     same &= normals[:, :, None, 0] == normals[:, None, :, 0]
     same &= normals[:, :, None, 1] == normals[:, None, :, 1]
-    keep = (rows < counts[:, None]) & ~same.any(axis=2)
-    counts = keep.sum(axis=1)
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :max(counts.max(), 1)]
-    normals = np.take_along_axis(normals, order[..., None], axis=1)
-    offsets = np.take_along_axis(offsets, order, axis=1)
-    pad = np.arange(order.shape[1]) >= counts[:, None]
-    normals[pad] = np.nan
-    offsets[pad] = np.nan
-    return PlaneStack(normals, offsets, counts)
+    return _packed(normals, offsets,
+                   (rows < counts[:, None]) & ~same.any(axis=2))
 
 
-def _spans(group, j, seeds, dirs, along, across2):
-    """Per ray origin + t*dir against shape j[i] of the group: (lo, hi), the
-    t outside which a marched sample surely tests outside the shape, and
-    (sure_lo, sure_hi), the t inside which it surely tests inside.
-
-    A polygon sample tests inside when g = cross(e, p - a) >= 0 on every
-    edge e from corner a.  Along the ray g is g0 + t*gd, clipped edge by
-    edge (Cyrus-Beck); a circle's squared distance is (t - along)^2 +
-    across2.  The rounding of the sample and of its test moves these by far
-    less than MARCH_TOL, which both spans leave as slack.
-    """
-    spans = []
-    if isinstance(group, CircleGroup):
-        r = group.radii[j]
-        for w in (r + MARCH_TOL, np.maximum(r - MARCH_TOL, 0.0)):
-            ok = across2 <= w * w
-            h = np.sqrt(np.where(ok, w * w - across2, 0.0))
-            spans += [np.where(ok, along - h, np.inf),
-                      np.where(ok, along + h, -np.inf)]
-        return tuple(spans)
-    e = group.edges[j]
-    slack = MARCH_TOL * np.linalg.norm(e, axis=-1)
-    rel = seeds[:, None, :] - group.corners[j]
-    g0 = e[..., 0] * rel[..., 1] - e[..., 1] * rel[..., 0]
-    gd = e[..., 0] * dirs[:, None, 1] - e[..., 1] * dirs[:, None, 0]
-    for c in (-slack, slack):
-        # Where g0 + t*gd >= c on every edge.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (c - g0) / gd
-        never = ((gd == 0.0) & (g0 < c)).any(axis=1)
-        spans += [np.where(never, np.inf,
-                           np.where(gd > 0.0, t, -np.inf).max(axis=1)),
-                  np.where(gd < 0.0, t, np.inf).min(axis=1)]
-    return tuple(spans)
-
-
-def _first_hits(group, j, seeds, dirs, offsets_grid, step):
-    """Index of the first marched sample inside shape j[i] of the group
-    from seeds[i], per direction, or the sample count when none is.
-
-    Sample i of a ray lies at t = (i + 1) * step.  Rays that miss the
-    shape's bounding circle (grown by one step) test nothing.  On the others
-    every sample before the ray's entry into the shape (`_spans`) tests
-    outside, and so does every sample past its exit; from the entry on,
-    samples are tested up to the first one that surely tests inside.  That
-    is one or two samples unless the ray grazes an edge.  The group's
-    `contains` decides every tested sample, so the result equals a march
-    that tests them all, and `along` may round as the product of any row
-    count does: MARCH_TOL absorbs it.
-    """
-    n_dirs, n_steps = offsets_grid.shape[:2]
-    rel = group.centers[j] - seeds
-    along = rel @ dirs.T
-    across2 = np.sum(rel * rel, axis=1)[:, None] - along ** 2
-    first = np.full((len(seeds), n_dirs), n_steps)
-    reach = group.size_scale[j] + step
-    k, d = np.nonzero(across2 <= (reach * reach)[:, None])
-    if not len(k):
-        return first
-    lo, hi, sure_lo, sure_hi = (
-        np.clip(t / step - 1.0, -2.0, n_steps + 1.0)
-        for t in _spans(group, j[k], seeds[k], dirs[d], along[k, d],
-                        across2[k, d]))
-    start = np.maximum(np.ceil(lo), 0).astype(int)
-    stop = np.minimum(np.floor(hi), n_steps - 1).astype(int)
-    sure = np.maximum(np.ceil(sure_lo), 0).astype(int)
-    stop = np.where(sure <= np.floor(sure_hi), np.minimum(stop, sure), stop)
-    n = np.maximum(stop - start + 1, 0)
-    if n.sum():
-        ray = np.repeat(np.arange(len(n)), n)
-        idx = start[ray] + np.arange(len(ray)) - (np.cumsum(n) - n)[ray]
-        pts = seeds[k[ray]] + offsets_grid[d[ray], idx]
-        inside = group.contains(j[k[ray]], pts)
-        ray, idx = ray[inside], idx[inside]
-        # Samples run outward along each ray: its first inside is nearest.
-        lead = np.flatnonzero(np.diff(ray, prepend=-1))
-        first[k[ray[lead]], d[ray[lead]]] = idx[lead]
-    return first
-
-
-def _tangent_planes(seeds, groups, member):
-    """The march of every slice over the shapes it holds: (slice, normal,
-    offset) of each tangent plane, slice by slice and in each slice's order
-    of planes.
-
-    member[k, j] says whether slice k marches shape j, which sits in the
-    group whose `index` holds j; on a tie for the nearest sample the lowest
-    shape index wins.  Each step is one array pass per group, over every
-    (slice, shape) pair of its kind.
-    """
-    n_shapes = member.shape[1]
-    if not n_shapes:
-        return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0)
-    n_steps = _MARCH_GRID.shape[1]
-    hits = np.full((len(seeds), N_RAYS, n_shapes), n_steps)
-    for g in groups:
-        k, j = np.nonzero(member[:, g.index])
-        if len(k):
-            hits[k, :, g.index[j]] = _first_hits(g, j, seeds[k], _MARCH_DIRS,
-                                                 _MARCH_GRID, MARCH_STEP)
-    best = hits.argmin(axis=2)
-    hit = np.take_along_axis(hits, best[..., None], axis=2)[..., 0] < n_steps
-    shape_of = np.where(hit, best, -1)
-    # Each shape hit in a slice gives one plane, in order of its first hit.
-    d = np.arange(N_RAYS)
-    repeat = ((shape_of[:, :, None] == shape_of[:, None, :])
-              & (d[None, :] < d[:, None])).any(axis=2)
-    pk, pd = np.nonzero(hit & ~repeat)
-    pj = shape_of[pk, pd]
-    # Each shape's group and its position there.
-    kind = np.empty(n_shapes, dtype=int)
-    slot = np.empty(n_shapes, dtype=int)
-    for i, g in enumerate(groups):
-        kind[g.index] = i
-        slot[g.index] = np.arange(len(g))
-    normals = np.full((len(pk), 2), np.nan)
-    offsets = np.full(len(pk), np.nan)
-    made = np.zeros(len(pk), dtype=bool)
-    for i, g in enumerate(groups):
-        sel = np.flatnonzero(kind[pj] == i)
-        if not len(sel):
-            continue
-        j = slot[pj[sel]]
-        q, crossed = segment_shape_intersections(seeds[pk[sel]], g.centers[j],
-                                                 g, j)
-        sel, j = sel[crossed], j[crossed]
-        normals[sel], offsets[sel] = unit_rows(*supporting_halfplanes(
-            g, j, q[crossed], seeds[pk[sel]]))
-        made[sel] = True
-    return pk[made], normals[made], offsets[made]
-
-
-def _seeded(seeds, groups, member):
+def _seeded(seeds, groups, member, d, u):
     """`seed_region` for every slice, slice k holding the shapes j with
-    member[k, j], stacked in `groups`: (stack, inside).
+    member[k, j], stacked in `groups`, whose distance from seeds[k] is
+    d[k, j] with unit gradient u[k, j]: (stack, inside).
 
-    A slice whose seed lies in one of its shapes (inside[k]) is not marched
-    and gets the box alone.  Each ray adds at most one plane, so a slice
-    has at most N_RAYS + 4, rows equal to earlier ones included (see
-    `_distinct`).
+    A slice whose seed lies in one of its shapes (d = 0, inside[k]) gets
+    the box alone.  Every other slice holds its 4 box rows and then, in
+    order of increasing d (ties to the lower shape index), the row
+    n = -u, o = n.seed + d of each shape that no row kept before it
+    separates (o_a + support_b(-n_a) <= 0), rows equal to earlier ones
+    included (see `_distinct`).
     """
-    K = len(seeds)
-    r = MARCH_RANGE
-    inside = np.zeros(K, dtype=bool)
+    K, S = member.shape
+    inside = (member & (d == 0.0)).any(axis=1)
+    live = member & ~inside[:, None]
+    # Candidate rows: the box, then one per shape, nearest first; the live
+    # shapes of a slice sort ahead of the rest.
+    nearest = np.argsort(np.where(live, d, np.inf), axis=1, kind="stable")
+    slices = np.arange(K)
+    n = -u[slices[:, None], nearest]
+    normals = np.concatenate([np.broadcast_to(_BOX_NORMALS, (K, 4, 2)), n],
+                             axis=1)
+    offsets = np.concatenate([
+        seeds @ _BOX_NORMALS.T + BOX_HALF_WIDTH,
+        np.vecdot(n, seeds[:, None]) + d[slices[:, None], nearest]], axis=1)
+    # separates[k, r, j]: candidate row r of slice k keeps shape j out.
+    separates = np.empty((K, 4 + S, S), dtype=bool)
     for g in groups:
-        k, j = np.nonzero(member[:, g.index])
-        inside[k[g.contains(j, seeds[k])]] = True
-    pk, pn, po = _tangent_planes(seeds, groups, member & ~inside[:, None])
-
-    counts = 4 + np.bincount(pk, minlength=K)
-    width = counts.max()
-    normals = np.full((K, width, 2), np.nan)
-    offsets = np.full((K, width), np.nan)
-    normals[:, :4] = _BOX_NORMALS
-    offsets[:, 0] = seeds[:, 0] + r
-    offsets[:, 1] = -seeds[:, 0] + r
-    offsets[:, 2] = seeds[:, 1] + r
-    offsets[:, 3] = -seeds[:, 1] + r
-    slot = 4 + np.arange(len(pk)) - np.searchsorted(pk, pk)
-    normals[pk, slot] = pn
-    offsets[pk, slot] = po
-    return PlaneStack(normals, offsets, counts), inside
+        support = g.support(-normals.reshape(-1, 2)).reshape(len(g), K, -1)
+        separates[:, :, g.index] = (offsets[:, :, None]
+                                    + support.transpose(1, 2, 0) <= 0.0)
+    n_live = live.sum(axis=1)
+    kept = np.zeros((K, 4 + S), dtype=bool)
+    kept[:, :4] = True
+    for r in range(n_live.max()):
+        kept[:, 4 + r] = (r < n_live) & ~(
+            kept & separates[slices, :, nearest[:, r]]).any(axis=1)
+    return _packed(normals, offsets, kept), inside
 
 
 def _peer_cuts(stack, seeds, peers, groups, margin):
@@ -504,18 +377,18 @@ def _has_interior(stack):
 def seed_region(seed, shapes):
     """Convex free-space polytope around a seed point.
 
-    N_RAYS rays march outward in MARCH_STEP increments up to MARCH_RANGE;
-    the first shape hit per ray contributes one supporting halfplane at the
-    point where the segment from seed to its center crosses its boundary.
-    Four axis-aligned box planes at MARCH_RANGE close the region.  Raises
-    SeedInsideObstacle when the seed is covered by a shape.
+    Four axis-aligned box planes at BOX_HALF_WIDTH from the seed, then,
+    nearest shape first, the plane through each shape's nearest point,
+    normal to the seed-to-nearest direction, unless an earlier plane
+    already separates the shape.  Raises SeedInsideObstacle when the seed
+    is covered by a shape.
     """
-    seed = np.asarray(seed, dtype=float)
-    shapes = list(shapes)
-    stack, inside = _seeded(seed[None], shape_groups(shapes),
-                            np.ones((1, len(shapes)), dtype=bool))
+    seed = np.asarray(seed, dtype=float)[None]
+    groups = shape_groups(list(shapes))
+    d, u = distance_gradients(groups, seed)
+    stack, inside = _seeded(seed, groups, np.ones(d.shape, dtype=bool), d, u)
     if inside[0]:
-        raise SeedInsideObstacle(f"seed {seed.tolist()} is inside a shape")
+        raise SeedInsideObstacle(f"seed {seed[0].tolist()} is inside a shape")
     return _distinct(*stack).polytope(0)
 
 
@@ -572,7 +445,8 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
     whose polytope ends up empty are flagged infeasible.
     """
     t_rel, seeds = volume.t_rel, volume.centers
-    stack, inside = _seeded(seeds, volume.groups, volume.member)
+    stack, inside = _seeded(seeds, volume.groups, volume.member,
+                            volume.distances, volume.gradients)
     feasible = ~inside
     if previous is not None and inside.any():
         # Every volume has the same slices at the same times after its

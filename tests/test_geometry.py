@@ -12,8 +12,7 @@ from swarmplan import geometry
 from swarmplan.geometry import (BOUNDARY_TOL, Circle, Square, Rectangle,
                                 Triangle, axis_rectangle,
                                 circle_from_three_points, footprint_from_size,
-                                segment_shape_intersections, shape_groups,
-                                supporting_halfplanes, unit_rows)
+                                shape_groups, unit_rows)
 from swarmplan.regions import ConvexPolytope, _distinct
 
 
@@ -52,24 +51,20 @@ def ray_cast(origin, angle, shape, max_range):
     return t if np.isfinite(t) and t <= max_range else None
 
 
-def crossings(a, b, shape):
-    """`segment_shape_intersections` with the shape as a group of one."""
-    group, = shape_groups([shape])
-    return segment_shape_intersections(a, b, group, np.zeros(len(a), dtype=int))
-
-
-def tangents(shape, q, e):
-    """`supporting_halfplanes` with the shape as a group of one."""
-    group, = shape_groups([shape])
-    return supporting_halfplanes(group, np.zeros(len(q), dtype=int), q, e)
-
-
 def own_distance_gradient(shape, pts):
     """The shape's kind's nearest-point kernel on the shape's own
     parameters: (d, u) at each point (n, 2)."""
     if isinstance(shape, Circle):
         return geometry._disk_distance_gradient(shape.center, shape.radius, pts)
     return geometry._polygon_distance_gradient(shape.corners, shape.edges, pts)
+
+
+def nearest_point_halfplane(shape, e):
+    """The row {p : n.p <= o} that the regions build for a shape seen from
+    an exterior point e: n = -u and o = n.e + d from the shape's (d, u)."""
+    d, u = own_distance_gradient(shape, np.asarray(e, float)[None])
+    n = -u[0]
+    return n, float(n @ e) + float(d[0])
 
 
 def unit_square():
@@ -225,35 +220,14 @@ class TestRayCast:
                 assert got == pytest.approx(ts[k], abs=2e-3)
 
 
-class TestSegmentIntersection:
-    def test_crossing(self):
-        c = Circle([0, 0], 1.0)
-        p, crossed = crossings(
-            np.array([[-3.0, 0.0]]), np.array([[0.0, 0.0]]), c)
-        assert crossed[0]
-        assert np.allclose(p[0], [-1, 0], atol=1e-12)
-
-    def test_no_crossing(self):
-        c = Circle([0, 0], 1.0)
-        _, crossed = crossings(
-            np.array([[-3.0, 5.0], [-3.0, 0.0]]),
-            np.array([[3.0, 5.0], [-2.5, 0.0]]), c)
-        assert not crossed.any()
-
-    def test_nearest_crossing_chosen(self):
-        s = unit_square()
-        p, crossed = crossings(
-            np.array([[-1.0, 0.5]]), np.array([[3.0, 0.5]]), s)
-        assert crossed[0]
-        assert np.allclose(p[0], [0, 0.5], atol=1e-10)
-
-
 class TestSupportingHalfplane:
+    """The halfplane through a shape's nearest point to an exterior point,
+    normal to the direction between them, keeps the point and supports the
+    shape: the whole shape lies beyond it and touches it."""
+
     def test_circle_tangent(self):
         c = Circle([0, 0], 1.0)
-        normals, offsets = tangents(
-            c, np.array([[1.0, 0.0]]), np.array([[3.0, 0.0]]))
-        n, o = unit_rows(normals[0], offsets[0])
+        n, o = nearest_point_halfplane(c, np.array([3.0, 0.0]))
         # Tangent x = 1 keeping the exterior point.
         assert np.allclose(n, [-1, 0], atol=1e-12)
         assert o == pytest.approx(-1.0, abs=1e-12)
@@ -262,13 +236,21 @@ class TestSupportingHalfplane:
             assert float(n @ p) >= o - 1e-9
 
     def test_polygon_edge(self):
+        # Nearest to an edge's interior: the edge's own line.  Nearest to a
+        # corner: the line through the corner normal to the point's
+        # direction, which no edge of the square lies on.
         s = unit_square()
-        normals, offsets = tangents(
-            s, np.array([[0.0, 0.5]]), np.array([[-2.0, 0.5]]))
-        n, o = unit_rows(normals[0], offsets[0])
-        assert n @ [-2, 0.5] <= o + BOUNDARY_TOL
-        for p in boundary_samples(s, 256):
-            assert float(n @ p) >= o - 1e-9
+        n, o = nearest_point_halfplane(s, np.array([-2.0, 0.5]))
+        assert n.tolist() == [1.0, 0.0] and o == 0.0
+        e = np.array([-1.0, -2.0])
+        n, o = nearest_point_halfplane(s, e)
+        assert np.allclose(n, [1.0, 2.0] / np.sqrt(5.0), atol=1e-15)
+        assert o == pytest.approx(0.0, abs=1e-15)
+        for e in ([-2.0, 0.5], [-1.0, -2.0]):
+            n, o = nearest_point_halfplane(s, np.array(e))
+            assert n @ e <= o + BOUNDARY_TOL
+            for p in boundary_samples(s, 256):
+                assert float(n @ p) >= o - 1e-12
 
     def test_random_shapes_exclude_obstacle(self):
         rng = np.random.default_rng(23)
@@ -277,46 +259,11 @@ class TestSupportingHalfplane:
             e = rng.uniform(-8, 8, size=2)
             if shape.distance(e) < 0.05:
                 continue
-            q, crossed = crossings(
-                e[None], np.asarray(shape.center, float)[None], shape)
-            assert crossed[0]
-            normals, offsets = tangents(shape, q, e[None])
-            n, o = unit_rows(normals[0], offsets[0])
-            assert n @ e <= o + 1e-7
+            n, o = nearest_point_halfplane(shape, e)
+            assert n @ e <= o - 0.05 + 1e-9
+            assert o + shape.support(-n) == pytest.approx(0.0, abs=1e-12)
             for p in boundary_samples(shape, 512):
-                assert float(n @ p) >= o - 1e-7
-
-    def test_rejects_off_boundary_point(self):
-        c = Circle([0, 0], 1.0)
-        with pytest.raises(ValueError):
-            tangents(c, np.array([[0.5, 0.0]]), np.array([[3.0, 0.0]]))
-        with pytest.raises(ValueError, match="not on the shape boundary"):
-            tangents(unit_square(), np.array([[0.5, 0.5]]),
-                     np.array([[-2.0, 0.5]]))
-
-    def test_rejects_covered_exterior_point(self):
-        for shape, q, e in ((Circle([0, 0], 1.0), [1.0, 0.0], [0.5, 0.0]),
-                            (unit_square(), [0.0, 0.5], [0.5, 0.5]),
-                            (unit_square(), [0.0, 0.5], [1.0, 0.5])):
-            with pytest.raises(ValueError, match="not strictly outside"):
-                tangents(shape, np.array([q]), np.array([e]))
-
-    def test_rejects_exterior_point_behind_the_tangent(self):
-        for shape, q, e in ((Circle([0, 0], 1.0), [1.0, 0.0], [-3.0, 0.0]),
-                            (unit_square(), [0.0, 0.5], [2.0, 0.5])):
-            with pytest.raises(ValueError, match="outward side"):
-                tangents(shape, np.array([q]), np.array([e]))
-
-    def test_one_bad_row_fails_the_group(self):
-        # The checks cover every row of a group at once.
-        group, = shape_groups([Circle([0, 0], 1.0), Circle([5, 0], 1.0)])
-        q = np.array([[1.0, 0.0], [5.5, 0.0]])
-        e = np.array([[3.0, 0.0], [8.0, 0.0]])
-        with pytest.raises(ValueError, match="not on the shape boundary"):
-            supporting_halfplanes(group, np.array([0, 1]), q, e)
-        normals, _ = supporting_halfplanes(group, np.array([0, 0]),
-                                           q[[0, 0]], e[[0, 0]])
-        assert np.array_equal(normals, [[-1.0, 0.0], [-1.0, 0.0]])
+                assert float(n @ p) >= o - 1e-9
 
 
 class TestPolytope:
@@ -370,6 +317,23 @@ class TestSupport:
                 one = many[i:i + 1].tobytes()
                 assert shape.support(u[i:i + 1]).tobytes() == one
                 assert shape.support(u[i]).tobytes() == one
+
+    def test_groups_give_each_shape_its_own_bits(self):
+        # Every group slot's support along every direction is its shape's
+        # own, in any mix of kinds and corner counts.
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            shapes = [mixed_shape(rng) for _ in range(rng.integers(1, 12))]
+            th = rng.uniform(0, 2 * np.pi, size=int(rng.integers(1, 30)))
+            u = np.stack([np.cos(th), np.sin(th)], axis=1)
+            seen = []
+            for group in shape_groups(shapes):
+                got = group.support(u)
+                assert got.shape == (len(group), len(u))
+                for slot, i in enumerate(group.index):
+                    assert got[slot].tobytes() == shapes[i].support(u).tobytes()
+                    seen.append(i)
+            assert sorted(seen) == list(range(len(shapes)))
 
 
 def old_polygon_fields(corners):
@@ -630,6 +594,37 @@ class TestDistanceGradient:
                     signed_zeros += np.count_nonzero((u == 0.0) & np.signbit(u))
             assert sorted(seen) == list(range(len(shapes)))
         assert signed_zeros > 0
+
+    def test_list_order_pass_is_each_shapes_own(self):
+        # `distance_gradients` lays every group's pass out in list order,
+        # (points, shapes).  Where a point is outside a shape by more than
+        # the kernels' 1e-12, its distance is a polygon's own `distance`
+        # bit for bit.  A circle's `distance` sums the squares in np.vecdot,
+        # which now and then rounds apart from the kernel's x*x + y*y, so
+        # it agrees to a few ulps of the root.
+        rng = np.random.default_rng(83)
+        outside = 0
+        for _ in range(30):
+            shapes = [mixed_shape(rng) for _ in range(rng.integers(1, 12))]
+            pts = probe_points(shapes, rng)
+            d, u = geometry.distance_gradients(shape_groups(shapes), pts)
+            assert d.shape == (len(pts), len(shapes))
+            assert u.shape == (len(pts), len(shapes), 2)
+            for i, shape in enumerate(shapes):
+                own_d, own_u = own_distance_gradient(shape, pts)
+                assert d[:, i].tobytes() == own_d.tobytes()
+                assert u[:, i].tobytes() == own_u.tobytes()
+                out = own_d > 0.0
+                got, want = d[out, i], shape.distance(pts[out])
+                if isinstance(shape, Circle):
+                    assert np.all(np.abs(got - want)
+                                  <= 4 * np.spacing(want + shape.radius))
+                else:
+                    assert got.tobytes() == want.tobytes()
+                outside += int(out.sum())
+        assert outside > 10_000
+        d, u = geometry.distance_gradients([], np.zeros((3, 2)))
+        assert d.shape == (3, 0) and u.shape == (3, 0, 2)
 
     def test_matches_the_old_planner_kernel(self):
         rng = np.random.default_rng(71)

@@ -6,7 +6,7 @@ and the fallback ladder; `open` is the plain two-agent swap; `antipodal`
 is eight agents over the 1.6 s swarm_swap bench window, where every agent
 tracks seven peers and dozens of tracks open on one-state bootstraps;
 `intersection` is the 1.4 s corridor_cross bench window, where the region
-seed march meets long corridor walls; `unstructured` is the 2.0 s
+seeds meet long corridor walls; `unstructured` is the 2.0 s
 clutter_waypoints bench window, where a cluttered map fills the moving
 volume's slice x shape mask and obstacle admission decides between shapes.
 `test_sixteen_agents_cut_as_the_chain` runs sixteen antipodal agents for
@@ -14,6 +14,10 @@ volume's slice x shape mask and obstacle admission decides between shapes.
 `test_regions.old_peer_cuts`.  `test_solves_end_in_a_definite_answer`
 holds every QP solve of 0.8 s of each builtin to `optimal` or
 `infeasible`, never the iteration cap's `maxiter`.
+`test_static_regions_keep_out_every_member_shape` holds every static
+region of 0.8 s of intersection and unstructured to the property the
+regions are built for: a row of the region keeps out each shape its slice
+holds.
 
 The package memoizes B-spline bases, difference matrices, Grams, QP
 factors, limit blocks and emptiness-test index tables across runs;
@@ -35,7 +39,7 @@ import pytest
 import numpy as np
 
 import swarmplan
-from swarmplan import harness, planner, regions
+from swarmplan import harness, planner, regions, runtime
 from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
 from swarmplan.runtime import TAU
@@ -137,6 +141,39 @@ def test_solves_end_in_a_definite_answer(name, monkeypatch):
     run_scenario(builtin_scenario(name, duration=0.8))
     assert sum(statuses.values()) >= 20
     assert set(statuses) <= {"optimal", "infeasible"}, statuses
+
+
+@pytest.mark.parametrize("name", ["intersection", "unstructured"])
+def test_static_regions_keep_out_every_member_shape(name, monkeypatch):
+    # Each shape a slice holds lies beyond one row of the slice's static
+    # region, so no static region meets a shape it holds.  A slice whose
+    # seed is inside one of its shapes, or within the distance kernels'
+    # 1e-12 of one, borrows the previous cycle's region and is skipped.
+    # The agent turns an exception in a stage into a flag, so the wrapper
+    # records the shapes no row keeps out and the test asserts afterwards.
+    held, missed = [], []
+
+    def checked(volume, *args, **kwargs):
+        region = build(volume, *args, **kwargs)
+        for k, seed in enumerate(volume.centers):
+            shapes = [volume.shapes[j]
+                      for j in np.flatnonzero(volume.member[k])]
+            if any(s.distance(seed) <= 1e-12 for s in shapes):
+                continue
+            static = region.static.polytope(k)
+            missed.extend((k, seed, s) for s in shapes
+                          if (static.offsets
+                              + s.support(-static.normals)).min() > 1e-9)
+            held.append(len(shapes))
+        return region
+
+    build = runtime.build_safe_regions
+    monkeypatch.setattr(runtime, "build_safe_regions", checked)
+    result = run_scenario(builtin_scenario(name, duration=0.8))
+    assert not [f for reports in result.reports.values() for r in reports
+                for f in r.flags if ":" in f]
+    assert sum(held) > 1000
+    assert not missed, f"{len(missed)} shapes no row keeps out: {missed[:3]}"
 
 
 def package_memos():

@@ -1,7 +1,8 @@
 """Import-level guards: no plotting, scipy or schema code at run time,
 every name that packaging, the benchmark tracer and `__all__` refer to
-exists and works, `src/` defines no function that nothing refers to,
-and no module imports a name it never uses.
+exists and works, `src/` defines no function that nothing refers to and
+no module constant that nothing reads, and no module imports a name it
+never uses.
 
 scipy is a test-only dependency (spline and LP oracles) and matplotlib is
 not a dependency at all; importing either at run time would cost set-up
@@ -17,6 +18,7 @@ short traced run checks that they still can.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -138,6 +140,39 @@ def test_no_unreferenced_definitions(monkeypatch):
                     if name not in keep
                     and not (name.startswith("__") and name.endswith("__")))
     assert not unused, f"defined in src/ but referred to nowhere: {unused}"
+
+
+def test_no_unread_constants():
+    """Every module-level UPPER_CASE constant that `src/swarmplan/*.py`
+    assigns is read somewhere in `src/` (loaded as a name or an attribute)
+    or exported in a module's `__all__`.  The constants' twin of the scan
+    above: a deleted mechanism must not leave its tuning values behind.
+    Assigning a name, or importing it, does not count as reading it.
+    """
+    constants, read = {}, set()
+    for path in sorted((SRC / "swarmplan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for name in (n for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)):
+                if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id):
+                    constants.setdefault(name.id, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+    unread = sorted(f"{name} ({where})" for name, where in constants.items()
+                    if name not in read)
+    assert constants and not unread, f"assigned in src/ but never read: {unread}"
 
 
 def test_no_unused_imports():

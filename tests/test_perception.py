@@ -6,7 +6,8 @@ import pytest
 from swarmplan import perception
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, axis_rectangle,
                                corners_area, oriented_rectangle,
-                               _edge_projections)
+                               _disk_distance_gradient, _edge_projections,
+                               _polygon_distance_gradient)
 from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
                                   classify_cluster, compensate_motion,
                                   fit_rectangle, segment_scan)
@@ -397,15 +398,22 @@ class ShapeList:
         return list(self._shapes)
 
 
+def own_distance(shape, p):
+    """The shape's kind's nearest-point kernel on the shape's own
+    parameters: its distance from the point p (2,), 0 inside."""
+    if isinstance(shape, Circle):
+        d, _ = _disk_distance_gradient(shape.center, shape.radius, p)
+    else:
+        d, _ = _polygon_distance_gradient(shape.corners, shape.edges, p)
+    return float(d)
+
+
 def oracle_volume_lists(shapes, trajectory, t_now, horizon, tau, radius):
-    """Each slice's shapes, one window at a time."""
+    """Each slice's shapes, one window and one shape at a time: those at
+    most `radius` from the window center."""
     t_rel = np.arange(1, int(round(horizon / tau)) + 1) * tau
     path = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
-    if not shapes:
-        return [[] for _ in path]
-    centers = np.stack([s.center for s in shapes])
-    return [[shapes[i] for i in np.flatnonzero(
-        np.linalg.norm(centers - c, axis=1) <= radius)] for c in path]
+    return [[s for s in shapes if own_distance(s, c) <= radius] for c in path]
 
 
 def volume_lists(vol):
@@ -421,33 +429,44 @@ class TestMovingVolume:
         traj = TrajectorySpline(3, 0.0, 1.0, control)
         vol = build_moving_volume(m, traj, t_now=3.0, horizon=2.0, tau=0.5)
         assert vol.member.shape == (4, len(vol.shapes))
+        assert vol.distances.shape == (4, len(vol.shapes))
+        assert vol.gradients.shape == (4, len(vol.shapes), 2)
         assert vol.t_rel[0] == pytest.approx(0.5)
         assert vol.t_rel[-1] == pytest.approx(2.0)
         # Early slices near x=3 see only the near circle.
         assert volume_lists(vol)[0] == [m.shapes()[0]]
 
-    def test_window_filters_by_center_distance(self, monkeypatch):
+    def test_window_filters_by_shape_distance(self, monkeypatch):
+        # A long wall and a circle whose centers lie beyond the window but
+        # whose near sides lie within it are admitted; a shape wholly
+        # beyond it is not.
         monkeypatch.setattr(perception, "WINDOW_RADIUS", 3.0)
-        m = LocalMap()
         near = Circle([1.0, 0.0], 0.5)
         far = Circle([9.0, 0.0], 0.5)
-        m.insert(near)
-        m.insert(far)
+        wall = axis_rectangle(2.5, -0.1, 12.5, 0.1)
+        rim = Circle([3.4, 0.0], 0.5)
         control = np.zeros((8, 2))
         traj = TrajectorySpline(3, 0.0, 1.0, control)
-        vol = build_moving_volume(m, traj, 0.0, 1.0, 0.5)
-        assert vol.shapes == [near]
+        vol = build_moving_volume(ShapeList([near, far, wall, rim]), traj,
+                                  0.0, 1.0, 0.5)
+        assert vol.shapes == [near, wall, rim]
         assert vol.member.all()
+        assert vol.distances[0].tolist() == pytest.approx([0.5, 2.5, 2.9])
 
     def test_window_rim_is_inside(self):
-        # Window centers 1..3 are exactly (2, 0), (2.5, 0) and (3, 0), and so
-        # are these distances: 5 from slice 1, 5 and two ulps past 5 from
-        # slice 3, and 5 = |(3, -4)| from slice 3.
+        # Window centers 1..3 are exactly (2, 0), (2.5, 0) and (3, 0)
+        # (center 0 is near (1.5, 0)), and so are these distances: 5 from
+        # slice 1 to the near
+        # edge x = -3, 5 from slice 3 to the near edge x = 8, four ulps of
+        # 5 past 5 from slice 3 to the near edge x = 8 + 2 ulps, and 5 =
+        # |(3, -4)| from slice 3 to the corner (6, -4).
         control = np.stack([np.linspace(0, 7, 8), np.zeros(8)], axis=1)
         traj = TrajectorySpline(3, 0.0, 1.0, control)
-        shapes = [Circle([-3.0, 0.0], 0.2), Circle([8.0, 0.0], 0.2),
-                  Circle([np.nextafter(8.0, 9.0), 0.0], 0.2),
-                  Circle([6.0, -4.0], 0.2)]
+        x = np.nextafter(np.nextafter(8.0, 9.0), 9.0)
+        shapes = [axis_rectangle(-4.0, -1.0, -3.0, 1.0),
+                  axis_rectangle(8.0, -1.0, 9.0, 1.0),
+                  axis_rectangle(x, -1.0, 9.0, 1.0),
+                  axis_rectangle(6.0, -5.0, 7.0, -4.0)]
         vol = build_moving_volume(ShapeList(shapes), traj, 3.0, 2.0, 0.5)
         assert vol.centers[1:].tolist() == [[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]]
         assert vol.shapes == [shapes[0], shapes[1], shapes[3]]
@@ -455,11 +474,15 @@ class TestMovingVolume:
                                        [True, False, False],
                                        [False, False, False],
                                        [False, True, True]]
+        assert vol.distances[1, 0] == vol.distances[3, 1] == 5.0
+        assert vol.distances[3, 2] == 5.0
 
     def test_mask_matches_per_slice_loop(self):
-        # Shapes at random and on the windows' rims up to rounding.
+        # Shapes at random, on the windows' rims up to rounding, and long
+        # walls whose centers lie beyond a window that their sides reach.
         rng = np.random.default_rng(71)
         radius = perception.WINDOW_RADIUS
+        reached = 0
         for _ in range(30):
             traj = TrajectorySpline(3, 0.0, 1.0,
                                     rng.uniform(-4.0, 4.0, size=(8, 2)))
@@ -473,8 +496,15 @@ class TestMovingVolume:
                               Triangle(c + rng.uniform(-1, 1, size=(3, 2))))
             for k in rng.integers(0, len(path), size=8):
                 th = rng.uniform(0, 2 * np.pi)
-                shapes.append(Circle(
-                    path[k] + radius * np.array([np.cos(th), np.sin(th)]), 0.2))
+                out = np.array([np.cos(th), np.sin(th)])
+                shapes.append(Circle(path[k] + (radius + 0.2) * out, 0.2))
+                # A wall across `out` whose near side is on the rim.
+                shapes.append(oriented_rectangle(
+                    path[k] + (radius + 0.1) * out, [-out[1], out[0]],
+                    float(rng.uniform(0.5, 3.0)), 0.1))
+                shapes.append(oriented_rectangle(
+                    path[k] + rng.uniform(radius + 0.5, radius + 3.0) * out,
+                    [np.cos(th + 1.0), np.sin(th + 1.0)], 4.0, 0.1))
             rng.shuffle(shapes)
             vol = build_moving_volume(ShapeList(shapes), traj, t_now, 4.0,
                                       0.1)
@@ -483,6 +513,12 @@ class TestMovingVolume:
             assert vol.shapes == [s for s in shapes
                                   if any(s is t for lst in want for t in lst)]
             assert np.array_equal(vol.centers, path)
+            for k, c in enumerate(path):
+                for j, s in enumerate(vol.shapes):
+                    assert vol.distances[k, j] == own_distance(s, c)
+            reached += sum(np.linalg.norm(s.center - c) > radius
+                           for c, lst in zip(path, want) for s in lst)
+        assert reached > 100
 
 
 # --- parity with the per-element code that the array passes replaced -------

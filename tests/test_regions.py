@@ -10,13 +10,11 @@ from scipy.optimize import linprog
 from swarmplan import geometry, regions
 from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolygonShape,
                                 Square, Triangle, _as_point, axis_rectangle,
-                                footprint_from_size, oriented_rectangle,
-                                segment_shape_intersections, shape_groups,
-                                supporting_halfplanes, unit_rows)
+                                distance_gradients, footprint_from_size,
+                                oriented_rectangle, shape_groups, unit_rows)
 from swarmplan.perception import MovingVolume
 from swarmplan.prediction import PeerState, PeerTrack
 from swarmplan.regions import (PlaneStack, SeedInsideObstacle,
-                               _first_hits, _tangent_planes,
                                build_safe_regions,
                                contract_for_peer, deflate_for_ego,
                                region_is_empty, seed_region)
@@ -124,16 +122,25 @@ def axis_square(center, side):
                    [cx + h, cy + h], [cx - h, cy + h]])
 
 
+def measured_volume(t_rel, centers, shapes, member):
+    """Moving volume with the given membership, holding its shapes'
+    distances and gradients at the centers as `build_moving_volume`
+    measures them."""
+    d, u = distance_gradients(shape_groups(shapes), centers)
+    return MovingVolume(t_rel=t_rel, centers=centers, shapes=shapes,
+                        member=member, distances=d, gradients=u)
+
+
 def volume_of(centers, shape_lists, tau):
     """Moving volume whose slice k holds the shapes of shape_lists[k]; the
     volume lists each shape once, in order of first appearance."""
     shapes = list({id(s): s for lst in shape_lists for s in lst}.values())
     member = np.array([[any(s is t for t in lst) for s in shapes]
                        for lst in shape_lists], dtype=bool)
-    return MovingVolume(t_rel=tau * np.arange(1, len(shape_lists) + 1),
-                        centers=np.array(centers, dtype=float),
-                        shapes=shapes,
-                        member=member.reshape(len(shape_lists), len(shapes)))
+    return measured_volume(tau * np.arange(1, len(shape_lists) + 1),
+                           np.array(centers, dtype=float).reshape(-1, 2),
+                           shapes,
+                           member.reshape(len(shape_lists), len(shapes)))
 
 
 def slice_shapes(volume, k):
@@ -158,8 +165,8 @@ class TestSeedRegion:
         # Box extends r_max in each axis direction.
         for u in (np.array([1.0, 0]), np.array([-1.0, 0]),
                   np.array([0, 1.0]), np.array([0, -1.0])):
-            inner = seed + u * (regions.MARCH_RANGE - 1e-6)
-            outer = seed + u * (regions.MARCH_RANGE + 0.1)
+            inner = seed + u * (regions.BOX_HALF_WIDTH - 1e-6)
+            outer = seed + u * (regions.BOX_HALF_WIDTH + 0.1)
             assert np.max(poly.normals @ inner - poly.offsets) <= 0
             assert np.max(poly.normals @ outer - poly.offsets) > 0
 
@@ -183,31 +190,10 @@ class TestSeedRegion:
             poly = seed_region(seed, shapes)
             assert poly.contains(seed, tol=1e-9)
 
-    def first_hit_shapes(self, seed, shapes):
-        """Oracle: shapes first blocked along each marched direction.
-
-        Replays the documented sampling (n_directions rays, `step` grid) with
-        an independent containment sweep per shape.
-        """
-        hits = set()
-        n_steps = int(round(regions.MARCH_RANGE / regions.MARCH_STEP))
-        radii = regions.MARCH_STEP * np.arange(1, n_steps + 1)
-        for d in range(regions.N_RAYS):
-            th = 2 * np.pi * d / regions.N_RAYS
-            pts = seed + radii[:, None] * np.array([np.cos(th), np.sin(th)])
-            best_idx, best_shape = n_steps, None
-            for si, s in enumerate(shapes):
-                for k, p in enumerate(pts[:best_idx]):
-                    if s.contains(p):
-                        best_idx, best_shape = k, si
-                        break
-            if best_shape is not None:
-                hits.add(best_shape)
-        return hits
-
-    def test_first_hit_shapes_fully_excluded(self):
-        # A supporting halfplane of a convex shape excludes the whole shape,
-        # so every shape hit by the marching fan must lie outside the region.
+    def test_every_shape_fully_excluded(self):
+        # Every shape gets a plane through its nearest point, or an earlier
+        # plane already keeps it out: no interior point of any shape lies
+        # in the region.
         rng = np.random.default_rng(3)
         checked = 0
         for trial in range(20):
@@ -215,12 +201,13 @@ class TestSeedRegion:
                       for _ in range(3)]
             shapes.append(axis_square(rng.uniform(-3, 3, size=2),
                                       float(rng.uniform(0.5, 1.2))))
+            shapes.append(Triangle(rng.uniform(-3, 3, size=2)
+                                   + rng.uniform(-1, 1, size=(3, 2))))
             seed = rng.uniform(-2, 2, size=2)
             if not brute_force_free(seed, shapes):
                 continue
             poly = seed_region(seed, shapes)
-            for si in self.first_hit_shapes(seed, shapes):
-                s = shapes[si]
+            for s in shapes:
                 if isinstance(s, Circle):
                     th = np.linspace(0, 2 * np.pi, 72, endpoint=False)
                     pts = s.center + 0.999 * s.radius * np.stack(
@@ -230,25 +217,50 @@ class TestSeedRegion:
                     pts = s.center + 0.999 * (w @ s.corners - s.center)
                 for p in pts:
                     assert not poly.contains(p, tol=-1e-9), (
-                        f"trial {trial}: region admits point {p} of hit shape {s!r}")
+                        f"trial {trial}: region admits point {p} of {s!r}")
                 checked += 1
-        assert checked >= 10
+        assert checked >= 50
 
-    def test_matches_marching_oracle_single_circle(self):
-        # One circle dead ahead: the halfplane along +x must sit on the
-        # near boundary of the circle.
+    def test_planes_touch_the_nearest_points(self):
+        # A circle dead ahead bounds the region at its near rim.  A square
+        # seen past its corner bounds it with the line through the corner
+        # normal to the seed's direction, not with an edge's line.
         seed = np.zeros(2)
-        circle = Circle(np.array([3.0, 0.0]), 1.0)
-        poly = seed_region(seed, [circle])
-        # The +x direction from the seed exits the region at x ~= 2.
-        lo, hi = 0.0, regions.MARCH_RANGE
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if poly.contains(np.array([mid, 0.0]), tol=0.0):
-                lo = mid
-            else:
-                hi = mid
-        assert 0.5 * (lo + hi) == pytest.approx(2.0, abs=2 * regions.MARCH_STEP)
+        poly = seed_region(seed, [Circle(np.array([3.0, 0.0]), 1.0)])
+        assert len(poly) == 5
+        assert poly.normals[4].tolist() == [1.0, 0.0]
+        assert poly.offsets[4] == 2.0
+        square = axis_square(np.array([4.0, 5.0]), 2.0)
+        poly = seed_region(seed, [square])
+        assert len(poly) == 5
+        assert np.allclose(poly.normals[4], [0.6, 0.8], atol=1e-15)
+        assert poly.offsets[4] == pytest.approx(5.0, abs=1e-14)
+        # The corner (3, 4) is on the plane; the region reaches past both
+        # edge lines x = 3 and y = 4 elsewhere.
+        assert poly.contains(np.array([3.0, 4.0]), tol=1e-12)
+        assert poly.contains(np.array([3.5, 0.5]))
+        assert poly.contains(np.array([-1.0, 4.5]))
+
+    def test_box_rows_keep_out_shapes_beyond_them(self):
+        # The box rows come first, so a shape wholly beyond one of them
+        # adds no row; one the box only clips adds its own.
+        seed = np.array([1.0, -2.0])
+        far = Circle(seed + [20.0, 0.0], 1.0)
+        clipped = axis_rectangle(seed[0] - 1.0, seed[1] + 4.0,
+                                 seed[0] + 1.0, seed[1] + 9.0)
+        assert len(seed_region(seed, [far])) == 4
+        poly = seed_region(seed, [far, clipped])
+        assert len(poly) == 5 and poly.normals[4].tolist() == [0.0, 1.0]
+
+    def test_equal_distances_keep_list_order(self):
+        # Three circles 1 m from the seed in different directions: none
+        # keeps another out, and their rows follow the list order.
+        shapes = [Circle([0.0, 3.0], 2.0), Circle([3.0, 0.0], 2.0),
+                  Circle([-3.0, 0.0], 2.0)]
+        poly = seed_region(np.zeros(2), shapes)
+        assert poly.normals[4:].tolist() == [[0.0, 1.0], [1.0, 0.0],
+                                             [-1.0, 0.0]]
+        assert poly.offsets[4:].tolist() == [1.0, 1.0, 1.0]
 
 
 class TestContraction:
@@ -507,7 +519,7 @@ class TestBuildSafeRegions:
             # Polytope borrowed from the matching previous slice (box-only),
             # re-deflated from its pre-deflation planes (no double shrink).
             assert len(sl.polytope.normals) == 4
-            assert np.allclose(sl.polytope.offsets, regions.MARCH_RANGE - 0.2)
+            assert np.allclose(sl.polytope.offsets, regions.BOX_HALF_WIDTH - 0.2)
 
     def test_borrowed_slice_is_the_previous_slice(self):
         # A seed inside a shape borrows the previous cycle's static rows of
@@ -524,8 +536,7 @@ class TestBuildSafeRegions:
             prev = build_safe_regions(first, random_tracks(rng, first), ego,
                                       0.0)
             second = random_volume(rng, 20, inside_frac=0.4)
-            seeded, inside = regions._seeded(second.centers, second.groups,
-                                             second.member)
+            seeded, inside = seeded_volume(second)
             region = build_safe_regions(second, [], ego, 0.04, previous=prev)
             got = region.static
             for k in range(len(inside)):
@@ -549,7 +560,7 @@ class TestBuildSafeRegions:
         # starts with the 4 box rows about the seed it was seeded at, and
         # peer cuts and deflation keep at least 4 rows.
         rng = np.random.default_rng(97)
-        r = regions.MARCH_RANGE
+        r = regions.BOX_HALF_WIDTH
         borrowed = 0
         for trial in range(8):
             ego = disk(0.2) if trial % 2 else origin_square(0.15)
@@ -559,8 +570,7 @@ class TestBuildSafeRegions:
             second = random_volume(rng, 30, inside_frac=0.3)
             region = build_safe_regions(second, tracks, ego, 0.04,
                                         previous=prev)
-            _, inside = regions._seeded(second.centers, second.groups,
-                                        second.member)
+            _, inside = seeded_volume(second)
             at = np.where(inside[:, None], first.centers, second.centers)
             for reg, seeds in ((prev, first.centers), (region, at)):
                 assert (reg.static.counts >= 4).all()
@@ -574,11 +584,12 @@ class TestBuildSafeRegions:
 
 # --- the one-pass build against the per-slice definition ----------------------
 #
-# The oracle is the per-slice composition that defines a region: march the
-# seed's ray fan, cut with contract_for_peer track by track (a ConvexPolytope
-# of the earlier rows, bits kept, and the new plane's Halfplane),
-# deflate_for_ego, then the probe and the HiGHS Chebyshev LP.  The one-pass
-# build must equal it bit for bit.
+# The oracle is the per-slice composition that defines a region: the box
+# and the nearest-point planes of the slice's shapes, one shape at a time,
+# cut with contract_for_peer track by track (a ConvexPolytope of the earlier
+# rows, bits kept, and the new plane's Halfplane), deflate_for_ego, then the
+# probe and the HiGHS Chebyshev LP.  The one-pass build must equal it bit
+# for bit.
 
 def _fp_support(fp, u):
     if isinstance(fp, Circle):
@@ -604,93 +615,39 @@ def own_ray_distances(shape, origins, dirs):
                                            origins, dirs)
 
 
-def oracle_crossing(a, b, shape):
-    d = b - a
-    length = float(np.linalg.norm(d))
-    if length < 1e-12:
-        return None
-    u = d / length
-    t = float(own_ray_distances(shape, a[None, :], u[None, :])[0])
-    if not np.isfinite(t) or t > length + BOUNDARY_TOL:
-        return None
-    return a + min(t, length) * u
-
-
-def oracle_tangent(shape, q, e):
+def own_distance_gradient(shape, pts):
+    """The shape's kind's nearest-point kernel on the shape's own
+    parameters: (d, u) at each point (n, 2)."""
     if isinstance(shape, Circle):
-        v = q - shape.center
-        off_boundary = abs(float(np.linalg.norm(v)) - shape.radius)
-    else:
-        corners = shape.corners
-        edge = np.roll(corners, -1, axis=0) - corners
-        t = np.clip(np.sum((q - corners) * edge, axis=1)
-                    / np.sum(edge * edge, axis=1), 0.0, 1.0)
-        dists = np.linalg.norm(q - (corners + t[:, None] * edge), axis=1)
-        off_boundary = float(dists.min())
-    if off_boundary > BOUNDARY_TOL:
-        raise ValueError("boundary_point is not on the shape boundary")
-    if shape.distance(e) <= 0.0:
-        raise ValueError("exterior_point is not strictly outside the shape")
-    if isinstance(shape, Circle):
-        n_out = v / np.linalg.norm(v)
-    else:
-        on_edges = np.flatnonzero(dists <= BOUNDARY_TOL * 10 + dists.min())
-        normals = edge_normals(shape)
-        best = max(on_edges, key=lambda i: float(normals[i] @ (e - q)))
-        n_out = normals[best]
-    hp = Halfplane(-n_out, float(-n_out @ q))
-    if not hp.contains(e, tol=BOUNDARY_TOL):
-        raise ValueError("exterior_point is not on the outward side of the tangent")
-    return hp
+        return geometry._disk_distance_gradient(shape.center, shape.radius, pts)
+    return geometry._polygon_distance_gradient(shape.corners, shape.edges, pts)
 
 
-def march_grid():
-    """The march's unit directions and sample offsets (directions, steps, 2)."""
-    n_steps = int(round(regions.MARCH_RANGE / regions.MARCH_STEP))
-    th = 2.0 * np.pi * np.arange(regions.N_RAYS) / regions.N_RAYS
-    dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-    radii = regions.MARCH_STEP * np.arange(1, n_steps + 1)
-    return dirs, radii[None, :, None] * dirs[:, None, :]
-
-
-def oracle_first_hits(seed, shape):
-    """First sample inside `shape` per direction, every sample tested."""
-    dirs, grid = march_grid()
-    n_steps = grid.shape[1]
-    pts = np.asarray(seed, dtype=float) + grid
-    inside = shape.contains(pts)
-    return np.where(inside.any(axis=1), inside.argmax(axis=1), n_steps)
+def seeded_volume(volume):
+    """`regions._seeded` on a moving volume: (stack, inside)."""
+    return regions._seeded(volume.centers, volume.groups, volume.member,
+                           volume.distances, volume.gradients)
 
 
 def oracle_seed_region(seed, shapes):
+    """The box, then shape by shape in order of distance (ties to the
+    earlier shape) the row through the shape's nearest point, unless a row
+    already kept separates the shape."""
     seed = np.asarray(seed, dtype=float)
-    for s in shapes:
-        if s.contains(seed):
+    r = regions.BOX_HALF_WIDTH
+    rows = [SimpleNamespace(normal=n, offset=float(n @ seed) + r)
+            for n in regions._BOX_NORMALS]
+    near = []
+    for j, s in enumerate(shapes):
+        d, u = own_distance_gradient(s, seed[None])
+        if d[0] == 0.0:
             raise SeedInsideObstacle("seed inside")
-    r = regions.MARCH_RANGE
-    planes = [Halfplane(np.array([1.0, 0.0]), seed[0] + r),
-              Halfplane(np.array([-1.0, 0.0]), -seed[0] + r),
-              Halfplane(np.array([0.0, 1.0]), seed[1] + r),
-              Halfplane(np.array([0.0, -1.0]), -seed[1] + r)]
-    if shapes:
-        n_steps = int(round(regions.MARCH_RANGE / regions.MARCH_STEP))
-        first_hit = np.full(regions.N_RAYS, n_steps, dtype=int)
-        hit_shape = np.full(regions.N_RAYS, -1, dtype=int)
-        for si, s in enumerate(shapes):
-            idx = oracle_first_hits(seed, s)
-            closer = idx < first_hit
-            first_hit[closer] = idx[closer]
-            hit_shape[closer] = si
-        chosen = []
-        for si in hit_shape:
-            if si >= 0 and si not in chosen:
-                chosen.append(si)
-        for si in chosen:
-            s = shapes[si]
-            q = oracle_crossing(seed, s.center, s)
-            if q is not None:
-                planes.append(oracle_tangent(s, q, seed))
-    return ConvexPolytope(planes)
+        near.append((float(d[0]), j, -u[0]))
+    for d, j, n in sorted(near, key=lambda item: item[:2]):
+        if not any(row.offset + float(shapes[j].support(-row.normal)) <= 0.0
+                   for row in rows):
+            rows.append(SimpleNamespace(normal=n, offset=float(n @ seed) + d))
+    return ConvexPolytope(rows)
 
 
 def oracle_contract(poly, seed, peer, fp, margin):
@@ -740,7 +697,7 @@ def oracle_build(volume, tracks, ego, now, previous=None):
             if previous is not None:
                 _, poly, feasible = previous[k]
             else:
-                r = regions.MARCH_RANGE
+                r = regions.BOX_HALF_WIDTH
                 poly = ConvexPolytope([
                     Halfplane(np.array([1.0, 0.0]), seed[0] + r),
                     Halfplane(np.array([-1.0, 0.0]), -seed[0] + r),
@@ -802,8 +759,8 @@ def random_volume(rng, n_slices, tau=0.1, inside_frac=0.1):
             at = int(rng.integers(len(pool) + 1))
             pool.insert(at, rim if rng.random() < 0.5 else Circle(seed, 0.3))
             member = np.insert(member, at, np.arange(n_slices) == k, axis=1)
-    return MovingVolume(t_rel=tau * np.arange(1, n_slices + 1), centers=seeds,
-                        shapes=pool, member=member)
+    return measured_volume(tau * np.arange(1, n_slices + 1), seeds, pool,
+                           member)
 
 
 def random_tracks(rng, volume):
@@ -1047,199 +1004,6 @@ class TestSliceViews:
         assert 0 < infeasible < views
 
 
-class TestMarchWindow:
-    """`_first_hits`, on each shape as a group of one, tests only the
-    samples at each ray's entry into a shape; a march that tests every
-    sample must agree where the entry is hardest to place."""
-
-    def assert_matches(self, shape, seeds):
-        """Compare with the full march; returns how many rays hit."""
-        dirs, grid = march_grid()
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        group, = shape_groups([shape])
-        got = _first_hits(group, np.zeros(len(seeds), dtype=int), seeds,
-                          dirs, grid, regions.MARCH_STEP)
-        want = np.array([oracle_first_hits(p, shape) for p in seeds])
-        assert np.array_equal(got, want), shape
-        return int(np.sum(want < grid.shape[1]))
-
-    def test_rays_graze_vertices_and_touch_circles(self):
-        rng = np.random.default_rng(51)
-        dirs, grid = march_grid()
-        hits = 0
-        for _ in range(60):
-            seed = rng.uniform(-5.0, 5.0, size=2)
-            d = int(rng.integers(len(dirs)))
-            u = dirs[d]
-            side = rng.choice([-1.0, 1.0]) * np.array([-u[1], u[0]])
-            # The touch point: anywhere on the ray, or exactly a sample.
-            touch = (seed + rng.uniform(0.3, 4.5) * u if rng.random() < 0.5
-                     else seed + grid[d, rng.integers(5, grid.shape[1])])
-            r = float(rng.uniform(0.1, 1.5))
-            tri = Triangle([touch, touch + r * (side + u),
-                            touch + r * (side - u)])
-            for shape in (tri, Circle(touch + r * side, r),
-                          Circle(touch + (r + 1e-12) * side, r),
-                          Circle(touch + (r - 1e-12) * side, r)):
-                hits += self.assert_matches(shape, seed)
-        assert hits > 20
-
-    def test_seeds_on_axis_wall_edge_lines(self):
-        # Rays along an edge's line at directions 0 and pi/2, where one
-        # direction component is 0 or cos(pi/2) = 6e-17: the samples sit on
-        # the line or an ulp off it, depending on the seed's last bits.
-        hits = 0
-        for x0, y0 in ((3.0, 1.0), (0.5, -2.25), (-1.3, 0.7), (7.1, -4.05)):
-            wall = axis_rectangle(x0, y0, x0 + 0.2, y0 + 3.0)
-            xs, ys = [x0, x0 + 0.2], [y0, y0 + 3.0]
-            seeds = []
-            for ulps in range(-3, 4):
-                for x in xs:
-                    for y in (y0 - 1.0, y0 - 0.05, y0 - 1e-9):
-                        seeds.append([x + ulps * np.spacing(x), y])
-                for y in ys:
-                    for x in (x0 - 2.0, x0 - 0.05, x0 - 1e-9):
-                        seeds.append([x, y + ulps * np.spacing(y)])
-            hits += self.assert_matches(wall, seeds)
-        assert hits > 100
-
-    def test_samples_on_edges(self):
-        # Walls and triangles whose edge or corner holds a sample exactly.
-        rng = np.random.default_rng(52)
-        dirs, grid = march_grid()
-        hits = 0
-        for _ in range(80):
-            seed = rng.uniform(-5.0, 5.0, size=2)
-            d = int(rng.integers(len(dirs)))
-            p = seed + grid[d, rng.integers(0, grid.shape[1])]
-            w = float(rng.uniform(0.1, 2.0))
-            shapes = [axis_rectangle(p[0], p[1] - w, p[0] + w, p[1] + w),
-                      axis_rectangle(p[0] - w, p[1], p[0] + w, p[1] + w),
-                      axis_rectangle(p[0] - w, p[1] - w, p[0], p[1] + w),
-                      Triangle([p, p + rng.uniform(-1.0, 1.0, size=2),
-                                p + rng.uniform(-1.0, 1.0, size=2)])]
-            for shape in shapes:
-                if not shape.contains(seed):
-                    hits += self.assert_matches(shape, seed)
-        assert hits > 50
-
-    def test_thin_walls_at_64_orientations(self):
-        rng = np.random.default_rng(53)
-        hits = 0
-        for k in range(64):
-            phi = 2.0 * np.pi * k / 64
-            c = rng.uniform(-3.0, 3.0, size=2)
-            wall = oriented_rectangle(c, [np.cos(phi), np.sin(phi)],
-                                      float(rng.uniform(1.0, 5.0)), 0.1)
-            seeds = c + rng.uniform(-6.0, 6.0, size=(40, 2))
-            hits += self.assert_matches(
-                wall, seeds[~wall.contains(seeds)])
-        assert hits > 500
-
-    def test_seeds_within_a_step(self):
-        rng = np.random.default_rng(54)
-        step = regions.MARCH_STEP
-        hits = 0
-        for _ in range(12):
-            c = rng.uniform(-3.0, 3.0, size=2)
-            r = float(rng.uniform(0.2, 1.5))
-            th = rng.uniform(0.0, np.pi)
-            for shape in (Circle(c, r), axis_square(c, 2.0 * r),
-                          oriented_rectangle(c, [np.cos(th), np.sin(th)],
-                                             r, 0.1),
-                          Triangle(c + rng.uniform(-1.0, 1.0, size=(3, 2)))):
-                b = boundary_samples(shape, 24)
-                out = (b - shape.center) / np.linalg.norm(b - shape.center,
-                                                          axis=1)[:, None]
-                for gap in (0.0, 1e-12, 0.5 * step, step - 1e-12, step):
-                    hits += self.assert_matches(shape, b + gap * out)
-        assert hits > 1000
-
-
-def own_crossings(a, b, shape):
-    """`segment_shape_intersections` on one shape's `own_ray_distances`."""
-    d = b - a
-    length = np.sqrt(np.vecdot(d, d))
-    u = d / length[:, None]
-    t = own_ray_distances(shape, a, u)
-    crossed = (length >= 1e-12) & np.isfinite(t) & (t <= length + BOUNDARY_TOL)
-    return a + np.minimum(t, length)[:, None] * u, crossed
-
-
-def own_tangents(shape, q, e):
-    """`supporting_halfplanes` as it ran on one shape at a time, from the
-    shape's own corners and `contains`."""
-    if isinstance(shape, Circle):
-        v = q - shape.center
-        r_q = np.sqrt(np.vecdot(v, v))
-        w = e - shape.center
-        off_boundary = np.abs(r_q - shape.radius) > BOUNDARY_TOL
-        covered = np.sqrt(np.vecdot(w, w)) - shape.radius <= 0.0
-        n_out = v / r_q[:, None]
-    else:
-        a = shape.corners
-        edge = np.roll(a, -1, axis=0) - a
-
-        def edge_dists(pts):
-            t = np.clip(np.sum((pts[:, None, :] - a) * edge, axis=-1)
-                        / np.sum(edge * edge, axis=1), 0.0, 1.0)
-            return np.linalg.norm(pts[:, None, :] - (a + t[..., None] * edge),
-                                  axis=-1)
-        dists = edge_dists(q)
-        off_boundary = dists.min(axis=1) > BOUNDARY_TOL
-        covered = shape.contains(e) | (edge_dists(e).min(axis=1) <= 0.0)
-        on_edges = dists <= BOUNDARY_TOL * 10 + dists.min(axis=1, keepdims=True)
-        normals = edge_normals(shape)
-        fit = np.where(on_edges, np.vecdot(normals, (e - q)[:, None, :]), -np.inf)
-        n_out = normals[np.argmax(fit, axis=1)]
-    if off_boundary.any() or covered.any():
-        raise ValueError("bad tangent input")
-    normals = -n_out
-    offsets = np.vecdot(normals, q)
-    unit, unit_offsets = unit_rows(normals, offsets)
-    if np.any(np.vecdot(unit, e) > unit_offsets + BOUNDARY_TOL):
-        raise ValueError("bad tangent input")
-    return normals, offsets
-
-
-def shape_by_shape_tangent_planes(seeds, shapes, member):
-    """The march as it ran before the groups: every step once per shape,
-    each shape a group of one."""
-    if not shapes:
-        return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros(0)
-    dirs, grid = march_grid()
-    n_steps = grid.shape[1]
-    hits = np.full((len(seeds), regions.N_RAYS, len(shapes)), n_steps)
-    for j, s in enumerate(shapes):
-        members = np.flatnonzero(member[:, j])
-        if len(members):
-            g, = shape_groups([s])
-            hits[members, :, j] = _first_hits(
-                g, np.zeros(len(members), dtype=int), seeds[members], dirs,
-                grid, regions.MARCH_STEP)
-    best = hits.argmin(axis=2)
-    hit = np.take_along_axis(hits, best[..., None], axis=2)[..., 0] < n_steps
-    shape_of = np.where(hit, best, -1)
-    d = np.arange(regions.N_RAYS)
-    repeat = ((shape_of[:, :, None] == shape_of[:, None, :])
-              & (d[None, :] < d[:, None])).any(axis=2)
-    pk, pd = np.nonzero(hit & ~repeat)
-    pj = shape_of[pk, pd]
-    normals = np.full((len(pk), 2), np.nan)
-    offsets = np.full(len(pk), np.nan)
-    made = np.zeros(len(pk), dtype=bool)
-    for j in np.unique(pj):
-        s = shapes[j]
-        sel = np.flatnonzero(pj == j)
-        q, crossed = own_crossings(
-            seeds[pk[sel]], np.broadcast_to(s.center, (len(sel), 2)), s)
-        sel = sel[crossed]
-        normals[sel], offsets[sel] = unit_rows(*own_tangents(
-            s, q[crossed], seeds[pk[sel]]))
-        made[sel] = True
-    return pk[made], normals[made], offsets[made]
-
-
 def random_mixed_shapes(rng, n):
     """n shapes around the origin: circles, triangles, squares, thin walls
     and pentagons, in random order."""
@@ -1278,85 +1042,110 @@ class TestGroupedKernels:
             assert sorted(np.concatenate([g.index for g in groups])) == list(range(n))
             yield shapes, groups
 
-    def test_contains_and_crossings(self):
+    def test_crossings(self):
         rng = np.random.default_rng(61)
         crossed_rows = 0
         for shapes, groups in self.groups(rng):
             for g in groups:
                 j = rng.integers(len(g), size=200)
-                pts = g.centers[j] + rng.uniform(-3.0, 3.0, size=(200, 2))
                 own = [shapes[i] for i in g.index[j]]
-                assert np.array_equal(g.contains(j, pts), [
-                    s.contains(p) for s, p in zip(own, pts)])
-                q, crossed = segment_shape_intersections(pts, g.centers[j], g, j)
+                centers = np.array([s.center for s in own])
+                pts = centers + rng.uniform(-3.0, 3.0, size=(200, 2))
+                # Rays from each point toward its shape's center.
+                d = centers - pts
+                dirs = d / np.linalg.norm(d, axis=1)[:, None]
+                t = g.ray_distances(j, pts, dirs)
                 for i, s in enumerate(own):
-                    want_q, want_c = own_crossings(pts[i:i + 1],
-                                                   s.center[None], s)
-                    assert crossed[i] == want_c[0]
-                    if crossed[i]:
-                        assert np.array_equal(q[i], want_q[0])
-                crossed_rows += int(crossed.sum())
+                    want = own_ray_distances(s, pts[i:i + 1], dirs[i:i + 1])
+                    assert t[i].tobytes() == want[0].tobytes()
+                crossed_rows += int(np.isfinite(t).sum())
         assert crossed_rows > 2000
 
     def test_supporting_planes(self):
+        # Slices that each hold one shape: every slice whose seed is
+        # outside its shape gets the shape's own nearest-point row after
+        # the box, bit for bit, and the row touches the shape.
         rng = np.random.default_rng(62)
         planes = 0
         for shapes, groups in self.groups(rng):
-            for g in groups:
-                j = rng.integers(len(g), size=100)
-                e = g.centers[j] + rng.uniform(-4.0, 4.0, size=(100, 2))
-                q, crossed = segment_shape_intersections(e, g.centers[j], g, j)
-                keep = crossed & ~g.contains(j, e)
-                j, q, e = j[keep], q[keep], e[keep]
-                normals, offsets = supporting_halfplanes(g, j, q, e)
-                for i in range(len(j)):
-                    n, o = own_tangents(shapes[g.index[j[i]]], q[i:i + 1],
-                                        e[i:i + 1])
-                    assert np.array_equal(normals[i], n[0])
-                    assert offsets[i] == o[0]
-                planes += len(j)
-        assert planes > 1000
+            j = rng.integers(len(shapes), size=60)
+            seeds = (np.array([shapes[i].center for i in j])
+                     + rng.uniform(-4.0, 4.0, size=(60, 2)))
+            member = np.arange(len(shapes)) == j[:, None]
+            d, u = distance_gradients(groups, seeds)
+            stack, inside = regions._seeded(seeds, groups, member, d, u)
+            for k, (seed, i) in enumerate(zip(seeds, j)):
+                own_d, own_u = own_distance_gradient(shapes[i], seed[None])
+                assert inside[k] == (own_d[0] == 0.0)
+                if inside[k]:
+                    assert stack.counts[k] == 4
+                    continue
+                assert stack.counts[k] == 5
+                n, o = stack.normals[k, 4], stack.offsets[k, 4]
+                assert n.tobytes() == (-own_u[0]).tobytes()
+                assert o == float(n @ seed) + own_d[0]
+                assert abs(o + shapes[i].support(-n)) <= 1e-12 * (1 + abs(o))
+                planes += 1
+        assert planes > 1500
 
-    def test_first_hits(self):
-        rng = np.random.default_rng(63)
-        dirs, grid = march_grid()
-        hits = 0
-        for shapes, groups in self.groups(rng):
-            for g in groups:
-                j = rng.integers(len(g), size=12)
-                seeds = g.centers[j] + rng.uniform(-5.0, 5.0, size=(12, 2))
-                out = ~g.contains(j, seeds)
-                j, seeds = j[out], seeds[out]
-                got = _first_hits(g, j, seeds, dirs, grid, regions.MARCH_STEP)
-                want = np.array([oracle_first_hits(p, shapes[g.index[i]])
-                                 for p, i in zip(seeds, j)]).reshape(got.shape)
-                assert np.array_equal(got, want)
-                hits += int(np.sum(want < grid.shape[1]))
-        assert hits > 500
 
-    def test_tangent_planes_match_the_shape_by_shape_march(self):
-        rng = np.random.default_rng(64)
-        planes = 0
-        for trial in range(60):
-            volume = random_volume(rng, int(rng.integers(1, 12)), inside_frac=0.3)
-            seeds, shapes = volume.centers, volume.shapes
-            member = volume.member.copy()
-            if trial % 3 == 0:
-                # Shapes held by a single slice.
-                member &= np.arange(len(seeds))[:, None] == rng.integers(
-                    len(seeds), size=len(shapes))
-            inside = np.array([any(s.contains(p)
-                                   for s, m in zip(shapes, row) if m)
-                               for p, row in zip(seeds, member)])
-            _, got_inside = regions._seeded(seeds, volume.groups, member)
-            assert np.array_equal(got_inside, inside)
-            marched = member & ~inside[:, None]
-            got = _tangent_planes(seeds, volume.groups, marched)
-            want = shape_by_shape_tangent_planes(seeds, shapes, marched)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-            planes += len(got[0])
-        assert planes > 300
+class TestNearestPointPlanes:
+    """The property the regions are built for: a slice's static rows keep
+    out every shape it holds, and no row is spent on a shape an earlier row
+    already keeps out."""
+
+    def test_every_member_shape_is_kept_out(self):
+        rng = np.random.default_rng(65)
+        checked = inside = 0
+        for trial in range(40):
+            volume = random_volume(rng, int(rng.integers(1, 30)),
+                                   inside_frac=0.2)
+            region = build_safe_regions(volume, [], disk(0.2), 0.0)
+            for k, seed in enumerate(volume.centers):
+                shapes = slice_shapes(volume, k)
+                static = region.static.polytope(k)
+                if any(own_distance_gradient(s, seed[None])[0][0] == 0.0
+                       for s in shapes):
+                    inside += 1
+                    continue
+                for s in shapes:
+                    gap = static.offsets + s.support(-static.normals)
+                    assert gap.min() <= 1e-9, (trial, k, s)
+                    checked += 1
+        assert checked > 2000 and inside > 20
+
+    def test_no_row_for_a_shape_already_kept_out(self):
+        rng = np.random.default_rng(66)
+        rows = skipped = 0
+        for trial in range(40):
+            volume = random_volume(rng, int(rng.integers(1, 30)),
+                                   inside_frac=0.2)
+            stack, inside = seeded_volume(volume)
+            for k, seed in enumerate(volume.centers):
+                if inside[k]:
+                    continue
+                held = np.flatnonzero(volume.member[k])
+                d = volume.distances[k, held]
+                held = held[np.lexsort((held, d))]
+                static = stack.polytope(k)
+                kept = 4
+                for j in held:
+                    n = -volume.gradients[k, j]
+                    o = float(n @ seed) + volume.distances[k, j]
+                    shape = volume.shapes[j]
+                    # The rows kept so far, box first; a row is spent on
+                    # the shape exactly when none of them keeps it out.
+                    gaps = (static.offsets[:kept]
+                            + shape.support(-static.normals[:kept]))
+                    if (gaps <= 0.0).any():
+                        skipped += 1
+                        continue
+                    assert static.normals[kept].tobytes() == n.tobytes()
+                    assert static.offsets[kept] == o
+                    kept += 1
+                rows += kept - 4
+                assert kept == len(static)
+        assert rows > 500 and skipped > 500
 
 
 class TestEmptinessAgainstLP:
@@ -1472,7 +1261,7 @@ def old_peer_cuts(stack, seeds, peers, groups, margin):
 
 
 def random_stack(rng, seeds, max_rows=10):
-    """A stack about the seeds: per slice the 4 box rows at MARCH_RANGE,
+    """A stack about the seeds: per slice the 4 box rows at BOX_HALF_WIDTH,
     shuffled among rows divided by their norm (some of which a second
     division moves) and copies of earlier rows; NaN padding past each
     count."""
@@ -1481,7 +1270,7 @@ def random_stack(rng, seeds, max_rows=10):
     width = int(counts.max())
     normals = np.full((K, width, 2), np.nan)
     offsets = np.full((K, width), np.nan)
-    r = regions.MARCH_RANGE
+    r = regions.BOX_HALF_WIDTH
     for k, (seed, c) in enumerate(zip(seeds, counts)):
         th = rng.uniform(0, 2 * np.pi, size=c)
         n = (rng.uniform(0.2, 5.0, size=c)[:, None]
