@@ -11,9 +11,9 @@ or derivatives are banded with at most l+1 nonzeros per row.
 recursion, run column by column in Python arithmetic for one time (a
 float) and level by level in whole-array numpy arithmetic for many (an
 array), with the same operations on every element.  Trajectories, the
-linear maps, the Gram matrices and the planner's quadrature all take their
-rows from it.  Its arithmetic forms are those of the per-time loops it
-replaced, so that batched and per-time results agree bit for bit:
+linear maps and the Gram matrices all take their rows from it.  Its
+arithmetic forms are those of the per-time loops it replaced, so that
+batched and per-time results agree bit for bit:
 
 - every column is accumulated from 0.0 in the order of the per-time loop:
   the array path writes the loop's `0.0 + x` and `(0.0 + x) + y` as such;
@@ -28,13 +28,12 @@ cost 7.8% / 1.2% of the benchmark's clutter_waypoints / swarm_swap real-time
 factor, and 4.2-8.2% on all three workloads with `ExecutedPath.state` routed
 through `states` too (2-core x86-64 VM, 6 and 10 alternating run pairs).
 
-`derivative_gram` and the planner's obstacle quadrature take their nodes
-from one per-interval Gauss-Legendre walk, `interval_quadrature`.  A Gram
-depends only on the knot topology (degree, m, dt), so it is built on the
-layout that starts at t = 0, and a run's Grams never depend on what ran
-before it.  `difference_matrix` is cached per (m, dt, order) and
-`derivative_gram` per (degree, m, dt, order); both return read-only arrays,
-which every caller shares.
+`derivative_gram` integrates with Gauss-Legendre nodes on every knot
+interval.  A Gram depends only on the knot topology (degree, m, dt), so it
+is built on the layout that starts at t = 0, and a run's Grams never
+depend on what ran before it.  `difference_matrix` is cached per (m, dt,
+order) and `derivative_gram` per (degree, m, dt, order); both return
+read-only arrays, which every caller shares.
 
 `_active_basis` is memoized on its exact arguments: the grid (degree, t0,
 dt, m), the derivative order and the times, a float time by its value and
@@ -300,24 +299,6 @@ def derivative_map(layout, times, order):
     return rows @ difference_matrix(layout.m, layout.dt, order)
 
 
-def interval_quadrature(t_start, dt, intervals, span, rule):
-    """Nodes and weights of a quadrature rule on every knot interval.
-
-    rule is (nodes, weights) on [-1, 1], as np.polynomial.legendre.leggauss
-    gives them.  The intervals are [t_start + k*dt, t_start + (k+1)*dt] for
-    k < intervals, clipped to span; clipped intervals shorter than 1e-12
-    are dropped.  Returns (ts, ws), each of shape (kept intervals, nodes).
-    """
-    nodes, weights = rule
-    knots = t_start + np.arange(intervals + 1) * dt
-    a = np.maximum(span[0], knots[:-1])
-    b = np.minimum(span[1], knots[1:])
-    keep = b - a >= 1e-12
-    a, b = a[keep], b[keep]
-    half = 0.5 * (b - a)[:, None]
-    return half * nodes + 0.5 * (b + a)[:, None], half * weights
-
-
 @functools.lru_cache(maxsize=64)
 def derivative_gram(degree, m, dt, order):
     """(m, m) Gram matrix G with c' G c = the integral over the domain of
@@ -332,10 +313,11 @@ def derivative_gram(degree, m, dt, order):
     G = np.zeros((m, m))
     deg_d, m_d = degree - order, m - order
     if deg_d >= 0:
-        segs = m - degree
-        ts, ws = interval_quadrature(
-            0.0, dt, segs, (0.0, segs * dt),
-            np.polynomial.legendre.leggauss(deg_d + 1))
+        nodes, weights = np.polynomial.legendre.leggauss(deg_d + 1)
+        knots = np.arange(m - degree + 1) * dt
+        a, b = knots[:-1], knots[1:]
+        half = 0.5 * (b - a)[:, None]
+        ts, ws = half * nodes + 0.5 * (b + a)[:, None], half * weights
         idx, rows = _active_basis(deg_d, -degree * dt + order * dt, dt, m_d,
                                   ts.ravel())
         G_d = np.zeros((m_d, m_d))

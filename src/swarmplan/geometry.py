@@ -18,11 +18,11 @@ every shape of a kind in one array pass.  `distance_gradient(pts)` and
 `support(u)` instead answer for every shape of the group at every point or
 along every direction, (S, n), with gradients (S, n, 2): the moving volume
 measures every map shape's distance from every slice seed in one pass per
-kind (`distance_gradients`), which its membership and the regions both
-read, and the obstacle cost expands its admitted shapes the same way.  Each
-kind has one kernel per question, which the shape's own method (if it has
-one) runs on its own parameters, so a group gives each shape its own
-result bit for bit.
+kind (`distance_gradients`), which its membership, the regions and the
+planner's obstacle cost all read.  Each kind has one kernel per question,
+which the shape's own method (if it has one) runs on its own parameters,
+so a group gives each shape its own result bit for bit; a circle's
+`distance` and `contains` round their root distance as its kernel does.
 
 The nearest-point kernels (`_edge_projections`, `_disk_distance_gradient`,
 `_polygon_distance_gradient`) and `_polygon_contains` work on x and y
@@ -163,18 +163,21 @@ class Circle:
     def size_scale(self):
         return self.radius
 
+    def _root(self, p):
+        """Distance from the center, rounded as `_disk_distance_gradient`
+        rounds it."""
+        d = np.asarray(p, dtype=float) - self.center
+        return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+
     def distance(self, p):
         """Distance from the point (2,), or each point of (..., 2), to the
-        disk (0 inside): the root distance, rounded as np.linalg.norm
-        rounds it, less the radius."""
-        d = np.asarray(p, dtype=float) - self.center
-        return np.maximum(np.sqrt(np.vecdot(d, d)) - self.radius, 0.0)
+        disk (0 inside): the root distance less the radius."""
+        return np.maximum(self._root(p) - self.radius, 0.0)
 
     def contains(self, p):
         """Whether the point (2,), or each point of (..., 2), lies in the
-        disk: the root distance, rounded as np.linalg.norm rounds it."""
-        d = np.asarray(p, dtype=float) - self.center
-        return np.sqrt(np.vecdot(d, d)) <= self.radius
+        disk."""
+        return self._root(p) <= self.radius
 
     def support(self, u):
         """max over the shape of u.x, per row of unit directions (..., 2)."""

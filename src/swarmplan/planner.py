@@ -3,16 +3,18 @@
 Each cycle builds one convex QP in the stacked control points [Px; Py].
 Its objective is one (m, m) block per axis, the same on both:
 derivative-energy smoothing plus quadratic pulls of x(t_end), and of the
-position and velocity at a pin instant, toward the goal.  Obstacle costs,
-quadratized around the previous trajectory refit onto the cycle's knots,
-are the only term that couples the axes; the refit is made only when an
-obstacle was admitted.  The constraints are the initial-state and waypoint
-equalities and the safe-region halfplanes at every future timestep.  The
-fallback ladder appends each pass's derivative box limits to A_in
-(`QPProblem.with_rows` checks only them): first on the derivative control
-points, a read-only block cached per knot topology and limits, then, if
-that is infeasible and there are limits, sampled RELAXED_SAMPLES_PER_SEGMENT
-times per knot segment.  If both fail the previous trajectory is kept.
+position and velocity at a pin instant, toward the goal.  The obstacle
+cost is the only term that couples the axes: the kernel of each admitted
+shape's distance from the previous plan at the safe-region slice seeds,
+as the moving volume measured it, expanded there and weighted by the
+slice spacing, so assembling it calls no geometry kernel.  The constraints
+are the initial-state and waypoint equalities and the safe-region
+halfplanes at every future timestep.  The fallback ladder appends each
+pass's derivative box limits to A_in (`QPProblem.with_rows` checks only
+them): first on the derivative control points, a read-only block cached
+per knot topology and limits, then, if that is infeasible and there are
+limits, sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment.  If
+both fail the previous trajectory is kept.
 """
 
 import functools
@@ -23,9 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
-                      derivative_map, interval_quadrature, plan_knot_layout,
-                      position_map)
-from .geometry import shape_groups
+                      derivative_map, plan_knot_layout, position_map)
 from .qp import QPProblem, solve_qp
 
 HORIZON = 4.0           # planning horizon, seconds
@@ -41,8 +41,6 @@ Q_OBS = 1.0           # obstacle cost scale
 # Obstacle kernel: decay rate (1/m) and threshold distance (m).
 K_P = 10.0
 RHO = 0.2
-
-_GL64 = np.polynomial.legendre.leggauss(64)
 
 # How far ahead (in knot segments) the goal pin sits once its stamp has
 # passed; keeps the spline station-keeping at the goal.
@@ -60,9 +58,12 @@ class PlanRequest:
     absolute times) and limits are read as it holds them.
 
     initial_state stacks derivative orders 0..spec.order-1 at t_now; regions
-    may be None in open space.  The limits, boxes that
-    `runtime.symmetric_limits` has checked (lo < 0 < hi), are turned into
-    limit_b once, here, not on every pass of the fallback ladder.
+    may be None in open space.  near_obstacles holds the columns of the
+    cycle's `perception.MovingVolume` (volume) whose shapes
+    `admit_obstacles` admitted; the obstacle cost reads what the volume
+    measured of them.  The limits, boxes that `runtime.symmetric_limits`
+    has checked (lo < 0 < hi), are turned into limit_b once, here, not on
+    every pass of the fallback ladder.
     """
 
     t_now: float
@@ -70,6 +71,7 @@ class PlanRequest:
     previous: TrajectorySpline
     spec: object
     regions: object = None
+    volume: object = None
     near_obstacles: list = field(default_factory=list)
 
     # (order, bytes of hi_x, -lo_x, hi_y, -lo_y) per limited order, in order:
@@ -89,7 +91,6 @@ class PlanReport:
     kkt_residual: float = np.nan
     solve_time_us: float = 0.0
     continuity_error: float = np.nan
-    layout: object = None
 
 
 class AllSlicesInfeasible(RuntimeError):
@@ -104,18 +105,6 @@ def collision_kernel(d):
     """
     d = np.maximum(np.asarray(d, dtype=float), DISTANCE_FLOOR)
     return np.exp(-K_P * (d - RHO)) / K_P
-
-
-def _quadrature(traj, span):
-    """Gauss-Legendre nodes and weights, 64 per knot interval clipped to span.
-
-    Flat arrays (ts, ws); the basis rows at the nodes are
-    position_map(traj, ts).
-    """
-    lo, hi = traj.domain
-    ts, ws = interval_quadrature(lo, traj.dt, traj.m - traj.degree,
-                                 (max(lo, span[0]), min(hi, span[1])), _GL64)
-    return ts.ravel(), ws.ravel()
 
 
 def _kernel_models(d, u):
@@ -135,48 +124,33 @@ def _kernel_models(d, u):
     return f, g, H
 
 
-def quadratize_collision(previous, obstacles, span):
-    """Quadratic model of the summed obstacle cost around the previous
-    trajectory.
+def quadratize_collision(layout, times, seeds, d, u):
+    """Quadratic model of the obstacle cost in the stacked control points
+    [Px; Py] of `layout`.
 
-    Each obstacle's kernel is expanded at every quadrature node to its
-    value, gradient and Gauss-Newton Hessian fpp·uu' (the PSD part of the
-    exact Hessian), summed over the obstacles and projected once into the
-    stacked control-point space [Px; Py] of the previous trajectory's own
-    knot layout.  The expansion is one array pass per shape kind
-    (`geometry.shape_groups`) over every obstacle of the kind and every
-    node; the sums then run from zeros in the obstacles' given order, so
-    each obstacle's terms are added as a loop over the list adds them.
-    Returns (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P + c0; at P = previous
-    control points this reproduces the cost itself: each obstacle's kernel
-    of the trajectory-to-shape distance, integrated over span by the same
-    quadrature, summed over the obstacles.
+    The cost sums, over the slices at `times` and the admitted shapes, the
+    kernel of the shape's distance from the plan, each slice weighted by
+    the time since the one before it (the first since layout.t_start).
+    Slice k's shape j lies d[k, j] from seeds[k], with unit gradient
+    u[k, j] there; its term is expanded at the seed to value, gradient and
+    Gauss-Newton Hessian fpp·uu' (the PSD part of the exact Hessian) and
+    projected through the slice's position row, the row its region
+    constraints use.  Returns (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P +
+    c0; a plan through the seeds at the slice times gets the cost itself.
     """
-    ts, ws = _quadrature(previous, span)
-    A = position_map(previous, ts)
-    pts = A @ previous.control
-    models = [None] * len(obstacles)
-    for group in shape_groups(obstacles):
-        f_s, g_s, H_s = _kernel_models(*group.distance_gradient(pts))
-        for slot, i in enumerate(group.index):
-            models[i] = f_s[slot], g_s[slot], H_s[slot]
-    f = np.zeros(len(ts))
-    g = np.zeros((len(ts), 2))
-    Hn = np.zeros((len(ts), 2, 2))
-    for f_o, g_o, H_o in models:
-        f += f_o
-        g += g_o
-        Hn += H_o
-    m = previous.m
+    ws = np.diff(times, prepend=layout.t_start)
+    f, g, Hn = (x.sum(axis=1) for x in _kernel_models(d, u))
+    A = position_map(layout, times)
+    m = layout.m
     H = np.empty((2 * m, 2 * m))
     H[:m, :m], H[:m, m:], H[m:, m:] = (
         A.T @ ((ws * h)[:, None] * A)
         for h in (Hn[:, 0, 0], Hn[:, 0, 1], Hn[:, 1, 1]))
     H[m:, :m] = H[:m, m:].T
-    lin = ws[:, None] * (g - np.einsum("nij,nj->ni", Hn, pts))
+    lin = ws[:, None] * (g - np.einsum("nij,nj->ni", Hn, seeds))
     F = np.concatenate([A.T @ lin[:, 0], A.T @ lin[:, 1]])
-    c0 = float(ws @ (f - np.einsum("ni,ni->n", g, pts)
-                     + 0.5 * np.einsum("ni,nij,nj->n", pts, Hn, pts)))
+    c0 = float(ws @ (f - np.einsum("ni,ni->n", g, seeds)
+                     + 0.5 * np.einsum("ni,nij,nj->n", seeds, Hn, seeds)))
     return H, F, c0
 
 
@@ -193,8 +167,8 @@ def end_cost(goal, row, q_final):
 
 
 def admit_obstacles(shapes, regions):
-    """Shapes that can intersect the static polytope of at least one slice,
-    in their given order.
+    """Indices, in increasing order, of the shapes that can intersect the
+    static polytope of at least one slice.
 
     Every slice counts, feasible or not.  A slice rejects a shape only if
     one of its halfplanes {n.p <= o} separates it entirely, that is
@@ -204,24 +178,9 @@ def admit_obstacles(shapes, regions):
     """
     static = regions.static
     u, padding = -static.normals, ~static.live()
-    return [s for s in shapes
+    return [j for j, s in enumerate(shapes)
             if np.any(np.all((static.offsets + s.support(u) >= 0.0) | padding,
                              axis=1))]
-
-
-def fit_to_layout(traj, layout):
-    """Least-squares refit of a trajectory onto a new knot layout.
-
-    Samples the old trajectory (held constant outside its domain) densely
-    over the new domain and fits the new control points; assemble_qp uses
-    it to carry the previous solution into the cycle's knot grid, which
-    only the obstacle cost reads.
-    """
-    times = np.linspace(layout.t_start, layout.t_end, 2 * layout.m)
-    A = position_map(layout, times)
-    b = traj.positions(np.clip(times, *traj.domain))
-    control, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return TrajectorySpline.from_layout(layout, control)
 
 
 def constant_spline(layout, point):
@@ -234,10 +193,10 @@ def assemble_qp(req, layout):
     """Build the cycle QP in the stacked control points [Px; Py].
 
     A_in holds only the safe-region rows of live planes; plan_with_fallback
-    appends each pass's limit rows.  Obstacle costs are quadratized around the
-    previous trajectory refit onto `layout`; without near_obstacles there
-    is no refit.  Raises AllSlicesInfeasible when regions exist but no
-    slice is usable.
+    appends each pass's limit rows.  The obstacle cost is quadratized at
+    the volume's slice seeds from the distances and gradients it measured
+    of the near_obstacles columns.  Raises AllSlicesInfeasible when
+    regions exist but no slice is usable.
     """
     spec = req.spec
     m = layout.m
@@ -275,9 +234,10 @@ def assemble_qp(req, layout):
     H[m:, m:] = block
     F = f.reshape(-1)
     if req.near_obstacles:
+        v, near = req.volume, req.near_obstacles
         H_o, F_o, _ = quadratize_collision(
-            fit_to_layout(req.previous, layout), req.near_obstacles,
-            (layout.t_start, layout.t_end))
+            layout, req.t_now + v.t_rel, v.centers, v.distances[:, near],
+            v.gradients[:, near])
         H += Q_OBS * H_o
         F += Q_OBS * F_o
 
@@ -397,7 +357,6 @@ def plan_with_fallback(req):
             kkt_residual=sol.stationarity if sol else np.nan,
             solve_time_us=elapsed,
             continuity_error=err,
-            layout=layout,
         )
 
     try:

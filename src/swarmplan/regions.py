@@ -59,11 +59,8 @@ chain, one row object at a time, as the reference.  Hence the forms below:
 - a group's kernels work elementwise or with 2-vector np.vecdot, so every
   (slice, shape) pair's distance and gradient round as its kind's kernel
   does on the shape alone, and its support as the shape's `support`;
-- a seed lies inside a shape when the distance pass gives it d = 0.  A
-  circle's `distance` and `contains` sum the squares in np.vecdot, which
-  now and then rounds apart from the kernel's x*x + y*y, so on a rim they
-  may disagree with the pass; a seed in a peer's footprint is its kind's
-  `contains`;
+- a seed lies inside a shape when the distance pass gives it d = 0, and
+  in a peer's footprint when its kind's `contains` says so;
 - a row separates a shape when o + support(-n) <= 0, and a peer is cut
   when no row has gap = n.peer - o - support(-n) above the margin; kept
   duplicates raise a slice's row count, which leaves that rounding alone;

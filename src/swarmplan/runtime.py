@@ -421,7 +421,8 @@ class Agent:
         try:
             traj, plan = plan_with_fallback(PlanRequest(
                 t_now=now, initial_state=initial_state, previous=prev,
-                spec=self.config, regions=regions, near_obstacles=near))
+                spec=self.config, regions=regions, volume=self.volume,
+                near_obstacles=near))
         except Exception as exc:
             flags.append(f"plan:{type(exc).__name__}")
             traj, plan = prev, PlanReport("fallback", continuity_error=0.0)

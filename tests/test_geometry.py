@@ -5,6 +5,8 @@ marching, and halfplane construction with explicit side predicates, so the
 closed-form implementations never grade their own homework.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -176,10 +178,10 @@ class TestDistances:
             assert np.array_equal(shape.distance(pts.reshape(4, -1, 2)),
                                   flat.reshape(4, -1))
             if isinstance(shape, Circle):
-                # One np.linalg.norm per point, as the disk distance was
-                # taken before it ran over arrays.
-                want = [max(0.0, float(np.linalg.norm(p - shape.center)) - shape.radius)
-                        for p in pts]
+                # One root per point, of x*x + y*y as the disk kernel sums
+                # the squares.
+                want = [max(0.0, math.sqrt(x * x + y * y) - shape.radius)
+                        for x, y in (pts - shape.center).tolist()]
                 assert flat.tobytes() == np.array(want).tobytes()
         assert any(isinstance(s, Circle) for s in shapes)
 
@@ -473,7 +475,7 @@ class TestFootprints:
             ang = rng.uniform(0, 2 * np.pi, size=500)
             for rel in (rng.uniform(-2 * r, 2 * r, size=(500, 2)),
                         r * np.stack([np.cos(ang), np.sin(ang)], axis=1)):
-                root = np.sqrt(np.vecdot(rel, rel))
+                root = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
                 assert np.array_equal(fp.contains(rel), root <= r)
                 for tol in (0.0, 1e-9):
                     assert np.array_equal(fp.distance(rel) <= tol,
@@ -598,10 +600,8 @@ class TestDistanceGradient:
     def test_list_order_pass_is_each_shapes_own(self):
         # `distance_gradients` lays every group's pass out in list order,
         # (points, shapes).  Where a point is outside a shape by more than
-        # the kernels' 1e-12, its distance is a polygon's own `distance`
-        # bit for bit.  A circle's `distance` sums the squares in np.vecdot,
-        # which now and then rounds apart from the kernel's x*x + y*y, so
-        # it agrees to a few ulps of the root.
+        # the kernels' 1e-12, its distance is the shape's own `distance`
+        # bit for bit.
         rng = np.random.default_rng(83)
         outside = 0
         for _ in range(30):
@@ -616,11 +616,7 @@ class TestDistanceGradient:
                 assert u[:, i].tobytes() == own_u.tobytes()
                 out = own_d > 0.0
                 got, want = d[out, i], shape.distance(pts[out])
-                if isinstance(shape, Circle):
-                    assert np.all(np.abs(got - want)
-                                  <= 4 * np.spacing(want + shape.radius))
-                else:
-                    assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == want.tobytes()
                 outside += int(out.sum())
         assert outside > 10_000
         d, u = geometry.distance_gradients([], np.zeros((3, 2)))

@@ -1,5 +1,7 @@
 """Scan segmentation, shape classification, and map merging behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -686,7 +688,8 @@ def per_shape_enclosing_rect(a, b):
 
 def per_point_distance(shape, p):
     if isinstance(shape, Circle):
-        return max(0.0, float(np.linalg.norm(p - shape.center)) - shape.radius)
+        x, y = (p - shape.center).tolist()
+        return max(0.0, math.sqrt(x * x + y * y) - shape.radius)
     if shape.contains(p):
         return 0.0
     return float(np.min(_edge_projections(shape.corners, shape.edges, p)[2]))

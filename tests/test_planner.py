@@ -12,23 +12,25 @@ from scipy.interpolate import BSpline as SciBSpline
 
 import swarmplan.planner as planner
 from swarmplan import bspline, geometry, qp, runtime
-from swarmplan.bspline import (TrajectorySpline, derivative_gram,
+from swarmplan.bspline import (KnotLayout, TrajectorySpline, derivative_gram,
                                derivative_map, difference_matrix,
                                plan_knot_layout, position_map)
-from swarmplan.geometry import Circle, Rectangle, Square, Triangle, unit_rows
+from swarmplan.geometry import (Circle, Rectangle, Square, Triangle,
+                                shape_groups, unit_rows)
 from swarmplan.harness import run_scenario
+from swarmplan.perception import LocalMap, build_moving_volume
 from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
                                KNOT_SEGMENT, PIN_LEAD_SEGMENTS, Q_FINAL,
                                Q_FINAL_VEL, Q_N, Q_NM1, Q_OBS, PlanReport,
                                PlanRequest, RELAXED_SAMPLES_PER_SEGMENT,
                                _limit_rows, _unstacked, admit_obstacles,
                                assemble_qp, collision_kernel, constant_spline,
-                               end_cost, fit_to_layout, plan_with_fallback,
+                               end_cost, plan_with_fallback,
                                quadratize_collision)
 from swarmplan.qp import (_EQ_TOL, _FACTOR_MEMO, _RANK_TOL, _VIOL_TOL,
                           _ZERO_STEP, QPProblem, QPSolution, solve_qp)
 from swarmplan.regions import ConvexPolytope, PlaneStack, SafeRegion
-from swarmplan.runtime import AgentSpec, symmetric_limits
+from swarmplan.runtime import TAU, AgentSpec, symmetric_limits
 from swarmplan.scenario import _comfortable_arrival, builtin_scenario
 
 
@@ -54,15 +56,34 @@ def own_distance_gradient(shape, pts):
     return geometry._polygon_distance_gradient(shape.corners, shape.edges, pts)
 
 
-def collision_cost_closed_form(traj, obs, span):
-    """Integral of the kernel of the trajectory-to-shape distance over span.
+# The moving volume's slice times after the cycle start.
+SLICE_TIMES = TAU * np.arange(1, round(HORIZON / TAU) + 1)
 
-    Fixed 64-node Gauss-Legendre quadrature per knot interval; the reference
-    value all quadratic approximations are measured against.
+
+def collision_cost_closed_form(traj, shapes, times):
+    """The obstacle cost of traj: each shape's kernel of its distance from
+    traj at every slice time, weighted by the time since the slice before
+    (the first since the domain start), summed over slices and shapes.
+
+    The reference value all quadratic models are measured against.
     """
-    ts, ws = planner._quadrature(traj, span)
-    dists = obs.distance(traj.positions(ts))
-    return float(ws @ collision_kernel(dists))
+    ws = np.diff(times, prepend=traj.domain[0])
+    pts = traj.positions(times)
+    return float(sum(ws @ collision_kernel(s.distance(pts)) for s in shapes))
+
+
+def layout_of(traj):
+    """The knot layout whose domain is traj's."""
+    lo, hi = traj.domain
+    return KnotLayout(traj.degree, traj.t0, traj.dt, traj.m, lo, hi - lo)
+
+
+def quadratize(traj, shapes, times):
+    """quadratize_collision on traj's layout, with the seeds and (d, u) that
+    a moving volume along traj measures of shapes at the slice times."""
+    seeds = traj.positions(times)
+    d, u = geometry.distance_gradients(shape_groups(shapes), seeds)
+    return quadratize_collision(layout_of(traj), times, seeds, d, u)
 
 
 def scipy_eval(traj, ts):
@@ -98,26 +119,24 @@ class TestClosedForm:
         layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
         traj = constant_spline(layout, [0.0, 0.0])
         obs = Circle([planner.RHO + 1.0, 0.0], 1.0)  # distance exactly rho
-        got = collision_cost_closed_form(traj, obs, (0.0, 1.0))
+        got = collision_cost_closed_form(traj, [obs], SLICE_TIMES[:10])
         assert got == pytest.approx(1.0 / planner.K_P, rel=1e-12)
 
     def test_distant_trajectory_negligible(self):
         layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
         traj = constant_spline(layout, [0.0, 0.0])
         obs = Circle([50.0, 0.0], 1.0)
-        got = collision_cost_closed_form(traj, obs, (0.0, 4.0))
+        got = collision_cost_closed_form(traj, [obs], SLICE_TIMES)
         assert got < 1e-3 * 4.0 / planner.K_P
 
     def test_matches_riemann_oracle(self):
-        # The reference quadrature targets trajectories that keep clear of
-        # the shape; the integrand loses smoothness exactly at contact.
+        # On random slice times the oracle is the right Riemann sum of the
+        # kernel, on positions and distances from independent code (scipy's
+        # B-spline, a test-local distance).
         rng = np.random.default_rng(17)
-        checked = 0
-        attempts = 0
-        while checked < 6 and attempts < 200:
-            attempts += 1
+        for attempt in range(6):
             traj = random_trajectory(rng)
-            if attempts % 2 == 0:
+            if attempt % 2 == 0:
                 obs = Circle(rng.normal(scale=1.5, size=2), float(rng.uniform(0.3, 1.0)))
             else:
                 c = rng.normal(scale=1.5, size=2)
@@ -125,53 +144,12 @@ class TestClosedForm:
                 obs = Square([[c[0] - h, c[1] - h], [c[0] + h, c[1] - h],
                               [c[0] + h, c[1] + h], [c[0] - h, c[1] + h]])
             lo, hi = traj.domain
-            span = (lo + 0.3, hi - 0.5)
-            step = 1e-4
-            ts = np.arange(span[0] + step / 2, span[1], step)
-            pts = scipy_eval(traj, ts)
-            dists = dist_many(obs, pts)
-            if dists.min() < 0.05:
-                continue
-            got = collision_cost_closed_form(traj, obs, span)
-            want = float(np.sum(collision_kernel(dists)) * step)
-            assert got == pytest.approx(want, rel=1e-5)
-            checked += 1
-        assert checked == 6
-
-    def test_span_clipped_to_domain(self):
-        layout = plan_knot_layout(0.0, 2.0, 1.0, 3)
-        traj = constant_spline(layout, [0.0, 0.0])
-        obs = Circle([planner.RHO + 1.0, 0.0], 1.0)
-        full = collision_cost_closed_form(traj, obs, (-10.0, 10.0))
-        assert full == pytest.approx(2.0 / planner.K_P, rel=1e-12)
-
-
-def loop_quadratize(previous, obstacles, span):
-    """quadratize_collision as it was before the grouped pass, kept as an
-    oracle: per obstacle one nearest-point kernel call on its own
-    parameters and one kernel model, summed from zeros in list order."""
-    ts, ws = planner._quadrature(previous, span)
-    A = position_map(previous, ts)
-    pts = A @ previous.control
-    f = np.zeros(len(ts))
-    g = np.zeros((len(ts), 2))
-    Hn = np.zeros((len(ts), 2, 2))
-    for obs in obstacles:
-        d, u = own_distance_gradient(obs, pts)
-        f_o = collision_kernel(d)
-        act = d > DISTANCE_FLOOR
-        fp = np.where(act, -planner.K_P * f_o, 0.0)
-        fpp = np.where(act, planner.K_P * planner.K_P * f_o, 0.0)
-        f += f_o
-        g += fp[:, None] * u
-        Hn += fpp[:, None, None] * (u[:, :, None] * u[:, None, :])
-    Hxx, Hxy, Hyy = (A.T @ ((ws * h)[:, None] * A)
-                     for h in (Hn[:, 0, 0], Hn[:, 0, 1], Hn[:, 1, 1]))
-    lin = ws[:, None] * (g - np.einsum("nij,nj->ni", Hn, pts))
-    F = np.concatenate([A.T @ lin[:, 0], A.T @ lin[:, 1]])
-    c0 = float(ws @ (f - np.einsum("ni,ni->n", g, pts)
-                     + 0.5 * np.einsum("ni,nij,nj->n", pts, Hn, pts)))
-    return np.block([[Hxx, Hxy], [Hxy.T, Hyy]]), F, c0
+            times = np.sort(rng.uniform(lo, hi, size=40))
+            edges = np.concatenate([[lo], times])
+            want = sum((b - a) * collision_kernel(dist_many(obs, scipy_eval(traj, [b]))[0])
+                       for a, b in zip(edges[:-1], edges[1:]))
+            got = collision_cost_closed_form(traj, [obs], times)
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 def shape_near(rng, kind, p):
@@ -187,94 +165,73 @@ def shape_near(rng, kind, p):
     return Square(c + s * np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]))
 
 
-class TestQuadratize:
-    def test_grouped_pass_equals_the_obstacle_loop(self):
-        # Kinds interleaved in the list, shapes overlapping along the
-        # trajectory: H, F and c0 are the per-obstacle loop's bit for bit.
-        rng = np.random.default_rng(97)
-        for trial in range(30):
-            traj = random_trajectory(rng, scale=1.0)
-            n = 1 + trial % 11
-            kinds = rng.permutation(np.arange(n) % 4)
-            times = rng.uniform(*traj.domain, size=n)
-            shapes = [shape_near(rng, k, traj.position(t))
-                      for k, t in zip(kinds, times)]
-            got = quadratize_collision(traj, shapes, traj.domain)
-            want = loop_quadratize(traj, shapes, traj.domain)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-            assert repr(got[2]) == repr(want[2])
+def control_gradient_fd(traj, shapes, times, h=1e-6):
+    """Central differences of the oracle in the stacked control points."""
+    fd = np.zeros(2 * traj.m)
+    for i in range(len(fd)):
+        for sgn in (1.0, -1.0):
+            c = traj.control.copy()
+            c[i % traj.m, i // traj.m] += sgn * h
+            t2 = TrajectorySpline(traj.degree, traj.t0, traj.dt, c)
+            fd[i] += sgn * collision_cost_closed_form(t2, shapes, times)
+    return fd / (2 * h)
 
+
+def stacked_control(traj):
+    return np.concatenate([traj.control[:, 0], traj.control[:, 1]])
+
+
+class TestQuadratize:
     def setup_pair(self, seed):
         rng = np.random.default_rng(seed)
         traj = random_trajectory(rng)
         obs = Circle(rng.normal(scale=1.0, size=2), float(rng.uniform(0.4, 1.0)))
-        lo, hi = traj.domain
-        return traj, obs, (lo, hi), rng
+        return traj, obs, rng
 
     def test_value_matches_closed_form(self):
+        # Uneven slice times too: each slice weighs the time since the one
+        # before it.
         for seed in range(5):
-            traj, obs, span, _ = self.setup_pair(seed)
-            H, F, c0 = quadratize_collision(traj, [obs], span)
-            x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
-            got = 0.5 * x0 @ H @ x0 + F @ x0 + c0
-            want = collision_cost_closed_form(traj, obs, span)
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            traj, obs, rng = self.setup_pair(seed)
+            lo, hi = traj.domain
+            for times in (SLICE_TIMES, np.sort(rng.uniform(lo, hi, size=17))):
+                H, F, c0 = quadratize(traj, [obs], times)
+                x0 = stacked_control(traj)
+                got = 0.5 * x0 @ H @ x0 + F @ x0 + c0
+                want = collision_cost_closed_form(traj, [obs], times)
+                assert want > 0.0
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         for seed in (3, 9, 21):
-            traj, obs, span, _ = self.setup_pair(seed)
-            H, F, _ = quadratize_collision(traj, [obs], span)
-            x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
-            grad = H @ x0 + F
-            h = 1e-6
-            fd = np.zeros_like(grad)
-            for i in range(len(x0)):
-                for sgn, acc in ((1.0, 1.0), (-1.0, -1.0)):
-                    c = traj.control.copy()
-                    c[i % traj.m, i // traj.m] += sgn * h
-                    t2 = TrajectorySpline(traj.degree, traj.t0, traj.dt, c)
-                    fd[i] += acc * collision_cost_closed_form(t2, obs, span)
-                fd[i] /= 2 * h
+            traj, obs, _ = self.setup_pair(seed)
+            H, F, _ = quadratize(traj, [obs], SLICE_TIMES)
+            grad = H @ stacked_control(traj) + F
+            fd = control_gradient_fd(traj, [obs], SLICE_TIMES)
             scale = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad - fd) / scale < 1e-4
 
     def test_far_obstacle_vanishes(self):
-        traj, _, span, _ = self.setup_pair(2)
-        obs = Circle([100.0, 100.0], 1.0)
-        H, F, c0 = quadratize_collision(traj, [obs], span)
+        traj, _, _ = self.setup_pair(2)
+        H, F, c0 = quadratize(traj, [Circle([100.0, 100.0], 1.0)], SLICE_TIMES)
         assert np.linalg.norm(H) < 1e-8
         assert np.linalg.norm(F) < 1e-8
 
     def test_hessian_psd(self):
         for seed in range(6):
-            traj, obs, span, _ = self.setup_pair(seed)
-            H, _, _ = quadratize_collision(traj, [obs], span)
+            traj, obs, _ = self.setup_pair(seed)
+            H, _, _ = quadratize(traj, [obs], SLICE_TIMES)
             assert np.linalg.eigvalsh(H).min() >= -1e-9
 
     def test_polygon_obstacle_gradient(self):
         rng = np.random.default_rng(31)
         traj = random_trajectory(rng)
         obs = Square([[0.5, -0.5], [1.5, -0.5], [1.5, 0.5], [0.5, 0.5]])
-        lo, hi = traj.domain
-        span = (lo, hi)
-        H, F, _ = quadratize_collision(traj, [obs], span)
-        x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
-        grad = H @ x0 + F
-        h = 1e-6
-        fd = np.zeros_like(grad)
-        for i in range(len(x0)):
-            c_hi = traj.control.copy()
-            c_lo = traj.control.copy()
-            c_hi[i % traj.m, i // traj.m] += h
-            c_lo[i % traj.m, i // traj.m] -= h
-            hi_v = collision_cost_closed_form(
-                TrajectorySpline(traj.degree, traj.t0, traj.dt, c_hi), obs, span)
-            lo_v = collision_cost_closed_form(
-                TrajectorySpline(traj.degree, traj.t0, traj.dt, c_lo), obs, span)
-            fd[i] = (hi_v - lo_v) / (2 * h)
-        scale = max(np.linalg.norm(fd), 1e-12)
-        assert np.linalg.norm(grad - fd) / scale < 1e-4
+        H, F, _ = quadratize(traj, [obs], SLICE_TIMES)
+        grad = H @ stacked_control(traj) + F
+        fd = control_gradient_fd(traj, [obs], SLICE_TIMES)
+        assert np.linalg.norm(fd) > 0.0
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_node_hessian_is_psd_part_of_exact_hessian(self):
         # The node model's Hessian equals the finite-difference Hessian of
@@ -301,27 +258,25 @@ class TestQuadratize:
             assert np.all(err <= 1e-5 * np.linalg.norm(clamped, axis=(1, 2)) + 1e-12)
 
     def test_obstacles_sum_in_one_pass(self):
-        # Several obstacles give the sum of their single-obstacle models,
-        # and the model still reproduces the reference at the expansion
-        # point.
+        # Several shapes of every kind, overlapping along the trajectory,
+        # give the sum of their single-shape models, and the model still
+        # reproduces the oracle at the seeds.
         rng = np.random.default_rng(41)
-        traj = random_trajectory(rng, scale=1.0)
-        span = traj.domain
-        near = [traj.position(t) for t in (0.5, 2.0, 3.5)]
-        shapes = [Circle(near[0] + [0.4, 0.1], 0.3),
-                  Square(near[1] + np.array([[0.2, -0.2], [0.6, -0.2],
-                                             [0.6, 0.2], [0.2, 0.2]])),
-                  Triangle(near[2] + np.array([[0.0, 0.3], [0.5, 0.3],
-                                               [0.2, 0.7]]))]
-        H, F, c0 = quadratize_collision(traj, shapes, span)
-        parts = [quadratize_collision(traj, [s], span) for s in shapes]
-        for got, k in ((H, 0), (F, 1), (c0, 2)):
-            want = sum(part[k] for part in parts)
-            assert np.linalg.norm(want) > 0.0
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        x0 = np.concatenate([traj.control[:, 0], traj.control[:, 1]])
-        want = sum(collision_cost_closed_form(traj, s, span) for s in shapes)
-        assert 0.5 * x0 @ H @ x0 + F @ x0 + c0 == pytest.approx(want, rel=1e-9)
+        for trial in range(10):
+            traj = random_trajectory(rng, scale=1.0)
+            n = 2 + trial % 9
+            shapes = [shape_near(rng, k, traj.position(t)) for k, t in zip(
+                rng.permutation(np.arange(n) % 4),
+                rng.uniform(*traj.domain, size=n))]
+            H, F, c0 = quadratize(traj, shapes, SLICE_TIMES)
+            parts = [quadratize(traj, [s], SLICE_TIMES) for s in shapes]
+            for got, k in ((H, 0), (F, 1), (c0, 2)):
+                want = sum(part[k] for part in parts)
+                assert np.linalg.norm(want) > 0.0
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            x0 = stacked_control(traj)
+            want = collision_cost_closed_form(traj, shapes, SLICE_TIMES)
+            assert 0.5 * x0 @ H @ x0 + F @ x0 + c0 == pytest.approx(want, rel=1e-9)
 
 
 def stacked_end_cost(goal, row, q_final):
@@ -448,6 +403,22 @@ def base_request(**kw):
     return PlanRequest(spec=AgentSpec(order=n, **task), **defaults)
 
 
+def cycle_layout(req):
+    """The knot layout plan_with_fallback plans req on."""
+    return plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
+                            req.spec.order + 1, goal_time=req.spec.goal_time)
+
+
+def moving_volume(shapes, previous, t_now=0.0):
+    """The cycle's moving volume along previous, over a map of shapes that
+    do not overlap (so the map keeps each as inserted)."""
+    local_map = LocalMap()
+    for s in shapes:
+        local_map.insert(s)
+    assert len(local_map) == len(shapes)
+    return build_moving_volume(local_map, previous, t_now, HORIZON, TAU)
+
+
 def dense_problem(req, layout):
     """The dense pass's QP: assemble_qp closed by the control-point limits."""
     problem = assemble_qp(req, layout)
@@ -545,21 +516,30 @@ class TestAssembleAndSolve:
         with pytest.raises(ValueError):
             assemble_qp(req, layout)
 
-    def test_refit_only_with_obstacles(self, monkeypatch):
-        # Only the obstacle cost reads the previous plan's refit.
-        calls = []
+    def test_admitted_shapes_call_no_geometry_kernel(self, monkeypatch):
+        # The obstacle cost reads what the moving volume measured: the
+        # ladder groups no shapes and runs no distance pass of its own.
+        shapes = [Circle([1.0, 0.5], 0.3),
+                  Square([[1.2, -1.0], [1.8, -1.0], [1.8, -0.4], [1.2, -0.4]])]
+        free = base_request(regions=wall_region())
+        volume = moving_volume(shapes, free.previous)
+        near = admit_obstacles(volume.shapes, free.regions)
+        assert near == [0, 1]
+        req = base_request(regions=wall_region(), volume=volume,
+                           near_obstacles=near)
 
-        def counting_fit(traj, layout):
-            calls.append(layout)
-            return fit_to_layout(traj, layout)
+        def kernel(*args):
+            raise AssertionError("a geometry kernel ran")
 
-        monkeypatch.setattr(planner, "fit_to_layout", counting_fit)
-        _, report = plan_with_fallback(base_request(regions=wall_region()))
-        assert report.status == "optimal" and calls == []
-        _, report = plan_with_fallback(base_request(
-            regions=wall_region(), near_obstacles=[Circle([1.5, 0.5], 0.3)]))
+        for group in (geometry.CircleGroup, geometry.PolygonGroup):
+            monkeypatch.setattr(group, "distance_gradient", kernel)
+        monkeypatch.setattr(geometry, "shape_groups", kernel)
+        monkeypatch.setattr(planner, "shape_groups", kernel, raising=False)
+        _, report = plan_with_fallback(req)
         assert report.status == "optimal"
-        assert calls == [report.layout]
+        layout = cycle_layout(req)
+        assert not np.array_equal(assemble_qp(req, layout).H,
+                                  assemble_qp(free, layout).H)
 
     def test_qp_independent_of_earlier_requests(self):
         # The Gram depends only on the knot topology, so a request at
@@ -613,7 +593,7 @@ class TestFallbackLadder:
         # Each derivative row d gives d x <= hi, -d x <= -lo, d y <= hi,
         # -d y <= -lo, in that order: the dense rows at the control points,
         # the relaxed rows at the sampling grid.
-        layout = report.layout
+        layout = cycle_layout(req)
         m = layout.m
         h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
         for sampled, D in (
@@ -697,7 +677,7 @@ class TestFallbackLadder:
             a, b = getattr(dense, name)[:k], getattr(relaxed, name)[:k]
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         for problem, sampled in ((dense, False), (relaxed, True)):
-            A, b = _limit_rows(req, report.layout, sampled)
+            A, b = _limit_rows(req, cycle_layout(req), sampled)
             assert problem.A_in[k:].tobytes() == A.tobytes()
             assert problem.b_in[k:].tobytes() == b.tobytes()
 
@@ -705,7 +685,7 @@ class TestFallbackLadder:
         req = base_request()
         traj, report = plan_with_fallback(req)
         assert report.status == "optimal"
-        sol = solve_qp(dense_problem(req, report.layout))
+        sol = solve_qp(dense_problem(req, cycle_layout(req)))
         assert np.array_equal(
             np.concatenate([traj.control[:, 0], traj.control[:, 1]]), sol.x)
 
@@ -728,43 +708,24 @@ class TestFallbackLadder:
 
 
 class TestHelpers:
-    def test_fit_to_layout_reproduces_spline(self):
-        rng = np.random.default_rng(3)
-        layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
-        traj = TrajectorySpline.from_layout(layout, rng.normal(size=(layout.m, 2)))
-        refit = fit_to_layout(traj, layout)
-        assert np.allclose(refit.control, traj.control, atol=1e-8)
-
-    def test_fit_to_shifted_layout_close(self):
-        rng = np.random.default_rng(5)
-        layout = plan_knot_layout(0.0, 4.0, 1.0, 3)
-        traj = TrajectorySpline.from_layout(layout, rng.normal(size=(layout.m, 2)))
-        shifted = plan_knot_layout(0.04, 4.0, 1.0, 3)
-        refit = fit_to_layout(traj, shifted)
-        ts = np.linspace(0.04, 3.9, 25)
-        err = np.linalg.norm(refit.positions(ts) - traj.positions(ts), axis=1)
-        # Random control points are far wigglier than planned trajectories;
-        # the refit only needs to stay in the same neighborhood.
-        assert err.max() < 0.05
-
     def test_admit_obstacles_filters_far_shapes(self):
         region = wall_region()
         near = Circle([1.0, 0.0], 0.5)
         outside_wall = Circle([30.0, 0.0], 0.5)
-        got = admit_obstacles([near, outside_wall], region)
-        assert got == [near]
+        assert admit_obstacles([near, outside_wall], region) == [0]
+        assert admit_obstacles([outside_wall, near, near], region) == [1, 2]
 
     def test_quadratization_contracts_on_repeats(self, monkeypatch):
         # Re-expanding around the latest solution in a frozen world shrinks
         # the step between successive solutions.
         monkeypatch.setattr(planner, "Q_FINAL", 50.0)
         obs = Circle([1.5, 0.05], 0.4)
-        req = base_request(goal=np.array([3.0, 0.0]), near_obstacles=[obs])
-        prev = req.previous
+        prev = base_request().previous
         controls = []
         for _ in range(3):
-            req = base_request(goal=np.array([3.0, 0.0]), near_obstacles=[obs],
-                               previous=prev)
+            req = base_request(goal=np.array([3.0, 0.0]), previous=prev,
+                               volume=moving_volume([obs], prev),
+                               near_obstacles=[0])
             traj, report = plan_with_fallback(req)
             assert report.status == "optimal"
             controls.append(traj.control.copy())
@@ -775,13 +736,14 @@ class TestHelpers:
 
 
 def oracle_admit(shapes, regions):
-    """Shapes x slices, one static polytope at a time."""
+    """Shapes x slices, one static polytope at a time: the indices of the
+    shapes some slice admits."""
     out = []
-    for s in shapes:
+    for j, s in enumerate(shapes):
         for sl in regions.slices:
             poly = sl.static_polytope
             if np.all(poly.offsets + s.support(-poly.normals) >= 0.0):
-                out.append(s)
+                out.append(j)
                 break
     return out
 
@@ -842,7 +804,7 @@ class TestAdmitParity:
             region = stacked_region(polytopes)
             assert region.static.counts.tolist() == [len(p) for p in polytopes]
             got = admit_obstacles(shapes, region)
-            assert got == oracle_admit(shapes, region) == touch
+            assert got == oracle_admit(shapes, region) == [0, 2, 4, 6]
 
 
 # --- the parent's ladder, kept as the oracle of the cached limit block, the
@@ -853,8 +815,9 @@ class TestAdmitParity:
 # rows appended through QPProblem.with_rows and the dual loop rewritten in
 # place; verbatim but for the names, the task and order read from req.spec
 # (the request held copies of them), the control-point rows built uncached
-# (the cache held exactly these), limit_b from old_limit_b, and the passes'
-# problems recorded.
+# (the cache held exactly these), limit_b from old_limit_b, the obstacle
+# cost read from the moving volume as assemble_qp now reads it, no layout
+# in the report, and the passes' problems recorded.
 
 
 def old_limit_b(req):
@@ -871,10 +834,9 @@ def old_assemble_qp(req, layout):
     """Build the cycle QP in the stacked control points [Px; Py].
 
     A_in holds only the safe-region rows; plan_with_fallback closes it with
-    each pass's limit rows.  Obstacle costs are quadratized around the
-    previous trajectory refit onto `layout`; without near_obstacles there
-    is no refit.  Raises AllSlicesInfeasible when regions exist but no
-    slice is usable.
+    each pass's limit rows.  The obstacle cost is quadratized at the
+    volume's slice seeds.  Raises AllSlicesInfeasible when regions exist
+    but no slice is usable.
     """
     m = layout.m
     n = req.spec.order
@@ -912,9 +874,10 @@ def old_assemble_qp(req, layout):
     H[m:, m:] = block
     F = f.reshape(-1)
     if req.near_obstacles:
+        v, near = req.volume, req.near_obstacles
         H_o, F_o, _ = quadratize_collision(
-            fit_to_layout(req.previous, layout), req.near_obstacles,
-            (layout.t_start, layout.t_end))
+            layout, req.t_now + v.t_rel, v.centers, v.distances[:, near],
+            v.gradients[:, near])
         H += Q_OBS * H_o
         F += Q_OBS * F_o
 
@@ -1019,7 +982,6 @@ def old_plan_with_fallback(req, passes):
             kkt_residual=sol.stationarity if sol else np.nan,
             solve_time_us=elapsed,
             continuity_error=err,
-            layout=layout,
         )
 
     try:
@@ -1254,7 +1216,6 @@ class TestLadderParity:
                 want = old_plan_with_fallback(req, want_passes)
                 got, got_passes = traced_plan(req, monkeypatch)
                 assert plan_key(*got) == plan_key(*want), start
-                assert got[1].layout == want[1].layout
                 assert len(got_passes) == len(want_passes)
                 for (problem, sol), old in zip(got_passes, want_passes):
                     assert problem_key(problem) == problem_key(old), start
