@@ -545,8 +545,8 @@ class MovingVolume:
     in slice k's window.  distances[k, j] and gradients[k, j] are the
     shape's distance from the window center and its unit gradient there
     (`geometry.distance_gradients`; 0 and (0, 0) when the center is inside
-    the shape or within 1e-12 of it), which the regions turn into planes.  `groups` stacks the
-    shapes by kind once (`geometry.shape_groups`).
+    the shape or within 1e-12 of it), which the regions turn into planes.
+    `groups` stacks the shapes by kind once (`geometry.shape_groups`).
     """
 
     t_rel: np.ndarray      # (slices,) seconds after the cycle start

@@ -4,17 +4,18 @@ Each cycle builds one convex QP in the stacked control points [Px; Py].
 Its objective is one (m, m) block per axis, the same on both:
 derivative-energy smoothing plus quadratic pulls of x(t_end), and of the
 position and velocity at a pin instant, toward the goal.  The obstacle
-cost is the only term that couples the axes: the kernel of each admitted
-shape's distance from the previous plan at the safe-region slice seeds,
-as the moving volume measured it, expanded there and weighted by the
-slice spacing, so assembling it calls no geometry kernel.  The constraints
-are the initial-state and waypoint equalities and the safe-region
-halfplanes at every future timestep.  The fallback ladder appends each
-pass's derivative box limits to A_in (`QPProblem.with_rows` checks only
-them): first on the derivative control points, a read-only block cached
-per knot topology and limits, then, if that is infeasible and there are
-limits, sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment.  If
-both fail the previous trajectory is kept.
+cost is the only term that couples the axes: the kernel of the distance
+from the previous plan at the safe-region slice seeds of each shape that
+owns a region row (the seeding's one separation test admits it), as the
+moving volume measured it, expanded there and weighted by the slice
+spacing, so assembling it tests no shape and calls no geometry kernel.
+The constraints are the initial-state and waypoint equalities and the
+safe-region halfplanes at every future timestep.  The fallback ladder
+appends each pass's derivative box limits to A_in (`QPProblem.with_rows`
+checks only them): first on the derivative control points, a read-only
+block cached per knot topology and limits, then, if that is infeasible and
+there are limits, sampled RELAXED_SAMPLES_PER_SEGMENT times per knot
+segment.  If both fail the previous trajectory is kept.
 """
 
 import functools
@@ -59,11 +60,11 @@ class PlanRequest:
 
     initial_state stacks derivative orders 0..spec.order-1 at t_now; regions
     may be None in open space.  near_obstacles holds the columns of the
-    cycle's `perception.MovingVolume` (volume) whose shapes
-    `admit_obstacles` admitted; the obstacle cost reads what the volume
-    measured of them.  The limits, boxes that `runtime.symmetric_limits`
-    has checked (lo < 0 < hi), are turned into limit_b once, here, not on
-    every pass of the fallback ladder.
+    cycle's `perception.MovingVolume` (volume) whose shapes own a row of
+    the regions (`regions.admit_obstacles`); the obstacle cost reads what
+    the volume measured of them.  The limits, boxes that
+    `runtime.symmetric_limits` has checked (lo < 0 < hi), are turned into
+    limit_b once, here, not on every pass of the fallback ladder.
     """
 
     t_now: float
@@ -164,23 +165,6 @@ def end_cost(goal, row, q_final):
     """
     return (2.0 * q_final * np.multiply.outer(row, row),
             -2.0 * q_final * goal[:, None] * row)
-
-
-def admit_obstacles(shapes, regions):
-    """Indices, in increasing order, of the shapes that can intersect the
-    static polytope of at least one slice.
-
-    Every slice counts, feasible or not.  A slice rejects a shape only if
-    one of its halfplanes {n.p <= o} separates it entirely, that is
-    o + support(-n) < 0; each shape is tested against every live row of
-    the stacked static planes at once.  Conservative, so nearby shapes are
-    always admitted into the obstacle cost.
-    """
-    static = regions.static
-    u, padding = -static.normals, ~static.live()
-    return [j for j, s in enumerate(shapes)
-            if np.any(np.all((static.offsets + s.support(u) >= 0.0) | padding,
-                             axis=1))]
 
 
 def constant_spline(layout, point):

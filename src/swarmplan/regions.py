@@ -22,20 +22,22 @@ polygons by corner count).  The seeding (`_seeded`) makes each pair's row
 n = -u, o = n.seed + d after the slice's 4 box rows, measures every row
 against every shape in one `support` pass per group, and then walks the
 slices' shapes in order of distance in one loop of array steps, keeping a
-shape's row when no kept row separates the shape.  A lone shape is a group
-of one.  The peer cut (`_peer_cuts`) evaluates every track at every slice
-time at once.  A cut appends its plane and changes no row, so one product
-over a candidate stack, the slice rows and a column per track plane, gives
-every row's gap to every peer, and a loop of boolean operations over the
-tracks decides the cuts.  Coverage and planes are found one footprint at a
-time: `build_safe_regions` passes one per broadcast size with its tracks'
-indices.  Duplicate rows are dropped once, by the deflation: a row equal
-to an earlier one is deflated with it and stays equal, so dropping it
-before or after gives the same rows.  The seed probe is one step, and the
-slices that fail it get one emptiness test over the padded stack
-(`_chebyshev_radius`).  The single-slice functions (`seed_region`,
-`contract_for_peer`, `deflate_for_ego`, `region_is_empty`) run the same
-kernels on a one-slice stack.
+shape's row when no kept row separates the shape; its record of the shapes
+that own a row of each slice (`SafeRegion.bounding`) is the obstacle
+admission, so a cycle tests shapes against rows once.  A lone shape is a
+group of one.  The peer cut (`_peer_cuts`) evaluates every track at every
+slice time at once.  A cut appends its plane and changes no row, so one
+product over a candidate stack, the slice rows and a column per track
+plane, gives every row's gap to every peer, and a loop of boolean
+operations over the tracks decides the cuts.  Coverage and planes are found
+one footprint at a time: `build_safe_regions` passes one per broadcast size
+with its tracks' indices.  Duplicate rows are dropped once, by the
+deflation: a row equal to an earlier one is deflated with it and stays
+equal, so dropping it before or after gives the same rows.  The seed probe
+is one step, and the slices that fail it get one emptiness test over the
+padded stack (`_chebyshev_radius`).  The single-slice functions
+(`seed_region`, `contract_for_peer`, `deflate_for_ego`, `region_is_empty`)
+run the same kernels on a one-slice stack.
 
 Arithmetic.  A region is defined slice by slice: a shape's row is n = -u
 and o = n.seed + d as the distance pass gives them, a cut appends its
@@ -172,6 +174,7 @@ class SafeRegion:
     planes: PlaneStack       # peer-contracted and ego-deflated
     static: PlaneStack       # before peer cuts and deflation
     feasible: np.ndarray     # (slices,) bool
+    bounding: np.ndarray     # (slices, shapes) bool: j owns a row of k
 
     @cached_property
     def slices(self):
@@ -222,14 +225,15 @@ def _distinct(normals, offsets, counts):
 def _seeded(seeds, groups, member, d, u):
     """`seed_region` for every slice, slice k holding the shapes j with
     member[k, j], stacked in `groups`, whose distance from seeds[k] is
-    d[k, j] with unit gradient u[k, j]: (stack, inside).
+    d[k, j] with unit gradient u[k, j]: (stack, inside, bounding).
 
     A slice whose seed lies in one of its shapes (d = 0, inside[k]) gets
     the box alone.  Every other slice holds its 4 box rows and then, in
     order of increasing d (ties to the lower shape index), the row
     n = -u, o = n.seed + d of each shape that no row kept before it
     separates (o_a + support_b(-n_a) <= 0), rows equal to earlier ones
-    included (see `_distinct`).
+    included (see `_distinct`).  bounding[k, j] says that shape j's row is
+    one of slice k's, so an inside slice bounds no shape.
     """
     K, S = member.shape
     inside = (member & (d == 0.0)).any(axis=1)
@@ -256,7 +260,9 @@ def _seeded(seeds, groups, member, d, u):
     for r in range(n_live.max()):
         kept[:, 4 + r] = (r < n_live) & ~(
             kept & separates[slices, :, nearest[:, r]]).any(axis=1)
-    return _packed(normals, offsets, kept), inside
+    bounding = np.empty((K, S), dtype=bool)
+    bounding[slices[:, None], nearest] = kept[:, 4:]
+    return _packed(normals, offsets, kept), inside, bounding
 
 
 def _peer_cuts(stack, seeds, peers, groups, margin):
@@ -383,7 +389,7 @@ def seed_region(seed, shapes):
     seed = np.asarray(seed, dtype=float)[None]
     groups = shape_groups(list(shapes))
     d, u = distance_gradients(groups, seed)
-    stack, inside = _seeded(seed, groups, np.ones(d.shape, dtype=bool), d, u)
+    stack, inside, _ = _seeded(seed, groups, np.full(d.shape, True), d, u)
     if inside[0]:
         raise SeedInsideObstacle(f"seed {seed[0].tolist()} is inside a shape")
     return _distinct(*stack).polytope(0)
@@ -439,11 +445,12 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
     PEER_MARGIN, and the result is deflated by the ego footprint.  A seed
     stuck inside a mapped shape falls back to the previous cycle's static
     region of the same slice; slices whose seed is covered by a peer or
-    whose polytope ends up empty are flagged infeasible.
+    whose polytope ends up empty are flagged infeasible.  `bounding`
+    records the shapes that own a row of each slice, none when borrowed.
     """
     t_rel, seeds = volume.t_rel, volume.centers
-    stack, inside = _seeded(seeds, volume.groups, volume.member,
-                            volume.distances, volume.gradients)
+    stack, inside, bounding = _seeded(seeds, volume.groups, volume.member,
+                                      volume.distances, volume.gradients)
     feasible = ~inside
     if previous is not None and inside.any():
         # Every volume has the same slices at the same times after its
@@ -469,4 +476,12 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
         feasible[ks] = _has_interior(PlaneStack(
             stack.normals[ks], stack.offsets[ks], stack.counts[ks]))
     return SafeRegion(t_rel=t_rel, seeds=seeds, planes=stack, static=static,
-                      feasible=feasible)
+                      feasible=feasible, bounding=bounding)
+
+
+def admit_obstacles(shapes, regions):
+    """Indices, increasing, of the volume's `shapes` that own a static row
+    of some slice (`SafeRegion.bounding`).  Only the record is read; the
+    benchmark tracer wraps this by name and counts len(shapes) and
+    len(result), so it keeps its signature and list result."""
+    return np.flatnonzero(regions.bounding.any(axis=0)).tolist()

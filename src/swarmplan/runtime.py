@@ -29,9 +29,9 @@ from .geometry import footprint_from_size
 from .perception import (LocalMap, build_moving_volume, classify_cluster,
                          compensate_motion, decompose_boundary, segment_scan)
 from .planner import (HORIZON, KNOT_SEGMENT, PlanReport, PlanRequest,
-                      admit_obstacles, constant_spline, plan_with_fallback)
+                      constant_spline, plan_with_fallback)
 from .prediction import PeerState, update_tracks
-from .regions import build_safe_regions
+from .regions import admit_obstacles, build_safe_regions
 
 __all__ = [
     "AgentSpec", "Agent", "BusMessage", "MessageBus", "CycleReport",
@@ -412,13 +412,12 @@ class Agent:
                     previous=self.regions)
         except Exception as exc:
             flags.append(f"regions:{type(exc).__name__}")
-            regions = self.regions
 
-        # (6) Replan with the fallback ladder.
-        near = []
-        if self.volume is not None and regions is not None:
-            near = admit_obstacles(self.volume.shapes, regions)
+        # (6) Replan with the fallback ladder.  Regions kept from an earlier
+        # cycle record an older volume's columns, so they admit no shape.
         try:
+            near = ([] if regions is self.regions
+                    else admit_obstacles(self.volume.shapes, regions))
             traj, plan = plan_with_fallback(PlanRequest(
                 t_now=now, initial_state=initial_state, previous=prev,
                 spec=self.config, regions=regions, volume=self.volume,

@@ -17,7 +17,9 @@ holds every QP solve of 0.8 s of each builtin to `optimal` or
 `test_static_regions_keep_out_every_member_shape` holds every static
 region of 0.8 s of intersection and unstructured to the property the
 regions are built for: a row of the region keeps out each shape its slice
-holds.
+holds.  `test_admission_is_the_shapes_that_own_a_row` holds every
+cycle's obstacle admission, over the same runs, to the shapes that own one
+of those rows.
 
 The package memoizes B-spline bases, difference matrices, Grams, QP
 factors, limit blocks and emptiness-test index tables across runs;
@@ -174,6 +176,53 @@ def test_static_regions_keep_out_every_member_shape(name, monkeypatch):
                 for f in r.flags if ":" in f]
     assert sum(held) > 1000
     assert not missed, f"{len(missed)} shapes no row keeps out: {missed[:3]}"
+
+
+@pytest.mark.parametrize("name", ["intersection", "unstructured"])
+def test_admission_is_the_shapes_that_own_a_row(name, monkeypatch):
+    # Every cycle admits to the obstacle cost the volume columns j whose
+    # row n = -u[k, j], o = n.seed + d[k, j] is, bit for bit, one of the
+    # static rows of some slice k whose seed lies in none of its shapes:
+    # the shapes that bound the regions, recomputed from the stack alone.
+    built, checked, wrong = [], [], []
+
+    def build(volume, *args, **kwargs):
+        region = real_build(volume, *args, **kwargs)
+        built.append((volume, region))
+        return region
+
+    def admit(shapes, region):
+        got = real_admit(shapes, region)
+        volume, own = built[-1]
+        assert own is region and volume.shapes is shapes
+        want = set()
+        for k, seed in enumerate(volume.centers):
+            held = np.flatnonzero(volume.member[k])
+            if (volume.distances[k, held] == 0.0).any():
+                continue
+            c = region.static.counts[k]
+            normals = region.static.normals[k, :c]
+            offsets = region.static.offsets[k, :c]
+            for j in held:
+                n = -volume.gradients[k, j]
+                o = float(n @ seed) + volume.distances[k, j]
+                if ((normals == n).all(axis=1) & (offsets == o)).any():
+                    want.add(int(j))
+        if got != sorted(want):
+            wrong.append((len(checked), got, sorted(want)))
+        checked.append((len(shapes), len(got)))
+        return got
+
+    real_build, real_admit = runtime.build_safe_regions, runtime.admit_obstacles
+    monkeypatch.setattr(runtime, "build_safe_regions", build)
+    monkeypatch.setattr(runtime, "admit_obstacles", admit)
+    result = run_scenario(builtin_scenario(name, duration=0.8))
+    assert not [f for reports in result.reports.values() for r in reports
+                for f in r.flags if ":" in f]
+    assert len(checked) == sum(len(r) for r in result.reports.values())
+    assert not wrong, f"{len(wrong)} cycles admit other shapes: {wrong[:3]}"
+    offered, admitted = np.sum(checked, axis=0)
+    assert 0 < admitted <= offered
 
 
 def package_memos():

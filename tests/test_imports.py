@@ -11,8 +11,8 @@ scenario file, which builtin scenarios never do.  `pyproject.toml` console
 scripts and the functions `perfbench/tracing.py` wraps are looked up by
 name, so a rename or deletion would only show when someone runs them.
 The tracer's observers also read arguments and results of the functions
-they wrap (`agent.config.plan_rate`, the track list, `problem.A_in`), so a
-short traced run checks that they still can.
+they wrap (`agent.config.plan_rate`, the track list, `problem.A_in`, the
+admitted list), so a short traced run checks that they still can.
 """
 
 import ast
@@ -77,9 +77,14 @@ def test_bench_tracer_observes_runs_unchanged(monkeypatch):
         flags = {f for reports in traced.reports.values()
                  for r in reports for f in r.flags}
         assert not [f for f in flags if ":" in f], name
+        if name == "intersection":
+            # The admission observer reads len(shapes) and len(result).
+            counts = tracer.deterministic_counts()["counts"]
+            assert (counts["admit.offered"] >= counts["admit.admitted"]
+                    > 0), counts
     calls = tracer.deterministic_counts()["calls"]
     for span in ("qp.solve", "regions.build", "prediction.update",
-                 "perception.classify"):
+                 "perception.classify", "planner.admit"):
         assert calls.get(span, 0) > 0, span
 
 

@@ -23,13 +23,14 @@ from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
                                KNOT_SEGMENT, PIN_LEAD_SEGMENTS, Q_FINAL,
                                Q_FINAL_VEL, Q_N, Q_NM1, Q_OBS, PlanReport,
                                PlanRequest, RELAXED_SAMPLES_PER_SEGMENT,
-                               _limit_rows, _unstacked, admit_obstacles,
-                               assemble_qp, collision_kernel, constant_spline,
+                               _limit_rows, _unstacked, assemble_qp,
+                               collision_kernel, constant_spline,
                                end_cost, plan_with_fallback,
                                quadratize_collision)
 from swarmplan.qp import (_EQ_TOL, _FACTOR_MEMO, _RANK_TOL, _VIOL_TOL,
                           _ZERO_STEP, QPProblem, QPSolution, solve_qp)
-from swarmplan.regions import ConvexPolytope, PlaneStack, SafeRegion
+from swarmplan.regions import (ConvexPolytope, PlaneStack, SafeRegion,
+                               admit_obstacles, build_safe_regions)
 from swarmplan.runtime import TAU, AgentSpec, symmetric_limits
 from swarmplan.scenario import _comfortable_arrival, builtin_scenario
 
@@ -358,7 +359,7 @@ def polytope(rows):
 
 def stacked_region(polytopes, tau=0.1):
     """Feasible SafeRegion with slice k's static and final planes those of
-    polytopes[k], NaN-padded to the widest."""
+    polytopes[k], NaN-padded to the widest, bounding no shape."""
     n_slices = len(polytopes)
     counts = np.array([len(p) for p in polytopes])
     normals = np.full((n_slices, counts.max(), 2), np.nan)
@@ -369,7 +370,8 @@ def stacked_region(polytopes, tau=0.1):
     stack = PlaneStack(normals, offsets, counts)
     return SafeRegion(t_rel=tau * np.arange(1, n_slices + 1),
                       seeds=np.zeros((n_slices, 2)), planes=stack, static=stack,
-                      feasible=np.ones(n_slices, dtype=bool))
+                      feasible=np.ones(n_slices, dtype=bool),
+                      bounding=np.zeros((n_slices, 0), dtype=bool))
 
 
 def wall_region(tau=0.1, n_slices=40, x_wall=2.0):
@@ -523,7 +525,8 @@ class TestAssembleAndSolve:
                   Square([[1.2, -1.0], [1.8, -1.0], [1.8, -0.4], [1.2, -0.4]])]
         free = base_request(regions=wall_region())
         volume = moving_volume(shapes, free.previous)
-        near = admit_obstacles(volume.shapes, free.regions)
+        near = admit_obstacles(volume.shapes, build_safe_regions(
+            volume, [], Circle([0.0, 0.0], 0.15), 0.0))
         assert near == [0, 1]
         req = base_request(regions=wall_region(), volume=volume,
                            near_obstacles=near)
@@ -709,11 +712,21 @@ class TestFallbackLadder:
 
 class TestHelpers:
     def test_admit_obstacles_filters_far_shapes(self):
-        region = wall_region()
-        near = Circle([1.0, 0.0], 0.5)
-        outside_wall = Circle([30.0, 0.0], 0.5)
-        assert admit_obstacles([near, outside_wall], region) == [0]
-        assert admit_obstacles([outside_wall, near, near], region) == [1, 2]
+        # The plan rests at the origin.  A disk ahead bounds every slice;
+        # one behind it is kept out by its row and one 30 m off lies in no
+        # slice's window, so neither reaches the obstacle cost.
+        prev = base_request().previous
+        near, behind = Circle([1.0, 0.0], 0.5), Circle([3.0, 0.0], 0.5)
+        local_map = LocalMap()
+        for s in (behind, Circle([30.0, 0.0], 0.5), near):
+            local_map.insert(s)
+        volume = build_moving_volume(local_map, prev, 0.0, HORIZON, TAU)
+        region = build_safe_regions(volume, [], Circle([0.0, 0.0], 0.15), 0.0)
+        assert len(volume.shapes) == 2
+        assert admit_obstacles(volume.shapes, region) == [
+            volume.shapes.index(near)]
+        assert region.bounding.sum(axis=0).tolist() == [
+            40 * (s is near) for s in volume.shapes]
 
     def test_quadratization_contracts_on_repeats(self, monkeypatch):
         # Re-expanding around the latest solution in a frozen world shrinks
@@ -733,78 +746,6 @@ class TestHelpers:
         step1 = np.linalg.norm(controls[1] - controls[0])
         step2 = np.linalg.norm(controls[2] - controls[1])
         assert step2 <= step1 + 1e-9
-
-
-def oracle_admit(shapes, regions):
-    """Shapes x slices, one static polytope at a time: the indices of the
-    shapes some slice admits."""
-    out = []
-    for j, s in enumerate(shapes):
-        for sl in regions.slices:
-            poly = sl.static_polytope
-            if np.all(poly.offsets + s.support(-poly.normals) >= 0.0):
-                out.append(j)
-                break
-    return out
-
-
-class TestAdmitParity:
-    """The stacked support test admits what the per-slice loop admits."""
-
-    def test_random_stacks(self):
-        rng = np.random.default_rng(61)
-        admitted = offered = 0
-        for _ in range(200):
-            polytopes = []
-            for _ in range(int(rng.integers(1, 7))):
-                th = rng.uniform(0, 2 * np.pi, size=int(rng.integers(1, 9)))
-                polytopes.append(polytope([
-                    ([np.cos(a), np.sin(a)], float(rng.uniform(-1.0, 3.0)))
-                    for a in th]))
-            shapes = []
-            for _ in range(int(rng.integers(1, 10))):
-                c = rng.uniform(-6.0, 6.0, size=2)
-                kind = rng.integers(3)
-                if kind == 0:
-                    shapes.append(Circle(c, float(rng.uniform(0.1, 1.5))))
-                elif kind == 1:
-                    h = float(rng.uniform(0.1, 1.0))
-                    shapes.append(Square(c + h * np.array(
-                        [[-1, -1], [1, -1], [1, 1], [-1, 1]])))
-                else:
-                    shapes.append(Triangle(c + rng.uniform(-1, 1, size=(3, 2))))
-            region = stacked_region(polytopes)
-            got = admit_obstacles(shapes, region)
-            assert got == oracle_admit(shapes, region)
-            admitted += len(got)
-            offered += len(shapes)
-        assert 0.2 * offered < admitted < 0.8 * offered
-
-    def test_touching_shapes_and_padded_slices(self):
-        # Slice 0 is the unit box, padded to slice 1's five planes; slice 1
-        # adds x + y <= 1.5, which separates every shape below.  A shape that
-        # touches the box from outside (offset + support == 0, exact with
-        # axis normals) is admitted by slice 0 alone.
-        box = [([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0), ([0.0, 1.0], 1.0),
-               ([0.0, -1.0], 1.0)]
-        cut = box + [([1.0, 1.0], 1.5)]
-        touch = [Circle([2.0, 1.0], 1.0), Circle([1.5, 2.0], 1.0),
-                 Square([[1.0, 0.9], [2.0, 0.9], [2.0, 1.9], [1.0, 1.9]]),
-                 Triangle([[1.0, 1.0], [2.0, 1.5], [1.5, 2.0]])]
-        gap = 2.0 ** -30
-        apart = [Circle([2.0 + gap, 1.0], 1.0),
-                 Square([[1.0 + gap, 0.9], [2.0, 0.9], [2.0, 1.9],
-                         [1.0 + gap, 1.9]]),
-                 Triangle([[1.0, 1.0 + gap], [2.0, 1.5], [1.5, 2.0]])]
-        shapes = [touch[0], apart[0], touch[1], apart[1], touch[2], apart[2],
-                  touch[3]]
-        assert admit_obstacles(shapes, stacked_region([polytope(cut)])) == []
-        for polytopes in ([polytope(box), polytope(cut)],
-                          [polytope(cut), polytope(box)]):
-            region = stacked_region(polytopes)
-            assert region.static.counts.tolist() == [len(p) for p in polytopes]
-            got = admit_obstacles(shapes, region)
-            assert got == oracle_admit(shapes, region) == [0, 2, 4, 6]
 
 
 # --- the parent's ladder, kept as the oracle of the cached limit block, the

@@ -15,7 +15,7 @@ from swarmplan.geometry import (BOUNDARY_TOL, Circle, ConvexPolygonShape,
 from swarmplan.perception import MovingVolume
 from swarmplan.prediction import PeerState, PeerTrack
 from swarmplan.regions import (PlaneStack, SeedInsideObstacle,
-                               build_safe_regions,
+                               admit_obstacles, build_safe_regions,
                                contract_for_peer, deflate_for_ego,
                                region_is_empty, seed_region)
 
@@ -536,7 +536,7 @@ class TestBuildSafeRegions:
             prev = build_safe_regions(first, random_tracks(rng, first), ego,
                                       0.0)
             second = random_volume(rng, 20, inside_frac=0.4)
-            seeded, inside = seeded_volume(second)
+            seeded, inside, _ = seeded_volume(second)
             region = build_safe_regions(second, [], ego, 0.04, previous=prev)
             got = region.static
             for k in range(len(inside)):
@@ -570,7 +570,7 @@ class TestBuildSafeRegions:
             second = random_volume(rng, 30, inside_frac=0.3)
             region = build_safe_regions(second, tracks, ego, 0.04,
                                         previous=prev)
-            _, inside = seeded_volume(second)
+            _, inside, _ = seeded_volume(second)
             at = np.where(inside[:, None], first.centers, second.centers)
             for reg, seeds in ((prev, first.centers), (region, at)):
                 assert (reg.static.counts >= 4).all()
@@ -624,7 +624,7 @@ def own_distance_gradient(shape, pts):
 
 
 def seeded_volume(volume):
-    """`regions._seeded` on a moving volume: (stack, inside)."""
+    """`regions._seeded` on a moving volume: (stack, inside, bounding)."""
     return regions._seeded(volume.centers, volume.groups, volume.member,
                            volume.distances, volume.gradients)
 
@@ -1064,7 +1064,8 @@ class TestGroupedKernels:
     def test_supporting_planes(self):
         # Slices that each hold one shape: every slice whose seed is
         # outside its shape gets the shape's own nearest-point row after
-        # the box, bit for bit, and the row touches the shape.
+        # the box, bit for bit, the row touches the shape, and the record
+        # says that the shape bounds the slice.
         rng = np.random.default_rng(62)
         planes = 0
         for shapes, groups in self.groups(rng):
@@ -1073,10 +1074,12 @@ class TestGroupedKernels:
                      + rng.uniform(-4.0, 4.0, size=(60, 2)))
             member = np.arange(len(shapes)) == j[:, None]
             d, u = distance_gradients(groups, seeds)
-            stack, inside = regions._seeded(seeds, groups, member, d, u)
+            stack, inside, bounding = regions._seeded(seeds, groups, member,
+                                                      d, u)
             for k, (seed, i) in enumerate(zip(seeds, j)):
                 own_d, own_u = own_distance_gradient(shapes[i], seed[None])
                 assert inside[k] == (own_d[0] == 0.0)
+                assert (bounding[k] == (member[k] & ~inside[k])).all()
                 if inside[k]:
                     assert stack.counts[k] == 4
                     continue
@@ -1120,9 +1123,10 @@ class TestNearestPointPlanes:
         for trial in range(40):
             volume = random_volume(rng, int(rng.integers(1, 30)),
                                    inside_frac=0.2)
-            stack, inside = seeded_volume(volume)
+            stack, inside, bounding = seeded_volume(volume)
             for k, seed in enumerate(volume.centers):
                 if inside[k]:
+                    assert not bounding[k].any()
                     continue
                 held = np.flatnonzero(volume.member[k])
                 d = volume.distances[k, held]
@@ -1137,6 +1141,7 @@ class TestNearestPointPlanes:
                     # the shape exactly when none of them keeps it out.
                     gaps = (static.offsets[:kept]
                             + shape.support(-static.normals[:kept]))
+                    assert bounding[k, j] == (gaps > 0.0).all()
                     if (gaps <= 0.0).any():
                         skipped += 1
                         continue
@@ -1145,7 +1150,102 @@ class TestNearestPointPlanes:
                     kept += 1
                 rows += kept - 4
                 assert kept == len(static)
+                assert bounding[k].sum() == kept - 4
         assert rows > 500 and skipped > 500
+
+
+def row_owners(volume, region):
+    """The columns that own a static row of some slice, found slice by
+    slice as the seeding defines them: outside every shape it holds, a
+    slice walks them in order of distance (ties to the lower index), and a
+    shape owns a row when none of the box rows and owned rows before it
+    keeps it out (o + support(-n) <= 0)."""
+    owners = set()
+    for k, seed in enumerate(volume.centers):
+        held = np.flatnonzero(volume.member[k])
+        d = volume.distances[k, held]
+        if (d == 0.0).any():
+            continue
+        rows = [(m, float(m @ seed) + regions.BOX_HALF_WIDTH)
+                for m in regions._BOX_NORMALS]
+        for j in held[np.lexsort((held, d))]:
+            shape = volume.shapes[j]
+            if all(o + shape.support(-n[None])[0] > 0.0 for n, o in rows):
+                n = -volume.gradients[k, j]
+                rows.append((n, float(n @ seed) + volume.distances[k, j]))
+                owners.add(int(j))
+    return sorted(owners)
+
+
+class TestAdmission:
+    """The obstacle cost admits exactly the shapes that bound a slice of
+    the cycle's regions: the seeding's record, with no test of its own."""
+
+    def test_admits_the_shapes_that_own_a_row(self):
+        # Seeds inside a shape and borrowed slices bound nothing, so shapes
+        # that only such slices hold are left out.
+        rng = np.random.default_rng(67)
+        offered = admitted = borrowed = 0
+        for trial in range(30):
+            n = int(rng.integers(1, 30))
+            first = random_volume(rng, n, inside_frac=0.2)
+            prev = build_safe_regions(first, [], disk(0.2), 0.0)
+            volume = random_volume(rng, n, inside_frac=0.3)
+            region = build_safe_regions(volume, random_tracks(rng, volume),
+                                        disk(0.2), 0.04, previous=prev)
+            got = admit_obstacles(volume.shapes, region)
+            assert got == row_owners(volume, region), trial
+            assert all(type(j) is int for j in got)
+            offered += len(volume.shapes)
+            admitted += len(got)
+            borrowed += seeded_volume(volume)[1].sum()
+        assert 0.3 * offered < admitted < 0.9 * offered
+        assert borrowed > 20
+
+    def test_hidden_shapes_are_not_admitted(self):
+        # A wall between the path and a disk keeps the disk out of every
+        # slice, so the disk owns no row and the cost never sees it; the
+        # disk beside the path and the wall are admitted.
+        seeds = np.column_stack([np.linspace(0.0, 4.0, 40), np.zeros(40)])
+        wall = axis_rectangle(-8.0, 1.0, 12.0, 1.2)
+        hidden = Circle([2.0, 3.0], 0.5)
+        beside = Circle([1.0, -1.0], 0.3)
+        volume = volume_of(seeds, [[hidden, wall, beside]] * 40, 0.1)
+        region = build_safe_regions(volume, [], disk(0.2), 0.0)
+        assert admit_obstacles(volume.shapes, region) == [1, 2]
+        # Over random volumes, a held shape left out is kept out by a row
+        # of every slice that holds it, unless the slice's seed is inside.
+        rng = np.random.default_rng(68)
+        left_out = 0
+        for trial in range(30):
+            volume = random_volume(rng, int(rng.integers(1, 30)),
+                                   inside_frac=0.2)
+            region = build_safe_regions(volume, [], disk(0.2), 0.0)
+            got = admit_obstacles(volume.shapes, region)
+            for j in sorted(set(range(len(volume.shapes))) - set(got)):
+                for k in np.flatnonzero(volume.member[:, j]):
+                    if (volume.distances[k, volume.member[k]] == 0.0).any():
+                        continue
+                    static = region.static.polytope(k)
+                    shape = volume.shapes[j]
+                    assert (static.offsets
+                            + shape.support(-static.normals)).min() <= 0.0
+                    left_out += 1
+        assert left_out > 200
+
+    def test_own_row_rounding_below_zero_admits(self):
+        # The disk's own row touches it, but o + support(-n) rounds to
+        # -2.2e-16 here.  A test of every row against every shape with
+        # `>= 0` rejected the disk; the seeding keeps the row, so the disk
+        # bounds the slice and is admitted.
+        seed = np.array([-1.3, 1.45])
+        shape = Circle([-1.05, 0.25], 0.54)
+        volume = volume_of([seed], [[shape]], 0.1)
+        region = build_safe_regions(volume, [], disk(0.2), 0.0)
+        static = region.static.polytope(0)
+        gaps = static.offsets + shape.support(-static.normals)
+        assert len(static) == 5 and gaps[4] < 0.0 < gaps[:4].min()
+        assert admit_obstacles(volume.shapes, region) == [0]
 
 
 class TestEmptinessAgainstLP:

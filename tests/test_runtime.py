@@ -453,6 +453,51 @@ class TestAgentCycle:
         assert report.flags == ("plan:ZeroDivisionError",)
         assert agent.path.latest is prev
 
+    def test_admission_exception_reports_fallback(self, monkeypatch):
+        # Admission runs inside the planning stage's guard: a raise there
+        # is that stage's fallback, and the run goes on.
+        def broken(shapes, regions):
+            raise ValueError("broken admission")
+
+        monkeypatch.setattr(runtime, "admit_obstacles", broken)
+        result = run_scenario(builtin_scenario("intersection", duration=0.4))
+        reports = [r for rs in result.reports.values() for r in rs]
+        assert len(reports) == 60
+        assert all(r.status == "fallback" and r.flags == ("plan:ValueError",)
+                   for r in reports)
+
+    def test_kept_regions_admit_no_shape(self, monkeypatch):
+        # When the regions stage raises, the cycle plans against the
+        # regions it kept, whose record indexes an older volume's shapes:
+        # it admits none of them, and nothing raises.
+        calls, requests = [], []
+        real_build, real_plan = (runtime.build_safe_regions,
+                                 runtime.plan_with_fallback)
+
+        def build(volume, *args, **kwargs):
+            calls.append(volume)
+            if len(calls) == 13:        # agent 0's third cycle
+                raise ValueError("broken regions")
+            return real_build(volume, *args, **kwargs)
+
+        def plan(req):
+            requests.append(req)
+            return real_plan(req)
+
+        monkeypatch.setattr(runtime, "build_safe_regions", build)
+        monkeypatch.setattr(runtime, "plan_with_fallback", plan)
+        result = run_scenario(builtin_scenario("intersection", duration=0.4))
+        flagged = [(i, k) for i, rs in result.reports.items()
+                   for k, r in enumerate(rs) if r.flags]
+        assert flagged == [(0, 2)]
+        assert result.reports[0][2].flags == ("regions:ValueError",)
+        before, kept, after = requests[6], requests[12], requests[18]
+        assert kept.regions is before.regions is not None
+        assert kept.volume is not before.volume
+        assert kept.near_obstacles == []
+        assert before.near_obstacles and after.near_obstacles
+
+
     def test_agent_hands_the_planner_its_own_spec(self, monkeypatch):
         # Every cycle's request carries the agent's resolved spec itself,
         # not copies of its fields.
