@@ -546,7 +546,7 @@ class MovingVolume:
     shape's distance from the window center and its unit gradient there
     (`geometry.distance_gradients`; 0 and (0, 0) when the center is inside
     the shape or within 1e-12 of it), which the regions turn into planes.
-    `groups` stacks the shapes by kind once (`geometry.shape_groups`).
+    `groups` stacks the shapes by kind (`geometry.shape_groups`).
     """
 
     t_rel: np.ndarray      # (slices,) seconds after the cycle start
@@ -555,10 +555,7 @@ class MovingVolume:
     member: np.ndarray     # (slices, shapes) bool
     distances: np.ndarray  # (slices, shapes)
     gradients: np.ndarray  # (slices, shapes, 2)
-    groups: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.groups = shape_groups(self.shapes)
+    groups: list = field(repr=False)
 
 
 def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
@@ -568,16 +565,21 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
     center is the previous trajectory evaluated there (clamped into its
     domain).  A shape lies in a slice when its distance from the window
     center is at most WINDOW_RADIUS; one grouped distance pass measures
-    every pair, and the volume keeps its distances and gradients.
+    every pair, and the volume keeps its distances and gradients.  When
+    every map shape lies in some window, the volume keeps the map's groups;
+    otherwise it groups the shapes it keeps.
     """
     n = int(round(horizon / tau))
     t_rel = np.arange(1, n + 1) * tau
     centers = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
     shapes = local_map.shapes()
-    d, u = distance_gradients(shape_groups(shapes), centers)
+    groups = shape_groups(shapes)
+    d, u = distance_gradients(groups, centers)
     member = d <= WINDOW_RADIUS
     near = member.any(axis=0)
-    return MovingVolume(t_rel=t_rel, centers=centers,
-                        shapes=[s for s, keep in zip(shapes, near) if keep],
+    if not near.all():
+        shapes = [s for s, keep in zip(shapes, near) if keep]
+        groups = shape_groups(shapes)
+    return MovingVolume(t_rel=t_rel, centers=centers, shapes=shapes,
                         member=member[:, near], distances=d[:, near],
-                        gradients=u[:, near])
+                        gradients=u[:, near], groups=groups)

@@ -11,11 +11,11 @@ moving volume measured it, expanded there and weighted by the slice
 spacing, so assembling it tests no shape and calls no geometry kernel.
 The constraints are the initial-state and waypoint equalities and the
 safe-region halfplanes at every future timestep.  The fallback ladder
-appends each pass's derivative box limits to A_in (`QPProblem.with_rows`
-checks only them): first on the derivative control points, a read-only
-block cached per knot topology and limits, then, if that is infeasible and
-there are limits, sampled RELAXED_SAMPLES_PER_SEGMENT times per knot
-segment.  If both fail the previous trajectory is kept.
+appends each pass's derivative box limits to A_in: first on the derivative
+control points, a read-only block checked once and cached per knot
+topology and limits, then, if that is infeasible and there are limits,
+sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment and checked on
+every pass.  If both fail the previous trajectory is kept.
 """
 
 import functools
@@ -27,7 +27,7 @@ import numpy as np
 
 from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
                       derivative_map, plan_knot_layout, position_map)
-from .qp import QPProblem, solve_qp
+from .qp import QPProblem, _checked_rows, solve_qp
 
 HORIZON = 4.0           # planning horizon, seconds
 KNOT_SEGMENT = 1.0      # B-spline knot spacing, seconds
@@ -277,9 +277,10 @@ def _box_rows(maps, m):
 def _limit_block(m, dt, limits):
     """The dense pass's _box_rows over m control points with knot spacing
     dt, of each order's difference matrix for `limits` as in
-    PlanRequest.limit_b; cached, so read-only."""
-    block = _box_rows([(difference_matrix(m, dt, order), b)
-                       for order, b in limits], m)
+    PlanRequest.limit_b; checked once, here, and cached, so read-only."""
+    block = _checked_rows(*_box_rows([(difference_matrix(m, dt, order), b)
+                                      for order, b in limits], m),
+                          2 * m, "in")
     for a in block:
         a.setflags(write=False)
     return block
@@ -292,12 +293,12 @@ def _limit_rows(req, layout, sampled):
     Each row d of an order's derivative map gives four rows: d x <= hi,
     -d x <= -lo, d y <= hi, -d y <= -lo.  The control-point rows
     (sampled=False) guarantee the bound at every instant (convex hull); they
-    come read-only from _limit_block.  The sampled rows, built per call,
-    check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot segment, the
-    dense grid the regions use, trading the guarantee between samples for
-    feasibility when the convex-hull rows are too conservative.  The samples
-    sit on absolute multiples of the step so every logged state lands on a
-    constrained instant no matter when the cycle started.
+    come read-only and checked from _limit_block.  The sampled rows, built
+    per call, check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot
+    segment, the dense grid the regions use, trading the guarantee between
+    samples for feasibility when the convex-hull rows are too conservative.
+    The samples sit on absolute multiples of the step so every logged state
+    lands on a constrained instant no matter when the cycle started.
     """
     if not sampled:
         return _limit_block(layout.m, layout.dt, req.limit_b)
@@ -318,12 +319,14 @@ def plan_with_fallback(req):
     """One replanning cycle: dense solve, relaxed retry, or keep the old plan.
 
     Returns (trajectory, report).  The QP is assembled and checked once, and
-    each pass appends its own limit rows (QPProblem.with_rows).  The dense
-    pass enforces the box limits on the derivative control points; if it is
-    infeasible and there are limits, the relaxed pass samples them
-    RELAXED_SAMPLES_PER_SEGMENT times per knot segment instead; if that also
-    fails the previous trajectory is returned unchanged with status
-    'fallback'.
+    each pass appends its own limit rows: the dense pass the cached block,
+    checked when it was built (QPProblem.with_checked_rows), the relaxed
+    pass its sampled rows, checked as they are appended
+    (QPProblem.with_rows).  The dense pass enforces the box limits on the
+    derivative control points; if it is infeasible and there are limits,
+    the relaxed pass samples them RELAXED_SAMPLES_PER_SEGMENT times per
+    knot segment instead; if that also fails the previous trajectory is
+    returned unchanged with status 'fallback'.
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
@@ -348,7 +351,8 @@ def plan_with_fallback(req):
     except AllSlicesInfeasible:
         return finish(req.previous, "fallback")
     for status, sampled in (("optimal", False), ("relaxed", True)):
-        sol = solve_qp(problem.with_rows(*_limit_rows(req, layout, sampled)))
+        append = problem.with_rows if sampled else problem.with_checked_rows
+        sol = solve_qp(append(*_limit_rows(req, layout, sampled)))
         if sol.status == "optimal":
             return finish(TrajectorySpline.from_layout(layout, _unstacked(sol.x)),
                           status, sol)

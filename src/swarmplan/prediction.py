@@ -9,8 +9,9 @@ quadratic about its stamp, so every prediction is one evaluation of one
 coefficient stack.
 
 One evaluator, `predict_tracks`, runs Horner's rule over the polynomials
-of many tracks at once, in `P.polyval`'s order, for association, the region
-cuts and the one-track view `PeerTrack.predict_positions`.
+of many tracks at once, in `P.polyval`'s order, for association (all three
+orders), the region cuts and the one-track view
+`PeerTrack.predict_positions` (positions alone).
 """
 
 from dataclasses import dataclass
@@ -119,14 +120,15 @@ class PeerTrack:
 
     def predict_positions(self, times):
         """Positions (n, 2) at an array of times."""
-        return predict_tracks([self], times)[0, :, 0]
+        return predict_tracks([self], times, 1)[0, :, 0]
 
 
-def predict_tracks(tracks, times):
-    """Position, velocity and acceleration (tracks, times, 3, 2), each equal
-    bit for bit to the track's own `P.polyval`: c[-1] + x*0, then c[-i] + v*x.
+def predict_tracks(tracks, times, orders=3):
+    """Position, velocity and acceleration, or the first `orders` of them,
+    (tracks, times, orders, 2), each equal bit for bit to the track's own
+    `P.polyval`: c[-1] + x*0, then c[-i] + v*x.
     """
-    c = np.stack([tr.stack for tr in tracks])[:, None]
+    c = np.stack([tr.stack for tr in tracks])[:, None, :, :orders]
     t_ref = np.array([tr.t_ref for tr in tracks])
     x = (np.asarray(times)[None, :] - t_ref[:, None])[..., None, None]
     v = c[:, :, -1] + x * 0

@@ -22,29 +22,34 @@ feasible start is needed, so there is no phase 1.
 
 The row added is the one with the largest violation per unit norm in the
 reduced space (ties to the lowest index; a zero row keeps its raw
-violation), so the path does not depend on how a row is scaled.  The
-factors of the active set are updated, not rebuilt: an orthonormal J whose
-first q columns span the active rows, and an upper-triangular R with
+violation), so the path does not depend on how a row is scaled; an
+active row's slack is +inf, so its violation is -inf.  The factors of the
+active set are updated, not rebuilt: an orthonormal J whose first q
+columns span the active rows, and an upper-triangular R with
 B_active' = J[:, :q] R, kept together with its inverse.  Adding a row is one
 Householder reflection of J[:, q:] and a new column of R; dropping one is a
 sweep of Givens rotations that re-triangularizes R, applied to the columns
 of J and of R^-1 alike.
 
-The elimination and the factor depend on H and A_eq alone, and a planner
-re-solves the same pair often: agents with one layout share it, and a
-relaxed retry keeps its dense pass's pair.  So `_factor` keeps Z, M, the
-views of the SVD that a solve reads and the loop's first factors of the
-last 16 distinct pairs, keyed on their exact bytes and shape, all
-read-only; each solve computes only x0, w, the rows B = A_in M and their
-slack from them.  Each array is checked once: QPProblem checks what it is
-built from, and `with_rows` appends rows to A_in checking only those.
+The elimination depends on A_eq alone and the factor on H and A_eq, and a
+planner re-solves the same blocks often: agents with one layout share
+their equality block, cycles with obstacles bring a new H to it, and a
+relaxed retry keeps its dense pass's pair.  So two memos keep them, each
+for its last 16 distinct keys, keyed on exact bytes and shape and
+read-only: `_eliminate` Z and the views of the SVD that a solve reads,
+per equality block; `_factor` M, M' and the loop's first factors, per
+(H, A_eq) pair.  Each solve computes only x0, w, the rows B = A_in M and
+their slack from them.  Each array is checked once:
+QPProblem checks what it is built from, `with_rows` appends rows to A_in
+checking only those, and `with_checked_rows` appends rows that
+`_checked_rows` has already returned.
 
 The vectors and products are numpy, and every reduction is the same numpy
 call on the same operands on every path.  The dual loop keeps its scalar
-bookkeeping (the ratio test and the multiplier update, both elementwise)
-on Python floats, which round as numpy's elementwise operations do.  With
-fixed tie-breaking, identical inputs give bitwise-identical solutions,
-from a cold memo or a warm one.
+bookkeeping (the ratio test, the multiplier update and each rotation's
+cosine and sine, all elementwise) on Python floats, which round as
+numpy's elementwise operations do.  With fixed tie-breaking, identical
+inputs give bitwise-identical solutions, from cold memos or warm ones.
 """
 
 import copy
@@ -58,7 +63,7 @@ _EQ_TOL = 1e-7       # equality consistency, absolute
 _RANK_TOL = 1e-10    # singular values of A_eq, relative to the largest
 _VIOL_TOL = 1e-10    # row violation, relative to 1 + max |h|
 _ZERO_STEP = 1e-10   # primal step norm, relative to the row norm
-_FACTOR_MEMO = 16    # distinct (H, A_eq) pairs whose factors are kept
+_FACTOR_MEMO = 16    # distinct A_eq blocks, and (H, A_eq) pairs, kept
 
 
 def _checked_rows(A, b, n, side):
@@ -123,7 +128,11 @@ class QPProblem:
     def with_rows(self, A, b):
         """This problem with the rows A x <= b appended to A_in, checking
         only them; every other array was checked when self was built."""
-        A, b = _checked_rows(A, b, self.n, "in")
+        return self.with_checked_rows(*_checked_rows(A, b, self.n, "in"))
+
+    def with_checked_rows(self, A, b):
+        """`with_rows` of rows that `_checked_rows` returned for this n,
+        appended as they are, without a second check."""
         grown = copy.copy(self)
         grown.A_in = np.concatenate([self.A_in, A])
         grown.b_in = np.concatenate([self.b_in, b])
@@ -145,23 +154,33 @@ class QPSolution:
 
 
 @functools.lru_cache(maxsize=_FACTOR_MEMO)
-def _factor(H, A_eq, shape):
-    """(Z, M, V, Ut, S_r, Mt, JR) of the H and A_eq bytes of shape (n, k):
-    the null-space basis Z of A_eq, M with M'HM = I on it, from the SVD
-    A_eq = U S Vt of rank r the views Vt[:r]', U[:, :r]' and S[:r], then
-    M' and the first J over R^-1 (I over 0).  Every array is read-only."""
-    n, k = shape
-    H = np.frombuffer(H).reshape(n, n)
-    U, S, Vt = np.linalg.svd(np.frombuffer(A_eq).reshape(k, n))
+def _eliminate(A_eq, shape):
+    """(Z, V, Ut, S_r) of the A_eq bytes of shape (k, n): from the SVD
+    A_eq = U S Vt of rank r the null-space basis Z = Vt[r:]' and the views
+    Vt[:r]', U[:, :r]' and S[:r].  Every array is read-only."""
+    U, S, Vt = np.linalg.svd(np.frombuffer(A_eq).reshape(shape))
     rank = int(np.sum(S > _RANK_TOL * S.max(initial=0.0)))
-    Z = Vt[rank:].T
-    L = np.linalg.cholesky(Z.T @ H @ Z)
-    M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
-    entries = (Z, M, Vt[:rank].T, U[:, :rank].T, S[:rank], M.T,
-               np.eye(2 * M.shape[1], M.shape[1]))
+    entries = (Vt[rank:].T, Vt[:rank].T, U[:, :rank].T, S[:rank])
     for a in entries:
         a.setflags(write=False)
     return entries
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO)
+def _factor(H, A_eq, shape):
+    """(Z, M, V, Ut, S_r, Mt, JR) of the H and A_eq bytes of shape (n, k):
+    `_eliminate`'s Z, V, Ut and S_r of A_eq, M with M'HM = I on the null
+    space, M' and the first J over R^-1 (I over 0).  Every array is
+    read-only."""
+    n, k = shape
+    H = np.frombuffer(H).reshape(n, n)
+    Z, V, Ut, S_r = _eliminate(A_eq, (k, n))
+    L = np.linalg.cholesky(Z.T @ H @ Z)
+    M = np.linalg.solve(L, Z.T).T            # x = x0 + M w, M'HM = I
+    Mt, JR = M.T, np.eye(2 * M.shape[1], M.shape[1])
+    for a in (M, Mt, JR):
+        a.setflags(write=False)
+    return Z, M, V, Ut, S_r, Mt, JR
 
 
 def solve_qp(problem):
@@ -193,7 +212,9 @@ def solve_qp(problem):
     # J (orthonormal) and Rinv = R^-1 stacked, so that one rotation of
     # their shared columns moves both; u holds the active multipliers as
     # Python floats; each step rewrites viol, score and neg_v in place.
+    # slack is d with +inf on the active rows, so their violation is -inf.
     p = B.shape[1]
+    slack = d.copy()
     JR = JR0.copy()
     J, Rinv = JR[:p], JR[p:]
     R = np.zeros((p, p))
@@ -204,9 +225,7 @@ def solve_qp(problem):
     while len(G):     # with no rows, w = -c is the optimum
         if j is None:
             np.matmul(B, w, out=viol)
-            viol -= d
-            if active:
-                viol[active] = -np.inf
+            viol -= slack
             over = viol > tol
             j = int(np.where(over, np.divide(viol, norms, out=score),
                              -np.inf).argmax())
@@ -223,9 +242,9 @@ def solve_qp(problem):
         # stay tight: w moves along z and the active multipliers along r.
         q = len(active)
         v = b_j @ J
-        v_free = v[q:]
+        v_free, J_free = v[q:], J[:, q:]
         np.negative(v, out=neg_v)
-        z = J[:, q:] @ neg_v[q:]
+        z = J_free @ neg_v[q:]
         r = Rinv[:q, :q] @ neg_v[:q] if q else neg_v[:0]
         r_list = r.tolist()
         # Ratio test, as argmin over u / -r where r < 0 (else inf): the
@@ -259,7 +278,6 @@ def solve_qp(problem):
             alpha = -math.copysign(z_norm, v_q)
             house = v_free.copy()
             house[0] = v_q - alpha
-            J_free = J[:, q:]
             J_free -= np.multiply.outer(J_free @ house,
                                         house / (z_norm**2 - alpha * v_q))
             R[:q, q] = v[:q]
@@ -268,16 +286,20 @@ def solve_qp(problem):
             Rinv[q, q] = 1.0 / alpha
             u.append(t_plus)
             active.append(j)
+            slack[j] = math.inf
             j = None
         else:
             # Delete the row's column of R and row of R^-1, then rotate the
             # Hessenberg remainder of R back to upper-triangular form.
+            slack[active[drop]] = d[active[drop]]
             del active[drop], u[drop]
             R[:, drop:q - 1] = R[:, drop + 1:q]
             Rinv[drop:q - 1] = Rinv[drop + 1:q]
             for i in range(drop, q - 1):
-                c, s = R[i, i], R[i + 1, i]
-                rot = np.array([[c, s], [-s, c]]) / math.hypot(c, s)
+                c, s = float(R[i, i]), float(R[i + 1, i])
+                norm = math.hypot(c, s)
+                c, s = c / norm, s / norm
+                rot = np.array([[c, s], [-s, c]])
                 R[i:i + 2, i:q - 1] = rot @ R[i:i + 2, i:q - 1]
                 JR[:, i:i + 2] = JR[:, i:i + 2] @ rot.T
             R[q - 1] = R[:, q - 1] = Rinv[q - 1] = Rinv[:, q - 1] = 0.0

@@ -463,7 +463,7 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
         for t, tr in enumerate(tracks):
             by_size.setdefault(tuple(tr.latest.size or (0.1,)), []).append(t)
         stack, free = _peer_cuts(
-            stack, seeds, predict_tracks(tracks, now + t_rel)[:, :, 0],
+            stack, seeds, predict_tracks(tracks, now + t_rel, 1)[:, :, 0],
             [(footprint_from_size(size), ts) for size, ts in by_size.items()],
             PEER_MARGIN)
         feasible &= free

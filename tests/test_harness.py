@@ -18,11 +18,13 @@ holds every QP solve of 0.8 s of each builtin to `optimal` or
 region of 0.8 s of intersection and unstructured to the property the
 regions are built for: a row of the region keeps out each shape its slice
 holds.  `test_admission_is_the_shapes_that_own_a_row` holds every
-cycle's obstacle admission, over the same runs, to the shapes that own one
-of those rows.
+cycle's obstacle admission to the shapes that own one of those rows, over
+the same unstructured run and 4.0 s of intersection at layout seed 1,
+where the old stacked-support rule admits other shapes.
 
 The package memoizes B-spline bases, difference matrices, Grams, QP
-factors, limit blocks and emptiness-test index tables across runs;
+equality eliminations and factors, limit blocks and emptiness-test index
+tables across runs;
 `test_runs_do_not_depend_on_the_memos` finds every memo of the package,
 runs one window from all of them empty and again from memos another
 scenario filled.
@@ -178,6 +180,14 @@ def test_static_regions_keep_out_every_member_shape(name, monkeypatch):
     assert not missed, f"{len(missed)} shapes no row keeps out: {missed[:3]}"
 
 
+# (layout seed, seconds) of each admission run.  Until intersection's
+# agents near the crossing, each cycle offers only the walls beside it and
+# the old stacked-support rule admits what the record admits; at layout
+# seed 1, 4.0 s take in three cycles where the two rules part, and 0.8 s of
+# unstructured hold many.
+ADMISSION_RUNS = {"intersection": (1, 4.0), "unstructured": (0, 0.8)}
+
+
 @pytest.mark.parametrize("name", ["intersection", "unstructured"])
 def test_admission_is_the_shapes_that_own_a_row(name, monkeypatch):
     # Every cycle admits to the obstacle cost the volume columns j whose
@@ -216,7 +226,8 @@ def test_admission_is_the_shapes_that_own_a_row(name, monkeypatch):
     real_build, real_admit = runtime.build_safe_regions, runtime.admit_obstacles
     monkeypatch.setattr(runtime, "build_safe_regions", build)
     monkeypatch.setattr(runtime, "admit_obstacles", admit)
-    result = run_scenario(builtin_scenario(name, duration=0.8))
+    seed, seconds = ADMISSION_RUNS[name]
+    result = run_scenario(builtin_scenario(name, seed=seed, duration=seconds))
     assert not [f for reports in result.reports.values() for r in reports
                 for f in r.flags if ":" in f]
     assert len(checked) == sum(len(r) for r in result.reports.values())
@@ -241,8 +252,9 @@ def test_runs_do_not_depend_on_the_memos():
     memos = package_memos()
     assert {f"{m.__module__}.{m.__name__}" for m in memos} >= {
         "swarmplan.bspline._memo_basis", "swarmplan.bspline.difference_matrix",
-        "swarmplan.bspline.derivative_gram", "swarmplan.qp._factor",
-        "swarmplan.planner._limit_block", "swarmplan.regions._index_tables"}
+        "swarmplan.bspline.derivative_gram", "swarmplan.qp._eliminate",
+        "swarmplan.qp._factor", "swarmplan.planner._limit_block",
+        "swarmplan.regions._index_tables"}
     for memo in memos:
         memo.cache_clear()
     cold = run_scenario(scenario)

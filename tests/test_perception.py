@@ -9,7 +9,7 @@ from swarmplan import perception
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, axis_rectangle,
                                corners_area, oriented_rectangle,
                                _disk_distance_gradient, _edge_projections,
-                               _polygon_distance_gradient)
+                               _polygon_distance_gradient, shape_groups)
 from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
                                   classify_cluster, compensate_motion,
                                   fit_rectangle, segment_scan)
@@ -422,6 +422,16 @@ def volume_lists(vol):
     return [[vol.shapes[j] for j in np.flatnonzero(row)] for row in vol.member]
 
 
+def group_arrays(groups):
+    """Each group's arrays (dtype, shape, bytes), keyed by its kind: 0 for
+    circles, the corner count for polygons."""
+    by_kind = {(g.corners.shape[1] if hasattr(g, "corners") else 0):
+               {name: (a.dtype, a.shape, a.tobytes())
+                for name, a in vars(g).items()} for g in groups}
+    assert len(by_kind) == len(groups)
+    return by_kind
+
+
 class TestMovingVolume:
     def test_slices_and_membership(self):
         m = LocalMap()
@@ -484,7 +494,7 @@ class TestMovingVolume:
         # walls whose centers lie beyond a window that their sides reach.
         rng = np.random.default_rng(71)
         radius = perception.WINDOW_RADIUS
-        reached = 0
+        reached = left_out = 0
         for _ in range(30):
             traj = TrajectorySpline(3, 0.0, 1.0,
                                     rng.uniform(-4.0, 4.0, size=(8, 2)))
@@ -514,6 +524,11 @@ class TestMovingVolume:
             assert volume_lists(vol) == want
             assert vol.shapes == [s for s in shapes
                                   if any(s is t for lst in want for t in lst)]
+            # The map's groups, or the kept shapes' own when some shape is
+            # left out, equal the kept shapes' own.
+            assert group_arrays(vol.groups) == group_arrays(
+                shape_groups(vol.shapes))
+            left_out += len(vol.shapes) < len(shapes)
             assert np.array_equal(vol.centers, path)
             for k, c in enumerate(path):
                 for j, s in enumerate(vol.shapes):
@@ -521,6 +536,7 @@ class TestMovingVolume:
             reached += sum(np.linalg.norm(s.center - c) > radius
                            for c, lst in zip(path, want) for s in lst)
         assert reached > 100
+        assert 0 < left_out < 30
 
 
 # --- parity with the per-element code that the array passes replaced -------

@@ -646,6 +646,32 @@ class TestFallbackLadder:
         assert A.tobytes() == fresh.tobytes()
         assert b.tobytes() == np.tile([2.0, 1.0, 2.0, 1.0], len(D)).tobytes()
 
+    def test_cached_block_is_checked_once(self, monkeypatch):
+        # Three dense-then-relaxed ladders on one topology: the block is
+        # checked when _limit_block builds it and never on a dense pass,
+        # while each relaxed pass checks its sampled rows.
+        checked = []
+        real = qp._checked_rows
+
+        def spy(A, b, n, side):
+            checked.append(A)
+            return real(A, b, n, side)
+
+        monkeypatch.setattr(qp, "_checked_rows", spy)
+        monkeypatch.setattr(planner, "_checked_rows", spy)
+        planner._limit_block.cache_clear()
+        req = base_request(
+            waypoints=[(1.0, np.array([0.72, 0.0]))],
+            limits={1: (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))})
+        for _ in range(3):
+            assert plan_with_fallback(req)[1].status == "relaxed"
+        layout = cycle_layout(req)
+        A, _ = _limit_rows(req, layout, sampled=False)
+        assert sum(a is A for a in checked) == 1
+        n_sampled = len(_limit_rows(req, layout, sampled=True)[0])
+        assert sum(len(a) == n_sampled and a is not A
+                   for a in checked) == 3
+
     def test_relaxed_pass_swaps_only_limit_rows(self, monkeypatch):
         # The setting above, inside a region: the QP is assembled once and
         # the relaxed pass differs from the dense one only in the limit

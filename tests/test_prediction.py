@@ -351,6 +351,12 @@ class TestBatchedKernels:
             times = rng.uniform(-4.0, 8.0, size=int(rng.integers(1, 40)))
             got = predict_tracks(tracks, times)
             assert got.shape == (len(tracks), len(times), 3, 2)
+            # The first orders alone, as the region cut asks for positions.
+            for orders in (1, 2):
+                first = predict_tracks(tracks, times, orders)
+                assert first.shape == (len(tracks), len(times), orders, 2)
+                assert first.tobytes() == np.ascontiguousarray(
+                    got[:, :, :orders]).tobytes()
             for i, tr in enumerate(tracks):
                 for j, t in enumerate(times):
                     want = P.polyval(t - tr.t_ref, tr.stack)

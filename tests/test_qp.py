@@ -677,6 +677,50 @@ class TestFactorMemo:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
 
+    def test_a_new_hessian_reuses_the_elimination(self):
+        # Every third case's A_eq again under a new H, as each obstacle
+        # cycle brings its own cost to its layout's equality block: the
+        # elimination comes from its memo, the factor is computed afresh.
+        rng = np.random.default_rng(23)
+        for p in list(memo_cases())[::3]:
+            qp._factor.cache_clear()
+            solve_qp(p)
+            A = rng.normal(size=(p.n, p.n))
+            other = QPProblem(H=A.T @ A + 0.1 * np.eye(p.n), F=p.F,
+                              A_eq=p.A_eq, b_eq=p.b_eq, A_in=p.A_in,
+                              b_in=p.b_in)
+            eliminated = qp._eliminate.cache_info()
+            factored = qp._factor.cache_info()
+            assert outcome(solve_qp(other)) == outcome(old_solve_qp(other))
+            after = qp._eliminate.cache_info()
+            assert (after.hits, after.misses) == (eliminated.hits + 1,
+                                                  eliminated.misses)
+            after = qp._factor.cache_info()
+            assert (after.hits, after.misses) == (factored.hits,
+                                                  factored.misses + 1)
+
+    def test_elimination_entries_are_read_only_shared_and_bounded(self):
+        for p in memo_cases():
+            solve_qp(p)
+        info = qp._eliminate.cache_info()
+        assert 0 < info.currsize <= info.maxsize == qp._FACTOR_MEMO
+        p = next(memo_cases())
+        k = len(p.A_eq)
+        entries = qp._eliminate(p.A_eq.tobytes(), (k, p.n))
+        Z, V, Ut, S_r = entries
+        rank = len(S_r)
+        assert 0 < rank <= k
+        assert Z.shape == (p.n, p.n - rank)
+        assert V.shape == (p.n, rank) and Ut.shape == (rank, k)
+        for a in entries:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+        # The factor entry of any H on this block holds the same arrays.
+        factor = qp._factor(p.H.tobytes(), p.A_eq.tobytes(), (p.n, k))
+        for a, b in zip((Z, V, Ut, S_r), (factor[0], *factor[2:5])):
+            assert a is b
+
 
 def problem_arrays(p):
     return [(name, getattr(p, name).dtype, getattr(p, name).shape,

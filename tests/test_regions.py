@@ -126,9 +126,11 @@ def measured_volume(t_rel, centers, shapes, member):
     """Moving volume with the given membership, holding its shapes'
     distances and gradients at the centers as `build_moving_volume`
     measures them."""
-    d, u = distance_gradients(shape_groups(shapes), centers)
+    groups = shape_groups(shapes)
+    d, u = distance_gradients(groups, centers)
     return MovingVolume(t_rel=t_rel, centers=centers, shapes=shapes,
-                        member=member, distances=d, gradients=u)
+                        member=member, distances=d, gradients=u,
+                        groups=groups)
 
 
 def volume_of(centers, shape_lists, tau):
