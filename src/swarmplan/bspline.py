@@ -37,7 +37,8 @@ read-only arrays, which every caller shares.
 
 `_active_basis` is memoized on its exact arguments: the grid (degree, t0,
 dt, m), the derivative order and the times, a float time by its value and
-an array of times by its shape and bytes.  A miss runs the evaluator on
+an array of times by its shape and bytes; `_many` tells the two apart by
+isinstance, not by the Python-level np.ndim.  A miss runs the evaluator on
 the same values, so a hit returns the very (idx, w) a fresh call would
 compute; both arrays are read-only, since every caller that asks for the
 same key shares them.  A time outside the domain raises on every call, as
@@ -59,6 +60,14 @@ _DOMAIN_TOL = 1e-9
 EXTENSION_SEGMENTS = 2
 
 
+def _many(t):
+    """Whether t is many times (an array or a list), not one (a float, an
+    int or a 0-d array)."""
+    if isinstance(t, np.ndarray):
+        return t.ndim > 0
+    return not isinstance(t, float) and np.ndim(t) > 0
+
+
 def basis_weights(degree, u):
     """Weights of the degree+1 basis functions active at local coordinate u.
 
@@ -66,7 +75,7 @@ def basis_weights(degree, u):
     there is sum_i w[..., i] * c[j - degree + i].  u is a float, giving w of
     shape (degree+1,), or an array, giving u.shape + (degree+1,).
     """
-    if np.ndim(u) == 0:
+    if not _many(u):
         cols = [1.0]
         for k in range(1, degree + 1):
             nxt = [0.0] * (k + 1)
@@ -98,11 +107,12 @@ def _active_basis(degree, t0, dt, m, t, order=0):
     Values there are w @ c[idx] for that spline's control points c, row by
     row for an array t; idx and w have shape t.shape + (degree-order+1,).
     Times within _DOMAIN_TOL of the derivative's own domain are clamped into
-    it; farther ones raise ValueError.  A float t takes Python arithmetic,
-    an array numpy's, with the same operations in the same order.  Both
-    arrays come from a memo and are read-only.
+    it; farther ones raise ValueError.  One time (a float, an int or a 0-d
+    array) takes Python arithmetic, many (an array or a list) numpy's, with
+    the same operations in the same order; `_many` decides.  Both arrays
+    come from a memo and are read-only.
     """
-    if np.ndim(t):
+    if _many(t):
         t = np.asarray(t, dtype=float)
         return _memo_basis(degree, t0, dt, m, order, (t.shape, t.tobytes()))
     return _memo_basis(degree, t0, dt, m, order, float(t))
@@ -119,7 +129,7 @@ def _memo_basis(degree, t0, dt, m, order, t):
         t0 = t0 + dt
     degree, m = degree - order, m - order
     lo, hi = t0 + degree * dt, t0 + m * dt
-    if np.ndim(t) == 0:
+    if isinstance(t, float):
         if t < lo - _DOMAIN_TOL or t > hi + _DOMAIN_TOL:
             raise ValueError(f"t={t} outside spline domain [{lo}, {hi}]")
         t = min(max(t, lo), hi)
@@ -268,7 +278,7 @@ class TrajectorySpline:
 
     def state_stack(self, t, n_orders):
         """(n_orders, 2) stack of derivative orders 0..n_orders-1 at t."""
-        return np.stack([self._evaluate(t, k) for k in range(n_orders)])
+        return np.array([self._evaluate(t, k) for k in range(n_orders)])
 
 
 def position_map(layout, times):

@@ -29,9 +29,12 @@ The nearest-point kernels (`_edge_projections`, `_disk_distance_gradient`,
 components: a dot is `rx*ex + ry*ey` and a length `np.sqrt(dx*dx + dy*dy)`,
 never a reduction over a length-2 axis, whose per-call overhead would
 dominate at these sizes.  They round as np.sum and np.linalg.norm over that
-axis did, since both add the two products in the same order.  The unit
-gradient is written with np.where, dividing zero lengths under np.errstate
-and discarding them, rather than scattered through a mask.
+axis did, since both add the two products in the same order.  For the same
+reason they call numpy's ufuncs and array methods, not its Python-level
+helpers (np.stack, np.clip, np.take_along_axis, np.all, np.max), and
+divide only where a length is nonzero: the unit gradient is divided into a
+zeroed array with `where=`, and the nearest edge is gathered by its flat
+index.  Every replacement gives the helper's bits.
 """
 
 import numpy as np
@@ -50,12 +53,12 @@ def _as_point(p):
 def _outward(vx, vy, length, dist, outside):
     """(d, u) of a nearest-point query: `dist` and the unit gradient
     (vx, vy) / length where `outside` holds and length > 1e-12, else zeros.
-    Zero lengths are divided through and discarded by the where."""
+    Only the kept lanes are divided."""
     ok = outside & (length > 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ux = np.where(ok, vx / length, 0.0)
-        uy = np.where(ok, vy / length, 0.0)
-    return np.where(ok, dist, 0.0), np.stack([ux, uy], axis=-1)
+    u = np.zeros(ok.shape + (2,))
+    np.divide(vx, length, out=u[..., 0], where=ok)
+    np.divide(vy, length, out=u[..., 1], where=ok)
+    return np.where(ok, dist, 0.0), u
 
 
 # --- kernels: stacked parameters broadcast against the points ----------------
@@ -85,14 +88,14 @@ def _polygon_contains(corners, edges, p):
     """Whether p lies on the inner side of every edge (..., k, 2)."""
     g = (edges[..., 0] * (p[..., None, 1] - corners[..., 1])
          - edges[..., 1] * (p[..., None, 0] - corners[..., 0]))
-    return np.all(g >= 0.0, axis=-1)
+    return np.logical_and.reduce(g >= 0.0, axis=-1)
 
 
 def _polygon_support(corners, u):
     """max over each polygon (..., k, 2) of u.x, per row of unit directions
     u (..., 2): the largest of the corners' np.vecdot, which rounds each
     alike however many directions there are (a one-row matmul does not)."""
-    return np.max(np.vecdot(u[..., None, :], corners), axis=-1)
+    return np.maximum.reduce(np.vecdot(u[..., None, :], corners), axis=-1)
 
 
 def _polygon_ray_distances(corners, edges, origins, dirs):
@@ -112,12 +115,14 @@ def _polygon_ray_distances(corners, edges, origins, dirs):
 
 def _edge_projections(corners, edges, pts):
     """Offset of each point from the nearest point of each edge segment
-    (..., k, 2), and its length: dx, dy and dist, each (..., k)."""
+    (..., k, 2), and its length: dx, dy and dist, each (..., k).  The
+    edge parameter is clamped to [0, 1] as np.clip clamps it: a bound
+    first, so that a -0.0 parameter stays -0.0."""
     ax, ay = corners[..., 0], corners[..., 1]
     ex, ey = edges[..., 0], edges[..., 1]
     px, py = pts[..., None, 0], pts[..., None, 1]
-    t = np.clip(((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey),
-                0.0, 1.0)
+    t = np.minimum(1.0, np.maximum(
+        0.0, ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)))
     dx = px - (ax + t * ex)
     dy = py - (ay + t * ey)
     return dx, dy, np.sqrt(dx * dx + dy * dy)
@@ -137,9 +142,10 @@ def _polygon_distance_gradient(corners, edges, pts):
     gradient, along the offset from the nearest edge (the first of equally
     near ones); points inside get distance 0 and a zero gradient."""
     dx, dy, dist = _edge_projections(corners, edges, pts)
-    best = np.argmin(dist, axis=-1)[None, ..., None]
-    vx, vy, dv = np.take_along_axis(np.stack([dx, dy, dist]), best,
-                                    axis=-1)[..., 0]
+    k = dist.shape[-1]
+    best = dist.argmin(axis=-1)
+    best += np.arange(0, best.size * k, k).reshape(best.shape)
+    vx, vy, dv = dx.take(best), dy.take(best), dist.take(best)
     return _outward(vx, vy, dv, dv,
                     ~_polygon_contains(corners, edges, pts))
 
@@ -188,7 +194,8 @@ def corners_area(corners):
     """Shoelace area of a polygon's corners (k, 2), in either orientation."""
     corners = np.asarray(corners, dtype=float)
     n = np.concatenate([corners[1:], corners[:1]])
-    return 0.5 * abs(float(np.sum(corners[:, 0] * n[:, 1] - corners[:, 1] * n[:, 0])))
+    return 0.5 * abs(float(np.add.reduce(corners[:, 0] * n[:, 1]
+                                         - corners[:, 1] * n[:, 0])))
 
 
 class ConvexPolygonShape:
@@ -211,8 +218,8 @@ class ConvexPolygonShape:
         self.corners = corners
         self.edges = np.concatenate([corners[1:], corners[:1]]) - corners
         self.center = corners.mean(axis=0)
-        self.size_scale = float(np.max(np.linalg.norm(corners - self.center,
-                                                      axis=1)))
+        self.size_scale = float(np.maximum.reduce(
+            np.linalg.norm(corners - self.center, axis=1)))
         self._area = None
 
     @property

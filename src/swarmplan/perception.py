@@ -57,7 +57,7 @@ def segment_scan(scan):
     cluster is then a slice of those arrays.
     """
     finite = np.isfinite(scan.ranges)
-    if not np.any(finite):
+    if not finite.any():
         return []
     n = scan.n_beams
     origins = scan.origins
@@ -65,9 +65,9 @@ def segment_scan(scan):
         raise ValueError("scan carries no origin poses")
     full_circle = abs(scan.angle_increment * n - 2.0 * np.pi) < 1e-6
 
-    idx = np.flatnonzero(finite)
+    idx = finite.nonzero()[0]
     # Runs start where consecutive finite beams are not adjacent.
-    starts = np.flatnonzero(np.diff(idx) > 1) + 1
+    starts = (idx[1:] - idx[:-1] > 1).nonzero()[0] + 1
     if len(starts) and idx[0] == 0 and idx[-1] == n - 1 and full_circle:
         # The last run continues across the seam into the first: move it
         # to the front, where the first run's returns follow it.
@@ -80,8 +80,8 @@ def segment_scan(scan):
     first = np.zeros(len(idx), dtype=bool)
     first[0] = True
     first[starts] = True
-    first[1:] |= np.linalg.norm(np.diff(pts, axis=0), axis=1) > JUMP_DISTANCE
-    bounds = np.append(np.flatnonzero(first), len(idx)).tolist()
+    first[1:] |= np.linalg.norm(pts[1:] - pts[:-1], axis=1) > JUMP_DISTANCE
+    bounds = first.nonzero()[0].tolist() + [len(idx)]
 
     clusters = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -117,11 +117,12 @@ def _fit_line(points):
     length = float(np.linalg.norm(chord))
     if length < 1e-12:
         # Degenerate: all points coincide.
-        return p0, np.array([1.0, 0.0]), float(np.max(np.linalg.norm(points - p0, axis=1))), 0.0
+        return p0, np.array([1.0, 0.0]), float(np.maximum.reduce(
+            np.linalg.norm(points - p0, axis=1))), 0.0
     u = chord / length
     rel = points - p0
     perp = rel[:, 0] * u[1] - rel[:, 1] * u[0]
-    return p0, u, float(np.max(np.abs(perp))), length
+    return p0, u, float(np.maximum.reduce(np.abs(perp))), length
 
 
 def fit_rectangle(points, robot_position):
@@ -164,7 +165,7 @@ def _split_corner(points):
         return None
     rel = points - p0
     perp = np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0])
-    k = int(np.argmax(perp))
+    k = int(perp.argmax())
     if k <= 0 or k >= len(points) - 1:
         return None
     a0, ua, res_a, len_a = _fit_line(points[:k + 1])
@@ -203,7 +204,7 @@ def _polyline_breakpoints(points, tol):
         else:
             u = chord / length
             dev = np.abs(rel[:, 0] * u[1] - rel[:, 1] * u[0])
-        k = int(np.argmax(dev))
+        k = int(dev.argmax())
         if dev[k] > tol:
             k += i + 1
             out.append(k)
@@ -225,7 +226,7 @@ def decompose_boundary(points, robot_position, closed=False):
     points = np.asarray(points, dtype=float)
     robot_position = np.asarray(robot_position, dtype=float)
     if closed:
-        k0 = int(np.argmin(np.linalg.norm(points - robot_position, axis=1)))
+        k0 = int(np.linalg.norm(points - robot_position, axis=1).argmin())
         points = np.roll(points, -k0, axis=0)
     cuts = _polyline_breakpoints(points, LINE_TOL)
     bounds = [0] + cuts + [len(points) - 1]
@@ -360,7 +361,7 @@ class LocalMap:
             return
         centers = self._centers()
         d = centers - self.origin
-        near = np.flatnonzero(np.sqrt(np.vecdot(d, d)) <= MAP_RADIUS)
+        near = (np.sqrt(np.vecdot(d, d)) <= MAP_RADIUS).nonzero()[0]
         cells = self._cells(centers[near])
         order = np.lexsort((cells[:, 1], cells[:, 0]))
         self._shapes = [self._shapes[near[i]] for i in order]
@@ -380,7 +381,7 @@ class LocalMap:
         centers = self._centers()
         d = center - centers
         reach = np.maximum([s.size_scale for s in self._shapes], shape.size_scale)
-        for i in np.flatnonzero(np.sqrt(np.vecdot(d, d)) < reach):
+        for i in (np.sqrt(np.vecdot(d, d)) < reach).nonzero()[0]:
             other = self._shapes[i]
             merged = _merge_shapes(other, shape, points)
             if merged is None:
@@ -571,7 +572,9 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
     """
     n = int(round(horizon / tau))
     t_rel = np.arange(1, n + 1) * tau
-    centers = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
+    lo, hi = trajectory.domain
+    centers = trajectory.positions(
+        np.minimum(hi, np.maximum(lo, t_now + t_rel)))
     shapes = local_map.shapes()
     groups = shape_groups(shapes)
     d, u = distance_gradients(groups, centers)

@@ -139,7 +139,7 @@ def quadratize_collision(layout, times, seeds, d, u):
     constraints use.  Returns (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P +
     c0; a plan through the seeds at the slice times gets the cost itself.
     """
-    ws = np.diff(times, prepend=layout.t_start)
+    ws = times - np.concatenate([[layout.t_start], times[:-1]])
     f, g, Hn = (x.sum(axis=1) for x in _kernel_models(d, u))
     A = position_map(layout, times)
     m = layout.m
@@ -255,7 +255,7 @@ def assemble_qp(req, layout):
             len(slot), 2 * m)
         region_b = regions.planes.offsets[at]
 
-    return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=np.ravel(values),
+    return QPProblem(H=H, F=F, A_eq=A_eq, b_eq=np.array(values).ravel(),
                      A_in=region_rows, b_in=region_b)
 
 
@@ -265,11 +265,12 @@ def _box_rows(maps, m):
     its bounds (bytes, as in PlanRequest.limit_b) once per row of D."""
     A, b = [np.zeros((0, 2 * m))], [np.zeros(0)]
     for D, bounds in maps:
-        rows = np.zeros((len(D), 2, 2 * m))
-        rows[:, 0, :m] = D
-        rows[:, 1, m:] = D
-        A.append(np.stack([rows, -rows], axis=2).reshape(-1, 2 * m))
-        b.append(np.tile(np.frombuffer(bounds), len(D)))
+        rows = np.zeros((len(D), 2, 2, 2 * m))
+        rows[:, 0, 0, :m] = D
+        rows[:, 1, 0, m:] = D
+        np.negative(rows[:, :, 0], out=rows[:, :, 1])
+        A.append(rows.reshape(-1, 2 * m))
+        b.append(np.frombuffer(bounds * len(D)))
     return np.concatenate(A), np.concatenate(b)
 
 
@@ -311,8 +312,8 @@ def _limit_rows(req, layout, sampled):
 
 
 def _unstacked(x):
-    m = len(x) // 2
-    return np.column_stack([x[:m], x[m:]])
+    """The (m, 2) control points, C-ordered, of the stacked [Px; Py]."""
+    return x.reshape(2, -1).T.copy()
 
 
 def plan_with_fallback(req):

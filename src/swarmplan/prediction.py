@@ -128,7 +128,7 @@ def predict_tracks(tracks, times, orders=3):
     (tracks, times, orders, 2), each equal bit for bit to the track's own
     `P.polyval`: c[-1] + x*0, then c[-i] + v*x.
     """
-    c = np.stack([tr.stack for tr in tracks])[:, None, :, :orders]
+    c = np.array([tr.stack for tr in tracks])[:, None, :, :orders]
     t_ref = np.array([tr.t_ref for tr in tracks])
     x = (np.asarray(times)[None, :] - t_ref[:, None])[..., None, None]
     v = c[:, :, -1] + x * 0
@@ -147,7 +147,7 @@ def associate(tracks, state):
     if not tracks:
         return None
     d = (predict_tracks(tracks, [state.stamp])[:, 0]
-         - np.stack([state.position, state.velocity, state.acceleration]))
+         - np.array([state.position, state.velocity, state.acceleration]))
     err = np.sqrt(np.vecdot(d, d))
     scores = err[:, 0] + W_VELOCITY * err[:, 1] + W_ACCELERATION * err[:, 2]
     best_idx = None

@@ -23,13 +23,16 @@ feasible start is needed, so there is no phase 1.
 The row added is the one with the largest violation per unit norm in the
 reduced space (ties to the lowest index; a zero row keeps its raw
 violation), so the path does not depend on how a row is scaled; an
-active row's slack is +inf, so its violation is -inf.  The factors of the
-active set are updated, not rebuilt: an orthonormal J whose first q
-columns span the active rows, and an upper-triangular R with
-B_active' = J[:, :q] R, kept together with its inverse.  Adding a row is one
-Householder reflection of J[:, q:] and a new column of R; dropping one is a
-sweep of Givens rotations that re-triangularizes R, applied to the columns
-of J and of R^-1 alike.
+active row's slack is +inf, so its violation is -inf.  The select step
+takes the argmax of that score over all rows first: when its row is over
+tol, it is the over-tol rows' argmax too, and only otherwise are the rows
+within tol masked out (which also finds the end, and a NaN row).  The
+factors of the active set are updated, not rebuilt: an orthonormal J whose
+first q columns span the active rows, and an upper-triangular R with
+B_active' = J[:, :q] R, kept together with its inverse.  Adding a row is
+one Householder reflection of J[:, q:] and a new column of R; dropping one
+is a sweep of Givens rotations that re-triangularizes R, applied to the
+columns of J and of R^-1 alike.
 
 The elimination depends on A_eq alone and the factor on H and A_eq, and a
 planner re-solves the same blocks often: agents with one layout share
@@ -69,8 +72,8 @@ _FACTOR_MEMO = 16    # distinct A_eq blocks, and (H, A_eq) pairs, kept
 def _checked_rows(A, b, n, side):
     """Float rows A and right-hand sides b with n columns, one value per
     row and every entry finite; anything else raises ValueError."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    A = np.array(A, dtype=float, copy=None, ndmin=2)
+    b = np.array(b, dtype=float, copy=None, ndmin=1)
     if A.ndim != 2 or A.shape[1] != n:
         raise ValueError(f"A_{side} must have {n} columns, got {A.shape}")
     if b.shape != (len(A),):
@@ -159,7 +162,7 @@ def _eliminate(A_eq, shape):
     A_eq = U S Vt of rank r the null-space basis Z = Vt[r:]' and the views
     Vt[:r]', U[:, :r]' and S[:r].  Every array is read-only."""
     U, S, Vt = np.linalg.svd(np.frombuffer(A_eq).reshape(shape))
-    rank = int(np.sum(S > _RANK_TOL * S.max(initial=0.0)))
+    rank = int(np.add.reduce(S > _RANK_TOL * S.max(initial=0.0)))
     entries = (Vt[rank:].T, Vt[:rank].T, U[:, :rank].T, S[:rank])
     for a in entries:
         a.setflags(write=False)
@@ -226,12 +229,13 @@ def solve_qp(problem):
         if j is None:
             np.matmul(B, w, out=viol)
             viol -= slack
-            over = viol > tol
-            j = int(np.where(over, np.divide(viol, norms, out=score),
-                             -np.inf).argmax())
-            # Row j is over tol unless none is (or a NaN row is neither).
-            if not over[j] and (viol <= tol).all():
-                break
+            j = int(np.divide(viol, norms, out=score).argmax())
+            if not viol[j] > tol:
+                over = viol > tol
+                j = int(np.where(over, score, -np.inf).argmax())
+                # Row j is over tol unless none is (or a NaN row is neither).
+                if not over[j] and (viol <= tol).all():
+                    break
             b_j, d_j, norm_j = B[j], float(d[j]), float(norms[j])
             t_plus = 0.0
         if it == max_iter:

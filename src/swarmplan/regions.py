@@ -194,7 +194,7 @@ def _packed(normals, offsets, keep):
     counts = keep.sum(axis=1)
     if keep.all():
         return PlaneStack(normals, offsets, counts)
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :max(counts.max(), 1)]
+    order = (~keep).argsort(axis=1, kind="stable")[:, :max(counts.max(), 1)]
     slices = np.arange(len(keep))[:, None]
     normals = normals[slices, order]
     offsets = offsets[slices, order]
@@ -240,14 +240,13 @@ def _seeded(seeds, groups, member, d, u):
     live = member & ~inside[:, None]
     # Candidate rows: the box, then one per shape, nearest first; the live
     # shapes of a slice sort ahead of the rest.
-    nearest = np.argsort(np.where(live, d, np.inf), axis=1, kind="stable")
+    nearest = np.where(live, d, np.inf).argsort(axis=1, kind="stable")
     slices = np.arange(K)
-    n = -u[slices[:, None], nearest]
-    normals = np.concatenate([np.broadcast_to(_BOX_NORMALS, (K, 4, 2)), n],
-                             axis=1)
-    offsets = np.concatenate([
-        seeds @ _BOX_NORMALS.T + BOX_HALF_WIDTH,
-        np.vecdot(n, seeds[:, None]) + d[slices[:, None], nearest]], axis=1)
+    normals, offsets = np.empty((K, 4 + S, 2)), np.empty((K, 4 + S))
+    normals[:, :4] = _BOX_NORMALS
+    n = np.negative(u[slices[:, None], nearest], out=normals[:, 4:])
+    offsets[:, :4] = seeds @ _BOX_NORMALS.T + BOX_HALF_WIDTH
+    offsets[:, 4:] = np.vecdot(n, seeds[:, None]) + d[slices[:, None], nearest]
     # separates[k, r, j]: candidate row r of slice k keeps shape j out.
     separates = np.empty((K, 4 + S, S), dtype=bool)
     for g in groups:
@@ -283,8 +282,9 @@ def _peer_cuts(stack, seeds, peers, groups, margin):
         offset[ts] = (np.vecdot(u[ts], peers[ts]) - footprint.support(-u[ts])
                       - margin)
     cut_normals, cut_offsets = unit_rows(u, offset)
-    normals = np.hstack([stack.normals, cut_normals.swapaxes(0, 1)])
-    offsets = np.hstack([stack.offsets, cut_offsets.T])
+    normals = np.concatenate([stack.normals, cut_normals.swapaxes(0, 1)],
+                             axis=1)
+    offsets = np.concatenate([stack.offsets, cut_offsets.T], axis=1)
     # Every row's gap to every peer, a gemv per (track, slice) as in the
     # chain; by_rows[t, k] says whether an input row keeps peer t out at
     # slice k.
@@ -302,8 +302,8 @@ def _peer_cuts(stack, seeds, peers, groups, margin):
         cuts[t] = clear[t] & ~kept
     if not cuts.any():
         return stack, clear.all(axis=0)
-    k, t = np.nonzero(cuts.T)
-    slot = stack.counts[k] + np.arange(len(k)) - np.searchsorted(k, k)
+    k, t = cuts.T.nonzero()
+    slot = stack.counts[k] + np.arange(len(k)) - k.searchsorted(k)
     normals[k, slot], offsets[k, slot] = (normals[k, n_rows + t],
                                           offsets[k, n_rows + t])
     counts = stack.counts + cuts.sum(axis=0)
@@ -325,8 +325,8 @@ def _index_tables(width):
     lexicographic order, read-only."""
     rows = np.arange(width)
     a, b = np.triu_indices(width, 1)
-    i, j, k = np.nonzero((rows[:, None, None] < rows[None, :, None])
-                         & (rows[None, :, None] < rows[None, None, :]))
+    i, j, k = ((rows[:, None, None] < rows[None, :, None])
+               & (rows[None, :, None] < rows[None, None, :])).nonzero()
     for table in (a, b, i, j, k):
         table.setflags(write=False)
     return a, b, i, j, k
@@ -349,21 +349,21 @@ def _chebyshev_radius(normals, offsets, counts):
         return (normals[s, p, 0] * normals[s, q, 1]
                 - normals[s, p, 1] * normals[s, q, 0])
 
-    s, t = np.nonzero(b < counts[:, None])
+    s, t = (b < counts[:, None]).nonzero()
     a, b = a[t], b[t]
     pair = ((np.abs(cross(s, a, b)) <= 1e-12)
             & (np.vecdot(normals[s, a], normals[s, b]) < 0.0))
     np.minimum.at(best, s[pair], 0.5 * (offsets[s, a] + offsets[s, b])[pair])
-    s, t = np.nonzero(k < counts[:, None])
+    s, t = (k < counts[:, None]).nonzero()
     i, j, k = i[t], j[t], k[t]
     # Barycentric weights of the origin in the triangle of three normals.
-    w = np.stack([cross(s, j, k), cross(s, k, i), cross(s, i, j)])
+    w = np.array([cross(s, j, k), cross(s, k, i), cross(s, i, j)])
     det = w.sum(axis=0)
     solid = np.abs(det) > 1e-12
     w = w[:, solid] / det[solid]
-    around = np.all(w >= -1e-12, axis=0)
+    around = np.logical_and.reduce(w >= -1e-12, axis=0)
     s, i, j, k = s[solid], i[solid], j[solid], k[solid]
-    r = (w * offsets[s, np.stack([i, j, k])]).sum(axis=0)
+    r = (w * offsets[s, np.array([i, j, k])]).sum(axis=0)
     np.minimum.at(best, s[around], r[around])
     return best
 
@@ -469,9 +469,9 @@ def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
         feasible &= free
     stack = _deflated(stack, ego_footprint)
     dots = np.matmul(stack.normals, seeds[:, :, None])[..., 0]
-    probe_in = np.all((dots <= stack.offsets + PROBE_TOL) | ~stack.live(),
-                      axis=1)
-    ks = np.flatnonzero(feasible & ~probe_in)
+    probe_in = np.logical_and.reduce(
+        (dots <= stack.offsets + PROBE_TOL) | ~stack.live(), axis=1)
+    ks = (feasible & ~probe_in).nonzero()[0]
     if len(ks):
         feasible[ks] = _has_interior(PlaneStack(
             stack.normals[ks], stack.offsets[ks], stack.counts[ks]))
@@ -484,4 +484,4 @@ def admit_obstacles(shapes, regions):
     of some slice (`SafeRegion.bounding`).  Only the record is read; the
     benchmark tracer wraps this by name and counts len(shapes) and
     len(result), so it keeps its signature and list result."""
-    return np.flatnonzero(regions.bounding.any(axis=0)).tolist()
+    return regions.bounding.any(axis=0).nonzero()[0].tolist()

@@ -252,8 +252,8 @@ class ExecutedPath:
         per commit and order."""
         times = np.asarray(times, dtype=float)
         # The same rule as `state`: the latest commit at or before t + 1e-12.
-        which = np.clip(np.searchsorted(self._stamps, times + 1e-12,
-                                        side="right") - 1, 0, None)
+        which = np.maximum(0, np.searchsorted(self._stamps, times + 1e-12,
+                                              side="right") - 1)
         out = np.zeros((len(times), n_orders, 2))
         for k in np.unique(which):
             tr = self._commits[k][1]
@@ -264,7 +264,7 @@ class ExecutedPath:
                 out[parked, 0] = tr.position(hi)
             sel &= ~parked
             if sel.any():
-                ts = np.clip(times[sel], lo, hi)
+                ts = np.minimum(hi, np.maximum(lo, times[sel]))
                 for order in range(n_orders):
                     out[sel, order] = tr.derivative_values(ts, order)
         return out

@@ -135,8 +135,12 @@ def scan_point_position(lengths, angles, origins):
     lengths: a missing return must never enter geometry.
     """
     lengths = np.asarray(lengths, dtype=float)
-    if not np.all(np.isfinite(lengths)):
+    if not np.isfinite(lengths).all():
         raise ValueError("cannot place a beam with no return")
     angles = np.asarray(angles, dtype=float)
-    rays = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    # cos and sin write contiguous arrays first: a strided output may take
+    # another of numpy's loops, which can round differently.
+    rays = np.empty(angles.shape + (2,))
+    rays[..., 0] = np.cos(angles)
+    rays[..., 1] = np.sin(angles)
     return np.asarray(origins, dtype=float) + lengths[..., None] * rays

@@ -29,6 +29,12 @@ tables across runs;
 runs one window from all of them empty and again from memos another
 scenario filled.
 
+`test_the_cycle_calls_no_python_level_helper` counts, over 0.4 s of
+intersection and antipodal, the package's calls inside `Agent.agent_cycle`
+of numpy helpers that run Python code before their C loop (np.stack,
+np.ndim, np.clip, ...); every count must be 0 but the one np.errstate of
+the peer cut.
+
 The table is read from each agent's executed path in one array pass;
 `test_table_equals_per_sample_reads` holds it to one `state` read per
 sample.
@@ -36,6 +42,7 @@ sample.
 
 import importlib
 import pkgutil
+import sys
 from collections import Counter
 
 import pytest
@@ -268,6 +275,52 @@ def test_runs_do_not_depend_on_the_memos():
         assert cold.table[agent].tobytes() == warm.table[agent].tobytes()
     assert outcomes(cold) == outcomes(warm)
     assert deterministic(cold.metrics) == deterministic(warm.metrics)
+
+
+# numpy's Python-level helpers that the agent cycle no longer calls: each
+# has a ufunc, array-method or np.array form that gives the same bits
+# without the Python frames.  `regions._peer_cuts` keeps its np.errstate,
+# whose NaN lanes feed its later masks.
+PYTHON_LEVEL = ("stack", "hstack", "column_stack", "tile", "broadcast_to",
+                "atleast_1d", "atleast_2d", "take_along_axis", "diff",
+                "clip", "ndim", "flatnonzero", "nonzero", "argsort",
+                "argmin", "argmax", "searchsorted", "all", "any", "max", "sum",
+                "errstate")
+KEPT = {("errstate", "_peer_cuts")}
+
+
+@pytest.mark.parametrize("name", ["intersection", "antipodal"])
+def test_the_cycle_calls_no_python_level_helper(name, monkeypatch):
+    calls = Counter()
+    inside = [False]
+
+    def counted(helper, fn):
+        def call(*args, **kwargs):
+            caller = sys._getframe(1)
+            if inside[0] and caller.f_globals["__name__"].startswith(
+                    "swarmplan."):
+                calls[helper, caller.f_code.co_name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for helper in PYTHON_LEVEL:
+        monkeypatch.setattr(np, helper, counted(helper, getattr(np, helper)))
+    cycle = runtime.Agent.agent_cycle
+
+    def watched(agent, now):
+        inside[0] = True
+        try:
+            return cycle(agent, now)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(runtime.Agent, "agent_cycle", watched)
+    result = run_scenario(builtin_scenario(name, duration=0.4))
+    reports = [r for rs in result.reports.values() for r in rs]
+    assert any(r.scan_processed for r in reports)
+    if name == "intersection":
+        assert any(r.status == "relaxed" for r in reports)
+    assert not set(calls) - KEPT, calls
 
 
 def per_sample_table(path, times):

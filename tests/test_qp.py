@@ -322,6 +322,38 @@ class TestPivot:
         sol = solve_qp(p)
         assert (sol.status, sol.iterations, sol.working_set) == ("infeasible", 2, [1])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_row_within_tol_is_never_added(self, seed):
+        # A row violated by half the tolerance, with a norm of 1e-13 in the
+        # reduced space, has the largest violation per unit norm, while a
+        # unit row is violated by 1.  Only the over-tol row is added; the
+        # solution is optimal, passes KKT and is the solution without the
+        # tiny row, up to the rounding of products over more rows.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        A = rng.normal(size=(n, n))
+        H = A.T @ A + 0.5 * np.eye(n)
+        F = rng.normal(size=n)
+        x_u = np.linalg.solve(H, -F)
+        a = rng.normal(size=n)
+        a /= np.linalg.norm(a)
+        base = QPProblem(H=H, F=F, A_in=a[None], b_in=[a @ x_u - 1.0])
+        # With no equalities the reduced-space norm of a row g is |L^-1 g|.
+        L = np.linalg.cholesky(H)
+        e = rng.normal(size=n)
+        e *= 1e-13 / np.linalg.norm(np.linalg.solve(L, e))
+        tol = _VIOL_TOL * (1.0 + max(abs(a @ x_u - 1.0), abs(e @ x_u)))
+        p = base.with_rows(e[None], [e @ x_u - 0.5 * tol])
+        scores = (p.A_in @ x_u - p.b_in) / np.linalg.norm(
+            np.linalg.solve(L, p.A_in.T), axis=0)
+        assert scores[1] > scores[0] > 0.0
+        sol, alone = solve_qp(p), solve_qp(base)
+        assert (sol.status, sol.working_set) == ("optimal", [0])
+        check_kkt(p, sol, tol=1e-8)
+        assert sol.iterations == alone.iterations == 1
+        assert np.abs(sol.x - alone.x).max() <= 1e-12 * max(
+            1.0, np.abs(alone.x).max())
+
     def test_nearly_dependent_rows_drop_often(self):
         rng = np.random.default_rng(13)
         drops = 0

@@ -593,3 +593,57 @@ class TestBasisCache:
                 row = derivative_map(layout, t, 0)
                 assert _same(row, row @ np.eye(s.m))
                 assert _same(row, rows[times.index(t)])
+
+
+# --- one time or many ------------------------------------------------------------
+
+class TestTimeDispatch:
+    """A Python float, an int, a numpy float or a 0-d array is one time and
+    takes the float path; a 1-D array or a list is many and takes the array
+    path.  The path shows in the memo key: a float, or (shape, bytes)."""
+
+    S = TrajectorySpline(3, -1.5, 0.5, np.random.default_rng(83).normal(
+        size=(10, 2)))
+    ONE = (2, 2.0, np.float64(2.0), np.array(2.0), np.array([2.0])[0])
+    MANY = (np.array([0.25, 1.3, 2.0]), [0.25, 1.3, 2.0])
+
+    @staticmethod
+    def keys(monkeypatch):
+        seen = []
+        memo = bspline._memo_basis
+
+        def spy(*args):
+            seen.append(args[-1])
+            return memo(*args)
+
+        monkeypatch.setattr(bspline, "_memo_basis", spy)
+        return seen
+
+    def evaluators(self):
+        s, layout = self.S, layout_of(self.S)
+        for order in range(s.degree + 1):
+            yield lambda t, k=order: bspline._active_basis(
+                s.degree, s.t0, s.dt, s.m, t, k)
+            yield lambda t, k=order: derivative_map(layout, t, k)
+            yield lambda t, k=order: s._evaluate(t, k)
+
+    @pytest.mark.parametrize("kinds,key", [("ONE", float), ("MANY", tuple)])
+    def test_each_kind_takes_its_path(self, monkeypatch, kinds, key):
+        seen = self.keys(monkeypatch)
+        times = getattr(self, kinds)
+        for fn in self.evaluators():
+            want = fn(2.0 if key is float else times[0])
+            for t in times:
+                del seen[:]
+                got = fn(t)
+                assert [type(k) for k in seen] == [key], type(t)
+                for a, b in zip(got if isinstance(got, tuple) else [got],
+                                want if isinstance(want, tuple) else [want]):
+                    assert _same(a, b) and a.dtype == b.dtype, type(t)
+
+    def test_basis_weights_dispatch(self):
+        for u in (0, 0.375, np.float64(0.375), np.array(0.375)):
+            assert _same(basis_weights(3, u), basis_weights(3, float(u)))
+        u = [0.0, 0.375, 1.0]
+        assert _same(basis_weights(3, u), basis_weights(3, np.array(u)))
+        assert basis_weights(3, u).shape == (3, 4)
