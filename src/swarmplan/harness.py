@@ -23,7 +23,8 @@ import numpy as np
 
 from .metrics import (RunMetrics, compute_motion_metrics, solve_time_stats,
                       write_trajectories)
-from .runtime import TAU, Agent, AgentSpec, MessageBus, broadcast
+from .planner import TAU
+from .runtime import Agent, AgentSpec, MessageBus, broadcast
 from .scenario import resolve_agents
 from .sensor import (SWEEP_RATE, World, n_beams, simulate_scan,
                      simulate_swept_scan)

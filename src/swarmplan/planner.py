@@ -14,8 +14,8 @@ safe-region halfplanes at every future timestep.  The fallback ladder
 appends each pass's derivative box limits to A_in: first on the derivative
 control points, a read-only block checked once and cached per knot
 topology and limits, then, if that is infeasible and there are limits,
-sampled RELAXED_SAMPLES_PER_SEGMENT times per knot segment and checked on
-every pass.  If both fail the previous trajectory is kept.
+sampled at the multiples of TAU, the slice grid, and checked on every
+pass.  If both fail the previous trajectory is kept.
 """
 
 import functools
@@ -30,6 +30,7 @@ from .bspline import (TrajectorySpline, derivative_gram, difference_matrix,
 from .qp import QPProblem, _checked_rows, solve_qp
 
 HORIZON = 4.0           # planning horizon, seconds
+TAU = 0.1               # region slice and limit sample spacing, seconds
 KNOT_SEGMENT = 1.0      # B-spline knot spacing, seconds
 DISTANCE_FLOOR = 1e-3   # meters; keeps the kernel finite at contact
 
@@ -46,10 +47,6 @@ RHO = 0.2
 # How far ahead (in knot segments) the goal pin sits once its stamp has
 # passed; keeps the spline station-keeping at the goal.
 PIN_LEAD_SEGMENTS = 2.0
-
-# Sampling density of the relaxed derivative-limit rows, per knot segment.
-# Ten per one-second segment matches the prediction grid.
-RELAXED_SAMPLES_PER_SEGMENT = 10
 
 
 @dataclass
@@ -295,18 +292,17 @@ def _limit_rows(req, layout, sampled):
     -d x <= -lo, d y <= hi, -d y <= -lo.  The control-point rows
     (sampled=False) guarantee the bound at every instant (convex hull); they
     come read-only and checked from _limit_block.  The sampled rows, built
-    per call, check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot
-    segment, the dense grid the regions use, trading the guarantee between
-    samples for feasibility when the convex-hull rows are too conservative.
-    The samples sit on absolute multiples of the step so every logged state
-    lands on a constrained instant no matter when the cycle started.
+    per call, check it at every multiple of TAU in [t_start, t_end], the
+    grid of the region slices and of the logged table, trading the guarantee
+    between samples for feasibility when the convex-hull rows are too
+    conservative; every logged state in the horizon is a constrained
+    instant, whenever the cycle started.
     """
     if not sampled:
         return _limit_block(layout.m, layout.dt, req.limit_b)
-    h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
-    first = math.ceil(layout.t_start / h - 1e-9)
-    last = math.floor(layout.t_end / h + 1e-9)
-    times = h * np.arange(first, last + 1)
+    first = math.ceil(layout.t_start / TAU - 1e-9)
+    last = math.floor(layout.t_end / TAU + 1e-9)
+    times = TAU * np.arange(first, last + 1)
     return _box_rows([(derivative_map(layout, times, order), b)
                       for order, b in req.limit_b], layout.m)
 
@@ -325,9 +321,9 @@ def plan_with_fallback(req):
     pass its sampled rows, checked as they are appended
     (QPProblem.with_rows).  The dense pass enforces the box limits on the
     derivative control points; if it is infeasible and there are limits,
-    the relaxed pass samples them RELAXED_SAMPLES_PER_SEGMENT times per
-    knot segment instead; if that also fails the previous trajectory is
-    returned unchanged with status 'fallback'.
+    the relaxed pass samples them at the multiples of TAU instead; if that
+    also fails the previous trajectory is returned unchanged with status
+    'fallback'.
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,

@@ -37,7 +37,9 @@ equal, so dropping it before or after gives the same rows.  The seed probe
 is one step, and the slices that fail it get one emptiness test over the
 padded stack (`_chebyshev_radius`).  The single-slice functions
 (`seed_region`, `contract_for_peer`, `deflate_for_ego`, `region_is_empty`)
-run the same kernels on a one-slice stack.
+run the same kernels on a one-slice stack.  Every step that adds or drops
+rows marks the rows each slice keeps, and `_packed`, the one writer of the
+padding, packs them, so a stack is as wide as its largest count.
 
 Arithmetic.  A region is defined slice by slice: a shape's row is n = -u
 and o = n.seed + d as the distance pass gives them, a cut appends its
@@ -123,17 +125,13 @@ class PlaneStack(NamedTuple):
         return ConvexPolytope(self.normals[k, :c], self.offsets[k, :c])
 
     def replaced(self, taken, other):
-        """Copy with the slices where `taken` holds taken from the same
-        slices of `other`, NaN padded to the wider stack's width."""
-        width = max(self.offsets.shape[1], other.offsets.shape[1])
-        normals = np.full((len(self.counts), width, 2), np.nan)
-        offsets = np.full(normals.shape[:2], np.nan)
-        for rows, src in ((~taken, self), (taken, other)):
-            w = src.offsets.shape[1]
-            normals[rows, :w] = src.normals[rows]
-            offsets[rows, :w] = src.offsets[rows]
-        return PlaneStack(normals, offsets,
-                          np.where(taken, other.counts, self.counts))
+        """Copy with slice k taken from `other` where taken[k] holds."""
+        taken = taken[:, None]
+        return _packed(
+            np.concatenate([self.normals, other.normals], axis=1),
+            np.concatenate([self.offsets, other.offsets], axis=1),
+            np.concatenate([~taken & self.live(), taken & other.live()],
+                           axis=1))
 
 
 class ConvexPolytope:
@@ -188,9 +186,8 @@ class SafeRegion:
 # --- kernels ----------------------------------------------------------------
 
 def _packed(normals, offsets, keep):
-    """The rows where keep[k] holds, packed in order into a NaN-padded
-    stack; the rows as they are when every one is kept, as in a slice
-    with no shape to bound it."""
+    """The rows where keep[k] holds, packed in order into a stack NaN
+    padded to the largest count; the rows as they are when all are kept."""
     counts = keep.sum(axis=1)
     if keep.all():
         return PlaneStack(normals, offsets, counts)
@@ -302,14 +299,9 @@ def _peer_cuts(stack, seeds, peers, groups, margin):
         cuts[t] = clear[t] & ~kept
     if not cuts.any():
         return stack, clear.all(axis=0)
-    k, t = cuts.T.nonzero()
-    slot = stack.counts[k] + np.arange(len(k)) - k.searchsorted(k)
-    normals[k, slot], offsets[k, slot] = (normals[k, n_rows + t],
-                                          offsets[k, n_rows + t])
-    counts = stack.counts + cuts.sum(axis=0)
-    pad = np.arange(normals.shape[1]) >= counts[:, None]
-    normals[pad], offsets[pad] = np.nan, np.nan
-    return PlaneStack(normals, offsets, counts), clear.all(axis=0)
+    return (_packed(normals, offsets,
+                    np.concatenate([stack.live(), cuts.T], axis=1)),
+            clear.all(axis=0))
 
 
 def _deflated(stack, footprint):

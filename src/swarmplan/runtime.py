@@ -28,7 +28,7 @@ from .bspline import plan_knot_layout
 from .geometry import footprint_from_size
 from .perception import (LocalMap, build_moving_volume, classify_cluster,
                          compensate_motion, decompose_boundary, segment_scan)
-from .planner import (HORIZON, KNOT_SEGMENT, PlanReport, PlanRequest,
+from .planner import (HORIZON, KNOT_SEGMENT, TAU, PlanReport, PlanRequest,
                       constant_spline, plan_with_fallback)
 from .prediction import PeerState, update_tracks
 from .regions import admit_obstacles, build_safe_regions
@@ -37,8 +37,6 @@ __all__ = [
     "AgentSpec", "Agent", "BusMessage", "MessageBus", "CycleReport",
     "ExecutedPath", "broadcast", "symmetric_limits",
 ]
-
-TAU = 0.1            # safe-region slice spacing, seconds; divides HORIZON
 
 
 def symmetric_limits(bounds):

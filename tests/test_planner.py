@@ -22,16 +22,15 @@ from swarmplan.perception import LocalMap, build_moving_volume
 from swarmplan.planner import (AllSlicesInfeasible, DISTANCE_FLOOR, HORIZON,
                                KNOT_SEGMENT, PIN_LEAD_SEGMENTS, Q_FINAL,
                                Q_FINAL_VEL, Q_N, Q_NM1, Q_OBS, PlanReport,
-                               PlanRequest, RELAXED_SAMPLES_PER_SEGMENT,
-                               _limit_rows, _unstacked, assemble_qp,
-                               collision_kernel, constant_spline,
+                               PlanRequest, TAU, _limit_rows, _unstacked,
+                               assemble_qp, collision_kernel, constant_spline,
                                end_cost, plan_with_fallback,
                                quadratize_collision)
 from swarmplan.qp import (_EQ_TOL, _FACTOR_MEMO, _RANK_TOL, _VIOL_TOL,
                           _ZERO_STEP, QPProblem, QPSolution, solve_qp)
 from swarmplan.regions import (ConvexPolytope, PlaneStack, SafeRegion,
                                admit_obstacles, build_safe_regions)
-from swarmplan.runtime import TAU, AgentSpec, symmetric_limits
+from swarmplan.runtime import AgentSpec, symmetric_limits
 from swarmplan.scenario import _comfortable_arrival, builtin_scenario
 
 
@@ -598,11 +597,11 @@ class TestFallbackLadder:
         # the relaxed rows at the sampling grid.
         layout = cycle_layout(req)
         m = layout.m
-        h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
         for sampled, D in (
                 (False, difference_matrix(m, layout.dt, 1)),
                 (True, derivative_map(
-                    layout, h * np.arange(round(layout.t_end / h) + 1), 1))):
+                    layout, TAU * np.arange(round(layout.t_end / TAU) + 1),
+                    1))):
             A, b = _limit_rows(req, layout, sampled)
             assert A.shape == (4 * len(D), 2 * m)
             for k, (sign, axis) in enumerate(
@@ -620,6 +619,37 @@ class TestFallbackLadder:
         for sampled in (False, True):
             A, b = _limit_rows(req, layout, sampled)
             assert A.shape == (0, 2 * layout.m) and b.shape == (0,)
+
+    def test_relaxed_samples_are_the_logged_grid(self, monkeypatch):
+        # Whatever tick a cycle starts on, and with the knot grid extended
+        # at the goal stamp or not, the relaxed rows sample every order at
+        # the integer multiples of TAU in [t_start, t_end] and nowhere else,
+        # as the same doubles as the logged table's times (np.arange(n) *
+        # TAU in the harness): every logged instant inside a plan's horizon
+        # is a constrained one.
+        seen = []
+
+        def recording(layout, times, order):
+            seen.append(times)
+            return derivative_map(layout, times, order)
+
+        monkeypatch.setattr(planner, "derivative_map", recording)
+        logged = np.arange(300) * TAU
+        for tick in range(0, 500, 3):
+            t_now = tick / 25.0
+            for goal_time in (4.0, t_now + HORIZON):
+                req = base_request(t_now=t_now, goal_time=goal_time)
+                layout = cycle_layout(req)
+                seen.clear()
+                _limit_rows(req, layout, sampled=True)
+                assert len(seen) == len(req.limit_b) == 2
+                # The logged times in the plan's domain: the integer
+                # multiples of TAU there.
+                held = logged[(logged >= layout.t_start - 1e-9)
+                              & (logged <= layout.t_end + 1e-9)]
+                assert len(held) >= 40
+                for times in seen:
+                    assert np.array_equal(times, held)
 
     @pytest.mark.parametrize("dt, order", [(1.0, 1), (1.0, 2), (0.5, 4)])
     def test_control_point_rows_cached_read_only(self, dt, order):
@@ -898,11 +928,11 @@ def old_limit_rows(req, layout, sampled):
     Each row d of an order's derivative map gives four rows: d x <= hi,
     -d x <= -lo, d y <= hi, -d y <= -lo.  The control-point rows
     (sampled=False) guarantee the bound at every instant (convex hull).  The
-    sampled rows check it at RELAXED_SAMPLES_PER_SEGMENT instants per knot
-    segment, the dense grid the regions use, trading the guarantee between
-    samples for feasibility when the convex-hull rows are too conservative.
-    The samples sit on absolute multiples of the step so every logged state
-    lands on a constrained instant no matter when the cycle started.
+    sampled rows check it at the multiples of TAU, the grid the regions
+    use, trading the guarantee between samples for feasibility when the
+    convex-hull rows are too conservative.  The samples sit on absolute
+    multiples of the step so every logged state lands on a constrained
+    instant no matter when the cycle started.
     """
     m = layout.m
     if not old_limit_b(req):
@@ -910,11 +940,10 @@ def old_limit_rows(req, layout, sampled):
     A, b = [], []
     for order, pattern in old_limit_b(req).items():
         if sampled:
-            h = layout.dt / RELAXED_SAMPLES_PER_SEGMENT
-            first = math.ceil(layout.t_start / h - 1e-9)
-            last = math.floor(layout.t_end / h + 1e-9)
+            first = math.ceil(layout.t_start / TAU - 1e-9)
+            last = math.floor(layout.t_end / TAU + 1e-9)
             rows = old_box_rows(derivative_map(
-                layout, h * np.arange(first, last + 1), order))
+                layout, TAU * np.arange(first, last + 1), order))
         else:
             rows = old_box_rows(difference_matrix(m, layout.dt, order))
         A.append(rows)
@@ -928,9 +957,9 @@ def old_plan_with_fallback(req, passes):
     Returns (trajectory, report).  The QP is assembled once, and each pass
     closes its A_in with its own limit rows.  The dense pass enforces the
     box limits on the derivative control points; if it is infeasible, the
-    relaxed pass samples them RELAXED_SAMPLES_PER_SEGMENT times per knot
-    segment instead; if that also fails the previous trajectory is returned
-    unchanged with status 'fallback'.
+    relaxed pass samples them at the multiples of TAU instead; if that
+    also fails the previous trajectory is returned unchanged with status
+    'fallback'.
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,

@@ -583,6 +583,52 @@ class TestBuildSafeRegions:
             borrowed += inside.sum()
         assert borrowed > 10
 
+    @staticmethod
+    def assert_packed(stack):
+        """Each slice's first counts[k] rows finite, the rest NaN, and the
+        stack as wide as its largest count."""
+        live = np.arange(stack.offsets.shape[1]) < stack.counts[:, None]
+        for rows in stack[:2]:
+            assert np.isfinite(rows[live]).all()
+            assert np.isnan(rows[~live]).all()
+        assert stack.offsets.shape[1] == max(stack.counts.max(), 1)
+
+    def test_every_stack_is_packed(self, monkeypatch):
+        # Every stack that the peer cut or the borrowing of previous slices
+        # returns, and both stacks of every region, are packed.
+        made = {"cut": [], "borrowed": []}
+        peer_cuts, replaced = regions._peer_cuts, PlaneStack.replaced
+
+        def recording_cuts(stack, *args):
+            out = peer_cuts(stack, *args)
+            if out[0] is not stack:
+                made["cut"].append(out[0])
+            return out
+
+        def recording_replaced(stack, taken, other):
+            out = replaced(stack, taken, other)
+            made["borrowed"].append(out)
+            return out
+
+        monkeypatch.setattr(regions, "_peer_cuts", recording_cuts)
+        monkeypatch.setattr(PlaneStack, "replaced", recording_replaced)
+        rng = np.random.default_rng(101)
+        for trial in range(8):
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
+            first = random_volume(rng, 30)
+            tracks = random_tracks(rng, first)
+            prev = build_safe_regions(first, tracks, ego, 0.0)
+            second = random_volume(rng, 30, inside_frac=0.3)
+            region = build_safe_regions(second, tracks[:trial % 3], ego, 0.04,
+                                        previous=prev)
+            for reg in (prev, region):
+                self.assert_packed(reg.planes)
+                self.assert_packed(reg.static)
+        for stacks in made.values():
+            for stack in stacks:
+                self.assert_packed(stack)
+        assert len(made["cut"]) > 2 and len(made["borrowed"]) > 2
+
 
 # --- the one-pass build against the per-slice definition ----------------------
 #
