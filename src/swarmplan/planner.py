@@ -15,7 +15,11 @@ appends each pass's derivative box limits to A_in: first on the derivative
 control points, a read-only block checked once and cached per knot
 topology and limits, then, if that is infeasible and there are limits,
 sampled at the multiples of TAU, the slice grid, and checked on every
-pass.  If both fail the previous trajectory is kept.
+pass.  If both fail the previous trajectory is kept.  A cycle after a
+fallback, with limits, first solves the QP without limit rows: each pass
+only appends rows, so a Farkas certificate of its equalities and region
+rows proves both infeasible in one solve.  A probe is one more solve in a
+cycle that plans, so only a fallback streak runs it.
 """
 
 import functools
@@ -62,6 +66,7 @@ class PlanRequest:
     the volume measured of them.  The limits, boxes that
     `runtime.symmetric_limits` has checked (lo < 0 < hi), are turned into
     limit_b once, here, not on every pass of the fallback ladder.
+    after_fallback is set when the agent's last cycle fell back.
     """
 
     t_now: float
@@ -71,6 +76,7 @@ class PlanRequest:
     regions: object = None
     volume: object = None
     near_obstacles: list = field(default_factory=list)
+    after_fallback: bool = False
 
     # (order, bytes of hi_x, -lo_x, hi_y, -lo_y) per limited order, in order:
     # its four box rows' bounds, exact bytes that key _limit_block.
@@ -323,7 +329,9 @@ def plan_with_fallback(req):
     derivative control points; if it is infeasible and there are limits,
     the relaxed pass samples them at the multiples of TAU instead; if that
     also fails the previous trajectory is returned unchanged with status
-    'fallback'.
+    'fallback'.  With after_fallback and limits, a probe solves the QP
+    without limit rows first; only if it is 'infeasible' is the previous
+    trajectory returned at once, reporting the probe's iterations.
     """
     t_begin = time.perf_counter()
     layout = plan_knot_layout(req.t_now, HORIZON, KNOT_SEGMENT,
@@ -347,6 +355,10 @@ def plan_with_fallback(req):
         problem = assemble_qp(req, layout)
     except AllSlicesInfeasible:
         return finish(req.previous, "fallback")
+    if req.after_fallback and req.limit_b:
+        sol = solve_qp(problem)
+        if sol.status == "infeasible":
+            return finish(req.previous, "fallback", sol)
     for status, sampled in (("optimal", False), ("relaxed", True)):
         append = problem.with_rows if sampled else problem.with_checked_rows
         sol = solve_qp(append(*_limit_rows(req, layout, sampled)))

@@ -419,7 +419,8 @@ class Agent:
             traj, plan = plan_with_fallback(PlanRequest(
                 t_now=now, initial_state=initial_state, previous=prev,
                 spec=self.config, regions=regions, volume=self.volume,
-                near_obstacles=near))
+                near_obstacles=near, after_fallback=bool(self.reports)
+                and self.reports[-1].status == "fallback"))
         except Exception as exc:
             flags.append(f"plan:{type(exc).__name__}")
             traj, plan = prev, PlanReport("fallback", continuity_error=0.0)

@@ -53,7 +53,7 @@ import swarmplan
 from swarmplan import harness, planner, regions, runtime
 from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import compute_motion_metrics, read_trajectories
-from swarmplan.runtime import TAU
+from swarmplan.planner import TAU
 from swarmplan.scenario import builtin_scenario
 from test_regions import assert_same_cut, old_peer_cuts
 

@@ -32,6 +32,7 @@ from swarmplan.regions import (ConvexPolytope, PlaneStack, SafeRegion,
                                admit_obstacles, build_safe_regions)
 from swarmplan.runtime import AgentSpec, symmetric_limits
 from swarmplan.scenario import _comfortable_arrival, builtin_scenario
+from test_qp import lp_feasible
 
 
 def dist_many(shape, pts):
@@ -765,6 +766,60 @@ class TestFallbackLadder:
         assert report.status == "fallback"
         assert traj is req.previous
 
+    def test_probe_certifies_region_rows_alone(self, monkeypatch):
+        # The waypoint beyond the wall conflicts with the region rows alone:
+        # after a fallback, one solve of the QP without limit rows proves
+        # it; without the flag both passes run and keep the same plan.
+        req = base_request(regions=wall_region(),
+                           waypoints=[(1.0, np.array([10.0, 0.0]))])
+        probe = assemble_qp(req, cycle_layout(req))
+        (traj, report), passes = traced_plan(
+            replace(req, after_fallback=True), monkeypatch)
+        (problem, sol), = passes
+        assert problem_key(problem) == problem_key(probe)
+        assert sol.status == "infeasible"
+        assert report.status == "fallback" and traj is req.previous
+        assert report.iterations == sol.iterations
+        (traj, report), passes = traced_plan(req, monkeypatch)
+        assert len(passes) == 2
+        assert report.status == "fallback" and traj is req.previous
+
+    @pytest.mark.parametrize("waypoint, status", [
+        ([0.72, 0.0], "relaxed"), ([10.0, 0.0], "fallback")])
+    def test_a_maxiter_probe_certifies_nothing(self, waypoint, status,
+                                               monkeypatch):
+        # A probe that hits the iteration cap proves nothing, whatever the
+        # region rows are: the ladder runs after it and reports as without
+        # the flag.
+        solved = []
+
+        def capped(problem):
+            solved.append(solve_qp(problem))
+            if len(solved) == 1:
+                return replace(solved[0], status="maxiter")
+            return solved[-1]
+
+        req = base_request(
+            regions=wall_region(), waypoints=[(1.0, np.array(waypoint))],
+            limits={1: (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))})
+        want_passes = []
+        want = old_plan_with_fallback(req, want_passes)
+        monkeypatch.setattr(planner, "solve_qp", capped)
+        got = plan_with_fallback(replace(req, after_fallback=True))
+        assert len(solved) == 3
+        assert got[1].status == status == want[1].status
+        assert plan_key(*got) == plan_key(*want) and len(want_passes) == 2
+
+    @pytest.mark.parametrize("waypoint", [[1.0, 0.5], [10.0, 0.0]])
+    def test_no_limits_no_probe(self, waypoint, monkeypatch):
+        # Without limits the dense pass is the probe's QP: it solves once.
+        req = base_request(limits={}, regions=wall_region(),
+                           waypoints=[(1.0, np.array(waypoint))])
+        got, passes = traced_plan(replace(req, after_fallback=True),
+                                  monkeypatch)
+        assert len(passes) == 1
+        assert plan_key(*got) == plan_key(*plan_with_fallback(req))
+
 
 class TestHelpers:
     def test_admit_obstacles_filters_far_shapes(self):
@@ -1197,7 +1252,9 @@ def traced_plan(req, monkeypatch):
 class TestLadderParity:
     """The cached limit block, the append path and the in-place dual loop
     give every pass the parent's problem, bytes and all, and every cycle
-    the parent's solutions and report, from cold memos and warm ones."""
+    the parent's solutions and report, from cold memos and warm ones.  A
+    cycle after a fallback may end at its probe only where the parent's
+    ladder falls back."""
 
     @pytest.mark.parametrize("name", sorted(PARITY_WINDOWS))
     def test_recorded_cycles_match_the_parent(self, name, window_requests,
@@ -1208,6 +1265,7 @@ class TestLadderParity:
             memo.cache_clear()
         for start in ("cold", "warm"):
             for req in requests:
+                req = replace(req, after_fallback=False)
                 want_passes = []
                 want = old_plan_with_fallback(req, want_passes)
                 got, got_passes = traced_plan(req, monkeypatch)
@@ -1221,6 +1279,37 @@ class TestLadderParity:
         assert planner._limit_block.cache_info().hits > 0
         if name == "antipodal":
             assert statuses == {"optimal", "relaxed", "fallback"}
+
+    def test_probe_certifies_only_parent_fallbacks(self, window_requests,
+                                                   monkeypatch):
+        # Every recorded cycle after a fallback: a certified one takes one
+        # solve of a QP that HiGHS finds infeasible, and the parent's ladder
+        # falls back with the same report but the iterations; any other
+        # runs the parent's passes after its probe, byte for byte.
+        kinds = set()
+        for name in sorted(PARITY_WINDOWS):
+            for req in window_requests[name]:
+                if not req.after_fallback:
+                    continue
+                want_passes = []
+                want = old_plan_with_fallback(req, want_passes)
+                got, got_passes = traced_plan(req, monkeypatch)
+                (probe, sol), *passes = got_passes
+                certified = sol.status == "infeasible"
+                kinds.add(certified)
+                if certified:
+                    assert not passes and not lp_feasible(probe)
+                    assert want[1].status == "fallback"
+                    key, want_key = plan_key(*got), plan_key(*want)
+                    assert key[:2] + key[3:] == want_key[:2] + want_key[3:]
+                    assert key[2] == sol.iterations
+                    continue
+                assert plan_key(*got) == plan_key(*want)
+                assert len(passes) == len(want_passes)
+                for (problem, sol), old in zip(passes, want_passes):
+                    assert problem_key(problem) == problem_key(old)
+                    assert solution_key(sol) == solution_key(old_solve_qp(old))
+        assert kinds == {True, False}
 
     def test_no_limits_solve_once(self, monkeypatch):
         # Without limits both passes would solve the same QP, so the relaxed
