@@ -541,12 +541,13 @@ def _merge_shapes(stored, incoming, points):
 class MovingVolume:
     """Obstacle windows along the previously planned path, slice k at t_rel[k].
 
-    `shapes` holds every map shape that lies in the window of at least one
-    slice, once and in map order; member[k, j] says whether shapes[j] lies
-    in slice k's window.  distances[k, j] and gradients[k, j] are the
-    shape's distance from the window center and its unit gradient there
-    (`geometry.distance_gradients`; 0 and (0, 0) when the center is inside
-    the shape or within 1e-12 of it), which the regions turn into planes.
+    `shapes` is the map's list, every shape once and in map order;
+    member[k, j] says whether shapes[j] lies in slice k's window, so a
+    shape beyond every window has an all-False column.  distances[k, j]
+    and gradients[k, j] are the shape's distance from the window center
+    and its unit gradient there (`geometry.distance_gradients`; 0 and
+    (0, 0) when the center is inside the shape or within 1e-12 of it),
+    which the regions turn into planes.
     `groups` stacks the shapes by kind (`geometry.shape_groups`).
     """
 
@@ -566,9 +567,10 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
     center is the previous trajectory evaluated there (clamped into its
     domain).  A shape lies in a slice when its distance from the window
     center is at most WINDOW_RADIUS; one grouped distance pass measures
-    every pair, and the volume keeps its distances and gradients.  When
-    every map shape lies in some window, the volume keeps the map's groups;
-    otherwise it groups the shapes it keeps.
+    every pair, and the volume keeps its distances and gradients.  The
+    volume holds every map shape, in map order and with the map's groups,
+    so a shape's map index is its column; a shape beyond every window
+    keeps an all-False member column.
     """
     n = int(round(horizon / tau))
     t_rel = np.arange(1, n + 1) * tau
@@ -578,11 +580,6 @@ def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
     shapes = local_map.shapes()
     groups = shape_groups(shapes)
     d, u = distance_gradients(groups, centers)
-    member = d <= WINDOW_RADIUS
-    near = member.any(axis=0)
-    if not near.all():
-        shapes = [s for s, keep in zip(shapes, near) if keep]
-        groups = shape_groups(shapes)
     return MovingVolume(t_rel=t_rel, centers=centers, shapes=shapes,
-                        member=member[:, near], distances=d[:, near],
-                        gradients=u[:, near], groups=groups)
+                        member=d <= WINDOW_RADIUS, distances=d, gradients=u,
+                        groups=groups)

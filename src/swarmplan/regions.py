@@ -229,34 +229,35 @@ def _seeded(seeds, groups, member, d, u):
     order of increasing d (ties to the lower shape index), the row
     n = -u, o = n.seed + d of each shape that no row kept before it
     separates (o_a + support_b(-n_a) <= 0), rows equal to earlier ones
-    included (see `_distinct`).  bounding[k, j] says that shape j's row is
-    one of slice k's, so an inside slice bounds no shape.
+    included (see `_distinct`); the candidates stop at the largest live
+    count.  bounding[k, j] says that shape j's row is one of slice k's, so
+    an inside slice bounds no shape, nor does a shape no slice holds.
     """
     K, S = member.shape
     inside = (member & (d == 0.0)).any(axis=1)
     live = member & ~inside[:, None]
-    # Candidate rows: the box, then one per shape, nearest first; the live
-    # shapes of a slice sort ahead of the rest.
-    nearest = np.where(live, d, np.inf).argsort(axis=1, kind="stable")
+    n_live = live.sum(axis=1)
+    L = n_live.max()
+    # Candidate rows: the box, then a slice's live shapes, nearest first.
+    nearest = np.where(live, d, np.inf).argsort(axis=1, kind="stable")[:, :L]
     slices = np.arange(K)
-    normals, offsets = np.empty((K, 4 + S, 2)), np.empty((K, 4 + S))
+    normals, offsets = np.empty((K, 4 + L, 2)), np.empty((K, 4 + L))
     normals[:, :4] = _BOX_NORMALS
     n = np.negative(u[slices[:, None], nearest], out=normals[:, 4:])
     offsets[:, :4] = seeds @ _BOX_NORMALS.T + BOX_HALF_WIDTH
     offsets[:, 4:] = np.vecdot(n, seeds[:, None]) + d[slices[:, None], nearest]
     # separates[k, r, j]: candidate row r of slice k keeps shape j out.
-    separates = np.empty((K, 4 + S, S), dtype=bool)
+    separates = np.empty((K, 4 + L, S), dtype=bool)
     for g in groups:
         support = g.support(-normals.reshape(-1, 2)).reshape(len(g), K, -1)
         separates[:, :, g.index] = (offsets[:, :, None]
                                     + support.transpose(1, 2, 0) <= 0.0)
-    n_live = live.sum(axis=1)
-    kept = np.zeros((K, 4 + S), dtype=bool)
+    kept = np.zeros((K, 4 + L), dtype=bool)
     kept[:, :4] = True
-    for r in range(n_live.max()):
+    for r in range(L):
         kept[:, 4 + r] = (r < n_live) & ~(
             kept & separates[slices, :, nearest[:, r]]).any(axis=1)
-    bounding = np.empty((K, S), dtype=bool)
+    bounding = np.zeros((K, S), dtype=bool)
     bounding[slices[:, None], nearest] = kept[:, 4:]
     return _packed(normals, offsets, kept), inside, bounding
 

@@ -450,8 +450,8 @@ class TestMovingVolume:
 
     def test_window_filters_by_shape_distance(self, monkeypatch):
         # A long wall and a circle whose centers lie beyond the window but
-        # whose near sides lie within it are admitted; a shape wholly
-        # beyond it is not.
+        # whose near sides lie within it are members; a shape wholly
+        # beyond it stays in the volume with an all-False column.
         monkeypatch.setattr(perception, "WINDOW_RADIUS", 3.0)
         near = Circle([1.0, 0.0], 0.5)
         far = Circle([9.0, 0.0], 0.5)
@@ -461,9 +461,10 @@ class TestMovingVolume:
         traj = TrajectorySpline(3, 0.0, 1.0, control)
         vol = build_moving_volume(ShapeList([near, far, wall, rim]), traj,
                                   0.0, 1.0, 0.5)
-        assert vol.shapes == [near, wall, rim]
-        assert vol.member.all()
-        assert vol.distances[0].tolist() == pytest.approx([0.5, 2.5, 2.9])
+        assert vol.shapes == [near, far, wall, rim]
+        assert vol.member.tolist() == [[True, False, True, True]] * 2
+        assert vol.distances[0].tolist() == pytest.approx(
+            [0.5, 8.5, 2.5, 2.9])
 
     def test_window_rim_is_inside(self):
         # Window centers 1..3 are exactly (2, 0), (2.5, 0) and (3, 0)
@@ -481,13 +482,14 @@ class TestMovingVolume:
                   axis_rectangle(6.0, -5.0, 7.0, -4.0)]
         vol = build_moving_volume(ShapeList(shapes), traj, 3.0, 2.0, 0.5)
         assert vol.centers[1:].tolist() == [[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]]
-        assert vol.shapes == [shapes[0], shapes[1], shapes[3]]
-        assert vol.member.tolist() == [[True, False, False],
-                                       [True, False, False],
-                                       [False, False, False],
-                                       [False, True, True]]
+        assert vol.shapes == shapes
+        assert vol.member.tolist() == [[True, False, False, False],
+                                       [True, False, False, False],
+                                       [False, False, False, False],
+                                       [False, True, False, True]]
         assert vol.distances[1, 0] == vol.distances[3, 1] == 5.0
-        assert vol.distances[3, 2] == 5.0
+        assert vol.distances[3, 3] == 5.0
+        assert vol.distances[3, 2] == x - 3.0 > 5.0
 
     def test_mask_matches_per_slice_loop(self):
         # Shapes at random, on the windows' rims up to rounding, and long
@@ -522,13 +524,12 @@ class TestMovingVolume:
                                       0.1)
             want = oracle_volume_lists(shapes, traj, t_now, 4.0, 0.1, radius)
             assert volume_lists(vol) == want
-            assert vol.shapes == [s for s in shapes
-                                  if any(s is t for lst in want for t in lst)]
-            # The map's groups, or the kept shapes' own when some shape is
-            # left out, equal the kept shapes' own.
+            assert vol.shapes == shapes
+            # The map's groups, also when some shape lies beyond every
+            # window.
             assert group_arrays(vol.groups) == group_arrays(
-                shape_groups(vol.shapes))
-            left_out += len(vol.shapes) < len(shapes)
+                shape_groups(shapes))
+            left_out += not vol.member.any(axis=0).all()
             assert np.array_equal(vol.centers, path)
             for k, c in enumerate(path):
                 for j, s in enumerate(vol.shapes):
@@ -537,6 +538,28 @@ class TestMovingVolume:
                            for c, lst in zip(path, want) for s in lst)
         assert reached > 100
         assert 0 < left_out < 30
+
+    def test_one_grouping_per_volume(self, monkeypatch):
+        # The map is grouped once per volume, whether every shape lies in
+        # some window or some lie beyond them all.
+        calls = []
+
+        def counted(shapes):
+            calls.append(list(shapes))
+            return shape_groups(shapes)
+
+        monkeypatch.setattr(perception, "shape_groups", counted)
+        near = Circle([1.0, 0.0], 0.5)
+        far = Circle([30.0, 0.0], 0.5)
+        wall = axis_rectangle(-40.0, -1.0, -35.0, 1.0)
+        traj = TrajectorySpline(3, 0.0, 1.0, np.zeros((8, 2)))
+        for shapes in ([], [near], [far], [near, far, wall], [far, near]):
+            calls.clear()
+            vol = build_moving_volume(ShapeList(shapes), traj, 0.0, 4.0, 0.1)
+            assert calls == [shapes]
+            assert vol.shapes == shapes
+            assert vol.member.any(axis=0).tolist() == [s is near
+                                                       for s in shapes]
 
 
 # --- parity with the per-element code that the array passes replaced -------

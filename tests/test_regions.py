@@ -863,6 +863,42 @@ class TestOnePassParity:
             assert_same_regions(region, oracle_build(
                 second, tracks, ego, 0.04, previous=prev_oracle))
 
+    def test_shapes_no_slice_holds_change_nothing(self):
+        # The moving volume keeps every map shape, and one beyond every
+        # window has an all-False column: inserting such shapes, one of
+        # them over a seed, gives the same bytes and owns no row.
+        rng = np.random.default_rng(53)
+        stack_fields = ("normals", "offsets", "counts")
+        for trial in range(6):
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
+            vol = random_volume(rng, 40, inside_frac=0.2)
+            tracks = random_tracks(rng, vol)
+            extra = random_shape_pool(rng, vol.centers)[:5]
+            extra.append(Circle(vol.centers[rng.integers(40)], 0.3))
+            shapes, old = list(vol.shapes), list(range(len(vol.shapes)))
+            for s in extra:
+                at = int(rng.integers(len(shapes) + 1))
+                shapes.insert(at, s)
+                old = [j + (j >= at) for j in old]
+            member = np.zeros((40, len(shapes)), dtype=bool)
+            member[:, old] = vol.member
+            wide = measured_volume(vol.t_rel, vol.centers, shapes, member)
+            # The circle over a seed measures d = 0 there.
+            assert (wide.distances[:, old] == 0.0).sum() < (
+                wide.distances == 0.0).sum()
+            want = build_safe_regions(vol, tracks, ego, 0.0)
+            got = build_safe_regions(wide, tracks, ego, 0.0)
+            for name in ("planes", "static"):
+                for f in stack_fields:
+                    a = getattr(getattr(got, name), f)
+                    b = getattr(getattr(want, name), f)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert got.feasible.tobytes() == want.feasible.tobytes()
+            assert np.array_equal(got.bounding[:, old], want.bounding)
+            new = np.setdiff1d(np.arange(len(shapes)), old)
+            assert not got.bounding[:, new].any()
+            assert_same_regions(got, oracle_build(wide, tracks, ego, 0.0))
+
     def test_peers_on_footprint_rims(self):
         # Seeds exactly on a peer disk's rim: the covered test must round
         # |rel| as np.linalg.norm does.
