@@ -139,11 +139,12 @@ def quadratize_collision(layout, times, seeds, d, u):
     u[k, j] there; its term is expanded at the seed to value, gradient and
     Gauss-Newton Hessian fpp·uu' (the PSD part of the exact Hessian) and
     projected through the slice's position row, the row its region
-    constraints use.  Returns (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P +
-    c0; a plan through the seeds at the slice times gets the cost itself.
+    constraints use.  Returns (H, F) with cost(P) ~= 1/2 P'HP + F'P plus a
+    constant, with which a plan through the seeds at the slice times gets
+    the cost itself; no solve reads it.
     """
     ws = times - np.concatenate([[layout.t_start], times[:-1]])
-    f, g, Hn = (x.sum(axis=1) for x in _kernel_models(d, u))
+    g, Hn = (x.sum(axis=1) for x in _kernel_models(d, u)[1:])
     A = position_map(layout, times)
     m = layout.m
     H = np.empty((2 * m, 2 * m))
@@ -153,9 +154,7 @@ def quadratize_collision(layout, times, seeds, d, u):
     H[m:, :m] = H[:m, m:].T
     lin = ws[:, None] * (g - np.einsum("nij,nj->ni", Hn, seeds))
     F = np.concatenate([A.T @ lin[:, 0], A.T @ lin[:, 1]])
-    c0 = float(ws @ (f - np.einsum("ni,ni->n", g, seeds)
-                     + 0.5 * np.einsum("ni,nij,nj->n", seeds, Hn, seeds)))
-    return H, F, c0
+    return H, F
 
 
 def end_cost(goal, row, q_final):
@@ -222,7 +221,7 @@ def assemble_qp(req, layout):
     F = f.reshape(-1)
     if req.near_obstacles:
         v, near = req.volume, req.near_obstacles
-        H_o, F_o, _ = quadratize_collision(
+        H_o, F_o = quadratize_collision(
             layout, req.t_now + v.t_rel, v.centers, v.distances[:, near],
             v.gradients[:, near])
         H += Q_OBS * H_o

@@ -60,9 +60,9 @@ chain, one row object at a time, as the reference.  Hence the forms below:
   as at any column;
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
-- a group's kernels work elementwise or with 2-vector np.vecdot, so every
-  (slice, shape) pair's distance and gradient round as its kind's kernel
-  does on the shape alone, and its support as the shape's `support`;
+- a group's distance kernels work elementwise, and its support is one
+  product (`PolygonGroup.support`), so every (slice, shape) pair's distance,
+  gradient and support round as the shape's own methods (np.vecdot) do;
 - a seed lies inside a shape when the distance pass gives it d = 0, and
   in a peer's footprint when its kind's `contains` says so;
 - a row separates a shape when o + support(-n) <= 0, and a peer is cut

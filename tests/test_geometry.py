@@ -337,6 +337,61 @@ class TestSupport:
                     seen.append(i)
             assert sorted(seen) == list(range(len(shapes)))
 
+    def test_group_products_round_as_each_shape(self):
+        # A group's support is one matrix product; every slot must equal
+        # its shape's own np.vecdot support byte for byte at the sizes the
+        # region seeding multiplies: 1-60 polygons of 3 or 4 corners, walls
+        # sharing an edge among them, and 1-6 circles, along 1 to 2,560
+        # directions (40 slices x 64 candidate rows).  The lists of 1-3
+        # directions are random, since a lone one runs as gemv unless it is
+        # doubled and an axis direction's products are exact; the longer
+        # ones lead with the box rows' signed-zero directions.  Products
+        # over 10**6 multiply-adds are left out: the kernel may round them
+        # otherwise (49 squares at 2,560 directions do), and the builtins'
+        # largest is 2,560 x 156.
+        rng = np.random.default_rng(47)
+        box = -np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+        def polygon(k, i):
+            if k == 3:
+                return Triangle(rng.uniform(-9.0, 9.0, size=2)
+                                + rng.uniform(-1.0, 1.0, size=(3, 2)))
+            if i % 2:
+                # Walls end to end on one line, each sharing an edge with
+                # the one before.
+                x = (i - 31) / 2
+                return axis_rectangle(x, -1.5, x + 1.0, -1.3)
+            c = rng.uniform(-9.0, 9.0, size=2)
+            th = rng.uniform(0.0, 2 * np.pi)
+            u = rng.uniform(0.1, 2.0) * np.array([np.cos(th), np.sin(th)])
+            v = rng.uniform(0.1, 2.0) * np.array([-u[1], u[0]])
+            return Rectangle([c - u - v, c + u - v, c + u + v, c - u + v])
+
+        checked = 0
+        for n in (1, 2, 3, 160, 2560):
+            th = rng.uniform(0, 2 * np.pi, size=n)
+            u = np.stack([np.cos(th), np.sin(th)], axis=1)
+            if n > 4:
+                u[:4] = box
+            kinds = [(k, s) for k in (3, 4) for s in range(1, 61)]
+            kinds += [(0, s) for s in range(1, 7)]
+            for k, s in kinds:
+                if 2 * n * max(k, 1) * s > 10 ** 6:
+                    continue
+                shapes = ([polygon(k, i) for i in range(s)] if k else
+                          [Circle(rng.uniform(-9.0, 9.0, size=2),
+                                  float(rng.uniform(0.1, 2.0)))
+                           for _ in range(s)])
+                (group,) = shape_groups(shapes)
+                got = group.support(u)
+                assert got.shape == (s, n)
+                for slot, i in enumerate(group.index):
+                    want = shapes[i].support(u)
+                    assert got[slot].tobytes() == want.tobytes(), (n, k, s)
+                checked += 1
+        # Only 49-60 polygons of 4 corners along 2,560 directions are out.
+        assert checked == 5 * 126 - 12
+
 
 def old_polygon_fields(corners):
     """corners, edges, center and size_scale as the polygon constructor

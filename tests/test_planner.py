@@ -81,10 +81,18 @@ def layout_of(traj):
 
 def quadratize(traj, shapes, times):
     """quadratize_collision on traj's layout, with the seeds and (d, u) that
-    a moving volume along traj measures of shapes at the slice times."""
+    a moving volume along traj measures of shapes at the slice times, and
+    the model's constant c0: (H, F, c0) with cost(P) ~= 1/2 P'HP + F'P + c0,
+    so that a plan through the seeds at the slice times gets the cost."""
     seeds = traj.positions(times)
     d, u = geometry.distance_gradients(shape_groups(shapes), seeds)
-    return quadratize_collision(layout_of(traj), times, seeds, d, u)
+    layout = layout_of(traj)
+    H, F = quadratize_collision(layout, times, seeds, d, u)
+    ws = times - np.concatenate([[layout.t_start], times[:-1]])
+    f, g, Hn = (x.sum(axis=1) for x in planner._kernel_models(d, u))
+    c0 = float(ws @ (f - np.einsum("ni,ni->n", g, seeds)
+                     + 0.5 * np.einsum("ni,nij,nj->n", seeds, Hn, seeds)))
+    return H, F, c0
 
 
 def scipy_eval(traj, ts):
@@ -927,7 +935,7 @@ def old_assemble_qp(req, layout):
     F = f.reshape(-1)
     if req.near_obstacles:
         v, near = req.volume, req.near_obstacles
-        H_o, F_o, _ = quadratize_collision(
+        H_o, F_o = quadratize_collision(
             layout, req.t_now + v.t_rel, v.centers, v.distances[:, near],
             v.gradients[:, near])
         H += Q_OBS * H_o

@@ -899,6 +899,37 @@ class TestOnePassParity:
             assert not got.bounding[:, new].any()
             assert_same_regions(got, oracle_build(wide, tracks, ego, 0.0))
 
+    def test_large_maps_bit_identical(self):
+        # 40-60 shapes, as the unstructured runs' maps grow to, among them
+        # six wall pieces end to end on one line: 40 slices of up to 64
+        # candidate rows make support products of up to 2,560 directions,
+        # still within the 10**6 multiply-adds that round as each shape's
+        # own support, so the regions equal the per-shape chain's.
+        rng = np.random.default_rng(59)
+        for trial in range(3):
+            ego = disk(0.2) if trial % 2 else origin_square(0.15)
+            vol = random_volume(rng, 40)
+            y = float(vol.centers[0, 1] - rng.uniform(1.0, 2.0))
+            shapes = list(vol.shapes) + [
+                axis_rectangle(x, y, x + 2.0, y + 0.2)
+                for x in np.arange(-7.0, 5.0, 2.0)]
+            while len(shapes) < 48:
+                shapes += random_shape_pool(rng, vol.centers)
+            shapes = shapes[:60]
+            # The added shapes belong to the slices whose seed they leave
+            # out, so that most slices seed a region.
+            d, _ = distance_gradients(shape_groups(shapes), vol.centers)
+            member = (rng.random(d.shape) < 0.9) & (d > 0.0)
+            member[:, :len(vol.shapes)] = vol.member
+            big = measured_volume(vol.t_rel, vol.centers, shapes, member)
+            rows = 40 * (4 + member.sum(axis=1).max())
+            assert 40 <= len(shapes) <= 60 and rows >= 1800
+            for g in big.groups:
+                assert 2 * rows * g._columns.shape[1] <= 10 ** 6
+            tracks = random_tracks(rng, big)
+            assert_same_regions(build_safe_regions(big, tracks, ego, 0.0),
+                                oracle_build(big, tracks, ego, 0.0))
+
     def test_peers_on_footprint_rims(self):
         # Seeds exactly on a peer disk's rim: the covered test must round
         # |rel| as np.linalg.norm does.
