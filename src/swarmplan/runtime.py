@@ -9,9 +9,9 @@ fallback ladder, and commit the result.  Shape staging (stage 2) and map
 folding (stage 3) touch disjoint state so their order within a cycle does
 not change the outcome.
 
-`AgentSpec` is the one description of a robot, from scenario file to
-agent: its task (start, goal, goal time, end velocity, waypoints, heading)
-and what tells robots apart (dynamics order, footprint, limits).
+`AgentSpec` is the one description of a robot, from scenario to agent:
+its task (start, goal, goal time, end velocity, waypoints, heading) and
+what tells robots apart (dynamics order, footprint, limits).
 
 Agents never see each other directly: coordination happens only through
 `MessageBus`, which delivers anonymous kinematic payloads with configurable
@@ -43,8 +43,8 @@ def symmetric_limits(bounds):
     """Parse {order: bound} into {order: (lo, hi)} boxes of float arrays.
 
     A scalar b becomes ((-b, -b), (b, b)); a (lo, hi) pair is taken as
-    given, so mixed forms are fine.  Orders may be strings, as JSON keys
-    are.  Every box must be finite and hold rest, lo < 0 < hi on both axes;
+    given, so mixed forms are fine.  An order may be a string of digits.
+    Every box must be finite and hold rest, lo < 0 < hi on both axes;
     any other box raises ValueError.  An unbounded order is left out.
     """
     out = {}

@@ -1,221 +1,32 @@
-"""Scenario files: schema-validated JSON descriptions of worlds and agents.
+"""Run descriptions: the bundled builtin worlds, and the checks every
+scenario passes when it is built.
 
-A scenario lists the world (bounds plus obstacles), the agents (fixed start
-or random spawn, dynamics order, footprint, goal with optional stamp and end
-velocity, waypoints, per-order limits), the bus parameters, a seed, and a
-duration.  Each agent is a `runtime.AgentSpec`, re-exported here; a JSON
-agent entry passes only the keys it sets, so the dataclass defaults are the
-only defaults.  `load_scenario` validates against `SCENARIO_SCHEMA` and reports
-every violation with the offending line.  Random spawns are resolved
-separately (`resolve_agents`) so the same file can be re-run under different
-seeds.  `builtin_scenario` generates the bundled benchmark worlds.
+A `Scenario` holds the world (bounds plus obstacles), the agents, the bus
+parameters, a seed and a duration, and rejects at construction what a run
+could not start from.  Each agent is a `runtime.AgentSpec`, re-exported
+here, whose field defaults are the only defaults.  Starts and goals left
+unset are drawn, and goal times and waypoint stamps left unset filled, by
+`resolve_agents`, so a scenario built in code can be re-run under other
+seeds.  `builtin_scenario` generates the bundled benchmark worlds by name
+(`builtin_names`).
 """
 
-import ast
-import json
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (Circle, Rectangle, Square, Triangle, axis_rectangle,
-                       footprint_from_size)
+from .geometry import Circle, Square, axis_rectangle, footprint_from_size
 from .planner import KNOT_SEGMENT
 from .runtime import AgentSpec, MessageBus
 from .sensor import World
 
 __all__ = [
-    "SCENARIO_SCHEMA", "AgentSpec", "Scenario", "ScenarioError",
-    "load_scenario", "parse_scenario", "save_scenario", "scenario_to_dict",
-    "resolve_agents", "builtin_scenario", "builtin_names",
+    "AgentSpec", "Scenario", "resolve_agents", "builtin_scenario",
+    "builtin_names",
 ]
 
-_POINT = {"type": "array", "items": {"type": "number"},
-          "minItems": 2, "maxItems": 2}
-
-SCENARIO_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["agents"],
-    "properties": {
-        "name": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "duration": {"type": "number", "minimum": 0},
-        "bus": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "latency": {"type": "number", "minimum": 0},
-                "drop_probability": {"type": "number",
-                                     "minimum": 0, "maximum": 1},
-            },
-        },
-        "world": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "bounds": {"type": "array", "items": {"type": "number"},
-                           "minItems": 4, "maxItems": 4},
-                "obstacles": {"type": "array",
-                              "items": {"$ref": "#/definitions/obstacle"}},
-            },
-        },
-        "agents": {"type": "array", "minItems": 1,
-                   "items": {"$ref": "#/definitions/agent"}},
-    },
-    "definitions": {
-        "point": _POINT,
-        "obstacle": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "center", "radius"],
-                    "properties": {
-                        "type": {"const": "circle"},
-                        "center": _POINT,
-                        "radius": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "center", "side"],
-                    "properties": {
-                        "type": {"const": "square"},
-                        "center": _POINT,
-                        "side": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "xmin", "ymin", "xmax", "ymax"],
-                    "properties": {
-                        "type": {"const": "box"},
-                        "xmin": {"type": "number"},
-                        "ymin": {"type": "number"},
-                        "xmax": {"type": "number"},
-                        "ymax": {"type": "number"},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["type", "corners"],
-                    "properties": {
-                        "type": {"enum": ["rectangle", "triangle"]},
-                        "corners": {"type": "array", "items": _POINT,
-                                    "minItems": 3, "maxItems": 4},
-                    },
-                },
-            ],
-        },
-        "agent": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["start"],
-            "properties": {
-                "start": {
-                    "oneOf": [
-                        _POINT,
-                        {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["spawn"],
-                            "properties": {"spawn": {"const": "random"}},
-                        },
-                    ],
-                },
-                "heading_deg": {"type": "number"},
-                "order": {"type": "integer", "minimum": 1, "maximum": 4},
-                "footprint": {"type": "array",
-                              "items": {"type": "number",
-                                        "exclusiveMinimum": 0},
-                              "minItems": 1, "maxItems": 3},
-                "goal": _POINT,
-                "goal_time": {"type": "number", "exclusiveMinimum": 0},
-                "end_velocity": _POINT,
-                "waypoints": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["pos"],
-                        "properties": {
-                            "t": {"type": "number", "exclusiveMinimum": 0},
-                            "pos": _POINT,
-                        },
-                    },
-                },
-                "limits": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "patternProperties": {
-                        "^[1-9][0-9]*$": {
-                            "oneOf": [
-                                {"type": "number", "exclusiveMinimum": 0},
-                                {"type": "array",
-                                 "items": _POINT,
-                                 "minItems": 2, "maxItems": 2},
-                            ],
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-# --- line-level diagnostics -------------------------------------------------
-
-def index_json_lines(text):
-    """Map JSON paths (tuples of object keys / array indices) to line numbers.
-
-    Text that `json.loads` accepted is, wrapped in parentheses, a Python
-    expression (true, false, null and NaN parse as names), so Python's parser
-    gives the line where each key or array element begins; the first
-    occurrence of a path wins.  A document nested deeper than the parser
-    allows maps only the root.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # escapes such as "\/"
-            tree = ast.parse("(" + text + "\n)", mode="eval")
-    except (SyntaxError, RecursionError):
-        return {(): 1}
-    lines = {(): 1}
-
-    def walk(path, node):
-        if isinstance(node, ast.Dict):
-            items = [(k.value, k.lineno, v) for k, v in zip(node.keys, node.values)]
-        elif isinstance(node, ast.List):
-            items = [(i, v.lineno, v) for i, v in enumerate(node.elts)]
-        else:
-            return
-        for key, line, value in items:
-            lines.setdefault(path + (key,), line)
-            walk(path + (key,), value)
-
-    walk((), tree.body)
-    return lines
-
-
-class ScenarioError(ValueError):
-    """Scenario file rejected; `errors` lists (line, path, message) triples."""
-
-    def __init__(self, source, errors):
-        self.source = source
-        self.errors = list(errors)
-        body = "; ".join(f"line {ln}: {path or 'document'}: {msg}"
-                         for ln, path, msg in self.errors)
-        super().__init__(f"{source}: {body}")
-
-
-# --- dataclasses ------------------------------------------------------------
+# --- run description --------------------------------------------------------
 
 @dataclass
 class Scenario:
@@ -270,219 +81,6 @@ def _start_errors(agents, bounds, obstacles):
                 out.append((j, f"agents {i} and {j} start overlap after "
                                f"footprint inflation (gap {gap:.3f} m)"))
     return out
-
-
-# --- shapes <-> JSON --------------------------------------------------------
-
-def _convex_corners(corners):
-    """Corners that form a strictly convex polygon, else ValueError.
-
-    Every turn from one edge to the next must bend the same way, none
-    straight.  For three or four corners that also rules out a polygon
-    that crosses itself.
-    """
-    c = np.asarray(corners, dtype=float)
-    e = np.roll(c, -1, axis=0) - c
-    f = np.roll(e, -1, axis=0)
-    turn = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
-    if not (np.all(turn > 0.0) or np.all(turn < 0.0)):
-        raise ValueError(f"corners {c.tolist()} do not form a strictly "
-                         f"convex polygon")
-    return c
-
-
-def _shape_from_spec(spec):
-    kind = spec["type"]
-    if kind == "circle":
-        return Circle(spec["center"], spec["radius"])
-    if kind == "square":
-        c = np.asarray(spec["center"], dtype=float)
-        h = 0.5 * spec["side"]
-        return Square([c + [-h, -h], c + [h, -h], c + [h, h], c + [-h, h]])
-    if kind == "box":
-        return axis_rectangle(spec["xmin"], spec["ymin"],
-                              spec["xmax"], spec["ymax"])
-    if kind == "rectangle":
-        return Rectangle(_convex_corners(spec["corners"]))
-    if kind == "triangle":
-        return Triangle(_convex_corners(spec["corners"]))
-    raise ValueError(f"unknown obstacle type {kind!r}")
-
-
-def _shape_to_spec(shape):
-    if isinstance(shape, Circle):
-        return {"type": "circle", "center": list(map(float, shape.center)),
-                "radius": float(shape.radius)}
-    kind = {Rectangle: "rectangle", Square: "rectangle",
-            Triangle: "triangle"}.get(type(shape))
-    if kind is None:
-        raise ValueError(f"cannot serialize shape {type(shape).__name__}")
-    return {"type": kind,
-            "corners": [[float(x), float(y)] for x, y in shape.corners]}
-
-
-# --- parse / serialize ------------------------------------------------------
-
-def _non_finite(node, path=()):
-    """Paths of the infinite and NaN numbers in a parsed JSON document."""
-    if isinstance(node, float):
-        return [] if math.isfinite(node) else [path]
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return []
-    return [p for key, value in items
-            for p in _non_finite(value, path + (key,))]
-
-
-def parse_scenario(text, source="<string>"):
-    """Validate and build a Scenario from JSON text.
-
-    Raises ScenarioError carrying every schema violation with its line, or
-    else every infinite or NaN number, or else every agent or obstacle that
-    cannot be built.
-    """
-    # Imported here: builtin scenarios never validate JSON, and importing
-    # jsonschema is a large part of a run's set-up time.
-    from jsonschema import Draft7Validator
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(source, [(exc.lineno, "", exc.msg)]) from exc
-
-    validator = Draft7Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = index_json_lines(text)
-        out = []
-        for e in errors:
-            p = tuple(e.absolute_path)
-            while p and p not in lines:
-                p = p[:-1]
-            dotted = ".".join(str(k) for k in e.absolute_path)
-            out.append((lines.get(p, 1), dotted, e.message))
-        raise ScenarioError(source, out)
-
-    def reject(bad):
-        lines = index_json_lines(text)
-        raise ScenarioError(source, [
-            (lines.get(path, 1), ".".join(map(str, path)), msg)
-            for path, msg in bad])
-
-    # Python's JSON reader takes the literals Infinity and NaN, and the
-    # schema's numbers let them through.  Limits are left to
-    # symmetric_limits, which reports them at the agent's line.
-    bad = [(path, "number must be finite") for path in _non_finite(doc)
-           if not (path[0] == "agents" and path[2:3] == ("limits",))]
-    if bad:
-        reject(bad)
-
-    world = doc.get("world", {})
-    bus = doc.get("bus", {})
-    agents, bad = [], []
-    for i, spec in enumerate(doc["agents"]):
-        kw = dict(spec)
-        if isinstance(kw["start"], dict):
-            del kw["start"]                 # a random spawn
-        if "heading_deg" in kw:
-            kw["heading"] = math.radians(kw.pop("heading_deg"))
-        if "waypoints" in kw:
-            kw["waypoints"] = [(wp.get("t"), wp["pos"])
-                               for wp in kw["waypoints"]]
-        try:
-            agents.append(AgentSpec(**kw))
-        except ValueError as exc:
-            bad.append((("agents", i), str(exc)))
-    bounds = tuple(world.get("bounds", (-15.0, -15.0, 15.0, 15.0)))
-    try:
-        World([], bounds)
-        bounds_ok = True
-    except ValueError as exc:
-        bad.append((("world", "bounds"), str(exc)))
-        bounds_ok = False
-    obstacles, bad_shapes = [], []
-    for i, spec in enumerate(world.get("obstacles", [])):
-        try:
-            shape = _shape_from_spec(spec)
-            if bounds_ok:
-                World([shape], bounds)      # the center must lie in the bounds
-            obstacles.append(shape)
-        except ValueError as exc:
-            bad_shapes.append((("world", "obstacles", i), str(exc)))
-    if not bad:
-        bad = [(("agents", j, "start"), msg)
-               for j, msg in _start_errors(agents, bounds, obstacles)]
-    bad += bad_shapes
-    if bad:
-        reject(bad)
-    try:
-        return Scenario(
-            agents=agents,
-            name=doc.get("name", "scenario"),
-            seed=doc.get("seed", 0),
-            duration=doc.get("duration", 10.0),
-            bus_latency=bus.get("latency", 0.0),
-            bus_drop=bus.get("drop_probability", 0.0),
-            bounds=bounds,
-            obstacles=obstacles,
-        )
-    except ValueError as exc:
-        raise ScenarioError(source, [(1, "", str(exc))]) from exc
-
-
-def load_scenario(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), source=str(path))
-
-
-def scenario_to_dict(scenario):
-    out = {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "duration": scenario.duration,
-        "bus": {"latency": scenario.bus_latency,
-                "drop_probability": scenario.bus_drop},
-        "world": {
-            "bounds": list(scenario.bounds),
-            "obstacles": [_shape_to_spec(s) for s in scenario.obstacles],
-        },
-        "agents": [],
-    }
-    for a in scenario.agents:
-        spec = {
-            "start": ({"spawn": "random"} if a.start is None
-                      else [float(a.start[0]), float(a.start[1])]),
-            "order": a.order,
-            "footprint": list(a.footprint),
-        }
-        if abs(a.heading) > 1e-12:
-            spec["heading_deg"] = math.degrees(a.heading)
-        if a.goal is not None:
-            spec["goal"] = [float(a.goal[0]), float(a.goal[1])]
-        if a.goal_time is not None:
-            spec["goal_time"] = a.goal_time
-        if a.end_velocity is not None:
-            spec["end_velocity"] = [float(v) for v in a.end_velocity]
-        if a.waypoints:
-            spec["waypoints"] = [
-                ({"pos": [float(p[0]), float(p[1])]} if t is None
-                 else {"t": t, "pos": [float(p[0]), float(p[1])]})
-                for t, p in a.waypoints]
-        spec["limits"] = {
-            str(k): [[float(lo[0]), float(lo[1])],
-                     [float(hi[0]), float(hi[1])]]
-            for k, (lo, hi) in a.limits.items()}
-        out["agents"].append(spec)
-    return out
-
-
-def save_scenario(scenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")
 
 
 # --- spawn resolution -------------------------------------------------------
@@ -587,19 +185,32 @@ def builtin_scenario(name, seed=0, n_agents=None, duration=None):
     four agents with two timed waypoints each.  walled_in: one agent sealed
     inside a box with waypoints it cannot all satisfy, exercising the
     replanning fallback ladder.
+
+    n_agents and duration left as None take the builtin's own count and
+    duration.  A count below 1, or any count for intersection and
+    walled_in, whose agents are fixed, raises ValueError.
     """
+    if name not in builtin_names():
+        raise ValueError(f"unknown builtin scenario {name!r}; "
+                         f"choose from {builtin_names()}")
+    if n_agents is not None:
+        if name in ("intersection", "walled_in"):
+            raise ValueError(f"{name} has a fixed agent count")
+        if n_agents < 1:
+            raise ValueError(f"agent count must be at least 1, "
+                             f"got {n_agents!r}")
     rng = np.random.default_rng(seed)
     if name in ("open", "antipodal"):
-        n = n_agents or (8 if name == "antipodal" else 2)
-        return _circle_swap(name, seed, rng, n, duration or 11.0)
+        if n_agents is None:
+            n_agents = 8 if name == "antipodal" else 2
+        return _circle_swap(name, seed, rng, n_agents,
+                            11.0 if duration is None else duration)
     if name == "intersection":
-        return _intersection(seed, rng, duration or 13.0)
+        return _intersection(seed, rng, 13.0 if duration is None else duration)
     if name == "unstructured":
-        return _unstructured(seed, rng, n_agents or 4, duration or 14.5)
-    if name == "walled_in":
-        return _walled_in(seed, duration or 7.0)
-    raise ValueError(f"unknown builtin scenario {name!r}; "
-                     f"choose from {builtin_names()}")
+        return _unstructured(seed, rng, 4 if n_agents is None else n_agents,
+                             14.5 if duration is None else duration)
+    return _walled_in(seed, 7.0 if duration is None else duration)
 
 
 def _circle_swap(name, seed, rng, n, duration):

@@ -417,6 +417,8 @@ class TestValidation:
             Circle([0, 0], -1.0)
         with pytest.raises(ValueError):
             Square([[0, 0], [1, 0], [1, 1]])
+        with pytest.raises(ValueError, match="rectangle needs exactly 4"):
+            Rectangle([[0, 0], [1, 0], [0, 1]])
         with pytest.raises(ValueError):
             Triangle([[0, 0], [1, 0], [1, 1], [0, 1]])
 

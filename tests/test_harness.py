@@ -9,6 +9,9 @@ tracks seven peers and dozens of tracks open on one-state bootstraps;
 seeds meet long corridor walls; `unstructured` is the 2.0 s
 clutter_waypoints bench window, where a cluttered map fills the moving
 volume's slice x shape mask and obstacle admission decides between shapes.
+`test_command_writes_the_run` runs `swarmplan run open` for 1 s through
+`cli.main` and holds its CSV to an in-process run of the same builtin and
+its `metrics.json` to the motion metrics recomputed from that CSV.
 `test_sixteen_agents_cut_as_the_chain` runs sixteen antipodal agents for
 0.4 s and holds every peer cut to the track-by-track chain of
 `test_regions.old_peer_cuts`.  `test_solves_end_in_a_definite_answer`
@@ -41,6 +44,7 @@ sample.
 """
 
 import importlib
+import json
 import pkgutil
 import sys
 from collections import Counter
@@ -50,9 +54,10 @@ import pytest
 import numpy as np
 
 import swarmplan
-from swarmplan import harness, planner, regions, runtime
+from swarmplan import cli, harness, planner, regions, runtime
 from swarmplan.harness import build_agents, run_scenario
-from swarmplan.metrics import compute_motion_metrics, read_trajectories
+from swarmplan.metrics import (RunMetrics, compute_motion_metrics,
+                               read_trajectories)
 from swarmplan.planner import TAU
 from swarmplan.scenario import builtin_scenario
 from test_regions import assert_same_cut, old_peer_cuts
@@ -91,19 +96,52 @@ def check_run(scenario, tmp_path):
     # Flags of the form "<stage>:<exception>" mean a stage raised.
     assert not [f for reports in first.reports.values() for r in reports
                 for f in r.flags if ":" in f]
-
-    table = read_trajectories(tmp_path / "trajectories.csv")
-    assert table.keys() == first.table.keys()
-    for agent in table:
-        assert np.array_equal(table[agent], first.table[agent])
-    motion = compute_motion_metrics(
-        table, footprints=[s.footprint for s in first.resolved],
-        goals=[s.goal for s in first.resolved],
-        limits=[s.limits for s in first.resolved],
-        obstacles=list(scenario.obstacles))
-    for key, value in motion.items():
-        assert repr(value) == repr(getattr(first.metrics, key)), key
+    check_written(tmp_path, first, scenario.obstacles,
+                  first.metrics.to_dict())
     return first
+
+
+def check_written(out_dir, run, obstacles, saved):
+    """The CSV in out_dir must hold the run's table bit for bit, and the
+    motion metrics recomputed from it must equal those of `saved`, a
+    metrics dict as `metrics.json` holds it."""
+    table = read_trajectories(out_dir / "trajectories.csv")
+    assert table.keys() == run.table.keys()
+    for agent in table:
+        assert np.array_equal(table[agent], run.table[agent])
+    motion = compute_motion_metrics(
+        table, footprints=[s.footprint for s in run.resolved],
+        goals=[s.goal for s in run.resolved],
+        limits=[s.limits for s in run.resolved],
+        obstacles=list(obstacles))
+    recomputed = RunMetrics(**{**saved, **motion}).to_dict()
+    for key in motion:
+        assert repr(recomputed[key]) == repr(saved[key]), key
+
+
+def test_command_writes_the_run(tmp_path, capsys):
+    # `swarmplan run` writes what an in-process run of the builtin holds.
+    assert cli.main(["run", "open", "--duration", "1",
+                     "--out", str(tmp_path)]) == 0
+    run = run_scenario(builtin_scenario("open", duration=1.0))
+    saved = json.loads((tmp_path / "metrics.json").read_text())
+    check_written(tmp_path, run, [], saved)
+    assert {k: v for k, v in saved.items()
+            if k not in TIMING_FIELDS} == deterministic(run.metrics)
+    statuses = run.metrics.cycle_statuses
+    assert capsys.readouterr().out == (
+        f"{tmp_path}: " + ", ".join(f"{n} {status}" for status, n
+                                    in sorted(statuses.items())) + "\n")
+
+
+def test_command_rejects_an_unbuildable_scenario(tmp_path, capsys):
+    # intersection's six agents are fixed: a count is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "intersection", "--agents", "3",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "fixed agent count" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name", ["open", "walled_in", "antipodal",

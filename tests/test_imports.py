@@ -1,4 +1,4 @@
-"""Import-level guards: no plotting, scipy or schema code at run time,
+"""Import-level guards: no plotting or scipy code at run time,
 every name that packaging, the benchmark tracer and `__all__` refer to
 exists and works, `src/` defines no function that nothing refers to and
 no module constant that nothing reads, and no module imports a name it
@@ -6,10 +6,10 @@ never uses.
 
 scipy is a test-only dependency (spline and LP oracles) and matplotlib is
 not a dependency at all; importing either at run time would cost set-up
-time and memory in every simulation.  jsonschema is needed only to parse a
-scenario file, which builtin scenarios never do.  `pyproject.toml` console
-scripts and the functions `perfbench/tracing.py` wraps are looked up by
-name, so a rename or deletion would only show when someone runs them.
+time and memory in every simulation, the `swarmplan` command's included.
+`pyproject.toml` console scripts and the functions `perfbench/tracing.py`
+wraps are looked up by name, so a rename or deletion would only show when
+someone runs them.
 The tracer's observers also read arguments and results of the functions
 they wrap (`agent.config.plan_rate`, the track list, `problem.A_in`, the
 admitted list), so a short traced run checks that they still can.
@@ -29,9 +29,10 @@ SRC = ROOT / "src"
 
 
 def test_harness_and_scenario_import_without_scipy_or_matplotlib():
-    code = ("import sys, swarmplan.harness, swarmplan.scenario; "
+    code = ("import sys, swarmplan.cli, swarmplan.harness, "
+            "swarmplan.scenario; "
             "print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'scipy', 'matplotlib', 'jsonschema'}))")
+            " & {'scipy', 'matplotlib'}))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)

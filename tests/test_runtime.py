@@ -84,8 +84,8 @@ class TestLimitsAndConfig:
             AgentSpec(order=0)
 
     def test_integral_order_becomes_an_int(self):
-        # A JSON schema's "integer" takes 2.0; the planner sizes arrays by
-        # the order, so a float order would raise there.
+        # An integral float such as 2.0 is taken; the planner sizes arrays
+        # by the order, so a float order would raise there.
         spec = AgentSpec(order=2.0)
         assert spec.order == 2 and type(spec.order) is int
         with pytest.raises(ValueError, match="integer"):

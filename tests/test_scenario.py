@@ -1,8 +1,7 @@
-"""Tests for scenario parsing, validation, spawn resolution, and builtins."""
+"""Tests for scenario construction checks, spawn resolution, and builtins."""
 
-import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,25 +11,11 @@ from swarmplan.harness import run_scenario
 from swarmplan.scenario import (
     AgentSpec,
     Scenario,
-    ScenarioError,
     builtin_names,
     builtin_scenario,
-    index_json_lines,
-    load_scenario,
-    parse_scenario,
     resolve_agents,
-    save_scenario,
-    scenario_to_dict,
 )
 from swarmplan.scenario import _comfortable_arrival, _start_errors
-
-MINIMAL = {"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0]}]}
-
-
-def limits_equal(a, b):
-    return (a.keys() == b.keys()
-            and all(np.allclose(a[k][0], b[k][0])
-                    and np.allclose(a[k][1], b[k][1]) for k in a))
 
 
 def boundary_samples(shape, per_edge=32):
@@ -47,120 +32,21 @@ def boundary_samples(shape, per_edge=32):
 
 
 class TestParsing:
-    def test_minimal_document_defaults(self):
-        sc = parse_scenario(json.dumps(MINIMAL))
-        assert sc.duration == 10.0
-        assert sc.seed == 0
-        assert sc.bus_latency == 0.0 and sc.bus_drop == 0.0
-        assert sc.bounds == (-15.0, -15.0, 15.0, 15.0)
-        a = sc.agents[0]
-        assert a.order == 2 and a.footprint == (0.3,)
-        assert np.allclose(a.start, [0, 0]) and np.allclose(a.goal, [3, 0])
-        assert set(a.limits) == {1, 2}
-        assert np.array_equal(a.limits[1][1], [2.0, 2.0])
-        assert np.array_equal(a.limits[2][0], [-4.0, -4.0])
-
-    def test_unset_agent_keys_take_the_dataclass_defaults(self):
-        # The parser states no default of its own: an agent entry that
-        # sets only a random spawn equals AgentSpec() field for field.
-        doc = {"agents": [{"start": {"spawn": "random"}}]}
-        a, = parse_scenario(json.dumps(doc)).agents
-        want = AgentSpec()
-        for f in fields(AgentSpec):
-            if f.name != "limits":
-                assert getattr(a, f.name) == getattr(want, f.name), f.name
-        assert limits_equal(a.limits, want.limits)
-
-    def test_full_document(self):
-        doc = {
-            "name": "demo", "seed": 7, "duration": 5.0,
-            "bus": {"latency": 0.1, "drop_probability": 0.25},
-            "world": {
-                "bounds": [-8, -8, 8, 8],
-                "obstacles": [
-                    {"type": "circle", "center": [1, 1], "radius": 0.5},
-                    {"type": "box", "xmin": -2, "ymin": -2,
-                     "xmax": -1, "ymax": -1},
-                    {"type": "square", "center": [3, -3], "side": 1.0},
-                    {"type": "triangle",
-                     "corners": [[0, 0], [1, 0], [0, 1]]},
-                ],
-            },
-            "agents": [{
-                "start": [-5, 0], "heading_deg": 90, "order": 3,
-                "footprint": [0.2, 0.2, 0.4], "goal": [5, 0],
-                "goal_time": 4.0, "end_velocity": [1, 0],
-                "waypoints": [{"t": 1.5, "pos": [0, 1]},
-                              {"pos": [2, 1]}],
-                "limits": {"1": 3.0,
-                           "2": [[-5, -4], [5, 4]]},
-            }],
-        }
-        sc = parse_scenario(json.dumps(doc))
-        assert sc.name == "demo" and sc.bus_drop == 0.25
-        assert len(sc.obstacles) == 4
-        a = sc.agents[0]
-        assert a.heading == pytest.approx(math.pi / 2)
-        assert a.order == 3 and len(a.footprint) == 3
-        assert a.waypoints[0][0] == 1.5 and a.waypoints[1][0] is None
-        assert np.array_equal(a.limits[1][0], [-3.0, -3.0])
-        assert np.array_equal(a.limits[1][1], [3.0, 3.0])
-        assert np.array_equal(a.limits[2][0], [-5.0, -4.0])
-        assert np.array_equal(a.limits[2][1], [5.0, 4.0])
-
-    def test_syntax_error_reports_line(self):
-        bad = '{\n  "agents": [\n    {"start": [0, 0],}\n  ]\n}'
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(bad, source="broken.json")
-        (line, path, msg), = exc.value.errors
-        assert line == 3
-        assert "broken.json" in str(exc.value)
-
-    def test_schema_errors_collect_lines(self):
-        text = json.dumps({
-            "duration": -1,
-            "agents": [
-                {"start": [0, 0], "order": 9},
-                {"start": "north"},
-            ],
-        }, indent=2)
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text)
-        errors = exc.value.errors
-        assert len(errors) == 3
-        by_path = {path: line for line, path, _ in errors}
-        lines = text.split("\n")
-        assert '"order": 9' in lines[by_path["agents.0.order"] - 1]
-        assert '"north"' in lines[by_path["agents.1.start"] - 1]
-        assert '"duration": -1' in lines[by_path["duration"] - 1]
-
-    def test_unknown_keys_rejected(self):
-        doc = {"agents": [{"start": [0, 0], "colour": "red"}]}
-        with pytest.raises(ScenarioError):
-            parse_scenario(json.dumps(doc))
+    """Values that building an `AgentSpec` or a `Scenario` takes in,
+    normalizes or rejects."""
 
     def test_empty_agent_list_rejected(self):
-        with pytest.raises(ScenarioError):
-            parse_scenario(json.dumps({"agents": []}))
+        with pytest.raises(ValueError, match="at least one agent"):
+            Scenario(agents=[])
 
     def test_overlapping_fixed_starts_rejected(self):
-        doc = {"agents": [
-            {"start": [0.0, 0.0], "footprint": [0.3]},
-            {"start": [0.5, 0.0], "footprint": [0.3]},
-        ]}
-        with pytest.raises(ScenarioError, match="overlap"):
-            parse_scenario(json.dumps(doc))
-
-    def test_overlapping_starts_report_later_start_line(self):
-        # Two 0.3 m footprints 0.5 m apart: reported at agent 1's start.
-        text = ('{\n  "agents": [\n    {"start": [0.0, 0.0], "goal": [3, 0]},\n'
-                '    {"goal": [3, 2],\n     "start": [0.5, 0.0]}\n  ]\n}\n')
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text, source="bad.json")
-        (line, path, msg), = exc.value.errors
-        assert (line, path) == (5, "agents.1.start")
-        assert msg == ("agents 0 and 1 start overlap after footprint "
-                       "inflation (gap -0.100 m)")
+        # Two 0.3 m footprints 0.5 m apart: reported at the later agent.
+        agents = [AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0)),
+                  AgentSpec(start=(0.5, 0.0), goal=(3.0, 2.0))]
+        with pytest.raises(ValueError) as exc:
+            Scenario(agents=agents)
+        assert str(exc.value) == ("agents 0 and 1 start overlap after "
+                                  "footprint inflation (gap -0.100 m)")
 
     def test_waypoint_times_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -185,81 +71,13 @@ class TestParsing:
         assert [t for t, _ in spec.waypoints] == [1.0, None]
         assert [t for t, _ in spec.stamped_waypoints(9.0)] == [1.0, 6.0]
 
-    def agent_error(self, bad_agent):
-        """Parse a document whose second agent, on line 4, is `bad_agent`;
-        returns the one error's line and message."""
-        text = ('{\n  "agents": [\n    ' + json.dumps(MINIMAL["agents"][0])
-                + ',\n    ' + json.dumps(bad_agent) + '\n  ]\n}\n')
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text, source="bad.json")
-        (line, path, msg), = exc.value.errors
-        assert path == "agents.1" and "bad.json" in str(exc.value)
-        return line, msg
-
-    def test_limit_box_without_rest_reports_agent_line(self):
-        # The velocity box [1, 0] x [1, 0] excludes rest: its tightest bound
-        # is 0, which the arrival-time heuristic would divide by.
-        line, msg = self.agent_error({"start": [5.0, 0.0], "goal": [8.0, 0.0],
-                                      "limits": {"1": [[1, 1], [0, 0]]}})
-        assert line == 4 and "lo < 0 < hi" in msg
-
-    def test_infinite_limit_reports_agent_line(self):
-        # Python's JSON reader takes the literal Infinity; an unbounded
-        # order is written by leaving it out.
-        line, msg = self.agent_error({"start": [5.0, 0.0], "goal": [8.0, 0.0],
-                                      "limits": {"1": math.inf}})
-        assert line == 4 and "finite" in msg
-
-    @pytest.mark.parametrize("limits", [{"1": 2, "3": 0.5}, {"1": 2, "7": 1}],
-                             ids=["jerk", "seventh"])
-    def test_limit_above_spline_degree_reports_agent_line(self, limits):
-        # An order-1 robot plans a quadratic spline: its third derivative is
-        # zero between knots, and no difference matrix of order 7 exists.
-        line, msg = self.agent_error({"start": [5.0, 0.0], "goal": [8.0, 0.0],
-                                      "order": 1, "limits": limits})
-        assert line == 4 and "must lie in 1..2;" in msg
-
-    @pytest.mark.parametrize("doc, path", [
-        ({"agents": [{"start": [0.0, 0.0], "goal": [math.inf, 0.0]}]},
-         "agents.0.goal.0"),
-        ({"agents": [{"start": [0.0, math.nan], "goal": [3.0, 0.0]}]},
-         "agents.0.start.1"),
-        ({"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0],
-                      "waypoints": [{"pos": [math.nan, 0.0]}]}]},
-         "agents.0.waypoints.0.pos.0"),
-        ({"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0],
-                      "waypoints": [{"t": math.inf, "pos": [1.0, 0.0]}]}]},
-         "agents.0.waypoints.0.t"),
-        ({"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0],
-                      "goal_time": math.nan}]}, "agents.0.goal_time"),
-        ({"duration": math.inf, **MINIMAL}, "duration"),
-        ({"world": {"obstacles": [{"type": "circle", "center": [5.0, 5.0],
-                                   "radius": math.inf}]}, **MINIMAL},
-         "world.obstacles.0.radius"),
-        ({"world": {"bounds": [-5.0, -5.0, 5.0, math.inf]}, **MINIMAL},
-         "world.bounds.3"),
-        ({"bus": {"latency": 0.0, "drop_probability": math.nan}, **MINIMAL},
-         "bus.drop_probability"),
-    ], ids=["goal", "start", "waypoint_pos", "waypoint_time", "goal_time",
-            "duration", "obstacle", "bounds", "bus"])
-    def test_non_finite_number_reports_its_line(self, doc, path):
-        # Python's JSON reader takes the literals Infinity and NaN.
-        text = json.dumps(doc, indent=2)
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text, source="bad.json")
-        (line, got, msg), = exc.value.errors
-        assert got == path and "finite" in msg
-        literal = text.split("\n")[line - 1].strip().rstrip(",")
-        assert literal.split(": ")[-1] in ("Infinity", "NaN")
-
-    @pytest.mark.parametrize("doc", [
-        {"seed": 1.0, **MINIMAL},
-        {"agents": [{"start": [0.0, 0.0], "goal": [3.0, 0.0], "order": 2.0}]}],
-        ids=["seed", "order"])
-    def test_integral_floats_run(self, doc):
-        # A JSON schema's "integer" takes 1.0 and 2.0; both reach the run as
-        # ints.
-        sc = replace(parse_scenario(json.dumps(doc)), duration=0.2)
+    @pytest.mark.parametrize("seed, order", [(1.0, 2), (0, 2.0)],
+                             ids=["seed", "order"])
+    def test_integral_floats_run(self, seed, order):
+        # An integral float seed or order reaches the run as an int.
+        sc = Scenario(agents=[AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0),
+                                        order=order)],
+                      seed=seed, duration=0.2)
         assert type(sc.seed) is int and type(sc.agents[0].order) is int
         result = run_scenario(sc)
         assert all(np.isfinite(t).all() for t in result.table.values())
@@ -277,84 +95,11 @@ class TestParsing:
     ], ids=["duration_nan", "duration_inf", "bus_latency_nan",
             "bus_latency_inf", "bus_drop_nan"])
     def test_non_finite_run_values_rejected(self, field, value, match):
-        # Built in code rather than parsed from JSON, these reached the run:
-        # a NaN bus latency ran with no peer ever heard, and a NaN or
-        # infinite duration failed in run_scenario's tick count.
+        # Unchecked, these reached the run: a NaN bus latency ran with no
+        # peer ever heard, and a NaN or infinite duration failed in
+        # run_scenario's tick count.
         with pytest.raises(ValueError, match=match):
             replace(builtin_scenario("open", duration=1.0), **{field: value})
-
-    def test_decreasing_waypoint_stamps_report_agent_line(self):
-        line, msg = self.agent_error({
-            "start": [5.0, 0.0], "goal": [8.0, 0.0],
-            "waypoints": [{"t": 2.0, "pos": [6, 0]}, {"t": 1.0, "pos": [7, 0]}]})
-        assert line == 4 and "increasing" in msg
-
-    def test_mixed_waypoint_stamps_report_agent_line(self):
-        # Parsed, this document would make run_scenario raise when it
-        # stamps the unstamped waypoint.
-        line, msg = self.agent_error({
-            "start": [5.0, 0.0], "goal": [8.0, 0.0], "goal_time": 9,
-            "waypoints": [{"pos": [2, 0]}, {"t": 1.0, "pos": [3, 0]}]})
-        assert line == 4 and "increasing" in msg
-
-    def obstacle_error(self, bad_obstacle):
-        """Parse a document whose second obstacle, on line 5, is
-        `bad_obstacle`; returns the one error's line and message."""
-        text = ('{\n  "world": {"obstacles": [\n'
-                '    {"type": "circle", "center": [5, 5], "radius": 1},\n'
-                '\n    ' + json.dumps(bad_obstacle) + '\n  ]},\n'
-                '  "agents": [' + json.dumps(MINIMAL["agents"][0]) + ']\n}\n')
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text, source="bad.json")
-        (line, path, msg), = exc.value.errors
-        assert path == "world.obstacles.1" and "bad.json" in str(exc.value)
-        return line, msg
-
-    def test_three_corner_rectangle_reports_obstacle_line(self):
-        line, msg = self.obstacle_error(
-            {"type": "rectangle", "corners": [[0, 0], [1, 0], [0, 1]]})
-        assert (line, msg) == (5, "rectangle needs exactly 4 corners")
-
-    def test_self_intersecting_rectangle_rejected(self):
-        line, msg = self.obstacle_error(
-            {"type": "rectangle", "corners": [[0, 0], [1, 1], [1, 0], [0, 1]]})
-        assert line == 5 and "strictly convex" in msg
-
-    def test_collinear_triangle_rejected(self):
-        line, msg = self.obstacle_error(
-            {"type": "triangle", "corners": [[0, 0], [1, 0], [2, 0]]})
-        assert line == 5 and "strictly convex" in msg
-
-    def test_obstacle_center_outside_bounds_reports_obstacle_line(self):
-        # The default bounds are +-15; run_scenario's World would raise
-        # for this circle with no line at all.
-        line, msg = self.obstacle_error(
-            {"type": "circle", "center": [20, 0], "radius": 1})
-        assert line == 5 and "outside bounds" in msg
-
-    def test_start_outside_bounds_reports_start_line(self):
-        # The scanner cannot run outside the bounds; run_scenario would
-        # raise on this start with no line at all.
-        text = ('{\n  "world": {"bounds": [-5, -5, 5, 5]},\n  "agents": [\n'
-                '    {"goal": [0, 0],\n     "start": [6, 0]}\n  ]\n}\n')
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text)
-        assert exc.value.errors == [
-            (5, "agents.0.start",
-             "start [6.0, 0.0] outside world bounds (-5, -5, 5, 5)")]
-
-    def test_start_inside_obstacle_reports_start_line(self):
-        # Left in, this start would fall back on nearly every cycle and
-        # collide from t = 0.
-        text = ('{\n  "world": {"obstacles": [\n'
-                '    {"type": "circle", "center": [0, 0], "radius": 1}]},\n'
-                '  "agents": [\n    {"goal": [3, 0],\n'
-                '     "start": [0.2, 0]}\n  ]\n}\n')
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text)
-        assert exc.value.errors == [
-            (6, "agents.0.start",
-             "start [0.2, 0.0] collides with obstacle 0 (clearance -0.300 m)")]
 
     def test_start_touching_obstacle_rejected(self):
         # Clearance exactly 0 is a collision, as compute_motion_metrics
@@ -368,19 +113,6 @@ class TestParsing:
         [(j, msg)] = _start_errors([clear, touching], bounds, [wall])
         assert j == 1 and "collides with obstacle 0" in msg
         assert _start_errors([clear], bounds, [wall]) == []
-
-    @pytest.mark.parametrize("obstacles", [
-        [], [{"type": "circle", "center": [0, 0], "radius": 1}]])
-    def test_degenerate_bounds_report_bounds_line(self, obstacles):
-        # xmin >= xmax: reported once, at world.bounds; the obstacles are
-        # not checked against bounds that enclose nothing.
-        text = ('{\n  "world": {\n    "obstacles": ' + json.dumps(obstacles)
-                + ',\n    "bounds": [5, 5, -5, -5]\n  },\n'
-                '  "agents": [' + json.dumps(MINIMAL["agents"][0]) + ']\n}\n')
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text)
-        assert exc.value.errors == [
-            (4, "world.bounds", "degenerate world bounds (5, 5, -5, -5)")]
 
 
 class TestScenarioWorld:
@@ -410,77 +142,6 @@ class TestScenarioWorld:
                      bounds=(-5.0, -5.0, 5.0, 5.0))
         assert str(exc.value) == ("start [6.0, 0.0] outside world bounds "
                                   "(-5.0, -5.0, 5.0, 5.0)")
-
-
-class TestLineIndex:
-    def test_paths_map_to_their_lines(self):
-        text = ('{\n'
-                '  "name": "x",\n'
-                '  "agents": [\n'
-                '    {\n'
-                '      "start": [1, 2]\n'
-                '    },\n'
-                '    {"start": [3, 4]}\n'
-                '  ]\n'
-                '}\n')
-        lines = index_json_lines(text)
-        assert lines[("name",)] == 2
-        assert lines[("agents",)] == 3
-        assert lines[("agents", 0)] == 4
-        assert lines[("agents", 0, "start")] == 5
-        assert lines[("agents", 1)] == 7
-        assert lines[("agents", 1, "start")] == 7
-
-    def test_strings_with_braces_do_not_confuse(self):
-        text = '{\n  "name": "a{[,]}b",\n  "seed": 3\n}'
-        lines = index_json_lines(text)
-        assert lines[("seed",)] == 3
-
-    def test_nesting_beyond_the_parser_still_raises_scenario_error(self):
-        # json.loads takes 300 levels; Python's parser stops near 200, so
-        # the schema error for "name" is reported at line 1.
-        doc = dict(MINIMAL, name=json.loads("[" * 300 + "]" * 300))
-        text = json.dumps(doc, indent=1)
-        assert index_json_lines(text) == {(): 1}
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(text)
-        (line, path, msg), = exc.value.errors
-        assert (line, path) == (1, "name") and "not of type 'string'" in msg
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", builtin_names())
-    def test_builtin_survives_serialization(self, name):
-        sc = builtin_scenario(name, seed=5)
-        sc2 = parse_scenario(json.dumps(scenario_to_dict(sc)))
-        assert len(sc2.agents) == len(sc.agents)
-        assert len(sc2.obstacles) == len(sc.obstacles)
-        assert sc2.duration == sc.duration and sc2.seed == sc.seed
-        for a, b in zip(sc.agents, sc2.agents):
-            assert np.allclose(a.start, b.start)
-            assert np.allclose(a.goal, b.goal)
-            assert a.order == b.order and a.goal_time == b.goal_time
-            assert limits_equal(a.limits, b.limits)
-            assert len(a.waypoints) == len(b.waypoints)
-            for (ta, pa), (tb, pb) in zip(a.waypoints, b.waypoints):
-                assert ta == tb and np.allclose(pa, pb)
-
-    def test_file_round_trip(self, tmp_path):
-        sc = builtin_scenario("walled_in")
-        path = tmp_path / "scene.json"
-        save_scenario(sc, path)
-        sc2 = load_scenario(path)
-        assert sc2.name == "walled_in"
-        assert len(sc2.obstacles) == 4
-        assert sc2.agents[0].waypoints[0][0] == 1.0
-
-    def test_random_spawn_round_trips_as_random(self):
-        sc = Scenario(agents=[AgentSpec(), AgentSpec(start=(1, 1),
-                                                     goal=(2, 2))])
-        d = scenario_to_dict(sc)
-        assert d["agents"][0]["start"] == {"spawn": "random"}
-        sc2 = parse_scenario(json.dumps(d))
-        assert sc2.agents[0].start is None and sc2.agents[0].goal is None
 
 
 class TestSpawnResolution:
@@ -636,6 +297,23 @@ class TestBuiltins:
     def test_agent_count_override(self):
         sc = builtin_scenario("open", n_agents=5)
         assert len(sc.agents) == 5
+
+    @pytest.mark.parametrize("name, n_agents, match", [
+        ("open", 0, "at least 1"),
+        ("antipodal", 0, "at least 1"),
+        ("unstructured", -1, "at least 1"),
+        ("intersection", 16, "fixed agent count"),
+        ("intersection", 6, "fixed agent count"),
+        ("walled_in", 3, "fixed agent count")])
+    def test_agent_count_rejected(self, name, n_agents, match):
+        # Unchecked, 0 agents ran the builtin's default count, and
+        # intersection and walled_in ignored the count they were given.
+        with pytest.raises(ValueError, match=match):
+            builtin_scenario(name, n_agents=n_agents)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_zero_duration_kept(self, name):
+        assert builtin_scenario(name, duration=0.0).duration == 0.0
 
     def test_intersection_layout(self):
         sc = builtin_scenario("intersection", seed=0)
