@@ -39,6 +39,8 @@ zeroed array with `where=`, and the nearest edge is gathered by its flat
 index.  Every replacement gives the helper's bits.
 """
 
+import math
+
 import numpy as np
 
 # Points within this of a boundary count as on it.
@@ -49,6 +51,8 @@ def _as_point(p):
     p = np.asarray(p, dtype=float)
     if p.shape != (2,):
         raise ValueError(f"expected a 2D point, got shape {p.shape}")
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        raise ValueError(f"expected a finite point, got {p.tolist()}")
     return p
 
 
@@ -158,15 +162,15 @@ def _polygon_distance_gradient(corners, edges, pts):
 
 
 class Circle:
-    """Disk with center (2,) and radius > 0."""
+    """Disk with finite center (2,) and finite radius > 0."""
 
     __slots__ = ("center", "radius")
 
     def __init__(self, center, radius):
         self.center = _as_point(center)
         radius = float(radius)
-        if radius <= 0:
-            raise ValueError(f"circle radius must be positive, got {radius}")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"circle radius must be positive and finite, got {radius}")
         self.radius = radius
 
     def __repr__(self):
@@ -220,6 +224,8 @@ class ConvexPolygonShape:
         area2 = 0.0
         for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
             area2 += ax * by - ay * bx
+        if not math.isfinite(area2):   # as is some corner, or it overflows
+            raise ValueError(f"polygon corners must be finite: {pts}")
         if area2 < 0:
             corners = corners[::-1].copy()
         self.corners = corners

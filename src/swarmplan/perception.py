@@ -330,7 +330,8 @@ class LocalMap:
     shape joins the end of its cell.  That order decides which overlapping
     shape an insert merges with first, and the moving volume and regions
     read the map in it, so it is part of the planner's behaviour.
-    Recentering drops shapes beyond MAP_RADIUS.
+    Recentering on the robot drops shapes beyond MAP_RADIUS and every shape
+    that contains the robot's position, whose body is free space.
 
     Distances to stored centers are taken for the whole map at once, as
     np.sqrt(np.vecdot(d, d)), which rounds as np.linalg.norm of one (2,)
@@ -361,7 +362,13 @@ class LocalMap:
             return
         centers = self._centers()
         d = centers - self.origin
-        near = (np.sqrt(np.vecdot(d, d)) <= MAP_RADIUS).nonzero()[0]
+        dist = np.sqrt(np.vecdot(d, d))
+        keep = dist <= MAP_RADIUS
+        # Carve: only a shape whose size scale reaches the robot can hold it.
+        reach = keep & (dist <= [s.size_scale for s in self._shapes])
+        for i in reach.nonzero()[0]:
+            keep[i] = not self._shapes[i].contains(self.origin)
+        near = keep.nonzero()[0]
         cells = self._cells(centers[near])
         order = np.lexsort((cells[:, 1], cells[:, 0]))
         self._shapes = [self._shapes[near[i]] for i in order]
@@ -387,12 +394,6 @@ class LocalMap:
             if merged is None:
                 # Unfaithful union: keep the stored shape and look for a
                 # better merge partner.
-                continue
-            if (merged.contains(self.origin)
-                    and not shape.contains(self.origin)
-                    and not other.contains(self.origin)):
-                # The union would claim the spot the robot stands on even
-                # though neither observation does; refuse to grow over it.
                 continue
             del self._shapes[i]
             return self.insert(merged, points=None)
@@ -539,7 +540,8 @@ def _merge_shapes(stored, incoming, points):
 
 @dataclass
 class MovingVolume:
-    """Obstacle windows along the previously planned path, slice k at t_rel[k].
+    """Obstacle windows along the previously planned path, slice k at t_rel[k]
+    about its seed centers[k] (`build_moving_volume`).
 
     `shapes` is the map's list, every shape once and in map order;
     member[k, j] says whether shapes[j] lies in slice k's window, so a
@@ -563,23 +565,25 @@ class MovingVolume:
 def build_moving_volume(local_map, trajectory, t_now, horizon, tau):
     """Collect, for each future timestep, map shapes near the old planned position.
 
-    Slice k covers t_now + k*tau for k = 1..round(horizon/tau); the window
-    center is the previous trajectory evaluated there (clamped into its
-    domain).  A shape lies in a slice when its distance from the window
-    center is at most WINDOW_RADIUS; one grouped distance pass measures
-    every pair, and the volume keeps its distances and gradients.  The
-    volume holds every map shape, in map order and with the map's groups,
-    so a shape's map index is its column; a shape beyond every window
-    keeps an all-False member column.
+    Row k is the previous trajectory at t_now + k*tau (clamped into its
+    domain), k = 0..round(horizon/tau), and row 0 is the robot.  One
+    grouped distance pass measures every row; a row is free when no shape
+    gives it d = 0 (the inside rule of `regions._seeded`).  Slice k takes
+    the center, distances and gradients of the nearest free row at or
+    before row k, or of row 0 when none is free, and holds the shapes at
+    most WINDOW_RADIUS away.  The volume holds every map shape, in map
+    order and with the map's groups, so a shape's map index is its column.
     """
     n = int(round(horizon / tau))
-    t_rel = np.arange(1, n + 1) * tau
+    times = np.arange(n + 1) * tau
     lo, hi = trajectory.domain
-    centers = trajectory.positions(
-        np.minimum(hi, np.maximum(lo, t_now + t_rel)))
+    path = trajectory.positions(np.minimum(hi, np.maximum(lo, t_now + times)))
     shapes = local_map.shapes()
     groups = shape_groups(shapes)
-    d, u = distance_gradients(groups, centers)
-    return MovingVolume(t_rel=t_rel, centers=centers, shapes=shapes,
-                        member=d <= WINDOW_RADIUS, distances=d, gradients=u,
-                        groups=groups)
+    d, u = distance_gradients(groups, path)
+    free = ~(d == 0.0).any(axis=1)
+    src = np.maximum.accumulate(np.where(free, np.arange(n + 1), 0))[1:]
+    d = d[src]
+    return MovingVolume(t_rel=times[1:], centers=path[src], shapes=shapes,
+                        member=d <= WINDOW_RADIUS, distances=d,
+                        gradients=u[src], groups=groups)

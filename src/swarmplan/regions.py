@@ -1,15 +1,15 @@
 """Convex safe regions carved from free space around a seed path.
 
-For every future timestep (a slice) a polytope is grown around the
-previously planned position: a box caps the region, and each mapped shape
-the slice holds, nearest first, adds the halfplane through its nearest
-point, normal to the seed-to-nearest direction, unless a plane kept before
-it already separates the shape (the safe flight corridor of Liu et al.,
-RA-L 2017: IRIS without the ellipsoid).  Every such plane supports its
-shape, so each shape the slice holds lies beyond one of the region's
-planes.  Predicted peers cut the polytope further, and finally it is
-deflated by the ego footprint so the trajectory optimizer can treat the
-robot as a point.
+For every future timestep (a slice) a polytope is grown around the slice's
+seed, a free point of the previously planned path: a box caps the region,
+and each mapped shape the slice holds, nearest first, adds the halfplane
+through its nearest point, normal to the seed-to-nearest direction, unless
+a plane kept before it already separates the shape (the safe flight
+corridor of Liu et al., RA-L 2017: IRIS without the ellipsoid).  Every such
+plane supports its shape, so each shape the slice holds lies beyond one of
+the region's planes.  Predicted peers cut the polytope further, and finally
+it is deflated by the ego footprint so the trajectory optimizer can treat
+the robot as a point.
 
 Layout.  The halfplanes {p : n.p <= o} of all slices of a cycle live in one
 `PlaneStack`: unit normals (slices, planes, 2) and offsets (slices, planes),
@@ -123,15 +123,6 @@ class PlaneStack(NamedTuple):
     def polytope(self, k):
         c = self.counts[k]
         return ConvexPolytope(self.normals[k, :c], self.offsets[k, :c])
-
-    def replaced(self, taken, other):
-        """Copy with slice k taken from `other` where taken[k] holds."""
-        taken = taken[:, None]
-        return _packed(
-            np.concatenate([self.normals, other.normals], axis=1),
-            np.concatenate([self.offsets, other.offsets], axis=1),
-            np.concatenate([~taken & self.live(), taken & other.live()],
-                           axis=1))
 
 
 class ConvexPolytope:
@@ -429,27 +420,23 @@ def region_is_empty(polytope, probe=None):
     return not _has_interior(PlaneStack.of(polytope))[0]
 
 
-def build_safe_regions(volume, tracks, ego_footprint, now, previous=None):
-    """One deflated polytope per moving-volume slice, in one pass.
+def build_safe_regions(volume, tracks, ego_footprint, now):
+    """One deflated polytope per moving-volume slice, in one pass, from
+    this cycle's volume and tracks alone.
 
-    Slice seeds are the volume's window centers (the old plan's positions).
-    The shapes in each slice's row of the volume's mask bound its region,
-    every live track cuts it at its predicted position, padded by
+    Slice seeds are the volume's window centers, free points of the old
+    plan.  The shapes in each slice's row of the volume's mask bound its
+    region, every live track cuts it at its predicted position, padded by
     PEER_MARGIN, and the result is deflated by the ego footprint.  A seed
-    stuck inside a mapped shape falls back to the previous cycle's static
-    region of the same slice; slices whose seed is covered by a peer or
-    whose polytope ends up empty are flagged infeasible.  `bounding`
-    records the shapes that own a row of each slice, none when borrowed.
+    inside a mapped shape (only when the robot is inside one) gets the box
+    alone; such slices, and those whose seed is covered by a peer or whose
+    polytope ends up empty, are flagged infeasible.  `bounding` records
+    the shapes that own a row of each slice.
     """
     t_rel, seeds = volume.t_rel, volume.centers
     stack, inside, bounding = _seeded(seeds, volume.groups, volume.member,
                                       volume.distances, volume.gradients)
     feasible = ~inside
-    if previous is not None and inside.any():
-        # Every volume has the same slices at the same times after its
-        # cycle, so slice k borrows the previous slice k.
-        stack = stack.replaced(inside, previous.static)
-        feasible[inside] = previous.feasible[inside]
     static = stack
     if tracks:
         by_size = {}

@@ -406,8 +406,7 @@ class Agent:
         try:
             if self.volume is not None:
                 regions = build_safe_regions(
-                    self.volume, self.tracks, self.footprint, now,
-                    previous=self.regions)
+                    self.volume, self.tracks, self.footprint, now)
         except Exception as exc:
             flags.append(f"regions:{type(exc).__name__}")
 

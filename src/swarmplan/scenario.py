@@ -50,37 +50,34 @@ class Scenario:
                              f"got {self.duration!r}")
         if not self.agents:
             raise ValueError("scenario needs at least one agent")
-        World(list(self.obstacles), tuple(self.bounds))   # the world's checks
+        world = World(list(self.obstacles), tuple(self.bounds))
         MessageBus(self.bus_latency, self.bus_drop)         # the bus's checks
-        bad_starts = _start_errors(self.agents, self.bounds, self.obstacles)
-        if bad_starts:
-            raise ValueError(bad_starts[0][1])
+        _check_starts(self.agents, world)
 
 
-def _start_errors(agents, bounds, obstacles):
-    """(j, message) for each fixed start outside the world bounds, where
-    the scanner cannot run, then for each one that collides with an
-    obstacle as `compute_motion_metrics` counts it, then for each pair
-    i < j of fixed starts that overlap after footprint inflation; i and j
-    index `agents`."""
-    world = World([], tuple(bounds))
+def _check_starts(agents, world):
+    """Raise ValueError at the first fixed start outside the world bounds,
+    where the scanner cannot run; else at the first that collides with an
+    obstacle as `compute_motion_metrics` counts it; else at the first pair
+    i < j of fixed starts that overlap after footprint inflation."""
     placed = [(i, a.start, footprint_from_size(a.footprint).size_scale)
               for i, a in enumerate(agents) if a.start is not None]
-    out = [(i, f"start {start.tolist()} outside world bounds {world.bounds}")
-           for i, start, _ in placed if not world.inside(start)]
-    for i, start, radius in placed:
-        for k, shape in enumerate(obstacles):
+    for _, start, _ in placed:
+        if not world.inside(start):
+            raise ValueError(f"start {start.tolist()} outside world bounds "
+                             f"{world.bounds}")
+    for _, start, radius in placed:
+        for k, shape in enumerate(world.obstacles):
             clear = float(shape.distance(start)) - radius
             if clear <= 0:
-                out.append((i, f"start {start.tolist()} collides with "
-                               f"obstacle {k} (clearance {clear:.3f} m)"))
+                raise ValueError(f"start {start.tolist()} collides with "
+                                 f"obstacle {k} (clearance {clear:.3f} m)")
     for k, (i, start_i, radius_i) in enumerate(placed):
         for j, start_j, radius_j in placed[k + 1:]:
             gap = np.linalg.norm(start_i - start_j) - radius_i - radius_j
             if gap <= 0:
-                out.append((j, f"agents {i} and {j} start overlap after "
-                               f"footprint inflation (gap {gap:.3f} m)"))
-    return out
+                raise ValueError(f"agents {i} and {j} start overlap after "
+                                 f"footprint inflation (gap {gap:.3f} m)")
 
 
 # --- spawn resolution -------------------------------------------------------
@@ -182,13 +179,14 @@ def builtin_scenario(name, seed=0, n_agents=None, duration=None):
     with their antipodes (open defaults to the 2-agent head-on swap).
     intersection: two 4 m corridors crossed by six fourth-order agents, two
     of which exit at speed.  unstructured: ten seeded random obstacles and
-    four agents with two timed waypoints each.  walled_in: one agent sealed
-    inside a box with waypoints it cannot all satisfy, exercising the
-    replanning fallback ladder.
+    an agent at each of up to four corners (four by default), with two
+    timed waypoints each.  walled_in: one agent sealed inside a box with
+    waypoints it cannot all satisfy, exercising the fallback ladder.
 
     n_agents and duration left as None take the builtin's own count and
-    duration.  A count below 1, or any count for intersection and
-    walled_in, whose agents are fixed, raises ValueError.
+    duration.  A count below 1, a count above 4 for unstructured, or any
+    count for intersection and walled_in, whose agents are fixed, raises
+    ValueError.
     """
     if name not in builtin_names():
         raise ValueError(f"unknown builtin scenario {name!r}; "
@@ -259,6 +257,10 @@ def _intersection(seed, rng, duration):
 
 
 def _unstructured(seed, rng, n_agents, duration):
+    corners = [(-6.0, -6.0), (6.0, 6.0), (-6.0, 6.0), (6.0, -6.0)]
+    if n_agents > len(corners):
+        raise ValueError(f"unstructured starts an agent at each of the "
+                         f"corners {corners}: at most 4 agents, got {n_agents}")
     obstacles = []
     radii = []
     while len(obstacles) < 10:
@@ -281,13 +283,12 @@ def _unstructured(seed, rng, n_agents, duration):
             obstacles.append(shape)
             radii.append((c, r))
 
-    corners = [(-6.0, -6.0), (6.0, 6.0), (-6.0, 6.0), (6.0, -6.0)]
     goal_times = [11.5, 12.0, 12.5, 13.0]
     agents = []
     for i in range(n_agents):
-        start = np.asarray(corners[i % 4], dtype=float)
+        start = np.asarray(corners[i], dtype=float)
         goal = -start
-        gt = goal_times[i % 4]
+        gt = goal_times[i]
         waypoints = []
         for frac in (1.0 / 3.0, 2.0 / 3.0):
             for _ in range(200):

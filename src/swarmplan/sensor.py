@@ -39,6 +39,8 @@ class World:
         xmin, ymin, xmax, ymax = self.bounds
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"degenerate world bounds {self.bounds}")
+        if not np.isfinite(self.bounds).all():
+            raise ValueError(f"world bounds must be finite, got {self.bounds}")
         for obs in self.obstacles:
             cx, cy = obs.center
             if not (xmin <= cx <= xmax and ymin <= cy <= ymax):

@@ -422,6 +422,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             Triangle([[0, 0], [1, 0], [1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: Circle([5.0, 5.0], math.nan), "radius must be positive"),
+        (lambda: Circle([0.0, 0.0], math.inf), "radius must be positive"),
+        (lambda: Circle([math.inf, 5.0], 1.0), "finite point"),
+        (lambda: Circle([5.0, math.nan], 1.0), "finite point"),
+        (lambda: axis_rectangle(0.0, 0.0, math.nan, 1.0),
+         "corners must be finite"),
+        (lambda: Triangle([[0, 0], [1, 0], [0, math.inf]]),
+         "corners must be finite"),
+    ], ids=["circle_nan_radius", "circle_inf_radius", "circle_inf_center",
+            "circle_nan_center", "rectangle_nan_corner",
+            "triangle_inf_corner"])
+    def test_non_finite_geometry_rejected(self, build, match):
+        # Unchecked, each of these built, and a run never counted such an
+        # obstacle.
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_ccw_enforced(self):
         s = Square([[0, 1], [1, 1], [1, 0], [0, 0]])  # given clockwise
         normals = np.stack([s.edges[:, 1], -s.edges[:, 0]], axis=1)

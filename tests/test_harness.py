@@ -20,7 +20,9 @@ holds every QP solve of 0.8 s of each builtin to `optimal` or
 `test_static_regions_keep_out_every_member_shape` holds every static
 region of 0.8 s of intersection and unstructured to the property the
 regions are built for: a row of the region keeps out each shape its slice
-holds.  `test_admission_is_the_shapes_that_own_a_row` holds every
+holds.  `test_cycles_start_on_free_space` holds the same two windows to
+the seeding's premise: no cycle starts with the robot inside a shape of
+its map, and no slice of a moving volume is seeded inside a shape.  `test_admission_is_the_shapes_that_own_a_row` holds every
 cycle's obstacle admission to the shapes that own one of those rows, over
 the same unstructured run and 4.0 s of intersection at layout seed 1,
 where the old stacked-support rule admits other shapes.
@@ -135,13 +137,15 @@ def test_command_writes_the_run(tmp_path, capsys):
 
 
 def test_command_rejects_an_unbuildable_scenario(tmp_path, capsys):
-    # intersection's six agents are fixed: a count is a usage error.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "intersection", "--agents", "3",
-                  "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "fixed agent count" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    # intersection's six agents are fixed, and unstructured has four
+    # corner starts: either count is a usage error.
+    for name, count, message in (("intersection", "3", "fixed agent count"),
+                                 ("unstructured", "5", "at most 4 agents")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", name, "--agents", count, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name", ["open", "walled_in", "antipodal",
@@ -197,7 +201,7 @@ def test_static_regions_keep_out_every_member_shape(name, monkeypatch):
     # Each shape a slice holds lies beyond one row of the slice's static
     # region, so no static region meets a shape it holds.  A slice whose
     # seed is inside one of its shapes, or within the distance kernels'
-    # 1e-12 of one, borrows the previous cycle's region and is skipped.
+    # 1e-12 of one, is skipped.
     # The agent turns an exception in a stage into a flag, so the wrapper
     # records the shapes no row keeps out and the test asserts afterwards.
     held, missed = [], []
@@ -223,6 +227,35 @@ def test_static_regions_keep_out_every_member_shape(name, monkeypatch):
                 for f in r.flags if ":" in f]
     assert sum(held) > 1000
     assert not missed, f"{len(missed)} shapes no row keeps out: {missed[:3]}"
+
+
+@pytest.mark.parametrize("name", ["intersection", "unstructured"])
+def test_cycles_start_on_free_space(name, monkeypatch):
+    # The map drops every shape over the robot when it recenters, before
+    # the moving volume is built, and each slice seeds on the last free
+    # row of the old plan, so no cycle starts with the robot inside a
+    # shape of its map and no volume center lies inside a shape.  Without
+    # the carve and the re-seeding, 2.0 s of unstructured start 21 cycles
+    # with a robot inside a map shape and seed 885 slices inside one.
+    volumes, inside = [], []
+
+    def build(local_map, *args, **kwargs):
+        volume = real_build(local_map, *args, **kwargs)
+        robot = local_map.origin
+        inside.extend((robot, s) for s in local_map.shapes()
+                      if s.contains(robot))
+        inside.extend(volume.centers[(volume.distances == 0.0).any(axis=1)])
+        volumes.append(volume)
+        return volume
+
+    real_build = runtime.build_moving_volume
+    monkeypatch.setattr(runtime, "build_moving_volume", build)
+    result = run_scenario(builtin_scenario(name, duration=DURATIONS[name]))
+    assert not [f for reports in result.reports.values() for r in reports
+                for f in r.flags if ":" in f]
+    assert len(volumes) == sum(len(r) for r in result.reports.values())
+    assert sum(v.member.sum() for v in volumes) > 10000
+    assert not inside, f"{len(inside)} inside: {inside[:3]}"
 
 
 # (layout seed, seconds) of each admission run.  Until intersection's

@@ -7,9 +7,10 @@ import pytest
 
 from swarmplan import perception
 from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, axis_rectangle,
-                               corners_area, oriented_rectangle,
-                               _disk_distance_gradient, _edge_projections,
-                               _polygon_distance_gradient, shape_groups)
+                               corners_area, distance_gradients,
+                               oriented_rectangle, _disk_distance_gradient,
+                               _edge_projections, _polygon_distance_gradient,
+                               shape_groups)
 from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
                                   classify_cluster, compensate_motion,
                                   fit_rectangle, segment_scan)
@@ -261,6 +262,28 @@ class TestLocalMap:
         centers = [s.center[0] for s in m.shapes()]
         assert centers == [2.0]
 
+    def test_recenter_carves_the_shapes_over_the_robot(self):
+        # Two circles beside the robot merge into an enclosing circle over
+        # it, though neither holds it.  Recentering there drops that union
+        # and nothing else: not a thin triangle whose size scale reaches
+        # the robot but whose body does not, nor a far square.
+        robot = np.array([2.25, 0.7])
+        m = LocalMap(robot)
+        m.insert(Circle([2.0, 0.0], 0.6))
+        m.insert(Circle([2.5, 0.0], 0.6))
+        [union] = m.shapes()
+        assert union.contains(robot)
+        sliver = Triangle([robot + [0.2, 0.05], robot + [0.2, -0.05],
+                           robot + [2.0, 0.0]])
+        assert np.linalg.norm(sliver.center - robot) < sliver.size_scale
+        assert not sliver.contains(robot)
+        far = axis_rectangle(-4.0, -4.0, -3.0, -3.0)
+        m.insert(sliver)
+        m.insert(far)
+        assert len(m) == 3
+        m.recenter(robot)
+        assert sorted(map(id, m.shapes())) == sorted([id(sliver), id(far)])
+
     def test_insert_beyond_radius_ignored(self):
         m = LocalMap()
         m.insert(Circle([20.0, 0.0], 0.5))
@@ -291,7 +314,8 @@ class GridMap:
         self.origin = np.asarray(new_origin, dtype=float)
         self.buckets = {}
         for s in shapes:
-            if np.linalg.norm(s.center - self.origin) <= perception.MAP_RADIUS:
+            if (np.linalg.norm(s.center - self.origin) <= perception.MAP_RADIUS
+                    and not s.contains(self.origin)):
                 self.buckets.setdefault(self._key(s), []).append(s)
 
     def insert(self, shape, points=None):
@@ -309,10 +333,6 @@ class GridMap:
                 continue
             merged = perception._merge_shapes(other, shape, points)
             if merged is None:
-                continue
-            if (merged.contains(self.origin)
-                    and not shape.contains(self.origin)
-                    and not other.contains(self.origin)):
                 continue
             entries = self.buckets[self._key(other)]
             entries.remove(other)
@@ -366,7 +386,7 @@ class TestLocalMapOracle:
             return merges[key][3]
 
         monkeypatch.setattr(perception, "_merge_shapes", shared_merge)
-        refused = dropped = 0
+        refused = dropped = carved = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
             origin = rng.uniform(-3.0, 3.0, 2)
@@ -375,6 +395,8 @@ class TestLocalMapOracle:
                 if rng.random() < 0.15:
                     origin = origin + rng.uniform(-8.0, 8.0, 2)
                     before = len(listed)
+                    carved += sum(bool(s.contains(origin))
+                                  for s in listed.shapes())
                     listed.recenter(origin)
                     grid.recenter(origin)
                     dropped += before - len(listed)
@@ -385,8 +407,10 @@ class TestLocalMapOracle:
                     refused += kept is None
                 got, want = listed.shapes(), grid.shapes()
                 assert [id(s) for s in got] == [id(s) for s in want]
-        # The sequences exercise every path: merges, refusals and drops.
+        # The sequences exercise every path: merges, refusals, drops and
+        # carves.
         assert len(merges) > 100 and refused > 10 and dropped > 10
+        assert carved > 5
         assert any(m[3] is not None for m in merges.values())
 
 
@@ -411,11 +435,20 @@ def own_distance(shape, p):
 
 
 def oracle_volume_lists(shapes, trajectory, t_now, horizon, tau, radius):
-    """Each slice's shapes, one window and one shape at a time: those at
-    most `radius` from the window center."""
-    t_rel = np.arange(1, int(round(horizon / tau)) + 1) * tau
-    path = trajectory.positions(np.clip(t_now + t_rel, *trajectory.domain))
-    return [[s for s in shapes if own_distance(s, c) <= radius] for c in path]
+    """(seeds, lists): each slice's seed and shapes, one window and one
+    shape at a time.  The walk starts at the robot, the path at t_now, and
+    takes each window center in turn; a center inside a shape (distance 0)
+    keeps the seed before it.  A slice holds the shapes at most `radius`
+    from its seed."""
+    times = np.arange(int(round(horizon / tau)) + 1) * tau
+    path = trajectory.positions(np.clip(t_now + times, *trajectory.domain))
+    seed, seeds = path[0], []
+    for c in path[1:]:
+        if all(own_distance(s, c) > 0.0 for s in shapes):
+            seed = c
+        seeds.append(seed)
+    return seeds, [[s for s in shapes if own_distance(s, c) <= radius]
+                   for c in seeds]
 
 
 def volume_lists(vol):
@@ -494,9 +527,10 @@ class TestMovingVolume:
     def test_mask_matches_per_slice_loop(self):
         # Shapes at random, on the windows' rims up to rounding, and long
         # walls whose centers lie beyond a window that their sides reach.
+        # Random shapes cover some window centers, whose slices re-seed.
         rng = np.random.default_rng(71)
         radius = perception.WINDOW_RADIUS
-        reached = left_out = 0
+        reached = left_out = reseeded = 0
         for _ in range(30):
             traj = TrajectorySpline(3, 0.0, 1.0,
                                     rng.uniform(-4.0, 4.0, size=(8, 2)))
@@ -522,7 +556,8 @@ class TestMovingVolume:
             rng.shuffle(shapes)
             vol = build_moving_volume(ShapeList(shapes), traj, t_now, 4.0,
                                       0.1)
-            want = oracle_volume_lists(shapes, traj, t_now, 4.0, 0.1, radius)
+            seeds, want = oracle_volume_lists(shapes, traj, t_now, 4.0, 0.1,
+                                              radius)
             assert volume_lists(vol) == want
             assert vol.shapes == shapes
             # The map's groups, also when some shape lies beyond every
@@ -530,14 +565,57 @@ class TestMovingVolume:
             assert group_arrays(vol.groups) == group_arrays(
                 shape_groups(shapes))
             left_out += not vol.member.any(axis=0).all()
-            assert np.array_equal(vol.centers, path)
-            for k, c in enumerate(path):
+            assert np.array_equal(vol.centers, seeds)
+            for k, c in enumerate(seeds):
                 for j, s in enumerate(vol.shapes):
                     assert vol.distances[k, j] == own_distance(s, c)
+            reseeded += (vol.centers != path).any(axis=1).sum()
             reached += sum(np.linalg.norm(s.center - c) > radius
-                           for c, lst in zip(path, want) for s in lst)
+                           for c, lst in zip(seeds, want) for s in lst)
         assert reached > 100
         assert 0 < left_out < 30
+        assert reseeded > 20
+
+    def test_slices_seed_on_the_last_free_row(self):
+        # Row 0 is the robot, on the old plan at t_now, and row k the window
+        # center of slice k.  A slice takes its own row when no shape holds
+        # it, else the nearest free row before it, else the robot's row:
+        # its center, distances, gradients and membership are that row's,
+        # bit for bit.  So every center is free unless the robot's is not.
+        rng = np.random.default_rng(29)
+        own = donor = stuck = 0
+        for trial in range(40):
+            traj = TrajectorySpline(3, 0.0, 1.0,
+                                    rng.uniform(-4.0, 4.0, size=(8, 2)))
+            t_now = float(rng.uniform(0.0, 3.0))
+            rows = traj.positions(np.clip(t_now + 0.1 * np.arange(41),
+                                          *traj.domain))
+            shapes = []
+            for _ in range(int(rng.integers(0, 6))):
+                c = rng.uniform(-8.0, 8.0, size=2)
+                shapes.append(Triangle(c + rng.uniform(-2, 2, size=(3, 2))))
+            # Shapes over runs of rows, and over the robot in some trials.
+            for k in rng.integers(0 if trial % 3 == 0 else 1, 41, size=3):
+                shapes.append(Circle(rows[k] + rng.uniform(-0.2, 0.2, 2),
+                                     float(rng.uniform(0.1, 0.6))))
+            rng.shuffle(shapes)
+            vol = build_moving_volume(ShapeList(shapes), traj, t_now, 4.0,
+                                      0.1)
+            d, u = distance_gradients(shape_groups(shapes), rows)
+            free = [all(own_distance(s, r) > 0.0 for s in shapes)
+                    for r in rows]
+            for k in range(40):
+                j = max((i for i in range(k + 2) if free[i]), default=0)
+                assert vol.centers[k].tobytes() == rows[j].tobytes()
+                assert vol.distances[k].tobytes() == d[j].tobytes()
+                assert vol.gradients[k].tobytes() == u[j].tobytes()
+                assert np.array_equal(vol.member[k],
+                                      d[j] <= perception.WINDOW_RADIUS)
+                assert free[j] or not free[0]
+                own += j == k + 1
+                donor += 0 < j < k + 1
+                stuck += not free[j]
+        assert own > 500 and donor > 50 and stuck > 10
 
     def test_one_grouping_per_volume(self, monkeypatch):
         # The map is grouped once per volume, whether every shape lies in
@@ -782,7 +860,8 @@ class PerShapeMap:
         shapes = self.shapes()
         self.origin = np.asarray(new_origin, dtype=float)
         self._shapes = [s for s in shapes if np.linalg.norm(
-            s.center - self.origin) <= perception.MAP_RADIUS]
+            s.center - self.origin) <= perception.MAP_RADIUS
+            and not s.contains(self.origin)]
 
     def insert(self, shape, points=None):
         center = shape.center
@@ -794,10 +873,6 @@ class PerShapeMap:
                 continue
             merged = per_shape_merge(other, shape, points)
             if merged is None:
-                continue
-            if (merged.contains(self.origin)
-                    and not shape.contains(self.origin)
-                    and not other.contains(self.origin)):
                 continue
             self._shapes.remove(other)
             return self.insert(merged, points=None)

@@ -508,80 +508,70 @@ class TestBuildSafeRegions:
             assert not sl.feasible
             assert len(sl.polytope.normals) >= 4
 
-    def test_seed_inside_reuses_previous_region(self):
+    def test_seed_inside_gets_the_deflated_box(self):
+        # A free region built just before changes nothing: a blocked seed
+        # gets the 4 box rows, deflated once by the footprint, and is
+        # flagged infeasible.
         free = self.make_volume([[] for _ in range(3)])
-        prev = build_safe_regions(free, [], disk(0.2),
-                                  now=0.0)
+        build_safe_regions(free, [], disk(0.2), now=0.0)
         blocked = self.make_volume([[Circle(np.zeros(2), 1.0)]] * 3)
-        region = build_safe_regions(blocked, [], disk(0.2),
-                                    now=0.1, previous=prev)
+        region = build_safe_regions(blocked, [], disk(0.2), now=0.1)
         for sl in region.slices:
-            # Borrowing last cycle's region is a successful recovery.
-            assert sl.feasible
-            # Polytope borrowed from the matching previous slice (box-only),
-            # re-deflated from its pre-deflation planes (no double shrink).
+            assert not sl.feasible
             assert len(sl.polytope.normals) == 4
             assert np.allclose(sl.polytope.offsets, regions.BOX_HALF_WIDTH - 0.2)
 
-    def test_borrowed_slice_is_the_previous_slice(self):
-        # A seed inside a shape borrows the previous cycle's static rows of
-        # the same slice, bit for bit, whether the previous stack is wider
-        # or narrower than this cycle's seeded stack; the other slices keep
-        # their own rows.  Without peers, a borrowed slice is as feasible
-        # as the slice it borrows.
+    def test_seed_inside_gets_the_box_alone(self):
+        # A seed inside a shape it holds, or exactly on a circle's rim,
+        # gets the 4 box rows about it, bounds no shape and is flagged
+        # infeasible, with or without peers; the other slices keep the rows
+        # the seeding gave them.  The region reads this cycle's volume
+        # alone.
         rng = np.random.default_rng(83)
-        wider = set()
-        borrowed = infeasible = 0
+        r = regions.BOX_HALF_WIDTH
+        inside_total = 0
         for trial in range(16):
             ego = disk(0.2) if trial % 2 else origin_square(0.15)
-            first = random_volume(rng, 20, inside_frac=0.2)
-            prev = build_safe_regions(first, random_tracks(rng, first), ego,
-                                      0.0)
-            second = random_volume(rng, 20, inside_frac=0.4)
-            seeded, inside, _ = seeded_volume(second)
-            region = build_safe_regions(second, [], ego, 0.04, previous=prev)
+            volume = random_volume(rng, 20, inside_frac=0.4)
+            seeded, inside, _ = seeded_volume(volume)
+            tracks = random_tracks(rng, volume) if trial % 4 < 2 else []
+            region = build_safe_regions(volume, tracks, ego, 0.04)
             got = region.static
+            box = volume.centers @ regions._BOX_NORMALS.T + r
             for k in range(len(inside)):
-                want = prev.static if inside[k] else seeded
-                c = want.counts[k]
+                c = seeded.counts[k]
                 assert got.counts[k] == c
-                for x, y in zip(got[:2], want[:2]):
+                for x, y in zip(got[:2], seeded[:2]):
                     assert x[k, :c].tobytes() == y[k, :c].tobytes()
                     assert np.isnan(x[k, c:]).all()
-            assert np.array_equal(region.feasible[inside],
-                                  prev.feasible[inside])
-            borrowed += inside.sum()
-            infeasible += (~prev.feasible[inside]).sum()
-            wider.add(np.sign(prev.static.offsets.shape[1]
-                              - seeded.offsets.shape[1]))
-        assert {-1, 1} <= wider
-        assert 0 < infeasible < borrowed
+                if inside[k]:
+                    assert c == 4
+                    assert got.offsets[k, :4].tobytes() == box[k].tobytes()
+            assert not region.feasible[inside].any()
+            assert not region.bounding[inside].any()
+            assert region.feasible[~inside].any()
+            inside_total += inside.sum()
+        assert inside_total > 50
 
     def test_every_slice_holds_its_box_rows(self):
-        # No slice has one row: every static slice, seeded or borrowed,
-        # starts with the 4 box rows about the seed it was seeded at, and
-        # peer cuts and deflation keep at least 4 rows.
+        # No slice has one row: every static slice, seeded inside a shape
+        # or not, starts with the 4 box rows about its seed, and peer cuts
+        # and deflation keep at least 4 rows.
         rng = np.random.default_rng(97)
         r = regions.BOX_HALF_WIDTH
-        borrowed = 0
+        inside_total = 0
         for trial in range(8):
             ego = disk(0.2) if trial % 2 else origin_square(0.15)
-            first = random_volume(rng, 30)
-            tracks = random_tracks(rng, first)
-            prev = build_safe_regions(first, tracks, ego, 0.0)
-            second = random_volume(rng, 30, inside_frac=0.3)
-            region = build_safe_regions(second, tracks, ego, 0.04,
-                                        previous=prev)
-            _, inside, _ = seeded_volume(second)
-            at = np.where(inside[:, None], first.centers, second.centers)
-            for reg, seeds in ((prev, first.centers), (region, at)):
-                assert (reg.static.counts >= 4).all()
-                assert (reg.planes.counts >= 4).all()
-                assert (reg.static.normals[:, :4] == regions._BOX_NORMALS).all()
-                box = seeds @ regions._BOX_NORMALS.T + r
-                assert reg.static.offsets[:, :4].tobytes() == box.tobytes()
-            borrowed += inside.sum()
-        assert borrowed > 10
+            volume = random_volume(rng, 30, inside_frac=0.3)
+            reg = build_safe_regions(volume, random_tracks(rng, volume), ego,
+                                     0.04)
+            assert (reg.static.counts >= 4).all()
+            assert (reg.planes.counts >= 4).all()
+            assert (reg.static.normals[:, :4] == regions._BOX_NORMALS).all()
+            box = volume.centers @ regions._BOX_NORMALS.T + r
+            assert reg.static.offsets[:, :4].tobytes() == box.tobytes()
+            inside_total += seeded_volume(volume)[1].sum()
+        assert inside_total > 10
 
     @staticmethod
     def assert_packed(stack):
@@ -594,40 +584,32 @@ class TestBuildSafeRegions:
         assert stack.offsets.shape[1] == max(stack.counts.max(), 1)
 
     def test_every_stack_is_packed(self, monkeypatch):
-        # Every stack that the peer cut or the borrowing of previous slices
-        # returns, and both stacks of every region, are packed.
-        made = {"cut": [], "borrowed": []}
-        peer_cuts, replaced = regions._peer_cuts, PlaneStack.replaced
+        # Every stack that the peer cut returns, and both stacks of every
+        # region, are packed.
+        made = []
+        peer_cuts = regions._peer_cuts
 
         def recording_cuts(stack, *args):
             out = peer_cuts(stack, *args)
             if out[0] is not stack:
-                made["cut"].append(out[0])
-            return out
-
-        def recording_replaced(stack, taken, other):
-            out = replaced(stack, taken, other)
-            made["borrowed"].append(out)
+                made.append(out[0])
             return out
 
         monkeypatch.setattr(regions, "_peer_cuts", recording_cuts)
-        monkeypatch.setattr(PlaneStack, "replaced", recording_replaced)
         rng = np.random.default_rng(101)
         for trial in range(8):
             ego = disk(0.2) if trial % 2 else origin_square(0.15)
             first = random_volume(rng, 30)
             tracks = random_tracks(rng, first)
-            prev = build_safe_regions(first, tracks, ego, 0.0)
             second = random_volume(rng, 30, inside_frac=0.3)
-            region = build_safe_regions(second, tracks[:trial % 3], ego, 0.04,
-                                        previous=prev)
-            for reg in (prev, region):
+            for reg in (build_safe_regions(first, tracks, ego, 0.0),
+                        build_safe_regions(second, tracks[:trial % 3], ego,
+                                           0.04)):
                 self.assert_packed(reg.planes)
                 self.assert_packed(reg.static)
-        for stacks in made.values():
-            for stack in stacks:
-                self.assert_packed(stack)
-        assert len(made["cut"]) > 2 and len(made["borrowed"]) > 2
+        for stack in made:
+            self.assert_packed(stack)
+        assert len(made) > 2
 
 
 # --- the one-pass build against the per-slice definition ----------------------
@@ -731,7 +713,7 @@ def oracle_empty(poly, probe):
     return not res.success or -res.fun < -1e-9
 
 
-def oracle_build(volume, tracks, ego, now, previous=None):
+def oracle_build(volume, tracks, ego, now):
     """[(polytope, static polytope, feasible)] per slice."""
     times = np.array([now + t for t in volume.t_rel])
     paths = [(tr.predict_positions(times),
@@ -742,16 +724,13 @@ def oracle_build(volume, tracks, ego, now, previous=None):
         try:
             poly = oracle_seed_region(seed, slice_shapes(volume, k))
         except SeedInsideObstacle:
-            if previous is not None:
-                _, poly, feasible = previous[k]
-            else:
-                r = regions.BOX_HALF_WIDTH
-                poly = ConvexPolytope([
-                    Halfplane(np.array([1.0, 0.0]), seed[0] + r),
-                    Halfplane(np.array([-1.0, 0.0]), -seed[0] + r),
-                    Halfplane(np.array([0.0, 1.0]), seed[1] + r),
-                    Halfplane(np.array([0.0, -1.0]), -seed[1] + r)])
-                feasible = False
+            r = regions.BOX_HALF_WIDTH
+            poly = ConvexPolytope([
+                Halfplane(np.array([1.0, 0.0]), seed[0] + r),
+                Halfplane(np.array([-1.0, 0.0]), -seed[0] + r),
+                Halfplane(np.array([0.0, 1.0]), seed[1] + r),
+                Halfplane(np.array([0.0, -1.0]), -seed[1] + r)])
+            feasible = False
         static = poly
         for path, fp in paths:
             poly, ok = oracle_contract(poly, seed, path[k], fp,
@@ -854,14 +833,11 @@ class TestOnePassParity:
             ego = disk(0.2) if trial % 2 else origin_square(0.15)
             first = random_volume(rng, 40)
             tracks = random_tracks(rng, first)
-            prev = build_safe_regions(first, tracks, ego, 0.0)
-            prev_oracle = oracle_build(first, tracks, ego, 0.0)
-            assert_same_regions(prev, prev_oracle)
+            assert_same_regions(build_safe_regions(first, tracks, ego, 0.0),
+                                oracle_build(first, tracks, ego, 0.0))
             second = random_volume(rng, 40, inside_frac=0.3)
-            region = build_safe_regions(second, tracks, ego, 0.04,
-                                        previous=prev)
-            assert_same_regions(region, oracle_build(
-                second, tracks, ego, 0.04, previous=prev_oracle))
+            assert_same_regions(build_safe_regions(second, tracks, ego, 0.04),
+                                oracle_build(second, tracks, ego, 0.04))
 
     def test_shapes_no_slice_holds_change_nothing(self):
         # The moving volume keeps every map shape, and one beyond every
@@ -1100,10 +1076,9 @@ class TestSliceViews:
             ego = disk(0.2) if trial % 2 else origin_square(0.15)
             first = random_volume(rng, 30)
             tracks = random_tracks(rng, first)
-            prev = build_safe_regions(first, tracks, ego, 0.0)
-            region = build_safe_regions(random_volume(rng, 30, inside_frac=0.3),
-                                        tracks, ego, 0.04, previous=prev)
-            for r in (prev, region):
+            for r in (build_safe_regions(first, tracks, ego, 0.0),
+                      build_safe_regions(random_volume(rng, 30, inside_frac=0.3),
+                                         tracks, ego, 0.04)):
                 assert len(r.slices) == len(r.t_rel)
                 for k, sl in enumerate(r.slices):
                     assert len(sl.polytope) == r.planes.counts[k]
@@ -1297,25 +1272,23 @@ class TestAdmission:
     the cycle's regions: the seeding's record, with no test of its own."""
 
     def test_admits_the_shapes_that_own_a_row(self):
-        # Seeds inside a shape and borrowed slices bound nothing, so shapes
-        # that only such slices hold are left out.
+        # Seeds inside a shape bound nothing, so shapes that only such
+        # slices hold are left out.
         rng = np.random.default_rng(67)
-        offered = admitted = borrowed = 0
+        offered = admitted = inside = 0
         for trial in range(30):
             n = int(rng.integers(1, 30))
-            first = random_volume(rng, n, inside_frac=0.2)
-            prev = build_safe_regions(first, [], disk(0.2), 0.0)
             volume = random_volume(rng, n, inside_frac=0.3)
             region = build_safe_regions(volume, random_tracks(rng, volume),
-                                        disk(0.2), 0.04, previous=prev)
+                                        disk(0.2), 0.04)
             got = admit_obstacles(volume.shapes, region)
             assert got == row_owners(volume, region), trial
             assert all(type(j) is int for j in got)
             offered += len(volume.shapes)
             admitted += len(got)
-            borrowed += seeded_volume(volume)[1].sum()
+            inside += seeded_volume(volume)[1].sum()
         assert 0.3 * offered < admitted < 0.9 * offered
-        assert borrowed > 20
+        assert inside > 20
 
     def test_hidden_shapes_are_not_admitted(self):
         # A wall between the path and a disk keeps the disk out of every
@@ -1649,7 +1622,9 @@ class TestPeerCutParity:
                     shadowed += 1
         assert moved > 20 and shadowed > 20
 
-    def test_build_with_borrowed_region_matches_the_chain(self, monkeypatch):
+    def test_build_with_inside_seeds_matches_the_chain(self, monkeypatch):
+        # Slices seeded inside a shape hold the box alone, so their stacks
+        # are narrower than their neighbours'.
         rng = np.random.default_rng(67)
         for trial in range(4):
             ego = disk(0.2) if trial % 2 else origin_square(0.15)
@@ -1659,9 +1634,7 @@ class TestPeerCutParity:
             got = []
             for cuts in (regions._peer_cuts, old_peer_cuts):
                 monkeypatch.setattr(regions, "_peer_cuts", cuts)
-                prev = build_safe_regions(first, tracks, ego, 0.0)
-                got.append(build_safe_regions(second, tracks, ego, 0.04,
-                                              previous=prev))
+                got.append(build_safe_regions(second, tracks, ego, 0.04))
             a, b = got
             assert a.feasible.tobytes() == b.feasible.tobytes()
             for x, y in ((a.planes, b.planes), (a.static, b.static)):

@@ -15,7 +15,7 @@ from swarmplan.scenario import (
     builtin_scenario,
     resolve_agents,
 )
-from swarmplan.scenario import _comfortable_arrival, _start_errors
+from swarmplan.scenario import _comfortable_arrival
 
 
 def boundary_samples(shape, per_edge=32):
@@ -110,12 +110,48 @@ class TestParsing:
         clear = AgentSpec(start=(-1.50001, 0.0), goal=(-3.0, 0.0),
                           footprint=(0.5,))
         bounds = (-5.0, -5.0, 5.0, 5.0)
-        [(j, msg)] = _start_errors([clear, touching], bounds, [wall])
-        assert j == 1 and "collides with obstacle 0" in msg
-        assert _start_errors([clear], bounds, [wall]) == []
+        with pytest.raises(ValueError) as exc:
+            Scenario(agents=[clear, touching], bounds=bounds,
+                     obstacles=[wall])
+        assert str(exc.value) == ("start [1.5, 0.0] collides with obstacle 0 "
+                                  "(clearance 0.000 m)")
+        Scenario(agents=[clear], bounds=bounds, obstacles=[wall])
+
+    def test_first_bad_start_reported(self):
+        # Starts outside the bounds come first, then starts in an obstacle,
+        # then overlapping pairs, each in agent order.
+        wall = Circle([0.0, 0.0], 1.0)
+        inside = AgentSpec(start=(0.5, 0.0), goal=(3.0, 0.0))
+        outside = AgentSpec(start=(6.0, 0.0), goal=(3.0, 2.0))
+        near = AgentSpec(start=(3.2, 0.0), goal=(-3.0, 2.0))
+        bounds = (-5.0, -5.0, 5.0, 5.0)
+        for agents, msg in (
+                ([near, inside, near, outside],
+                 "start [6.0, 0.0] outside world bounds (-5.0, -5.0, 5.0, 5.0)"),
+                ([near, near, inside],
+                 "start [0.5, 0.0] collides with obstacle 0 "
+                 "(clearance -0.300 m)"),
+                ([near, near],
+                 "agents 0 and 1 start overlap after footprint inflation "
+                 "(gap -0.600 m)")):
+            with pytest.raises(ValueError) as exc:
+                Scenario(agents=agents, bounds=bounds, obstacles=[wall])
+            assert str(exc.value) == msg
 
 
 class TestScenarioWorld:
+    def test_non_finite_world_rejected(self):
+        # Unchecked, a NaN obstacle built and ran without ever being
+        # counted (min_obstacle_clearance inf), and an infinite bound
+        # built.
+        agents = [AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0))]
+        with pytest.raises(ValueError, match="radius must be positive and "
+                                             "finite, got nan"):
+            Scenario(agents=agents, obstacles=[Circle([5.0, 5.0], math.nan)],
+                     duration=0.4)
+        with pytest.raises(ValueError, match="world bounds must be finite"):
+            Scenario(agents=agents, bounds=(-5.0, -5.0, 5.0, math.inf))
+
     @pytest.mark.parametrize("world, msg", [
         (dict(bounds=(5.0, 5.0, -5.0, -5.0)),
          "degenerate world bounds (5.0, 5.0, -5.0, -5.0)"),
@@ -302,12 +338,17 @@ class TestBuiltins:
         ("open", 0, "at least 1"),
         ("antipodal", 0, "at least 1"),
         ("unstructured", -1, "at least 1"),
+        pytest.param("unstructured", 5,
+                     r"corners \[\(-6.0, -6.0\), \(6.0, 6.0\), "
+                     r"\(-6.0, 6.0\), \(6.0, -6.0\)\]: at most 4 agents, "
+                     r"got 5", id="unstructured-5-at most 4"),
         ("intersection", 16, "fixed agent count"),
         ("intersection", 6, "fixed agent count"),
         ("walled_in", 3, "fixed agent count")])
     def test_agent_count_rejected(self, name, n_agents, match):
-        # Unchecked, 0 agents ran the builtin's default count, and
-        # intersection and walled_in ignored the count they were given.
+        # Unchecked, 0 agents ran the builtin's default count,
+        # intersection and walled_in ignored the count they were given, and
+        # unstructured's fifth agent started on the first one's corner.
         with pytest.raises(ValueError, match=match):
             builtin_scenario(name, n_agents=n_agents)
 
@@ -353,8 +394,10 @@ class TestBuiltins:
     @pytest.mark.parametrize("name", builtin_names())
     def test_fixed_starts_clear_every_obstacle(self, name):
         for seed in range(3):
+            # Building checks the starts; a rebuild from the parts does too.
             sc = builtin_scenario(name, seed=seed)
-            assert _start_errors(sc.agents, sc.bounds, sc.obstacles) == []
+            Scenario(agents=sc.agents, bounds=sc.bounds,
+                     obstacles=sc.obstacles)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_limits_fit_the_plan_splines(self, name):

@@ -1,5 +1,7 @@
 """Range scanner simulation against per-beam geometric oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ class TestConfig:
         positions = np.zeros((n_beams(), 2))
         scan = simulate_swept_scan(small_world(), positions, 0.0, stamp=0.0)
         assert scan.sweep_duration == pytest.approx(0.2)
+
+
+class TestWorld:
+    @pytest.mark.parametrize("bounds", [(-5.0, -5.0, 5.0, math.inf),
+                                        (-math.inf, -5.0, 5.0, 5.0)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            World([], bounds)
 
 
 class TestSimulateScan:
