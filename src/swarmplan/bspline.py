@@ -45,7 +45,10 @@ same key shares them.  A time outside the domain raises on every call, as
 exceptions are never cached.  Agents that plan at the same tick build the
 same layout and ask for the same rows, so most hits come from peers.  A
 `TrajectorySpline` keeps each derivative's control points after their
-first use.
+first use.  The memo's body, `_grid_basis`, also takes one grid per time
+(arrays of origins and control counts): `ExecutedPath.states`, the
+trajectory table's read, evaluates every commit of a degree and knot
+spacing in one call, without the memo, whose keys would never repeat.
 """
 
 import functools
@@ -125,6 +128,15 @@ def _memo_basis(degree, t0, dt, m, order, t):
     if not isinstance(t, float):
         shape, data = t
         t = np.frombuffer(data).reshape(shape)
+    return _grid_basis(degree, t0, dt, m, order, t)
+
+
+def _grid_basis(degree, t0, dt, m, order, t):
+    """The memo's body: (idx, w) at a float t on one grid, or at an array t
+    whose grid origins t0 and control counts m are scalars or arrays of
+    t's shape, one grid per time.  Every operation is elementwise, so a
+    time's row is the same on its own grid or among others'.  The caller
+    passes t as a float or an ndarray."""
     for _ in range(order):
         t0 = t0 + dt
     degree, m = degree - order, m - order
@@ -138,7 +150,9 @@ def _memo_basis(degree, t0, dt, m, order, t):
         t = np.asarray(t, dtype=float)
         outside = (t < lo - _DOMAIN_TOL) | (t > hi + _DOMAIN_TOL)
         if outside.any():
-            raise ValueError(f"t={t[outside][0]} outside spline domain [{lo}, {hi}]")
+            at = outside.argmax()
+            lo, hi = (np.broadcast_to(v, t.shape).flat[at] for v in (lo, hi))
+            raise ValueError(f"t={t.flat[at]} outside spline domain [{lo}, {hi}]")
         t = np.minimum(np.maximum(t, lo), hi)
         j = np.floor((t - t0) / dt + _DOMAIN_TOL).astype(int)
         j = np.minimum(np.maximum(j, degree), m - 1)

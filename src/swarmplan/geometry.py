@@ -27,16 +27,18 @@ A group's `support` is instead one matrix product, which rounds as single
 shapes' np.vecdot up to 10**6 multiply-adds (`PolygonGroup.support`).
 
 The nearest-point kernels (`_edge_projections`, `_disk_distance_gradient`,
-`_polygon_distance_gradient`) and `_polygon_contains` work on x and y
+`_polygon_distance_gradient`), the ray casts (`_disk_ray_distances`,
+`_polygon_ray_distances`) and `_polygon_contains` work on x and y
 components: a dot is `rx*ex + ry*ey` and a length `np.sqrt(dx*dx + dy*dy)`,
 never a reduction over a length-2 axis, whose per-call overhead would
 dominate at these sizes.  They round as np.sum and np.linalg.norm over that
 axis did, since both add the two products in the same order.  For the same
 reason they call numpy's ufuncs and array methods, not its Python-level
 helpers (np.stack, np.clip, np.take_along_axis, np.all, np.max), and
-divide only where a length is nonzero: the unit gradient is divided into a
-zeroed array with `where=`, and the nearest edge is gathered by its flat
-index.  Every replacement gives the helper's bits.
+divide only where a length is nonzero: the unit gradient, and a ray's
+edge crossing where |denom| > 1e-14, are divided into zeroed arrays with
+`where=`, and the nearest edge is gathered by its flat index.  Every
+replacement gives the helper's bits.
 """
 
 import math
@@ -83,9 +85,10 @@ def _dots(u, columns):
 def _disk_ray_distances(centers, squares, origins, dirs):
     """First-hit distance of each ray origin + t*dir, t > 0, on the disk
     whose squared radius is `squares`; inf on a miss."""
-    rel = centers - origins
-    proj = np.sum(rel * dirs, axis=-1)
-    perp2 = np.sum(rel * rel, axis=-1) - proj ** 2
+    rx = centers[..., 0] - origins[..., 0]
+    ry = centers[..., 1] - origins[..., 1]
+    proj = rx * dirs[..., 0] + ry * dirs[..., 1]
+    perp2 = (rx * rx + ry * ry) - proj ** 2
     disc = squares - perp2
     root = np.sqrt(np.maximum(disc, 0.0))
     t_near = proj - root
@@ -117,10 +120,12 @@ def _polygon_ray_distances(corners, edges, origins, dirs):
     rel = corners - origins[..., None, :]
     t_num = rel[..., 0] * edges[..., 1] - rel[..., 1] * edges[..., 0]
     s_num = rel[..., 0] * dirs[..., 1] - rel[..., 1] * dirs[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = t_num / denom
-        s = s_num / denom
-    ok = (np.abs(denom) > 1e-14) & (s >= 0.0) & (s <= 1.0) & (t > BOUNDARY_TOL)
+    live = np.abs(denom) > 1e-14
+    t = np.zeros(denom.shape)
+    s = np.zeros(denom.shape)
+    np.divide(t_num, denom, out=t, where=live)
+    np.divide(s_num, denom, out=s, where=live)
+    ok = live & (s >= 0.0) & (s <= 1.0) & (t > BOUNDARY_TOL)
     return np.where(ok, t, np.inf).min(axis=-1)
 
 

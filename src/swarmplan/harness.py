@@ -3,7 +3,8 @@
 One run builds the world, the shared message bus, and one `Agent` per
 resolved `AgentSpec`, then steps a fixed planning-rate clock.  Each tick
 delivers any completed LiDAR sweep (beams cast from the poses the agent
-actually occupied during the sweep), runs every agent's replanning cycle in
+actually occupied during the sweep, each only at the obstacles its range
+can reach), runs every agent's replanning cycle in
 index order, and then fires due broadcasts — so a state sent at tick k is visible to peers from
 tick k+1 at the earliest, as it would be over a real link.
 
@@ -11,7 +12,8 @@ Everything is seeded: one seed stream resolves random spawns, a second
 drives bus drops.  Identical scenario + seed gives bitwise-identical logs.
 
 Each agent's executed path is sampled on the prediction grid into a
-trajectory table, with one whole-array read per agent; metrics are computed
+trajectory table, with one whole-array read per agent (one basis pass per
+degree and knot spacing of its commits); metrics are computed
 from that table alone so they can be recomputed from the CSV bit for bit.
 """
 
@@ -52,8 +54,8 @@ def build_agents(resolved, bus):
 def _swept_poses(agent, stamps, bounds):
     pts = agent.path.positions(stamps)
     xmin, ymin, xmax, ymax = bounds
-    pts[:, 0] = np.clip(pts[:, 0], xmin, xmax)
-    pts[:, 1] = np.clip(pts[:, 1], ymin, ymax)
+    pts[:, 0] = np.minimum(np.maximum(pts[:, 0], xmin), xmax)
+    pts[:, 1] = np.minimum(np.maximum(pts[:, 1], ymin), ymax)
     return pts
 
 

@@ -53,8 +53,9 @@ def segment_scan(scan):
 
     A sweep is a few array passes: the finite beams are put in cluster
     order (a run that wraps the seam first), placed with one
-    `scan_point_position` call, and their gaps taken in one norm; each
-    cluster is then a slice of those arrays.
+    `scan_point_position` call, and their gaps taken in one pass; each
+    cluster is then a slice of those arrays, and its median stamp the
+    middle of its sorted stamps.
     """
     finite = np.isfinite(scan.ranges)
     if not finite.any():
@@ -80,7 +81,9 @@ def segment_scan(scan):
     first = np.zeros(len(idx), dtype=bool)
     first[0] = True
     first[starts] = True
-    first[1:] |= np.linalg.norm(pts[1:] - pts[:-1], axis=1) > JUMP_DISTANCE
+    gx = pts[1:, 0] - pts[:-1, 0]
+    gy = pts[1:, 1] - pts[:-1, 1]
+    first[1:] |= np.sqrt(gx * gx + gy * gy) > JUMP_DISTANCE
     bounds = first.nonzero()[0].tolist() + [len(idx)]
 
     clusters = []
@@ -89,8 +92,14 @@ def segment_scan(scan):
             continue
         closed = (full_circle and hi - lo == n
                   and float(np.linalg.norm(pts[lo] - pts[hi - 1])) <= JUMP_DISTANCE)
-        clusters.append(Cluster(points=pts[lo:hi],
-                                median_stamp=float(np.median(stamps[lo:hi])),
+        # np.median's value from the sorted stamps: the middle one, or the
+        # mean of the middle two (a run across the seam is out of order).
+        mid = stamps[lo:hi].copy()
+        mid.sort()
+        h = (hi - lo) // 2
+        median = (float(mid[h]) if (hi - lo) % 2
+                  else (float(mid[h - 1]) + float(mid[h])) / 2)
+        clusters.append(Cluster(points=pts[lo:hi], median_stamp=median,
                                 closed=closed))
     return clusters
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import plan_knot_layout
+from .bspline import _grid_basis, plan_knot_layout
 from .geometry import footprint_from_size
 from .perception import (LocalMap, build_moving_volume, classify_cluster,
                          compensate_motion, decompose_boundary, segment_scan)
@@ -246,25 +246,44 @@ class ExecutedPath:
         return tr.state_stack(tr.clamp_time(t), n_orders)
 
     def states(self, times, n_orders):
-        """(n, n_orders, 2): `state` at each of n times, with one evaluation
-        per commit and order."""
+        """(n, n_orders, 2): `state` at each of n times, in one basis pass
+        per (degree, knot spacing) and order.
+
+        Each time takes its commit's grid (`bspline._grid_basis` with one
+        origin and control count per time) and its commit's control points,
+        gathered from the group's stacked controls, so every row rounds as
+        `state`'s own evaluation.  A parked time is clamped to its domain
+        end, whose position it keeps, and its derivatives are zeroed.
+        """
         times = np.asarray(times, dtype=float)
         # The same rule as `state`: the latest commit at or before t + 1e-12.
         which = np.maximum(0, np.searchsorted(self._stamps, times + 1e-12,
                                               side="right") - 1)
         out = np.zeros((len(times), n_orders, 2))
-        for k in np.unique(which):
+        grids = {}
+        for k in np.unique(which).tolist():
             tr = self._commits[k][1]
-            lo, hi = tr.domain
-            sel = which == k
-            parked = sel & (times > hi + 1e-9)
-            if parked.any():
-                out[parked, 0] = tr.position(hi)
-            sel &= ~parked
-            if sel.any():
-                ts = np.minimum(hi, np.maximum(lo, times[sel]))
-                for order in range(n_orders):
-                    out[sel, order] = tr.derivative_values(ts, order)
+            grids.setdefault((tr.degree, tr.dt), []).append(k)
+        slot = np.empty(len(self._commits), dtype=int)
+        for (degree, dt), ks in grids.items():
+            trs = [self._commits[k][1] for k in ks]
+            slot.fill(-1)
+            slot[ks] = np.arange(len(ks))
+            sel = (slot[which] >= 0).nonzero()[0]
+            c = slot[which[sel]]
+            t0 = np.array([tr.t0 for tr in trs])[c]
+            m = np.array([tr.m for tr in trs])[c]
+            lo, hi = t0 + degree * dt, t0 + m * dt
+            ts = times[sel]
+            parked = ts > hi + 1e-9
+            ts = np.minimum(hi, np.maximum(lo, ts))
+            for order in range(min(n_orders, degree + 1)):
+                ctrl = [tr.derivative_control(order) for tr in trs]
+                first = np.cumsum([0] + [len(x) for x in ctrl])[c]
+                idx, w = _grid_basis(degree, t0, dt, m, order, ts)
+                rows = np.concatenate(ctrl)[idx + first[:, None]]
+                out[sel, order] = np.matmul(w[:, None, :], rows)[:, 0, :]
+            out[sel[parked], 1:] = 0.0
         return out
 
     def position(self, t):

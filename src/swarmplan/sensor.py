@@ -4,13 +4,22 @@ Scans store one range per beam; beams with no return inside the sensor range
 carry NaN.  A swept scan stamps each beam at its own emission time and casts
 it from the pose the robot occupied then, which is what makes scan-time
 motion compensation meaningful downstream.
+
+A beam is cast only at the obstacles its range can reach: the segment from
+its origin out to MAX_RANGE must come within an obstacle's bounding circle,
+its `size_scale` about its `center` widened by BOUNDARY_TOL, before the ray
+kernels run on that (obstacle, beam) pair.  Every hit the kernels report
+lies on the obstacle's boundary up to their rounding, which is far below
+the margin, so a culled pair could only have missed or hit beyond range,
+and each range is that of casting every beam at every obstacle, bit for
+bit.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _as_point, shape_groups
+from .geometry import BOUNDARY_TOL, _as_point, shape_groups
 
 # The scanner: beam spacing, range cutoff and sweeps per second.  Its field
 # of view is the full circle.
@@ -28,12 +37,16 @@ def n_beams():
 class World:
     """Static obstacle set inside rectangular bounds (xmin, ymin, xmax, ymax).
 
-    `groups` stacks the obstacles by kind once, for the scans' ray casts.
+    `groups` stacks the obstacles by kind once, for the scans' ray casts,
+    and `reach` holds each group's bounding circles for the casts' cull:
+    centers (S, 2) and squared radii (S,), each `size_scale` widened by
+    BOUNDARY_TOL.
     """
 
     obstacles: list
     bounds: tuple = (-20.0, -20.0, 20.0, 20.0)
     groups: list = field(init=False, repr=False)
+    reach: list = field(init=False, repr=False)
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.bounds
@@ -46,6 +59,11 @@ class World:
             if not (xmin <= cx <= xmax and ymin <= cy <= ymax):
                 raise ValueError(f"obstacle center ({cx}, {cy}) outside bounds")
         self.groups = shape_groups(self.obstacles)
+        self.reach = [
+            (np.array([self.obstacles[i].center for i in g.index]),
+             np.array([(self.obstacles[i].size_scale + BOUNDARY_TOL) ** 2
+                       for i in g.index]))
+            for g in self.groups]
 
     def inside(self, p):
         xmin, ymin, xmax, ymax = self.bounds
@@ -79,14 +97,29 @@ class Scan:
 
 
 def _cast_all(world, origins, angles):
-    """Range of each beam from origins (1, 2) or (beams, 2): the nearest hit
-    over every obstacle, one array pass per obstacle kind."""
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    """Range of each beam k from origins[k]: the nearest hit over the
+    obstacles its range can reach, one array pass per obstacle kind.
+
+    Per kind, each (obstacle, beam) pair measures the squared distance from
+    the obstacle's center to the nearest point of the beam's segment, its
+    parameter clamped to [0, MAX_RANGE]; the ray kernels run only on the
+    pairs within the bounding circle (`World.reach`), and each beam keeps
+    the least of its pairs' hits.  A hit is on the boundary up to the
+    kernels' rounding, so no culled pair could have given a range, and the
+    minimum is exact whatever pairs it takes.
+    """
+    dx, dy = np.cos(angles), np.sin(angles)
+    dirs = np.stack([dx, dy], axis=1)
+    ox, oy = origins[:, 0], origins[:, 1]
     dist = np.full(len(angles), np.inf)
-    for g in world.groups:
-        every = np.arange(len(g))[:, None]
-        dist = np.minimum(dist,
-                          g.ray_distances(every, origins, dirs).min(axis=0))
+    for g, (centers, r2) in zip(world.groups, world.reach):
+        rx = centers[:, 0, None] - ox
+        ry = centers[:, 1, None] - oy
+        s = np.minimum(MAX_RANGE, np.maximum(0.0, rx * dx + ry * dy))
+        gx, gy = rx - s * dx, ry - s * dy
+        j, k = (gx * gx + gy * gy <= r2[:, None]).nonzero()
+        if len(j):
+            np.minimum.at(dist, k, g.ray_distances(j, origins[k], dirs[k]))
     return np.where(dist <= MAX_RANGE, dist, np.nan)
 
 
@@ -101,10 +134,11 @@ def simulate_scan(world, position, heading, stamp):
         raise ValueError(f"scan pose {position.tolist()} outside world bounds")
     n = n_beams()
     angles = heading + ANGULAR_RESOLUTION * np.arange(n)
-    ranges = _cast_all(world, position[None, :], angles)
+    origins = np.broadcast_to(position, (n, 2)).copy()
+    ranges = _cast_all(world, origins, angles)
     return Scan(stamp=stamp, angle_start=heading,
                 angle_increment=ANGULAR_RESOLUTION, ranges=ranges,
-                sweep_duration=0.0, origins=np.broadcast_to(position, (n, 2)).copy())
+                sweep_duration=0.0, origins=origins)
 
 
 def simulate_swept_scan(world, positions, heading, stamp):

@@ -356,7 +356,7 @@ PYTHON_LEVEL = ("stack", "hstack", "column_stack", "tile", "broadcast_to",
                 "atleast_1d", "atleast_2d", "take_along_axis", "diff",
                 "clip", "ndim", "flatnonzero", "nonzero", "argsort",
                 "argmin", "argmax", "searchsorted", "all", "any", "max", "sum",
-                "errstate")
+                "median", "errstate")
 KEPT = {("errstate", "_peer_cuts")}
 
 

@@ -255,6 +255,29 @@ class TestExecutedPath:
             want = np.stack([path.position(t) for t in ts])
             assert path.positions(ts).tobytes() == want.tobytes()
 
+    def test_table_read_of_a_long_path_with_a_parked_tail(self):
+        # A full-duration table: 150 commits 1/25 s apart, each on its own
+        # grid (its own origin, and a goal extension now and then, so the
+        # control counts differ too), read on the 0.1 s grid past the last
+        # domain end, where the robot is parked.
+        rng = np.random.default_rng(13)
+        commits = []
+        for k in range(150):
+            t = k / 25.0
+            layout = plan_knot_layout(t, 2.0, 0.25, 3,
+                                      goal_time=t + 2.0 if k % 7 == 0 else None)
+            commits.append((t, TrajectorySpline.from_layout(
+                layout, rng.normal(size=(layout.m, 2)))))
+        path = ExecutedPath(commits)
+        assert len({tr.m for _, tr in commits}) == 2
+        times = np.arange(121) * 0.1
+        end = commits[-1][1].domain[1]
+        assert (times > end + 1e-9).sum() > 20
+        for n in (1, 3):
+            want = np.stack([path.state(t, n) for t in times])
+            assert path.states(times, n).tobytes() == want.tobytes()
+        assert not path.states(times, 3)[times > end + 1e-9, 1:].any()
+
     def test_reads_after_commit_see_the_new_trajectory(self):
         tr0 = constant_spline(plan_knot_layout(0.0, 4.0, 1.0, 3), (0.0, 0.0))
         tr1 = constant_spline(plan_knot_layout(1.0, 4.0, 1.0, 3), (5.0, 0.0))

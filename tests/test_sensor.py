@@ -7,7 +7,7 @@ import pytest
 
 from swarmplan import geometry, sensor
 from swarmplan.geometry import (Circle, Square, Triangle, axis_rectangle,
-                                oriented_rectangle)
+                                oriented_rectangle, shape_groups)
 from swarmplan.sensor import (World, n_beams, scan_point_position,
                               simulate_scan, simulate_swept_scan)
 
@@ -95,34 +95,118 @@ class TestSimulateScan:
             else:
                 assert np.isnan(scan.ranges[k])
 
-    def test_kind_groups_equal_each_obstacle(self):
-        # Several obstacles of each kind, cast in one pass per kind: every
-        # beam is the least of the obstacles' own ray casts, bit for bit.
+    def test_kind_groups_equal_each_obstacle(self, monkeypatch):
+        # Every beam is the least of the obstacles' own ray casts, bit for
+        # bit, however many (obstacle, beam) pairs the cast culls: several
+        # obstacles of each kind, origins inside obstacles, beams tangent
+        # to a shape or to its widened bounding circle, boundaries within
+        # 1e-9 m of MAX_RANGE, kinds with a single shape, and sweeps in
+        # which every pair is culled, when no kernel may run.
+        pairs = []
+        for group in (geometry.CircleGroup, geometry.PolygonGroup):
+            def counted(self, j, origins, dirs, cast=group.ray_distances):
+                pairs.append(len(j))
+                return cast(self, j, origins, dirs)
+            monkeypatch.setattr(group, "ray_distances", counted)
         rng = np.random.default_rng(4)
-        obstacles = []
-        for _ in range(12):
-            c = rng.uniform(-5.0, 5.0, size=2)
+        n = n_beams()
+        heading = 0.2
+        angles = heading + sensor.ANGULAR_RESOLUTION * np.arange(n)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+        def check(obstacles, poses, bounds=(-10, -10, 10, 10)):
+            """The scans' ranges against the oracle; (hits, pairs cast)."""
+            world = World(obstacles=obstacles, bounds=bounds)
+            hits = 0
+            for swept in (False, True):
+                origins = poses if swept else poses[:1]
+                del pairs[:]
+                scan = (simulate_swept_scan(world, poses, heading, 0.0) if swept
+                        else simulate_scan(world, poses[0], heading, 0.0))
+                own = np.min([own_ray_distances(o, origins, dirs)
+                              for o in obstacles], axis=0)
+                want = np.where(own <= sensor.MAX_RANGE, own, np.nan)
+                assert np.array_equal(scan.ranges, want, equal_nan=True)
+                hits += np.isfinite(want).sum()
+            return hits, sum(pairs)
+
+        def circle_or_polygon(c):
             kind = rng.integers(3)
             if kind == 0:
-                obstacles.append(Circle(c, float(rng.uniform(0.2, 1.0))))
-            elif kind == 1:
-                obstacles.append(Triangle(c + rng.uniform(-1.0, 1.0, size=(3, 2))))
+                return Circle(c, float(rng.uniform(0.2, 1.0)))
+            if kind == 1:
+                return Triangle(c + rng.uniform(-1.0, 1.0, size=(3, 2)))
+            th = rng.uniform(0, np.pi)
+            return oriented_rectangle(c, [np.cos(th), np.sin(th)],
+                                      float(rng.uniform(0.3, 2.0)), 0.1)
+
+        # Three kinds among random poses, some of which stand inside an
+        # obstacle, where the kernels return the exit.
+        obstacles = [circle_or_polygon(rng.uniform(-5.0, 5.0, size=2))
+                     for _ in range(12)]
+        assert len(shape_groups(obstacles)) == 3
+        poses = rng.uniform(-6.0, 6.0, size=(n, 2))
+        inside = rng.choice(n, 60, replace=False)
+        poses[inside] = [obstacles[i % 12].center for i in range(60)]
+        poses[0] = obstacles[0].center
+        assert sum(any(o.contains(p) for o in obstacles) for p in poses) >= 60
+        hits, cast = check(obstacles, poses)
+        assert hits > 100 and cast < 12 * (n + 1)
+
+        # Beams tangent to the shape itself, within a few ulps, or to its
+        # bounding circle widened by BOUNDARY_TOL: grazing a circle, or
+        # passing a polygon's farthest corner square to its radius.
+        circle = Circle([-4.0, 0.0], 1.3)
+        square = Square([[2.0, -1.0], [4.0, -1.0], [4.0, 1.0], [2.0, 1.0]])
+        obstacles = [circle, square]
+        poses = np.empty((n, 2))
+        for k in range(n):
+            d = dirs[k]
+            side = np.array([-d[1], d[0]]) * (1 if k % 4 < 2 else -1)
+            if k % 2:
+                center, radius = circle.center, circle.radius
+                point = center + radius * side
             else:
-                th = rng.uniform(0, np.pi)
-                obstacles.append(oriented_rectangle(
-                    c, [np.cos(th), np.sin(th)], float(rng.uniform(0.3, 2.0)), 0.1))
-        world = World(obstacles=obstacles, bounds=(-10, -10, 10, 10))
-        assert len(world.groups) == 3
-        angles = 0.2 + sensor.ANGULAR_RESOLUTION * np.arange(n_beams())
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        poses = rng.uniform(-6.0, 6.0, size=(n_beams(), 2))
-        for scan, origins in ((simulate_scan(world, poses[0], 0.2, 0.0), poses[:1]),
-                              (simulate_swept_scan(world, poses, 0.2, 0.0), poses)):
-            own = np.min([own_ray_distances(o, origins, dirs)
-                          for o in obstacles], axis=0)
-            want = np.where(own <= sensor.MAX_RANGE, own, np.nan)
-            assert np.array_equal(scan.ranges, want, equal_nan=True)
-            assert np.isfinite(want).sum() > 100
+                center = square.center
+                corner = square.corners[np.argmax(square.corners @ side)]
+                radius = square.size_scale
+                point = corner
+                side = (corner - center) / radius
+            gap = (rng.uniform(-4e-15, 4e-15) if k % 3
+                   else geometry.BOUNDARY_TOL + rng.uniform(-1e-12, 1e-12))
+            poses[k] = point + gap * side - rng.uniform(1.0, 4.0) * d
+        hits, _ = check(obstacles, poses, bounds=(-20, -20, 20, 20))
+        assert hits > 20
+
+        # Boundaries within 1e-9 m of MAX_RANGE, one shape of each kind:
+        # beam k starts MAX_RANGE + e from a boundary point facing it.
+        rect = axis_rectangle(1.0, -2.0, 3.0, 2.0)
+        obstacles = [Circle([-3.0, 0.0], 1.0), rect]
+        assert len(shape_groups(obstacles)) == 2
+        for k in range(n):
+            d = dirs[k]
+            if k % 2:
+                point = obstacles[0].center - obstacles[0].radius * d
+            else:
+                normals = np.array([[0, -1], [1, 0], [0, 1], [-1, 0]], float)
+                edge = int(np.argmin(normals @ d))
+                a, e = rect.corners[edge], rect.edges[edge]
+                point = a + rng.uniform(0.1, 0.9) * e
+            poses[k] = point - (sensor.MAX_RANGE + rng.uniform(-1e-9, 1e-9)) * d
+        ranges = simulate_swept_scan(World(obstacles, (-20, -20, 20, 20)),
+                                     poses, heading, 0.0).ranges
+        assert 100 < np.isfinite(ranges).sum() < n - 100
+        check(obstacles, poses, bounds=(-20, -20, 20, 20))
+
+        # Obstacles on the beams' lines, but all behind the origins or
+        # beyond MAX_RANGE: every pair is culled and no kernel runs.
+        reach = sensor.MAX_RANGE + 2.0 + 1e-3
+        obstacles = [Circle([reach + 1.0, 0.0], 1.0),
+                     Triangle([[-reach, -1.0], [-reach - 2.0, 0.0],
+                               [-reach, 1.0]]),
+                     axis_rectangle(-1.0, reach, 1.0, reach + 2.0)]
+        poses = rng.uniform(-1.0, 1.0, size=(n, 2)) * 1e-4
+        assert check(obstacles, poses) == (0, 0)
 
     def test_pose_outside_world_rejected(self):
         with pytest.raises(ValueError):
