@@ -23,8 +23,8 @@ planner's obstacle cost all read.  Each kind has one kernel per question,
 which the shape's own method (if it has one) runs on its own parameters,
 so a group gives each shape its own result bit for bit; a circle's
 `distance` and `contains` round their root distance as its kernel does.
-A group's `support` is instead one matrix product, which rounds as single
-shapes' np.vecdot up to 10**6 multiply-adds (`PolygonGroup.support`).
+A group's `support` is instead one matrix product, within a few ulps of
+each shape's own: the region seeding compares it with BOUNDARY_TOL.
 
 The nearest-point kernels (`_edge_projections`, `_disk_distance_gradient`,
 `_polygon_distance_gradient`), the ray casts (`_disk_ray_distances`,
@@ -75,11 +75,6 @@ def _disk_support(centers, radii, u):
     """max over each disk of u.x, per row of unit directions u (..., 2);
     np.vecdot rounds each row alike for any row count (a matmul does not)."""
     return np.vecdot(u, centers) + radii
-
-
-def _dots(u, columns):
-    """u @ columns, a lone row doubled: one-row products run as gemv."""
-    return ((u if len(u) > 1 else u[[0, 0]]) @ columns)[:len(u)]
 
 
 def _disk_ray_distances(centers, squares, origins, dirs):
@@ -322,8 +317,6 @@ class CircleGroup:
         self.radii = np.array([c.radius for c in circles])
         # Each radius squared on its own, as a float.
         self._squares = np.array([c.radius ** 2 for c in circles])
-        # Centers as columns (2, S), a lone one doubled, as in `_dots`.
-        self._columns = self.centers.T.repeat(2 if len(index) == 1 else 1, 1)
 
     def __len__(self):
         return len(self.index)
@@ -339,8 +332,8 @@ class CircleGroup:
 
     def support(self, u):
         """Every circle's support along every direction (n, 2): (S, n), one
-        product u @ centers.T + radii (see `PolygonGroup.support`)."""
-        return (_dots(u, self._columns)[:, :len(self)] + self.radii).T
+        product u @ centers.T + radii."""
+        return (u @ self.centers.T + self.radii).T
 
 
 class PolygonGroup:
@@ -371,12 +364,8 @@ class PolygonGroup:
 
     def support(self, u):
         """Every polygon's support along every direction (n, 2): (S, n), the
-        running maximum over the k corner planes of one product (n, k, S).
-        numpy runs it as one dgemm, which OpenBLAS's SkylakeX core sends,
-        up to 10**6 multiply-adds, to a small-matrix kernel that rounds as
-        single shapes' np.vecdot (its ddot); larger products may round
-        otherwise.  The builtins' largest is 2,560 x 156 x 2."""
-        dots = _dots(u, self._columns).reshape(len(u), -1, len(self))
+        running maximum over the k corner planes of one product (n, k, S)."""
+        dots = (u @ self._columns).reshape(len(u), -1, len(self))
         best = dots[:, 0]
         for c in range(1, dots.shape[1]):
             best = np.maximum(best, dots[:, c])

@@ -60,14 +60,16 @@ chain, one row object at a time, as the reference.  Hence the forms below:
   as at any column;
 - 2-vector dots and norms go through np.vecdot, which rounds as the 1-D `@`
   and np.linalg.norm do (norm(axis=...) and einsum do not);
-- a group's distance kernels work elementwise, and its support is one
-  product (`PolygonGroup.support`), so every (slice, shape) pair's distance,
-  gradient and support round as the shape's own methods (np.vecdot) do;
+- a group's distance kernels work elementwise, so every (slice, shape)
+  pair's distance and gradient round as the shape's own methods do; its
+  support is one product (`PolygonGroup.support`), within a few ulps of
+  the shape's own;
 - a seed lies inside a shape when the distance pass gives it d = 0, and
   in a peer's footprint when its kind's `contains` says so;
-- a row separates a shape when o + support(-n) <= 0, and a peer is cut
-  when no row has gap = n.peer - o - support(-n) above the margin; kept
-  duplicates raise a slice's row count, which leaves that rounding alone;
+- a row separates a shape when o + support(-n) <= BOUNDARY_TOL, whatever
+  the support's last bits, and a peer is cut when no row has gap =
+  n.peer - o - support(-n) above the margin; kept duplicates raise a
+  slice's row count, which leaves that rounding alone;
 - a cut plane's direction, offset and `unit_rows` are elementwise, and so
   is a footprint's support along any row (np.vecdot per circle or corner);
 - the emptiness test computes each live pair and triple of a slice's rows
@@ -81,8 +83,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (distance_gradients, footprint_from_size, shape_groups,
-                       unit_rows)
+from .geometry import (BOUNDARY_TOL, distance_gradients, footprint_from_size,
+                       shape_groups, unit_rows)
 from .prediction import predict_tracks
 
 # A region whose largest inscribed disk has a radius below this is empty.
@@ -219,10 +221,11 @@ def _seeded(seeds, groups, member, d, u):
     the box alone.  Every other slice holds its 4 box rows and then, in
     order of increasing d (ties to the lower shape index), the row
     n = -u, o = n.seed + d of each shape that no row kept before it
-    separates (o_a + support_b(-n_a) <= 0), rows equal to earlier ones
-    included (see `_distinct`); the candidates stop at the largest live
-    count.  bounding[k, j] says that shape j's row is one of slice k's, so
-    an inside slice bounds no shape, nor does a shape no slice holds.
+    separates (o_a + support_b(-n_a) <= BOUNDARY_TOL), rows equal to
+    earlier ones included (see `_distinct`); the candidates stop at the
+    largest live count.  bounding[k, j] says that shape j's row is one of
+    slice k's, so an inside slice bounds no shape, nor does a shape no
+    slice holds.
     """
     K, S = member.shape
     inside = (member & (d == 0.0)).any(axis=1)
@@ -241,8 +244,8 @@ def _seeded(seeds, groups, member, d, u):
     separates = np.empty((K, 4 + L, S), dtype=bool)
     for g in groups:
         support = g.support(-normals.reshape(-1, 2)).reshape(len(g), K, -1)
-        separates[:, :, g.index] = (offsets[:, :, None]
-                                    + support.transpose(1, 2, 0) <= 0.0)
+        gaps = offsets[:, :, None] + support.transpose(1, 2, 0)
+        separates[:, :, g.index] = gaps <= BOUNDARY_TOL
     kept = np.zeros((K, 4 + L), dtype=bool)
     kept[:, :4] = True
     for r in range(L):

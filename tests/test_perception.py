@@ -500,29 +500,34 @@ class TestMovingVolume:
             [0.5, 8.5, 2.5, 2.9])
 
     def test_window_rim_is_inside(self):
-        # Window centers 1..3 are exactly (2, 0), (2.5, 0) and (3, 0)
-        # (center 0 is near (1.5, 0)), and so are these distances: 5 from
-        # slice 1 to the near
-        # edge x = -3, 5 from slice 3 to the near edge x = 8, four ulps of
-        # 5 past 5 from slice 3 to the near edge x = 8 + 2 ulps, and 5 =
-        # |(3, -4)| from slice 3 to the corner (6, -4).
+        # The rim shapes are placed from the window centers, which the
+        # spline's basis product rounds (2.5 or 2.5000000000000004, by
+        # BLAS core, for center 2).  Shape 0's near edge lies WINDOW_RADIUS
+        # left of center 2 and shape 1's two ulps farther; shape 2's corner
+        # lies |(3, -4)| = WINDOW_RADIUS from center 3.  Centers 2 and 3
+        # lie in [2, 4), so each offset subtracts exactly.
+        r = perception.WINDOW_RADIUS
         control = np.stack([np.linspace(0, 7, 8), np.zeros(8)], axis=1)
         traj = TrajectorySpline(3, 0.0, 1.0, control)
-        x = np.nextafter(np.nextafter(8.0, 9.0), 9.0)
-        shapes = [axis_rectangle(-4.0, -1.0, -3.0, 1.0),
-                  axis_rectangle(8.0, -1.0, 9.0, 1.0),
-                  axis_rectangle(x, -1.0, 9.0, 1.0),
-                  axis_rectangle(6.0, -5.0, 7.0, -4.0)]
+        centers = build_moving_volume(ShapeList([]), traj, 3.0, 2.0,
+                                      0.5).centers
+        assert np.allclose(centers, [[1.5, 0.0], [2.0, 0.0], [2.5, 0.0],
+                                     [3.0, 0.0]], atol=1e-12)
+        x2, x3 = centers[2, 0], centers[3, 0]
+        rim = x2 - r
+        beyond = np.nextafter(np.nextafter(rim, -9.0), -9.0)
+        shapes = [axis_rectangle(rim - 1.0, -1.0, rim, 1.0),
+                  axis_rectangle(rim - 1.0, -1.0, beyond, 1.0),
+                  axis_rectangle(x3 - 4.0, 4.0, x3 - 3.0, 5.0)]
         vol = build_moving_volume(ShapeList(shapes), traj, 3.0, 2.0, 0.5)
-        assert vol.centers[1:].tolist() == [[2.0, 0.0], [2.5, 0.0], [3.0, 0.0]]
+        assert vol.centers.tobytes() == centers.tobytes()
         assert vol.shapes == shapes
-        assert vol.member.tolist() == [[True, False, False, False],
-                                       [True, False, False, False],
-                                       [False, False, False, False],
-                                       [False, True, False, True]]
-        assert vol.distances[1, 0] == vol.distances[3, 1] == 5.0
-        assert vol.distances[3, 3] == 5.0
-        assert vol.distances[3, 2] == x - 3.0 > 5.0
+        assert vol.distances[2, 0] == vol.distances[3, 2] == r
+        assert vol.distances[2, 1] == np.nextafter(r, 2 * r)
+        assert vol.member.tolist() == [[True, True, True],
+                                       [True, True, True],
+                                       [True, False, True],
+                                       [False, False, True]]
 
     def test_mask_matches_per_slice_loop(self):
         # Shapes at random, on the windows' rims up to rounding, and long
