@@ -1,15 +1,17 @@
 """Closed-loop simulation: run a scenario and collect artifacts.
 
 One run builds the world, the shared message bus, and one `Agent` per
-resolved `AgentSpec`, then steps a fixed planning-rate clock.  Each tick
+`AgentSpec`, then steps a fixed planning-rate clock.  Each tick
 delivers any completed LiDAR sweep (beams cast from the poses the agent
 actually occupied during the sweep, each only at the obstacles its range
 can reach), runs every agent's replanning cycle in
 index order, and then fires due broadcasts — so a state sent at tick k is visible to peers from
 tick k+1 at the earliest, as it would be over a real link.
 
-Everything is seeded: one seed stream resolves random spawns, a second
-drives bus drops.  Identical scenario + seed gives bitwise-identical logs.
+Everything is seeded: bus drops draw from the second of the run seed's
+two `SeedSequence` streams (the first goes unused, which keeps each seed's
+drops those of earlier runs).  Identical scenario + seed gives
+bitwise-identical logs.
 
 Each agent's executed path is sampled on the prediction grid into a
 trajectory table, with one whole-array read per agent (one basis pass per
@@ -43,12 +45,12 @@ class RunResult:
     metrics: RunMetrics
     table: dict      # agent -> (T, 7) array of t, x, y, vx, vy, ax, ay
     reports: dict    # agent -> list of CycleReport
-    resolved: list   # concrete AgentSpec per agent
+    resolved: list   # the scenario's AgentSpec per agent
 
 
-def build_agents(resolved, bus):
-    """One Agent per resolved spec, indexed in list order."""
-    return [Agent(i, spec, bus=bus) for i, spec in enumerate(resolved)]
+def build_agents(specs, bus):
+    """One Agent per spec, indexed in list order."""
+    return [Agent(i, spec, bus=bus) for i, spec in enumerate(specs)]
 
 
 def _swept_poses(agent, stamps, bounds):
@@ -66,9 +68,8 @@ def run_scenario(scenario, out_dir=None):
     itself never aborts: per-stage failures inside an agent surface as
     report flags and fallback statuses, not exceptions.
     """
-    ss = np.random.SeedSequence(scenario.seed)
-    spawn_seed, bus_seed = ss.spawn(2)
-    resolved = resolve_agents(scenario, np.random.default_rng(spawn_seed))
+    _, bus_seed = np.random.SeedSequence(scenario.seed).spawn(2)
+    resolved = resolve_agents(scenario)
     world = World(obstacles=list(scenario.obstacles),
                   bounds=tuple(scenario.bounds))
     bus = MessageBus(latency=scenario.bus_latency,

@@ -56,8 +56,8 @@ PIN_LEAD_SEGMENTS = 2.0
 @dataclass
 class PlanRequest:
     """Inputs for one replanning cycle: what the cycle measured, and the
-    agent's resolved `runtime.AgentSpec`, whose task (stamped waypoints,
-    absolute times) and limits are read as it holds them.
+    agent's `runtime.AgentSpec`, whose task (stamped waypoints, absolute
+    times) and limits are read as it holds them.
 
     initial_state stacks derivative orders 0..spec.order-1 at t_now; regions
     may be None in open space.  near_obstacles holds the columns of the

@@ -65,25 +65,24 @@ def symmetric_limits(bounds):
     return out
 
 
-@dataclass
+@dataclass(kw_only=True)
 class AgentSpec:
     """One robot: its task, and what tells robots apart (dynamics order,
     body size and limits).
 
-    A start or goal of None is drawn, and a goal time or waypoint stamp of
-    None filled, by `scenario.resolve_agents`; an `Agent` takes only a
-    resolved spec.
+    The task is given in full: start, goal and goal time are required, and
+    each waypoint is a (time, point) pair.
     Every robot replans at the same `plan_rate` (cycles per second).
     """
 
-    start: object = None
-    goal: object = None
+    start: object
+    goal: object
     heading: float = 0.0
     order: int = 2
     footprint: tuple = (0.3,)
-    goal_time: float = None
+    goal_time: float
     end_velocity: object = None
-    waypoints: list = field(default_factory=list)   # (time or None, point)
+    waypoints: list = field(default_factory=list)   # (time, point)
     limits: dict = field(default_factory=lambda: {1: 2.0, 2: 4.0})
     plan_rate = 25.0
 
@@ -94,14 +93,12 @@ class AgentSpec:
         self.order = int(self.order)
         footprint_from_size(self.footprint)     # 1..3 positive lengths
         self.footprint = tuple(float(v) for v in self.footprint)
-        if self.start is not None:
-            self.start = np.asarray(self.start, dtype=float)
-        if self.goal is not None:
-            self.goal = np.asarray(self.goal, dtype=float)
+        self.start = np.asarray(self.start, dtype=float)
+        self.goal = np.asarray(self.goal, dtype=float)
         if self.end_velocity is not None:
             self.end_velocity = np.asarray(self.end_velocity, dtype=float)
-        self.waypoints = [(None if t is None else float(t),
-                           np.asarray(p, dtype=float))
+        self.goal_time = float(self.goal_time)
+        self.waypoints = [(float(t), np.asarray(p, dtype=float))
                           for t, p in self.waypoints]
         points = [self.start, self.goal, self.heading, self.end_velocity,
                   *(p for _, p in self.waypoints)]
@@ -109,7 +106,7 @@ class AgentSpec:
             raise ValueError("start, goal, heading, end velocity and "
                              "waypoints must be finite")
         times = [self.goal_time, *(t for t, _ in self.waypoints)]
-        if not all(0.0 < t < np.inf for t in times if t is not None):
+        if not all(0.0 < t < np.inf for t in times):
             raise ValueError("goal time and waypoint times must be finite "
                              f"and positive, got {times}")
         self.limits = symmetric_limits(self.limits)
@@ -117,23 +114,10 @@ class AgentSpec:
             raise ValueError(f"limit orders {sorted(self.limits)} must lie in "
                              f"1..{self.order + 1}; above the plan spline's "
                              "degree, derivatives are zero between knots")
-        stamps = [t for t, _ in self.waypoints if t is not None]
-        if self.goal_time is not None:
-            stamps = [t for t, _ in self.stamped_waypoints(self.goal_time)]
-        elif 0 < len(stamps) < len(self.waypoints):
-            raise ValueError("partly stamped waypoints need a goal time to "
-                             "space the others by")
+        stamps = times[1:]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("waypoint times must be strictly increasing, "
-                             f"got {stamps} (unstamped ones spaced evenly "
-                             "up to the goal time)")
-
-    def stamped_waypoints(self, goal_time):
-        """The waypoints with each missing stamp filled: the i-th of k
-        waypoints gets goal_time * (i + 1) / (k + 1)."""
-        k = len(self.waypoints)
-        return [(goal_time * (i + 1) / (k + 1) if t is None else t, p)
-                for i, (t, p) in enumerate(self.waypoints)]
+                             f"got {stamps}")
 
 
 # --- message bus ------------------------------------------------------------
@@ -320,10 +304,6 @@ class Agent:
     """
 
     def __init__(self, index, spec, *, bus=None):
-        if (spec.start is None or spec.goal is None or spec.goal_time is None
-                or any(t is None for t, _ in spec.waypoints)):
-            raise ValueError("an Agent needs a resolved spec: a fixed start, "
-                             "goal, goal time and waypoint stamps")
         self.index = index
         self.config = spec
         self.bus = bus

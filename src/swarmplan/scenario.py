@@ -4,20 +4,17 @@ scenario passes when it is built.
 A `Scenario` holds the world (bounds plus obstacles), the agents, the bus
 parameters, a seed and a duration, and rejects at construction what a run
 could not start from.  Each agent is a `runtime.AgentSpec`, re-exported
-here, whose field defaults are the only defaults.  Starts and goals left
-unset are drawn, and goal times and waypoint stamps left unset filled, by
-`resolve_agents`, so a scenario built in code can be re-run under other
-seeds.  `builtin_scenario` generates the bundled benchmark worlds by name
-(`builtin_names`).
+here, whose field defaults are the only defaults; its task (start, goal,
+goal time and stamped waypoints) is given in full.  `builtin_scenario`
+generates the bundled benchmark worlds by name (`builtin_names`).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Circle, Square, axis_rectangle, footprint_from_size
-from .planner import KNOT_SEGMENT
 from .runtime import AgentSpec, MessageBus
 from .sensor import World
 
@@ -56,12 +53,12 @@ class Scenario:
 
 
 def _check_starts(agents, world):
-    """Raise ValueError at the first fixed start outside the world bounds,
-    where the scanner cannot run; else at the first that collides with an
+    """Raise ValueError at the first start outside the world bounds, where
+    the scanner cannot run; else at the first that collides with an
     obstacle as `compute_motion_metrics` counts it; else at the first pair
-    i < j of fixed starts that overlap after footprint inflation."""
+    i < j of starts that overlap after footprint inflation."""
     placed = [(i, a.start, footprint_from_size(a.footprint).size_scale)
-              for i, a in enumerate(agents) if a.start is not None]
+              for i, a in enumerate(agents)]
     for _, start, _ in placed:
         if not world.inside(start):
             raise ValueError(f"start {start.tolist()} outside world bounds "
@@ -80,90 +77,14 @@ def _check_starts(agents, world):
                                  f"footprint inflation (gap {gap:.3f} m)")
 
 
-# --- spawn resolution -------------------------------------------------------
+def resolve_agents(scenario, rng=None):
+    """The scenario's agents as a run takes them: `list(scenario.agents)`.
 
-# Random positions are drawn from [-10, 10] per component, within the bounds.
-SPAWN_RANGE = 10.0
-
-
-def _clear_of_obstacles(point, radius, obstacles, margin):
-    return all(s.distance(point) >= radius + margin for s in obstacles)
-
-
-def _draw_clear(rng, radius, scenario, accept, what):
-    """First uniform draw over the spawn square clipped to the world bounds,
-    within 5000 tries, that clears every obstacle by radius + 0.3 m and that
-    `accept` takes."""
-    lo = np.maximum(-SPAWN_RANGE, scenario.bounds[:2])
-    hi = np.minimum(SPAWN_RANGE, scenario.bounds[2:])
-    if np.all(lo <= hi):
-        for _ in range(5000):
-            cand = rng.uniform(lo, hi)
-            if (_clear_of_obstacles(cand, radius, scenario.obstacles, 0.3)
-                    and accept(cand)):
-                return cand
-    raise RuntimeError(f"could not place a random {what}")
-
-
-def _comfortable_arrival(start, goal, limits):
-    """Relaxed travel time: cruise at half the velocity cap plus ramp time.
-
-    The caps are the smallest absolute velocity and acceleration bounds;
-    with no acceleration bound it is 1.  With no velocity bound the time is
-    twice the time to cover the distance from rest at full acceleration,
-    itself floored at two knot segments; never shorter than two knot
-    segments (KNOT_SEGMENT each).
+    Every `AgentSpec` is fully specified, so nothing is drawn or filled;
+    the function stays only for the benchmark, whose set-up probe calls it
+    and whose tracer times it by name.
     """
-    d = float(np.linalg.norm(goal - start))
-    v_max, a_max = (float(np.abs(np.concatenate(limits[k])).min())
-                    if k in limits else unset
-                    for k, unset in ((1, np.inf), (2, 1.0)))
-    if np.isfinite(v_max):
-        T = d / (0.5 * v_max) + v_max / a_max
-    else:
-        T = 2.0 * max(np.sqrt(2.0 * a_max * d) / a_max, 2.0 * KNOT_SEGMENT)
-    return max(T, 2.0 * KNOT_SEGMENT)
-
-
-def resolve_agents(scenario, rng):
-    """Concrete AgentSpec list: random spawns drawn, goal times and waypoint
-    stamps filled.
-
-    Spawn positions are uniform over [-10, 10] per component, clipped to
-    the world bounds, with integer-degree headings; draws are rejected until
-    the start clears obstacles and every previously placed agent.  Goals
-    left unset draw the same way, at least 2 m from their start.  A goal
-    time left unset is `_comfortable_arrival`'s, fixed once so successive
-    replans agree.  Unstamped waypoints get stamps evenly spaced between
-    zero and the goal time.
-    """
-    placed = [(a.start, footprint_from_size(a.footprint).size_scale)
-              for a in scenario.agents if a.start is not None]
-    resolved = []
-    for a in scenario.agents:
-        r = footprint_from_size(a.footprint).size_scale
-        start, heading = a.start, a.heading
-        if start is None:
-            start = _draw_clear(
-                rng, r, scenario,
-                lambda c: all(np.linalg.norm(c - p) > r + pr + 0.2
-                              for p, pr in placed), "spawn")
-            heading = math.radians(float(rng.integers(0, 360)))
-        placed.append((start, r))
-
-        goal = a.goal
-        if goal is None:
-            goal = _draw_clear(rng, r, scenario,
-                               lambda c: np.linalg.norm(c - start) >= 2.0,
-                               "goal")
-
-        gt = a.goal_time
-        if gt is None:
-            gt = _comfortable_arrival(start, goal, a.limits)
-        resolved.append(replace(a, start=start, goal=goal, heading=heading,
-                                goal_time=float(gt),
-                                waypoints=a.stamped_waypoints(gt)))
-    return resolved
+    return list(scenario.agents)
 
 
 # --- builtin scenarios ------------------------------------------------------
@@ -186,7 +107,8 @@ def builtin_scenario(name, seed=0, n_agents=None, duration=None):
     n_agents and duration left as None take the builtin's own count and
     duration.  A count below 1, a count above 4 for unstructured, or any
     count for intersection and walled_in, whose agents are fixed, raises
-    ValueError.
+    ValueError.  So does an unstructured layout seed at which 200 draws
+    of a waypoint all land too near an obstacle.
     """
     if name not in builtin_names():
         raise ValueError(f"unknown builtin scenario {name!r}; "
@@ -256,6 +178,10 @@ def _intersection(seed, rng, duration):
                     obstacles=walls)
 
 
+def _clear_of_obstacles(point, radius, obstacles, margin):
+    return all(s.distance(point) >= radius + margin for s in obstacles)
+
+
 def _unstructured(seed, rng, n_agents, duration):
     corners = [(-6.0, -6.0), (6.0, 6.0), (-6.0, 6.0), (6.0, -6.0)]
     if n_agents > len(corners):
@@ -290,12 +216,16 @@ def _unstructured(seed, rng, n_agents, duration):
         goal = -start
         gt = goal_times[i]
         waypoints = []
-        for frac in (1.0 / 3.0, 2.0 / 3.0):
+        for k, frac in enumerate((1.0 / 3.0, 2.0 / 3.0)):
             for _ in range(200):
                 base = start + frac * (goal - start)
                 cand = base + rng.uniform(-2.0, 2.0, 2)
                 if _clear_of_obstacles(cand, 0.45, obstacles, 0.8):
                     break
+            else:
+                raise ValueError(
+                    f"unstructured seed {seed}: no draw of agent {i}'s "
+                    f"waypoint {k} cleared the obstacles in 200 tries")
             waypoints.append((gt * frac, cand))
         d = goal - start
         agents.append(AgentSpec(

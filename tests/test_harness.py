@@ -12,6 +12,9 @@ volume's slice x shape mask and obstacle admission decides between shapes.
 `test_command_writes_the_run` runs `swarmplan run open` for 1 s through
 `cli.main` and holds its CSV to an in-process run of the same builtin and
 its `metrics.json` to the motion metrics recomputed from that CSV.
+`test_run_seed_changes_nothing_on_a_lossless_bus` runs 0.4 s of
+intersection at run seeds 0 and 1 and holds the two to the same tables
+and cycle outcomes.
 `test_sixteen_agents_cut_as_the_chain` runs sixteen antipodal agents for
 0.4 s and holds every peer cut to the track-by-track chain of
 `test_regions.old_peer_cuts`.  `test_solves_end_in_a_definite_answer`
@@ -50,6 +53,7 @@ import json
 import pkgutil
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -138,11 +142,15 @@ def test_command_writes_the_run(tmp_path, capsys):
 
 def test_command_rejects_an_unbuildable_scenario(tmp_path, capsys):
     # intersection's six agents are fixed, and unstructured has four
-    # corner starts: either count is a usage error.
-    for name, count, message in (("intersection", "3", "fixed agent count"),
-                                 ("unstructured", "5", "at most 4 agents")):
+    # corner starts: either count is a usage error.  So is an unstructured
+    # layout with a waypoint no draw keeps clear of the obstacles.
+    for name, option, message in (
+            ("intersection", ["--agents", "3"], "fixed agent count"),
+            ("unstructured", ["--agents", "5"], "at most 4 agents"),
+            ("unstructured", ["--seed", "672"],
+             "unstructured seed 672: no draw of agent")):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["run", name, "--agents", count, "--out", str(tmp_path)])
+            cli.main(["run", name, *option, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -156,6 +164,22 @@ def test_builtin_runs_are_bitwise_reproducible(name, tmp_path):
     if name == "walled_in":
         statuses = first.metrics.cycle_statuses
         assert statuses.get("relaxed", 0) > 0 and statuses.get("fallback", 0) > 0
+
+
+def test_run_seed_changes_nothing_on_a_lossless_bus():
+    # The run seed draws only bus drops, so on a lossless bus every run
+    # seed does the same work: equal tables and cycle outcomes, and the
+    # run flies the scenario's own specs.
+    scenario = builtin_scenario("intersection", duration=0.4)
+    runs = [run_scenario(replace(scenario, seed=s)) for s in (0, 1)]
+    assert runs[0].table.keys() == runs[1].table.keys()
+    for agent in runs[0].table:
+        assert runs[0].table[agent].tobytes() == runs[1].table[agent].tobytes()
+    assert outcomes(runs[0]) == outcomes(runs[1])
+    for run in runs:
+        assert len(run.resolved) == len(scenario.agents)
+        assert all(spec is agent
+                   for spec, agent in zip(run.resolved, scenario.agents))
 
 
 def test_sixteen_agents_cut_as_the_chain(tmp_path, monkeypatch):

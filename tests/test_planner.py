@@ -31,7 +31,7 @@ from swarmplan.qp import (_EQ_TOL, _FACTOR_MEMO, _RANK_TOL, _VIOL_TOL,
 from swarmplan.regions import (ConvexPolytope, PlaneStack, SafeRegion,
                                admit_obstacles, build_safe_regions)
 from swarmplan.runtime import AgentSpec, symmetric_limits
-from swarmplan.scenario import _comfortable_arrival, builtin_scenario
+from swarmplan.scenario import builtin_scenario
 from test_qp import lp_feasible
 
 
@@ -334,29 +334,6 @@ class TestEndCost:
             assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
-class TestEndTime:
-    """`_comfortable_arrival` without a velocity bound: twice the time from
-    rest at full acceleration, floored at two knot segments."""
-
-    accel_only = symmetric_limits({2: 2.0})
-
-    def test_rest_to_goal(self):
-        # 4 = 2 T^2 / 2  ->  T = 2, doubled.
-        got = _comfortable_arrival(np.zeros(2), np.array([4.0, 0.0]),
-                                   self.accel_only)
-        assert got == pytest.approx(4.0)
-
-    def test_zero_distance_floor(self):
-        start = np.array([1.0, 1.0])
-        assert (_comfortable_arrival(start, start.copy(), self.accel_only)
-                == pytest.approx(4.0))
-
-    def test_floor_applies(self):
-        got = _comfortable_arrival(np.zeros(2), np.array([0.1, 0.0]),
-                                   symmetric_limits({2: 10.0}))
-        assert got == pytest.approx(4.0)
-
-
 def polytope(rows):
     """A slice's view over (normal, offset) rows, each divided by its
     normal's norm as every cut divides them."""
@@ -390,7 +367,7 @@ def wall_region(tau=0.1, n_slices=40, x_wall=2.0):
 
 def base_request(**kw):
     """A PlanRequest whose spec is an AgentSpec of the task keywords, with
-    the order of initial_state."""
+    the order of initial_state and its position as the start."""
     defaults = dict(
         t_now=0.0,
         initial_state=np.array([[0.0, 0.0], [0.0, 0.0]]),
@@ -410,7 +387,8 @@ def base_request(**kw):
                                   n + 1)
         defaults["previous"] = constant_spline(
             layout, defaults["initial_state"][0])
-    return PlanRequest(spec=AgentSpec(order=n, **task), **defaults)
+    spec = AgentSpec(start=defaults["initial_state"][0], order=n, **task)
+    return PlanRequest(spec=spec, **defaults)
 
 
 def cycle_layout(req):

@@ -13,15 +13,17 @@ from swarmplan.planner import constant_spline
 from swarmplan.prediction import PeerState
 from swarmplan.runtime import (Agent, AgentSpec, BusMessage, ExecutedPath,
                                MessageBus, broadcast, symmetric_limits)
-from swarmplan.scenario import Scenario, builtin_scenario, resolve_agents
+from swarmplan.scenario import builtin_scenario
 from swarmplan.sensor import Scan, World, simulate_scan
 
 
-def make_agent(start, goal, *, bus=None, index=0, **spec_kw):
-    """An Agent of the spec as a scenario run resolves it."""
-    spec = AgentSpec(start=start, goal=goal, **spec_kw)
-    [spec] = resolve_agents(Scenario(agents=[spec]),
-                            np.random.default_rng(0))
+# A task for tests that check one other field of the spec.
+TASK = dict(start=(0.0, 0.0), goal=(3.0, 0.0), goal_time=4.0)
+
+
+def make_agent(start, goal, goal_time, *, bus=None, index=0, **spec_kw):
+    """An Agent of the spec with this task."""
+    spec = AgentSpec(start=start, goal=goal, goal_time=goal_time, **spec_kw)
     return Agent(index, spec, bus=bus)
 
 
@@ -68,46 +70,54 @@ class TestLimitsAndConfig:
         assert [f.name for f in fields(AgentSpec)] == [
             "start", "goal", "heading", "order", "footprint", "goal_time",
             "end_velocity", "waypoints", "limits"]
-        assert AgentSpec().plan_rate == 25.0
+        assert AgentSpec.plan_rate == 25.0
+
+    @pytest.mark.parametrize("field", ["start", "goal", "goal_time"])
+    def test_task_is_required(self, field):
+        # Nothing fills a missing start, goal or goal time; an integral
+        # goal time is taken as a float.
+        with pytest.raises(TypeError, match=field):
+            AgentSpec(**{k: v for k, v in TASK.items() if k != field})
+        spec = AgentSpec(**{**TASK, "goal_time": 7})
+        assert type(spec.goal_time) is float and spec.goal_time == 7.0
 
     def test_footprint_length_checked(self):
         with pytest.raises(ValueError):
-            AgentSpec(footprint=(1, 2, 3, 4))
+            AgentSpec(**TASK, footprint=(1, 2, 3, 4))
 
     @pytest.mark.parametrize("size", [(-0.1,), (0.0,), (0.3, -0.2)])
     def test_nonpositive_footprint_rejected_at_construction(self, size):
         with pytest.raises(ValueError, match="positive"):
-            AgentSpec(start=(0.0, 0.0), goal=(1.0, 0.0), footprint=size)
+            AgentSpec(**TASK, footprint=size)
 
     def test_order_checked(self):
         with pytest.raises(ValueError, match="order"):
-            AgentSpec(order=0)
+            AgentSpec(**TASK, order=0)
 
     def test_integral_order_becomes_an_int(self):
         # An integral float such as 2.0 is taken; the planner sizes arrays
         # by the order, so a float order would raise there.
-        spec = AgentSpec(order=2.0)
+        spec = AgentSpec(**TASK, order=2.0)
         assert spec.order == 2 and type(spec.order) is int
         with pytest.raises(ValueError, match="integer"):
-            AgentSpec(order=2.5)
+            AgentSpec(**TASK, order=2.5)
 
     def test_heading_must_be_finite(self):
         # A NaN heading makes every beam of the agent's scanner NaN.
         with pytest.raises(ValueError, match="heading"):
-            AgentSpec(heading=np.nan)
+            AgentSpec(**TASK, heading=np.nan)
 
     @pytest.mark.parametrize("goal_time", [np.nan, np.inf, -1.0, 0.0])
     def test_goal_time_must_be_finite_and_positive(self, goal_time):
         # Each ran as if the goal time had already passed.
         with pytest.raises(ValueError, match="finite and positive"):
-            AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0), goal_time=goal_time)
+            AgentSpec(**{**TASK, "goal_time": goal_time})
 
     @pytest.mark.parametrize("stamp", [np.nan, np.inf, -1.0, 0.0])
     def test_waypoint_times_must_be_finite_and_positive(self, stamp):
         # A waypoint stamped so never enters a horizon.
         with pytest.raises(ValueError, match="finite and positive"):
-            AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0),
-                      waypoints=[(stamp, (1.0, 0.0))])
+            AgentSpec(**TASK, waypoints=[(stamp, (1.0, 0.0))])
 
     @pytest.mark.parametrize("order, limits", [
         (1, {1: 2.0, 3: 0.5}), (1, {1: 2.0, 7: 1.0}), (2, {4: 1.0}),
@@ -117,35 +127,24 @@ class TestLimitsAndConfig:
         # between knots, so no QP row can bound it.  Order 0 would box the
         # position, and a negative order is no derivative.
         with pytest.raises(ValueError, match=rf"1\.\.{order + 1};"):
-            AgentSpec(order=order, limits=limits)
+            AgentSpec(**TASK, order=order, limits=limits)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_limit_at_spline_degree_accepted(self, order):
-        spec = AgentSpec(order=order, limits={1: 2.0, order + 1: 1.0})
+        spec = AgentSpec(**TASK, order=order, limits={1: 2.0, order + 1: 1.0})
         assert sorted(spec.limits) == sorted({1, order + 1})
-
-    @pytest.mark.parametrize("spec", [
-        dict(goal=(1.0, 0.0), goal_time=4.0),       # random start
-        dict(start=(0.0, 0.0), goal_time=4.0),      # no goal
-        dict(start=(0.0, 0.0), goal=(3.0, 0.0), goal_time=4.0,
-             waypoints=[(None, (2.0, 0.0))]),       # unstamped waypoint
-        dict(start=(0.0, 0.0), goal=(3.0, 0.0))])   # no goal time
-    def test_agent_rejects_unresolved_spec(self, spec):
-        with pytest.raises(ValueError, match="resolved"):
-            Agent(0, AgentSpec(**spec))
 
     @pytest.mark.parametrize("spec", [
         dict(start=(np.nan, 0.0)),
         dict(goal=(3.0, np.inf)),
         dict(end_velocity=(np.nan, 0.0)),
-        dict(waypoints=[(1.0, (1.0, 0.0)), (2.0, (-np.inf, 0.0))]),
-        dict(waypoints=[(None, (np.nan, np.nan))])],
-        ids=["start", "goal", "end_velocity", "waypoint", "unstamped_waypoint"])
+        dict(waypoints=[(1.0, (1.0, 0.0)), (2.0, (-np.inf, 0.0))])],
+        ids=["start", "goal", "end_velocity", "waypoint"])
     def test_spec_points_must_be_finite(self, spec):
         # An agent's state comes from its spawn point and committed plans,
         # so a finite spec keeps every state finite.
         with pytest.raises(ValueError, match="finite"):
-            AgentSpec(**{"start": (0.0, 0.0), "goal": (3.0, 0.0), **spec})
+            AgentSpec(**{**TASK, **spec})
 
 
 class TestMessageBus:
@@ -368,20 +367,20 @@ class TestIdealTrack:
 
 class TestAgentCycle:
     def test_open_world_reaches_goal(self):
-        agent = make_agent((0.0, 0.0), (3.0, 0.0))
+        agent = make_agent((0.0, 0.0), (3.0, 0.0), 3.5)
         reports = run_cycles(agent, 100)
         final = agent.path.position(4.0)
         assert np.linalg.norm(final - [3.0, 0.0]) < 0.1
         assert all(r.status == "optimal" for r in reports)
 
     def test_replan_continuity_every_cycle(self):
-        agent = make_agent((0.0, 0.0), (3.0, 2.0))
+        agent = make_agent((0.0, 0.0), (3.0, 2.0), 4.10555127546399)
         reports = run_cycles(agent, 100)
         worst = max(r.continuity_error for r in reports)
         assert worst <= 1e-6
 
     def test_goal_error_non_increasing_after_first_second(self):
-        agent = make_agent((0.0, 0.0), (3.0, 0.0))
+        agent = make_agent((0.0, 0.0), (3.0, 0.0), 3.5)
         run_cycles(agent, 125)
         ts = np.arange(0.0, 5.0 + 1e-9, 0.1)
         errs = np.linalg.norm(agent.path.positions(ts) - [3.0, 0.0], axis=1)
@@ -390,14 +389,14 @@ class TestAgentCycle:
         assert np.all(np.diff(after) <= 1e-3)
 
     def test_stamped_goal_arrives_and_holds(self):
-        agent = make_agent((0.0, 0.0), (3.0, 0.0), goal_time=3.5)
+        agent = make_agent((0.0, 0.0), (3.0, 0.0), 3.5)
         run_cycles(agent, 150)
         for t in (3.5, 4.0, 5.0, 6.0):
             err = np.linalg.norm(agent.path.position(t) - [3.0, 0.0])
             assert err < 0.05, f"error {err:.4f} at t={t}"
 
     def test_end_velocity_realized_at_stamp(self):
-        agent = make_agent((0.0, 0.0), (3.0, 0.0), goal_time=3.0,
+        agent = make_agent((0.0, 0.0), (3.0, 0.0), 3.0,
                            end_velocity=(1.0, 0.0))
         run_cycles(agent, 75)
         vel = agent.path.state(3.0, 2)[1]
@@ -405,7 +404,7 @@ class TestAgentCycle:
 
     def test_staged_shapes_fold_next_cycle(self):
         world = World(obstacles=[Circle((3.0, 1.0), 0.5)])
-        agent = make_agent((0.0, 0.0), (0.0, 0.0))
+        agent = make_agent((0.0, 0.0), (0.0, 0.0), 2.0)
         scan = simulate_scan(world, (0.0, 0.0), 0.0, stamp=0.0)
         agent.receive_scan(scan)
         agent.agent_cycle(0.0)
@@ -415,8 +414,8 @@ class TestAgentCycle:
 
     def test_peer_broadcast_contracts_regions(self):
         bus = MessageBus()
-        agent = make_agent((0.0, 0.0), (4.0, 0.0), bus=bus)
-        baseline = make_agent((0.0, 0.0), (4.0, 0.0))
+        agent = make_agent((0.0, 0.0), (4.0, 0.0), 4.5, bus=bus)
+        baseline = make_agent((0.0, 0.0), (4.0, 0.0), 4.5)
         peer = PeerState(stamp=0.0, position=(2.0, 0.0), velocity=(0, 0),
                          acceleration=(0, 0), size=(0.4,))
         bus.post(sender=9, payload=peer, now=0.0)
@@ -431,7 +430,7 @@ class TestAgentCycle:
 
     def test_starved_agent_plans_with_stale_tracks(self):
         bus = MessageBus()
-        agent = make_agent((0.0, 0.0), (4.0, 0.0), bus=bus)
+        agent = make_agent((0.0, 0.0), (4.0, 0.0), 4.5, bus=bus)
         peer = PeerState(stamp=0.0, position=(2.0, 1.0), velocity=(0, 0),
                          acceleration=(0, 0), size=(0.3,))
         bus.post(sender=9, payload=peer, now=0.0)
@@ -451,7 +450,7 @@ class TestAgentCycle:
         assert report.n_tracks == 0
 
     def test_bad_scan_degrades_not_crashes(self):
-        agent = make_agent((0.0, 0.0), (3.0, 0.0))
+        agent = make_agent((0.0, 0.0), (3.0, 0.0), 3.5)
         broken = Scan(stamp=0.0, angle_start=0.0,
                       angle_increment=np.deg2rad(1.0),
                       ranges=np.full(360, 2.0), origins=None)
@@ -467,7 +466,7 @@ class TestAgentCycle:
             raise ZeroDivisionError("broken planner")
 
         monkeypatch.setattr(runtime, "plan_with_fallback", broken)
-        agent = make_agent((0.0, 0.0), (3.0, 0.0))
+        agent = make_agent((0.0, 0.0), (3.0, 0.0), 3.5)
         prev = agent.path.latest
         report = agent.agent_cycle(0.0)
         assert (report.status, report.iterations, repr(report.kkt_residual),
@@ -522,7 +521,7 @@ class TestAgentCycle:
 
 
     def test_agent_hands_the_planner_its_own_spec(self, monkeypatch):
-        # Every cycle's request carries the agent's resolved spec itself,
+        # Every cycle's request carries the agent's spec itself,
         # not copies of its fields.
         seen, cycling = [], []
         real_cycle, real_plan = Agent.agent_cycle, runtime.plan_with_fallback
@@ -548,7 +547,8 @@ class TestAgentCycle:
 class TestBroadcast:
     def test_stationary_payload_is_zero_motion(self):
         bus = MessageBus()
-        agent = make_agent((2.0, -1.0), (2.0, -1.0), bus=bus, index=3)
+        agent = make_agent((2.0, -1.0), (2.0, -1.0), 2.0, bus=bus,
+                           index=3)
         agent.agent_cycle(0.0)
         msg = broadcast(agent, 0.0)
         assert np.allclose(msg.payload.position, [2.0, -1.0], atol=1e-9)
@@ -562,7 +562,7 @@ class TestBroadcast:
 
     def test_moving_agent_reports_current_velocity(self):
         bus = MessageBus()
-        agent = make_agent((0.0, 0.0), (4.0, 0.0), bus=bus)
+        agent = make_agent((0.0, 0.0), (4.0, 0.0), 4.5, bus=bus)
         for k in range(26):
             agent.agent_cycle(k / 25.0)
         msg = broadcast(agent, 1.0)

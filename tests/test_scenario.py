@@ -1,4 +1,4 @@
-"""Tests for scenario construction checks, spawn resolution, and builtins."""
+"""Tests for scenario construction checks and the builtins."""
 
 import math
 from dataclasses import replace
@@ -13,9 +13,8 @@ from swarmplan.scenario import (
     Scenario,
     builtin_names,
     builtin_scenario,
-    resolve_agents,
 )
-from swarmplan.scenario import _comfortable_arrival
+from swarmplan.scenario import _clear_of_obstacles
 
 
 def boundary_samples(shape, per_edge=32):
@@ -41,8 +40,8 @@ class TestParsing:
 
     def test_overlapping_fixed_starts_rejected(self):
         # Two 0.3 m footprints 0.5 m apart: reported at the later agent.
-        agents = [AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0)),
-                  AgentSpec(start=(0.5, 0.0), goal=(3.0, 2.0))]
+        agents = [AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0), goal_time=4.0),
+                  AgentSpec(start=(0.5, 0.0), goal=(3.0, 2.0), goal_time=4.0)]
         with pytest.raises(ValueError) as exc:
             Scenario(agents=agents)
         assert str(exc.value) == ("agents 0 and 1 start overlap after "
@@ -50,33 +49,15 @@ class TestParsing:
 
     def test_waypoint_times_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
-            AgentSpec(start=(0, 0), goal=(5, 0),
-                      waypoints=[(2.0, (1, 0)), (1.0, (2, 0))])
-
-    def test_partly_stamped_waypoints_out_of_order_rejected(self):
-        # Resolution would stamp the first waypoint 3.0 of a 9 s goal time,
-        # after the second's 1.0.
-        with pytest.raises(ValueError, match="increasing"):
             AgentSpec(start=(0, 0), goal=(5, 0), goal_time=9.0,
-                      waypoints=[(None, (2, 0)), (1.0, (3, 0))])
-
-    def test_partly_stamped_waypoints_need_a_goal_time(self):
-        with pytest.raises(ValueError, match="goal time"):
-            AgentSpec(start=(0, 0), goal=(5, 0),
-                      waypoints=[(1.0, (2, 0)), (None, (3, 0))])
-
-    def test_partly_stamped_waypoints_in_order_accepted(self):
-        spec = AgentSpec(start=(0, 0), goal=(5, 0), goal_time=9.0,
-                         waypoints=[(1.0, (2, 0)), (None, (3, 0))])
-        assert [t for t, _ in spec.waypoints] == [1.0, None]
-        assert [t for t, _ in spec.stamped_waypoints(9.0)] == [1.0, 6.0]
+                      waypoints=[(2.0, (1, 0)), (1.0, (2, 0))])
 
     @pytest.mark.parametrize("seed, order", [(1.0, 2), (0, 2.0)],
                              ids=["seed", "order"])
     def test_integral_floats_run(self, seed, order):
         # An integral float seed or order reaches the run as an int.
         sc = Scenario(agents=[AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0),
-                                        order=order)],
+                                        goal_time=3.5, order=order)],
                       seed=seed, duration=0.2)
         assert type(sc.seed) is int and type(sc.agents[0].order) is int
         result = run_scenario(sc)
@@ -84,7 +65,8 @@ class TestParsing:
 
     def test_non_integral_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be an integer"):
-            Scenario(agents=[AgentSpec()], seed=0.5)
+            Scenario(agents=[AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0),
+                                       goal_time=4.0)], seed=0.5)
 
     @pytest.mark.parametrize("field, value, match", [
         ("duration", math.nan, "duration must be finite"),
@@ -106,9 +88,9 @@ class TestParsing:
         # counts it; a hair more is not.
         wall = Circle([0.0, 0.0], 1.0)
         touching = AgentSpec(start=(1.5, 0.0), goal=(3.0, 0.0),
-                             footprint=(0.5,))
+                             goal_time=4.0, footprint=(0.5,))
         clear = AgentSpec(start=(-1.50001, 0.0), goal=(-3.0, 0.0),
-                          footprint=(0.5,))
+                          goal_time=4.0, footprint=(0.5,))
         bounds = (-5.0, -5.0, 5.0, 5.0)
         with pytest.raises(ValueError) as exc:
             Scenario(agents=[clear, touching], bounds=bounds,
@@ -121,9 +103,9 @@ class TestParsing:
         # Starts outside the bounds come first, then starts in an obstacle,
         # then overlapping pairs, each in agent order.
         wall = Circle([0.0, 0.0], 1.0)
-        inside = AgentSpec(start=(0.5, 0.0), goal=(3.0, 0.0))
-        outside = AgentSpec(start=(6.0, 0.0), goal=(3.0, 2.0))
-        near = AgentSpec(start=(3.2, 0.0), goal=(-3.0, 2.0))
+        inside = AgentSpec(start=(0.5, 0.0), goal=(3.0, 0.0), goal_time=4.0)
+        outside = AgentSpec(start=(6.0, 0.0), goal=(3.0, 2.0), goal_time=4.0)
+        near = AgentSpec(start=(3.2, 0.0), goal=(-3.0, 2.0), goal_time=4.0)
         bounds = (-5.0, -5.0, 5.0, 5.0)
         for agents, msg in (
                 ([near, inside, near, outside],
@@ -144,7 +126,7 @@ class TestScenarioWorld:
         # Unchecked, a NaN obstacle built and ran without ever being
         # counted (min_obstacle_clearance inf), and an infinite bound
         # built.
-        agents = [AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0))]
+        agents = [AgentSpec(start=(0.0, 0.0), goal=(3.0, 0.0), goal_time=4.0)]
         with pytest.raises(ValueError, match="radius must be positive and "
                                              "finite, got nan"):
             Scenario(agents=agents, obstacles=[Circle([5.0, 5.0], math.nan)],
@@ -161,143 +143,26 @@ class TestScenarioWorld:
     def test_rejected_at_construction(self, world, msg):
         # The checks run_scenario's World would make, made before any run.
         with pytest.raises(ValueError) as exc:
-            Scenario(agents=[AgentSpec(start=[0.0, 0.0], goal=[1.0, 0.0])],
-                     **world)
+            Scenario(agents=[AgentSpec(start=[0.0, 0.0], goal=[1.0, 0.0],
+                                       goal_time=4.0)], **world)
         assert str(exc.value) == msg
 
 
     def test_start_inside_obstacle_rejected_at_construction(self):
         with pytest.raises(ValueError, match="collides with obstacle 0"):
-            Scenario(agents=[AgentSpec(start=[0.2, 0.0], goal=[3.0, 0.0])],
+            Scenario(agents=[AgentSpec(start=[0.2, 0.0], goal=[3.0, 0.0],
+                                       goal_time=4.0)],
                      obstacles=[Circle([0.0, 0.0], 1.0)])
 
     def test_start_outside_bounds_rejected_at_construction(self):
         with pytest.raises(ValueError) as exc:
-            Scenario(agents=[AgentSpec(start=[0.0, 0.0], goal=[1.0, 0.0]),
-                             AgentSpec(start=[6.0, 0.0], goal=[1.0, 2.0])],
+            Scenario(agents=[AgentSpec(start=[0.0, 0.0], goal=[1.0, 0.0],
+                                       goal_time=4.0),
+                             AgentSpec(start=[6.0, 0.0], goal=[1.0, 2.0],
+                                       goal_time=4.0)],
                      bounds=(-5.0, -5.0, 5.0, 5.0))
         assert str(exc.value) == ("start [6.0, 0.0] outside world bounds "
                                   "(-5.0, -5.0, 5.0, 5.0)")
-
-
-class TestSpawnResolution:
-    def test_draws_stay_in_spawn_range(self):
-        sc = Scenario(agents=[AgentSpec() for _ in range(4)])
-        rng = np.random.default_rng(11)
-        pts = []
-        for _ in range(250):
-            for a in resolve_agents(sc, rng):
-                pts.append(a.start)
-                pts.append(a.goal)
-        pts = np.asarray(pts)
-        assert np.all(np.abs(pts) <= 10.0)
-
-    def test_draws_stay_in_small_world_and_runs_start(self):
-        # The spawn square is clipped to bounds smaller than it; unclipped,
-        # four of these five seeds drew a start the scanner rejects.
-        for seed in range(5):
-            sc = Scenario(agents=[AgentSpec()], seed=seed, duration=0.08,
-                          bounds=(-4.0, -4.0, 4.0, 4.0))
-            result = run_scenario(sc)
-            a, = result.resolved
-            assert np.all(np.abs(a.start) <= 4.0)
-            assert np.all(np.abs(a.goal) <= 4.0)
-
-    def test_spawn_square_missing_the_bounds_raises(self):
-        sc = Scenario(agents=[AgentSpec()], bounds=(20.0, 20.0, 30.0, 30.0))
-        with pytest.raises(RuntimeError, match="could not place a random spawn"):
-            resolve_agents(sc, np.random.default_rng(0))
-
-    def test_headings_are_integer_degrees(self):
-        sc = Scenario(agents=[AgentSpec() for _ in range(3)])
-        res = resolve_agents(sc, np.random.default_rng(2))
-        for a in res:
-            deg = math.degrees(a.heading)
-            assert abs(deg - round(deg)) < 1e-9
-            assert 0 <= deg < 360
-
-    def test_deterministic_per_seed(self):
-        sc = Scenario(agents=[AgentSpec() for _ in range(5)])
-        r1 = resolve_agents(sc, np.random.default_rng(9))
-        r2 = resolve_agents(sc, np.random.default_rng(9))
-        r3 = resolve_agents(sc, np.random.default_rng(10))
-        for a, b in zip(r1, r2):
-            assert np.array_equal(a.start, b.start)
-            assert a.heading == b.heading
-        assert any(not np.array_equal(a.start, c.start)
-                   for a, c in zip(r1, r3))
-
-    def test_spawns_avoid_obstacles_and_each_other(self):
-        obstacles = [Circle((0.0, 0.0), 4.0)]
-        sc = Scenario(agents=[AgentSpec() for _ in range(6)],
-                      obstacles=obstacles)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            res = resolve_agents(sc, rng)
-            starts = [a.start for a in res]
-            for s in starts:
-                assert obstacles[0].distance(s) >= 0.3 + 0.3
-            for i in range(len(starts)):
-                for j in range(i + 1, len(starts)):
-                    assert np.linalg.norm(starts[i] - starts[j]) > 0.6
-
-    def test_goal_at_least_two_meters_out(self):
-        sc = Scenario(agents=[AgentSpec()])
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            a, = resolve_agents(sc, rng)
-            assert np.linalg.norm(a.goal - a.start) >= 2.0
-
-    def test_draws_start_heading_then_goal(self):
-        # Per agent: spawn draws until one is accepted, then the heading,
-        # then goal draws until one lies 2 m out.
-        a, = resolve_agents(Scenario(agents=[AgentSpec()]),
-                            np.random.default_rng(5))
-        ref = np.random.default_rng(5)
-        start = ref.uniform(-10.0, 10.0, 2)
-        heading = math.radians(float(ref.integers(0, 360)))
-        goal = ref.uniform(-10.0, 10.0, 2)
-        while np.linalg.norm(goal - start) < 2.0:
-            goal = ref.uniform(-10.0, 10.0, 2)
-        assert np.array_equal(a.start, start) and a.heading == heading
-        assert np.array_equal(a.goal, goal)
-
-    def test_fixed_start_kept_verbatim(self):
-        sc = Scenario(agents=[AgentSpec(start=(1.5, -2.0), goal=(4.0, 4.0),
-                                        heading=0.25)])
-        a, = resolve_agents(sc, np.random.default_rng(0))
-        assert np.array_equal(a.start, [1.5, -2.0])
-        assert a.heading == 0.25
-
-    def test_unstamped_waypoints_spread_evenly(self):
-        spec = AgentSpec(start=(0, 0), goal=(9, 0), goal_time=6.0,
-                         waypoints=[(None, (3, 0)), (None, (6, 0))])
-        sc = Scenario(agents=[spec])
-        a, = resolve_agents(sc, np.random.default_rng(0))
-        assert a.waypoints[0][0] == pytest.approx(2.0)
-        assert a.waypoints[1][0] == pytest.approx(4.0)
-
-    def test_unset_goal_time_resolves_to_comfortable_arrival(self):
-        specs = [AgentSpec(start=(0, 0), goal=(6, 0)),
-                 AgentSpec(start=(0, 3), goal=(4, 5), order=3,
-                           limits={1: 1.5, 2: 3.0}),
-                 AgentSpec(start=(0, -3), goal=(4, -3), goal_time=7)]
-        resolved = resolve_agents(Scenario(agents=specs),
-                                  np.random.default_rng(0))
-        for spec, a in zip(specs[:2], resolved):
-            want = _comfortable_arrival(a.start, a.goal, a.limits)
-            assert type(a.goal_time) is float and a.goal_time == want
-            assert spec.goal_time is None
-        assert type(resolved[2].goal_time) is float
-        assert resolved[2].goal_time == 7.0
-
-    def test_unstamped_waypoints_without_goal_time_get_stamps(self):
-        spec = AgentSpec(start=(0, 0), goal=(6, 0),
-                         waypoints=[(None, (3, 0))])
-        sc = Scenario(agents=[spec])
-        a, = resolve_agents(sc, np.random.default_rng(0))
-        t = a.waypoints[0][0]
-        assert t is not None and t > 0
 
 
 class TestBuiltins:
@@ -380,7 +245,9 @@ class TestBuiltins:
                 assert gap >= 1.5 - 1e-6
 
     def test_unstructured_waypoints_clear_obstacles(self):
-        for seed in (0, 3, 12):
+        # Layout seeds 0-45 each place every waypoint on a draw that the
+        # loop's own rule passes; 46 is the first that has none.
+        for seed in range(46):
             sc = builtin_scenario("unstructured", seed=seed)
             for a in sc.agents:
                 assert len(a.waypoints) == 2
@@ -388,8 +255,15 @@ class TestBuiltins:
                 for t, p in a.waypoints:
                     assert t > t_prev and t < a.goal_time
                     t_prev = t
-                    for o in sc.obstacles:
-                        assert o.distance(p) >= 0.45
+                    assert _clear_of_obstacles(p, 0.45, sc.obstacles, 0.8)
+
+    @pytest.mark.parametrize("seed", [46, 672])
+    def test_unstructured_waypoint_that_never_clears_raises(self, seed):
+        # No draw of 200 clears; the last one, at seed 672, lies inside an
+        # obstacle, so keeping it would fly the robot into one.
+        with pytest.raises(ValueError, match=rf"unstructured seed {seed}: "
+                           r"no draw of agent \d's waypoint \d cleared"):
+            builtin_scenario("unstructured", seed=seed)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_fixed_starts_clear_every_obstacle(self, name):
