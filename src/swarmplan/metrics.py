@@ -162,11 +162,16 @@ def solve_time_stats(solve_times_us):
         return {"count": 0, "median_us": 0.0, "p95_us": 0.0,
                 "max_us": 0.0, "mean_us": 0.0}
     arr = np.asarray(solve_times_us, dtype=float)
+    # numpy's default (linear) median and p95, read off one sorted copy:
+    # np.median and np.percentile would import numpy.ma on first use.
+    ordered = np.sort(arr)
+    median, p95 = np.interp((arr.size - 1) * np.array([0.5, 0.95]),
+                            np.arange(arr.size), ordered)
     return {
         "count": int(arr.size),
-        "median_us": float(np.median(arr)),
-        "p95_us": float(np.percentile(arr, 95)),
-        "max_us": float(arr.max()),
+        "median_us": float(median),
+        "p95_us": float(p95),
+        "max_us": float(ordered[-1]),
         "mean_us": float(arr.mean()),
     }
 

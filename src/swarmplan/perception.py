@@ -244,11 +244,9 @@ def decompose_boundary(points, robot_position, closed=False):
         piece = points[i:j + 1]
         if len(piece) < 2 or np.linalg.norm(piece[-1] - piece[0]) < 1e-9:
             continue
-        try:
-            shape = fit_rectangle(piece, robot_position)
-        except ValueError:
-            shape = _pca_rectangle(piece)
-        out.append((shape, piece))
+        # The breakpoints leave the piece within LINE_TOL of its chord, by
+        # the residual's own arithmetic, so the fit never raises.
+        out.append((fit_rectangle(piece, robot_position), piece))
     return out
 
 

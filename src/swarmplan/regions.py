@@ -31,11 +31,12 @@ product over a candidate stack, the slice rows and a column per track
 plane, gives every row's gap to every peer, and a loop of boolean
 operations over the tracks decides the cuts.  Coverage and planes are found
 one footprint at a time: `build_safe_regions` passes one per broadcast size
-with its tracks' indices.  Duplicate rows are dropped once, by the
-deflation: a row equal to an earlier one is deflated with it and stays
-equal, so dropping it before or after gives the same rows.  The seed probe
-is one step, and the slices that fail it get one emptiness test over the
-padded stack (`_chebyshev_radius`).  The single-slice functions
+with its tracks' indices.  A slice's rows are distinct by construction: a
+shape's row equal to a kept row meets its shape at gap 0, so the seeding
+drops it, and two cut planes match only when two tracks predict the same
+positions bit for bit.  The seed probe is one step, and the slices that
+fail it get one emptiness test over the padded stack
+(`_chebyshev_radius`).  The single-slice functions
 (`seed_region`, `contract_for_peer`, `deflate_for_ego`, `region_is_empty`)
 run the same kernels on a one-slice stack.  Every step that adds or drops
 rows marks the rows each slice keeps, and `_packed`, the one writer of the
@@ -44,8 +45,7 @@ padding, packs them, so a stack is as wide as its largest count.
 Arithmetic.  A region is defined slice by slice: a shape's row is n = -u
 and o = n.seed + d as the distance pass gives them, a cut appends its
 plane, divided by the norm it measures (`unit_rows`), the deflation
-divides every row by its norm once more, and exact duplicate rows, equal
-in every bit of normal and offset, are dropped, keeping the first.  The
+divides every row by its norm once more, and no row is dropped.  The
 kernels take those steps on the whole stack and keep each one's rounding,
 so the arrays equal that per-slice chain bit for bit; the tests keep the
 chain, one row object at a time, as the reference.  Hence the forms below:
@@ -68,8 +68,7 @@ chain, one row object at a time, as the reference.  Hence the forms below:
   in a peer's footprint when its kind's `contains` says so;
 - a row separates a shape when o + support(-n) <= BOUNDARY_TOL, whatever
   the support's last bits, and a peer is cut when no row has gap =
-  n.peer - o - support(-n) above the margin; kept duplicates raise a
-  slice's row count, which leaves that rounding alone;
+  n.peer - o - support(-n) above the margin;
 - a cut plane's direction, offset and `unit_rows` are elementwise, and so
   is a footprint's support along any row (np.vecdot per circle or corner);
 - the emptiness test computes each live pair and triple of a slice's rows
@@ -194,24 +193,6 @@ def _packed(normals, offsets, keep):
     return PlaneStack(normals, offsets, counts)
 
 
-def _distinct(normals, offsets, counts):
-    """Each slice's first counts[k] rows, packed in order, without rows
-    equal in every bit to an earlier row of their slice.  Rows past
-    counts[k] must be NaN."""
-    width = max(counts.max(), 1)
-    rows = np.arange(offsets.shape[1])
-    earlier = rows[None, :] < rows[:, None]
-    # NaN padding equals nothing, so without two equal live offsets in a
-    # slice every live row is kept where it is.
-    same = (offsets[:, :, None] == offsets[:, None, :]) & earlier
-    if not same.any():
-        return PlaneStack(normals[:, :width], offsets[:, :width], counts)
-    same &= normals[:, :, None, 0] == normals[:, None, :, 0]
-    same &= normals[:, :, None, 1] == normals[:, None, :, 1]
-    return _packed(normals, offsets,
-                   (rows < counts[:, None]) & ~same.any(axis=2))
-
-
 def _seeded(seeds, groups, member, d, u):
     """`seed_region` for every slice, slice k holding the shapes j with
     member[k, j], stacked in `groups`, whose distance from seeds[k] is
@@ -221,11 +202,10 @@ def _seeded(seeds, groups, member, d, u):
     the box alone.  Every other slice holds its 4 box rows and then, in
     order of increasing d (ties to the lower shape index), the row
     n = -u, o = n.seed + d of each shape that no row kept before it
-    separates (o_a + support_b(-n_a) <= BOUNDARY_TOL), rows equal to
-    earlier ones included (see `_distinct`); the candidates stop at the
-    largest live count.  bounding[k, j] says that shape j's row is one of
-    slice k's, so an inside slice bounds no shape, nor does a shape no
-    slice holds.
+    separates (o_a + support_b(-n_a) <= BOUNDARY_TOL); the candidates stop
+    at the largest live count.  bounding[k, j] says that shape j's row is
+    one of slice k's, so an inside slice bounds no shape, nor does a shape
+    no slice holds.
     """
     K, S = member.shape
     inside = (member & (d == 0.0)).any(axis=1)
@@ -262,7 +242,7 @@ def _peer_cuts(stack, seeds, peers, groups, margin):
     about the origin, with its tracks' indices.  Returns (stack, seed
     covered by no track): the input stack when nothing is cut, else each
     slice's rows and then, in track order, the planes of the tracks that
-    cut it, rows equal to earlier ones included (see `_distinct`)."""
+    cut it."""
     n_rows = stack.offsets.shape[1]
     rel = seeds - peers
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -303,7 +283,7 @@ def _deflated(stack, footprint):
     """`deflate_for_ego` on every slice."""
     normals, offsets = unit_rows(
         stack.normals, stack.offsets - footprint.support(stack.normals))
-    return _distinct(normals, offsets, stack.counts)
+    return PlaneStack(normals, offsets, stack.counts)
 
 
 @lru_cache(maxsize=_TABLE_MEMO)
@@ -379,7 +359,7 @@ def seed_region(seed, shapes):
     stack, inside, _ = _seeded(seed, groups, np.full(d.shape, True), d, u)
     if inside[0]:
         raise SeedInsideObstacle(f"seed {seed[0].tolist()} is inside a shape")
-    return _distinct(*stack).polytope(0)
+    return stack.polytope(0)
 
 
 def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
@@ -400,7 +380,7 @@ def contract_for_peer(polytope, seed, peer_position, footprint, margin=0.0):
                              [(footprint, slice(None))], margin)
     if after is before:
         return polytope, bool(free[0])
-    return _distinct(*after).polytope(0), True
+    return after.polytope(0), True
 
 
 def deflate_for_ego(polytope, footprint):

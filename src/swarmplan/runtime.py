@@ -245,7 +245,7 @@ class ExecutedPath:
                                               side="right") - 1)
         out = np.zeros((len(times), n_orders, 2))
         grids = {}
-        for k in np.unique(which).tolist():
+        for k in sorted(set(which.tolist())):
             tr = self._commits[k][1]
             grids.setdefault((tr.degree, tr.dt), []).append(k)
         slot = np.empty(len(self._commits), dtype=int)

@@ -15,7 +15,7 @@ from swarmplan.geometry import (BOUNDARY_TOL, Circle, Square, Rectangle,
                                 Triangle, axis_rectangle,
                                 circle_from_three_points, footprint_from_size,
                                 shape_groups, unit_rows)
-from swarmplan.regions import ConvexPolytope, _distinct
+from swarmplan.regions import ConvexPolytope
 
 
 def boundary_samples(shape, n):
@@ -269,8 +269,8 @@ class TestSupportingHalfplane:
 
 
 class TestPolytope:
-    """A region slice's rows: the view a plane stack hands out, the
-    duplicate rule and the normalization every cut applies."""
+    """A region slice's rows: the view a plane stack hands out and the
+    normalization every cut applies."""
 
     def test_containment(self):
         box = ConvexPolytope(np.array([[1.0, 0.0], [-1.0, 0.0],
@@ -279,12 +279,6 @@ class TestPolytope:
         assert box.contains([1, 1])
         assert not box.contains([1.1, 0])
         assert np.max(box.normals @ [2, 0] - box.offsets) == pytest.approx(1.0, abs=1e-12)
-
-    def test_exact_duplicates_dropped(self):
-        rows = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-        stack = _distinct(rows, np.ones((1, 3)), np.array([3]))
-        assert len(stack.polytope(0)) == 2
-        assert np.array_equal(stack.normals[0], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_normalization(self):
         n, o = unit_rows(np.array([3.0, 0.0]), 6.0)

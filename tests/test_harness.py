@@ -63,7 +63,7 @@ import swarmplan
 from swarmplan import cli, harness, planner, regions, runtime
 from swarmplan.harness import build_agents, run_scenario
 from swarmplan.metrics import (RunMetrics, compute_motion_metrics,
-                               read_trajectories)
+                               read_trajectories, solve_time_stats)
 from swarmplan.planner import TAU
 from swarmplan.scenario import builtin_scenario
 from test_regions import assert_same_cut, old_peer_cuts
@@ -336,6 +336,21 @@ def test_admission_is_the_shapes_that_own_a_row(name, monkeypatch):
     assert not wrong, f"{len(wrong)} cycles admit other shapes: {wrong[:3]}"
     offered, admitted = np.sum(checked, axis=0)
     assert 0 < admitted <= offered
+
+
+def test_time_stats_match_numpys_median_and_percentile():
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 3, 4, 5, 19, 20, 21, 100, 101, 977]:
+        for _ in range(20):
+            times = rng.lognormal(5.0, 1.0, size=n)
+            stats = solve_time_stats(times.tolist())
+            assert stats["count"] == n
+            assert stats["median_us"] == pytest.approx(np.median(times),
+                                                       rel=1e-12)
+            assert stats["p95_us"] == pytest.approx(np.percentile(times, 95),
+                                                    rel=1e-12)
+            assert stats["max_us"] == times.max()
+            assert stats["mean_us"] == times.mean()
 
 
 def package_memos():

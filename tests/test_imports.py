@@ -39,6 +39,19 @@ def test_harness_and_scenario_import_without_scipy_or_matplotlib():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_run_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 10 ms to import, and np.unique, np.median and
+    # np.percentile import it on first use; a run calls none of them.
+    code = ("import sys; from swarmplan.harness import run_scenario; "
+            "from swarmplan.scenario import builtin_scenario; "
+            "run_scenario(builtin_scenario('unstructured', duration=0.4)); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def test_console_scripts_resolve():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})

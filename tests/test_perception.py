@@ -13,7 +13,8 @@ from swarmplan.geometry import (Circle, Square, Rectangle, Triangle, axis_rectan
                                shape_groups)
 from swarmplan.perception import (Cluster, LocalMap, build_moving_volume,
                                   classify_cluster, compensate_motion,
-                                  fit_rectangle, segment_scan)
+                                  decompose_boundary, fit_rectangle,
+                                  segment_scan)
 from swarmplan.sensor import Scan, World, simulate_scan
 from swarmplan.bspline import TrajectorySpline
 
@@ -134,6 +135,37 @@ class TestFitRectangle:
         pts = np.array([[0, 0], [0.5, 0.4], [1, 0]])
         with pytest.raises(ValueError):
             fit_rectangle(pts, robot_position=[0.5, -3.0])
+
+
+class TestDecomposeBoundary:
+    def test_every_piece_is_the_fit_of_its_points(self):
+        # Random polylines with bends, noise, repeated points and closed
+        # rings: every piece is within LINE_TOL of its chord, so each
+        # shape is fit_rectangle of the piece's points, bit for bit.
+        rng = np.random.default_rng(43)
+        pieces = 0
+        for trial in range(300):
+            n_legs = int(rng.integers(1, 6))
+            heading = np.cumsum(rng.uniform(-2.5, 2.5, size=n_legs))
+            lengths = rng.uniform(0.01, 3.0, size=n_legs)
+            corners = np.vstack([[0.0, 0.0], np.cumsum(
+                lengths[:, None] * np.stack([np.cos(heading),
+                                             np.sin(heading)], axis=1),
+                axis=0)])
+            pts = np.vstack([np.linspace(a, b, int(rng.integers(2, 30)))[:-1]
+                             for a, b in zip(corners[:-1], corners[1:])]
+                            + [corners[-1:]])
+            pts = pts + rng.normal(scale=rng.choice([0.0, 0.005, 0.03]),
+                                   size=pts.shape)
+            if trial % 7 == 0:
+                pts = np.repeat(pts, 2, axis=0)
+            robot = rng.uniform(-4.0, 4.0, size=2)
+            for shape, piece in decompose_boundary(pts, robot,
+                                                   closed=trial % 5 == 0):
+                want = fit_rectangle(piece, robot)
+                assert shape.corners.tobytes() == want.corners.tobytes()
+                pieces += 1
+        assert pieces > 1000
 
 
 class TestClassification:

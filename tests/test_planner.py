@@ -735,6 +735,26 @@ class TestFallbackLadder:
         assert np.array_equal(
             np.concatenate([traj.control[:, 0], traj.control[:, 1]]), sol.x)
 
+    @pytest.mark.parametrize("status, task", [
+        ("optimal", {}),
+        ("relaxed", dict(
+            waypoints=[(1.0, np.array([0.72, 0.0]))],
+            limits={1: (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))}))])
+    def test_a_repeated_region_row_plans_as_without_it(self, status, task):
+        # Region rows are distinct by construction; a repeat of the live
+        # wall row would still change nothing: the dual loop adds the
+        # lower-index twin, and the copy then stays within tolerance.
+        wall = [([1.0, 0.0], 2.0), ([-1.0, 0.0], 20.0),
+                ([0.0, 1.0], 20.0), ([0.0, -1.0], 20.0)]
+        (a, report_a), (b, report_b) = (
+            plan_with_fallback(base_request(
+                regions=stacked_region([polytope(rows)] * 40), **task))
+            for rows in (wall, wall + wall[:1]))
+        assert report_a.status == report_b.status == status
+        assert report_a.iterations == report_b.iterations > 0
+        assert abs(a.position(4.0)[0] - 2.0) < 1e-4
+        assert np.abs(b.control - a.control).max() <= 1e-12
+
     def test_walled_in_keeps_previous(self):
         region = wall_region()
         region.feasible[:] = False

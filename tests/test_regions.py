@@ -24,8 +24,8 @@ from swarmplan.regions import (PlaneStack, SeedInsideObstacle,
 #
 # A region as it was defined before the plane stacks: one Halfplane object
 # per row, which divides by the norm it measures, gathered into a
-# ConvexPolytope, which drops exact duplicate rows keeping the first.  Both
-# classes are kept here verbatim as the reference that the stacked kernels
+# ConvexPolytope, which keeps every row it is given, in order.  Both
+# classes are kept here as the reference that the stacked kernels
 # must equal bit for bit, and as the polytopes the single-slice functions
 # take.
 
@@ -50,28 +50,16 @@ class Halfplane:
 
 
 class ConvexPolytope:
-    """Intersection of halfplanes, stored as normals (m, 2) and offsets (m,).
-
-    Construction drops exact duplicate rows (same normal and offset bits).
-    """
+    """Intersection of halfplanes, stored as normals (m, 2) and offsets (m,),
+    one row per halfplane given, in order."""
 
     __slots__ = ("normals", "offsets")
 
     def __init__(self, halfplanes):
-        normals = []
-        offsets = []
-        seen = set()
-        for hp in halfplanes:
-            key = (hp.normal[0], hp.normal[1], hp.offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            normals.append(hp.normal)
-            offsets.append(hp.offset)
-        if not normals:
+        if not halfplanes:
             raise ValueError("polytope needs at least one halfplane")
-        self.normals = np.array(normals)
-        self.offsets = np.array(offsets)
+        self.normals = np.array([hp.normal for hp in halfplanes])
+        self.offsets = np.array([hp.offset for hp in halfplanes])
 
     def __len__(self):
         return len(self.offsets)
@@ -403,60 +391,6 @@ class TestBatchedKernels:
             assert radius[k].tobytes() == alone[0].tobytes(), k
             assert interior[k] == (not region_is_empty(p)), k
         assert 20 < np.sum(~interior) < len(polys) - 20
-
-    @staticmethod
-    def oracle_distinct(stack):
-        """The ConvexPolytope rule, slice by slice, packed and padded."""
-        kept = []
-        for k, c in enumerate(stack.counts):
-            seen, rows = set(), []
-            for n, o in zip(stack.normals[k, :c], stack.offsets[k, :c]):
-                if (n[0], n[1], o) not in seen:
-                    seen.add((n[0], n[1], o))
-                    rows.append(np.append(n, o))
-            kept.append(rows)
-        width = max(max(len(r) for r in kept), 1)
-        want = np.full((len(kept), width, 3), np.nan)
-        for k, rows in enumerate(kept):
-            if rows:
-                want[k, :len(rows)] = rows
-        return want, np.array([len(r) for r in kept])
-
-    def test_distinct_early_return_matches_compaction(self):
-        # Stacks with distinct offsets take the early return; stacks where
-        # offsets repeat, with equal or with different normals, take the
-        # compaction.  Both must give the ConvexPolytope rule's rows.
-        rng = np.random.default_rng(71)
-        th = 2.0 * np.pi * np.arange(8) / 8
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        seen = set()
-        for trial in range(300):
-            n_slices = int(rng.integers(1, 9))
-            counts = rng.integers(1, 12, size=n_slices)
-            width = int(counts.max() + rng.integers(0, 4))
-            kind = trial % 3
-            if kind == 0:       # every offset distinct
-                offsets = rng.uniform(-1.0, 1.0, size=(n_slices, width))
-            else:               # few offset values: repeats
-                offsets = rng.choice([0.5, -0.25, 1.0], size=(n_slices, width))
-            if kind == 1:
-                # Equal offsets with different normals: nothing to drop.
-                normals = dirs[np.arange(width) % 8][None].repeat(n_slices, 0)
-                counts = np.minimum(counts, 8)
-            else:
-                normals = dirs[rng.integers(0, 2, size=(n_slices, width))]
-            pad = np.arange(width) >= counts[:, None]
-            normals[pad] = np.nan
-            offsets[pad] = np.nan
-            stack = PlaneStack(normals, offsets, counts)
-            got = regions._distinct(*stack)
-            want, want_counts = self.oracle_distinct(stack)
-            assert np.array_equal(got.counts, want_counts)
-            assert np.array_equal(np.dstack([got.normals, got.offsets]), want,
-                                  equal_nan=True)
-            seen.add((kind, bool(np.any(want_counts < counts))))
-        assert {(0, False), (1, False), (2, True)} <= seen
-        assert (0, True) not in seen and (1, True) not in seen
 
 
 class TestBuildSafeRegions:
@@ -813,14 +747,11 @@ def random_tracks(rng, volume):
 
 
 def assert_same_regions(region, oracle):
-    """Slice by slice, the region's planes, feasibility and static rows
-    equal the oracle's; the static stack may still hold rows equal to
-    earlier ones, which the oracle's ConvexPolytope drops."""
+    """Slice by slice, the region's planes, static rows and feasibility
+    equal the oracle's."""
     assert len(region.slices) == len(oracle)
-    static_rows = regions._distinct(*region.static)
     for k, (sl, (poly, static, feasible)) in enumerate(zip(region.slices, oracle)):
-        for got, want in ((sl.polytope, poly),
-                          (static_rows.polytope(k), static)):
+        for got, want in ((sl.polytope, poly), (sl.static_polytope, static)):
             assert np.array_equal(got.normals, want.normals), k
             assert np.array_equal(got.offsets, want.offsets), k
         assert sl.feasible == feasible, k
@@ -939,11 +870,11 @@ class TestOnePassParity:
         # equal its static polytope cut by contract_for_peer track by track
         # (each step checked against the Halfplane oracle), then deflated.
         # Peer B stands behind peer A, so that on some slices only A's plane
-        # separates it; two identical tracks give bit-equal planes that the
-        # cut drops.
+        # separates it; two identical tracks meet each other's plane at the
+        # margin, so the copy appends a bit-equal plane, which both keep.
         rng = np.random.default_rng(89)
         make = TestBuildSafeRegions().track_at
-        shadowed = merged = 0
+        shadowed = repeated = 0
         for trial in range(8):
             vol = random_volume(rng, 30, inside_frac=0.0)
             th = rng.uniform(0, 2 * np.pi)
@@ -978,7 +909,9 @@ class TestOnePassParity:
                         alone, _ = contract_for_peer(static, seed, peer, fp,
                                                      regions.PEER_MARGIN)
                         shadowed += alone is not static
-                    merged += cut is not poly and len(cut) <= len(poly)
+                    rows = np.column_stack([cut.normals, cut.offsets])
+                    repeated += (cut is not poly
+                                 and (rows[:-1] == rows[-1]).all(axis=1).any())
                     poly = cut
                 poly = deflate_for_ego(poly, ego)
                 got = region.planes.polytope(k)
@@ -987,7 +920,7 @@ class TestOnePassParity:
                 if feasible:
                     feasible = not region_is_empty(poly, probe=seed)
                 assert region.feasible[k] == feasible, k
-        assert shadowed > 0 and merged > 0
+        assert shadowed > 0 and repeated > 0
 
     def test_plane_dots_round_as_each_slice_product(self):
         # The seed probe's batched product must round like each slice's own
@@ -1241,6 +1174,26 @@ class TestNearestPointPlanes:
                 assert bounding[k].sum() == kept - 4
         assert rows > 500 and skipped > 500
 
+    def test_identical_shapes_give_one_row(self):
+        # Two bit-identical shapes held by one slice have equal candidate
+        # rows; the first one's row meets the copy at gap 0, so the copy
+        # gets no row and its bounding column stays False.
+        rng = np.random.default_rng(67)
+        for trial in range(40):
+            c = rng.uniform(-2.0, 2.0, size=2)
+            first, copy = [Circle(c, 0.4) if trial % 2 else axis_square(c, 0.8)
+                           for _ in range(2)]
+            seed = c + rng.uniform(1.0, 3.0) * np.array(
+                [np.cos(trial), np.sin(trial)])
+            volume = volume_of([seed], [[first, copy]], 0.1)
+            stack, inside, bounding = seeded_volume(volume)
+            assert not inside[0]
+            assert bounding[0].tolist() == [True, False]
+            static = stack.polytope(0)
+            assert len(static) == 5
+            assert static.normals[4].tobytes() == (
+                -volume.gradients[0, 0]).tobytes()
+
 
 def row_owners(volume, region):
     """The columns that own a static row of some slice, found slice by
@@ -1405,8 +1358,8 @@ class TestEmptinessAgainstLP:
 # `old_peer_cuts` is the track-by-track chain that `regions._peer_cuts`
 # replaced: every track runs the whole chain over the whole stack, testing
 # its gaps on the rows that the earlier tracks left and writing its plane
-# after them.  The one-pass cut must equal it bit for bit once `_distinct`
-# drops duplicate rows, counts included.
+# after them.  The one-pass cut must equal it bit for bit, counts and
+# repeated planes included.
 
 def footprint_groups(footprints):
     """The (footprint, track indices) groups of a per-track footprint list,
@@ -1430,8 +1383,8 @@ def old_peer_cuts(stack, seeds, peers, groups, margin):
     """`contract_for_peer` on every slice by each track t in turn, at
     peers[t] (tracks, slices, 2), grouped by footprint as `_peer_cuts`
     takes them: (stack, seed covered by no track).  The input stack comes
-    back when nothing is cut; else the cut stack still holds rows equal to
-    earlier ones (see `_distinct`)."""
+    back when nothing is cut; else the rows as every track left them, as
+    wide as the largest count."""
     footprints = track_footprints(groups, len(peers))
     width = stack.offsets.shape[1] + len(footprints)
     normals = np.full((len(seeds), width, 2), np.nan)
@@ -1457,7 +1410,8 @@ def old_peer_cuts(stack, seeds, peers, groups, margin):
         counts[ks] += 1
     if np.array_equal(counts, stack.counts):
         return stack, free
-    return PlaneStack(normals, offsets, counts), free
+    width = counts.max()
+    return PlaneStack(normals[:, :width], offsets[:, :width], counts), free
 
 
 def random_stack(rng, seeds, max_rows=10):
@@ -1522,8 +1476,8 @@ def assert_same_cut(stack, got, want):
     (a, free_a), (b, free_b) = got, want
     assert (a is stack) == (b is stack)
     assert free_a.tobytes() == free_b.tobytes()
-    a, b = regions._distinct(*a), regions._distinct(*b)
     assert np.array_equal(a.counts, b.counts)
+    assert a.normals.shape == b.normals.shape
     assert a.normals.tobytes() == b.normals.tobytes()
     assert a.offsets.tobytes() == b.offsets.tobytes()
 
